@@ -8,12 +8,15 @@ writing into a fresh directory, in this process and on one thread.  Every
 operation's output is checked (see ``check.py``); an operation fails if it
 raises, returns the wrong exit status or fails the check.
 
+Every run starts with one untimed warm-up operation at the default seed,
+whose output is compared with the stored reference report whatever seed the
+run is given; the measured operations use the run's seed.
+
 ``--trace 0`` measures the end-to-end metrics with tracing off:
 
 * ``run_s``: median wall time of a warm operation, measured for S seconds
-  after one untimed warm-up operation;
-* ``run_s_tail``: the highest order statistic of those times that has at
-  least ten samples above it (at least 14 operations are always timed);
+  and over at least 14 operations;
+* ``run_s_tail``: the upper quartile (75th percentile) of those times;
 * ``cold_run_s``, ``setup_s``, ``peak_rss_mb``: medians over fresh
   interpreters, spread through the run (see ``cold.py``).
 
@@ -67,11 +70,9 @@ os.environ.update(THREAD_ENV)  # before numpy is first imported
 BENCH_DIR = Path(__file__).resolve().parent
 WORK_ROOT = ROOT / ".bench_work"
 
-#: Operations above the tail statistic.  A run times at least MIN_TIMED
-#: operations, so the tail is never the minimum alone, which spreads twice
-#: as much from run to run.
-TAIL_BEYOND = 10
-MIN_TIMED = TAIL_BEYOND + 4
+#: A run times at least this many warm operations, so that the upper
+#: quartile has three to four samples above it.
+MIN_TIMED = 14
 COLD_PROCESSES = 6
 MIN_TRACED = 3
 CHILD_TIMEOUT_S = 150
@@ -79,6 +80,10 @@ CHILD_TIMEOUT_S = 150
 
 def _median(values):
     return statistics.median(values) if values else float("nan")
+
+
+def _upper_quartile(values) -> float:
+    return statistics.quantiles(values, n=4)[2]
 
 
 def _spread(values) -> dict:
@@ -116,6 +121,12 @@ class Runner:
             self.failed += 1
             self.problems.extend(problems[:3])
         return report_bytes
+
+    def absorb(self, other: Runner) -> None:
+        """Count ``other``'s operations and problems as this runner's."""
+        self.attempted += other.attempted
+        self.failed += other.failed
+        self.problems[:0] = other.problems
 
     def op(self, entry) -> tuple[float, int]:
         """One in-process operation through ``entry(argv)``; returns (seconds, report bytes)."""
@@ -167,7 +178,6 @@ def timed_run(runner: Runner, seconds: float) -> tuple[dict, dict]:
     # Compile bytecode once, so that no cold sample pays for it.
     subprocess.run([sys.executable, "-I", "-c", f"import sys; sys.path.insert(0, {str(SRC)!r}); "
                     "import fuzzystab.cli"], check=True, timeout=CHILD_TIMEOUT_S, cwd=ROOT)
-    runner.op(_cli_main)  # warm-up, checked but not timed
     pace = Pace()
     wall: list[float] = []
     scaled: list[float] = []
@@ -188,22 +198,20 @@ def timed_run(runner: Runner, seconds: float) -> tuple[dict, dict]:
             warm_op()
     while len(wall) < MIN_TIMED:
         warm_op()
-    tail_index = len(scaled) - 1 - TAIL_BEYOND
     metrics = {
         "run_s": (_median(scaled), "s"),
-        "run_s_tail": (sorted(scaled)[tail_index], "s"),
+        "run_s_tail": (_upper_quartile(scaled), "s"),
         "cold_run_s": (_median([c["scaled"]["cold_run_s"] for c in colds]), "s"),
         "setup_s": (_median([c["scaled"]["setup_s"] for c in colds]), "s"),
         "peak_rss_mb": (_median([c["peak_rss_mb"] for c in colds]), "MB"),
     }
     detail = {
         "run_s_samples": len(scaled),
-        "run_s_tail_percentile": round(100.0 * (tail_index + 1) / len(scaled), 1),
         "cold_samples": len(colds),
         "calibration_s": _spread(pace.passes),
         "wall_s": {
             "run_s": _spread(wall),
-            "run_s_tail": sorted(wall)[tail_index],
+            "run_s_tail": _upper_quartile(wall),
             "cold_run_s": _median([c["cold_run_s"] for c in colds]),
             "setup_s": _median([c["setup_s"] for c in colds]),
         },
@@ -234,7 +242,6 @@ def traced_run(runner: Runner, seconds: float) -> tuple[dict, dict]:
     def traced_entry(argv):
         return tracer.root(cli.main, argv)
 
-    runner.op(_cli_main)  # warm-up
     pace = Pace()
     plain: list[float] = []
     traced: list[float] = []
@@ -317,8 +324,15 @@ def main(argv=None) -> int:
     WORK_ROOT.mkdir(exist_ok=True)
     work = Path(tempfile.mkdtemp(prefix=f"{args.workload}-", dir=WORK_ROOT))
     try:
-        reference = load_reference(args.workload) if args.seed == DEFAULT_SEED else None
-        runner = Runner(WORKLOADS[args.workload], args.seed, work, reference)
+        workload = WORKLOADS[args.workload]
+        reference = load_reference(args.workload)
+        (work / "reference").mkdir()
+        checker = Runner(workload, DEFAULT_SEED, work / "reference", reference)
+        checker.op(_cli_main)  # untimed warm-up, compared with the reference at any seed
+        (work / "seed").mkdir()
+        runner = Runner(workload, args.seed, work / "seed",
+                        reference if args.seed == DEFAULT_SEED else None)
+        runner.absorb(checker)
         if args.trace:
             metrics, detail = traced_run(runner, args.seconds)
         else:
@@ -336,7 +350,9 @@ def main(argv=None) -> int:
         "failed": runner.failed,
         "failed_ratio": runner.failed / runner.attempted,
         "problems": runner.problems[:10],
-        "environment": environment(args.seed, {args.workload: runner.config}),
+        "environment": environment(
+            args.seed, {args.workload: runner.config, "reference": checker.config}
+        ),
     }
     print(json.dumps(record))
     print(

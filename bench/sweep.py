@@ -1,15 +1,16 @@
 """Opt-in scaling sweep; not one of the gated workloads.
 
-    python3 bench/sweep.py [--seed N] [--repeats K] [--out FILE]
+    python3 bench/sweep.py [--out FILE]
 
 Grows one input at a time from a gated workload's shape: ``axiom_points``
 over {200, 400, 800} on ``axioms_dense``, and ``x_count`` over
-{20, 200, 2000} and ``dim_x`` over {1, 3, 10} on ``grid_dense``.  Each size
-records the wall times of K untraced operations with their median, the
-stage times and exact counts of one traced operation, and the number of
-failed operations.  Times are scaled to the reference host speed as in
-``run.py``; the unscaled operation times are recorded too.  The largest
-sizes take tens of seconds per operation.
+{20, 200, 2000} and ``dim_x`` over {1, 3, 10} on ``grid_dense``, all at the
+default seed.  Each size runs one untimed warm-up operation, then records
+the times of REPEATS untraced operations with their median, the stage times
+and exact counts of one traced operation, and the number of failed
+operations.  Times are scaled to the reference host speed as in ``run.py``;
+the unscaled operation times are recorded too.  The largest sizes take tens
+of seconds per operation, and the whole sweep about ten minutes.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ AXES = (
     ("grid_dense", "x_count", (20, 200, 2000)),
     ("grid_dense", "dim_x", (1, 3, 10)),
 )
+REPEATS = 3
 
 
 def _with_dim_x(base: dict, dim: int) -> dict:
@@ -65,14 +67,15 @@ def sized(workload_name: str, axis: str, value: int):
     return dataclasses.replace(workload, name=f"{workload_name}[{axis}={value}]", base=base)
 
 
-def measure(workload, seed: int, repeats: int, work: Path) -> dict:
+def measure(workload, work: Path) -> dict:
     from fuzzystab import cli
     from tracing import EXACT, STAGES, Tracer
 
-    runner = Runner(workload, seed, work)
+    runner = Runner(workload, DEFAULT_SEED, work)
+    runner.op(_cli_main)  # warm-up, checked but not timed
     pace = Pace()
     wall, times = [], []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         wall.append(runner.op(_cli_main)[0])
         times.append(wall[-1] * pace.factor())
     tracer = Tracer()
@@ -97,8 +100,6 @@ def measure(workload, seed: int, repeats: int, work: Path) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument("--repeats", type=int, default=1)
     parser.add_argument("--out", type=Path, help="also write the record to this file")
     args = parser.parse_args(argv)
     use_checkout_source()
@@ -110,11 +111,11 @@ def main(argv=None) -> int:
         for workload_name, axis, values in AXES:
             for value in values:
                 workload = sized(workload_name, axis, value)
-                configs[workload.name] = workload.config(args.seed)
+                configs[workload.name] = workload.config(DEFAULT_SEED)
                 op_dir = work / workload.name
                 op_dir.mkdir()
                 point = {"workload": workload_name, "axis": axis, "value": value}
-                point.update(measure(workload, args.seed, args.repeats, op_dir))
+                point.update(measure(workload, op_dir))
                 points.append(point)
                 print(json.dumps({k: point[k] for k in ("axis", "value", "run_s", "failed")}),
                       file=sys.stderr, flush=True)
@@ -123,8 +124,8 @@ def main(argv=None) -> int:
         with contextlib.suppress(OSError):
             WORK_ROOT.rmdir()
     record = {
-        "environment": environment(args.seed, configs),
-        "repeats": args.repeats,
+        "environment": environment(DEFAULT_SEED, configs),
+        "repeats": REPEATS,
         "points": points,
     }
     text = json.dumps(record, indent=1)

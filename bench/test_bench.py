@@ -65,6 +65,16 @@ def test_corrupted_number_fails(grid_output, tmp_path):
     assert any(p.startswith("lhs: 1 of 1500") for p in problems), problems
 
 
+def test_corrupted_extraction_limit_fails(grid_output, tmp_path):
+    out, exit_code, config = _copy(grid_output, tmp_path)
+    path = out / "report.json"
+    doc = json.loads(path.read_text())
+    doc["extraction"][5]["limit"][0] += 1e-3
+    path.write_text(json.dumps(doc))
+    problems = _check(out, exit_code, config)
+    assert any(p.startswith("limit: 1 of") for p in problems), problems
+
+
 def test_corrupted_verdict_fails(grid_output, tmp_path):
     out, exit_code, config = _copy(grid_output, tmp_path)
     path = out / "report.json"
