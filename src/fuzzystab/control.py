@@ -25,7 +25,7 @@ import numpy as np
 from .errors import DomainError
 from .extraction import ComponentPair, Scheme
 from .funceq import VectorFunction, residual_main
-from .spaces import FuzzyNorm, euclidean_norm, log_a_grid, sample_ball
+from .spaces import MEMBERSHIP_SLACK, FuzzyNorm, euclidean_norm, log_a_grid, sample_ball
 
 __all__ = [
     "ConstantControl",
@@ -48,8 +48,6 @@ __all__ = [
     "defect_premise_margin",
     "verify_stability",
 ]
-
-MEMBERSHIP_SLACK = 1e-12
 
 Norm = Callable[[np.ndarray], float]
 

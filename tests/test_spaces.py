@@ -13,6 +13,7 @@ from fuzzystab.spaces import (
     SequenceProbe,
     SpaceConfig,
     check_axioms,
+    crisp_norm,
     default_axiom_samples,
     fuzzy_cauchy,
     fuzzy_limit,
@@ -46,6 +47,33 @@ def test_induced_norm_other_crisp_kinds():
 def test_weighted_norm_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         induced_fuzzy_norm("weighted", np.array([1.0, 2.0]), 1.0, weights=[1.0])
+    with pytest.raises(DimensionMismatchError):
+        crisp_norm("weighted", [1.0]).rows(np.ones((3, 2)))
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "max", "weighted"])
+def test_row_form_of_each_crisp_norm_equals_its_scalar_form(kind):
+    rng = np.random.default_rng(7)
+    for dim in range(1, 11):
+        norm = crisp_norm(kind, rng.uniform(0.1, 5.0, size=dim) if kind == "weighted" else None)
+        rows = rng.normal(size=(500, dim)) * rng.choice([1e-150, 1e-3, 1.0, 1e3], size=(500, 1))
+        rows[0] = 0.0
+        expected = np.array([norm(v) for v in rows])
+        assert norm.rows(rows).tobytes() == expected.tobytes()
+        stacked = rows.reshape(5, 100, dim)[:, None]
+        assert norm.rows(stacked).tobytes() == expected.reshape(5, 1, 100).tobytes()
+
+
+def test_memberships_broadcast_and_match_single_calls():
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(4, 1, 3))
+    a = np.array([-1.0, 0.0, 1e-3, 0.5, 7.0])
+    induced = FuzzyNorm.induced()
+    cellwise = FuzzyNorm(evaluator=induced.evaluator)
+    expected = np.array([[induced(x[i, 0], a[j]) for j in range(5)] for i in range(4)])
+    assert induced.memberships(x, a).tobytes() == expected.tobytes()
+    assert cellwise.memberships(x, a).tobytes() == expected.tobytes()
+    assert induced.memberships(np.zeros(2), a).shape == (5,)
 
 
 def test_space_config_validation():
@@ -93,6 +121,25 @@ class TestAxiomChecks:
         report = check_axioms(norm, [(E1, 1.0), (2 * E1, 2.0)], [2.0])
         assert not report["N3"].passed
         assert report["N3"].violations > 0
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_membership_fails_every_axiom(self, value):
+        norm = FuzzyNorm(evaluator=lambda x, a: value)
+        report = check_axioms(norm, [(E1, 1.0), (2 * E1, 2.0)], [2.0])
+        for check in report.checks:
+            assert not check.passed, check
+            assert check.violations > 0
+            assert check.worst_slack == -math.inf
+        assert not report.passed
+
+    def test_one_non_finite_membership_is_one_violation(self):
+        def nan_at_origin(x, a):
+            return math.nan if a > 0 and not np.any(x) else FuzzyNorm.induced()(x, a)
+
+        report = check_axioms(FuzzyNorm(evaluator=nan_at_origin), [(E1, 1e3)], [2.0])
+        assert report["N2"].violations == 1
+        assert report["N2"].worst_slack == -math.inf
+        assert report.total_violations == 1
 
 
 class TestFuzzyLimit:
