@@ -142,6 +142,41 @@ def eval_control(
     return float(phi.value(xv, yv, norm))
 
 
+def _thresholds(a_grid: Sequence[float] | None) -> np.ndarray:
+    return np.asarray(tuple(a_grid) if a_grid is not None else log_a_grid(), dtype=float)
+
+
+def _stack_pairs(pairs: Sequence[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """The x and the y of each pair, stacked to ``(pairs, dim)``."""
+    xs = np.array([np.atleast_1d(np.asarray(x, dtype=float)) for x, _ in pairs])
+    ys = np.array([np.atleast_1d(np.asarray(y, dtype=float)) for _, y in pairs])
+    return xs, ys
+
+
+def _control_memberships(
+    nprime: FuzzyNorm, values: Sequence[float] | np.ndarray, a: np.ndarray
+) -> np.ndarray:
+    """N'(value_i, a_j) over (values x thresholds), each equal to
+    ``nprime(value_i, a_j)``."""
+    return nprime.memberships(np.asarray(values, dtype=float).reshape(-1, 1, 1), a)
+
+
+def _first_worst(margin: np.ndarray) -> tuple[float, tuple[int, ...] | None]:
+    """Smallest margin and its cell, as a row-major loop of ``if margin <
+    worst`` from ``worst = inf`` finds them (the first of equal minima, a
+    ``-0.0`` after a ``0.0`` included).  A non-finite margin is a violation:
+    then the result is ``-inf`` at the first non-finite cell.  ``(inf, None)``
+    for no cells.
+    """
+    if margin.size == 0:
+        return math.inf, None
+    nonfinite = ~np.isfinite(margin)
+    if nonfinite.any():
+        return -math.inf, np.unravel_index(np.argmax(nonfinite), margin.shape)
+    cell = np.unravel_index(np.argmin(margin), margin.shape)
+    return float(margin[cell]), cell
+
+
 class EnvelopeId(Enum):
     N1PP = "N1pp"
     N2PP = "N2pp"
@@ -239,29 +274,33 @@ def scaling_alpha_check(
             ok=False,
             reason=f"alpha out of range {scheme.interval_label} for {scheme.value}",
         )
-    grid = tuple(a_grid) if a_grid is not None else log_a_grid()
+    grid = _thresholds(a_grid)
     y_set = y_override or (_quadratic_y_set if scheme.is_quadratic else _additive_y_set)
     shrink = 3.0 if scheme.is_quadratic else 2.0
-    worst = np.inf
-    witness = None
+    pairs: list[tuple[np.ndarray, np.ndarray]] = []
+    lhs_phi: list[float] = []
+    rhs_phi: list[float] = []
     for x in xs:
         xv = np.atleast_1d(np.asarray(x, dtype=float))
         u = xv / shrink
         for y in y_set(xv):
-            for a in grid:
-                if scheme.is_up:
-                    lhs = nprime(eval_control(phi, 2 * u, 2 * y, norm), a)
-                    rhs = nprime(phi.alpha * eval_control(phi, u, y, norm), a)
-                else:
-                    lhs = nprime(eval_control(phi, u / 2, y / 2, norm), a)
-                    rhs = nprime(eval_control(phi, u, y, norm), phi.alpha * a)
-                margin = lhs - rhs
-                if margin < worst:
-                    worst = margin
-                    witness = (xv, y, float(a), lhs, rhs)
+            pairs.append((xv, y))
+            if scheme.is_up:
+                lhs_phi.append(eval_control(phi, 2 * u, 2 * y, norm))
+                rhs_phi.append(phi.alpha * eval_control(phi, u, y, norm))
+            else:
+                lhs_phi.append(eval_control(phi, u / 2, y / 2, norm))
+                rhs_phi.append(eval_control(phi, u, y, norm))
+    lhs = _control_memberships(nprime, lhs_phi, grid)
+    rhs = _control_memberships(nprime, rhs_phi, grid if scheme.is_up else phi.alpha * grid)
+    worst, cell = _first_worst(lhs - rhs)
+    witness = None
+    if cell is not None:
+        xv, y = pairs[cell[0]]
+        witness = (xv, y, float(grid[cell[1]]), float(lhs[cell]), float(rhs[cell]))
     ok = bool(worst >= -slack)
     reason = "" if ok else "scaling inequality violated at a sample"
-    return ScalingCheck(ok=ok, reason=reason, witness=witness, worst_slack=float(worst))
+    return ScalingCheck(ok=ok, reason=reason, witness=witness, worst_slack=worst)
 
 
 def vanishing_check(
@@ -280,25 +319,23 @@ def vanishing_check(
     N'(m^n phi(x / 2^n, y / 2^n), a), with m = 4 (quadratic) or 2
     (additive), at n = n_probe.  True iff every sampled membership exceeds
     1 - tol; a membership stuck at a constant below 1 (degree exactly at
-    the scheme boundary) therefore reports False.
+    the scheme boundary) therefore reports False.  phi is evaluated at every
+    pair before any membership is compared.
     """
     if n_probe < 1:
         raise ValueError("n_probe must be >= 1")
-    grid = tuple(a_grid) if a_grid is not None else log_a_grid()
+    grid = _thresholds(a_grid)
     shift = scheme.value_shift * n_probe
-    for x, y in pairs:
-        xv = np.atleast_1d(np.asarray(x, dtype=float))
-        yv = np.atleast_1d(np.asarray(y, dtype=float))
-        for a in grid:
-            if scheme.is_up:
-                value = eval_control(phi, np.ldexp(xv, n_probe), np.ldexp(yv, n_probe), norm)
-                membership = nprime(value, math.ldexp(a, shift))
-            else:
-                value = eval_control(phi, np.ldexp(xv, -n_probe), np.ldexp(yv, -n_probe), norm)
-                membership = nprime(math.ldexp(value, shift), a)
-            if not membership > 1.0 - tol:
-                return False
-    return True
+    step = n_probe if scheme.is_up else -n_probe
+    values = [eval_control(phi, np.ldexp(x, step), np.ldexp(y, step), norm) for x, y in pairs]
+    # Overflow to inf keeps the limit: membership 0 at an infinite value,
+    # 1 at an infinite threshold.
+    with np.errstate(over="ignore"):
+        if scheme.is_up:
+            memberships = _control_memberships(nprime, values, np.ldexp(grid, shift))
+        else:
+            memberships = _control_memberships(nprime, np.ldexp(values, shift), grid)
+    return bool(np.all(memberships > 1.0 - tol))
 
 
 @dataclass(frozen=True)
@@ -407,7 +444,11 @@ def measure_residual_sup(
     norm: Norm = euclidean_norm,
 ) -> float:
     """Largest equation-defect norm over the given argument pairs."""
-    return max((norm(residual_main(f, x, y).value) for x, y in pairs), default=0.0)
+    if not pairs:
+        return 0.0
+    defects = residual_main(f, *_stack_pairs(pairs)).value
+    rows = getattr(norm, "rows", None)  # the row form of a crisp norm, if it has one
+    return max(rows(defects).tolist() if rows is not None else [norm(v) for v in defects])
 
 
 def defect_premise_margin(
@@ -422,19 +463,20 @@ def defect_premise_margin(
     """Worst margin of N(defect(x,y), a) - N'(phi(x,y), a) over the pairs.
 
     A margin below the membership slack means the control does not actually
-    dominate the equation defect on the sampled pairs.
+    dominate the equation defect on the sampled pairs.  A non-finite margin
+    is a violation: the worst margin is then ``-inf``.
     """
-    worst = np.inf
-    witness = None
-    for x, y in pairs:
-        defect = residual_main(f, x, y).value
-        phi_val = eval_control(phi, x, y, norm)
-        for a in a_values:
-            margin = N(defect, a) - nprime(phi_val, a)
-            if margin < worst:
-                worst = margin
-                witness = (x, y, float(a))
-    return float(worst), witness
+    if not pairs:
+        return math.inf, None
+    a = np.asarray(a_values, dtype=float)
+    defects = residual_main(f, *_stack_pairs(pairs)).value
+    phi_values = [eval_control(phi, x, y, norm) for x, y in pairs]
+    margin = N.memberships(defects[:, None, :], a) - _control_memberships(nprime, phi_values, a)
+    worst, cell = _first_worst(margin)
+    if cell is None:
+        return worst, None
+    x, y = pairs[cell[0]]
+    return worst, (x, y, float(a[cell[1]]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -508,7 +550,8 @@ def verify_stability(
     it fails anywhere the bound is not asserted and the report carries an
     explanatory note with no rows.  Otherwise each grid point contributes a
     row with lhs = N(component error, a), rhs = envelope threshold, and a
-    violation is any slack below -1e-12.
+    violation is any slack below -1e-12 or not finite (a non-finite slack
+    makes the worst slack ``-inf``).
 
     ``components`` is a single extracted component (callable) for the four
     single-scheme bounds, or a :class:`ComponentPair` / (Q, A) tuple for the
@@ -548,9 +591,13 @@ def verify_stability(
             )
             row = StabilityRow(x_index=i, x=xv, a=float(a), lhs=lhs, rhs=rhs)
             rows.append(row)
-            worst = min(worst, row.slack)
-            if row.slack < -slack:
+            if not math.isfinite(row.slack):
+                worst = -math.inf
                 violations += 1
+            else:
+                worst = min(worst, row.slack)
+                if row.slack < -slack:
+                    violations += 1
     return StabilityReport(
         theorem_id=theorem_id,
         rows=tuple(rows),

@@ -144,10 +144,12 @@ def extract_limit(
     """Run the scheme until the relative successive difference drops below tol.
 
     Stops at the first n with ||v_n - v_{n-1}|| <= tol * (1 + ||v_n||), or at
-    n_max with ``converged=False``.  ``ratio_estimate`` is the per-step decay
-    rate of the successive differences: the log-average of their consecutive
-    ratios over the recorded history, excluding the final stop-selected step
-    (its difference is threshold-picked, which biases it small).  A value
+    n_max with ``converged=False``.  A non-finite iterate stops the run at its
+    n with ``converged=False`` and is the reported limit.  ``ratio_estimate``
+    is the per-step decay rate of the successive differences: the
+    log-average of their consecutive ratios over the recorded history,
+    excluding the final stop-selected step (its difference is
+    threshold-picked, which biases it small).  A value
     near 1/4 (1/2) marks clean geometric decay of the quadratic (additive)
     defect, a value >= 1 marks divergence.
     """
@@ -160,6 +162,15 @@ def extract_limit(
 
     current = iterate(scheme, f, v, 0)
     trail: list[tuple[int, np.ndarray]] = [(0, current)]
+    if not np.isfinite(current).all():
+        return ExtractionResult(
+            limit_value=current,
+            iterates=tuple(trail),
+            converged=False,
+            ratio_estimate=0.0,
+            n_used=0,
+            stopped_reason="non-finite iterate at n=0",
+        )
     diffs: list[float] = []
     converged = False
     reason = ""
@@ -171,14 +182,19 @@ def extract_limit(
             reason = f"rescaled argument below {UNDERFLOW_LIMIT:.0e} at n={n}"
             break
         nxt = iterate(scheme, f, v, n)
-        diffs.append(float(np.linalg.norm(nxt - current)))
+        diff = float(np.linalg.norm(nxt - current))
         trail.append((n, nxt))
         current = nxt
-        if diffs[-1] <= tol * (1.0 + float(np.linalg.norm(current))):
-            converged = True
-            n_used = n
-            break
         n_used = n
+        # The previous iterate is finite, so a non-finite iterate makes the
+        # difference non-finite: the scalar test screens the array test.
+        if not math.isfinite(diff) and not np.isfinite(nxt).all():
+            reason = f"non-finite iterate at n={n}"
+            break
+        diffs.append(diff)
+        if diff <= tol * (1.0 + float(np.linalg.norm(current))):
+            converged = True
+            break
 
     ratio_estimate = _decay_rate([b / a for a, b in zip(diffs, diffs[1:]) if a > 0.0])
     return ExtractionResult(

@@ -13,7 +13,6 @@ arguments 2^n x and x / 2^n.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -42,6 +41,22 @@ PERTURBATION_SHAPES = ("sin", "cos", "rational")
 _SHAPE_IS_EVEN = {"sin": False, "cos": True, "rational": False}
 
 
+def _quadratic_form(x: np.ndarray, quad: np.ndarray) -> np.ndarray:
+    """x^T quad x for points ``(..., d)`` and blocks ``(..., d, d)``.
+
+    A stacked matmul takes the same two products per row as ``x @ quad @ x``
+    on one vector and so equals it bit for bit; ``np.einsum`` rounds
+    differently in the last bit.
+    """
+    return ((x[..., None, :] @ quad) @ x[..., :, None])[..., 0, 0]
+
+
+def _linear_form(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """w . x for points ``(..., d)`` and weights ``(..., d)``, bit for bit
+    ``w @ x`` on one vector (``x @ w`` on a stack rounds differently)."""
+    return (x[..., None, :] @ w[..., :, None])[..., 0, 0]
+
+
 @dataclass(frozen=True)
 class Perturbation:
     """Globally bounded closed-form term added to every output coordinate.
@@ -64,34 +79,41 @@ class Perturbation:
         amps = self.amplitude if isinstance(self.amplitude, tuple) else (self.amplitude,)
         if any(a < 0 for a in amps):
             raise ValueError("perturbation amplitude must be >= 0")
+        object.__setattr__(self, "_amp", np.asarray(self.amplitude, dtype=float))
+        w = np.asarray(self.frequency, dtype=float) if isinstance(self.frequency, tuple) else None
+        object.__setattr__(self, "_w", w)
 
-    def profile(self, x: np.ndarray) -> float:
-        if isinstance(self.frequency, tuple):
-            w = np.asarray(self.frequency, dtype=float)
-            if w.size != x.size:
+    def profile(self, x: np.ndarray) -> np.ndarray:
+        """Profile at points ``x`` of shape ``(..., d)``; shape ``(...)``."""
+        x = np.asarray(x, dtype=float)
+        if self._w is not None:
+            if self._w.size != x.shape[-1]:
                 raise DimensionMismatchError(
-                    f"frequency has dimension {w.size}, vector has dimension {x.size}"
+                    f"frequency has dimension {self._w.size}, "
+                    f"vector has dimension {x.shape[-1]}"
                 )
-            q = float(w @ x)
+            q = _linear_form(x, self._w)
         else:
-            q = float(self.frequency) * float(np.sum(x))
+            q = float(self.frequency) * x.sum(axis=-1)
         if self.shape == "sin":
-            return math.sin(q)
+            return np.sin(q)
         if self.shape == "cos":
-            return math.cos(q) - 1.0
+            return np.cos(q) - 1.0
         # rational: q / (1 + q^2), evaluated as 1/q for huge |q| to avoid overflow
-        if abs(q) > 1e100:
-            return 1.0 / q
-        return q / (1.0 + q * q)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            return np.where(np.abs(q) > 1e100, 1.0 / q, q / (1.0 + q * q))
 
     def value(self, x: np.ndarray, dim_y: int) -> np.ndarray:
-        s = self.profile(x)
-        amp = np.asarray(self.amplitude, dtype=float)
+        """Term at points ``x`` of shape ``(..., d)``; shape ``(..., dim_y)``."""
+        amp = self._amp
         if amp.ndim == 1 and amp.size != dim_y:
             raise DimensionMismatchError(
                 f"amplitude has dimension {amp.size}, codomain has dimension {dim_y}"
             )
-        return np.broadcast_to(amp * s, (dim_y,)).astype(float)
+        s = self.profile(x)
+        out = np.empty(np.shape(s) + (dim_y,))
+        out[...] = amp * s[..., None]
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,21 +124,50 @@ class CoordinatePoly:
     linear: np.ndarray | None = None
     const: float = 0.0
 
-    def value(self, x: np.ndarray) -> float:
-        v = self.const
+    def value(self, x: np.ndarray) -> np.ndarray:
+        """Coordinate at points ``x`` of shape ``(..., d)``; shape ``(...)``."""
+        x = np.asarray(x, dtype=float)
+        v = np.full(x.shape[:-1], self.const)
         if self.quad is not None:
-            v += float(x @ self.quad @ x)
+            v = v + _quadratic_form(x, self.quad)
         if self.linear is not None:
-            v += float(self.linear @ x)
+            v = v + _linear_form(x, self.linear)
         return v
+
+
+def _stack_blocks(
+    coords: Sequence[CoordinatePoly], attr: str
+) -> tuple[np.ndarray | None, np.ndarray] | None:
+    """Indices of the coordinates that have block ``attr`` (``None`` for all
+    of them) and those blocks stacked along a new first axis; ``None`` if no
+    coordinate has one.
+
+    Only present blocks are stacked: a zero block in place of a missing one
+    would turn a ``-0.0`` constant into ``0.0``.
+    """
+    at = [j for j, c in enumerate(coords) if getattr(c, attr) is not None]
+    if not at:
+        return None
+    blocks = np.stack([getattr(coords[j], attr) for j in at]).astype(float)
+    return (None if len(at) == len(coords) else np.array(at)), blocks
+
+
+def _add_at(out: np.ndarray, at: np.ndarray | None, values: np.ndarray) -> None:
+    """Add ``values`` to the coordinates ``at`` of ``out`` (all if ``None``)."""
+    if at is None:
+        out += values
+    else:
+        out[..., at] += values
 
 
 @dataclass(frozen=True, eq=False)
 class TestFunction:
     """Deterministic closed-form map R^dim_x -> R^dim_y.
 
-    With all perturbation amplitudes zero the function is exactly its
-    polynomial base.
+    Evaluates points of shape ``(..., dim_x)`` to values of shape
+    ``(..., dim_y)``; each row equals the evaluation of that point alone, bit
+    for bit.  With all perturbation amplitudes zero the function is exactly
+    its polynomial base.
     """
 
     coords: tuple[CoordinatePoly, ...]
@@ -137,6 +188,9 @@ class TestFunction:
                 raise DimensionMismatchError(
                     f"linear block {c.linear.shape} does not match dim_x={self.dim_x}"
                 )
+        object.__setattr__(self, "_const", np.array([c.const for c in self.coords], dtype=float))
+        object.__setattr__(self, "_quad", _stack_blocks(self.coords, "quad"))
+        object.__setattr__(self, "_linear", _stack_blocks(self.coords, "linear"))
 
     @property
     def dim_y(self) -> int:
@@ -159,12 +213,22 @@ class TestFunction:
         return cls(coords=(coord,), perturbations=tuple(perturbations), dim_x=1)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        v = np.atleast_1d(np.asarray(x, dtype=float))
-        if v.shape != (self.dim_x,):
+        v = np.asarray(x, dtype=float)
+        if v.ndim == 0:
+            v = v.reshape(1)
+        if v.shape[-1] != self.dim_x:
             raise DimensionMismatchError(
-                f"input has shape {v.shape}, expected ({self.dim_x},)"
+                f"input has shape {v.shape}, expected (..., {self.dim_x})"
             )
-        out = np.array([c.value(v) for c in self.coords], dtype=float)
+        # Per coordinate: const, then + quadratic, then + linear, then each
+        # perturbation in turn, the order of CoordinatePoly.value.
+        out = np.empty(v.shape[:-1] + (self.dim_y,))
+        out[...] = self._const
+        rows = v[..., None, :]
+        if self._quad is not None:
+            _add_at(out, self._quad[0], _quadratic_form(rows, self._quad[1]))
+        if self._linear is not None:
+            _add_at(out, self._linear[0], _linear_form(rows, self._linear[1]))
         for p in self.perturbations:
             out += p.value(v, self.dim_y)
         return out
@@ -175,7 +239,8 @@ VectorFunction = Callable[[np.ndarray], np.ndarray]
 
 @dataclass(frozen=True)
 class Residual:
-    """Equation defect at one argument pair."""
+    """Equation defect at one argument pair, or at a stack of them; ``norm``
+    is the norm of one pair's defect."""
 
     value: np.ndarray
     at: tuple[np.ndarray, np.ndarray]
@@ -190,13 +255,18 @@ def _coerce_pair(f: VectorFunction, x: np.ndarray, y: np.ndarray) -> tuple[np.nd
     if xv.shape != yv.shape:
         raise DimensionMismatchError(f"x has shape {xv.shape}, y has shape {yv.shape}")
     dim = getattr(f, "dim_x", None)
-    if dim is not None and xv.shape != (dim,):
-        raise DimensionMismatchError(f"input has shape {xv.shape}, expected ({dim},)")
+    if dim is not None and xv.shape[-1] != dim:
+        raise DimensionMismatchError(f"input has shape {xv.shape}, expected (..., {dim})")
     return xv, yv
 
 
 def residual_main(f: VectorFunction, x: np.ndarray, y: np.ndarray) -> Residual:
-    """Defect f(2x+y) + f(2x-y) - f(x+y) - f(x-y) - 2 f(2x) + 2 f(x)."""
+    """Defect f(2x+y) + f(2x-y) - f(x+y) - f(x-y) - 2 f(2x) + 2 f(x).
+
+    ``x`` and ``y`` are one pair or equal stacks of pairs ``(..., dim_x)``; on
+    a stack ``f`` is called once per term with all the points, so it must map
+    ``(..., dim_x)`` to ``(..., dim_y)`` row by row as ``TestFunction`` does.
+    """
     xv, yv = _coerce_pair(f, x, y)
     val = (
         np.asarray(f(2 * xv + yv), dtype=float)

@@ -177,7 +177,10 @@ class FuzzyNorm:
         def _eval(x: np.ndarray, a: float) -> float:
             if a <= 0.0:
                 return 0.0
-            return a / (a + norm(x))
+            r = norm(x)
+            if a == math.inf and math.isfinite(r):
+                return 1.0  # a / (a + r) is inf / inf; its limit is 1
+            return a / (a + r)
         return cls(evaluator=_eval, kind="induced", _rows=getattr(norm, "rows", None))
 
     def __call__(self, x: np.ndarray, a: float) -> float:
@@ -196,7 +199,11 @@ class FuzzyNorm:
         if self._rows is not None:
             r = self._rows(x)
             with np.errstate(divide="ignore", invalid="ignore"):
-                return np.where(a <= 0.0, 0.0, a / (a + r))
+                m = np.where(a <= 0.0, 0.0, a / (a + r))
+            at_inf = a == math.inf
+            if at_inf.any():  # a / (a + r) is inf / inf there; its limit is 1
+                m = np.where(at_inf & np.isfinite(r), 1.0, m)
+            return m
         shape = np.broadcast_shapes(x.shape[:-1], a.shape)
         xb = np.broadcast_to(x, shape + x.shape[-1:])
         ab = np.broadcast_to(a, shape)

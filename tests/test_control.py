@@ -26,6 +26,7 @@ from fuzzystab.spaces import FuzzyNorm, log_a_grid
 V = lambda *vals: np.array([float(v) for v in vals])
 NPRIME = FuzzyNorm.induced()
 N = FuzzyNorm.induced()
+NAN_NORM = FuzzyNorm(evaluator=lambda x, a: float("nan"))
 
 
 class TestEvalControl:
@@ -101,6 +102,15 @@ class TestScalingAlphaCheck:
             got = bool(scaling_alpha_check(phi, scheme, NPRIME, self.XS))
             assert got == analytic, (scheme, p, alpha)
 
+    def test_non_finite_margin_fails_at_first_cell(self):
+        phi = ConstantControl(delta=1.0, alpha=1.0)
+        res = scaling_alpha_check(phi, Scheme.QUADRATIC_UP, NAN_NORM, self.XS, a_grid=(0.5, 2.0))
+        assert not res
+        assert res.worst_slack == -np.inf
+        x, y, a, lhs, rhs = res.witness
+        assert x.tobytes() == self.XS[0].tobytes() and not np.any(y) and a == 0.5
+        assert np.isnan(lhs) and np.isnan(rhs)
+
 
 class TestVanishingCheck:
     PAIRS = [(V(1.0), V(0.5)), (V(-2.0), V(1.0)), (V(0.3), V(0.9))]
@@ -132,6 +142,15 @@ class TestVanishingCheck:
         assert not vanishing_check(
             PowerControl(theta=1.0, p=1.0, alpha=5.0), Scheme.QUADRATIC_DOWN, NPRIME, self.PAIRS, 30
         )
+
+    def test_overflowed_rescaled_value_has_membership_zero(self):
+        # 4^600 phi overflows to inf: membership 0, a failed probe, not an error
+        phi = ConstantControl(delta=1.0, alpha=5.0)
+        assert not vanishing_check(phi, Scheme.QUADRATIC_DOWN, NPRIME, self.PAIRS, 600)
+
+    def test_non_finite_membership_fails(self):
+        phi = ConstantControl(delta=1.0, alpha=1.0)
+        assert not vanishing_check(phi, Scheme.QUADRATIC_UP, NAN_NORM, self.PAIRS, 30)
 
 
 class TestEnvelope:
@@ -301,6 +320,35 @@ class TestVerifyStability:
             f, ConstantControl(delta=delta, alpha=1.0), N, NPRIME, pairs, self.A_VALUES
         )
         assert worst >= 0.0
+
+    def test_non_finite_premise_margin_is_a_violation(self):
+        f = TestFunction.scalar(quad=1.0)
+        pairs = [(V(1.0), V(0.5)), (V(2.0), V(-1.0))]
+        phi = ConstantControl(delta=1.0, alpha=1.0)
+        worst, witness = defect_premise_margin(f, phi, N, NAN_NORM, pairs, (0.1, 1.0))
+        assert worst == -np.inf
+        assert witness == (pairs[0][0], pairs[0][1], 0.1)
+        report = verify_stability(
+            f, self._component(f), phi, 1.0, "quadratic_up", self.XS, self.A_VALUES, N, NAN_NORM
+        )
+        assert not report.hypothesis_ok and report.rows == ()
+
+    def test_non_finite_slack_is_a_violation(self):
+        f = TestFunction.scalar(quad=1.0)
+        report = verify_stability(
+            f,
+            lambda x: np.full_like(x, np.nan),
+            ConstantControl(delta=0.5, alpha=1.0),
+            1.0,
+            "quadratic_up",
+            self.XS,
+            self.A_VALUES,
+            N,
+            NPRIME,
+        )
+        assert report.hypothesis_ok
+        assert report.violations == len(report.rows) == len(self.XS) * len(self.A_VALUES)
+        assert report.worst_slack == -np.inf
 
     def test_report_carries_repair_disclosures(self):
         f = TestFunction.scalar(linear=1.0)

@@ -1,0 +1,368 @@
+"""The hypothesis-stage checks and stacked test functions against their
+one-point forms.
+
+``reference_*`` are the four control checks as loops over single pairs and
+single thresholds, one membership call at a time.  The array forms in
+``fuzzystab.control`` must reproduce them exactly on finite inputs: the
+verdict, the worst margin down to the sign of a zero, and the witness.  A
+stacked ``TestFunction`` call must equal the single-vector calls bit for
+bit, for every perturbation shape, and both must equal
+``reference_test_function``, the one-vector evaluation in Python floats
+with ``math.sin`` and ``math.cos``.  A numpy build whose ``np.sin`` or
+``np.cos`` differs from ``math`` fails that test.
+"""
+
+import math
+from typing import Callable, Sequence
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from fuzzystab.control import (
+    THEOREMS,
+    ConstantControl,
+    PowerControl,
+    ProductControl,
+    ScalingCheck,
+    _additive_y_set,
+    _quadratic_y_set,
+    defect_premise_margin,
+    eval_control,
+    measure_residual_sup,
+    scaling_alpha_check,
+    vanishing_check,
+)
+from fuzzystab.extraction import Scheme
+from fuzzystab.funceq import (
+    PERTURBATION_SHAPES,
+    CoordinatePoly,
+    Perturbation,
+    TestFunction,
+    residual_main,
+)
+from fuzzystab.spaces import MEMBERSHIP_SLACK, FuzzyNorm, crisp_norm, euclidean_norm, log_a_grid
+
+
+def reference_scaling_alpha_check(
+    phi,
+    scheme: Scheme,
+    nprime: FuzzyNorm,
+    xs: Sequence[np.ndarray],
+    a_grid: Sequence[float] | None = None,
+    norm=euclidean_norm,
+    slack: float = MEMBERSHIP_SLACK,
+    y_override: Callable[[np.ndarray], list[np.ndarray]] | None = None,
+) -> ScalingCheck:
+    if not scheme.admits_alpha(phi.alpha):
+        return ScalingCheck(
+            ok=False,
+            reason=f"alpha out of range {scheme.interval_label} for {scheme.value}",
+        )
+    grid = tuple(a_grid) if a_grid is not None else log_a_grid()
+    y_set = y_override or (_quadratic_y_set if scheme.is_quadratic else _additive_y_set)
+    shrink = 3.0 if scheme.is_quadratic else 2.0
+    worst = np.inf
+    witness = None
+    for x in xs:
+        xv = np.atleast_1d(np.asarray(x, dtype=float))
+        u = xv / shrink
+        for y in y_set(xv):
+            for a in grid:
+                if scheme.is_up:
+                    lhs = nprime(eval_control(phi, 2 * u, 2 * y, norm), a)
+                    rhs = nprime(phi.alpha * eval_control(phi, u, y, norm), a)
+                else:
+                    lhs = nprime(eval_control(phi, u / 2, y / 2, norm), a)
+                    rhs = nprime(eval_control(phi, u, y, norm), phi.alpha * a)
+                margin = lhs - rhs
+                if margin < worst:
+                    worst = margin
+                    witness = (xv, y, float(a), lhs, rhs)
+    ok = bool(worst >= -slack)
+    reason = "" if ok else "scaling inequality violated at a sample"
+    return ScalingCheck(ok=ok, reason=reason, witness=witness, worst_slack=float(worst))
+
+
+def reference_vanishing_check(
+    phi, scheme, nprime, pairs, n_probe, a_grid=None, tol=0.01, norm=euclidean_norm
+) -> bool:
+    grid = tuple(a_grid) if a_grid is not None else log_a_grid()
+    shift = scheme.value_shift * n_probe
+    for x, y in pairs:
+        xv = np.atleast_1d(np.asarray(x, dtype=float))
+        yv = np.atleast_1d(np.asarray(y, dtype=float))
+        for a in grid:
+            if scheme.is_up:
+                value = eval_control(phi, np.ldexp(xv, n_probe), np.ldexp(yv, n_probe), norm)
+                membership = nprime(value, math.ldexp(a, shift))
+            else:
+                value = eval_control(phi, np.ldexp(xv, -n_probe), np.ldexp(yv, -n_probe), norm)
+                membership = nprime(math.ldexp(value, shift), a)
+            if not membership > 1.0 - tol:
+                return False
+    return True
+
+
+def reference_measure_residual_sup(f, pairs, norm=euclidean_norm) -> float:
+    return max((norm(residual_main(f, x, y).value) for x, y in pairs), default=0.0)
+
+
+def reference_defect_premise_margin(f, phi, N, nprime, pairs, a_values, norm=euclidean_norm):
+    worst = np.inf
+    witness = None
+    for x, y in pairs:
+        defect = residual_main(f, x, y).value
+        phi_val = eval_control(phi, x, y, norm)
+        for a in a_values:
+            margin = N(defect, a) - nprime(phi_val, a)
+            if margin < worst:
+                worst = margin
+                witness = (x, y, float(a))
+    return float(worst), witness
+
+
+def reference_test_function(f: TestFunction, x: np.ndarray) -> np.ndarray:
+    out = []
+    for c in f.coords:
+        v = c.const
+        if c.quad is not None:
+            v += float(x @ c.quad @ x)
+        if c.linear is not None:
+            v += float(c.linear @ x)
+        out.append(v)
+    values = np.array(out, dtype=float)
+    for p in f.perturbations:
+        if isinstance(p.frequency, tuple):
+            q = float(np.asarray(p.frequency, dtype=float) @ x)
+        else:
+            q = float(p.frequency) * float(np.sum(x))
+        if p.shape == "sin":
+            s = math.sin(q)
+        elif p.shape == "cos":
+            s = math.cos(q) - 1.0
+        else:
+            s = 1.0 / q if abs(q) > 1e100 else q / (1.0 + q * q)
+        values += np.broadcast_to(np.asarray(p.amplitude, dtype=float) * s, (f.dim_y,))
+    return values
+
+
+def _bits(value):
+    """Exact identity of a result: floats by their hex form (sign of zero
+    included), arrays by dtype, shape and bytes, containers item by item."""
+    if isinstance(value, (tuple, list)):
+        return tuple(_bits(v) for v in value)
+    if isinstance(value, np.ndarray):
+        return (value.dtype.str, value.shape, value.tobytes())
+    if isinstance(value, (float, np.floating)):
+        return ("float", float(value).hex())
+    return value
+
+
+def _scaling_bits(check: ScalingCheck):
+    return (check.ok, check.reason, _bits(check.witness), _bits(check.worst_slack))
+
+
+# --- strategies ----------------------------------------------------------
+
+_COORD = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
+_ALPHA = st.one_of(st.sampled_from([0.5, 1.0, 2.0, 3.0, 4.5, 6.0, 10.0]), st.floats(0.1, 12.0))
+_POWER = st.one_of(st.sampled_from([0.0, 1.0, 2.0, 3.0]), st.floats(0.0, 3.0))
+_THETA = st.floats(0.0, 3.0)
+_THRESHOLDS = st.lists(
+    st.one_of(st.sampled_from([0.0, -1.0, 1e-3, 1.0, 1e3]), st.floats(-1.0, 1e3)),
+    min_size=1,
+    max_size=6,
+)
+
+
+def _vector(dim):
+    return st.lists(_COORD, min_size=dim, max_size=dim).map(np.array)
+
+
+def _pairs(draw, dim):
+    vector = st.one_of(_vector(dim), st.just(np.zeros(dim)))
+    return draw(st.lists(st.tuples(vector, vector), min_size=1, max_size=6))
+
+
+@st.composite
+def _controls(draw):
+    family = draw(st.sampled_from(["constant", "power", "product"]))
+    alpha = draw(_ALPHA)
+    if family == "constant":
+        return ConstantControl(delta=draw(st.floats(0.0, 3.0)), alpha=alpha)
+    if family == "power":
+        return PowerControl(theta=draw(_THETA), p=draw(_POWER), alpha=alpha)
+    return ProductControl(theta=draw(_THETA), p1=draw(_POWER), p2=draw(_POWER), alpha=alpha)
+
+
+def _crisp(draw, dim):
+    kind = draw(st.sampled_from(["euclidean", "max", "weighted"]))
+    weights = draw(st.lists(st.floats(0.1, 5.0), min_size=dim, max_size=dim))
+    return crisp_norm(kind, weights if kind == "weighted" else None)
+
+
+def _squared(x, a):
+    if a <= 0:
+        return 0.0
+    return a / (a + float(np.linalg.norm(x)) ** 2)
+
+
+def _fuzzy_norm(draw, dim):
+    """An induced norm of any crisp kind, or a custom evaluator (per-cell path)."""
+    if draw(st.booleans()):
+        return FuzzyNorm(evaluator=_squared)
+    return FuzzyNorm.induced(_crisp(draw, dim))
+
+
+@st.composite
+def _perturbations(draw, dim_x, dim_y):
+    shape = draw(st.sampled_from(PERTURBATION_SHAPES))
+    amplitude = draw(
+        st.one_of(
+            st.floats(0.0, 2.0),
+            st.lists(st.floats(0.0, 2.0), min_size=dim_y, max_size=dim_y).map(tuple),
+        )
+    )
+    frequency = draw(
+        st.one_of(
+            st.floats(-3.0, 3.0),
+            st.sampled_from([1e101, -3e150]),  # |q| > 1e100 takes the 1/q branch
+            st.lists(st.floats(-3.0, 3.0), min_size=dim_x, max_size=dim_x).map(tuple),
+        )
+    )
+    return Perturbation(shape=shape, amplitude=amplitude, frequency=frequency)
+
+
+@st.composite
+def _test_functions(draw, dim_x, max_dim_y=3):
+    dim_y = draw(st.integers(1, max_dim_y))
+    entry = st.floats(-3.0, 3.0)
+    coords = []
+    for _ in range(dim_y):
+        quad = draw(
+            st.none()
+            | st.lists(entry, min_size=dim_x * dim_x, max_size=dim_x * dim_x).map(
+                lambda v: np.array(v).reshape(dim_x, dim_x)
+            )
+        )
+        linear = draw(st.none() | st.lists(entry, min_size=dim_x, max_size=dim_x).map(np.array))
+        const = draw(st.sampled_from([0.0, -0.0, 1.5]) | entry)
+        coords.append(CoordinatePoly(quad=quad, linear=linear, const=const))
+    perts = draw(st.lists(_perturbations(dim_x, dim_y), max_size=3))
+    return TestFunction(coords=tuple(coords), perturbations=tuple(perts), dim_x=dim_x)
+
+
+# --- the control checks against their loops ---------------------------------
+
+
+@st.composite
+def _scaling_case(draw):
+    dim = draw(st.integers(1, 3))
+    xs = draw(st.lists(st.one_of(_vector(dim), st.just(np.zeros(dim))), max_size=5))
+    y_override = draw(
+        st.sampled_from([None, THEOREMS["combined"].y_set, lambda x: [x, -0.5 * x]])
+    )
+    return dict(
+        phi=draw(_controls()),
+        scheme=draw(st.sampled_from(list(Scheme))),
+        nprime=_fuzzy_norm(draw, 1),
+        xs=xs,
+        a_grid=draw(_THRESHOLDS),
+        norm=_crisp(draw, dim),
+        y_override=y_override,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_scaling_case())
+def test_scaling_alpha_check_equals_reference_loop(case):
+    assert _scaling_bits(scaling_alpha_check(**case)) == _scaling_bits(
+        reference_scaling_alpha_check(**case)
+    )
+
+
+@st.composite
+def _vanishing_case(draw):
+    dim = draw(st.integers(1, 3))
+    return dict(
+        phi=draw(_controls()),
+        scheme=draw(st.sampled_from(list(Scheme))),
+        nprime=_fuzzy_norm(draw, 1),
+        pairs=_pairs(draw, dim),
+        n_probe=draw(st.integers(1, 12)),
+        a_grid=draw(_THRESHOLDS),
+        tol=draw(st.sampled_from([0.01, 0.1, 0.5])),
+        norm=_crisp(draw, dim),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_vanishing_case())
+def test_vanishing_check_equals_reference_loop(case):
+    try:
+        want = reference_vanishing_check(**case)
+    except OverflowError:  # math.ldexp raises where np.ldexp gives inf
+        assume(False)
+    assert vanishing_check(**case) is want
+
+
+@st.composite
+def _premise_case(draw):
+    dim = draw(st.integers(1, 3))
+    f = draw(_test_functions(dim))
+    return dict(
+        f=f,
+        phi=draw(_controls()),
+        N=_fuzzy_norm(draw, f.dim_y),
+        nprime=_fuzzy_norm(draw, 1),
+        pairs=_pairs(draw, dim),
+        a_values=draw(_THRESHOLDS),
+        norm=_crisp(draw, dim),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_premise_case())
+def test_defect_premise_margin_equals_reference_loop(case):
+    assert _bits(defect_premise_margin(**case)) == _bits(reference_defect_premise_margin(**case))
+
+
+@st.composite
+def _residual_sup_case(draw):
+    dim = draw(st.integers(1, 3))
+    f = draw(_test_functions(dim))
+    # a crisp norm (row form) or a plain callable (one row at a time)
+    norm = draw(st.sampled_from([None, lambda v: float(np.sum(np.abs(v)))]))
+    return dict(f=f, pairs=_pairs(draw, dim), norm=norm or _crisp(draw, f.dim_y))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_residual_sup_case())
+def test_measure_residual_sup_equals_reference_loop(case):
+    assert _bits(measure_residual_sup(**case)) == _bits(reference_measure_residual_sup(**case))
+
+
+# --- stacked test functions -------------------------------------------------
+
+
+@st.composite
+def _stacked_case(draw):
+    dim_x = draw(st.integers(1, 10))
+    f = draw(_test_functions(dim_x))
+    point = st.one_of(_vector(dim_x), st.just(np.zeros(dim_x)))
+    rows = draw(st.lists(point, min_size=1, max_size=6))
+    return f, np.array(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_stacked_case())
+def test_stacked_test_function_equals_single_calls(case):
+    f, points = case
+    one_by_one = np.stack([f(x) for x in points])
+    assert f(points[0]).shape == (f.dim_y,)
+    assert _bits(one_by_one) == _bits(np.stack([reference_test_function(f, x) for x in points]))
+    assert _bits(f(points)) == _bits(one_by_one)
+    # any number of leading axes
+    grid = points[None, :, :]
+    assert _bits(f(grid)) == _bits(one_by_one[None])

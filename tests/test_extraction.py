@@ -130,6 +130,19 @@ class TestExtractLimit:
         assert np.isfinite(r.limit_value).all()
 
 
+    @pytest.mark.parametrize("x,n", [(1.2, 1), (1.9, 0)])
+    def test_non_finite_iterate_stops_unconverged(self, x, n):
+        # 1e308 x^2 is finite at 1.2 and overflows at 2.4 (n=1) and at 1.9 (n=0)
+        f = TestFunction.scalar(quad=1e308)
+        with np.errstate(over="ignore"):
+            r = extract_limit(Scheme.QUADRATIC_UP, f, V(x), tol=1e-9, n_max=40)
+        assert not r.converged
+        assert r.n_used == n
+        assert r.stopped_reason == f"non-finite iterate at n={n}"
+        assert r.limit_value[0] == math.inf
+        assert [k for k, _ in r.iterates] == list(range(n + 1))
+
+
 class TestFixedPointProperty:
     def test_exact_quadratic_iterates_bitwise_stable(self):
         rng = np.random.default_rng(11)

@@ -331,6 +331,18 @@ class TestCli:
         doc = json.loads((out / "report.json").read_text())
         assert doc["axioms"] and not doc["extraction"]
 
+    def test_check_axioms_passes_with_overflowing_thresholds(self, tmp_path):
+        # with a_max 1e308 the audit's derived thresholds overflow to inf, where
+        # the induced membership takes its limit 1
+        data = dict(BASE, function={"quad": 1.0})
+        data["grids"] = {"x_count": 6, "a_points": 7, "axiom_points": 30, "a_max": 1e308}
+        config = write_config(tmp_path, data)
+        out = tmp_path / "ax"
+        code = cli_main(["check-axioms", "--config", str(config), "--out-dir", str(out)])
+        doc = json.loads((out / "report.json").read_text())
+        assert [r for r in doc["axioms"] if not r["passed"]] == []
+        assert code == EXIT_OK
+
     def test_double_run_is_byte_identical(self, tmp_path):
         config = write_config(tmp_path, BASE)
         out1, out2 = tmp_path / "one", tmp_path / "two"

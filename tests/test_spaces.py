@@ -76,6 +76,15 @@ def test_memberships_broadcast_and_match_single_calls():
     assert induced.memberships(np.zeros(2), a).shape == (5,)
 
 
+def test_induced_membership_is_one_at_infinite_threshold():
+    norm = FuzzyNorm.induced()
+    x = np.array([[3.0, 4.0], [0.0, 0.0], [np.inf, 0.0]])
+    rows = norm.memberships(x, np.inf)
+    single = [norm(v, np.inf) for v in x]
+    assert rows[:2].tolist() == single[:2] == [1.0, 1.0]
+    assert np.isnan(rows[2]) and math.isnan(single[2])  # inf / inf has no limit
+
+
 def test_space_config_validation():
     with pytest.raises(ValueError):
         SpaceConfig(dim_x=0, dim_y=1)
