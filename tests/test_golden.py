@@ -1,10 +1,11 @@
 """Golden report files: a fixed config must reproduce its reports byte for byte.
 
-``tests/golden/<case>/`` holds ``report.json`` and the section CSVs that
-``fuzzystab run`` wrote for each case below.  A refactor either reproduces
-them exactly or explains every changed byte.  To re-create them after an
-intended report change, run ``PYTHONPATH=src python tests/test_golden.py`` from the
-repository root and review the diff.
+``tests/golden/<case>/`` holds ``report.json`` and the section CSVs that the
+``fuzzystab`` subcommand of each case below wrote for its config.  A
+refactor either reproduces them exactly or explains every changed byte.  To
+re-create them after an intended report change, run
+``PYTHONPATH=src python tests/test_golden.py`` from the repository root and
+review the diff.
 """
 
 import json
@@ -30,7 +31,7 @@ _TWO_D_FUNCTION = {
 }
 
 #: Small 2-D runs under the two crisp norms that the configs/ files do not use.
-INLINE_CONFIGS = {
+_RUN_2D = {
     "max_2d": {
         "seed": 2718,
         "space": {"dim_x": 2, "dim_y": 2, "crisp_norm": "max"},
@@ -49,19 +50,60 @@ INLINE_CONFIGS = {
     },
 }
 
-CASES = ("combined", "quadratic_power", *INLINE_CONFIGS)
+#: Extraction-only runs of the two down-schemes.
+_EXTRACT_DOWN = {
+    # The shape of the benchmark's extract_down workload on fewer points.
+    "quadratic_down_max_2d": {
+        "seed": 4000,
+        "space": {"dim_x": 2, "dim_y": 1, "crisp_norm": "max"},
+        "function": {
+            "coords": [{"quad": [[1.0, 0.25], [0.25, 0.5]]}],
+            "perturbations": [{"shape": "cos", "amplitude": 0.01}],
+        },
+        "control": {"family": "power", "theta": 1.0, "p": 3.0, "alpha": 6.0},
+        "theorems": ["quadratic_down"],
+        "grids": {"x_count": 50, "a_points": 25, "axiom_points": 20},
+    },
+    "additive_down_2d": {
+        "seed": 2024,
+        "space": {"dim_x": 2, "dim_y": 2, "crisp_norm": "euclidean"},
+        "function": {
+            "coords": [
+                {"quad": [[0.5, 0.0], [0.0, 1.0]], "linear": [1.0, -2.0], "const": 0.5},
+                {"linear": [0.5, 0.25]},
+            ],
+            "perturbations": [
+                {"shape": "sin", "amplitude": 0.02, "frequency": [1.0, -0.5]},
+                {"shape": "rational", "amplitude": 0.01},
+            ],
+        },
+        "control": {"family": "power", "theta": 1.0, "p": 3.0, "alpha": 8.0},
+        "theorems": ["additive_down"],
+        "grids": {"x_count": 40, "a_points": 25, "axiom_points": 20},
+    },
+}
+
+#: Case name -> (subcommand, inline config, or None for ``configs/<case>.json``).
+CASES = {
+    "combined": ("run", None),
+    "quadratic_power": ("run", None),
+    **{case: ("run", config) for case, config in _RUN_2D.items()},
+    **{case: ("extract", config) for case, config in _EXTRACT_DOWN.items()},
+}
 
 
 def _config_path(case: str, tmp_dir: Path) -> Path:
-    if case in INLINE_CONFIGS:
-        path = tmp_dir / f"{case}.json"
-        path.write_text(json.dumps(INLINE_CONFIGS[case]), encoding="utf-8")
-        return path
-    return CONFIGS / f"{case}.json"
+    config = CASES[case][1]
+    if config is None:
+        return CONFIGS / f"{case}.json"
+    path = tmp_dir / f"{case}.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    return path
 
 
 def _run(case: str, config_dir: Path, out_dir: Path) -> None:
-    cli_main(["run", "--config", str(_config_path(case, config_dir)), "--out-dir", str(out_dir)])
+    command = CASES[case][0]
+    cli_main([command, "--config", str(_config_path(case, config_dir)), "--out-dir", str(out_dir)])
 
 
 @pytest.mark.parametrize("case", CASES)
