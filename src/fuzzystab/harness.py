@@ -376,6 +376,7 @@ class ExtractionRow:
     n_used: int
     converged: bool
     ratio_estimate: float
+    stopped_reason: str
 
 
 @dataclass(eq=False)
@@ -614,6 +615,7 @@ def run_pipeline(cfg: ExperimentConfig, stages: Sequence[str] = ALL_STAGES) -> R
                             n_used=result.n_used,
                             converged=result.converged,
                             ratio_estimate=result.ratio_estimate,
+                            stopped_reason=result.stopped_reason,
                         )
                     )
 
@@ -657,6 +659,7 @@ _CSV_HEADERS = {
         "n_used",
         "converged",
         "ratio_estimate",
+        "stopped_reason",
     ],
     "verification": ["theorem_id", "x_index", "x_norm", "a", "lhs", "rhs", "slack"],
     "repair_log": ["repair_id", "description"],
@@ -740,6 +743,7 @@ def _report_document(report: RunReport) -> dict:
                 "n_used": r.n_used,
                 "converged": r.converged,
                 "ratio_estimate": r.ratio_estimate,
+                "stopped_reason": r.stopped_reason,
             }
             for r in report.extraction_rows
         ],
@@ -801,6 +805,7 @@ def _csv_rows(report: RunReport, section: str) -> list[list]:
                 r.n_used,
                 r.converged,
                 _fmt_float(r.ratio_estimate),
+                r.stopped_reason,
             ]
             for r in report.extraction_rows
         ]

@@ -271,6 +271,23 @@ class TestEmission:
             for key in ("x_norm", "a", "lhs", "rhs", "slack"):
                 assert row[key] == f"{float(row[key]):.17g}"
 
+    def test_extraction_rows_carry_stopped_reason(self, tmp_path):
+        # 1e308 x^2 is a fixed point of the scheme where it is finite and
+        # overflows at the first doubling of |x| beyond 0.67
+        data = dict(BASE, function={"quad": 1e308})
+        with np.errstate(over="ignore"):
+            report = run_pipeline(ExperimentConfig.from_dict(data), stages=("extraction",))
+        emit_report(report, "json", tmp_path)
+        emit_report(report, "csv", tmp_path)
+        doc = json.loads((tmp_path / "report.json").read_text())
+        with (tmp_path / "extraction.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == len(doc["extraction"]) == 6
+        assert not doc["summary"]["all_converged"]
+        for row, csv_row in zip(doc["extraction"], rows):
+            reason = "" if row["converged"] else f"non-finite iterate at n={row['n_used']}"
+            assert row["stopped_reason"] == csv_row["stopped_reason"] == reason
+
     def test_violation_row_records_status_one_in_json(self, tmp_path):
         data = dict(BASE, function={"quad": 1.0}, negative_control={"q_scale": 1.1})
         report = run_pipeline(ExperimentConfig.from_dict(data))
