@@ -145,7 +145,9 @@ def extract_limit(
 
     Stops at the first n with ||v_n - v_{n-1}|| <= tol * (1 + ||v_n||), or at
     n_max with ``converged=False``.  A non-finite iterate stops the run at its
-    n with ``converged=False`` and is the reported limit.  ``ratio_estimate``
+    n with ``converged=False`` and is the reported limit; so does a finite
+    iterate whose norm, or whose difference from the previous iterate,
+    overflows.  ``ratio_estimate``
     is the per-step decay rate of the successive differences: the
     log-average of their consecutive ratios over the recorded history,
     excluding the final stop-selected step (its difference is
@@ -191,8 +193,14 @@ def extract_limit(
         if not math.isfinite(diff) and not np.isfinite(nxt).all():
             reason = f"non-finite iterate at n={n}"
             break
+        # A finite iterate of norm beyond about 1e154 overflows the norm,
+        # and an infinite bound would pass the stop test.
+        size = float(np.linalg.norm(current))
+        if not (math.isfinite(diff) and math.isfinite(size)):
+            reason = f"iterate norm overflows at n={n}"
+            break
         diffs.append(diff)
-        if diff <= tol * (1.0 + float(np.linalg.norm(current))):
+        if diff <= tol * (1.0 + size):
             converged = True
             break
 

@@ -142,6 +142,24 @@ class TestExtractLimit:
         assert r.limit_value[0] == math.inf
         assert [k for k, _ in r.iterates] == list(range(n + 1))
 
+    @pytest.mark.parametrize(
+        "scheme,limit",
+        [
+            # the difference 1e200 overflows the norm: 2e200, 4e200, ... diverges
+            (Scheme.ADDITIVE_UP, 2e200),
+            # a bitwise fixed point, but its own norm overflows
+            (Scheme.QUADRATIC_UP, 1e200),
+        ],
+    )
+    def test_overflowing_norm_stops_unconverged(self, scheme, limit):
+        with np.errstate(over="ignore"):
+            r = extract_limit(scheme, TestFunction.scalar(quad=1e200), V(1), tol=1e-9, n_max=40)
+        assert not r.converged
+        assert r.n_used == 1
+        assert r.stopped_reason == "iterate norm overflows at n=1"
+        assert r.limit_value[0] == limit
+        assert r.ratio_estimate == 0.0
+
 
 class TestFixedPointProperty:
     def test_exact_quadratic_iterates_bitwise_stable(self):
