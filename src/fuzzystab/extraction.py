@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import ScaleError
 from .funceq import VectorFunction, even_part, odd_part, remove_offset
+from .spaces import _euclidean_rows
 
 __all__ = [
     "Scheme",
@@ -84,30 +85,45 @@ class Scheme(Enum):
         return f"({lo:g},{hi:g})" if np.isfinite(hi) else f"(>{lo:g})"
 
 
-def iterate(scheme: Scheme, f: VectorFunction, x: np.ndarray, n: int) -> np.ndarray:
-    """n-th scheme iterate at x.
+def _overflow_error(scheme: Scheme, size: float, n: int) -> ScaleError:
+    return ScaleError(
+        f"scaled argument norm {size:.3e} exceeds {OVERFLOW_LIMIT:.0e} "
+        f"at n={n} for {scheme.value}",
+        scheme=scheme.value,
+        n=n,
+    )
 
-    Raises :class:`ScaleError` if an up-scheme argument exceeds the overflow
-    guard.  Scalings use exact powers of two.
+
+def iterate(scheme: Scheme, f: VectorFunction, x: np.ndarray, n) -> np.ndarray:
+    """Scheme iterate(s) at x for one index n or a 1-D array of indices.
+
+    One index gives the n-th iterate.  An array of indices gives the
+    iterates stacked in that order, shape ``(len(n), dim_y)``, from one call
+    of ``f`` on the stacked arguments; ``f`` must map points
+    ``(..., dim_x)`` to ``(..., dim_y)`` row by row, as ``TestFunction``
+    does.
+
+    Raises :class:`ScaleError` at the first index whose up-scheme argument
+    exceeds the overflow guard, before ``f`` is called.  Scalings use exact
+    powers of two.
     """
-    if n < 0:
+    ns = np.asarray(n)
+    if np.any(ns < 0):
         raise ValueError("iteration index must be >= 0")
     v = np.atleast_1d(np.asarray(x, dtype=float))
+    steps = ns[:, None] if ns.ndim else ns
     if scheme.is_up:
-        arg = np.ldexp(v, n)
-        size = float(np.linalg.norm(arg))
-        if size > OVERFLOW_LIMIT:
-            raise ScaleError(
-                f"scaled argument norm {size:.3e} exceeds {OVERFLOW_LIMIT:.0e} "
-                f"at n={n} for {scheme.value}",
-                scheme=scheme.value,
-                n=n,
-            )
-        val = np.asarray(f(arg), dtype=float)
-        return np.ldexp(val, -scheme.value_shift * n)
-    arg = np.ldexp(v, -n)
-    val = np.asarray(f(arg), dtype=float)
-    return np.ldexp(val, scheme.value_shift * n)
+        args = np.ldexp(v, steps)
+        with np.errstate(over="ignore"):
+            sizes = _euclidean_rows(args)
+        over = np.flatnonzero(sizes > OVERFLOW_LIMIT)
+        if over.size:
+            k = over[0]
+            raise _overflow_error(scheme, float(sizes.flat[k]), int(ns.flat[k]))
+        val = np.asarray(f(args), dtype=float)
+        return np.ldexp(val, -scheme.value_shift * steps)
+    val = np.asarray(f(np.ldexp(v, -steps)), dtype=float)
+    return np.ldexp(val, scheme.value_shift * steps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,60 +170,75 @@ def extract_limit(
     threshold-picked, which biases it small).  A value
     near 1/4 (1/2) marks clean geometric decay of the quadratic (additive)
     defect, a value >= 1 marks divergence.
+
+    The iterates for n = 0 .. n_max, cut short before the first step that
+    trips the overflow (up-schemes) or underflow (down-schemes) guard, come
+    from one :func:`iterate` call, so ``f`` must map points ``(..., dim_x)``
+    to ``(..., dim_y)`` row by row.  The result equals the step-by-step
+    loop bit for bit, and :class:`ScaleError` is raised only if no stop
+    comes before the overflow guard.
     """
     if tol <= 0:
         raise ValueError("tol must be > 0")
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     v = np.atleast_1d(np.asarray(x, dtype=float))
-    x_norm = float(np.linalg.norm(v))
+    steps = np.arange(n_max + 1)
 
-    current = iterate(scheme, f, v, 0)
-    trail: list[tuple[int, np.ndarray]] = [(0, current)]
-    if not np.isfinite(current).all():
-        return ExtractionResult(
-            limit_value=current,
-            iterates=tuple(trail),
-            converged=False,
-            ratio_estimate=0.0,
-            n_used=0,
-            stopped_reason="non-finite iterate at n=0",
-        )
-    diffs: list[float] = []
+    # Rows past the stop may overflow or hold inf - inf; they are never
+    # reported, and the rows up to the stop are screened by the tests below.
+    with np.errstate(all="ignore"):
+        # The first n whose guard trips; f is never evaluated there or beyond.
+        if scheme.is_up:
+            arg_sizes = _euclidean_rows(np.ldexp(v, steps[:, None]))
+            tripped = arg_sizes > OVERFLOW_LIMIT
+        else:
+            x_norm = float(_euclidean_rows(v))
+            tripped = (steps > 0) & (x_norm != 0.0) & (np.ldexp(x_norm, -steps) < UNDERFLOW_LIMIT)
+        guard = int(np.argmax(tripped)) if tripped.any() else n_max + 1
+        if guard == 0:
+            raise _overflow_error(scheme, float(arg_sizes[0]), 0)
+
+        iters = iterate(scheme, f, v, steps[:guard])
+        diffs = _euclidean_rows(iters[1:] - iters[:-1])
+        sizes = _euclidean_rows(iters[1:])
+        # diffs[k] and sizes[k] belong to n = k + 1.  An overflowing norm
+        # makes the bound infinite, so it stops the run too, and the tests
+        # below tell that stop from convergence.
+        stops = ~np.isfinite(diffs) | (diffs <= tol * (1.0 + sizes))
+
     converged = False
     reason = ""
-    n_used = n_max
-
-    for n in range(1, n_max + 1):
-        if not scheme.is_up and x_norm != 0.0 and np.ldexp(x_norm, -n) < UNDERFLOW_LIMIT:
-            n_used = n - 1
-            reason = f"rescaled argument below {UNDERFLOW_LIMIT:.0e} at n={n}"
-            break
-        nxt = iterate(scheme, f, v, n)
-        diff = float(np.linalg.norm(nxt - current))
-        trail.append((n, nxt))
-        current = nxt
-        n_used = n
+    n_used = len(diffs)  # the last evaluated step
+    recorded = diffs
+    hits = np.flatnonzero(stops)
+    if not np.isfinite(iters[0]).all():
+        n_used, recorded, reason = 0, diffs[:0], "non-finite iterate at n=0"
+    elif hits.size:
+        n_used = int(hits[0]) + 1
+        diff, size = diffs[n_used - 1], sizes[n_used - 1]
         # The previous iterate is finite, so a non-finite iterate makes the
         # difference non-finite: the scalar test screens the array test.
-        if not math.isfinite(diff) and not np.isfinite(nxt).all():
-            reason = f"non-finite iterate at n={n}"
-            break
-        # A finite iterate of norm beyond about 1e154 overflows the norm,
-        # and an infinite bound would pass the stop test.
-        size = float(np.linalg.norm(current))
-        if not (math.isfinite(diff) and math.isfinite(size)):
-            reason = f"iterate norm overflows at n={n}"
-            break
-        diffs.append(diff)
-        if diff <= tol * (1.0 + size):
+        if not np.isfinite(diff) and not np.isfinite(iters[n_used]).all():
+            reason = f"non-finite iterate at n={n_used}"
+        elif not (np.isfinite(diff) and np.isfinite(size)):
+            reason = f"iterate norm overflows at n={n_used}"
+        else:
             converged = True
-            break
+        # The difference at a non-finite or overflowing stop is not recorded.
+        recorded = diffs[: n_used if converged else n_used - 1]
+    elif guard <= n_max:
+        if scheme.is_up:
+            raise _overflow_error(scheme, float(arg_sizes[guard]), guard)
+        reason = f"rescaled argument below {UNDERFLOW_LIMIT:.0e} at n={guard}"
 
-    ratio_estimate = _decay_rate([b / a for a, b in zip(diffs, diffs[1:]) if a > 0.0])
+    recorded = recorded.tolist()
+    ratio_estimate = _decay_rate([b / a for a, b in zip(recorded, recorded[1:]) if a > 0.0])
+    # Each reported iterate owns its row, so the stack is freed on return.
+    trail = tuple((n, iters[n].copy()) for n in range(n_used + 1))
     return ExtractionResult(
-        limit_value=current,
-        iterates=tuple(trail),
+        limit_value=trail[-1][1],
+        iterates=trail,
         converged=converged,
         ratio_estimate=ratio_estimate,
         n_used=n_used,
@@ -334,8 +365,7 @@ def uniqueness_crosscheck(
 
     def window_limit(window) -> tuple[np.ndarray | None, str]:
         ns = _window_indices(window)
-        prev = iterate(scheme, f, v, ns[-2])
-        last = iterate(scheme, f, v, ns[-1])
+        prev, last = iterate(scheme, f, v, ns[-2:])
         gap = float(np.linalg.norm(last - prev))
         if gap > tol * (1.0 + float(np.linalg.norm(last))):
             return None, f"no convergence in window ending at n={ns[-1]} (gap {gap:.3e})"
