@@ -120,10 +120,17 @@ def iterate(scheme: Scheme, f: VectorFunction, x: np.ndarray, n) -> np.ndarray:
         if over.size:
             k = over[0]
             raise _overflow_error(scheme, float(sizes.flat[k]), int(ns.flat[k]))
-        val = np.asarray(f(args), dtype=float)
-        return np.ldexp(val, -scheme.value_shift * steps)
-    val = np.asarray(f(np.ldexp(v, -steps)), dtype=float)
-    return np.ldexp(val, scheme.value_shift * steps)
+        shift = -scheme.value_shift
+    else:
+        args = np.ldexp(v, -steps)
+        shift = scheme.value_shift
+    val = np.asarray(f(args), dtype=float)
+    if ns.ndim and (val.ndim != 2 or len(val) != len(ns)):
+        raise ValueError(
+            f"f maps {len(ns)} stacked points to shape {val.shape}; "
+            "it must map (..., dim_x) to (..., dim_y) row by row"
+        )
+    return np.ldexp(val, shift * steps)
 
 
 @dataclass(frozen=True, eq=False)

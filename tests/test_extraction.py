@@ -160,6 +160,11 @@ class TestExtractLimit:
         assert r.limit_value[0] == limit
         assert r.ratio_estimate == 0.0
 
+    def test_source_must_map_stacked_points_row_by_row(self):
+        # a scalar-valued source would turn the stack of iterates into one vector
+        with pytest.raises(ValueError, match="row by row"):
+            extract_limit(Scheme.QUADRATIC_UP, lambda v: np.sum(v * v, axis=-1), V(1))
+
 
 class TestFixedPointProperty:
     def test_exact_quadratic_iterates_bitwise_stable(self):
