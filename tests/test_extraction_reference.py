@@ -240,7 +240,9 @@ def _points(draw, dim):
     if kind == "unit":
         return np.array(draw(st.lists(st.floats(-4.0, 4.0), min_size=dim, max_size=dim)))
     # a scaled point keeps its magnitude: no coordinate is near zero
-    entry = st.tuples(st.floats(0.25, 4.0), st.sampled_from([1.0, -1.0])).map(lambda t: t[0] * t[1])
+    entry = st.tuples(st.floats(0.25, 4.0), st.sampled_from([1.0, -1.0])).map(
+        lambda t: t[0] * t[1]
+    )
     direction = np.array(draw(st.lists(entry, min_size=dim, max_size=dim)))
     # about 1e-135 trips the underflow guard, 1e100 to 1e150 the overflow guard
     exponent = draw(st.floats(-140.0, -125.0) if kind == "tiny" else st.floats(100.0, 151.0))
@@ -285,8 +287,13 @@ _SPACE = TestFunction(
     dim_x=3,
 )
 _PLANE = TestFunction(
-    coords=(CoordinatePoly(quad=np.array([[1.0, 0.25], [0.25, 0.5]]), linear=np.array([1.0, -2.0])),),
-    perturbations=(Perturbation(shape="sin", amplitude=0.1), Perturbation(shape="rational", amplitude=0.1)),
+    coords=(
+        CoordinatePoly(quad=np.array([[1.0, 0.25], [0.25, 0.5]]), linear=np.array([1.0, -2.0])),
+    ),
+    perturbations=(
+        Perturbation(shape="sin", amplitude=0.1),
+        Perturbation(shape="rational", amplitude=0.1),
+    ),
     dim_x=2,
 )
 
