@@ -44,6 +44,11 @@ OVERFLOW_LIMIT = 1e150
 #: Down-schemes stop once the rescaled argument drops below this norm.
 UNDERFLOW_LIMIT = 1e-140
 
+#: Largest n_max: one extraction evaluates up to n_max + 1 iterates at once.
+#: Every argument of nonzero finite norm trips its scheme's guard before
+#: n = 1600 (2^1573 * 5e-324 > 1e150 and 2^-1490 * 1.8e308 < 1e-140).
+MAX_STEPS = 2000
+
 
 class Scheme(Enum):
     QUADRATIC_UP = "quadratic_up"
@@ -189,6 +194,8 @@ def extract_limit(
         raise ValueError("tol must be > 0")
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
+    if n_max > MAX_STEPS:
+        raise ValueError(f"n_max must be <= {MAX_STEPS}")
     v = np.atleast_1d(np.asarray(x, dtype=float))
     steps = np.arange(n_max + 1)
 

@@ -41,7 +41,7 @@ from .control import (
     verify_stability,
 )
 from .errors import ConfigError, ScaleError
-from .extraction import ExtractedComponent, ExtractionResult
+from .extraction import MAX_STEPS, ExtractedComponent, ExtractionResult
 from .funceq import (
     CoordinatePoly,
     PERTURBATION_SHAPES,
@@ -92,11 +92,15 @@ def _require(data: dict, key: str, loc: str):
     return data[key]
 
 
-def _as_int(value, loc: str, minimum: int | None = None) -> int:
+def _as_int(
+    value, loc: str, minimum: int | None = None, maximum: int | None = None
+) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise ConfigError(loc, f"expected an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ConfigError(loc, f"must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ConfigError(loc, f"must be <= {maximum}, got {value}")
     return value
 
 
@@ -321,7 +325,12 @@ class ExperimentConfig:
                 f"{source}: tolerances.extraction_tol",
                 positive=True,
             ),
-            n_max=_as_int(tolerances.get("n_max", 40), f"{source}: tolerances.n_max", minimum=2),
+            n_max=_as_int(
+                tolerances.get("n_max", 40),
+                f"{source}: tolerances.n_max",
+                minimum=2,
+                maximum=MAX_STEPS,
+            ),
             membership_slack=_as_float(
                 tolerances.get("membership_slack", 1e-12),
                 f"{source}: tolerances.membership_slack",

@@ -7,6 +7,7 @@ import pytest
 
 from fuzzystab.errors import ScaleError
 from fuzzystab.extraction import (
+    MAX_STEPS,
     ExtractionConfig,
     Scheme,
     extract_components,
@@ -159,6 +160,11 @@ class TestExtractLimit:
         assert r.stopped_reason == "iterate norm overflows at n=1"
         assert r.limit_value[0] == limit
         assert r.ratio_estimate == 0.0
+
+    def test_n_max_bounds(self):
+        for n_max in (1, MAX_STEPS + 1):
+            with pytest.raises(ValueError, match="n_max"):
+                extract_limit(Scheme.QUADRATIC_UP, SQUARE, V(1), n_max=n_max)
 
     def test_source_must_map_stacked_points_row_by_row(self):
         # a scalar-valued source would turn the stack of iterates into one vector

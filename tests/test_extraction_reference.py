@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from fuzzystab.errors import ScaleError
 from fuzzystab.extraction import (
+    MAX_STEPS,
     OVERFLOW_LIMIT,
     UNDERFLOW_LIMIT,
     Scheme,
@@ -138,7 +139,8 @@ class _Recorder:
 def _first_guard(scheme: Scheme, x, n_max: int) -> int:
     """First n <= n_max at which the sequential loop meets a guard, else n_max + 1."""
     v = np.atleast_1d(np.asarray(x, dtype=float))
-    x_norm = float(np.linalg.norm(v))
+    with np.errstate(over="ignore"):
+        x_norm = float(np.linalg.norm(v))
     for n in range(n_max + 1):
         if scheme.is_up:
             with np.errstate(over="ignore"):
@@ -330,6 +332,22 @@ def test_edge_cases_equal_sequential_loop(scheme, f, x):
     for n_max in (2, 5, 40, 60):
         for tol in (1e-3, 1e-9, 1e-16):
             assert_matches_reference(scheme, f, np.array(x), tol, n_max)
+
+
+@pytest.mark.parametrize(
+    "scheme,f,x",
+    [
+        (Scheme.QUADRATIC_UP, _SQUARE_COS, [1.5]),  # converges
+        (Scheme.QUADRATIC_UP, _LINE_SIN, [1e140]),  # overflow guard at n=33
+        (Scheme.ADDITIVE_UP, _SQUARE_COS, [5e-324]),  # overflow guard near n=1573
+        (Scheme.QUADRATIC_DOWN, TestFunction.scalar(const=1.0), [1e300]),  # underflow guard
+        # the norm of x overflows, so no guard applies: 4^n overflows at n=512
+        (Scheme.QUADRATIC_DOWN, TestFunction.scalar(const=1.0), [1.8e308]),
+        (Scheme.ADDITIVE_UP, TestFunction.scalar(const=1.0), [0.0]),  # no guard at x = 0
+    ],
+)
+def test_largest_n_max_equals_sequential_loop(scheme, f, x):
+    assert_matches_reference(scheme, f, np.array(x), 1e-9, MAX_STEPS)
 
 
 def test_stop_rule_holds_at_equality():

@@ -75,6 +75,12 @@ class TestConfigParsing:
             ExperimentConfig.from_dict(data)
         assert "a_max" in str(err.value)
 
+    def test_n_max_is_bounded(self):
+        data = dict(BASE, tolerances={"n_max": 2001})
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig.from_dict(data)
+        assert "tolerances.n_max" in str(err.value) and "<= 2000" in str(err.value)
+
     def test_json_parse_error_is_line_anchored(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{\n  "seed": 1,\n  oops\n}\n', encoding="utf-8")
