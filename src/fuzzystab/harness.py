@@ -20,8 +20,10 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
+from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -55,6 +57,7 @@ from .spaces import (
     AxiomCheck,
     FuzzyNorm,
     SpaceConfig,
+    _euclidean_rows,
     check_axioms,
     default_axiom_samples,
     euclidean_norm,
@@ -382,6 +385,7 @@ class ExtractionRow:
     x_index: int
     x_norm: float
     limit: tuple[float, ...]
+    limit_norm: float
     n_used: int
     converged: bool
     ratio_estimate: float
@@ -400,6 +404,9 @@ class RunReport:
     verification_reports: list[StabilityReport] = field(default_factory=list)
     repair_log: list[tuple[str, str]] = field(default_factory=list)
     resolved_delta: float | None = None
+    #: Euclidean norm of each sample point, by ``x_index``, as verification
+    #: rows print it.
+    x_norms: list[float] = field(default_factory=list)
 
     @property
     def total_violations(self) -> int:
@@ -506,6 +513,9 @@ def run_pipeline(cfg: ExperimentConfig, stages: Sequence[str] = ALL_STAGES) -> R
 
     rng_x = np.random.default_rng(seed_x)
     xs = [sample_ball(rng_x, cfg.space.dim_x, cfg.x_radius) for _ in range(cfg.x_count)]
+    points = np.array(xs)
+    report.x_norms = _euclidean_rows(points).tolist()
+    crisp_x_norms = norm_x.rows(points).tolist()  # as extraction rows print them
 
     if "axioms" in stages:
         points, scalars = default_axiom_samples(
@@ -610,8 +620,11 @@ def run_pipeline(cfg: ExperimentConfig, stages: Sequence[str] = ALL_STAGES) -> R
             components, diagnostics = _extract_for_theorem(cfg, t, xs)
             components_by_theorem[t] = components
             if "extraction" in stages:
+                limits = np.array([result.limit_value for _, _, result in diagnostics])
                 index_by_name: dict[str, int] = {}
-                for name, x, result in diagnostics:
+                for (name, _, result), limit, limit_norm in zip(
+                    diagnostics, limits.tolist(), _euclidean_rows(limits).tolist()
+                ):
                     i = index_by_name.get(name, 0)
                     index_by_name[name] = i + 1
                     report.extraction_rows.append(
@@ -619,8 +632,9 @@ def run_pipeline(cfg: ExperimentConfig, stages: Sequence[str] = ALL_STAGES) -> R
                             theorem_id=t,
                             component=name,
                             x_index=i,
-                            x_norm=float(norm_x(x)),
-                            limit=tuple(float(v) for v in result.limit_value),
+                            x_norm=crisp_x_norms[i],
+                            limit=tuple(limit),
+                            limit_norm=limit_norm,
                             n_used=result.n_used,
                             converged=result.converged,
                             ratio_estimate=result.ratio_estimate,
@@ -655,210 +669,261 @@ def run_pipeline(cfg: ExperimentConfig, stages: Sequence[str] = ALL_STAGES) -> R
 
 
 # --- serialization ---------------------------------------------------------
+#
+# Each section is one table of fields.  A field names its key, how its
+# values print, and how it takes its column of values from the section's
+# rows; the same table writes the section into report.json and into its CSV
+# file, one column at a time.
 
-_CSV_HEADERS = {
-    "axioms": ["norm", "axiom", "status", "passed", "violations", "worst_slack", "note"],
-    "hypothesis": ["theorem_id", "check", "passed", "worst_slack", "note"],
-    "extraction": [
-        "theorem_id",
-        "component",
-        "x_index",
-        "x_norm",
-        "limit_norm",
-        "n_used",
-        "converged",
-        "ratio_estimate",
-        "stopped_reason",
-    ],
-    "verification": ["theorem_id", "x_index", "x_norm", "a", "lhs", "rhs", "slack"],
-    "repair_log": ["repair_id", "description"],
-}
+_NON_FINITE = frozenset(("nan", "inf", "-inf"))
 
 
-def _fmt_float(v: float) -> str:
-    if isinstance(v, (int, np.integer)) and not isinstance(v, bool):
-        return str(int(v))
-    f = float(v)
-    if math.isnan(f):
-        return "nan"
-    if math.isinf(f):
-        return "inf" if f > 0 else "-inf"
-    return f"{f:.17g}"
+def _float_texts(values: Iterable[float]) -> list[str]:
+    """Floats at 17 significant digits; non-finite ones read nan, inf and -inf."""
+    return ["%.17g" % v for v in values]
 
 
-def _json_text(obj, indent: int = 0) -> str:
-    """Serialize with floats at 17 significant digits (non-finite as strings)."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        parts = [
-            f"{inner}{json.dumps(str(k))}: {_json_text(v, indent + 1)}" for k, v in obj.items()
-        ]
-        return "{\n" + ",\n".join(parts) + f"\n{pad}}}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        parts = [f"{inner}{_json_text(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(parts) + f"\n{pad}]"
-    if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        f = float(obj)
-        if math.isfinite(f):
-            return _fmt_float(f)
-        return json.dumps(_fmt_float(f))
-    return json.dumps(obj)
+def _json_floats(values: Iterable[float]) -> list[str]:
+    """JSON numbers, with the non-finite ones as strings."""
+    return [f'"{t}"' if t in _NON_FINITE else t for t in _float_texts(values)]
 
 
-def _report_document(report: RunReport) -> dict:
-    doc: dict = {
-        "seed": report.seed,
-        "stages": list(report.stages),
-        "axioms": [
-            {
-                "norm": label,
-                "axiom": c.axiom,
-                "status": c.status,
-                "passed": c.passed,
-                "violations": c.violations,
-                "worst_slack": c.worst_slack,
-                "note": c.note,
-            }
-            for label, c in report.axiom_rows
-        ],
-        "hypothesis": [
-            {
-                "theorem_id": r.theorem_id,
-                "check": r.check,
-                "passed": r.passed,
-                "worst_slack": r.worst_slack,
-                "note": r.note,
-            }
-            for r in report.hypothesis_rows
-        ],
-        "extraction": [
-            {
-                "theorem_id": r.theorem_id,
-                "component": r.component,
-                "x_index": r.x_index,
-                "x_norm": r.x_norm,
-                "limit": list(r.limit),
-                "n_used": r.n_used,
-                "converged": r.converged,
-                "ratio_estimate": r.ratio_estimate,
-                "stopped_reason": r.stopped_reason,
-            }
-            for r in report.extraction_rows
-        ],
-        "verification": [
-            {
-                "theorem_id": rep.theorem_id,
-                "hypothesis_ok": rep.hypothesis_ok,
-                "note": rep.note,
-                "worst_slack": rep.worst_slack,
-                "violations": rep.violations,
-                "repairs": list(rep.repairs),
-                "rows": [
-                    {
-                        "x_index": row.x_index,
-                        "x_norm": float(np.linalg.norm(row.x)),
-                        "a": row.a,
-                        "lhs": row.lhs,
-                        "rhs": row.rhs,
-                        "slack": row.slack,
-                    }
-                    for row in rep.rows
-                ],
-            }
-            for rep in report.verification_reports
-        ],
-        "repair_log": [
-            {"repair_id": rid, "description": desc} for rid, desc in report.repair_log
-        ],
-        "summary": {
-            "violations": report.total_violations,
-            "all_converged": report.all_converged,
-        },
-        "exit_status": report.exit_status,
+def _json_strings(values: Iterable[str]) -> list[str]:
+    return list(map(encode_basestring_ascii, values))
+
+
+def _json_array(items: list[str], depth: int) -> str:
+    """JSON array of encoded items, one per line, its brackets ``depth`` deep."""
+    if not items:
+        return "[]"
+    line = "\n" + "  " * (depth + 1)
+    return "[" + line + ("," + line).join(items) + "\n" + "  " * depth + "]"
+
+
+def _json_arrays(
+    arrays: Sequence[Sequence], encode: Callable[[list], list[str]], depth: int
+) -> list[str]:
+    """JSON text of each array, the items of all of them encoded in one pass."""
+    items = encode([item for array in arrays for item in array])
+    out, start = [], 0
+    for array in arrays:
+        end = start + len(array)
+        out.append(_json_array(items[start:end], depth))
+        start = end
+    return out
+
+
+def _object_template(keys: Sequence[str], depth: int) -> str:
+    """%-template of a JSON object with these keys, its braces ``depth`` deep."""
+    line = "\n" + "  " * (depth + 1)
+    body = ",".join(f"{line}{encode_basestring_ascii(k).replace('%', '%%')}: %s" for k in keys)
+    return "{" + body + "\n" + "  " * depth + "}"
+
+
+class _Kind(NamedTuple):
+    """How a column prints: ``json(values, depth)`` gives the JSON text of
+    each value, its nested lines ``depth`` deep; ``csv(values)`` gives the
+    cells, which the CSV writer turns into text with ``str``."""
+
+    json: Callable[[list, int], list[str]]
+    csv: Callable[[list], list]
+
+
+def _same(values: list) -> list:
+    return values
+
+
+_STR = _Kind(lambda values, depth: _json_strings(values), _same)
+_INT = _Kind(lambda values, depth: [str(int(v)) for v in values], _same)
+_BOOL = _Kind(lambda values, depth: ["true" if v else "false" for v in values], _same)
+_FLOAT = _Kind(lambda values, depth: _json_floats(values), _float_texts)
+_FLOATS = _Kind(lambda values, depth: _json_arrays(values, _json_floats, depth), _same)
+_STRS = _Kind(lambda values, depth: _json_arrays(values, _json_strings, depth), _same)
+
+Column = Callable[[Sequence, "RunReport"], list]
+
+
+class _Field(NamedTuple):
+    key: str
+    kind: _Kind | None
+    #: (rows, report) -> the field's value for each row.
+    column: Column
+    in_json: bool = True
+    in_csv: bool = True
+    #: Fields of a value that is a list of sub-rows: JSON nests them under
+    #: the key, CSV writes a line per sub-row led by the row's CSV fields.
+    sub: tuple["_Field", ...] = ()
+
+
+def _attr(name: str) -> Column:
+    get = attrgetter(name)
+    return lambda rows, report: list(map(get, rows))
+
+
+def _of_pair(position: int, name: str | None = None) -> Column:
+    """Column of a section whose rows are pairs: an item, or an attribute of it."""
+    get = itemgetter(position) if name is None else (lambda row: getattr(row[position], name))
+    return lambda rows, report: list(map(get, rows))
+
+
+class _Section(NamedTuple):
+    key: str
+    rows: Callable[[RunReport], Sequence]
+    fields: tuple[_Field, ...]
+
+
+_SECTIONS = (
+    _Section(
+        "axioms",
+        attrgetter("axiom_rows"),
+        (
+            _Field("norm", _STR, _of_pair(0)),
+            _Field("axiom", _STR, _of_pair(1, "axiom")),
+            _Field("status", _STR, _of_pair(1, "status")),
+            _Field("passed", _BOOL, _of_pair(1, "passed")),
+            _Field("violations", _INT, _of_pair(1, "violations")),
+            _Field("worst_slack", _FLOAT, _of_pair(1, "worst_slack")),
+            _Field("note", _STR, _of_pair(1, "note")),
+        ),
+    ),
+    _Section(
+        "hypothesis",
+        attrgetter("hypothesis_rows"),
+        (
+            _Field("theorem_id", _STR, _attr("theorem_id")),
+            _Field("check", _STR, _attr("check")),
+            _Field("passed", _BOOL, _attr("passed")),
+            _Field("worst_slack", _FLOAT, _attr("worst_slack")),
+            _Field("note", _STR, _attr("note")),
+        ),
+    ),
+    _Section(
+        "extraction",
+        attrgetter("extraction_rows"),
+        (
+            _Field("theorem_id", _STR, _attr("theorem_id")),
+            _Field("component", _STR, _attr("component")),
+            _Field("x_index", _INT, _attr("x_index")),
+            _Field("x_norm", _FLOAT, _attr("x_norm")),
+            _Field("limit", _FLOATS, _attr("limit"), in_csv=False),
+            _Field("limit_norm", _FLOAT, _attr("limit_norm"), in_json=False),
+            _Field("n_used", _INT, _attr("n_used")),
+            _Field("converged", _BOOL, _attr("converged")),
+            _Field("ratio_estimate", _FLOAT, _attr("ratio_estimate")),
+            _Field("stopped_reason", _STR, _attr("stopped_reason")),
+        ),
+    ),
+    _Section(
+        "verification",
+        attrgetter("verification_reports"),
+        (
+            _Field("theorem_id", _STR, _attr("theorem_id")),
+            _Field("hypothesis_ok", _BOOL, _attr("hypothesis_ok"), in_csv=False),
+            _Field("note", _STR, _attr("note"), in_csv=False),
+            _Field("worst_slack", _FLOAT, _attr("worst_slack"), in_csv=False),
+            _Field("violations", _INT, _attr("violations"), in_csv=False),
+            _Field("repairs", _STRS, _attr("repairs"), in_csv=False),
+            _Field(
+                "rows",
+                None,
+                _attr("rows"),
+                sub=(
+                    _Field("x_index", _INT, _attr("x_index")),
+                    _Field(
+                        "x_norm",
+                        _FLOAT,
+                        lambda rows, report: [report.x_norms[r.x_index] for r in rows],
+                    ),
+                    _Field("a", _FLOAT, _attr("a")),
+                    _Field("lhs", _FLOAT, _attr("lhs")),
+                    _Field("rhs", _FLOAT, _attr("rhs")),
+                    _Field("slack", _FLOAT, _attr("slack")),
+                ),
+            ),
+        ),
+    ),
+    _Section(
+        "repair_log",
+        attrgetter("repair_log"),
+        (
+            _Field("repair_id", _STR, _of_pair(0)),
+            _Field("description", _STR, _of_pair(1)),
+        ),
+    ),
+)
+
+
+def _json_table(fields: Sequence[_Field], rows: Sequence, report: RunReport, depth: int) -> str:
+    """JSON array with one object per row, its brackets ``depth`` deep."""
+    if not rows:
+        return "[]"
+    fields = [f for f in fields if f.in_json]
+    template = _object_template([f.key for f in fields], depth + 1)
+    columns = []
+    for f in fields:
+        values = f.column(rows, report)
+        if f.sub:
+            columns.append([_json_table(f.sub, sub, report, depth + 2) for sub in values])
+        else:
+            columns.append(f.kind.json(values, depth + 2))
+    return _json_array([template % values for values in zip(*columns)], depth)
+
+
+def _write_json(report: RunReport, fh) -> None:
+    """Write report.json, one section at a time."""
+    summary = {
+        "violations": str(int(report.total_violations)),
+        "all_converged": "true" if report.all_converged else "false",
     }
     if report.resolved_delta is not None:
-        doc["summary"]["resolved_delta"] = report.resolved_delta
-    return doc
+        (summary["resolved_delta"],) = _json_floats([report.resolved_delta])
+    stages = _json_array(_json_strings(report.stages), 1)
+    fh.write(f'{{\n  "seed": {int(report.seed)},\n  "stages": {stages}')
+    for section in _SECTIONS:
+        fh.write(f',\n  "{section.key}": ')
+        fh.write(_json_table(section.fields, section.rows(report), report, 1))
+    fh.write(',\n  "summary": ')
+    fh.write(_object_template(list(summary), 1) % tuple(summary.values()))
+    fh.write(f',\n  "exit_status": {int(report.exit_status)}\n}}\n')
 
 
-def _csv_rows(report: RunReport, section: str) -> list[list]:
-    if section == "axioms":
-        return [
-            [label, c.axiom, c.status, c.passed, c.violations, _fmt_float(c.worst_slack), c.note]
-            for label, c in report.axiom_rows
-        ]
-    if section == "hypothesis":
-        return [
-            [r.theorem_id, r.check, r.passed, _fmt_float(r.worst_slack), r.note]
-            for r in report.hypothesis_rows
-        ]
-    if section == "extraction":
-        return [
-            [
-                r.theorem_id,
-                r.component,
-                r.x_index,
-                _fmt_float(r.x_norm),
-                _fmt_float(float(np.linalg.norm(r.limit))),
-                r.n_used,
-                r.converged,
-                _fmt_float(r.ratio_estimate),
-                r.stopped_reason,
-            ]
-            for r in report.extraction_rows
-        ]
-    if section == "verification":
-        rows = []
-        for rep in report.verification_reports:
-            for row in rep.rows:
-                rows.append(
-                    [
-                        rep.theorem_id,
-                        row.x_index,
-                        _fmt_float(float(np.linalg.norm(row.x))),
-                        _fmt_float(row.a),
-                        _fmt_float(row.lhs),
-                        _fmt_float(row.rhs),
-                        _fmt_float(row.slack),
-                    ]
-                )
-        return rows
-    if section == "repair_log":
-        return [[rid, desc] for rid, desc in report.repair_log]
-    raise ValueError(f"unknown section {section!r}")
+def _csv_table(section: _Section, report: RunReport) -> tuple[list[str], Iterable[tuple]]:
+    """Header and lines of a section's CSV file."""
+    rows = section.rows(report)
+    fields = [f for f in section.fields if f.in_csv and not f.sub]
+    columns = [f.kind.csv(f.column(rows, report)) for f in fields]
+    for nested in (f for f in section.fields if f.in_csv and f.sub):
+        groups = nested.column(rows, report)
+        columns = [[v for v, g in zip(col, groups) for _ in g] for col in columns]
+        rows = [sub for group in groups for sub in group]
+        sub_fields = [f for f in nested.sub if f.in_csv]
+        fields += sub_fields
+        columns += [f.kind.csv(f.column(rows, report)) for f in sub_fields]
+    return [f.key for f in fields], zip(*columns)
 
 
 def emit_report(report: RunReport, fmt: str, out_dir: str | Path) -> list[Path]:
     """Write the report as ``report.json`` or one CSV per section.
 
-    Floats are printed with 17 significant digits; identical reports
-    serialize to identical bytes.
+    Both come from one field table per section.  Floats are printed with 17
+    significant digits; identical reports serialize to identical bytes.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     if fmt == "json":
         path = out / "report.json"
-        path.write_text(_json_text(_report_document(report)) + "\n", encoding="utf-8")
+        with path.open("w", encoding="utf-8") as fh:
+            _write_json(report, fh)
         written.append(path)
     elif fmt == "csv":
-        for section, header in _CSV_HEADERS.items():
-            path = out / f"{section}.csv"
+        for section in _SECTIONS:
+            path = out / f"{section.key}.csv"
+            header, lines = _csv_table(section, report)
             with path.open("w", encoding="utf-8", newline="") as fh:
                 writer = csv.writer(fh, lineterminator="\n")
                 writer.writerow(header)
-                writer.writerows(_csv_rows(report, section))
+                writer.writerows(lines)
             written.append(path)
     else:
         raise ValueError(f"unknown report format {fmt!r}")
