@@ -493,6 +493,22 @@ def _extract_for_theorem(
     return out, diagnostics
 
 
+def _finite_norms(rows: Callable[[np.ndarray], np.ndarray], v: np.ndarray) -> list[float]:
+    """Norms of the rows of ``v`` by a crisp norm's row form.
+
+    A row of finite entries whose norm overflows in the squares is scaled by
+    a power of two before it is normed again, so it gets its finite norm if
+    it has one; every other row keeps the row form's bits.
+    """
+    with np.errstate(over="ignore"):
+        norms = rows(v)
+        redo = ~np.isfinite(norms) & np.isfinite(v).all(axis=-1)
+        if redo.any():
+            _, exp = np.frexp(np.max(np.abs(v[redo]), axis=-1))
+            norms[redo] = np.ldexp(rows(np.ldexp(v[redo], -exp[:, None])), exp)
+    return norms.tolist()
+
+
 def run_pipeline(cfg: ExperimentConfig, stages: Sequence[str] = ALL_STAGES) -> RunReport:
     """Execute the requested pipeline stages in order.
 
@@ -514,8 +530,8 @@ def run_pipeline(cfg: ExperimentConfig, stages: Sequence[str] = ALL_STAGES) -> R
     rng_x = np.random.default_rng(seed_x)
     xs = [sample_ball(rng_x, cfg.space.dim_x, cfg.x_radius) for _ in range(cfg.x_count)]
     points = np.array(xs)
-    report.x_norms = _euclidean_rows(points).tolist()
-    crisp_x_norms = norm_x.rows(points).tolist()  # as extraction rows print them
+    report.x_norms = _finite_norms(_euclidean_rows, points)
+    crisp_x_norms = _finite_norms(norm_x.rows, points)  # as extraction rows print them
 
     if "axioms" in stages:
         points, scalars = default_axiom_samples(
@@ -623,7 +639,7 @@ def run_pipeline(cfg: ExperimentConfig, stages: Sequence[str] = ALL_STAGES) -> R
                 limits = np.array([result.limit_value for _, _, result in diagnostics])
                 index_by_name: dict[str, int] = {}
                 for (name, _, result), limit, limit_norm in zip(
-                    diagnostics, limits.tolist(), _euclidean_rows(limits).tolist()
+                    diagnostics, limits.tolist(), _finite_norms(_euclidean_rows, limits)
                 ):
                     i = index_by_name.get(name, 0)
                     index_by_name[name] = i + 1

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -15,9 +16,11 @@ from fuzzystab.harness import (
     EXIT_SCALE,
     EXIT_VIOLATIONS,
     ExperimentConfig,
+    _finite_norms,
     emit_report,
     run_pipeline,
 )
+from fuzzystab.spaces import crisp_norm, euclidean_norm
 
 BASE = {
     "seed": 424242,
@@ -298,6 +301,41 @@ class TestEmission:
                 f"iterate norm overflows at n={n}",
             )
             assert csv_row["stopped_reason"] == row["stopped_reason"]
+
+    def test_finite_limit_prints_its_finite_norm(self, tmp_path):
+        # the limit 1.3e307 at x_norm 0.362 is finite, but its square is not
+        data = dict(BASE, function={"quad": 1e308})
+        with np.errstate(over="ignore"):
+            report = run_pipeline(ExperimentConfig.from_dict(data), stages=("extraction",))
+        emit_report(report, "json", tmp_path)
+        emit_report(report, "csv", tmp_path)
+        doc = json.loads((tmp_path / "report.json").read_text())
+        with (tmp_path / "extraction.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
+        finite = [
+            (row["limit"][0], float(csv_row["limit_norm"]))
+            for row, csv_row in zip(doc["extraction"], rows)
+            if isinstance(row["limit"][0], float)
+        ]
+        assert any(csv_row["x_norm"] == "0.36222634354017669" for csv_row in rows)
+        assert any(abs(limit) > 1e154 for limit, _ in finite)
+        for limit, limit_norm in finite:
+            assert limit_norm == abs(limit)
+
+    def test_finite_norms_rescale_only_overflowing_rows(self):
+        rng = np.random.default_rng(7)
+        v = rng.normal(size=(200, 3))
+        huge = np.ldexp(v, 1000)
+        for kind, weights in (("euclidean", None), ("max", None), ("weighted", (1.0, 2.0, 0.5))):
+            rows = crisp_norm(kind, weights).rows
+            plain = rows(v)
+            assert np.array_equal(_finite_norms(rows, v), plain)
+            # scaling by 2^1000 is exact, so the rescaled norm is the plain one scaled
+            assert np.array_equal(_finite_norms(rows, huge), np.ldexp(plain, 1000))
+        edge = np.array([[np.inf, 0.0], [np.nan, 1.0], [1.7e308, 1.7e308], [1e300, -1e300]])
+        norms = _finite_norms(euclidean_norm.rows, edge)
+        assert norms[:3] == [math.inf, pytest.approx(math.nan, nan_ok=True), math.inf]
+        assert norms[3] == math.hypot(1e300, 1e300)
 
     def test_violation_row_records_status_one_in_json(self, tmp_path):
         data = dict(BASE, function={"quad": 1.0}, negative_control={"q_scale": 1.1})
