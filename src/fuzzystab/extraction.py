@@ -372,16 +372,26 @@ def uniqueness_crosscheck(
 
     Each window yields a limit estimate (its last iterate, accepted only if
     the final in-window successive difference is below tol); the result is
-    true iff both estimates exist and agree within tol.  Windows are given
-    as ranges or inclusive (lo, hi) tuples.
+    true iff both estimates exist and agree within tol.  A window whose last
+    two iterates are not all finite, or whose gap or norm overflows, gives
+    no estimate and says so in the note.  Windows are given as ranges or
+    inclusive (lo, hi) tuples.
     """
     v = np.atleast_1d(np.asarray(x, dtype=float))
 
     def window_limit(window) -> tuple[np.ndarray | None, str]:
         ns = _window_indices(window)
-        prev, last = iterate(scheme, f, v, ns[-2:])
-        gap = float(np.linalg.norm(last - prev))
-        if gap > tol * (1.0 + float(np.linalg.norm(last))):
+        # Non-finite iterates and overflowing norms are reported in the note,
+        # as extract_limit reports them, not warned about.
+        with np.errstate(all="ignore"):
+            prev, last = iterate(scheme, f, v, ns[-2:])
+            gap = float(np.linalg.norm(last - prev))
+            size = float(np.linalg.norm(last))
+        if not (np.isfinite(prev).all() and np.isfinite(last).all()):
+            return None, f"non-finite iterate in window ending at n={ns[-1]}"
+        if not (math.isfinite(gap) and math.isfinite(size)):
+            return None, f"iterate norm overflows in window ending at n={ns[-1]}"
+        if gap > tol * (1.0 + size):
             return None, f"no convergence in window ending at n={ns[-1]} (gap {gap:.3e})"
         return last, ""
 
@@ -395,6 +405,7 @@ def uniqueness_crosscheck(
             distance=float("nan"),
             note="; ".join(s for s in (note1, note2) if s),
         )
-    scale = 1.0 + max(float(np.linalg.norm(lim1)), float(np.linalg.norm(lim2)))
-    dist = float(np.linalg.norm(lim1 - lim2))
+    with np.errstate(over="ignore"):
+        scale = 1.0 + max(float(np.linalg.norm(lim1)), float(np.linalg.norm(lim2)))
+        dist = float(np.linalg.norm(lim1 - lim2))
     return UniquenessResult(agree=dist <= tol * scale, limit_1=lim1, limit_2=lim2, distance=dist)

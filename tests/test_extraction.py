@@ -275,3 +275,21 @@ class TestUniquenessCrosscheck:
         assert isinstance(bool(res), bool)
         if not res:
             assert res.note != "" or res.distance > 0
+
+    @pytest.mark.parametrize(
+        "quad, note",
+        [
+            # 1e200 x^2 doubles each step under the additive scheme; from
+            # n = 10 on its iterates are finite but their norms overflow
+            (1e200, "iterate norm overflows in window ending at n=5"),
+            # 1e308 x^2 overflows to inf at the first doubling
+            (1e308, "non-finite iterate in window ending at n=5"),
+        ],
+    )
+    def test_overflowing_windows_give_no_estimate(self, quad, note):
+        f = TestFunction.scalar(quad=quad)
+        res = uniqueness_crosscheck(Scheme.ADDITIVE_UP, f, V(1), (2, 5), (10, 14))
+        assert not res
+        assert res.limit_1 is None and res.limit_2 is None
+        assert math.isnan(res.distance)
+        assert res.note.startswith(note)
