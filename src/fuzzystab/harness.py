@@ -57,7 +57,6 @@ from .spaces import (
     AxiomCheck,
     FuzzyNorm,
     SpaceConfig,
-    _euclidean_rows,
     check_axioms,
     default_axiom_samples,
     euclidean_norm,
@@ -404,8 +403,7 @@ class RunReport:
     verification_reports: list[StabilityReport] = field(default_factory=list)
     repair_log: list[tuple[str, str]] = field(default_factory=list)
     resolved_delta: float | None = None
-    #: Euclidean norm of each sample point, by ``x_index``, as verification
-    #: rows print it.
+    #: Crisp norm of each sample point (``norm_x`` of the space), by ``x_index``.
     x_norms: list[float] = field(default_factory=list)
 
     @property
@@ -529,9 +527,7 @@ def run_pipeline(cfg: ExperimentConfig, stages: Sequence[str] = ALL_STAGES) -> R
 
     rng_x = np.random.default_rng(seed_x)
     xs = [sample_ball(rng_x, cfg.space.dim_x, cfg.x_radius) for _ in range(cfg.x_count)]
-    points = np.array(xs)
-    report.x_norms = _finite_norms(_euclidean_rows, points)
-    crisp_x_norms = _finite_norms(norm_x.rows, points)  # as extraction rows print them
+    report.x_norms = _finite_norms(norm_x.rows, np.array(xs))
 
     if "axioms" in stages:
         points, scalars = default_axiom_samples(
@@ -639,7 +635,7 @@ def run_pipeline(cfg: ExperimentConfig, stages: Sequence[str] = ALL_STAGES) -> R
                 limits = np.array([result.limit_value for _, _, result in diagnostics])
                 index_by_name: dict[str, int] = {}
                 for (name, _, result), limit, limit_norm in zip(
-                    diagnostics, limits.tolist(), _finite_norms(_euclidean_rows, limits)
+                    diagnostics, limits.tolist(), _finite_norms(norm_y.rows, limits)
                 ):
                     i = index_by_name.get(name, 0)
                     index_by_name[name] = i + 1
@@ -648,7 +644,7 @@ def run_pipeline(cfg: ExperimentConfig, stages: Sequence[str] = ALL_STAGES) -> R
                             theorem_id=t,
                             component=name,
                             x_index=i,
-                            x_norm=crisp_x_norms[i],
+                            x_norm=report.x_norms[i],
                             limit=tuple(limit),
                             limit_norm=limit_norm,
                             n_used=result.n_used,
