@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter, itemgetter
@@ -752,14 +751,14 @@ _FLOAT = _Kind(lambda values, depth: _json_floats(values), _float_texts)
 _FLOATS = _Kind(lambda values, depth: _json_arrays(values, _json_floats, depth), _same)
 _STRS = _Kind(lambda values, depth: _json_arrays(values, _json_strings, depth), _same)
 
-Column = Callable[[Sequence, "RunReport"], list]
+_Column = Callable[[Sequence, RunReport], list]
 
 
 class _Field(NamedTuple):
     key: str
     kind: _Kind | None
     #: (rows, report) -> the field's value for each row.
-    column: Column
+    column: _Column
     in_json: bool = True
     in_csv: bool = True
     #: Fields of a value that is a list of sub-rows: JSON nests them under
@@ -767,12 +766,12 @@ class _Field(NamedTuple):
     sub: tuple["_Field", ...] = ()
 
 
-def _attr(name: str) -> Column:
+def _attr(name: str) -> _Column:
     get = attrgetter(name)
     return lambda rows, report: list(map(get, rows))
 
 
-def _of_pair(position: int, name: str | None = None) -> Column:
+def _of_pair(position: int, name: str | None = None) -> _Column:
     """Column of a section whose rows are pairs: an item, or an attribute of it."""
     get = itemgetter(position) if name is None else (lambda row: getattr(row[position], name))
     return lambda rows, report: list(map(get, rows))
@@ -904,7 +903,8 @@ def _csv_table(section: _Section, report: RunReport) -> tuple[list[str], Iterabl
     rows = section.rows(report)
     fields = [f for f in section.fields if f.in_csv and not f.sub]
     columns = [f.kind.csv(f.column(rows, report)) for f in fields]
-    for nested in (f for f in section.fields if f.in_csv and f.sub):
+    nested = next((f for f in section.fields if f.in_csv and f.sub), None)
+    if nested is not None:  # a line per sub-row, led by the row's fields
         groups = nested.column(rows, report)
         columns = [[v for v, g in zip(col, groups) for _ in g] for col in columns]
         rows = [sub for group in groups for sub in group]
