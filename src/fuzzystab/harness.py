@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass, field, fields, replace
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter, itemgetter
 from pathlib import Path
@@ -87,17 +88,18 @@ EXIT_OUTPUT = 4
 ALL_STAGES = ("axioms", "hypothesis", "extraction", "verification")
 
 
-def _require(data: dict, key: str, loc: str):
-    if key not in data:
-        raise ConfigError(loc, f"missing required key {key!r}")
-    return data[key]
-
-
-def _as_int(
-    value, loc: str, minimum: int | None = None, maximum: int | None = None
-) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ConfigError(loc, f"expected an integer, got {value!r}")
+def _number(value, loc: str, *, integer=False, positive=False, minimum=None, maximum=None):
+    """``value`` as an int if ``integer``, else as a finite float, within the
+    bounds.  A bool is not a number."""
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        what = "an integer" if integer else "a number"
+        raise ConfigError(loc, f"expected {what}, got {value!r}")
+    if not integer:
+        if not abs(value) <= sys.float_info.max:  # NaN, an infinity, or an int past every float
+            raise ConfigError(loc, f"expected a finite number, got {value!r}")
+        value = float(value)
+    if positive and value <= 0:
+        raise ConfigError(loc, f"must be > 0, got {value}")
     if minimum is not None and value < minimum:
         raise ConfigError(loc, f"must be >= {minimum}, got {value}")
     if maximum is not None and value > maximum:
@@ -105,152 +107,144 @@ def _as_int(
     return value
 
 
-def _as_float(value, loc: str, *, positive: bool = False) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(loc, f"expected a number, got {value!r}")
-    v = float(value)
-    if positive and v <= 0:
-        raise ConfigError(loc, f"must be > 0, got {v}")
-    return v
+def _object(value, loc: str, keys: Sequence[str] | None, required: Sequence[str] = ()) -> dict:
+    """``value`` as a JSON object with every ``required`` key and, unless
+    ``keys`` is None, no key outside ``keys``."""
+    if not isinstance(value, dict):
+        raise ConfigError(loc, f"expected an object, got {value!r}")
+    for key in value:
+        if keys is not None and key not in keys:
+            raise ConfigError(f"{loc}.{key}", "unknown key")
+    for key in required:
+        if key not in value:
+            raise ConfigError(loc, f"missing required key {key!r}")
+    return value
 
 
-@dataclass(frozen=True)
-class ControlSpec:
-    """Raw control selection; ``delta='auto'`` defers sizing to the pipeline."""
-
-    family: str
-    alpha: float
-    delta: float | None = None
-    auto_delta: bool = False
-    theta: float = 0.0
-    p: float = 0.0
-    p1: float = 0.0
-    p2: float = 0.0
-
-    def build(self, delta_override: float | None = None) -> ControlFunction:
-        if self.family == "constant":
-            delta = delta_override if delta_override is not None else self.delta
-            if delta is None:
-                raise ValueError("constant control needs a resolved delta")
-            return ConstantControl(delta=delta, alpha=self.alpha)
-        if self.family == "power":
-            return PowerControl(theta=self.theta, p=self.p, alpha=self.alpha)
-        return ProductControl(theta=self.theta, p1=self.p1, p2=self.p2, alpha=self.alpha)
+def _list(value, loc: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(loc, f"expected a list, got {value!r}")
+    return value
 
 
-def _parse_space(data: dict, loc: str) -> SpaceConfig:
-    dim_x = _as_int(_require(data, "dim_x", loc), f"{loc}.dim_x", minimum=1)
-    dim_y = _as_int(_require(data, "dim_y", loc), f"{loc}.dim_y", minimum=1)
-    kind = data.get("crisp_norm", "euclidean")
-    weights = data.get("weights")
+def _amounts(value, loc: str, count: int, what: str) -> float | tuple[float, ...]:
+    """A number, or a list of ``count`` numbers."""
+    if not isinstance(value, list):
+        return _number(value, loc)
+    if len(value) != count:
+        raise ConfigError(loc, f"expected {count} {what}")
+    return tuple(_number(v, f"{loc}[{i}]") for i, v in enumerate(value))
+
+
+def _array(value, loc: str, shape: tuple[int, ...], what: str) -> np.ndarray | None:
+    """``value`` as a float array of ``shape``, or None for None."""
+    if value is None:
+        return None
+
+    def read(v, at: str):
+        if isinstance(v, list):
+            return [read(item, f"{at}[{i}]") for i, item in enumerate(v)]
+        return _number(v, at)
+
+    entries = read(value, loc)
     try:
-        return SpaceConfig(
-            dim_x=dim_x,
-            dim_y=dim_y,
-            crisp_norm_kind=kind,
-            weights=tuple(weights) if weights is not None else None,
-        )
+        arr = np.array(entries, dtype=float)
+    except ValueError:  # nested lists of unequal lengths
+        raise ConfigError(loc, f"expected {what}, got rows of unequal length") from None
+    if arr.shape != shape:
+        raise ConfigError(loc, f"expected {what}, got shape {arr.shape}")
+    return arr
+
+
+#: The keys of each config object but the knob sections, which are the
+#: ``section`` of the knob fields of ``ExperimentConfig``.
+_KEYS = {
+    "": ("seed", "space", "function", "control", "theorems"),
+    "space": ("dim_x", "dim_y", "crisp_norm", "weights"),
+    "function": ("quad", "linear", "const", "coords", "perturbations"),
+    "coords": ("quad", "linear", "const"),
+    "perturbations": ("shape", "amplitude", "frequency"),
+    "control": ("family", "alpha"),
+}
+
+#: Each control family: its class, and its keys besides those of ``_KEYS["control"]``.
+_CONTROLS = {
+    "constant": (ConstantControl, ("delta",)),
+    "power": (PowerControl, ("theta", "p")),
+    "product": (ProductControl, ("theta", "p1", "p2")),
+}
+
+
+def _space(value, loc: str) -> SpaceConfig:
+    data = _object(value, loc, _KEYS["space"], ("dim_x", "dim_y"))
+    dims = [_number(data[k], f"{loc}.{k}", integer=True, minimum=1) for k in ("dim_x", "dim_y")]
+    weights, wloc = data.get("weights"), f"{loc}.weights"
+    if weights is not None:
+        weights = tuple(_number(w, f"{wloc}[{i}]") for i, w in enumerate(_list(weights, wloc)))
+    try:
+        return SpaceConfig(*dims, data.get("crisp_norm", "euclidean"), weights)
     except ValueError as exc:
         raise ConfigError(loc, str(exc)) from exc
 
 
-def _parse_matrix(value, dim: int, loc: str) -> np.ndarray | None:
-    if value is None:
-        return None
-    arr = np.asarray(value, dtype=float)
-    if arr.shape != (dim, dim):
-        raise ConfigError(loc, f"expected a {dim}x{dim} matrix, got shape {arr.shape}")
-    return arr
-
-
-def _parse_vector(value, dim: int, loc: str) -> np.ndarray | None:
-    if value is None:
-        return None
-    arr = np.asarray(value, dtype=float)
-    if arr.shape != (dim,):
-        raise ConfigError(loc, f"expected a vector of length {dim}, got shape {arr.shape}")
-    return arr
-
-
-def _parse_perturbations(items, space: SpaceConfig, loc: str) -> tuple[Perturbation, ...]:
-    out = []
-    for i, item in enumerate(items or []):
-        ploc = f"{loc}[{i}]"
-        shape = _require(item, "shape", ploc)
-        if shape not in PERTURBATION_SHAPES:
-            raise ConfigError(f"{ploc}.shape", f"unknown shape {shape!r}")
-        amplitude = item.get("amplitude", 0.0)
-        if isinstance(amplitude, list):
-            if len(amplitude) != space.dim_y:
-                raise ConfigError(f"{ploc}.amplitude", f"expected {space.dim_y} amplitudes")
-            amplitude = tuple(float(v) for v in amplitude)
-        else:
-            amplitude = _as_float(amplitude, f"{ploc}.amplitude")
-        frequency = item.get("frequency", 1.0)
-        if isinstance(frequency, list):
-            if len(frequency) != space.dim_x:
-                raise ConfigError(f"{ploc}.frequency", f"expected {space.dim_x} frequencies")
-            frequency = tuple(float(v) for v in frequency)
-        else:
-            frequency = _as_float(frequency, f"{ploc}.frequency")
+def _function(value, space: SpaceConfig, loc: str) -> TestFunction:
+    """The test function; an absent key keeps the default of the class it sets."""
+    data = _object(value, loc, _KEYS["function"])
+    counts = {"amplitude": (space.dim_y, "amplitudes"), "frequency": (space.dim_x, "frequencies")}
+    perturbations = []
+    for i, item in enumerate(_list(data.get("perturbations") or [], f"{loc}.perturbations")):
+        ploc = f"{loc}.perturbations[{i}]"
+        item = _object(item, ploc, _KEYS["perturbations"], ("shape",))
+        if item["shape"] not in PERTURBATION_SHAPES:
+            raise ConfigError(f"{ploc}.shape", f"unknown shape {item['shape']!r}")
+        amounts = {k: _amounts(item[k], f"{ploc}.{k}", *counts[k]) for k in counts if k in item}
         try:
-            out.append(Perturbation(shape=shape, amplitude=amplitude, frequency=frequency))
+            perturbations.append(Perturbation(item["shape"], **amounts))
         except ValueError as exc:
             raise ConfigError(ploc, str(exc)) from exc
-    return tuple(out)
+    if "coords" not in data:
+        if space.dim_x != 1 or space.dim_y != 1:
+            raise ConfigError(loc, "scalar shorthand requires dim_x == dim_y == 1 (use 'coords')")
+        terms = {k: _number(data[k], f"{loc}.{k}") for k in _KEYS["coords"] if k in data}
+        return TestFunction.scalar(**terms, perturbations=tuple(perturbations))
+    entries = _list(data["coords"], f"{loc}.coords")
+    if len(entries) != space.dim_y:
+        raise ConfigError(f"{loc}.coords", f"expected {space.dim_y} coordinate entries")
+    d, coords = space.dim_x, []
+    shapes = {"quad": ((d, d), f"a {d}x{d} matrix"), "linear": ((d,), f"a vector of length {d}")}
+    for j, entry in enumerate(entries):
+        cloc = f"{loc}.coords[{j}]"
+        entry = _object(entry, cloc, _KEYS["coords"])
+        terms = {k: _array(entry[k], f"{cloc}.{k}", *shapes[k]) for k in shapes if k in entry}
+        if "const" in entry:
+            terms["const"] = _number(entry["const"], f"{cloc}.const")
+        coords.append(CoordinatePoly(**terms))
+    return TestFunction(coords=tuple(coords), perturbations=tuple(perturbations), dim_x=d)
 
 
-def _parse_function(data: dict, space: SpaceConfig, loc: str) -> TestFunction:
-    perturbations = _parse_perturbations(data.get("perturbations"), space, f"{loc}.perturbations")
-    if "coords" in data:
-        coords = []
-        entries = data["coords"]
-        if len(entries) != space.dim_y:
-            raise ConfigError(f"{loc}.coords", f"expected {space.dim_y} coordinate entries")
-        for j, entry in enumerate(entries):
-            cloc = f"{loc}.coords[{j}]"
-            coords.append(
-                CoordinatePoly(
-                    quad=_parse_matrix(entry.get("quad"), space.dim_x, f"{cloc}.quad"),
-                    linear=_parse_vector(entry.get("linear"), space.dim_x, f"{cloc}.linear"),
-                    const=_as_float(entry.get("const", 0.0), f"{cloc}.const"),
-                )
-            )
-        return TestFunction(coords=tuple(coords), perturbations=perturbations, dim_x=space.dim_x)
-    if space.dim_x != 1 or space.dim_y != 1:
-        raise ConfigError(loc, "scalar shorthand requires dim_x == dim_y == 1 (use 'coords')")
-    return TestFunction.scalar(
-        quad=_as_float(data.get("quad", 0.0), f"{loc}.quad"),
-        linear=_as_float(data.get("linear", 0.0), f"{loc}.linear"),
-        const=_as_float(data.get("const", 0.0), f"{loc}.const"),
-        perturbations=perturbations,
-    )
+def _control(value, loc: str) -> tuple[ControlFunction, bool]:
+    """The control function, and whether its ``delta`` is ``"auto"``: sized
+    by the pipeline, and 0 until then."""
+    family = _object(value, loc, None, ("family",))["family"]
+    if family not in tuple(_CONTROLS):  # by equality: a JSON list is not hashable
+        raise ConfigError(f"{loc}.family", f"unknown control family {family!r}")
+    cls, keys = _CONTROLS[family]
+    data = _object(value, loc, _KEYS["control"] + keys, ("alpha", *keys))
+    auto_delta = data.get("delta") == "auto"
+    numbers = dict(data, delta=0.0) if auto_delta else data
+    params = {k: _number(numbers[k], f"{loc}.{k}") for k in keys}
+    params["alpha"] = _number(data["alpha"], f"{loc}.alpha", positive=True)
+    try:
+        return cls(**params), auto_delta
+    except ValueError as exc:  # the family's own bounds; each message opens with its key
+        raise ConfigError(f"{loc}.{str(exc).split()[0]}", str(exc)) from exc
 
 
-def _parse_control(data: dict, loc: str) -> ControlSpec:
-    family = _require(data, "family", loc)
-    alpha = _as_float(_require(data, "alpha", loc), f"{loc}.alpha", positive=True)
-    if family == "constant":
-        delta = _require(data, "delta", loc)
-        if delta == "auto":
-            return ControlSpec(family=family, alpha=alpha, auto_delta=True)
-        return ControlSpec(family=family, alpha=alpha, delta=_as_float(delta, f"{loc}.delta"))
-    if family == "power":
-        return ControlSpec(
-            family=family,
-            alpha=alpha,
-            theta=_as_float(_require(data, "theta", loc), f"{loc}.theta"),
-            p=_as_float(_require(data, "p", loc), f"{loc}.p"),
-        )
-    if family == "product":
-        return ControlSpec(
-            family=family,
-            alpha=alpha,
-            theta=_as_float(_require(data, "theta", loc), f"{loc}.theta"),
-            p1=_as_float(_require(data, "p1", loc), f"{loc}.p1"),
-            p2=_as_float(_require(data, "p2", loc), f"{loc}.p2"),
-        )
-    raise ConfigError(f"{loc}.family", f"unknown control family {family!r}")
+def _knob(section: str, default, **bounds):
+    """Field read from ``<section>.<name>`` by ``_number`` within ``bounds``,
+    as an integer if ``default`` is one."""
+    number = dict(bounds, integer=type(default) is int)
+    return field(default=default, metadata={"section": section, "number": number})
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,93 +254,59 @@ class ExperimentConfig:
     seed: int
     space: SpaceConfig
     function: TestFunction
-    control: ControlSpec
+    control: ControlFunction
     theorems: tuple[str, ...]
-    x_count: int = 20
-    x_radius: float = 2.0
-    a_min: float = 1e-3
-    a_max: float = 1e3
-    a_points: int = 25
-    axiom_points: int = 200
-    extraction_tol: float = 1e-9
-    n_max: int = 40
-    membership_slack: float = 1e-12
-    fuzzy_tol: float = 0.01
-    vanishing_probe: int = 30
-    q_scale: float = 1.0
+    #: ``control.delta`` is ``"auto"``: the pipeline sizes it.
+    auto_delta: bool = False
+    x_count: int = _knob("grids", 20, minimum=1)
+    x_radius: float = _knob("grids", 2.0, positive=True)
+    a_min: float = _knob("grids", 1e-3, positive=True)
+    a_max: float = _knob("grids", 1e3, positive=True)
+    a_points: int = _knob("grids", 25, minimum=1)
+    axiom_points: int = _knob("grids", 200, minimum=1)
+    extraction_tol: float = _knob("tolerances", 1e-9, positive=True)
+    n_max: int = _knob("tolerances", 40, minimum=2, maximum=MAX_STEPS)
+    membership_slack: float = _knob("tolerances", 1e-12, positive=True)
+    fuzzy_tol: float = _knob("tolerances", 0.01, positive=True)
+    vanishing_probe: int = _knob("tolerances", 30, minimum=1)
+    q_scale: float = _knob("negative_control", 1.0)
 
     @classmethod
     def from_dict(cls, data: dict, source: str = "config") -> "ExperimentConfig":
-        seed = _as_int(data.get("seed", 0), f"{source}: seed")
-        space = _parse_space(_require(data, "space", f"{source}: space"), f"{source}: space")
-        function = _parse_function(
-            _require(data, "function", f"{source}: function"), space, f"{source}: function"
-        )
-        control = _parse_control(
-            _require(data, "control", f"{source}: control"), f"{source}: control"
-        )
-        theorems = _require(data, "theorems", f"{source}: theorems")
+        knobs = [f for f in fields(cls) if f.metadata]
+        sections = dict.fromkeys(f.metadata["section"] for f in knobs)
+        for key in data:
+            if key not in _KEYS[""] + tuple(sections):
+                raise ConfigError(f"{source}: {key}", "unknown key")
+        for key in _KEYS[""][1:]:
+            if key not in data:
+                raise ConfigError(f"{source}: {key}", f"missing required key {key!r}")
+        seed = _number(data.get("seed", 0), f"{source}: seed", integer=True, minimum=0)
+        space = _space(data["space"], f"{source}: space")
+        function = _function(data["function"], space, f"{source}: function")
+        control, auto_delta = _control(data["control"], f"{source}: control")
+        theorems, loc, valid = data["theorems"], f"{source}: theorems", sorted(THEOREMS)
         if not isinstance(theorems, list) or not theorems:
-            raise ConfigError(f"{source}: theorems", "expected a non-empty list")
+            raise ConfigError(loc, "expected a non-empty list")
         for t in theorems:
-            if t not in THEOREMS:
-                raise ConfigError(
-                    f"{source}: theorems",
-                    f"unknown theorem id {t!r}; valid: {sorted(THEOREMS)}",
-                )
+            if t not in valid:
+                raise ConfigError(loc, f"unknown theorem id {t!r}; valid: {valid}")
             for scheme in THEOREMS[t].schemes:
                 if not scheme.admits_alpha(control.alpha):
                     raise ConfigError(
                         f"{source}: control.alpha",
                         f"alpha out of range {scheme.interval_label} for {scheme.value}",
                     )
-        grids = data.get("grids", {})
-        tolerances = data.get("tolerances", {})
-        negative = data.get("negative_control", {})
-        a_min = _as_float(grids.get("a_min", 1e-3), f"{source}: grids.a_min", positive=True)
-        a_max = _as_float(grids.get("a_max", 1e3), f"{source}: grids.a_max", positive=True)
-        if a_max <= a_min:
+        values = {}
+        for name in sections:
+            section = [f for f in knobs if f.metadata["section"] == name]
+            given = _object(data.get(name, {}), f"{source}: {name}", [f.name for f in section])
+            for f in section:
+                loc = f"{source}: {name}.{f.name}"
+                values[f.name] = _number(given.get(f.name, f.default), loc, **f.metadata["number"])
+        if values["a_max"] <= values["a_min"]:
             raise ConfigError(f"{source}: grids.a_max", "a_max must exceed a_min")
-        return cls(
-            seed=seed,
-            space=space,
-            function=function,
-            control=control,
-            theorems=tuple(theorems),
-            x_count=_as_int(grids.get("x_count", 20), f"{source}: grids.x_count", minimum=1),
-            x_radius=_as_float(grids.get("x_radius", 2.0), f"{source}: grids.x_radius", positive=True),
-            a_min=a_min,
-            a_max=a_max,
-            a_points=_as_int(grids.get("a_points", 25), f"{source}: grids.a_points", minimum=1),
-            axiom_points=_as_int(
-                grids.get("axiom_points", 200), f"{source}: grids.axiom_points", minimum=1
-            ),
-            extraction_tol=_as_float(
-                tolerances.get("extraction_tol", 1e-9),
-                f"{source}: tolerances.extraction_tol",
-                positive=True,
-            ),
-            n_max=_as_int(
-                tolerances.get("n_max", 40),
-                f"{source}: tolerances.n_max",
-                minimum=2,
-                maximum=MAX_STEPS,
-            ),
-            membership_slack=_as_float(
-                tolerances.get("membership_slack", 1e-12),
-                f"{source}: tolerances.membership_slack",
-                positive=True,
-            ),
-            fuzzy_tol=_as_float(
-                tolerances.get("fuzzy_tol", 0.01), f"{source}: tolerances.fuzzy_tol", positive=True
-            ),
-            vanishing_probe=_as_int(
-                tolerances.get("vanishing_probe", 30),
-                f"{source}: tolerances.vanishing_probe",
-                minimum=1,
-            ),
-            q_scale=_as_float(negative.get("q_scale", 1.0), f"{source}: negative_control.q_scale"),
-        )
+        return cls(seed, space, function, control, tuple(theorems), auto_delta, **values)
 
     @classmethod
     def load(cls, path: str | Path) -> "ExperimentConfig":
@@ -362,9 +322,6 @@ class ExperimentConfig:
         if not isinstance(data, dict):
             raise ConfigError(str(path), "top-level config must be a JSON object")
         return cls.from_dict(data, source=str(path))
-
-    def a_grid(self) -> tuple[float, ...]:
-        return log_a_grid(self.a_min, self.a_max, self.a_points)
 
 
 @dataclass(frozen=True)
@@ -522,7 +479,7 @@ def run_pipeline(cfg: ExperimentConfig, stages: Sequence[str] = ALL_STAGES) -> R
     norm_x = cfg.space.norm_x()
     N = FuzzyNorm.induced(norm_y)
     nprime = FuzzyNorm.induced(euclidean_norm)  # scalar control codomain
-    a_values = cfg.a_grid()
+    a_values = log_a_grid(cfg.a_min, cfg.a_max, cfg.a_points)
 
     rng_x = np.random.default_rng(seed_x)
     xs = [sample_ball(rng_x, cfg.space.dim_x, cfg.x_radius) for _ in range(cfg.x_count)]
@@ -557,19 +514,17 @@ def run_pipeline(cfg: ExperimentConfig, stages: Sequence[str] = ALL_STAGES) -> R
 
     needs_controls = "hypothesis" in stages or "verification" in stages
     premise_by_theorem: dict[str, list] = {}
-    phi: ControlFunction | None = None
+    phi = cfg.control
     if needs_controls:
         premise_rngs = seed_premise.spawn(len(cfg.theorems))
         for t, child in zip(cfg.theorems, premise_rngs):
             premise_by_theorem[t] = premise_pairs(
                 THEOREMS[t], xs, np.random.default_rng(child), radius=cfg.x_radius
             )
-        delta = None
-        if cfg.control.auto_delta:
+        if cfg.auto_delta:
             all_pairs = [p for t in cfg.theorems for p in premise_by_theorem[t]]
-            delta = measure_residual_sup(shifted, all_pairs, norm=norm_y)
-            report.resolved_delta = delta
-        phi = cfg.control.build(delta)
+            report.resolved_delta = measure_residual_sup(shifted, all_pairs, norm=norm_y)
+            phi = replace(phi, delta=report.resolved_delta)
 
     if "hypothesis" in stages:
         for t in cfg.theorems:

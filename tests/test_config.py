@@ -1,11 +1,17 @@
 """Config reading: the location and reason of every ConfigError."""
 
 import json
+import math
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
+from fuzzystab import harness
+from fuzzystab.cli import main as cli_main
 from fuzzystab.errors import ConfigError
-from fuzzystab.harness import ExperimentConfig
+from fuzzystab.harness import EXIT_CONFIG, ExperimentConfig
 
 BASE = {
     "seed": 7,
@@ -18,12 +24,13 @@ BASE = {
 
 
 def edited(path: str, value):
-    """BASE with the key at dotted ``path`` set to ``value`` (removed if ``...``)."""
+    """BASE with the key at dotted ``path`` set to ``value`` (removed if ``...``);
+    a number in the path indexes a list."""
     data = json.loads(json.dumps(BASE))
     *parents, last = path.split(".")
     node = data
     for key in parents:
-        node = node.setdefault(key, {})
+        node = node[int(key)] if isinstance(node, list) else node.setdefault(key, {})
     if value is ...:
         del node[last]
     else:
@@ -184,3 +191,161 @@ def test_top_level_not_an_object(tmp_path):
         str(path),
         "top-level config must be a JSON object",
     )
+
+
+# --- inputs the reader rejects ------------------------------------------------
+
+
+def run_cli(tmp_path, data, capsys) -> tuple[int, str]:
+    """Exit status and stderr of ``fuzzystab run`` on ``data``, with the
+    config path in stderr replaced by ``config``."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data), encoding="utf-8")  # NaN and Infinity as JSON allows
+    code = cli_main(["run", "--config", str(path), "--out-dir", str(tmp_path / "out")])
+    return code, capsys.readouterr().err.replace(str(path), "config")
+
+
+NON_FINITE = {
+    "slack_nan": ("tolerances.membership_slack", math.nan),
+    "slack_inf": ("tolerances.membership_slack", math.inf),
+    "a_max_inf": ("grids.a_max", math.inf),
+}
+
+
+@pytest.mark.parametrize("key, value", NON_FINITE.values(), ids=NON_FINITE)
+def test_cli_rejects_non_finite_numbers(tmp_path, capsys, key, value):
+    # With q_scale 1.5 the default slack flags violations; a NaN or infinite
+    # slack would let the mis-scaled component pass.
+    data = edited("negative_control", {"q_scale": 1.5})
+    section, name = key.split(".")
+    data.setdefault(section, {})[name] = value
+    code, err = run_cli(tmp_path, data, capsys)
+    assert code == EXIT_CONFIG
+    assert f"config: {key}: expected a finite number, got {value!r}" in err
+
+
+FLOAT_KEYS = [
+    "grids.x_radius",
+    "grids.a_min",
+    "tolerances.extraction_tol",
+    "tolerances.fuzzy_tol",
+    "negative_control.q_scale",
+    "control.alpha",
+    "control.delta",
+    "function.quad",
+    "function.perturbations.0.amplitude",
+]
+
+
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+@pytest.mark.parametrize("value", [math.nan, -math.inf, 10**400], ids=["nan", "-inf", "huge_int"])
+def test_every_number_must_be_finite(key, value):
+    location = "config: " + key.replace(".0.", "[0].")
+    assert config_error(edited(key, value)) == (location, f"expected a finite number, got {value!r}")
+
+
+def two_dim(**entry):
+    data = edited("space", {"dim_x": 2, "dim_y": 1})
+    data["function"] = {"coords": [entry]}
+    return data
+
+
+MALFORMED = {
+    "grids_list": (edited("grids", [1, 2]), "grids"),
+    "space_number": (edited("space", 3), "space"),
+    "function_number": (edited("function", 3), "function"),
+    "control_number": (edited("control", 3), "control"),
+    "coords_number": (edited("function", {"coords": 5}), "function.coords"),
+    "coord_number": (edited("function", {"coords": [5]}), "function.coords[0]"),
+    "perturbation_number": (edited("function.perturbations", [3]), "function.perturbations[0]"),
+    "perturbations_number": (edited("function.perturbations", 3), "function.perturbations"),
+    "amplitude_text": (
+        edited("function.perturbations", [{"shape": "sin", "amplitude": ["a"]}]),
+        "function.perturbations[0].amplitude[0]",
+    ),
+    "amplitude_bool": (
+        edited("function.perturbations", [{"shape": "sin", "amplitude": [True]}]),
+        "function.perturbations[0].amplitude[0]",
+    ),
+    "quad_text": (one_dim_coords(quad=[["a"]]), "function.coords[0].quad[0][0]"),
+    "quad_ragged": (two_dim(quad=[[1.0], [1.0, 2.0]]), "function.coords[0].quad"),
+    "linear_text": (one_dim_coords(linear="a"), "function.coords[0].linear"),
+    "weights_number": (
+        edited("space", {"dim_x": 1, "dim_y": 1, "crisp_norm": "weighted", "weights": 2.0}),
+        "space.weights",
+    ),
+    "weights_text": (
+        edited("space", {"dim_x": 1, "dim_y": 1, "crisp_norm": "weighted", "weights": ["a"]}),
+        "space.weights[0]",
+    ),
+    "theorem_list": (edited("theorems", [["combined"]]), "theorems"),
+    "seed_negative": (edited("seed", -1), "seed"),
+}
+
+
+@pytest.mark.parametrize("data, key", MALFORMED.values(), ids=MALFORMED)
+def test_cli_malformed_shapes_exit_two(tmp_path, capsys, data, key):
+    code, err = run_cli(tmp_path, data, capsys)
+    assert code == EXIT_CONFIG
+    assert f"config: {key}: " in err
+
+
+CONTROL_BOUNDS = {
+    "constant_delta": ({"family": "constant", "delta": -1, "alpha": 1.0}, "delta"),
+    "power_theta": ({"family": "power", "theta": -1, "p": 1.0, "alpha": 1.0}, "theta"),
+    "product_theta": (
+        {"family": "product", "theta": -1, "p1": 1.0, "p2": 1.0, "alpha": 1.0},
+        "theta",
+    ),
+}
+
+
+@pytest.mark.parametrize("control, key", CONTROL_BOUNDS.values(), ids=CONTROL_BOUNDS)
+def test_control_bounds_are_checked_at_load(control, key):
+    location, reason = config_error(edited("control", control))
+    assert (location, reason) == (f"config: control.{key}", f"{key} must be >= 0")
+
+
+def test_cli_negative_delta_exits_two(tmp_path, capsys):
+    code, err = run_cli(tmp_path, edited("control.delta", -1), capsys)
+    assert code == EXIT_CONFIG
+    assert "config: control.delta: delta must be >= 0" in err
+
+
+UNKNOWN = {
+    "top_level": (edited("sede", 1), "sede"),
+    "grids": (edited("grids.x_cuont", 5), "grids.x_cuont"),
+    "tolerances": (edited("tolerances", {"n_mx": 5}), "tolerances.n_mx"),
+    "negative_control": (edited("negative_control", {"scale": 1.1}), "negative_control.scale"),
+    "space": (edited("space.dimx", 1), "space.dimx"),
+    "function": (edited("function.quadd", 1.0), "function.quadd"),
+    "coords": (one_dim_coords(lin=[1.0]), "function.coords[0].lin"),
+    "perturbation": (
+        edited("function.perturbations", [{"shape": "sin", "amp": 0.1}]),
+        "function.perturbations[0].amp",
+    ),
+    "control": (edited("control.alpah", 1.0), "control.alpah"),
+    "other_family": (edited("control.theta", 1.0), "control.theta"),
+}
+
+
+@pytest.mark.parametrize("data, key", UNKNOWN.values(), ids=UNKNOWN)
+def test_unknown_keys_are_rejected(data, key):
+    assert config_error(data) == (f"config: {key}", "unknown key")
+
+
+def test_cli_misspelt_knob_exits_two(tmp_path, capsys):
+    code, err = run_cli(tmp_path, edited("grids.x_cuont", 5), capsys)
+    assert code == EXIT_CONFIG
+    assert "config: grids.x_cuont: unknown key" in err
+
+
+def test_readme_schema_lists_exactly_the_config_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```jsonc\n", 1)[1].split("```", 1)[0]
+    documented = set(re.findall(r'"(\w+)":', block))
+    knobs = [f for f in fields(ExperimentConfig) if f.metadata]
+    tables = {key for keys in harness._KEYS.values() for key in keys}
+    tables |= {key for _, keys in harness._CONTROLS.values() for key in keys}
+    tables |= {f.name for f in knobs} | {f.metadata["section"] for f in knobs}
+    assert documented == tables
