@@ -157,7 +157,8 @@ def _array(value, loc: str, shape: tuple[int, ...], what: str) -> np.ndarray | N
 
 
 #: The keys of each config object but the knob sections, which are the
-#: ``section`` of the knob fields of ``ExperimentConfig``.
+#: ``section`` of the knob fields of ``ExperimentConfig``.  Top-level keys
+#: but ``seed`` are required.
 _KEYS = {
     "": ("seed", "space", "function", "control", "theorems"),
     "space": ("dim_x", "dim_y", "crisp_norm", "weights"),
@@ -192,7 +193,7 @@ def _function(value, space: SpaceConfig, loc: str) -> TestFunction:
     data = _object(value, loc, _KEYS["function"])
     counts = {"amplitude": (space.dim_y, "amplitudes"), "frequency": (space.dim_x, "frequencies")}
     perturbations = []
-    for i, item in enumerate(_list(data.get("perturbations") or [], f"{loc}.perturbations")):
+    for i, item in enumerate(_list(data.get("perturbations", []), f"{loc}.perturbations")):
         ploc = f"{loc}.perturbations[{i}]"
         item = _object(item, ploc, _KEYS["perturbations"], ("shape",))
         if item["shape"] not in PERTURBATION_SHAPES:

@@ -216,9 +216,8 @@ NON_FINITE = {
 def test_cli_rejects_non_finite_numbers(tmp_path, capsys, key, value):
     # With q_scale 1.5 the default slack flags violations; a NaN or infinite
     # slack would let the mis-scaled component pass.
-    data = edited("negative_control", {"q_scale": 1.5})
-    section, name = key.split(".")
-    data.setdefault(section, {})[name] = value
+    data = edited(key, value)
+    data["negative_control"] = {"q_scale": 1.5}
     code, err = run_cli(tmp_path, data, capsys)
     assert code == EXIT_CONFIG
     assert f"config: {key}: expected a finite number, got {value!r}" in err
@@ -259,6 +258,8 @@ MALFORMED = {
     "coord_number": (edited("function", {"coords": [5]}), "function.coords[0]"),
     "perturbation_number": (edited("function.perturbations", [3]), "function.perturbations[0]"),
     "perturbations_number": (edited("function.perturbations", 3), "function.perturbations"),
+    "perturbations_object": (edited("function.perturbations", {}), "function.perturbations"),
+    "perturbations_false": (edited("function.perturbations", False), "function.perturbations"),
     "amplitude_text": (
         edited("function.perturbations", [{"shape": "sin", "amplitude": ["a"]}]),
         "function.perturbations[0].amplitude[0]",
