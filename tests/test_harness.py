@@ -408,6 +408,35 @@ class TestCli:
         err = capsys.readouterr().err
         assert "scale error" in err and "n=" in err
 
+    @pytest.mark.parametrize(
+        "changes, line",
+        [
+            (
+                {"function": {"linear": 1.0}, "grids": dict(BASE["grids"], x_radius=1e139)},
+                "scale error: scaled argument norm 1.818e+150 exceeds 1e+150 at n=38 for "
+                "quadratic_up at x=[6.613152208684455e+138] (theorem quadratic_up)",
+            ),
+            (
+                {
+                    "function": {"quad": 1.0, "linear": 1.0},
+                    "control": {"family": "constant", "delta": 0.1, "alpha": 1.0},
+                    "theorems": ["combined"],
+                    "grids": dict(BASE["grids"], x_count=6, x_radius=1e151),
+                },
+                "scale error: scaled argument norm 6.613e+150 exceeds 1e+150 at n=0 for "
+                "quadratic_up at x=[6.613152208684455e+150] (theorem combined)",
+            ),
+        ],
+        ids=["single_scheme", "combined"],
+    )
+    def test_scale_error_line_names_scheme_point_and_theorem(
+        self, tmp_path, capsys, changes, line
+    ):
+        config = write_config(tmp_path, dict(BASE, **changes))
+        code = cli_main(["extract", "--config", str(config), "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_SCALE
+        assert capsys.readouterr().err == line + "\n"
+
     def test_unwritable_output_exits_four(self, tmp_path, capsys):
         config = write_config(tmp_path, BASE)
         blocker = tmp_path / "blocked"
