@@ -43,7 +43,7 @@ from .control import (
     verify_stability,
 )
 from .errors import ConfigError, ScaleError
-from .extraction import MAX_STEPS, ExtractedComponent, ExtractionResult
+from .extraction import MAX_STEPS, ExtractedComponent
 from .funceq import (
     CoordinatePoly,
     PERTURBATION_SHAPES,
@@ -396,56 +396,30 @@ class _ScaledComponent:
 def _extract_for_theorem(
     cfg: ExperimentConfig,
     theorem_id: str,
+    shifted: Callable[[np.ndarray], np.ndarray],
     xs: Sequence[np.ndarray],
 ):
-    """Extract the component(s) a theorem needs from the offset-free function.
+    """Extract the component(s) a theorem needs from the offset-free ``shifted``;
+    ``combined`` extracts from its even and its odd part.
 
-    Returns (components-for-verification, list of (component_name, x, result)).
+    Returns (components-for-verification, list of (component_name, x_index, result)).
     """
     spec = THEOREMS[theorem_id]
-    shifted, _ = remove_offset(cfg.function)
-    diagnostics: list[tuple[str, np.ndarray, ExtractionResult]] = []
-
-    def run_at(component: ExtractedComponent, x) -> ExtractionResult:
-        try:
-            return component.extraction_at(x)
-        except ScaleError as exc:
-            raise ScaleError(
-                f"{exc} at x={np.asarray(x, float).tolist()} (theorem {theorem_id})",
-                scheme=exc.scheme,
-                n=exc.n,
-            ) from exc
-
-    if spec.is_combined:
-        q = ExtractedComponent(
-            scheme=spec.schemes[0],
-            source=even_part(shifted),
-            tol=cfg.extraction_tol,
-            n_max=cfg.n_max,
-        )
-        a = ExtractedComponent(
-            scheme=spec.schemes[1],
-            source=odd_part(shifted),
-            tol=cfg.extraction_tol,
-            n_max=cfg.n_max,
-        )
-        for x in xs:
-            diagnostics.append(("quadratic", np.asarray(x, float), run_at(q, x)))
-        for x in xs:
-            diagnostics.append(("additive", np.asarray(x, float), run_at(a, x)))
-        q_out = _ScaledComponent(q, cfg.q_scale) if cfg.q_scale != 1.0 else q
-        return (q_out, a), diagnostics
-    scheme = spec.schemes[0]
-    name = "quadratic" if scheme.is_quadratic else "additive"
-    comp = ExtractedComponent(
-        scheme=scheme, source=shifted, tol=cfg.extraction_tol, n_max=cfg.n_max
-    )
-    for x in xs:
-        diagnostics.append((name, np.asarray(x, float), run_at(comp, x)))
-    out = comp
-    if scheme.is_quadratic and cfg.q_scale != 1.0:
-        out = _ScaledComponent(comp, cfg.q_scale)
-    return out, diagnostics
+    sources = (even_part(shifted), odd_part(shifted)) if spec.is_combined else (shifted,)
+    components, diagnostics = [], []
+    for scheme, source in zip(spec.schemes, sources):
+        comp = ExtractedComponent(scheme, source, tol=cfg.extraction_tol, n_max=cfg.n_max)
+        name = "quadratic" if scheme.is_quadratic else "additive"
+        for i, x in enumerate(xs):
+            try:
+                diagnostics.append((name, i, comp.extraction_at(x)))
+            except ScaleError as exc:
+                where = f"at x={np.asarray(x, float).tolist()} (theorem {theorem_id})"
+                raise ScaleError(f"{exc} {where}", scheme=exc.scheme, n=exc.n) from exc
+        if scheme.is_quadratic and cfg.q_scale != 1.0:
+            comp = _ScaledComponent(comp, cfg.q_scale)
+        components.append(comp)
+    return (tuple(components) if spec.is_combined else components[0]), diagnostics
 
 
 def _finite_norms(rows: Callable[[np.ndarray], np.ndarray], v: np.ndarray) -> list[float]:
@@ -513,10 +487,9 @@ def run_pipeline(cfg: ExperimentConfig, stages: Sequence[str] = ALL_STAGES) -> R
 
     shifted, _ = remove_offset(cfg.function)
 
-    needs_controls = "hypothesis" in stages or "verification" in stages
     premise_by_theorem: dict[str, list] = {}
     phi = cfg.control
-    if needs_controls:
+    if "hypothesis" in stages or "verification" in stages:
         premise_rngs = seed_premise.spawn(len(cfg.theorems))
         for t, child in zip(cfg.theorems, premise_rngs):
             premise_by_theorem[t] = premise_pairs(
@@ -539,7 +512,7 @@ def run_pipeline(cfg: ExperimentConfig, stages: Sequence[str] = ALL_STAGES) -> R
                     a_grid=a_values,
                     norm=norm_x,
                     slack=cfg.membership_slack,
-                    y_override=spec.y_set if spec.is_combined else None,
+                    y_override=spec.y_set,
                 )
                 report.hypothesis_rows.append(
                     HypothesisRow(
@@ -584,16 +557,12 @@ def run_pipeline(cfg: ExperimentConfig, stages: Sequence[str] = ALL_STAGES) -> R
     components_by_theorem: dict[str, object] = {}
     if "extraction" in stages or "verification" in stages:
         for t in cfg.theorems:
-            components, diagnostics = _extract_for_theorem(cfg, t, xs)
-            components_by_theorem[t] = components
+            components_by_theorem[t], diagnostics = _extract_for_theorem(cfg, t, shifted, xs)
             if "extraction" in stages:
                 limits = np.array([result.limit_value for _, _, result in diagnostics])
-                index_by_name: dict[str, int] = {}
-                for (name, _, result), limit, limit_norm in zip(
+                for (name, i, result), limit, limit_norm in zip(
                     diagnostics, limits.tolist(), _finite_norms(norm_y.rows, limits)
                 ):
-                    i = index_by_name.get(name, 0)
-                    index_by_name[name] = i + 1
                     report.extraction_rows.append(
                         ExtractionRow(
                             theorem_id=t,
