@@ -208,6 +208,8 @@ def _function(value, space: SpaceConfig, loc: str) -> TestFunction:
             raise ConfigError(loc, "scalar shorthand requires dim_x == dim_y == 1 (use 'coords')")
         terms = {k: _number(data[k], f"{loc}.{k}") for k in _KEYS["coords"] if k in data}
         return TestFunction.scalar(**terms, perturbations=tuple(perturbations))
+    if shorthand := [k for k in _KEYS["coords"] if k in data]:
+        raise ConfigError(f"{loc}.{shorthand[0]}", "scalar shorthand and 'coords' are exclusive")
     entries = _list(data["coords"], f"{loc}.coords")
     if len(entries) != space.dim_y:
         raise ConfigError(f"{loc}.coords", f"expected {space.dim_y} coordinate entries")
@@ -292,6 +294,8 @@ class ExperimentConfig:
         for t in theorems:
             if t not in valid:
                 raise ConfigError(loc, f"unknown theorem id {t!r}; valid: {valid}")
+            if theorems.count(t) > 1:
+                raise ConfigError(loc, f"duplicate theorem id {t!r}")
             for scheme in THEOREMS[t].schemes:
                 if not scheme.admits_alpha(control.alpha):
                     raise ConfigError(

@@ -66,13 +66,15 @@ euclidean_norm.rows = _euclidean_rows
 def crisp_norm(kind: str, weights: Sequence[float] | None = None) -> Callable[[np.ndarray], float]:
     """Build a crisp norm evaluator of the given kind.
 
-    ``weighted`` is the weighted Euclidean norm sqrt(sum w_i x_i^2) and
-    requires strictly positive weights matching the vector dimension.
+    ``weighted`` is the weighted Euclidean norm sqrt(sum w_i x_i^2), the only
+    kind that takes weights: strictly positive ones matching the vector dimension.
 
     The evaluator maps one vector to a float.  Its ``rows`` attribute maps
     vectors of shape ``(..., d)`` to their norms of shape ``(...)``, equal
     bit for bit to the one-vector form.
     """
+    if weights is not None and kind in ("euclidean", "max"):
+        raise ValueError(f"{kind} norm takes no weights (only weighted does)")
     if kind == "euclidean":
         return euclidean_norm
     if kind == "max":
@@ -124,15 +126,9 @@ class SpaceConfig:
     def __post_init__(self) -> None:
         if self.dim_x < 1 or self.dim_y < 1:
             raise ValueError("space dimensions must be >= 1")
-        if self.crisp_norm_kind not in CRISP_NORM_KINDS:
-            raise ValueError(f"unknown crisp norm kind {self.crisp_norm_kind!r}")
-        if self.crisp_norm_kind == "weighted":
-            if self.weights is None:
-                raise ValueError("weighted norm requires weights")
-            if any(w <= 0 for w in self.weights):
-                raise ValueError("weights must all be > 0")
-            if len(self.weights) not in (self.dim_x, self.dim_y):
-                raise ValueError("weights length must equal a space dimension")
+        crisp_norm(self.crisp_norm_kind, self.weights)  # checks the kind and the weights
+        if self.weights is not None and len(self.weights) not in (self.dim_x, self.dim_y):
+            raise ValueError("weights length must equal a space dimension")
 
     def norm_x(self) -> Callable[[np.ndarray], float]:
         return self._norm(self.dim_x)
@@ -166,7 +162,6 @@ class FuzzyNorm:
     """
 
     evaluator: Callable[[np.ndarray, float], float]
-    kind: str = "custom"
     #: Row form of the crisp norm behind an induced instance, if it has one.
     _rows: Callable[[np.ndarray], np.ndarray] | None = field(
         default=None, repr=False, compare=False
@@ -181,7 +176,7 @@ class FuzzyNorm:
             if a == math.inf and math.isfinite(r):
                 return 1.0  # a / (a + r) is inf / inf; its limit is 1
             return a / (a + r)
-        return cls(evaluator=_eval, kind="induced", _rows=getattr(norm, "rows", None))
+        return cls(evaluator=_eval, _rows=getattr(norm, "rows", None))
 
     def __call__(self, x: np.ndarray, a: float) -> float:
         v = np.atleast_1d(np.asarray(x, dtype=float))

@@ -341,6 +341,53 @@ def test_cli_misspelt_knob_exits_two(tmp_path, capsys):
     assert "config: grids.x_cuont: unknown key" in err
 
 
+# Keys the run would otherwise drop or repeat without a word: the shorthand
+# next to ``coords``, weights under a norm that reads none, a repeated theorem.
+DROPPED_OR_REPEATED = {
+    "shorthand_with_coords": (
+        edited("function", {"coords": [{"quad": [[1.0]]}], "quad": 5.0, "linear": 3.0}),
+        "config: function.quad",
+        "scalar shorthand and 'coords' are exclusive",
+    ),
+    "const_with_coords": (
+        edited("function", {"coords": [{"quad": [[1.0]]}], "const": 2.0}),
+        "config: function.const",
+        "scalar shorthand and 'coords' are exclusive",
+    ),
+    "weights_under_max": (
+        edited("space", {"dim_x": 1, "dim_y": 1, "crisp_norm": "max", "weights": [3.0]}),
+        "config: space",
+        "max norm takes no weights (only weighted does)",
+    ),
+    "weights_under_default_norm": (
+        edited("space", {"dim_x": 1, "dim_y": 1, "weights": [3.0]}),
+        "config: space",
+        "euclidean norm takes no weights (only weighted does)",
+    ),
+    "duplicate_theorem": (
+        edited("theorems", ["combined", "combined"]),
+        "config: theorems",
+        "duplicate theorem id 'combined'",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "data, location, reason", DROPPED_OR_REPEATED.values(), ids=DROPPED_OR_REPEATED
+)
+def test_cli_rejects_dropped_or_repeated_keys(tmp_path, capsys, data, location, reason):
+    assert config_error(data) == (location, reason)
+    code, err = run_cli(tmp_path, data, capsys)
+    assert (code, err) == (EXIT_CONFIG, f"config error: {location}: {reason}\n")
+
+
+@pytest.mark.parametrize("weights", [[-1.0], []], ids=["negative", "empty"])
+def test_weighted_norm_weights_are_checked_by_crisp_norm(weights):
+    data = edited("space", {"dim_x": 1, "dim_y": 1, "crisp_norm": "weighted", "weights": weights})
+    reason = "weights must be a non-empty vector of positive reals"
+    assert config_error(data) == ("config: space", reason)
+
+
 def test_readme_schema_lists_exactly_the_config_keys():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("```jsonc\n", 1)[1].split("```", 1)[0]

@@ -94,6 +94,15 @@ def test_space_config_validation():
     assert cfg.norm_x()(np.array([1.0, 0.0])) == 1.0
 
 
+@pytest.mark.parametrize("kind", ["euclidean", "max"])
+def test_only_the_weighted_norm_takes_weights(kind):
+    message = f"{kind} norm takes no weights"
+    with pytest.raises(ValueError, match=message):
+        crisp_norm(kind, [3.0])
+    with pytest.raises(ValueError, match=message):
+        SpaceConfig(dim_x=1, dim_y=1, crisp_norm_kind=kind, weights=(3.0,))
+
+
 class TestAxiomChecks:
     def test_induced_norm_passes_all_checked_axioms(self):
         points, scalars = default_axiom_samples(dim=2, count=200, seed=3)
