@@ -491,9 +491,10 @@ def run_pipeline(cfg: ExperimentConfig, stages: Sequence[str] = ALL_STAGES) -> R
 
     shifted, _ = remove_offset(cfg.function)
 
+    needs_controls = "hypothesis" in stages or "verification" in stages
     premise_by_theorem: dict[str, list] = {}
     phi = cfg.control
-    if "hypothesis" in stages or "verification" in stages:
+    if needs_controls:
         premise_rngs = seed_premise.spawn(len(cfg.theorems))
         for t, child in zip(cfg.theorems, premise_rngs):
             premise_by_theorem[t] = premise_pairs(
