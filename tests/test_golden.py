@@ -30,7 +30,8 @@ _TWO_D_FUNCTION = {
     ],
 }
 
-#: Small 2-D runs under the two crisp norms that the configs/ files do not use.
+#: Small runs: 2-D under the two crisp norms that the configs/ files do not
+#: use, and the combined bound under a control whose scaling check reads y.
 _RUN_2D = {
     "max_2d": {
         "seed": 2718,
@@ -45,6 +46,23 @@ _RUN_2D = {
         "space": {"dim_x": 2, "dim_y": 2, "crisp_norm": "weighted", "weights": [1.0, 2.0]},
         "function": _TWO_D_FUNCTION,
         "control": {"family": "constant", "delta": "auto", "alpha": 1.0},
+        "theorems": ["combined"],
+        "grids": {"x_count": 8, "a_points": 9, "axiom_points": 60},
+    },
+    # The power control's scaling check reads the y-set, which the constant
+    # control of the other combined cases ignores.
+    "combined_power": {
+        "seed": 5,
+        "space": {"dim_x": 1, "dim_y": 1},
+        "function": {
+            "quad": 1.0,
+            "linear": 2.0,
+            "perturbations": [
+                {"shape": "sin", "amplitude": 0.01},
+                {"shape": "cos", "amplitude": 0.01},
+            ],
+        },
+        "control": {"family": "power", "theta": 1.0, "p": 0.25, "alpha": 1.5},
         "theorems": ["combined"],
         "grids": {"x_count": 8, "a_points": 9, "axiom_points": 60},
     },
