@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .extraction import ComponentPair, Scheme
+from .extraction import Scheme
 from .funceq import VectorFunction, residual_main
 from .spaces import MEMBERSHIP_SLACK, FuzzyNorm, euclidean_norm, log_a_grid, sample_ball
 
@@ -342,26 +342,12 @@ def vanishing_check(
 class TheoremSpec:
     """One verifiable stability statement: scheme(s), envelope, bound factor."""
 
-    theorem_id: str
     schemes: tuple[Scheme, ...]
     envelope_id: EnvelopeId
+    #: (a, alpha) -> the threshold at which the envelope bounds level a.
+    threshold: Callable[[float, float], float]
     repairs: tuple[str, ...]
     y_set: Callable[[np.ndarray], list[np.ndarray]]
-
-    def rhs_threshold(self, a: float, alpha: float) -> float:
-        if self.theorem_id == "quadratic_up":
-            return a * (4.0 - alpha) / 6.0
-        if self.theorem_id == "quadratic_down":
-            return a * (alpha - 4.0) / 6.0
-        if self.theorem_id == "additive_up":
-            return a * (2.0 - alpha) / 4.0
-        if self.theorem_id == "additive_down":
-            return a * (alpha - 2.0) / 4.0
-        return a  # combined: factors live inside the Npp envelope
-
-    @property
-    def is_combined(self) -> bool:
-        return self.theorem_id == "combined"
 
 
 REPAIR_DESCRIPTIONS: dict[str, str] = {
@@ -381,37 +367,37 @@ REPAIR_DESCRIPTIONS: dict[str, str] = {
 
 THEOREMS: dict[str, TheoremSpec] = {
     "quadratic_up": TheoremSpec(
-        theorem_id="quadratic_up",
         schemes=(Scheme.QUADRATIC_UP,),
         envelope_id=EnvelopeId.N1PP,
+        threshold=lambda a, alpha: a * (4.0 - alpha) / 6.0,
         repairs=(),
         y_set=_quadratic_y_set,
     ),
     "quadratic_down": TheoremSpec(
-        theorem_id="quadratic_down",
         schemes=(Scheme.QUADRATIC_DOWN,),
         envelope_id=EnvelopeId.N2PP,
+        threshold=lambda a, alpha: a * (alpha - 4.0) / 6.0,
         repairs=("down_sign_factor",),
         y_set=_quadratic_y_set,
     ),
     "additive_up": TheoremSpec(
-        theorem_id="additive_up",
         schemes=(Scheme.ADDITIVE_UP,),
         envelope_id=EnvelopeId.N3PP,
+        threshold=lambda a, alpha: a * (2.0 - alpha) / 4.0,
         repairs=("additive_envelope_pair",),
         y_set=_additive_y_set,
     ),
     "additive_down": TheoremSpec(
-        theorem_id="additive_down",
         schemes=(Scheme.ADDITIVE_DOWN,),
         envelope_id=EnvelopeId.N4PP,
+        threshold=lambda a, alpha: a * (alpha - 2.0) / 4.0,
         repairs=("additive_envelope_pair", "down_sign_factor"),
         y_set=_additive_y_set,
     ),
     "combined": TheoremSpec(
-        theorem_id="combined",
         schemes=(Scheme.QUADRATIC_UP, Scheme.ADDITIVE_UP),
         envelope_id=EnvelopeId.NPP,
+        threshold=lambda a, alpha: a,  # the factors live inside the Npp envelope
         repairs=("additive_envelope_pair", "combined_beta_one", "combined_lhs_sign"),
         y_set=_combined_y_set,
     ),
@@ -505,28 +491,6 @@ class StabilityReport:
     repairs: tuple[str, ...] = ()
 
 
-def _component_error(
-    theorem: TheoremSpec,
-    f: VectorFunction,
-    components,
-    x: np.ndarray,
-) -> np.ndarray:
-    """Difference whose membership the bound constrains at x."""
-    fx = np.asarray(f(x), dtype=float)
-    if theorem.is_combined:
-        if isinstance(components, ComponentPair):
-            q, a = components.quadratic, components.additive
-            offset = components.f0
-        else:
-            q, a = components
-            offset = 0.0
-        return np.asarray(q(x), dtype=float) + np.asarray(a(x), dtype=float) - (fx - offset)
-    comp = components
-    if isinstance(components, ComponentPair):
-        comp = components.quadratic if theorem.schemes[0].is_quadratic else components.additive
-    return np.asarray(comp(x), dtype=float) - fx
-
-
 def verify_stability(
     f: VectorFunction,
     components,
@@ -553,11 +517,13 @@ def verify_stability(
     violation is any slack below -1e-12 or not finite (a non-finite slack
     makes the worst slack ``-inf``).
 
-    ``components`` is a single extracted component (callable) for the four
-    single-scheme bounds, or a :class:`ComponentPair` / (Q, A) tuple for the
-    combined bound.
+    ``components`` holds the components of the theorem's schemes, in their
+    order: (Q, A) for the combined bound.  A bare callable is the one
+    component of a single-scheme bound.
     """
     theorem = THEOREMS[theorem_id]
+    if callable(components):
+        components = (components,)
     if rng is None:
         rng = np.random.default_rng(0)
     pairs = list(premise) if premise is not None else premise_pairs(theorem, xs, rng)
@@ -583,11 +549,12 @@ def verify_stability(
     violations = 0
     for i, x in enumerate(xs):
         xv = np.atleast_1d(np.asarray(x, dtype=float))
-        err = _component_error(theorem, f, components, xv)
+        fx = np.asarray(f(xv), dtype=float)
+        err = np.sum([np.asarray(c(xv), dtype=float) for c in components], axis=0) - fx
         for a in a_values:
             lhs = N(err, a)
             rhs = envelope(
-                theorem.envelope_id, phi, nprime, xv, theorem.rhs_threshold(float(a), alpha), norm
+                theorem.envelope_id, phi, nprime, xv, theorem.threshold(float(a), alpha), norm
             )
             row = StabilityRow(x_index=i, x=xv, a=float(a), lhs=lhs, rhs=rhs)
             rows.append(row)

@@ -16,21 +16,20 @@ points of their schemes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ScaleError
-from .funceq import VectorFunction, even_part, odd_part, remove_offset
+from .funceq import VectorFunction, even_part, odd_part
 from .spaces import _euclidean_rows
 
 __all__ = [
     "Scheme",
     "ExtractionResult",
-    "ExtractionConfig",
     "ExtractedComponent",
-    "ComponentPair",
     "UniquenessResult",
     "iterate",
     "extract_limit",
@@ -260,23 +259,6 @@ def extract_limit(
     )
 
 
-@dataclass(frozen=True)
-class ExtractionConfig:
-    """Scheme pairing and stop parameters for component extraction."""
-
-    quadratic_scheme: Scheme = Scheme.QUADRATIC_UP
-    additive_scheme: Scheme = Scheme.ADDITIVE_UP
-    tol: float = 1e-9
-    n_max: int = 40
-    sample_xs: tuple[np.ndarray, ...] = field(default_factory=tuple)
-
-    def __post_init__(self) -> None:
-        if not self.quadratic_scheme.is_quadratic:
-            raise ValueError("quadratic_scheme must be a quadratic variant")
-        if self.additive_scheme.is_quadratic:
-            raise ValueError("additive_scheme must be an additive variant")
-
-
 @dataclass(frozen=True, eq=False)
 class ExtractedComponent:
     """Scheme limit as a queryable function; vanishes exactly at the origin."""
@@ -297,46 +279,43 @@ class ExtractedComponent:
         return self.extraction_at(v).limit_value
 
 
-@dataclass(frozen=True, eq=False)
-class ComponentPair:
-    """Quadratic and additive components of f with the removed offset f(0)."""
+def extract_components(
+    f: VectorFunction,
+    schemes: Sequence[Scheme],
+    xs: Sequence[np.ndarray],
+    tol: float = 1e-9,
+    n_max: int = 40,
+) -> tuple[tuple[ExtractedComponent, ...], tuple[tuple[ExtractionResult, ...], ...]]:
+    """Components of the offset-free f, one per scheme, and their extraction
+    at every sample point.
 
-    quadratic: ExtractedComponent
-    additive: ExtractedComponent
-    f0: np.ndarray
-    quadratic_diagnostics: tuple[tuple[np.ndarray, ExtractionResult], ...]
-    additive_diagnostics: tuple[tuple[np.ndarray, ExtractionResult], ...]
-
-    @property
-    def quadratic_converged(self) -> bool:
-        return all(r.converged for _, r in self.quadratic_diagnostics)
-
-    @property
-    def additive_converged(self) -> bool:
-        return all(r.converged for _, r in self.additive_diagnostics)
-
-
-def extract_components(f: VectorFunction, cfg: ExtractionConfig) -> ComponentPair:
-    """Split f - f(0) into even/odd parts and extract their scheme limits.
-
-    The quadratic scheme runs on the even part, the additive scheme on the
-    odd part.  Diagnostics are recorded at ``cfg.sample_xs``; a component
-    whose extraction fails to converge at any sample is flagged, not raised.
+    One scheme runs on f itself.  A quadratic and an additive scheme, in
+    that order, run on the even and the odd part of f, whose sum is f.
+    Returns the components in the order of ``schemes`` and, for each, its
+    :class:`ExtractionResult` at each of ``xs``; a run that fails to
+    converge is flagged in its result, not raised.  A :class:`ScaleError`
+    names the sample point it came from.
     """
-    shifted, f0 = remove_offset(f)
-    fe = even_part(shifted)
-    fo = odd_part(shifted)
-    q = ExtractedComponent(scheme=cfg.quadratic_scheme, source=fe, tol=cfg.tol, n_max=cfg.n_max)
-    a = ExtractedComponent(scheme=cfg.additive_scheme, source=fo, tol=cfg.tol, n_max=cfg.n_max)
-    q_diag = tuple((np.asarray(x, dtype=float), q.extraction_at(x)) for x in cfg.sample_xs)
-    a_diag = tuple((np.asarray(x, dtype=float), a.extraction_at(x)) for x in cfg.sample_xs)
-    return ComponentPair(
-        quadratic=q,
-        additive=a,
-        f0=f0,
-        quadratic_diagnostics=q_diag,
-        additive_diagnostics=a_diag,
+    if len(schemes) == 2 and schemes[0].is_quadratic and not schemes[1].is_quadratic:
+        sources = (even_part(f), odd_part(f))
+    elif len(schemes) == 1:
+        sources = (f,)
+    else:
+        raise ValueError("expected one scheme, or a quadratic and an additive scheme")
+    components = tuple(
+        ExtractedComponent(scheme, source, tol=tol, n_max=n_max)
+        for scheme, source in zip(schemes, sources)
     )
+    results = []
+    for component in components:
+        results.append([])
+        for x in xs:
+            try:
+                results[-1].append(component.extraction_at(x))
+            except ScaleError as exc:
+                where = f"{exc} at x={np.asarray(x, float).tolist()}"
+                raise ScaleError(where, scheme=exc.scheme, n=exc.n) from exc
+    return components, tuple(map(tuple, results))
 
 
 @dataclass(frozen=True, eq=False)

@@ -43,14 +43,12 @@ from .control import (
     verify_stability,
 )
 from .errors import ConfigError, ScaleError
-from .extraction import MAX_STEPS, ExtractedComponent
+from .extraction import MAX_STEPS, extract_components
 from .funceq import (
     CoordinatePoly,
     PERTURBATION_SHAPES,
     Perturbation,
     TestFunction,
-    even_part,
-    odd_part,
     remove_offset,
 )
 from .spaces import (
@@ -403,27 +401,27 @@ def _extract_for_theorem(
     shifted: Callable[[np.ndarray], np.ndarray],
     xs: Sequence[np.ndarray],
 ):
-    """Extract the component(s) a theorem needs from the offset-free ``shifted``;
-    ``combined`` extracts from its even and its odd part.
+    """Extract the components a theorem needs from the offset-free ``shifted``.
 
     Returns (components-for-verification, list of (component_name, x_index, result)).
     """
-    spec = THEOREMS[theorem_id]
-    sources = (even_part(shifted), odd_part(shifted)) if spec.is_combined else (shifted,)
-    components, diagnostics = [], []
-    for scheme, source in zip(spec.schemes, sources):
-        comp = ExtractedComponent(scheme, source, tol=cfg.extraction_tol, n_max=cfg.n_max)
-        name = "quadratic" if scheme.is_quadratic else "additive"
-        for i, x in enumerate(xs):
-            try:
-                diagnostics.append((name, i, comp.extraction_at(x)))
-            except ScaleError as exc:
-                where = f"at x={np.asarray(x, float).tolist()} (theorem {theorem_id})"
-                raise ScaleError(f"{exc} {where}", scheme=exc.scheme, n=exc.n) from exc
-        if scheme.is_quadratic and cfg.q_scale != 1.0:
-            comp = _ScaledComponent(comp, cfg.q_scale)
-        components.append(comp)
-    return (tuple(components) if spec.is_combined else components[0]), diagnostics
+    schemes = THEOREMS[theorem_id].schemes
+    try:
+        components, results = extract_components(
+            shifted, schemes, xs, tol=cfg.extraction_tol, n_max=cfg.n_max
+        )
+    except ScaleError as exc:
+        raise ScaleError(f"{exc} (theorem {theorem_id})", scheme=exc.scheme, n=exc.n) from exc
+    diagnostics = [
+        ("quadratic" if scheme.is_quadratic else "additive", i, result)
+        for scheme, at_xs in zip(schemes, results)
+        for i, result in enumerate(at_xs)
+    ]
+    components = tuple(
+        _ScaledComponent(comp, cfg.q_scale) if scheme.is_quadratic and cfg.q_scale != 1.0 else comp
+        for scheme, comp in zip(schemes, components)
+    )
+    return components, diagnostics
 
 
 def _finite_norms(rows: Callable[[np.ndarray], np.ndarray], v: np.ndarray) -> list[float]:
@@ -507,9 +505,9 @@ def run_pipeline(cfg: ExperimentConfig, stages: Sequence[str] = ALL_STAGES) -> R
 
     if "hypothesis" in stages:
         for t in cfg.theorems:
-            spec = THEOREMS[t]
+            spec, checks = THEOREMS[t], []
             for scheme in spec.schemes:
-                check = scaling_alpha_check(
+                scaling = scaling_alpha_check(
                     phi,
                     scheme,
                     nprime,
@@ -518,15 +516,6 @@ def run_pipeline(cfg: ExperimentConfig, stages: Sequence[str] = ALL_STAGES) -> R
                     norm=norm_x,
                     slack=cfg.membership_slack,
                     y_override=spec.y_set,
-                )
-                report.hypothesis_rows.append(
-                    HypothesisRow(
-                        theorem_id=t,
-                        check=f"alpha_scaling[{scheme.value}]",
-                        passed=check.ok,
-                        worst_slack=check.worst_slack,
-                        note=check.reason,
-                    )
                 )
                 vanished = vanishing_check(
                     phi,
@@ -538,26 +527,17 @@ def run_pipeline(cfg: ExperimentConfig, stages: Sequence[str] = ALL_STAGES) -> R
                     tol=cfg.fuzzy_tol,
                     norm=norm_x,
                 )
-                report.hypothesis_rows.append(
-                    HypothesisRow(
-                        theorem_id=t,
-                        check=f"vanishing[{scheme.value}]",
-                        passed=vanished,
-                        worst_slack=0.0,
-                        note="" if vanished else "rescaled control membership below 1 - tol",
-                    )
-                )
+                label = scheme.value
+                vanish_note = "" if vanished else "rescaled control membership below 1 - tol"
+                checks += [
+                    (f"alpha_scaling[{label}]", scaling.ok, scaling.worst_slack, scaling.reason),
+                    (f"vanishing[{label}]", vanished, 0.0, vanish_note),
+                ]
             worst, _ = defect_premise_margin(
                 shifted, phi, N, nprime, premise_by_theorem[t], a_values, norm_x
             )
-            report.hypothesis_rows.append(
-                HypothesisRow(
-                    theorem_id=t,
-                    check="defect_premise",
-                    passed=worst >= -cfg.membership_slack,
-                    worst_slack=worst,
-                )
-            )
+            checks.append(("defect_premise", worst >= -cfg.membership_slack, worst, ""))
+            report.hypothesis_rows += [HypothesisRow(t, *check) for check in checks]
 
     components_by_theorem: dict[str, object] = {}
     if "extraction" in stages or "verification" in stages:

@@ -16,7 +16,6 @@ from fuzzystab.control import (
 )
 from fuzzystab.extraction import (
     ExtractedComponent,
-    ExtractionConfig,
     Scheme,
     extract_components,
     extract_limit,
@@ -28,6 +27,7 @@ from fuzzystab.funceq import (
     TestFunction,
     even_part,
     odd_part,
+    remove_offset,
     residual_additive,
     residual_main,
     residual_quadratic,
@@ -115,10 +115,11 @@ def test_criterion_3_geometric_convergence():
 
 def test_criterion_4_component_recovery():
     f = TestFunction.scalar(quad=3.0, linear=2.0, const=5.0)
-    pair = extract_components(f, ExtractionConfig(sample_xs=(V(1),)))
-    q1 = pair.quadratic(V(1))[0]
-    a1 = pair.additive(V(1))[0]
-    recovery_ok = abs(q1 - 3.0) <= 1e-9 and abs(a1 - 2.0) <= 1e-9 and pair.f0[0] == 5.0
+    shifted, f0 = remove_offset(f)
+    (q, a), _ = extract_components(shifted, (Scheme.QUADRATIC_UP, Scheme.ADDITIVE_UP), [V(1)])
+    q1 = q(V(1))[0]
+    a1 = a(V(1))[0]
+    recovery_ok = abs(q1 - 3.0) <= 1e-9 and abs(a1 - 2.0) <= 1e-9 and f0[0] == 5.0
 
     rng = np.random.default_rng(44)
     fe, fo = even_part(f), odd_part(f)

@@ -1,6 +1,7 @@
 """Rescaling schemes: iterates, limits, component extraction, uniqueness."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ import pytest
 from fuzzystab.errors import ScaleError
 from fuzzystab.extraction import (
     MAX_STEPS,
-    ExtractionConfig,
     Scheme,
     extract_components,
     extract_limit,
@@ -18,6 +18,7 @@ from fuzzystab.extraction import (
 from fuzzystab.funceq import (
     Perturbation,
     TestFunction,
+    remove_offset,
     residual_additive,
     residual_quadratic,
 )
@@ -199,37 +200,46 @@ class TestFixedPointProperty:
             assert np.all(np.abs(down - fx) <= 4 * np.spacing(np.abs(fx)))
 
 
+UP_PAIR = (Scheme.QUADRATIC_UP, Scheme.ADDITIVE_UP)
+
+
+def split(f, xs=(), **stop):
+    """f(0), the (Q, A) components of f - f(0), and their results at ``xs``."""
+    shifted, f0 = remove_offset(f)
+    components, results = extract_components(shifted, UP_PAIR, xs, **stop)
+    return f0, components, results
+
+
 class TestExtractComponents:
     def test_polynomial_splits_exactly(self):
         f = TestFunction.scalar(quad=3.0, linear=2.0, const=5.0)
-        cfg = ExtractionConfig(sample_xs=(V(1), V(0.5)))
-        pair = extract_components(f, cfg)
-        assert pair.f0[0] == 5.0
-        assert abs(pair.quadratic(V(1))[0] - 3.0) <= 1e-9
-        assert abs(pair.additive(V(1))[0] - 2.0) <= 1e-9
-        assert pair.quadratic_converged and pair.additive_converged
+        f0, (q, a), results = split(f, (V(1), V(0.5)))
+        assert f0[0] == 5.0
+        assert abs(q(V(1))[0] - 3.0) <= 1e-9
+        assert abs(a(V(1))[0] - 2.0) <= 1e-9
+        assert [len(at_xs) for at_xs in results] == [2, 2]
+        assert all(r.converged for at_xs in results for r in at_xs)
 
     def test_odd_function_has_zero_quadratic_component(self):
         f = TestFunction.scalar(linear=2.0)
-        pair = extract_components(f, ExtractionConfig(sample_xs=(V(1),)))
-        assert pair.quadratic(V(1))[0] == 0.0
-        assert pair.additive(V(1))[0] == 2.0
-        assert pair.f0[0] == 0.0
+        f0, (q, a), _ = split(f, (V(1),))
+        assert q(V(1))[0] == 0.0
+        assert a(V(1))[0] == 2.0
+        assert f0[0] == 0.0
 
     def test_even_perturbation_recovered_within_tolerance(self):
         f = TestFunction.scalar(
             quad=1.0, perturbations=(Perturbation(shape="cos", amplitude=0.01),)
         )
-        cfg = ExtractionConfig(tol=1e-9, n_max=25, sample_xs=(V(1),))
-        pair = extract_components(f, cfg)
-        assert abs(pair.quadratic(V(1))[0] - 1.0) <= 1e-6
-        assert abs(pair.additive(V(1))[0]) <= 1e-9
+        _, (q, a), _ = split(f, (V(1),), tol=1e-9, n_max=25)
+        assert abs(q(V(1))[0] - 1.0) <= 1e-6
+        assert abs(a(V(1))[0]) <= 1e-9
 
     def test_components_vanish_at_origin_exactly(self):
         f = TestFunction.scalar(quad=1.0, linear=1.0, const=2.0)
-        pair = extract_components(f, ExtractionConfig())
-        assert pair.quadratic(V(0))[0] == 0.0
-        assert pair.additive(V(0))[0] == 0.0
+        _, (q, a), _ = split(f)
+        assert q(V(0))[0] == 0.0
+        assert a(V(0))[0] == 0.0
 
     def test_component_parity_eq_and_laws(self):
         f = TestFunction.scalar(
@@ -240,8 +250,7 @@ class TestExtractComponents:
                 Perturbation(shape="cos", amplitude=0.01),
             ),
         )
-        pair = extract_components(f, ExtractionConfig(sample_xs=(V(0.7),)))
-        q, a = pair.quadratic, pair.additive
+        _, (q, a), _ = split(f, (V(0.7),))
         for x in (0.4, 1.1, 2.0):
             assert abs(q(V(x))[0] - q(V(-x))[0]) <= 1e-9
             assert abs(a(V(x))[0] + a(V(-x))[0]) <= 1e-9
@@ -249,11 +258,40 @@ class TestExtractComponents:
             assert residual_quadratic(q, V(x), V(y)).norm() <= 1e-6
             assert residual_additive(a, V(x), V(y)).norm() <= 1e-6
 
+    def test_one_scheme_runs_on_f_itself(self):
+        f = TestFunction.scalar(quad=3.0, linear=2.0)
+        (q,), ((result,),) = extract_components(f, (Scheme.QUADRATIC_UP,), [V(1)])
+        assert q.source is f
+        assert result.converged and abs(result.limit_value[0] - 3.0) <= 1e-8
+
     def test_scheme_pairing_validated(self):
-        with pytest.raises(ValueError):
-            ExtractionConfig(quadratic_scheme=Scheme.ADDITIVE_UP)
-        with pytest.raises(ValueError):
-            ExtractionConfig(additive_scheme=Scheme.QUADRATIC_DOWN)
+        for schemes in (
+            (Scheme.ADDITIVE_UP, Scheme.ADDITIVE_UP),
+            (Scheme.QUADRATIC_UP, Scheme.QUADRATIC_DOWN),
+            (Scheme.ADDITIVE_UP, Scheme.QUADRATIC_UP),
+            (),
+            UP_PAIR + (Scheme.ADDITIVE_DOWN,),
+        ):
+            with pytest.raises(ValueError):
+                extract_components(SQUARE, schemes, [V(1)])
+
+    def test_scale_error_names_the_point(self):
+        with pytest.raises(ScaleError) as err:
+            extract_components(LINE, (Scheme.QUADRATIC_UP,), [V(1), V(1e149)])
+        assert str(err.value).endswith("for quadratic_up at x=[1e+149]")
+        assert err.value.scheme == "quadratic_up"
+
+
+def test_readme_library_example_prints_what_its_comments_say(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library example", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(block, {})
+    said = [
+        line.split("# ")[-1].removeprefix("~ ")
+        for line in block.splitlines()
+        if line.startswith("print(")
+    ]
+    assert said and capsys.readouterr().out.splitlines() == said
 
 
 class TestUniquenessCrosscheck:
