@@ -309,6 +309,10 @@ class ExperimentConfig:
                 values[f.name] = _number(given.get(f.name, f.default), loc, **f.metadata["number"])
         if values["a_max"] <= values["a_min"]:
             raise ConfigError(f"{source}: grids.a_max", "a_max must exceed a_min")
+        schemes = [scheme for t in theorems for scheme in THEOREMS[t].schemes]
+        if values["q_scale"] != 1.0 and not any(scheme.is_quadratic for scheme in schemes):
+            reason = "no listed theorem has a quadratic component to scale"
+            raise ConfigError(f"{source}: negative_control.q_scale", reason)
         return cls(seed, space, function, control, tuple(theorems), auto_delta, **values)
 
     @classmethod

@@ -342,7 +342,8 @@ def test_cli_misspelt_knob_exits_two(tmp_path, capsys):
 
 
 # Keys the run would otherwise drop or repeat without a word: the shorthand
-# next to ``coords``, weights under a norm that reads none, a repeated theorem.
+# next to ``coords``, weights under a norm that reads none, a repeated theorem,
+# a q_scale when no listed theorem has a quadratic component.
 DROPPED_OR_REPEATED = {
     "shorthand_with_coords": (
         edited("function", {"coords": [{"quad": [[1.0]]}], "quad": 5.0, "linear": 3.0}),
@@ -368,6 +369,11 @@ DROPPED_OR_REPEATED = {
         edited("theorems", ["combined", "combined"]),
         "config: theorems",
         "duplicate theorem id 'combined'",
+    ),
+    "q_scale_without_quadratic": (
+        dict(edited("theorems", ["additive_up"]), negative_control={"q_scale": 1.5}),
+        "config: negative_control.q_scale",
+        "no listed theorem has a quadratic component to scale",
     ),
 }
 
