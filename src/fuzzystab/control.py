@@ -16,7 +16,7 @@ combined bound compares Q(x) + A(x) - f(x).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
 
@@ -67,7 +67,6 @@ class ConstantControl:
 
     delta: float
     alpha: float = 1.0
-    family: str = field(default="constant", init=False)
 
     def __post_init__(self) -> None:
         if self.delta < 0:
@@ -90,7 +89,6 @@ class PowerControl:
     theta: float
     p: float
     alpha: float
-    family: str = field(default="power", init=False)
 
     def __post_init__(self) -> None:
         if self.theta < 0:
@@ -114,7 +112,6 @@ class ProductControl:
     p1: float
     p2: float
     alpha: float
-    family: str = field(default="product", init=False)
 
     def __post_init__(self) -> None:
         if self.theta < 0:
