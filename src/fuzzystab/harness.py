@@ -407,24 +407,24 @@ def _extract_for_theorem(
 ):
     """Extract the components a theorem needs from the offset-free ``shifted``.
 
-    Returns (components-for-verification, list of (component_name, x_index, result)).
+    Returns the components for verification, the quadratic one scaled by
+    ``q_scale``, and (component_name, x_index, result) per component and point.
     """
-    schemes = THEOREMS[theorem_id].schemes
     try:
         components, results = extract_components(
-            shifted, schemes, xs, tol=cfg.extraction_tol, n_max=cfg.n_max
+            shifted, THEOREMS[theorem_id].schemes, xs, tol=cfg.extraction_tol, n_max=cfg.n_max
         )
     except ScaleError as exc:
         raise ScaleError(f"{exc} (theorem {theorem_id})", scheme=exc.scheme, n=exc.n) from exc
     diagnostics = [
-        ("quadratic" if scheme.is_quadratic else "additive", i, result)
-        for scheme, at_xs in zip(schemes, results)
+        ("quadratic" if c.scheme.is_quadratic else "additive", i, result)
+        for c, at_xs in zip(components, results)
         for i, result in enumerate(at_xs)
     ]
-    components = tuple(
-        _ScaledComponent(comp, cfg.q_scale) if scheme.is_quadratic and cfg.q_scale != 1.0 else comp
-        for scheme, comp in zip(schemes, components)
-    )
+    if cfg.q_scale != 1.0:
+        components = tuple(
+            _ScaledComponent(c, cfg.q_scale) if c.scheme.is_quadratic else c for c in components
+        )
     return components, diagnostics
 
 
@@ -543,7 +543,7 @@ def run_pipeline(cfg: ExperimentConfig, stages: Sequence[str] = ALL_STAGES) -> R
             checks.append(("defect_premise", worst >= -cfg.membership_slack, worst, ""))
             report.hypothesis_rows += [HypothesisRow(t, *check) for check in checks]
 
-    components_by_theorem: dict[str, object] = {}
+    components_by_theorem: dict[str, tuple] = {}
     if "extraction" in stages or "verification" in stages:
         for t in cfg.theorems:
             components_by_theorem[t], diagnostics = _extract_for_theorem(cfg, t, shifted, xs)
