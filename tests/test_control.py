@@ -261,6 +261,29 @@ class TestVerifyStability:
         assert report.hypothesis_ok
         assert report.violations == 0
 
+    @pytest.mark.parametrize(
+        "theorem_id, alpha, factor",
+        [
+            ("quadratic_up", 1.0, (4.0 - 1.0) / 6.0),
+            ("quadratic_down", 7.0, (7.0 - 4.0) / 6.0),
+            ("additive_up", 1.0, (2.0 - 1.0) / 4.0),
+            ("additive_down", 3.0, (3.0 - 2.0) / 4.0),
+            ("combined", 1.0, 1.0),  # the factors are inside the Npp envelope
+        ],
+    )
+    def test_rhs_is_the_envelope_at_the_theorem_threshold(self, theorem_id, alpha, factor):
+        f = TestFunction.scalar()  # no defect, so the premise holds and every row is written
+        phi = ConstantControl(delta=0.5, alpha=alpha)
+        spec = THEOREMS[theorem_id]
+        components = (lambda x: np.zeros_like(x),) * len(spec.schemes)
+        report = verify_stability(
+            f, components, phi, alpha, theorem_id, self.XS, self.A_VALUES, N, NPRIME
+        )
+        assert len(report.rows) == len(self.XS) * len(self.A_VALUES)
+        for row in report.rows:
+            want = envelope(spec.envelope_id, phi, NPRIME, row.x, row.a * factor)
+            assert row.rhs == pytest.approx(want, rel=1e-12)
+
     def test_wrong_component_is_caught(self):
         f = TestFunction.scalar(quad=1.0)
         wrong = lambda x: 1.1 * np.asarray(x, dtype=float) ** 2
