@@ -337,7 +337,7 @@ def vanishing_check(
 
 @dataclass(frozen=True)
 class TheoremSpec:
-    """One verifiable stability statement: scheme(s), envelope, bound factor."""
+    """One verifiable stability statement: schemes, envelope, threshold."""
 
     schemes: tuple[Scheme, ...]
     envelope_id: EnvelopeId

@@ -313,8 +313,8 @@ def extract_components(
             try:
                 results[-1].append(component.extraction_at(x))
             except ScaleError as exc:
-                where = f"{exc} at x={np.asarray(x, float).tolist()}"
-                raise ScaleError(where, scheme=exc.scheme, n=exc.n) from exc
+                message = f"{exc} at x={np.asarray(x, float).tolist()}"
+                raise ScaleError(message, scheme=exc.scheme, n=exc.n) from exc
     return components, tuple(map(tuple, results))
 
 

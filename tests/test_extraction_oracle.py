@@ -3,9 +3,9 @@
 For f(x) = xᵀQx + L·x + c plus one even perturbation ``cos`` and one odd
 perturbation (``sin`` or ``rational``), each of amplitude ``amp`` (one value
 per output coordinate) and argument q = frequency · x, the four schemes have
-limits known in closed form.  The quadratic schemes run on the even part of
-f − f(0) and the additive schemes on the odd part, through
-``extract_components``, which the pipeline extracts with:
+limits known in closed form.  The schemes run through ``extract_components``,
+as in the pipeline: the quadratic schemes on the even part of f − f(0) and
+the additive schemes on the odd part.  Limits and remainders:
 
     quadratic_up     xᵀQx                 remainder amp(cos(2ⁿq) − 1)/4ⁿ
     additive_up      L·x                  remainder amp·p(2ⁿq)/2ⁿ
