@@ -221,15 +221,19 @@ def envelope(
     xv = np.atleast_1d(np.asarray(x, dtype=float))
     if which is EnvelopeId.NPP:
         alpha = phi.alpha
-        return min(
+        memberships = [
             envelope(EnvelopeId.N1PP, phi, nprime, xv, a * (4.0 - alpha) / 12.0, norm),
             envelope(EnvelopeId.N3PP, phi, nprime, xv, a * (2.0 - alpha) / 8.0, norm),
-        )
-    if which in (EnvelopeId.N1PP, EnvelopeId.N2PP):
-        pairs = _quadratic_pairs(xv)
+        ]
     else:
-        pairs = _additive_pairs(xv)
-    return min(nprime(eval_control(phi, u, w, norm), a) for u, w in pairs)
+        if which in (EnvelopeId.N1PP, EnvelopeId.N2PP):
+            pairs = _quadratic_pairs(xv)
+        else:
+            pairs = _additive_pairs(xv)
+        memberships = [nprime(eval_control(phi, u, w, norm), a) for u, w in pairs]
+    # Python's min keeps a NaN only when it comes first; any NaN membership
+    # makes the envelope NaN, which verification counts as a violation.
+    return math.nan if any(map(math.isnan, memberships)) else min(memberships)
 
 
 @dataclass(frozen=True, eq=False)

@@ -206,6 +206,39 @@ class TestEnvelope:
         )
         assert envelope(EnvelopeId.NPP, phi, NPRIME, x, a) == want
 
+    # phi(u, w) = ||u||^2 + ||w||^2 at x = 3, in pair order; the entries are
+    # exact and distinct, so an N' can be NaN at exactly one pair
+    ENTRIES = {
+        EnvelopeId.N1PP: [2.0, 10.0, 17.0, 5.0, 1.0],
+        EnvelopeId.N3PP: [18.0, 4.5, 38.25, 22.5],
+    }
+
+    @staticmethod
+    def _nan_at(bad, seen):
+        def evaluate(v, a):
+            seen.append(float(v[0]))
+            return float("nan") if v[0] == bad else a / (a + abs(v[0]))
+
+        return FuzzyNorm(evaluator=evaluate)
+
+    @pytest.mark.parametrize("which", [EnvelopeId.N1PP, EnvelopeId.N3PP])
+    @pytest.mark.parametrize("k", [0, 2, -1], ids=["first", "middle", "last"])
+    def test_nan_membership_at_any_pair_makes_the_envelope_nan(self, which, k):
+        phi = PowerControl(theta=1.0, p=2.0, alpha=1.0)
+        entries = self.ENTRIES[which]
+        seen = []
+        assert np.isnan(envelope(which, phi, self._nan_at(entries[k], seen), V(3.0), 1.0))
+        assert seen == entries
+        clean = envelope(which, phi, self._nan_at(None, []), V(3.0), 1.0)
+        assert clean == min(1.0 / (1.0 + e) for e in entries)
+
+    @pytest.mark.parametrize("bad", [2.0, 38.25], ids=["n1pp_part", "n3pp_part"])
+    def test_nan_in_either_part_makes_the_combined_envelope_nan(self, bad):
+        phi = PowerControl(theta=1.0, p=2.0, alpha=1.0)
+        seen = []
+        assert np.isnan(envelope(EnvelopeId.NPP, phi, self._nan_at(bad, seen), V(3.0), 1.0))
+        assert seen == self.ENTRIES[EnvelopeId.N1PP] + self.ENTRIES[EnvelopeId.N3PP]
+
 
 class TestVerifyStability:
     XS = [V(v) for v in (0.5, 1.0, 1.5, 2.0, -1.0)]
