@@ -104,16 +104,16 @@ class Perturbation:
             return np.where(np.abs(q) > 1e100, 1.0 / q, q / (1.0 + q * q))
 
     def value(self, x: np.ndarray, dim_y: int) -> np.ndarray:
-        """Term at points ``x`` of shape ``(..., d)``; shape ``(..., dim_y)``."""
+        """Term at points ``x`` of shape ``(..., d)`` for a codomain of
+        dimension ``dim_y``: shape ``(..., 1)`` for a scalar amplitude,
+        ``(..., dim_y)`` for one per coordinate, so it broadcasts to
+        ``(..., dim_y)``."""
         amp = self._amp
         if amp.ndim == 1 and amp.size != dim_y:
             raise DimensionMismatchError(
                 f"amplitude has dimension {amp.size}, codomain has dimension {dim_y}"
             )
-        s = self.profile(x)
-        out = np.empty(np.shape(s) + (dim_y,))
-        out[...] = amp * s[..., None]
-        return out
+        return amp * self.profile(x)[..., None]
 
 
 @dataclass(frozen=True, eq=False)
