@@ -43,10 +43,12 @@ OVERFLOW_LIMIT = 1e150
 #: Down-schemes stop once the rescaled argument drops below this norm.
 UNDERFLOW_LIMIT = 1e-140
 
-#: Largest n_max: one extraction evaluates up to n_max + 1 iterates at once.
-#: Every argument of nonzero finite norm trips its scheme's guard before
-#: n = 1600 (2^1573 * 5e-324 > 1e150 and 2^-1490 * 1.8e308 < 1e-140).
+#: Largest n_max.  Every argument of nonzero finite norm trips its scheme's
+#: guard before n = 1600 (2^1573 * 5e-324 > 1e150 and 2^-1490 * 1.8e308 < 1e-140).
 MAX_STEPS = 2000
+
+#: Steps per call of f in one extraction: n = 0..63, then 64..127 and so on.
+BLOCK_STEPS = 64
 
 
 class Scheme(Enum):
@@ -112,17 +114,19 @@ def iterate(scheme: Scheme, f: VectorFunction, x: np.ndarray, n) -> np.ndarray:
     powers of two.
     """
     ns = np.asarray(n)
-    if np.any(ns < 0):
+    if ns.size and ns.min() < 0:
         raise ValueError("iteration index must be >= 0")
-    v = np.atleast_1d(np.asarray(x, dtype=float))
+    v = np.asarray(x, dtype=float)
+    if v.ndim == 0:
+        v = v.reshape(1)
     steps = ns[:, None] if ns.ndim else ns
     if scheme.is_up:
         args = np.ldexp(v, steps)
         with np.errstate(over="ignore"):
             sizes = _euclidean_rows(args)
-        over = np.flatnonzero(sizes > OVERFLOW_LIMIT)
-        if over.size:
-            k = over[0]
+        over = sizes > OVERFLOW_LIMIT
+        k = int(over.argmax())
+        if over.flat[k]:
             raise _overflow_error(scheme, float(sizes.flat[k]), int(ns.flat[k]))
         shift = -scheme.value_shift
     else:
@@ -154,11 +158,46 @@ def _decay_rate(ratios: list[float]) -> float:
     if not ratios:
         return 0.0
     trimmed = ratios[:-1] if len(ratios) >= 2 else ratios
-    if min(trimmed) == max(trimmed):
+    # A ratio of finite differences over a positive one is never NaN, so
+    # the least ratio tells whether any is <= 0.
+    least = min(trimmed)
+    if least == max(trimmed):
         return trimmed[0]
-    if any(q <= 0.0 for q in trimmed):
+    if least <= 0.0:
         return 0.0
-    return float(math.exp(sum(math.log(q) for q in trimmed) / len(trimmed)))
+    return math.exp(sum(map(math.log, trimmed)) / len(trimmed))
+
+
+def _first_guard(scheme: Scheme, v: np.ndarray, x_norm: float, lo: int, hi: int) -> int | None:
+    """The first n in lo..hi at which the scheme's guard trips, or None.
+
+    The scaled argument norms are monotone in n, so step hi alone tells
+    whether any step trips, and the steps are searched only when it does.
+    """
+    if scheme.is_up:
+        if not _euclidean_rows(np.ldexp(v, hi)) > OVERFLOW_LIMIT:
+            return None
+        sizes = _euclidean_rows(np.ldexp(v, np.arange(lo, hi + 1)[:, None]))
+        return lo + int(np.argmax(sizes > OVERFLOW_LIMIT))
+    if x_norm == 0.0 or not math.ldexp(x_norm, -hi) < UNDERFLOW_LIMIT:
+        return None
+    n = max(lo, 1)
+    while not math.ldexp(x_norm, -n) < UNDERFLOW_LIMIT:
+        n += 1
+    return n
+
+
+def _first_stop(diffs: list[float], sizes: list[float], tol: float) -> int:
+    """Index of the first difference that stops the run, len(diffs) if none.
+
+    The run goes on while a difference is finite and above its bound.  An
+    overflowing norm makes the bound infinite, so it stops the run too, and
+    the caller tells that stop from convergence.
+    """
+    for j, (diff, size) in enumerate(zip(diffs, sizes)):
+        if not tol * (1.0 + size) < diff < math.inf:
+            return j
+    return len(diffs)
 
 
 def extract_limit(
@@ -182,12 +221,15 @@ def extract_limit(
     near 1/4 (1/2) marks clean geometric decay of the quadratic (additive)
     defect, a value >= 1 marks divergence.
 
-    The iterates for n = 0 .. n_max, cut short before the first step that
-    trips the overflow (up-schemes) or underflow (down-schemes) guard, come
-    from one :func:`iterate` call, so ``f`` must map points ``(..., dim_x)``
-    to ``(..., dim_y)`` row by row.  The result equals the step-by-step
-    loop bit for bit, and :class:`ScaleError` is raised only if no stop
-    comes before the overflow guard.
+    The iterates come in blocks of ``BLOCK_STEPS`` steps, n = 0..63, then
+    64..127 and so on, each from one :func:`iterate` call, so ``f`` must
+    map points ``(..., dim_x)`` to ``(..., dim_y)`` row by row.  A block
+    is cut before the first step that trips the overflow (up-schemes) or
+    underflow (down-schemes) guard, and is evaluated only if no stop came
+    in the blocks before it; so any ``n_max`` below ``BLOCK_STEPS`` takes
+    one call of ``f``.  The result equals the step-by-step loop bit for
+    bit, and :class:`ScaleError` is raised only if no stop comes before
+    the overflow guard.
     """
     if tol <= 0:
         raise ValueError("tol must be > 0")
@@ -195,60 +237,72 @@ def extract_limit(
         raise ValueError("n_max must be >= 2")
     if n_max > MAX_STEPS:
         raise ValueError(f"n_max must be <= {MAX_STEPS}")
-    v = np.atleast_1d(np.asarray(x, dtype=float))
-    steps = np.arange(n_max + 1)
+    v = np.asarray(x, dtype=float)
+    if v.ndim == 0:
+        v = v.reshape(1)
 
+    blocks = []  # the evaluated iterates, one array per block
+    recorded: list[float] = []  # the successive differences up to the stop
+    converged = False
+    reason = ""
+    n_used = guard = None
     # Rows past the stop may overflow or hold inf - inf; they are never
     # reported, and the rows up to the stop are screened by the tests below.
     with np.errstate(all="ignore"):
-        # The first n whose guard trips; f is never evaluated there or beyond.
-        if scheme.is_up:
-            arg_sizes = _euclidean_rows(np.ldexp(v, steps[:, None]))
-            tripped = arg_sizes > OVERFLOW_LIMIT
+        x_norm = math.sqrt(v.dot(v))  # np.linalg.norm(v), for the underflow guard
+        for lo in range(0, n_max + 1, BLOCK_STEPS):
+            hi = min(lo + BLOCK_STEPS, n_max + 1)
+            guard = _first_guard(scheme, v, x_norm, lo, hi - 1)
+            if guard == 0:
+                raise _overflow_error(scheme, float(_euclidean_rows(v)), 0)
+            if guard == lo:
+                break
+            rows = iterate(scheme, f, v, np.arange(lo, hi if guard is None else guard))
+            # seq[0] is step n0; diffs[j] and sizes[j] belong to n = n0 + j + 1.
+            seq = np.concatenate((blocks[-1][-1:], rows)) if blocks else rows
+            n0 = max(lo - 1, 0)
+            blocks.append(rows)
+            k = len(seq) - 1
+            # Each row is normed alone, so stacking keeps every row's bits.
+            norms = _euclidean_rows(np.concatenate((seq[1:] - seq[:-1], seq))).tolist()
+            diffs, sizes = norms[:k], norms[k + 1 :]
+            # A finite norm screens the finiteness test of the first iterate.
+            if not lo and not math.isfinite(norms[k]) and not np.isfinite(rows[0]).all():
+                n_used, reason = 0, "non-finite iterate at n=0"
+                break
+            j = _first_stop(diffs, sizes, tol)
+            recorded += diffs[:j]
+            if j < k:
+                n_used = n0 + j + 1
+                diff, size = diffs[j], sizes[j]
+                # The previous iterate is finite, so a non-finite iterate makes
+                # the difference non-finite: the scalar test screens the array test.
+                if not math.isfinite(diff) and not np.isfinite(seq[j + 1]).all():
+                    reason = f"non-finite iterate at n={n_used}"
+                elif not (math.isfinite(diff) and math.isfinite(size)):
+                    reason = f"iterate norm overflows at n={n_used}"
+                else:
+                    # only a converged stop records its difference
+                    converged = True
+                    recorded.append(diff)
+                break
+            if guard is not None:
+                break
+
+    if n_used is None:
+        if guard is None:
+            n_used = n_max
+        elif scheme.is_up:
+            raise _overflow_error(scheme, float(_euclidean_rows(np.ldexp(v, guard))), guard)
         else:
-            x_norm = float(_euclidean_rows(v))
-            tripped = (steps > 0) & (x_norm != 0.0) & (np.ldexp(x_norm, -steps) < UNDERFLOW_LIMIT)
-        guard = int(np.argmax(tripped)) if tripped.any() else n_max + 1
-        if guard == 0:
-            raise _overflow_error(scheme, float(arg_sizes[0]), 0)
+            n_used = guard - 1
+            reason = f"rescaled argument below {UNDERFLOW_LIMIT:.0e} at n={guard}"
 
-        iters = iterate(scheme, f, v, steps[:guard])
-        diffs = _euclidean_rows(iters[1:] - iters[:-1])
-        sizes = _euclidean_rows(iters[1:])
-        # diffs[k] and sizes[k] belong to n = k + 1.  An overflowing norm
-        # makes the bound infinite, so it stops the run too, and the tests
-        # below tell that stop from convergence.
-        stops = ~np.isfinite(diffs) | (diffs <= tol * (1.0 + sizes))
-
-    converged = False
-    reason = ""
-    n_used = len(diffs)  # the last evaluated step
-    recorded = diffs
-    hits = np.flatnonzero(stops)
-    if not np.isfinite(iters[0]).all():
-        n_used, recorded, reason = 0, diffs[:0], "non-finite iterate at n=0"
-    elif hits.size:
-        n_used = int(hits[0]) + 1
-        diff, size = diffs[n_used - 1], sizes[n_used - 1]
-        # The previous iterate is finite, so a non-finite iterate makes the
-        # difference non-finite: the scalar test screens the array test.
-        if not np.isfinite(diff) and not np.isfinite(iters[n_used]).all():
-            reason = f"non-finite iterate at n={n_used}"
-        elif not (np.isfinite(diff) and np.isfinite(size)):
-            reason = f"iterate norm overflows at n={n_used}"
-        else:
-            converged = True
-        # The difference at a non-finite or overflowing stop is not recorded.
-        recorded = diffs[: n_used if converged else n_used - 1]
-    elif guard <= n_max:
-        if scheme.is_up:
-            raise _overflow_error(scheme, float(arg_sizes[guard]), guard)
-        reason = f"rescaled argument below {UNDERFLOW_LIMIT:.0e} at n={guard}"
-
-    recorded = recorded.tolist()
     ratio_estimate = _decay_rate([b / a for a, b in zip(recorded, recorded[1:]) if a > 0.0])
-    # Each reported iterate owns its row, so the stack is freed on return.
-    trail = tuple((n, iters[n].copy()) for n in range(n_used + 1))
+    # Each reported iterate owns a copy of its row, so the blocks are freed
+    # on return.
+    rows = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    trail = tuple(zip(range(n_used + 1), map(np.array, rows[: n_used + 1])))
     return ExtractionResult(
         limit_value=trail[-1][1],
         iterates=trail,

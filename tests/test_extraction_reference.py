@@ -2,13 +2,13 @@
 
 ``reference_extract_limit`` is the loop that ``extract_limit`` replaced: it
 evaluates one iterate per step through ``reference_iterate`` and applies the
-stop rule step by step.  ``extract_limit`` evaluates every iterate up to the
-first guard in one call of ``f`` and finds the stop with array tests.  It
-must reproduce the loop exactly: the limit and every iterate by bytes,
-``n_used``, ``converged``, ``stopped_reason``, the bits of
+stop rule step by step.  ``extract_limit`` evaluates the iterates in blocks
+of ``BLOCK_STEPS`` steps, one call of ``f`` per block, and finds the stop
+with array tests.  It must reproduce the loop exactly: the limit and every
+iterate by bytes, ``n_used``, ``converged``, ``stopped_reason``, the bits of
 ``ratio_estimate``, and the ``ScaleError`` (step and message) when the loop
 reaches the overflow guard.  ``f`` must never be called at or beyond a
-guard.
+guard, nor on a block that starts after the loop's last step.
 """
 
 import math
@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from fuzzystab.errors import ScaleError
 from fuzzystab.extraction import (
+    BLOCK_STEPS,
     MAX_STEPS,
     OVERFLOW_LIMIT,
     UNDERFLOW_LIMIT,
@@ -152,18 +153,27 @@ def _first_guard(scheme: Scheme, x, n_max: int) -> int:
 
 
 def assert_matches_reference(scheme, f, x, tol, n_max):
+    looped = _Recorder(f)
     with np.errstate(all="ignore"):
-        want = _outcome(lambda: reference_extract_limit(scheme, f, x, tol=tol, n_max=n_max))
+        want = _outcome(lambda: reference_extract_limit(scheme, looped, x, tol=tol, n_max=n_max))
     recorder = _Recorder(f)
     got = _outcome(lambda: extract_limit(scheme, recorder, x, tol=tol, n_max=n_max))
     assert got == want
-    # One call of f on the arguments of steps 0..k-1, all before the first guard.
-    assert len(recorder.calls) <= 1
+    # The loop evaluates steps 0..evaluated-1.  The blocks are contiguous
+    # from step 0, each cut at n_max and before the first guard, and a block
+    # is evaluated iff the loop evaluates its first step.
+    evaluated = len(looped.calls)
+    guard = _first_guard(scheme, x, n_max)
+    blocks = [
+        (lo, min(lo + BLOCK_STEPS, n_max + 1, guard)) for lo in range(0, evaluated, BLOCK_STEPS)
+    ]
+    assert [len(args) for args in recorder.calls] == [hi - lo for lo, hi in blocks]
+    if n_max < BLOCK_STEPS:
+        assert len(recorder.calls) <= 1
     v = np.atleast_1d(np.asarray(x, dtype=float))
-    for args in recorder.calls:
-        k = len(args)
-        assert k <= _first_guard(scheme, v, n_max)
-        steps = np.arange(k)[:, None]
+    for args, (lo, hi) in zip(recorder.calls, blocks):
+        assert hi <= guard
+        steps = np.arange(lo, hi)[:, None]
         expected = np.ldexp(v, steps if scheme.is_up else -steps)
         assert _bits(args) == _bits(expected)
 
@@ -319,6 +329,8 @@ _PLANE = TestFunction(
         (_LINE_SIN, [-3e-130]),
         (TestFunction.scalar(quad=1.0, const=1.0), [1e-130]),  # underflow guard at n=34
         (TestFunction.scalar(quad=5e153), [1.0]),  # additive_up: norm overflows at n=2
+        # additive_up: v_0 = 2e154, v_1 = 0, so the difference overflows, not the norm
+        (TestFunction.scalar(linear=-2e154, const=4e154), [1.0]),
         (_SPACE, [0.7, -1.3, 0.4]),
         (_SPACE, [1.9, 0.1, -0.6]),
         (_PLANE, [0.0, 0.0]),
@@ -332,6 +344,78 @@ def test_edge_cases_equal_sequential_loop(scheme, f, x):
     for n_max in (2, 5, 40, 60):
         for tol in (1e-3, 1e-9, 1e-16):
             assert_matches_reference(scheme, f, np.array(x), tol, n_max)
+
+
+def _scaled_norm(scheme: Scheme, x, n: int) -> float:
+    """The norm the scheme's guard tests at step n."""
+    with np.errstate(over="ignore"):
+        if scheme.is_up:
+            return float(np.linalg.norm(np.ldexp(x, n)))
+        return float(np.ldexp(np.linalg.norm(x), -n))
+
+
+def _straddle(scheme: Scheme, direction, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two points t * direction, t one float apart: the guard does not trip
+    at step n for the first and trips there for the second."""
+    d = np.asarray(direction, dtype=float)
+    limit = OVERFLOW_LIMIT if scheme.is_up else UNDERFLOW_LIMIT
+
+    def trips(t):
+        size = _scaled_norm(scheme, t * d, n)
+        return size > limit if scheme.is_up else size < limit
+
+    # the guard trips on larger points up, on smaller ones down
+    toward, away = (math.inf, -math.inf) if scheme.is_up else (0.0, math.inf)
+    t = float(np.ldexp(limit / np.linalg.norm(d), -n if scheme.is_up else n))
+    while trips(t):
+        t = math.nextafter(t, away)
+    while not trips(math.nextafter(t, toward)):
+        t = math.nextafter(t, toward)
+    return t * d, math.nextafter(t, toward) * d
+
+
+_GUARD_N_MAX = (2, 40, 63, 64, 65, 200)
+
+
+@pytest.mark.parametrize("n_max", _GUARD_N_MAX)
+@pytest.mark.parametrize("scheme", list(Scheme))
+@pytest.mark.parametrize(
+    "f,direction",
+    [
+        (_SQUARE_COS, [1.0]),  # converges at once, before any guard
+        (_LINE_SIN, [1.0]),  # the quadratic schemes of a line run on
+        (_SQUARE_COS, [-1.0]),  # the additive schemes of a square run on
+        (_PLANE, [0.6, -0.8]),
+    ],
+)
+def test_guard_boundary_at_n_max_equals_sequential_loop(f, direction, scheme, n_max):
+    passing, tripping = _straddle(scheme, direction, n_max)
+    assert _first_guard(scheme, passing, n_max) == n_max + 1
+    assert _first_guard(scheme, tripping, n_max) == n_max
+    for x in (passing, tripping):
+        for tol in (1e-9, 1e-16):
+            assert_matches_reference(scheme, f, x, tol, n_max)
+
+
+@pytest.mark.parametrize("n_max", _GUARD_N_MAX)
+@pytest.mark.parametrize("scheme", list(Scheme))
+@pytest.mark.parametrize(
+    "f,x",
+    [
+        (_SQUARE_COS, [0.0]),
+        (_LINE_SIN, [-0.0]),
+        (_SQUARE_COS, [math.nan]),
+        (_LINE_SIN, [math.inf]),
+        (_SQUARE_COS, [-math.inf]),
+        (_PLANE, [0.0, 0.0]),
+        (_PLANE, [1.0, math.nan]),
+        (_PLANE, [-math.inf, 1.0]),
+        (_PLANE, [math.inf, math.nan]),
+    ],
+)
+def test_zero_and_non_finite_points_equal_sequential_loop(f, x, scheme, n_max):
+    for tol in (1e-9, 1e-16):
+        assert_matches_reference(scheme, f, np.array(x), tol, n_max)
 
 
 @pytest.mark.parametrize(

@@ -1,0 +1,83 @@
+"""Work counts of the extraction.
+
+Counts are deterministic, so these tests pin the work an extraction does
+without the flakiness of a timing test: calls of the source function,
+calls of ``iterate``, and rows evaluated.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from fuzzystab import extraction
+from fuzzystab.extraction import BLOCK_STEPS, MAX_STEPS, Scheme, extract_limit
+from fuzzystab.funceq import Perturbation, TestFunction
+from fuzzystab.harness import ExperimentConfig, run_pipeline
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+
+
+def _workload_config(name: str) -> dict:
+    """The config a benchmark workload runs at its default seed."""
+    module = sys.modules.get("bench_workloads")
+    if module is None:
+        spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = module  # dataclasses look their module up
+        spec.loader.exec_module(module)
+    return module.WORKLOADS[name].config(module.DEFAULT_SEED)
+
+
+def test_extract_down_stage_calls_f_once_per_point(monkeypatch):
+    cfg = ExperimentConfig.from_dict(_workload_config("extract_down"))
+    shapes = []
+    call = TestFunction.__call__
+
+    def counted(self, x):
+        shapes.append(np.shape(x))
+        return call(self, x)
+
+    monkeypatch.setattr(TestFunction, "__call__", counted)
+    report = run_pipeline(cfg, ("extraction",))
+    dim_x = cfg.space.dim_x
+    assert len(report.extraction_rows) == cfg.x_count == 4000
+    # f(0) once for the offset, then one call on the stacked steps per point
+    assert shapes == [(dim_x,)] + [(cfg.n_max + 1, dim_x)] * cfg.x_count
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_one_iterate_call_per_extraction_at_default_n_max(monkeypatch, scheme):
+    calls = []
+    original = extraction.iterate
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(extraction, "iterate", counted)
+    f = TestFunction.scalar(
+        quad=1.0, linear=0.5, perturbations=(Perturbation(shape="sin", amplitude=0.1),)
+    )
+    xs = (0.0, 1e-3, 0.7, -2.5, 1e3, 1e-135, 1e140)
+    for x in xs:
+        extract_limit(scheme, f, np.array([x]))
+    assert len(calls) == len(xs)
+
+
+@pytest.mark.parametrize("x", [1.0, 0.0])
+def test_early_stop_at_largest_n_max_evaluates_one_block(x):
+    # x^2 is a fixed point of quadratic_up, so the run stops at n = 1; at
+    # x = 1 its overflow guard is at n = 499, and x = 0 has no guard
+    square = TestFunction.scalar(quad=1.0)
+    rows = []
+
+    def source(points):
+        rows.append(len(points))
+        return square(points)
+
+    result = extract_limit(Scheme.QUADRATIC_UP, source, np.array([x]), n_max=MAX_STEPS)
+    assert result.converged and result.n_used == 1
+    assert rows == [BLOCK_STEPS]
