@@ -253,8 +253,6 @@ def extract_limit(
         for lo in range(0, n_max + 1, BLOCK_STEPS):
             hi = min(lo + BLOCK_STEPS, n_max + 1)
             guard = _first_guard(scheme, v, x_norm, lo, hi - 1)
-            if guard == 0:
-                raise _overflow_error(scheme, float(_euclidean_rows(v)), 0)
             if guard == lo:
                 break
             rows = iterate(scheme, f, v, np.arange(lo, hi if guard is None else guard))
