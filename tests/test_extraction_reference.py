@@ -172,7 +172,6 @@ def assert_matches_reference(scheme, f, x, tol, n_max):
         assert len(recorder.calls) <= 1
     v = np.atleast_1d(np.asarray(x, dtype=float))
     for args, (lo, hi) in zip(recorder.calls, blocks):
-        assert hi <= guard
         steps = np.arange(lo, hi)[:, None]
         expected = np.ldexp(v, steps if scheme.is_up else -steps)
         assert _bits(args) == _bits(expected)
@@ -382,9 +381,9 @@ _GUARD_N_MAX = (2, 40, 63, 64, 65, 200)
 @pytest.mark.parametrize(
     "f,direction",
     [
-        (_SQUARE_COS, [1.0]),  # converges at once, before any guard
-        (_LINE_SIN, [1.0]),  # the quadratic schemes of a line run on
-        (_SQUARE_COS, [-1.0]),  # the additive schemes of a square run on
+        (_SQUARE_COS, [1.0]),  # quadratic schemes converge, additive ones run on
+        (_LINE_SIN, [1.0]),  # quadratic schemes run on
+        (_SQUARE_COS, [-1.0]),
         (_PLANE, [0.6, -0.8]),
     ],
 )
