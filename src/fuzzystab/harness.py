@@ -371,10 +371,11 @@ class RunReport:
 
     @property
     def total_violations(self) -> int:
+        # counts may be numpy ints; summed as Python ints they cannot overflow
         axiom_bad = sum(
-            c.violations for _, c in self.axiom_rows if c.status == "checked" and not c.passed
+            int(c.violations) for _, c in self.axiom_rows if c.status == "checked" and not c.passed
         )
-        stability_bad = sum(r.violations for r in self.verification_reports)
+        stability_bad = sum(int(r.violations) for r in self.verification_reports)
         return axiom_bad + stability_bad
 
     @property

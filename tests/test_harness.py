@@ -16,11 +16,12 @@ from fuzzystab.harness import (
     EXIT_SCALE,
     EXIT_VIOLATIONS,
     ExperimentConfig,
+    RunReport,
     _finite_norms,
     emit_report,
     run_pipeline,
 )
-from fuzzystab.spaces import crisp_norm, euclidean_norm
+from fuzzystab.spaces import AxiomCheck, crisp_norm, euclidean_norm
 
 BASE = {
     "seed": 424242,
@@ -268,6 +269,14 @@ class TestEmission:
         for section in ("axioms", "hypothesis", "extraction", "verification", "repair_log"):
             assert section in doc
         assert doc["exit_status"] == EXIT_OK
+
+    def test_violation_total_of_numpy_counts_is_exact(self, tmp_path):
+        big = 2**62
+        rows = [AxiomCheck("N1", False, big, 0.0), AxiomCheck("N2", False, np.int64(big), 0.0)]
+        report = RunReport(seed=0, stages=(), axiom_rows=[("", c) for c in rows])
+        assert report.total_violations == 2**63
+        (path,) = emit_report(report, "json", tmp_path)
+        assert json.loads(path.read_text())["summary"]["violations"] == 2**63
 
     def test_floats_carry_seventeen_significant_digits(self, tmp_path):
         report = run_pipeline(ExperimentConfig.from_dict(BASE))
