@@ -50,6 +50,8 @@ __all__ = [
 ]
 
 Norm = Callable[[np.ndarray], float]
+#: Worst defect-premise margin and its witness (x, y, a); ``None`` for no pairs.
+PremiseMargin = tuple[float, tuple[np.ndarray, np.ndarray, float] | None]
 
 
 def _safe_power(base: float, exponent: float) -> float:
@@ -446,7 +448,7 @@ def defect_premise_margin(
     pairs: Sequence[tuple[np.ndarray, np.ndarray]],
     a_values: Sequence[float],
     norm: Norm = euclidean_norm,
-) -> tuple[float, tuple[np.ndarray, np.ndarray, float] | None]:
+) -> PremiseMargin:
     """Worst margin of N(defect(x,y), a) - N'(phi(x,y), a) over the pairs.
 
     A margin below the membership slack means the control does not actually
@@ -494,9 +496,8 @@ class StabilityReport:
 
 def verify_stability(
     f: VectorFunction,
-    components,
+    components: Sequence[Callable[[np.ndarray], np.ndarray]],
     phi: ControlFunction,
-    alpha: float,
     theorem_id: str,
     xs: Sequence[np.ndarray],
     a_values: Sequence[float],
@@ -505,31 +506,27 @@ def verify_stability(
     *,
     norm: Norm = euclidean_norm,
     slack: float = MEMBERSHIP_SLACK,
-    rng: np.random.Generator | None = None,
-    premise: Sequence[tuple[np.ndarray, np.ndarray]] | None = None,
+    premise_margin: PremiseMargin | None = None,
 ) -> StabilityReport:
     """Verify one stability bound on an (x, a) grid.
 
     The defect hypothesis N(defect(x, y), a) >= N'(phi(x, y), a) is checked
-    first on the premise pairs (the theorem's y-sets plus random draws); if
-    it fails anywhere the bound is not asserted and the report carries an
+    first: ``premise_margin`` is its ``defect_premise_margin`` result, by
+    default taken on ``premise_pairs`` with a generator seeded 0.  If it
+    fails anywhere the bound is not asserted and the report carries an
     explanatory note with no rows.  Otherwise each grid point contributes a
-    row with lhs = N(component error, a), rhs = envelope threshold, and a
-    violation is any slack below -1e-12 or not finite (a non-finite slack
-    makes the worst slack ``-inf``).
+    row with lhs = N(component error, a), rhs = envelope threshold at
+    ``phi.alpha``, and a violation is any slack below -``slack`` or not
+    finite (a non-finite slack makes the worst slack ``-inf``).
 
     ``components`` holds the components of the theorem's schemes, in their
-    order: (Q, A) for the combined bound.  A bare callable is the one
-    component of a single-scheme bound.
+    order: (Q, A) for the combined bound.
     """
     theorem = THEOREMS[theorem_id]
-    if callable(components):
-        components = (components,)
-    if rng is None:
-        rng = np.random.default_rng(0)
-    pairs = list(premise) if premise is not None else premise_pairs(theorem, xs, rng)
-
-    worst_premise, witness = defect_premise_margin(f, phi, N, nprime, pairs, a_values, norm)
+    if premise_margin is None:
+        pairs = premise_pairs(theorem, xs, np.random.default_rng(0))
+        premise_margin = defect_premise_margin(f, phi, N, nprime, pairs, a_values, norm)
+    worst_premise, witness = premise_margin
     if worst_premise < -slack:
         wx, wy, wa = witness
         return StabilityReport(
@@ -545,32 +542,25 @@ def verify_stability(
             repairs=theorem.repairs,
         )
 
+    a_grid = np.asarray(a_values, dtype=float)
     rows: list[StabilityRow] = []
-    worst = np.inf
-    violations = 0
     for i, x in enumerate(xs):
         xv = np.atleast_1d(np.asarray(x, dtype=float))
         fx = np.asarray(f(xv), dtype=float)
         err = np.sum([np.asarray(c(xv), dtype=float) for c in components], axis=0) - fx
-        for a in a_values:
-            lhs = N(err, a)
+        lhs = N.memberships(err, a_grid).tolist()
+        for a, lhs_a in zip(a_grid.tolist(), lhs):
             rhs = envelope(
-                theorem.envelope_id, phi, nprime, xv, theorem.threshold(float(a), alpha), norm
+                theorem.envelope_id, phi, nprime, xv, theorem.threshold(a, phi.alpha), norm
             )
-            row = StabilityRow(x_index=i, x=xv, a=float(a), lhs=lhs, rhs=rhs)
-            rows.append(row)
-            if not math.isfinite(row.slack):
-                worst = -math.inf
-                violations += 1
-            else:
-                worst = min(worst, row.slack)
-                if row.slack < -slack:
-                    violations += 1
+            rows.append(StabilityRow(x_index=i, x=xv, a=a, lhs=lhs_a, rhs=rhs))
+    slacks = np.array([row.slack for row in rows])
+    worst, _ = _first_worst(slacks)
     return StabilityReport(
         theorem_id=theorem_id,
         rows=tuple(rows),
-        worst_slack=float(worst) if rows else 0.0,
-        violations=violations,
+        worst_slack=worst if rows else 0.0,
+        violations=int(np.count_nonzero(~np.isfinite(slacks) | (slacks < -slack))),
         hypothesis_ok=True,
         repairs=theorem.repairs,
     )

@@ -124,16 +124,6 @@ class CoordinatePoly:
     linear: np.ndarray | None = None
     const: float = 0.0
 
-    def value(self, x: np.ndarray) -> np.ndarray:
-        """Coordinate at points ``x`` of shape ``(..., d)``; shape ``(...)``."""
-        x = np.asarray(x, dtype=float)
-        v = np.full(x.shape[:-1], self.const)
-        if self.quad is not None:
-            v = v + _quadratic_form(x, self.quad)
-        if self.linear is not None:
-            v = v + _linear_form(x, self.linear)
-        return v
-
 
 def _stack_blocks(
     coords: Sequence[CoordinatePoly], attr: str
@@ -220,8 +210,8 @@ class TestFunction:
             raise DimensionMismatchError(
                 f"input has shape {v.shape}, expected (..., {self.dim_x})"
             )
-        # Per coordinate: const, then + quadratic, then + linear, then each
-        # perturbation in turn, the order of CoordinatePoly.value.
+        # Per coordinate, summed in this order: const, + quadratic form,
+        # + linear form, then + each perturbation in turn.
         out = np.empty(v.shape[:-1] + (self.dim_y,))
         out[...] = self._const
         rows = v[..., None, :]

@@ -32,6 +32,7 @@ from .control import (
     ConstantControl,
     ControlFunction,
     PowerControl,
+    PremiseMargin,
     ProductControl,
     REPAIR_DESCRIPTIONS,
     StabilityReport,
@@ -366,7 +367,7 @@ class RunReport:
     verification_reports: list[StabilityReport] = field(default_factory=list)
     repair_log: list[tuple[str, str]] = field(default_factory=list)
     resolved_delta: float | None = None
-    #: Crisp norm of each sample point (``norm_x`` of the space), by ``x_index``.
+    #: Crisp norm of each sample point (the space's ``norm()``), by ``x_index``.
     x_norms: list[float] = field(default_factory=list)
 
     @property
@@ -450,22 +451,22 @@ def run_pipeline(cfg: ExperimentConfig, stages: Sequence[str] = ALL_STAGES) -> R
 
     Stage dependencies are implicit: verification extracts whatever it needs
     even when the extraction section was not requested; sections are only
-    populated for requested stages.
+    populated for requested stages.  Each theorem's defect-premise margin is
+    computed once, for both its hypothesis row and its verification gate.
     """
     stages = tuple(s for s in ALL_STAGES if s in stages)
     report = RunReport(seed=cfg.seed, stages=stages)
     ss = np.random.SeedSequence(cfg.seed)
     seed_axioms, seed_x, seed_premise = ss.spawn(3)
 
-    norm_y = cfg.space.norm_y()
-    norm_x = cfg.space.norm_x()
-    N = FuzzyNorm.induced(norm_y)
+    norm = cfg.space.norm()
+    N = FuzzyNorm.induced(norm)
     nprime = FuzzyNorm.induced(euclidean_norm)  # scalar control codomain
     a_values = log_a_grid(cfg.a_min, cfg.a_max, cfg.a_points)
 
     rng_x = np.random.default_rng(seed_x)
     xs = [sample_ball(rng_x, cfg.space.dim_x, cfg.x_radius) for _ in range(cfg.x_count)]
-    report.x_norms = _finite_norms(norm_x.rows, np.array(xs))
+    report.x_norms = _finite_norms(norm.rows, np.array(xs))
 
     if "axioms" in stages:
         points, scalars = default_axiom_samples(
@@ -496,6 +497,7 @@ def run_pipeline(cfg: ExperimentConfig, stages: Sequence[str] = ALL_STAGES) -> R
 
     needs_controls = "hypothesis" in stages or "verification" in stages
     premise_by_theorem: dict[str, list] = {}
+    margin_by_theorem: dict[str, PremiseMargin] = {}
     phi = cfg.control
     if needs_controls:
         premise_rngs = seed_premise.spawn(len(cfg.theorems))
@@ -505,8 +507,12 @@ def run_pipeline(cfg: ExperimentConfig, stages: Sequence[str] = ALL_STAGES) -> R
             )
         if cfg.auto_delta:
             all_pairs = [p for t in cfg.theorems for p in premise_by_theorem[t]]
-            report.resolved_delta = measure_residual_sup(shifted, all_pairs, norm=norm_y)
+            report.resolved_delta = measure_residual_sup(shifted, all_pairs, norm=norm)
             phi = replace(phi, delta=report.resolved_delta)
+        for t in cfg.theorems:
+            margin_by_theorem[t] = defect_premise_margin(
+                shifted, phi, N, nprime, premise_by_theorem[t], a_values, norm
+            )
 
     if "hypothesis" in stages:
         for t in cfg.theorems:
@@ -518,7 +524,7 @@ def run_pipeline(cfg: ExperimentConfig, stages: Sequence[str] = ALL_STAGES) -> R
                     nprime,
                     xs,
                     a_grid=a_values,
-                    norm=norm_x,
+                    norm=norm,
                     slack=cfg.membership_slack,
                     y_override=spec.y_set,
                 )
@@ -530,7 +536,7 @@ def run_pipeline(cfg: ExperimentConfig, stages: Sequence[str] = ALL_STAGES) -> R
                     cfg.vanishing_probe,
                     a_grid=a_values,
                     tol=cfg.fuzzy_tol,
-                    norm=norm_x,
+                    norm=norm,
                 )
                 label = scheme.value
                 vanish_note = "" if vanished else "rescaled control membership below 1 - tol"
@@ -538,9 +544,7 @@ def run_pipeline(cfg: ExperimentConfig, stages: Sequence[str] = ALL_STAGES) -> R
                     (f"alpha_scaling[{label}]", scaling.ok, scaling.worst_slack, scaling.reason),
                     (f"vanishing[{label}]", vanished, 0.0, vanish_note),
                 ]
-            worst, _ = defect_premise_margin(
-                shifted, phi, N, nprime, premise_by_theorem[t], a_values, norm_x
-            )
+            worst, _ = margin_by_theorem[t]
             checks.append(("defect_premise", worst >= -cfg.membership_slack, worst, ""))
             report.hypothesis_rows += [HypothesisRow(t, *check) for check in checks]
 
@@ -551,7 +555,7 @@ def run_pipeline(cfg: ExperimentConfig, stages: Sequence[str] = ALL_STAGES) -> R
             if "extraction" in stages:
                 limits = np.array([result.limit_value for _, _, result in diagnostics])
                 for (name, i, result), limit, limit_norm in zip(
-                    diagnostics, limits.tolist(), _finite_norms(norm_y.rows, limits)
+                    diagnostics, limits.tolist(), _finite_norms(norm.rows, limits)
                 ):
                     report.extraction_rows.append(
                         ExtractionRow(
@@ -575,15 +579,14 @@ def run_pipeline(cfg: ExperimentConfig, stages: Sequence[str] = ALL_STAGES) -> R
                 shifted,
                 components_by_theorem[t],
                 phi,
-                cfg.control.alpha,
                 t,
                 xs,
                 a_values,
                 N,
                 nprime,
-                norm=norm_x,
+                norm=norm,
                 slack=cfg.membership_slack,
-                premise=premise_by_theorem[t],
+                premise_margin=margin_by_theorem[t],
             )
             report.verification_reports.append(result)
             for repair in result.repairs:

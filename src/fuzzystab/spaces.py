@@ -116,7 +116,7 @@ def crisp_norm(kind: str, weights: Sequence[float] | None = None) -> Callable[[n
 
 @dataclass(frozen=True)
 class SpaceConfig:
-    """Finite-dimensional domain/codomain pair with a shared crisp norm kind."""
+    """Finite-dimensional domain/codomain pair with one crisp norm on both."""
 
     dim_x: int
     dim_y: int
@@ -127,19 +127,11 @@ class SpaceConfig:
         if self.dim_x < 1 or self.dim_y < 1:
             raise ValueError("space dimensions must be >= 1")
         crisp_norm(self.crisp_norm_kind, self.weights)  # checks the kind and the weights
-        if self.weights is not None and len(self.weights) not in (self.dim_x, self.dim_y):
-            raise ValueError("weights length must equal a space dimension")
+        if self.weights is not None and not len(self.weights) == self.dim_x == self.dim_y:
+            raise ValueError("weights length must equal dim_x and dim_y")
 
-    def norm_x(self) -> Callable[[np.ndarray], float]:
-        return self._norm(self.dim_x)
-
-    def norm_y(self) -> Callable[[np.ndarray], float]:
-        return self._norm(self.dim_y)
-
-    def _norm(self, dim: int) -> Callable[[np.ndarray], float]:
-        if self.crisp_norm_kind == "weighted" and len(self.weights or ()) != dim:
-            # Mismatched side falls back to the unweighted norm.
-            return crisp_norm("euclidean")
+    def norm(self) -> Callable[[np.ndarray], float]:
+        """The crisp norm of the domain and of the codomain."""
         return crisp_norm(self.crisp_norm_kind, self.weights)
 
 

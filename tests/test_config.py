@@ -365,6 +365,11 @@ DROPPED_OR_REPEATED = {
         "config: space",
         "euclidean norm takes no weights (only weighted does)",
     ),
+    "weights_on_one_side_only": (
+        edited("space", {"dim_x": 2, "dim_y": 1, "crisp_norm": "weighted", "weights": [0.5, 2.0]}),
+        "config: space",
+        "weights length must equal dim_x and dim_y",
+    ),
     "duplicate_theorem": (
         edited("theorems", ["combined", "combined"]),
         "config: theorems",

@@ -251,9 +251,8 @@ class TestVerifyStability:
         f = TestFunction.scalar(quad=1.0)
         report = verify_stability(
             f,
-            self._component(f),
+            (self._component(f),),
             ConstantControl(delta=0.5, alpha=1.0),
-            1.0,
             "quadratic_up",
             self.XS,
             self.A_VALUES,
@@ -289,7 +288,7 @@ class TestVerifyStability:
     )
     def test_exact_solutions_across_admissible_theorems(self, theorem_id, f, scheme, phi):
         report = verify_stability(
-            f, self._component(f, scheme), phi, phi.alpha, theorem_id, self.XS, self.A_VALUES, N, NPRIME
+            f, (self._component(f, scheme),), phi, theorem_id, self.XS, self.A_VALUES, N, NPRIME
         )
         assert report.hypothesis_ok
         assert report.violations == 0
@@ -310,7 +309,7 @@ class TestVerifyStability:
         spec = THEOREMS[theorem_id]
         components = (lambda x: np.zeros_like(x),) * len(spec.schemes)
         report = verify_stability(
-            f, components, phi, alpha, theorem_id, self.XS, self.A_VALUES, N, NPRIME
+            f, components, phi, theorem_id, self.XS, self.A_VALUES, N, NPRIME
         )
         assert len(report.rows) == len(self.XS) * len(self.A_VALUES)
         for row in report.rows:
@@ -322,9 +321,8 @@ class TestVerifyStability:
         wrong = lambda x: 1.1 * np.asarray(x, dtype=float) ** 2
         report = verify_stability(
             f,
-            wrong,
+            (wrong,),
             ConstantControl(delta=1e-9, alpha=1.0),
-            1.0,
             "quadratic_up",
             self.XS,
             self.A_VALUES,
@@ -340,9 +338,8 @@ class TestVerifyStability:
         )
         report = verify_stability(
             f,
-            self._component(f),
+            (self._component(f),),
             ConstantControl(delta=1e-3, alpha=1.0),
-            1.0,
             "quadratic_up",
             self.XS,
             self.A_VALUES,
@@ -385,7 +382,7 @@ class TestVerifyStability:
         assert worst == -np.inf
         assert witness == (pairs[0][0], pairs[0][1], 0.1)
         report = verify_stability(
-            f, self._component(f), phi, 1.0, "quadratic_up", self.XS, self.A_VALUES, N, NAN_NORM
+            f, (self._component(f),), phi, "quadratic_up", self.XS, self.A_VALUES, N, NAN_NORM
         )
         assert not report.hypothesis_ok and report.rows == ()
 
@@ -393,9 +390,8 @@ class TestVerifyStability:
         f = TestFunction.scalar(quad=1.0)
         report = verify_stability(
             f,
-            lambda x: np.full_like(x, np.nan),
+            (lambda x: np.full_like(x, np.nan),),
             ConstantControl(delta=0.5, alpha=1.0),
-            1.0,
             "quadratic_up",
             self.XS,
             self.A_VALUES,
@@ -410,9 +406,8 @@ class TestVerifyStability:
         f = TestFunction.scalar(linear=1.0)
         report = verify_stability(
             f,
-            self._component(f, Scheme.ADDITIVE_UP),
+            (self._component(f, Scheme.ADDITIVE_UP),),
             ConstantControl(delta=0.5, alpha=1.0),
-            1.0,
             "additive_up",
             self.XS,
             self.A_VALUES,
@@ -420,3 +415,66 @@ class TestVerifyStability:
             NPRIME,
         )
         assert "additive_envelope_pair" in report.repairs
+
+    def test_infinite_slack_is_a_violation(self):
+        # lhs is +inf wherever the error exceeds 0.5, so the slack is +inf:
+        # not finite, hence a violation, though it is above -slack
+        inf_norm = FuzzyNorm(
+            evaluator=lambda v, a: np.inf if np.max(np.abs(v)) > 0.5 else a / (a + np.max(np.abs(v)))
+        )
+        f = TestFunction.scalar(quad=1.0)
+        xs, a_values = [V(0.5), V(1.0), V(-2.0)], (0.1, 1.0)
+        report = verify_stability(
+            f,
+            (lambda x: np.asarray(x, dtype=float) ** 2 + 1.0,),
+            ConstantControl(delta=0.5, alpha=1.0),
+            "quadratic_up",
+            xs,
+            a_values,
+            inf_norm,
+            NPRIME,
+        )
+        assert report.hypothesis_ok
+        assert all(row.slack == np.inf for row in report.rows)
+        assert report.violations == len(report.rows) == 6
+        assert report.worst_slack == -np.inf
+
+    @staticmethod
+    def _fields(report):
+        rows = [(r.x_index, r.x.tolist(), r.a, r.lhs, r.rhs) for r in report.rows]
+        return (
+            report.theorem_id,
+            rows,
+            repr(report.worst_slack),
+            report.violations,
+            report.hypothesis_ok,
+            report.note,
+            report.repairs,
+        )
+
+    @pytest.mark.parametrize("amplitude", [0.0, 10.0], ids=["premise_held", "premise_failed"])
+    def test_given_premise_margin_equals_the_default(self, amplitude):
+        f = TestFunction.scalar(
+            quad=1.0, perturbations=(Perturbation(shape="sin", amplitude=amplitude),)
+        )
+        phi = ConstantControl(delta=1e-3, alpha=1.0)
+        components = (self._component(f),)
+        pairs = premise_pairs(THEOREMS["quadratic_up"], self.XS, np.random.default_rng(0))
+        margin = defect_premise_margin(f, phi, N, NPRIME, pairs, self.A_VALUES)
+        args = (f, components, phi, "quadratic_up", self.XS, self.A_VALUES, N, NPRIME)
+        given = verify_stability(*args, premise_margin=margin)
+        assert given.hypothesis_ok == (amplitude == 0.0)
+        assert self._fields(given) == self._fields(verify_stability(*args))
+
+    def test_gated_note_names_the_witness_threshold(self):
+        f = TestFunction.scalar(
+            quad=1.0, perturbations=(Perturbation(shape="sin", amplitude=10.0),)
+        )
+        phi = ConstantControl(delta=1e-3, alpha=1.0)
+        pairs = premise_pairs(THEOREMS["quadratic_up"], self.XS, np.random.default_rng(0))
+        worst, (_, _, a) = defect_premise_margin(f, phi, N, NPRIME, pairs, self.A_VALUES)
+        report = verify_stability(
+            f, (self._component(f),), phi, "quadratic_up", self.XS, self.A_VALUES, N, NPRIME
+        )
+        assert not report.hypothesis_ok
+        assert f"by {-worst:.3e} at a={a:g} (bound not asserted)" in report.note

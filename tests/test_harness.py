@@ -351,8 +351,6 @@ class TestEmission:
         [
             {"dim_x": 2, "dim_y": 2, "crisp_norm": "max"},
             {"dim_x": 2, "dim_y": 2, "crisp_norm": "weighted", "weights": [1.0, 3.0]},
-            # weights of the x side only: the y side falls back to the Euclidean norm
-            {"dim_x": 2, "dim_y": 1, "crisp_norm": "weighted", "weights": [0.5, 2.0]},
         ],
     )
     def test_norm_fields_use_the_configured_crisp_norm(self, tmp_path, space):
@@ -365,15 +363,15 @@ class TestEmission:
             extraction = list(csv.DictReader(fh))
         with (tmp_path / "verification.csv").open() as fh:
             verification = list(csv.DictReader(fh))
-        norm_x, norm_y = cfg.space.norm_x(), cfg.space.norm_y()
+        norm = cfg.space.norm()
         x_norm = {}
         for row, csv_row in zip(report.extraction_rows, extraction):
-            assert float(csv_row["limit_norm"]) == norm_y(np.array(row.limit))
+            assert float(csv_row["limit_norm"]) == norm(np.array(row.limit))
             x_norm.setdefault(csv_row["x_index"], csv_row["x_norm"])
             assert x_norm[csv_row["x_index"]] == csv_row["x_norm"]
         for rep in report.verification_reports:
             for row in rep.rows:
-                assert report.x_norms[row.x_index] == norm_x(row.x)
+                assert report.x_norms[row.x_index] == norm(row.x)
         assert verification and len(x_norm) == cfg.x_count
         for csv_row in verification:
             assert csv_row["x_norm"] == x_norm[csv_row["x_index"]]

@@ -91,7 +91,7 @@ def test_space_config_validation():
     with pytest.raises(ValueError):
         SpaceConfig(dim_x=1, dim_y=1, crisp_norm_kind="weighted", weights=(-1.0,))
     cfg = SpaceConfig(dim_x=2, dim_y=2, crisp_norm_kind="weighted", weights=(1.0, 2.0))
-    assert cfg.norm_x()(np.array([1.0, 0.0])) == 1.0
+    assert cfg.norm()(np.array([1.0, 0.0])) == 1.0
 
 
 @pytest.mark.parametrize("kind", ["euclidean", "max"])

@@ -1,8 +1,8 @@
-"""Work counts of the extraction.
+"""Work counts of the extraction and of the control checks.
 
-Counts are deterministic, so these tests pin the work an extraction does
-without the flakiness of a timing test: calls of the source function,
-calls of ``iterate``, and rows evaluated.
+Counts are deterministic, so these tests pin the work a run does without
+the flakiness of a timing test: calls of the source function, calls of
+``iterate``, rows evaluated, and evaluations of the equation defect.
 """
 
 import importlib.util
@@ -12,7 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fuzzystab import extraction
+from fuzzystab import control, extraction, harness
+from fuzzystab.cli import _STAGES_BY_COMMAND
 from fuzzystab.extraction import BLOCK_STEPS, MAX_STEPS, Scheme, extract_limit
 from fuzzystab.funceq import Perturbation, TestFunction
 from fuzzystab.harness import ExperimentConfig, run_pipeline
@@ -81,3 +82,36 @@ def test_early_stop_at_largest_n_max_evaluates_one_block(x):
     result = extract_limit(Scheme.QUADRATIC_UP, source, np.array([x]), n_max=MAX_STEPS)
     assert result.converged and result.n_used == 1
     assert rows == [BLOCK_STEPS]
+
+
+@pytest.mark.parametrize("command", ["run", "extract"])
+def test_defect_is_evaluated_once_per_use(monkeypatch, command):
+    # the auto-delta sup evaluates the defect once over all premise pairs,
+    # and each theorem's premise margin once, shared by its hypothesis row
+    # and its verification gate
+    cfg = ExperimentConfig.from_dict(_workload_config("grid_dense"))
+    calls = {"defect_premise_margin": 0, "measure_residual_sup": 0, "residual_main": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(harness, "defect_premise_margin")
+    counted(harness, "measure_residual_sup")
+    counted(control, "residual_main")
+    run_pipeline(cfg, _STAGES_BY_COMMAND[command])
+    if command == "extract":
+        assert set(calls.values()) == {0}
+    else:
+        assert cfg.auto_delta
+        theorems = len(cfg.theorems)
+        assert calls == {
+            "defect_premise_margin": theorems,
+            "measure_residual_sup": 1,
+            "residual_main": 1 + theorems,
+        }
