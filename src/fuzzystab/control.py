@@ -504,16 +504,15 @@ def verify_stability(
     N: FuzzyNorm,
     nprime: FuzzyNorm,
     *,
+    premise_margin: PremiseMargin,
     norm: Norm = euclidean_norm,
     slack: float = MEMBERSHIP_SLACK,
-    premise_margin: PremiseMargin | None = None,
 ) -> StabilityReport:
     """Verify one stability bound on an (x, a) grid.
 
     The defect hypothesis N(defect(x, y), a) >= N'(phi(x, y), a) is checked
-    first: ``premise_margin`` is its ``defect_premise_margin`` result, by
-    default taken on ``premise_pairs`` with a generator seeded 0.  If it
-    fails anywhere the bound is not asserted and the report carries an
+    first: ``premise_margin`` is its ``defect_premise_margin`` result on the
+    caller's premise pairs.  If it fails anywhere the bound is not asserted and the report carries an
     explanatory note with no rows.  Otherwise each grid point contributes a
     row with lhs = N(component error, a), rhs = envelope threshold at
     ``phi.alpha``, and a violation is any slack below -``slack`` or not
@@ -523,9 +522,6 @@ def verify_stability(
     order: (Q, A) for the combined bound.
     """
     theorem = THEOREMS[theorem_id]
-    if premise_margin is None:
-        pairs = premise_pairs(theorem, xs, np.random.default_rng(0))
-        premise_margin = defect_premise_margin(f, phi, N, nprime, pairs, a_values, norm)
     worst_premise, witness = premise_margin
     if worst_premise < -slack:
         wx, wy, wa = witness

@@ -29,6 +29,20 @@ N = FuzzyNorm.induced()
 NAN_NORM = FuzzyNorm(evaluator=lambda x, a: float("nan"))
 
 
+def seeded_margin(f, phi, theorem_id, xs, a_values, N, nprime):
+    """The defect premise margin on the pairs a generator seeded 0 draws from xs."""
+    pairs = premise_pairs(THEOREMS[theorem_id], xs, np.random.default_rng(0))
+    return defect_premise_margin(f, phi, N, nprime, pairs, a_values)
+
+
+def verify(f, components, phi, theorem_id, xs, a_values, N, nprime):
+    """verify_stability gated by the seeded margin of the same arguments."""
+    margin = seeded_margin(f, phi, theorem_id, xs, a_values, N, nprime)
+    return verify_stability(
+        f, components, phi, theorem_id, xs, a_values, N, nprime, premise_margin=margin
+    )
+
+
 class TestEvalControl:
     def test_constant(self):
         phi = ConstantControl(delta=1.0)
@@ -249,7 +263,7 @@ class TestVerifyStability:
 
     def test_exact_solution_yields_zero_violations(self):
         f = TestFunction.scalar(quad=1.0)
-        report = verify_stability(
+        report = verify(
             f,
             (self._component(f),),
             ConstantControl(delta=0.5, alpha=1.0),
@@ -287,7 +301,7 @@ class TestVerifyStability:
         ],
     )
     def test_exact_solutions_across_admissible_theorems(self, theorem_id, f, scheme, phi):
-        report = verify_stability(
+        report = verify(
             f, (self._component(f, scheme),), phi, theorem_id, self.XS, self.A_VALUES, N, NPRIME
         )
         assert report.hypothesis_ok
@@ -308,7 +322,7 @@ class TestVerifyStability:
         phi = ConstantControl(delta=0.5, alpha=alpha)
         spec = THEOREMS[theorem_id]
         components = (lambda x: np.zeros_like(x),) * len(spec.schemes)
-        report = verify_stability(
+        report = verify(
             f, components, phi, theorem_id, self.XS, self.A_VALUES, N, NPRIME
         )
         assert len(report.rows) == len(self.XS) * len(self.A_VALUES)
@@ -319,7 +333,7 @@ class TestVerifyStability:
     def test_wrong_component_is_caught(self):
         f = TestFunction.scalar(quad=1.0)
         wrong = lambda x: 1.1 * np.asarray(x, dtype=float) ** 2
-        report = verify_stability(
+        report = verify(
             f,
             (wrong,),
             ConstantControl(delta=1e-9, alpha=1.0),
@@ -336,7 +350,7 @@ class TestVerifyStability:
         f = TestFunction.scalar(
             quad=1.0, perturbations=(Perturbation(shape="sin", amplitude=10.0),)
         )
-        report = verify_stability(
+        report = verify(
             f,
             (self._component(f),),
             ConstantControl(delta=1e-3, alpha=1.0),
@@ -381,14 +395,14 @@ class TestVerifyStability:
         worst, witness = defect_premise_margin(f, phi, N, NAN_NORM, pairs, (0.1, 1.0))
         assert worst == -np.inf
         assert witness == (pairs[0][0], pairs[0][1], 0.1)
-        report = verify_stability(
+        report = verify(
             f, (self._component(f),), phi, "quadratic_up", self.XS, self.A_VALUES, N, NAN_NORM
         )
         assert not report.hypothesis_ok and report.rows == ()
 
     def test_non_finite_slack_is_a_violation(self):
         f = TestFunction.scalar(quad=1.0)
-        report = verify_stability(
+        report = verify(
             f,
             (lambda x: np.full_like(x, np.nan),),
             ConstantControl(delta=0.5, alpha=1.0),
@@ -404,7 +418,7 @@ class TestVerifyStability:
 
     def test_report_carries_repair_disclosures(self):
         f = TestFunction.scalar(linear=1.0)
-        report = verify_stability(
+        report = verify(
             f,
             (self._component(f, Scheme.ADDITIVE_UP),),
             ConstantControl(delta=0.5, alpha=1.0),
@@ -424,7 +438,7 @@ class TestVerifyStability:
         )
         f = TestFunction.scalar(quad=1.0)
         xs, a_values = [V(0.5), V(1.0), V(-2.0)], (0.1, 1.0)
-        report = verify_stability(
+        report = verify(
             f,
             (lambda x: np.asarray(x, dtype=float) ** 2 + 1.0,),
             ConstantControl(delta=0.5, alpha=1.0),
@@ -439,42 +453,23 @@ class TestVerifyStability:
         assert report.violations == len(report.rows) == 6
         assert report.worst_slack == -np.inf
 
-    @staticmethod
-    def _fields(report):
-        rows = [(r.x_index, r.x.tolist(), r.a, r.lhs, r.rhs) for r in report.rows]
-        return (
-            report.theorem_id,
-            rows,
-            repr(report.worst_slack),
-            report.violations,
-            report.hypothesis_ok,
-            report.note,
-            report.repairs,
-        )
-
-    @pytest.mark.parametrize("amplitude", [0.0, 10.0], ids=["premise_held", "premise_failed"])
-    def test_given_premise_margin_equals_the_default(self, amplitude):
-        f = TestFunction.scalar(
-            quad=1.0, perturbations=(Perturbation(shape="sin", amplitude=amplitude),)
-        )
-        phi = ConstantControl(delta=1e-3, alpha=1.0)
-        components = (self._component(f),)
-        pairs = premise_pairs(THEOREMS["quadratic_up"], self.XS, np.random.default_rng(0))
-        margin = defect_premise_margin(f, phi, N, NPRIME, pairs, self.A_VALUES)
-        args = (f, components, phi, "quadratic_up", self.XS, self.A_VALUES, N, NPRIME)
-        given = verify_stability(*args, premise_margin=margin)
-        assert given.hypothesis_ok == (amplitude == 0.0)
-        assert self._fields(given) == self._fields(verify_stability(*args))
-
     def test_gated_note_names_the_witness_threshold(self):
         f = TestFunction.scalar(
             quad=1.0, perturbations=(Perturbation(shape="sin", amplitude=10.0),)
         )
         phi = ConstantControl(delta=1e-3, alpha=1.0)
-        pairs = premise_pairs(THEOREMS["quadratic_up"], self.XS, np.random.default_rng(0))
-        worst, (_, _, a) = defect_premise_margin(f, phi, N, NPRIME, pairs, self.A_VALUES)
+        margin = seeded_margin(f, phi, "quadratic_up", self.XS, self.A_VALUES, N, NPRIME)
+        worst, (_, _, a) = margin
         report = verify_stability(
-            f, (self._component(f),), phi, "quadratic_up", self.XS, self.A_VALUES, N, NPRIME
+            f,
+            (self._component(f),),
+            phi,
+            "quadratic_up",
+            self.XS,
+            self.A_VALUES,
+            N,
+            NPRIME,
+            premise_margin=margin,
         )
         assert not report.hypothesis_ok
         assert f"by {-worst:.3e} at a={a:g} (bound not asserted)" in report.note
