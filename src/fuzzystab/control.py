@@ -432,12 +432,12 @@ def measure_residual_sup(
     pairs: Sequence[tuple[np.ndarray, np.ndarray]],
     norm: Norm = euclidean_norm,
 ) -> float:
-    """Largest equation-defect norm over the given argument pairs."""
+    """Largest equation-defect norm over the given argument pairs; NaN if any is NaN."""
     if not pairs:
         return 0.0
     defects = residual_main(f, *_stack_pairs(pairs)).value
     rows = getattr(norm, "rows", None)  # the row form of a crisp norm, if it has one
-    return max(rows(defects).tolist() if rows is not None else [norm(v) for v in defects])
+    return float(np.max(rows(defects) if rows is not None else [norm(v) for v in defects]))
 
 
 def defect_premise_margin(

@@ -91,7 +91,10 @@ class Scheme(Enum):
         return f"({lo:g},{hi:g})" if np.isfinite(hi) else f"(>{lo:g})"
 
 
-def _overflow_error(scheme: Scheme, size: float, n: int) -> ScaleError:
+def _overflow_error(scheme: Scheme, v: np.ndarray, n: int) -> ScaleError:
+    """The error for the up-scheme argument 2^n v, which trips the overflow guard."""
+    with np.errstate(over="ignore"):
+        size = float(_euclidean_rows(np.ldexp(v, n)))
     return ScaleError(
         f"scaled argument norm {size:.3e} exceeds {OVERFLOW_LIMIT:.0e} "
         f"at n={n} for {scheme.value}",
@@ -127,7 +130,7 @@ def iterate(scheme: Scheme, f: VectorFunction, x: np.ndarray, n) -> np.ndarray:
         over = sizes > OVERFLOW_LIMIT
         k = int(over.argmax())
         if over.flat[k]:
-            raise _overflow_error(scheme, float(sizes.flat[k]), int(ns.flat[k]))
+            raise _overflow_error(scheme, v, int(ns.flat[k]))
         shift = -scheme.value_shift
     else:
         args = np.ldexp(v, -steps)
@@ -145,8 +148,8 @@ def iterate(scheme: Scheme, f: VectorFunction, x: np.ndarray, n) -> np.ndarray:
 class ExtractionResult:
     """Limit of one scheme run with per-iterate diagnostics."""
 
-    limit_value: np.ndarray
-    iterates: tuple[tuple[int, np.ndarray], ...]
+    limit_value: np.ndarray  # the last row of iterates
+    iterates: np.ndarray  # (n_used + 1, dim_y); row n is the n-th iterate
     converged: bool
     ratio_estimate: float
     n_used: int
@@ -198,6 +201,16 @@ def _first_stop(diffs: list[float], sizes: list[float], tol: float) -> int:
         if not tol * (1.0 + size) < diff < math.inf:
             return j
     return len(diffs)
+
+
+def _stop_kind(diff: float, size: float, rows: np.ndarray) -> str:
+    """Why a stop of :func:`_first_stop` is not convergence, "" if it is; ``diff``
+    is taken between the ``rows`` and ``size`` is the norm of the last row."""
+    if not np.isfinite(rows).all():
+        return "non-finite iterate"
+    if not (math.isfinite(diff) and math.isfinite(size)):
+        return "iterate norm overflows"
+    return ""
 
 
 def extract_limit(
@@ -264,25 +277,22 @@ def extract_limit(
             # Each row is normed alone, so stacking keeps every row's bits.
             norms = _euclidean_rows(np.concatenate((seq[1:] - seq[:-1], seq))).tolist()
             diffs, sizes = norms[:k], norms[k + 1 :]
-            # A finite norm screens the finiteness test of the first iterate.
-            if not lo and not math.isfinite(norms[k]) and not np.isfinite(rows[0]).all():
-                n_used, reason = 0, "non-finite iterate at n=0"
+            # The first iterate has no difference, so only a non-finite entry
+            # stops the run there; a finite norm screens that test.
+            if not lo and not math.isfinite(norms[k]) and (kind := _stop_kind(0.0, 0.0, rows[:1])):
+                n_used, reason = 0, f"{kind} at n=0"
                 break
             j = _first_stop(diffs, sizes, tol)
             recorded += diffs[:j]
             if j < k:
                 n_used = n0 + j + 1
-                diff, size = diffs[j], sizes[j]
-                # The previous iterate is finite, so a non-finite iterate makes
-                # the difference non-finite: the scalar test screens the array test.
-                if not math.isfinite(diff) and not np.isfinite(seq[j + 1]).all():
-                    reason = f"non-finite iterate at n={n_used}"
-                elif not (math.isfinite(diff) and math.isfinite(size)):
-                    reason = f"iterate norm overflows at n={n_used}"
+                reason = _stop_kind(diffs[j], sizes[j], seq[j : j + 2])
+                if reason:
+                    reason = f"{reason} at n={n_used}"
                 else:
                     # only a converged stop records its difference
                     converged = True
-                    recorded.append(diff)
+                    recorded.append(diffs[j])
                 break
             if guard is not None:
                 break
@@ -291,18 +301,18 @@ def extract_limit(
         if guard is None:
             n_used = n_max
         elif scheme.is_up:
-            raise _overflow_error(scheme, float(_euclidean_rows(np.ldexp(v, guard))), guard)
+            raise _overflow_error(scheme, v, guard)
         else:
             n_used = guard - 1
             reason = f"rescaled argument below {UNDERFLOW_LIMIT:.0e} at n={guard}"
 
     ratio_estimate = _decay_rate([b / a for a, b in zip(recorded, recorded[1:]) if a > 0.0])
-    # Each reported iterate owns a copy of its row, so the blocks are freed
+    # The result owns a copy of the reported rows, so the blocks are freed
     # on return.
     rows = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
-    trail = tuple(zip(range(n_used + 1), map(np.array, rows[: n_used + 1])))
+    trail = rows[: n_used + 1].copy()
     return ExtractionResult(
-        limit_value=trail[-1][1],
+        limit_value=trail[-1],
         iterates=trail,
         converged=converged,
         ratio_estimate=ratio_estimate,
@@ -384,13 +394,6 @@ class UniquenessResult:
         return self.agree
 
 
-def _window_indices(window) -> list[int]:
-    ns = sorted(window) if not isinstance(window, tuple) else list(range(window[0], window[1] + 1))
-    if len(ns) < 2:
-        raise ValueError("window must contain at least two indices")
-    return ns
-
-
 def uniqueness_crosscheck(
     scheme: Scheme,
     f: VectorFunction,
@@ -401,42 +404,37 @@ def uniqueness_crosscheck(
 ) -> UniquenessResult:
     """Numerical surrogate for uniqueness of the scheme limit.
 
-    Each window yields a limit estimate (its last iterate, accepted only if
-    the final in-window successive difference is below tol); the result is
-    true iff both estimates exist and agree within tol.  A window whose last
-    two iterates are not all finite, or whose gap or norm overflows, gives
-    no estimate and says so in the note.  Windows are given as ranges or
-    inclusive (lo, hi) tuples.
+    Each window yields a limit estimate: its last iterate, accepted only if
+    the difference from the window's previous index stops the run by the
+    rule and with the notes of :func:`extract_limit`.  The result is true
+    iff both estimates exist and agree within tol.  Windows are given as
+    ranges, inclusive (lo, hi) tuples or collections of indices, each index
+    counted once.
     """
     v = np.atleast_1d(np.asarray(x, dtype=float))
 
     def window_limit(window) -> tuple[np.ndarray | None, str]:
-        ns = _window_indices(window)
-        # Non-finite iterates and overflowing norms are reported in the note,
-        # as extract_limit reports them, not warned about.
+        if isinstance(window, tuple):
+            window = range(window[0], window[1] + 1)
+        ns = sorted(set(window))
+        if len(ns) < 2:
+            raise ValueError("window must contain at least two indices")
+        # Non-finite iterates and overflows go in the note, not in warnings.
         with np.errstate(all="ignore"):
-            prev, last = iterate(scheme, f, v, ns[-2:])
-            gap = float(np.linalg.norm(last - prev))
-            size = float(np.linalg.norm(last))
-        if not (np.isfinite(prev).all() and np.isfinite(last).all()):
-            return None, f"non-finite iterate in window ending at n={ns[-1]}"
-        if not (math.isfinite(gap) and math.isfinite(size)):
-            return None, f"iterate norm overflows in window ending at n={ns[-1]}"
-        if gap > tol * (1.0 + size):
-            return None, f"no convergence in window ending at n={ns[-1]} (gap {gap:.3e})"
-        return last, ""
+            pair = iterate(scheme, f, v, ns[-2:])
+            gap, size = _euclidean_rows(np.stack((pair[1] - pair[0], pair[1]))).tolist()
+        where = f"in window ending at n={ns[-1]}"
+        if _first_stop([gap], [size], tol):
+            return None, f"no convergence {where} (gap {gap:.3e})"
+        kind = _stop_kind(gap, size, pair)
+        return (None, f"{kind} {where}") if kind else (pair[1], "")
 
     lim1, note1 = window_limit(window1)
     lim2, note2 = window_limit(window2)
     if lim1 is None or lim2 is None:
-        return UniquenessResult(
-            agree=False,
-            limit_1=lim1,
-            limit_2=lim2,
-            distance=float("nan"),
-            note="; ".join(s for s in (note1, note2) if s),
-        )
+        note = "; ".join(s for s in (note1, note2) if s)
+        return UniquenessResult(False, limit_1=lim1, limit_2=lim2, distance=math.nan, note=note)
     with np.errstate(over="ignore"):
-        scale = 1.0 + max(float(np.linalg.norm(lim1)), float(np.linalg.norm(lim2)))
-        dist = float(np.linalg.norm(lim1 - lim2))
+        size1, size2, dist = _euclidean_rows(np.stack((lim1, lim2, lim1 - lim2))).tolist()
+    scale = 1.0 + max(size1, size2)
     return UniquenessResult(agree=dist <= tol * scale, limit_1=lim1, limit_2=lim2, distance=dist)

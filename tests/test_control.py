@@ -21,7 +21,7 @@ from fuzzystab.control import (
 from fuzzystab.errors import DomainError
 from fuzzystab.extraction import ExtractedComponent, Scheme
 from fuzzystab.funceq import Perturbation, TestFunction
-from fuzzystab.spaces import FuzzyNorm, log_a_grid
+from fuzzystab.spaces import FuzzyNorm, euclidean_norm, log_a_grid
 
 V = lambda *vals: np.array([float(v) for v in vals])
 NPRIME = FuzzyNorm.induced()
@@ -387,6 +387,17 @@ class TestVerifyStability:
             f, ConstantControl(delta=delta, alpha=1.0), N, NPRIME, pairs, self.A_VALUES
         )
         assert worst >= 0.0
+
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_nan_defect_makes_the_sup_nan_in_any_order(self, order):
+        # the defect of x^2 at (1e160, 1e160) is inf - inf; a sup that keeps
+        # a NaN only when it comes first would depend on the pair order
+        pairs = [(V(1.0), V(1.0)), (V(1e160), V(1e160))][::order]
+        # the crisp norm's row form, and a plain callable normed row by row
+        for norm in (euclidean_norm, lambda v: float(np.linalg.norm(v))):
+            with np.errstate(over="ignore", invalid="ignore"):
+                sup = measure_residual_sup(TestFunction.scalar(quad=1.0), pairs, norm=norm)
+            assert np.isnan(sup)
 
     def test_non_finite_premise_margin_is_a_violation(self):
         f = TestFunction.scalar(quad=1.0)

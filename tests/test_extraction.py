@@ -5,6 +5,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_extraction_oracle import cases as oracle_cases
 
 from fuzzystab.errors import ScaleError
 from fuzzystab.extraction import (
@@ -16,6 +19,7 @@ from fuzzystab.extraction import (
     uniqueness_crosscheck,
 )
 from fuzzystab.funceq import (
+    CoordinatePoly,
     Perturbation,
     TestFunction,
     remove_offset,
@@ -29,6 +33,18 @@ SQUARE = TestFunction.scalar(quad=1.0)
 LINE = TestFunction.scalar(linear=1.0)
 SQUARE_SIN = TestFunction.scalar(
     quad=1.0, perturbations=(Perturbation(shape="sin", amplitude=0.1),)
+)
+# two inputs and two outputs, one perturbation each
+PLANE_PAIR = TestFunction(
+    coords=(
+        CoordinatePoly(quad=np.array([[1.0, 0.5], [0.5, 2.0]]), linear=np.array([1.0, -1.0])),
+        CoordinatePoly(quad=np.array([[0.0, 1.0], [1.0, 0.0]]), const=0.25),
+    ),
+    perturbations=(
+        Perturbation(shape="cos", amplitude=(0.1, 0.2)),
+        Perturbation(shape="sin", amplitude=0.05, frequency=(1.0, 0.5)),
+    ),
+    dim_x=2,
 )
 
 
@@ -64,6 +80,16 @@ class TestIterate:
         assert "n=200" in str(err.value)
         assert err.value.scheme == "quadratic_up"
 
+    def test_overflowing_argument_norm_raises_one_error_from_both_guards(self):
+        # the norm of 1e200 overflows; extract_limit and iterate raise the same
+        # ScaleError for it, with no overflow warning on the way
+        errors = []
+        for run in (extract_limit, lambda *args: iterate(*args, 0)):
+            with pytest.raises(ScaleError) as err:
+                run(Scheme.QUADRATIC_UP, SQUARE, V(1e200))
+            errors.append((err.value.n, str(err.value)))
+        assert errors == [(0, "scaled argument norm inf exceeds 1e+150 at n=0 for quadratic_up")] * 2
+
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
             iterate(Scheme.QUADRATIC_UP, SQUARE, V(1), -1)
@@ -96,7 +122,7 @@ class TestExtractLimit:
 
     def test_stop_rule_is_relative_successive_difference(self):
         r = extract_limit(Scheme.QUADRATIC_UP, SQUARE_SIN, V(1), tol=1e-9, n_max=40)
-        values = dict(r.iterates)
+        values = dict(enumerate(r.iterates))
         gap = np.linalg.norm(values[r.n_used] - values[r.n_used - 1])
         assert gap <= 1e-9 * (1.0 + np.linalg.norm(r.limit_value))
 
@@ -142,7 +168,7 @@ class TestExtractLimit:
         assert r.n_used == n
         assert r.stopped_reason == f"non-finite iterate at n={n}"
         assert r.limit_value[0] == math.inf
-        assert [k for k, _ in r.iterates] == list(range(n + 1))
+        assert len(r.iterates) == n + 1
 
     @pytest.mark.parametrize(
         "scheme,limit",
@@ -171,6 +197,29 @@ class TestExtractLimit:
         # a scalar-valued source would turn the stack of iterates into one vector
         with pytest.raises(ValueError, match="row by row"):
             extract_limit(Scheme.QUADRATIC_UP, lambda v: np.sum(v * v, axis=-1), V(1))
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    @pytest.mark.parametrize(
+        "f, x, n_used",
+        [
+            (SQUARE_SIN, V(1), None),
+            (PLANE_PAIR, V(0.3, -0.7), None),
+            # 1e308 x^2 is infinite at 1.9, so every scheme stops at n = 0
+            (TestFunction.scalar(quad=1e308), V(1.9), 0),
+        ],
+    )
+    def test_iterates_are_one_owned_array(self, scheme, f, x, n_used):
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = extract_limit(scheme, f, x)
+            rows = [iterate(scheme, f, x, n) for n in range(r.n_used + 1)]
+        if n_used is not None:
+            assert r.n_used == n_used
+        assert isinstance(r.iterates, np.ndarray) and r.iterates.dtype == float
+        assert r.iterates.shape == (r.n_used + 1, len(rows[0]))
+        assert r.iterates.base is None
+        for got, want in zip(r.iterates, rows):
+            assert got.tobytes() == want.tobytes()
+        assert r.limit_value.tobytes() == r.iterates[-1].tobytes()
 
 
 class TestFixedPointProperty:
@@ -331,3 +380,53 @@ class TestUniquenessCrosscheck:
         assert res.limit_1 is None and res.limit_2 is None
         assert math.isnan(res.distance)
         assert res.note.startswith(note)
+
+    def test_repeated_index_counts_once(self):
+        # x^2 + 0.5(cos x - 1) has not converged by n = 3 under quadratic_up;
+        # a window ending in a repeated 3 would compare n = 3 with itself
+        f = TestFunction.scalar(quad=1.0, perturbations=(Perturbation(shape="cos", amplitude=0.5),))
+        with pytest.raises(ValueError, match="at least two indices"):
+            uniqueness_crosscheck(Scheme.QUADRATIC_UP, f, V(1), [3, 3], [3, 3])
+        res = uniqueness_crosscheck(Scheme.QUADRATIC_UP, f, V(1), [2, 3, 3], (2, 3))
+        assert not res
+        note = "no convergence in window ending at n=3 (gap 4.273e-02)"
+        assert res.note == f"{note}; {note}"
+
+
+def assert_window_follows_run(scheme, f, x, tol):
+    """The window (n_used - 1, n_used) decides as the run's own stop did."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = extract_limit(scheme, f, x, tol=tol)
+    if r.n_used == 0:
+        return
+    window = (r.n_used - 1, r.n_used)
+    res = uniqueness_crosscheck(scheme, f, x, window, window, tol=tol)
+    assert (res.limit_1 is not None) == r.converged, (r, res)
+    if r.converged:
+        assert res.limit_1.tobytes() == r.limit_value.tobytes()
+    words = r.stopped_reason.rpartition(" at n=")[0]
+    if words in ("non-finite iterate", "iterate norm overflows"):
+        assert res.note.startswith(words), (r, res)
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+@pytest.mark.parametrize(
+    "f, x, tol",
+    [
+        # non-finite iterates, as in test_non_finite_iterate_stops_unconverged
+        (TestFunction.scalar(quad=1e308), V(1.2), 1e-9),
+        # overflowing norms, as in test_overflowing_norm_stops_unconverged
+        (TestFunction.scalar(quad=1e200), V(1), 1e-9),
+        # under additive_up the difference at n = 1 equals its bound
+        (TestFunction.scalar(linear=1.0, const=1.0), V(0.5), 0.25),
+    ],
+)
+def test_window_stops_by_the_extraction_rule(scheme, f, x, tol):
+    assert_window_follows_run(scheme, f, x, tol)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=oracle_cases(), scheme=st.sampled_from(list(Scheme)))
+def test_window_stops_by_the_extraction_rule_on_oracle_functions(case, scheme):
+    f, *_, x, tol = case
+    assert_window_follows_run(scheme, f, x, tol)

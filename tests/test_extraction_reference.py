@@ -116,7 +116,7 @@ def _outcome(run):
     if hasattr(out, "limit_value"):
         out = (
             out.limit_value,
-            out.iterates,
+            tuple(enumerate(out.iterates)),
             out.converged,
             out.ratio_estimate,
             out.n_used,

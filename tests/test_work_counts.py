@@ -14,7 +14,13 @@ import pytest
 
 from fuzzystab import control, extraction, harness
 from fuzzystab.cli import _STAGES_BY_COMMAND
-from fuzzystab.extraction import BLOCK_STEPS, MAX_STEPS, Scheme, extract_limit
+from fuzzystab.extraction import (
+    BLOCK_STEPS,
+    MAX_STEPS,
+    Scheme,
+    extract_limit,
+    uniqueness_crosscheck,
+)
 from fuzzystab.funceq import Perturbation, TestFunction
 from fuzzystab.harness import ExperimentConfig, run_pipeline
 
@@ -82,6 +88,30 @@ def test_early_stop_at_largest_n_max_evaluates_one_block(x):
     result = extract_limit(Scheme.QUADRATIC_UP, source, np.array([x]), n_max=MAX_STEPS)
     assert result.converged and result.n_used == 1
     assert rows == [BLOCK_STEPS]
+
+
+def test_uniqueness_window_evaluates_its_last_two_indices(monkeypatch):
+    # one iterate call, and so one call of f on two rows, per window; the
+    # repeated 5 is counted once
+    calls = []
+    original = extraction.iterate
+
+    def counted(scheme, f, x, n):
+        calls.append(list(n))
+        return original(scheme, f, x, n)
+
+    monkeypatch.setattr(extraction, "iterate", counted)
+    square = TestFunction.scalar(quad=1.0)
+    shapes = []
+
+    def source(points):
+        shapes.append(np.shape(points))
+        return square(points)
+
+    res = uniqueness_crosscheck(Scheme.QUADRATIC_UP, source, np.array([1.0]), [2, 5, 5], (10, 14))
+    assert res
+    assert calls == [[2, 5], [13, 14]]
+    assert shapes == [(2, 1), (2, 1)]
 
 
 @pytest.mark.parametrize("command", ["run", "extract"])
