@@ -59,8 +59,20 @@ def _safe_power(base: float, exponent: float) -> float:
         if exponent < 0.0:
             raise DomainError("0 raised to a negative power in control evaluation")
         return 0.0 if exponent > 0.0 else 1.0
-    with np.errstate(over="ignore"):
+    try:
         return float(base ** exponent)
+    except OverflowError:  # Python's float ** raises where numpy gives inf
+        return math.inf
+
+
+def _norm_rows(norm: Norm, v: np.ndarray) -> np.ndarray:
+    """Norms of the vectors ``v`` of shape ``(..., d)``, shape ``(...)``: the
+    norm's row form, or one call per vector."""
+    rows = getattr(norm, "rows", None)
+    if rows is not None:
+        return rows(v)
+    flat = [norm(r) for r in v.reshape(-1, v.shape[-1])]
+    return np.array(flat, dtype=float).reshape(v.shape[:-1])
 
 
 @dataclass(frozen=True)
@@ -80,8 +92,10 @@ class ConstantControl:
     def degree(self) -> float:
         return 0.0
 
-    def value(self, x: np.ndarray, y: np.ndarray, norm: Norm = euclidean_norm) -> float:
-        return self.delta
+    def rows(self, uw: np.ndarray, norm: Norm = euclidean_norm) -> np.ndarray:
+        """phi at the pairs (uw[0, i], uw[1, i]) of the stacked ``(2, k, d)``
+        array, shape ``(k,)``."""
+        return np.full(uw.shape[1], self.delta)
 
 
 @dataclass(frozen=True)
@@ -102,8 +116,14 @@ class PowerControl:
     def degree(self) -> float:
         return self.p
 
-    def value(self, x: np.ndarray, y: np.ndarray, norm: Norm = euclidean_norm) -> float:
-        return self.theta * (_safe_power(norm(x), self.p) + _safe_power(norm(y), self.p))
+    def rows(self, uw: np.ndarray, norm: Norm = euclidean_norm) -> np.ndarray:
+        """phi at the pairs (uw[0, i], uw[1, i]) of the stacked ``(2, k, d)``
+        array, shape ``(k,)``."""
+        theta, p = self.theta, self.p
+        ru, rw = _norm_rows(norm, uw).tolist()
+        return np.array(
+            [theta * (_safe_power(r, p) + _safe_power(s, p)) for r, s in zip(ru, rw)], dtype=float
+        )
 
 
 @dataclass(frozen=True)
@@ -125,8 +145,14 @@ class ProductControl:
     def degree(self) -> float:
         return self.p1 + self.p2
 
-    def value(self, x: np.ndarray, y: np.ndarray, norm: Norm = euclidean_norm) -> float:
-        return self.theta * _safe_power(norm(x), self.p1) * _safe_power(norm(y), self.p2)
+    def rows(self, uw: np.ndarray, norm: Norm = euclidean_norm) -> np.ndarray:
+        """phi at the pairs (uw[0, i], uw[1, i]) of the stacked ``(2, k, d)``
+        array, shape ``(k,)``."""
+        theta, p1, p2 = self.theta, self.p1, self.p2
+        ru, rw = _norm_rows(norm, uw).tolist()
+        return np.array(
+            [theta * _safe_power(r, p1) * _safe_power(s, p2) for r, s in zip(ru, rw)], dtype=float
+        )
 
 
 ControlFunction = ConstantControl | PowerControl | ProductControl
@@ -135,21 +161,21 @@ ControlFunction = ConstantControl | PowerControl | ProductControl
 def eval_control(
     phi: ControlFunction, x: np.ndarray, y: np.ndarray, norm: Norm = euclidean_norm
 ) -> float:
-    """Evaluate phi at (x, y) under the given crisp norm on the domain."""
-    xv = np.atleast_1d(np.asarray(x, dtype=float))
-    yv = np.atleast_1d(np.asarray(y, dtype=float))
-    return float(phi.value(xv, yv, norm))
+    """Evaluate phi at (x, y), two vectors of one dimension, under the given
+    crisp norm on the domain: the row form of phi on the one pair."""
+    return float(phi.rows(np.asarray([x, y], dtype=float).reshape(2, 1, -1), norm)[0])
 
 
 def _thresholds(a_grid: Sequence[float] | None) -> np.ndarray:
     return np.asarray(tuple(a_grid) if a_grid is not None else log_a_grid(), dtype=float)
 
 
-def _stack_pairs(pairs: Sequence[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
-    """The x and the y of each pair, stacked to ``(pairs, dim)``."""
-    xs = np.array([np.atleast_1d(np.asarray(x, dtype=float)) for x, _ in pairs])
-    ys = np.array([np.atleast_1d(np.asarray(y, dtype=float)) for _, y in pairs])
-    return xs, ys
+def _stack_pairs(pairs: Sequence[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """The pairs stacked to ``(2, pairs, dim)``: the x of each at index 0,
+    the y at index 1."""
+    return np.array(
+        [[np.atleast_1d(np.asarray(v, dtype=float)) for v in side] for side in zip(*pairs)]
+    )
 
 
 def _control_memberships(
@@ -184,15 +210,24 @@ class EnvelopeId(Enum):
     NPP = "Npp"
 
 
-def _quadratic_pairs(x: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    u = x / 3.0
-    return [(u, u), (u, x), (u, 4.0 * x / 3.0), (u, -2.0 * x / 3.0), (u, np.zeros_like(x))]
+def _pair_table(*pairs: tuple[tuple[float, float], tuple[float, float]]):
+    """An envelope's designated pairs ``((u_num, u_den), (w_num, w_den))`` as
+    arrays ``num`` and ``den`` of shape ``(2, pairs, 1)``, so that
+    ``(num * x) / den`` stacks the u (index 0) and the w (index 1) of every
+    pair, and the mask of the nonzero ``num``: a zero entry is the zero
+    vector, never ``0 * x``, which is NaN at an infinite x."""
+    num, den = np.array(pairs, dtype=float).transpose(2, 1, 0)[..., None]
+    return num, den, num != 0.0
 
 
-def _additive_pairs(x: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    u = x / 2.0
-    # The one-argument entry of the additive envelope is read as (x/2, x/2).
-    return [(x, x), (u, u), (u, 2.0 * x), (u, 1.5 * x)]
+# Each entry is rounded as (num * x) / den; 1.5 * x is one rounding, not 3 * x / 2.
+_QUADRATIC_PAIRS = _pair_table(
+    ((1, 3), (1, 3)), ((1, 3), (1, 1)), ((1, 3), (4, 3)), ((1, 3), (-2, 3)), ((1, 3), (0, 1))
+)
+# The one-argument entry of the additive envelope is read as (x/2, x/2).
+_ADDITIVE_PAIRS = _pair_table(
+    ((1, 1), (1, 1)), ((1, 2), (1, 2)), ((1, 2), (2, 1)), ((1, 2), (1.5, 1))
+)
 
 
 def _quadratic_y_set(x: np.ndarray) -> list[np.ndarray]:
@@ -217,7 +252,12 @@ def envelope(
     norm: Norm = euclidean_norm,
 ) -> float:
     """Envelope membership at (x, a): min of N'(phi(u, w), a) over the
-    designated pairs.  Returns 0 for a <= 0; inherits monotonicity in a."""
+    designated pairs, NaN if any of them is NaN.  Returns 0 for a <= 0;
+    inherits monotonicity in a.
+
+    phi is evaluated at all pairs in one call of its row form, and the
+    minimum is one :meth:`FuzzyNorm.least_membership` call.
+    """
     if a <= 0.0:
         return 0.0
     xv = np.atleast_1d(np.asarray(x, dtype=float))
@@ -227,15 +267,14 @@ def envelope(
             envelope(EnvelopeId.N1PP, phi, nprime, xv, a * (4.0 - alpha) / 12.0, norm),
             envelope(EnvelopeId.N3PP, phi, nprime, xv, a * (2.0 - alpha) / 8.0, norm),
         ]
-    else:
-        if which in (EnvelopeId.N1PP, EnvelopeId.N2PP):
-            pairs = _quadratic_pairs(xv)
-        else:
-            pairs = _additive_pairs(xv)
-        memberships = [nprime(eval_control(phi, u, w, norm), a) for u, w in pairs]
-    # Python's min keeps a NaN only when it comes first; any NaN membership
-    # makes the envelope NaN, which verification counts as a violation.
-    return math.nan if any(map(math.isnan, memberships)) else min(memberships)
+        # Python's min keeps a NaN only when it comes first; any NaN membership
+        # makes the envelope NaN, which verification counts as a violation.
+        return math.nan if any(map(math.isnan, memberships)) else min(memberships)
+    quadratic = which in (EnvelopeId.N1PP, EnvelopeId.N2PP)
+    num, den, nonzero = _QUADRATIC_PAIRS if quadratic else _ADDITIVE_PAIRS
+    uw = np.multiply(num, xv, out=np.zeros(num.shape[:2] + xv.shape), where=nonzero)
+    uw /= den
+    return nprime.least_membership(phi.rows(uw, norm)[:, None], a)
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,19 +320,20 @@ def scaling_alpha_check(
     y_set = y_override or (_quadratic_y_set if scheme.is_quadratic else _additive_y_set)
     shrink = 3.0 if scheme.is_quadratic else 2.0
     pairs: list[tuple[np.ndarray, np.ndarray]] = []
-    lhs_phi: list[float] = []
-    rhs_phi: list[float] = []
     for x in xs:
         xv = np.atleast_1d(np.asarray(x, dtype=float))
-        u = xv / shrink
-        for y in y_set(xv):
-            pairs.append((xv, y))
-            if scheme.is_up:
-                lhs_phi.append(eval_control(phi, 2 * u, 2 * y, norm))
-                rhs_phi.append(phi.alpha * eval_control(phi, u, y, norm))
-            else:
-                lhs_phi.append(eval_control(phi, u / 2, y / 2, norm))
-                rhs_phi.append(eval_control(phi, u, y, norm))
+        pairs.extend((xv, y) for y in y_set(xv))
+    if not pairs:
+        return ScalingCheck(ok=True, worst_slack=math.inf)
+    uy = _stack_pairs(pairs)
+    uy[0] /= shrink
+    if scheme.is_up:
+        lhs_phi = phi.rows(2 * uy, norm)
+        with np.errstate(over="ignore"):  # the product overflows to inf, as Python floats do
+            rhs_phi = phi.alpha * phi.rows(uy, norm)
+    else:
+        lhs_phi = phi.rows(uy / 2, norm)
+        rhs_phi = phi.rows(uy, norm)
     lhs = _control_memberships(nprime, lhs_phi, grid)
     rhs = _control_memberships(nprime, rhs_phi, grid if scheme.is_up else phi.alpha * grid)
     worst, cell = _first_worst(lhs - rhs)
@@ -330,7 +370,9 @@ def vanishing_check(
     grid = _thresholds(a_grid)
     shift = scheme.value_shift * n_probe
     step = n_probe if scheme.is_up else -n_probe
-    values = [eval_control(phi, np.ldexp(x, step), np.ldexp(y, step), norm) for x, y in pairs]
+    if not pairs:
+        return True
+    values = phi.rows(np.ldexp(_stack_pairs(pairs), step), norm)
     # Overflow to inf keeps the limit: membership 0 at an infinite value,
     # 1 at an infinite threshold.
     with np.errstate(over="ignore"):
@@ -436,8 +478,7 @@ def measure_residual_sup(
     if not pairs:
         return 0.0
     defects = residual_main(f, *_stack_pairs(pairs)).value
-    rows = getattr(norm, "rows", None)  # the row form of a crisp norm, if it has one
-    return float(np.max(rows(defects) if rows is not None else [norm(v) for v in defects]))
+    return float(np.max(_norm_rows(norm, defects)))
 
 
 def defect_premise_margin(
@@ -458,8 +499,9 @@ def defect_premise_margin(
     if not pairs:
         return math.inf, None
     a = np.asarray(a_values, dtype=float)
-    defects = residual_main(f, *_stack_pairs(pairs)).value
-    phi_values = [eval_control(phi, x, y, norm) for x, y in pairs]
+    xy = _stack_pairs(pairs)
+    defects = residual_main(f, *xy).value
+    phi_values = phi.rows(xy, norm)
     margin = N.memberships(defects[:, None, :], a) - _control_memberships(nprime, phi_values, a)
     worst, cell = _first_worst(margin)
     if cell is None:

@@ -125,12 +125,12 @@ def iterate(scheme: Scheme, f: VectorFunction, x: np.ndarray, n) -> np.ndarray:
     steps = ns[:, None] if ns.ndim else ns
     if scheme.is_up:
         args = np.ldexp(v, steps)
+        # The scaled norms grow with n, so the largest index alone tells
+        # whether any trips, and the rows are searched only when it does.
         with np.errstate(over="ignore"):
-            sizes = _euclidean_rows(args)
-        over = sizes > OVERFLOW_LIMIT
-        k = int(over.argmax())
-        if over.flat[k]:
-            raise _overflow_error(scheme, v, int(ns.flat[k]))
+            if _euclidean_rows(args[ns.argmax()] if ns.ndim else args) > OVERFLOW_LIMIT:
+                k = int((_euclidean_rows(args) > OVERFLOW_LIMIT).argmax())
+                raise _overflow_error(scheme, v, int(ns.flat[k]))
         shift = -scheme.value_shift
     else:
         args = np.ldexp(v, -steps)

@@ -199,6 +199,21 @@ class FuzzyNorm:
             out[i] = self(xb[i], ab[i])
         return out
 
+    def least_membership(self, x: np.ndarray, a: float) -> float:
+        """Least of ``self(x_i, a)`` over the vectors ``x`` of shape ``(k, d)``,
+        NaN if any of them is NaN.
+
+        An induced membership a/(a + r) does not increase with the crisp norm
+        r, so an induced norm whose crisp norm has a row form is called once,
+        at the row of largest norm (the first NaN norm, if any): its
+        membership is the least bit for bit, and NaN exactly when one of
+        them is.  Any other evaluator is called once per row.
+        """
+        if self._rows is not None:
+            return self(x[int(self._rows(x).argmax())], a)
+        memberships = [self(v, a) for v in x]
+        return math.nan if any(map(math.isnan, memberships)) else min(memberships)
+
 
 def log_a_grid(lo: float = 1e-3, hi: float = 1e3, points: int = 25) -> tuple[float, ...]:
     """Log-spaced threshold grid used to discretize "for all a > 0"."""

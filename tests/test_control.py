@@ -56,6 +56,18 @@ class TestEvalControl:
         phi = ProductControl(theta=2.0, p1=1.0, p2=1.0, alpha=4.0)
         assert eval_control(phi, V(1.0), V(3.0)) == 6.0
 
+    @pytest.mark.parametrize(
+        "phi",
+        [
+            PowerControl(theta=1.0, p=3.0, alpha=2.0),
+            ProductControl(theta=1.0, p1=3.0, p2=1.0, alpha=4.0),
+        ],
+        ids=["power", "product"],
+    )
+    def test_overflowing_power_is_inf(self, phi):
+        # Python's float ** raises OverflowError here; the control overflows to inf
+        assert eval_control(phi, [1e110], [1.0]) == np.inf
+
     def test_negative_power_at_origin_is_domain_error(self):
         phi = PowerControl(theta=1.0, p=-1.0, alpha=0.5)
         with pytest.raises(DomainError):

@@ -4,7 +4,12 @@ one-point forms.
 ``reference_*`` are the four control checks as loops over single pairs and
 single thresholds, one membership call at a time.  The array forms in
 ``fuzzystab.control`` must reproduce them exactly on finite inputs: the
-verdict, the worst margin down to the sign of a zero, and the witness.  A
+verdict, the worst margin down to the sign of a zero, and the witness.
+``reference_envelope`` is the envelope as a loop over its pairs, one
+control value and one membership call per pair, and ``reference_control``
+the control families' one-pair formulas in Python floats; the row forms
+and the envelope must reproduce them bit for bit, non-finite and
+overflowing inputs included.  A
 stacked ``TestFunction`` call must equal the single-vector calls bit for
 bit, for every perturbation shape, and both must equal
 ``reference_test_function``, the one-vector evaluation in Python floats
@@ -15,6 +20,8 @@ with ``math.sin`` and ``math.cos``.  A numpy build whose ``np.sin`` or
 import math
 from typing import Callable, Sequence
 
+import pytest
+
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -22,17 +29,20 @@ from hypothesis import strategies as st
 from fuzzystab.control import (
     THEOREMS,
     ConstantControl,
+    EnvelopeId,
     PowerControl,
     ProductControl,
     ScalingCheck,
     _additive_y_set,
     _quadratic_y_set,
     defect_premise_margin,
+    envelope,
     eval_control,
     measure_residual_sup,
     scaling_alpha_check,
     vanishing_check,
 )
+from fuzzystab.errors import DomainError
 from fuzzystab.extraction import Scheme
 from fuzzystab.funceq import (
     PERTURBATION_SHAPES,
@@ -120,6 +130,62 @@ def reference_defect_premise_margin(f, phi, N, nprime, pairs, a_values, norm=euc
                 worst = margin
                 witness = (x, y, float(a))
     return float(worst), witness
+
+
+def _reference_power(base: float, exponent: float) -> float:
+    if base == 0.0:
+        if exponent < 0.0:
+            raise DomainError("0 raised to a negative power in control evaluation")
+        return 0.0 if exponent > 0.0 else 1.0
+    try:
+        return float(base ** exponent)
+    except OverflowError:
+        return math.inf
+
+
+def reference_control(phi, x, y, norm=euclidean_norm) -> float:
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    power = _reference_power
+    if isinstance(phi, ConstantControl):
+        value = phi.delta
+    elif isinstance(phi, PowerControl):
+        value = phi.theta * (power(norm(x), phi.p) + power(norm(y), phi.p))
+    else:
+        value = phi.theta * power(norm(x), phi.p1) * power(norm(y), phi.p2)
+    return float(value)
+
+
+def _quadratic_pairs(x: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    u = x / 3.0
+    return [(u, u), (u, x), (u, 4.0 * x / 3.0), (u, -2.0 * x / 3.0), (u, np.zeros_like(x))]
+
+
+def _additive_pairs(x: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    u = x / 2.0
+    # The one-argument entry of the additive envelope is read as (x/2, x/2).
+    return [(x, x), (u, u), (u, 2.0 * x), (u, 1.5 * x)]
+
+
+def reference_envelope(which, phi, nprime, x, a, norm=euclidean_norm) -> float:
+    if a <= 0.0:
+        return 0.0
+    xv = np.atleast_1d(np.asarray(x, dtype=float))
+    if which is EnvelopeId.NPP:
+        alpha = phi.alpha
+        memberships = [
+            reference_envelope(EnvelopeId.N1PP, phi, nprime, xv, a * (4.0 - alpha) / 12.0, norm),
+            reference_envelope(EnvelopeId.N3PP, phi, nprime, xv, a * (2.0 - alpha) / 8.0, norm),
+        ]
+    else:
+        if which in (EnvelopeId.N1PP, EnvelopeId.N2PP):
+            pairs = _quadratic_pairs(xv)
+        else:
+            pairs = _additive_pairs(xv)
+        memberships = [nprime(reference_control(phi, u, w, norm), a) for u, w in pairs]
+    # Python's min keeps a NaN only when it comes first; any NaN membership
+    # makes the envelope NaN, which verification counts as a violation.
+    return math.nan if any(map(math.isnan, memberships)) else min(memberships)
 
 
 def reference_test_function(f: TestFunction, x: np.ndarray) -> np.ndarray:
@@ -366,3 +432,86 @@ def test_stacked_test_function_equals_single_calls(case):
     # any number of leading axes
     grid = points[None, :, :]
     assert _bits(f(grid)) == _bits(one_by_one[None])
+
+
+# --- the envelope and the row forms against their one-pair loops -------------
+
+#: Coordinates at the edges of the float range: zeros, subnormals, 1e150
+#: (whose cube overflows) and non-finite values.
+_EDGE = st.sampled_from([0.0, -0.0, 5e-324, -2.5e-320, 1e150, -1e150, math.inf, math.nan])
+#: Coordinates with a uniformly drawn 52-bit mantissa, in ±[1/8, 8): their
+#: powers round in the last bit where short ones come out exact.
+_MANTISSA = st.tuples(st.integers(0, 2**52 - 1), st.integers(-3, 2), st.booleans()).map(
+    lambda t: math.copysign(math.ldexp(1.0 + t[0] / 2**52, t[1]), -1.0 if t[2] else 1.0)
+)
+_EDGE_POWER = st.sampled_from([1.5, 3.0])
+
+
+@st.composite
+def _edge_controls(draw):
+    family = draw(st.sampled_from(["constant", "power", "product"]))
+    alpha = draw(_ALPHA)
+    if family == "constant":
+        return ConstantControl(delta=draw(st.floats(0.0, 3.0)), alpha=alpha)
+    if family == "power":
+        return PowerControl(theta=draw(_THETA), p=draw(_EDGE_POWER), alpha=alpha)
+    return ProductControl(
+        theta=draw(_THETA), p1=draw(_EDGE_POWER), p2=draw(_EDGE_POWER), alpha=alpha
+    )
+
+
+def _edge_vector(draw, dim):
+    coord = st.one_of(_COORD, _MANTISSA, _EDGE)
+    return np.array(draw(st.lists(coord, min_size=dim, max_size=dim)))
+
+
+@st.composite
+def _envelope_case(draw):
+    dim = draw(st.integers(1, 3))
+    special = st.sampled_from([0.0, -1.0, 1e-3, 1.0, 1e3, math.inf])
+    a = draw(st.one_of(special, st.floats(-1.0, 1e3)))
+    return dict(
+        which=draw(st.sampled_from(list(EnvelopeId))),
+        phi=draw(_edge_controls()),
+        nprime=_fuzzy_norm(draw, 1),
+        x=_edge_vector(draw, dim),
+        a=a,
+        norm=_crisp(draw, dim),
+    )
+
+
+def _outcome(fn, **kwargs):
+    """The bits of ``fn``'s result, or the type of what it raised."""
+    try:
+        return _bits(fn(**kwargs))
+    except (ArithmeticError, RuntimeWarning) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("errstate", [{}, {"all": "ignore"}], ids=["warn", "ignore"])
+@settings(max_examples=400, deadline=None)
+@given(_envelope_case())
+def test_envelope_equals_reference_loop(errstate, case):
+    # under the test config a numpy overflow warning is an error, so both
+    # must fail alike; with warnings off the values behind them must agree
+    with np.errstate(**errstate):
+        assert _outcome(envelope, **case) == _outcome(reference_envelope, **case)
+
+
+@st.composite
+def _row_case(draw):
+    dim = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 6))
+    uw = np.array([[_edge_vector(draw, dim) for _ in range(k)] for _ in range(2)])
+    return draw(_edge_controls()), uw, _crisp(draw, dim)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_row_case())
+def test_row_form_equals_eval_control_pair_by_pair(case):
+    phi, uw, norm = case
+    with np.errstate(all="ignore"):
+        rows = phi.rows(uw, norm)
+        pairs = list(zip(*uw))
+        for one_pair in (eval_control, reference_control):
+            assert _bits(rows) == _bits(np.array([one_pair(phi, u, w, norm) for u, w in pairs]))

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_extraction_oracle import cases as oracle_cases
 
+from fuzzystab import extraction
 from fuzzystab.errors import ScaleError
 from fuzzystab.extraction import (
     MAX_STEPS,
@@ -89,6 +90,26 @@ class TestIterate:
                 run(Scheme.QUADRATIC_UP, SQUARE, V(1e200))
             errors.append((err.value.n, str(err.value)))
         assert errors == [(0, "scaled argument norm inf exceeds 1e+150 at n=0 for quadratic_up")] * 2
+
+    def test_overflow_guard_norms_the_largest_index_unless_it_trips(self, monkeypatch):
+        # the scaled norms grow with n, so the largest index decides; only a
+        # tripped guard norms every row, for the first index that trips
+        shapes = []
+        rows = extraction._euclidean_rows
+
+        def counted(v):
+            shapes.append(np.shape(v))
+            return rows(v)
+
+        monkeypatch.setattr(extraction, "_euclidean_rows", counted)
+        iterate(Scheme.QUADRATIC_UP, SQUARE, V(1), np.arange(41))
+        assert shapes == [(1,)]
+        with pytest.raises(ScaleError) as err:
+            iterate(Scheme.QUADRATIC_UP, SQUARE, V(1), np.array([500, 3, 510, 498]))
+        assert (err.value.n, str(err.value)) == (
+            500,
+            "scaled argument norm 3.273e+150 exceeds 1e+150 at n=500 for quadratic_up",
+        )
 
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):

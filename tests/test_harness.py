@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from fuzzystab.harness import (
     run_pipeline,
 )
 from fuzzystab.spaces import AxiomCheck, crisp_norm, euclidean_norm
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 BASE = {
     "seed": 424242,
@@ -443,6 +446,20 @@ class TestCli:
         code = cli_main(["extract", "--config", str(config), "--out-dir", str(tmp_path / "out")])
         assert code == EXIT_SCALE
         assert capsys.readouterr().err == line + "\n"
+
+    def test_overflowing_control_power_reports_its_verdict(self, tmp_path):
+        # at n = 400 the vanishing probe cubes norms near 2^401, beyond the
+        # float range: the control is inf there and the probe fails
+        config = json.loads((CONFIGS / "quadratic_power.json").read_text(encoding="utf-8"))
+        config["control"]["p"] = 3
+        config["tolerances"] = {"vanishing_probe": 400}
+        out = tmp_path / "out"
+        path = write_config(tmp_path, config)
+        code = cli_main(["run", "--config", str(path), "--out-dir", str(out)])
+        doc = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        assert code == doc["exit_status"] == EXIT_OK
+        checks = {row["check"]: row["passed"] for row in doc["hypothesis"]}
+        assert checks["vanishing[quadratic_up]"] is False
 
     def test_unwritable_output_exits_four(self, tmp_path, capsys):
         config = write_config(tmp_path, BASE)

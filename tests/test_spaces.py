@@ -76,6 +76,33 @@ def test_memberships_broadcast_and_match_single_calls():
     assert induced.memberships(np.zeros(2), a).shape == (5,)
 
 
+@pytest.mark.parametrize("kind", ["euclidean", "max", "weighted"])
+@pytest.mark.parametrize("a", [-1.0, 0.0, 1e-3, 0.5, 7.0, math.inf, math.nan])
+def test_least_membership_is_one_call_at_the_largest_norm(kind, a):
+    rng = np.random.default_rng(5)
+    norm = crisp_norm(kind, [0.5, 2.0, 3.0] if kind == "weighted" else None)
+    induced = FuzzyNorm.induced(norm)
+    calls = []
+
+    def counted(v, t):
+        calls.append(v)
+        return induced.evaluator(v, t)
+
+    # the induced evaluator behind a row form, and the same evaluator alone
+    with_rows = FuzzyNorm(evaluator=counted, _rows=norm.rows)
+    cellwise = FuzzyNorm(evaluator=counted)
+    finite = rng.normal(size=(6, 3))
+    cases = [finite] + [np.vstack([finite, [[bad, 0.0, 0.0]]]) for bad in (np.inf, np.nan)]
+    for rows in cases:
+        singles = [induced(v, a) for v in rows]
+        least = math.nan if any(map(math.isnan, singles)) else min(singles)
+        assert induced.least_membership(rows, a).hex() == least.hex()
+        for fuzzy, n_calls in ((with_rows, 1), (cellwise, len(rows))):
+            calls.clear()
+            assert fuzzy.least_membership(rows, a).hex() == least.hex()
+            assert len(calls) == n_calls
+
+
 def test_induced_membership_is_one_at_infinite_threshold():
     norm = FuzzyNorm.induced()
     x = np.array([[3.0, 4.0], [0.0, 0.0], [np.inf, 0.0]])

@@ -14,6 +14,7 @@ import pytest
 
 from fuzzystab import control, extraction, harness
 from fuzzystab.cli import _STAGES_BY_COMMAND
+from fuzzystab.control import EnvelopeId
 from fuzzystab.extraction import (
     BLOCK_STEPS,
     MAX_STEPS,
@@ -23,6 +24,7 @@ from fuzzystab.extraction import (
 )
 from fuzzystab.funceq import Perturbation, TestFunction
 from fuzzystab.harness import ExperimentConfig, run_pipeline
+from fuzzystab.spaces import FuzzyNorm
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 
@@ -145,3 +147,46 @@ def test_defect_is_evaluated_once_per_use(monkeypatch, command):
             "measure_residual_sup": 1,
             "residual_main": 1 + theorems,
         }
+
+
+def test_envelope_makes_one_membership_call_per_part(monkeypatch):
+    # grid_dense verifies the combined bound: each (x, a) is one Npp call,
+    # which takes the N1pp and N3pp envelopes; each of those evaluates the
+    # control through its row form and calls N' once, at its largest value
+    cfg = ExperimentConfig.from_dict(_workload_config("grid_dense"))
+    assert cfg.theorems == ("combined",)
+    calls = []  # the envelope of each call
+    stack = []  # one membership count per open envelope call
+    parts = []  # the membership count of each envelope call without parts
+    inside = {"eval_control": 0, "membership": 0}
+    envelope, call, eval_control = control.envelope, FuzzyNorm.__call__, control.eval_control
+
+    def counted_envelope(which, *args):
+        calls.append(which)
+        stack.append(0)
+        try:
+            return envelope(which, *args)
+        finally:
+            count = stack.pop()
+            if which is not EnvelopeId.NPP:
+                parts.append(count)
+
+    def counted_call(self, *args):
+        if stack:
+            stack[-1] += 1
+            inside["membership"] += 1
+        return call(self, *args)
+
+    def counted_eval_control(*args):
+        inside["eval_control"] += bool(stack)
+        return eval_control(*args)
+
+    monkeypatch.setattr(control, "envelope", counted_envelope)
+    monkeypatch.setattr(FuzzyNorm, "__call__", counted_call)
+    monkeypatch.setattr(control, "eval_control", counted_eval_control)
+    report = run_pipeline(cfg, ("verification",))
+    points = cfg.x_count * cfg.a_points
+    assert len(report.verification_reports[0].rows) == points == 1500
+    assert len(calls) == 3 * points and calls.count(EnvelopeId.NPP) == points
+    assert parts == [1] * (2 * points)
+    assert inside == {"eval_control": 0, "membership": 2 * points}
