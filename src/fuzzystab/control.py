@@ -256,20 +256,23 @@ def envelope(
     inherits monotonicity in a.
 
     phi is evaluated at all pairs in one call of its row form, and the
-    minimum is one :meth:`FuzzyNorm.least_membership` call.
+    minimum is one :meth:`FuzzyNorm.least_membership` call.  A constant
+    control is delta at every pair, so its least membership is N'(delta, a).
     """
     if a <= 0.0:
         return 0.0
-    xv = np.atleast_1d(np.asarray(x, dtype=float))
     if which is EnvelopeId.NPP:
         alpha = phi.alpha
         memberships = [
-            envelope(EnvelopeId.N1PP, phi, nprime, xv, a * (4.0 - alpha) / 12.0, norm),
-            envelope(EnvelopeId.N3PP, phi, nprime, xv, a * (2.0 - alpha) / 8.0, norm),
+            envelope(EnvelopeId.N1PP, phi, nprime, x, a * (4.0 - alpha) / 12.0, norm),
+            envelope(EnvelopeId.N3PP, phi, nprime, x, a * (2.0 - alpha) / 8.0, norm),
         ]
         # Python's min keeps a NaN only when it comes first; any NaN membership
         # makes the envelope NaN, which verification counts as a violation.
         return math.nan if any(map(math.isnan, memberships)) else min(memberships)
+    if isinstance(phi, ConstantControl):
+        return nprime(np.array([phi.delta]), a)
+    xv = np.atleast_1d(np.asarray(x, dtype=float))
     quadratic = which in (EnvelopeId.N1PP, EnvelopeId.N2PP)
     num, den, nonzero = _QUADRATIC_PAIRS if quadratic else _ADDITIVE_PAIRS
     uw = np.multiply(num, xv, out=np.zeros(num.shape[:2] + xv.shape), where=nonzero)

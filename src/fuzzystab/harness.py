@@ -385,7 +385,10 @@ class RunReport:
 
     @property
     def exit_status(self) -> int:
-        if self.total_violations > 0 or not self.all_converged:
+        hypotheses_hold = all(r.passed for r in self.hypothesis_rows) and all(
+            r.hypothesis_ok for r in self.verification_reports
+        )
+        if self.total_violations > 0 or not self.all_converged or not hypotheses_hold:
             return EXIT_VIOLATIONS
         return EXIT_OK
 
@@ -609,7 +612,8 @@ _NON_FINITE = frozenset(("nan", "inf", "-inf"))
 
 def _float_texts(values: Iterable[float]) -> list[str]:
     """Floats at 17 significant digits; non-finite ones read nan, inf and -inf."""
-    return ["%.17g" % v for v in values]
+    values = tuple(values)
+    return (("%.17g\n" * len(values)) % values).split("\n")[:-1]
 
 
 def _json_floats(values: Iterable[float]) -> list[str]:

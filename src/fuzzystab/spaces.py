@@ -49,7 +49,10 @@ FUZZY_TOLERANCE = 0.01
 
 
 def euclidean_norm(x: np.ndarray) -> float:
-    return float(np.linalg.norm(np.atleast_1d(np.asarray(x, dtype=float))))
+    # np.linalg.norm(x) is sqrt(x.dot(x)) of the raveled x; math.sqrt rounds
+    # the same, without np.linalg.norm's dispatch.
+    v = np.asarray(x, dtype=float).ravel(order="K")
+    return math.sqrt(v.dot(v))
 
 
 def _euclidean_rows(v: np.ndarray) -> np.ndarray:
@@ -421,7 +424,7 @@ def default_axiom_samples(
 def sample_ball(rng: np.random.Generator, dim: int, radius: float) -> np.ndarray:
     """Uniform draw from the closed ball of the given radius."""
     direction = rng.normal(size=dim)
-    length = float(np.linalg.norm(direction))
+    length = math.sqrt(direction.dot(direction))
     if length == 0.0:
         return np.zeros(dim)
     r = radius * float(rng.uniform()) ** (1.0 / dim)

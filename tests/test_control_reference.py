@@ -452,7 +452,9 @@ def _edge_controls(draw):
     family = draw(st.sampled_from(["constant", "power", "product"]))
     alpha = draw(_ALPHA)
     if family == "constant":
-        return ConstantControl(delta=draw(st.floats(0.0, 3.0)), alpha=alpha)
+        # an auto delta is NaN when a sampled defect is NaN
+        delta = st.one_of(st.sampled_from([0.0, math.inf, math.nan]), st.floats(0.0, 3.0))
+        return ConstantControl(delta=draw(delta), alpha=alpha)
     if family == "power":
         return PowerControl(theta=draw(_THETA), p=draw(_EDGE_POWER), alpha=alpha)
     return ProductControl(

@@ -17,11 +17,13 @@ from fuzzystab.harness import (
     EXIT_SCALE,
     EXIT_VIOLATIONS,
     ExperimentConfig,
+    HypothesisRow,
     RunReport,
     _finite_norms,
     emit_report,
     run_pipeline,
 )
+from fuzzystab.control import StabilityReport
 from fuzzystab.spaces import AxiomCheck, crisp_norm, euclidean_norm
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -281,6 +283,19 @@ class TestEmission:
         (path,) = emit_report(report, "json", tmp_path)
         assert json.loads(path.read_text())["summary"]["violations"] == 2**63
 
+    def test_a_failed_hypothesis_fails_the_run(self):
+        # a failed hypothesis row, or a bound not asserted because its
+        # premise fails, exits 1 even with no violation counted
+        failed_row = HypothesisRow("combined", "vanishing[quadratic_up]", False, 0.0)
+        not_asserted = StabilityReport("combined", (), math.nan, 0, hypothesis_ok=False)
+        for report in (
+            RunReport(seed=0, stages=(), hypothesis_rows=[failed_row]),
+            RunReport(seed=0, stages=(), verification_reports=[not_asserted]),
+        ):
+            assert report.total_violations == 0 and report.all_converged
+            assert report.exit_status == EXIT_VIOLATIONS
+        assert RunReport(seed=0, stages=()).exit_status == EXIT_OK
+
     def test_floats_carry_seventeen_significant_digits(self, tmp_path):
         report = run_pipeline(ExperimentConfig.from_dict(BASE))
         emit_report(report, "csv", tmp_path)
@@ -449,7 +464,8 @@ class TestCli:
 
     def test_overflowing_control_power_reports_its_verdict(self, tmp_path):
         # at n = 400 the vanishing probe cubes norms near 2^401, beyond the
-        # float range: the control is inf there and the probe fails
+        # float range: the control is inf there and the probe fails, which
+        # fails the run
         config = json.loads((CONFIGS / "quadratic_power.json").read_text(encoding="utf-8"))
         config["control"]["p"] = 3
         config["tolerances"] = {"vanishing_probe": 400}
@@ -457,7 +473,7 @@ class TestCli:
         path = write_config(tmp_path, config)
         code = cli_main(["run", "--config", str(path), "--out-dir", str(out)])
         doc = json.loads((out / "report.json").read_text(encoding="utf-8"))
-        assert code == doc["exit_status"] == EXIT_OK
+        assert code == doc["exit_status"] == EXIT_VIOLATIONS
         checks = {row["check"]: row["passed"] for row in doc["hypothesis"]}
         assert checks["vanishing[quadratic_up]"] is False
 

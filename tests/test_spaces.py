@@ -15,6 +15,7 @@ from fuzzystab.spaces import (
     check_axioms,
     crisp_norm,
     default_axiom_samples,
+    euclidean_norm,
     fuzzy_cauchy,
     fuzzy_limit,
     induced_fuzzy_norm,
@@ -62,6 +63,20 @@ def test_row_form_of_each_crisp_norm_equals_its_scalar_form(kind):
         assert norm.rows(rows).tobytes() == expected.tobytes()
         stacked = rows.reshape(5, 100, dim)[:, None]
         assert norm.rows(stacked).tobytes() == expected.reshape(5, 1, 100).tobytes()
+
+
+def test_euclidean_norm_equals_numpy_norm_bit_for_bit():
+    rng = np.random.default_rng(5)
+    vectors = [0.0, -0.0, 5e-324, 3.0, [], [3.0, -4.0], [math.inf, 1.0], [math.nan, -math.inf]]
+    for dim in range(1, 9):
+        for scale in (1e-300, 1e-150, 1e-3, 1.0, 1e3, 1e150, 1e300):
+            vectors += list(rng.normal(size=(20, dim)) * scale)
+    # a Fortran-ordered array is summed in memory order, which rounds
+    # differently from row order at mixed scales
+    vectors.append(np.asfortranarray(rng.normal(size=(3, 8)) * [[1e8], [1.0], [1e-8]]))
+    with np.errstate(over="ignore"):  # both square and overflow alike
+        for v in vectors:
+            assert euclidean_norm(v).hex() == float(np.linalg.norm(v)).hex()
 
 
 def test_memberships_broadcast_and_match_single_calls():

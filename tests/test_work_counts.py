@@ -151,15 +151,16 @@ def test_defect_is_evaluated_once_per_use(monkeypatch, command):
 
 def test_envelope_makes_one_membership_call_per_part(monkeypatch):
     # grid_dense verifies the combined bound: each (x, a) is one Npp call,
-    # which takes the N1pp and N3pp envelopes; each of those evaluates the
-    # control through its row form and calls N' once, at its largest value
+    # which takes the N1pp and N3pp envelopes; its control is constant, so
+    # each of those calls N' once, at delta, and never evaluates the control
     cfg = ExperimentConfig.from_dict(_workload_config("grid_dense"))
     assert cfg.theorems == ("combined",)
     calls = []  # the envelope of each call
     stack = []  # one membership count per open envelope call
     parts = []  # the membership count of each envelope call without parts
-    inside = {"eval_control": 0, "membership": 0}
+    inside = {"eval_control": 0, "membership": 0, "rows": 0}
     envelope, call, eval_control = control.envelope, FuzzyNorm.__call__, control.eval_control
+    rows = control.ConstantControl.rows
 
     def counted_envelope(which, *args):
         calls.append(which)
@@ -181,7 +182,12 @@ def test_envelope_makes_one_membership_call_per_part(monkeypatch):
         inside["eval_control"] += bool(stack)
         return eval_control(*args)
 
+    def counted_rows(self, *args):
+        inside["rows"] += bool(stack)
+        return rows(self, *args)
+
     monkeypatch.setattr(control, "envelope", counted_envelope)
+    monkeypatch.setattr(control.ConstantControl, "rows", counted_rows)
     monkeypatch.setattr(FuzzyNorm, "__call__", counted_call)
     monkeypatch.setattr(control, "eval_control", counted_eval_control)
     report = run_pipeline(cfg, ("verification",))
@@ -189,4 +195,5 @@ def test_envelope_makes_one_membership_call_per_part(monkeypatch):
     assert len(report.verification_reports[0].rows) == points == 1500
     assert len(calls) == 3 * points and calls.count(EnvelopeId.NPP) == points
     assert parts == [1] * (2 * points)
-    assert inside == {"eval_control": 0, "membership": 2 * points}
+    assert isinstance(cfg.control, control.ConstantControl)
+    assert inside == {"eval_control": 0, "membership": 2 * points, "rows": 0}
