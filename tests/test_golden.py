@@ -31,7 +31,8 @@ _TWO_D_FUNCTION = {
 }
 
 #: Small runs: 2-D under the two crisp norms that the configs/ files do not
-#: use, and the combined bound under a control whose scaling check reads y.
+#: use, and the combined and additive_up bounds under a control whose
+#: scaling check reads y.
 _RUN_2D = {
     "max_2d": {
         "seed": 2718,
@@ -65,6 +66,20 @@ _RUN_2D = {
         "control": {"family": "power", "theta": 1.0, "p": 0.25, "alpha": 1.5},
         "theorems": ["combined"],
         "grids": {"x_count": 8, "a_points": 9, "axiom_points": 60},
+    },
+    # The additive y-set through the hypothesis stage: degree 0.5 < log2 1.5,
+    # and a probe deep enough for the rescaled membership to reach 1 - tol.
+    "additive_up_power": {
+        "seed": 1414,
+        "space": {"dim_x": 2, "dim_y": 1},
+        "function": {
+            "coords": [{"linear": [1.0, -0.5]}],
+            "perturbations": [{"shape": "sin", "amplitude": 0.01}],
+        },
+        "control": {"family": "power", "theta": 1.0, "p": 0.5, "alpha": 1.5},
+        "theorems": ["additive_up"],
+        "grids": {"x_count": 8, "a_points": 9, "axiom_points": 60},
+        "tolerances": {"vanishing_probe": 80},
     },
 }
 
