@@ -70,7 +70,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"scale error: {exc}", file=sys.stderr)
         return EXIT_SCALE
     except DomainError as exc:
-        print(f"config error: control family undefined on sampled arguments: {exc}", file=sys.stderr)
+        message = f"config error: control family undefined on sampled arguments: {exc}"
+        print(message, file=sys.stderr)
         return EXIT_CONFIG
 
     formats = ("json", "csv") if args.format == "both" else (args.format,)

@@ -5,12 +5,14 @@ scaling factor alpha decides which rescaling scheme converges.  Each scheme
 has an envelope: the minimum of finitely many memberships of phi evaluated
 at designated argument pairs.  Verification compares the membership of the
 recovered-component error against the envelope on an (x, a) grid and counts
-slack violations.
+slack violations.  Every set of argument pairs is one ``(2, pairs, d)``
+array built from a table of multipliers of x.
 
-Two layout quirks of the bound definitions are normalized here and surfaced
-through ``REPAIR_DESCRIPTIONS`` so reports can disclose them: the additive
-envelope's one-argument entry is evaluated as the pair (x/2, x/2), and the
-combined bound compares Q(x) + A(x) - f(x).
+Four readings of the bound definitions are fixed here and disclosed through
+``REPAIR_DESCRIPTIONS``: the additive envelope's one-argument entry is the
+pair (x/2, x/2), the scale-down bounds use positive threshold factors, the
+combined y-set takes its unspecified scale factor as 1, and the combined
+bound compares Q(x) + A(x) - f(x).
 """
 
 from __future__ import annotations
@@ -50,6 +52,8 @@ __all__ = [
 ]
 
 Norm = Callable[[np.ndarray], float]
+#: Multipliers ``num``, ``den`` and the mask of the nonzero ``num``; see :func:`_pair_table`.
+PairTable = tuple[np.ndarray, np.ndarray, np.ndarray]
 #: Worst defect-premise margin and its witness (x, y, a); ``None`` for no pairs.
 PremiseMargin = tuple[float, tuple[np.ndarray, np.ndarray, float] | None]
 
@@ -170,12 +174,10 @@ def _thresholds(a_grid: Sequence[float] | None) -> np.ndarray:
     return np.asarray(tuple(a_grid) if a_grid is not None else log_a_grid(), dtype=float)
 
 
-def _stack_pairs(pairs: Sequence[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    """The pairs stacked to ``(2, pairs, dim)``: the x of each at index 0,
-    the y at index 1."""
-    return np.array(
-        [[np.atleast_1d(np.asarray(v, dtype=float)) for v in side] for side in zip(*pairs)]
-    )
+def _points(xs: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
+    """Sample points as one ``(n, d)`` array; scalars are 1-vectors."""
+    points = np.asarray(xs, dtype=float)
+    return points[:, None] if points.ndim == 1 else points
 
 
 def _control_memberships(
@@ -210,14 +212,29 @@ class EnvelopeId(Enum):
     NPP = "Npp"
 
 
-def _pair_table(*pairs: tuple[tuple[float, float], tuple[float, float]]):
-    """An envelope's designated pairs ``((u_num, u_den), (w_num, w_den))`` as
-    arrays ``num`` and ``den`` of shape ``(2, pairs, 1)``, so that
+def _pair_table(*pairs: tuple[tuple[float, float], tuple[float, float]]) -> PairTable:
+    """Designated pairs ``((u_num, u_den), (w_num, w_den))`` relative to x as
+    arrays ``num`` and ``den`` of shape ``(2, 1, pairs, 1)``, so that
     ``(num * x) / den`` stacks the u (index 0) and the w (index 1) of every
     pair, and the mask of the nonzero ``num``: a zero entry is the zero
     vector, never ``0 * x``, which is NaN at an infinite x."""
-    num, den = np.array(pairs, dtype=float).transpose(2, 1, 0)[..., None]
+    num, den = np.array(pairs, dtype=float).transpose(2, 1, 0)[:, :, None, :, None]
     return num, den, num != 0.0
+
+
+def _y_table(*ys: tuple[float, float]) -> PairTable:
+    """The pairs (x, y) for each y ``(num, den)`` of a y-set relative to x."""
+    return _pair_table(*(((1, 1), y) for y in ys))
+
+
+def _pairs_at(table: PairTable, points: np.ndarray) -> np.ndarray:
+    """The pairs of ``table`` at each of the ``(n, d)`` points, x-major, as
+    one ``(2, n * pairs, d)`` array."""
+    num, den, nonzero = table
+    (n, d), k = points.shape, num.shape[2]
+    uw = np.multiply(num, points[:, None], out=np.zeros((2, n, k, d)), where=nonzero)
+    uw /= den
+    return uw.reshape(2, n * k, d)
 
 
 # Each entry is rounded as (num * x) / den; 1.5 * x is one rounding, not 3 * x / 2.
@@ -228,19 +245,10 @@ _QUADRATIC_PAIRS = _pair_table(
 _ADDITIVE_PAIRS = _pair_table(
     ((1, 1), (1, 1)), ((1, 2), (1, 2)), ((1, 2), (2, 1)), ((1, 2), (1.5, 1))
 )
-
-
-def _quadratic_y_set(x: np.ndarray) -> list[np.ndarray]:
-    return [np.zeros_like(x), x / 3.0, 4.0 * x / 3.0, -2.0 * x / 3.0, x]
-
-
-def _additive_y_set(x: np.ndarray) -> list[np.ndarray]:
-    return [x, x / 2.0, 1.5 * x, 2.0 * x]
-
-
-def _combined_y_set(x: np.ndarray) -> list[np.ndarray]:
-    # Scale factor on this set taken as 1 (it is left unspecified upstream).
-    return [np.zeros_like(x), x, x / 2.0, 4.0 * x / 3.0, -2.0 * x / 3.0, x / 3.0, 1.5 * x, 2.0 * x]
+_QUADRATIC_Y_SET = _y_table((0, 1), (1, 3), (4, 3), (-2, 3), (1, 1))
+_ADDITIVE_Y_SET = _y_table((1, 1), (1, 2), (1.5, 1), (2, 1))
+# Scale factor on this set taken as 1 (it is left unspecified upstream).
+_COMBINED_Y_SET = _y_table((0, 1), (1, 1), (1, 2), (4, 3), (-2, 3), (1, 3), (1.5, 1), (2, 1))
 
 
 def envelope(
@@ -272,11 +280,9 @@ def envelope(
         return math.nan if any(map(math.isnan, memberships)) else min(memberships)
     if isinstance(phi, ConstantControl):
         return nprime(np.array([phi.delta]), a)
-    xv = np.atleast_1d(np.asarray(x, dtype=float))
     quadratic = which in (EnvelopeId.N1PP, EnvelopeId.N2PP)
-    num, den, nonzero = _QUADRATIC_PAIRS if quadratic else _ADDITIVE_PAIRS
-    uw = np.multiply(num, xv, out=np.zeros(num.shape[:2] + xv.shape), where=nonzero)
-    uw /= den
+    table = _QUADRATIC_PAIRS if quadratic else _ADDITIVE_PAIRS
+    uw = _pairs_at(table, np.asarray(x, dtype=float).reshape(1, -1))
     return nprime.least_membership(phi.rows(uw, norm)[:, None], a)
 
 
@@ -297,11 +303,11 @@ def scaling_alpha_check(
     phi: ControlFunction,
     scheme: Scheme,
     nprime: FuzzyNorm,
-    xs: Sequence[np.ndarray],
+    xs: Sequence[np.ndarray] | np.ndarray,
     a_grid: Sequence[float] | None = None,
     norm: Norm = euclidean_norm,
     slack: float = MEMBERSHIP_SLACK,
-    y_override: Callable[[np.ndarray], list[np.ndarray]] | None = None,
+    y_override: PairTable | None = None,
 ) -> ScalingCheck:
     """Check that doubling (up) or halving (down) the arguments rescales phi
     compatibly with the declared alpha, and that alpha lies in the scheme's
@@ -310,8 +316,9 @@ def scaling_alpha_check(
     Up-schemes require N'(phi(2u, 2y), a) >= N'(alpha phi(u, y), a); down-
     schemes the reciprocal form N'(phi(u/2, y/2), a) >= N'(phi(u, y), alpha a).
     The pair u is x/3 (quadratic) or x/2 (additive) with y drawn from the
-    scheme's designated set relative to x (``y_override`` substitutes a
-    different set).  For homogeneous families this reduces to
+    scheme's designated set relative to each sample point x of ``xs``
+    (``y_override`` substitutes the pair table of another set), and the
+    witness names that x.  For homogeneous families this reduces to
     2^degree <= alpha (up) or 2^degree >= alpha (down).
     """
     if not scheme.admits_alpha(phi.alpha):
@@ -319,17 +326,12 @@ def scaling_alpha_check(
             ok=False,
             reason=f"alpha out of range {scheme.interval_label} for {scheme.value}",
         )
-    grid = _thresholds(a_grid)
-    y_set = y_override or (_quadratic_y_set if scheme.is_quadratic else _additive_y_set)
-    shrink = 3.0 if scheme.is_quadratic else 2.0
-    pairs: list[tuple[np.ndarray, np.ndarray]] = []
-    for x in xs:
-        xv = np.atleast_1d(np.asarray(x, dtype=float))
-        pairs.extend((xv, y) for y in y_set(xv))
-    if not pairs:
+    if len(xs) == 0:  # no dimension to build pairs in
         return ScalingCheck(ok=True, worst_slack=math.inf)
-    uy = _stack_pairs(pairs)
-    uy[0] /= shrink
+    grid = _thresholds(a_grid)
+    y_set = y_override or (_QUADRATIC_Y_SET if scheme.is_quadratic else _ADDITIVE_Y_SET)
+    xy = _pairs_at(y_set, _points(xs))
+    uy = xy / np.array([3.0 if scheme.is_quadratic else 2.0, 1.0])[:, None, None]
     if scheme.is_up:
         lhs_phi = phi.rows(2 * uy, norm)
         with np.errstate(over="ignore"):  # the product overflows to inf, as Python floats do
@@ -342,8 +344,8 @@ def scaling_alpha_check(
     worst, cell = _first_worst(lhs - rhs)
     witness = None
     if cell is not None:
-        xv, y = pairs[cell[0]]
-        witness = (xv, y, float(grid[cell[1]]), float(lhs[cell]), float(rhs[cell]))
+        x, y = xy[:, cell[0]]
+        witness = (x, y, float(grid[cell[1]]), float(lhs[cell]), float(rhs[cell]))
     ok = bool(worst >= -slack)
     reason = "" if ok else "scaling inequality violated at a sample"
     return ScalingCheck(ok=ok, reason=reason, witness=witness, worst_slack=worst)
@@ -353,7 +355,7 @@ def vanishing_check(
     phi: ControlFunction,
     scheme: Scheme,
     nprime: FuzzyNorm,
-    pairs: Sequence[tuple[np.ndarray, np.ndarray]],
+    pairs: np.ndarray,
     n_probe: int,
     a_grid: Sequence[float] | None = None,
     tol: float = 0.01,
@@ -363,19 +365,18 @@ def vanishing_check(
 
     Up-schemes evaluate N'(phi(2^n x, 2^n y), m^n a) and down-schemes
     N'(m^n phi(x / 2^n, y / 2^n), a), with m = 4 (quadratic) or 2
-    (additive), at n = n_probe.  True iff every sampled membership exceeds
-    1 - tol; a membership stuck at a constant below 1 (degree exactly at
-    the scheme boundary) therefore reports False.  phi is evaluated at every
-    pair before any membership is compared.
+    (additive), at n = n_probe, over the ``(2, k, d)`` array of pairs.  True
+    iff every sampled membership exceeds 1 - tol; a membership stuck at a
+    constant below 1 (degree exactly at the scheme boundary) therefore
+    reports False.  phi is evaluated at every pair before any membership is
+    compared.
     """
     if n_probe < 1:
         raise ValueError("n_probe must be >= 1")
     grid = _thresholds(a_grid)
     shift = scheme.value_shift * n_probe
     step = n_probe if scheme.is_up else -n_probe
-    if not pairs:
-        return True
-    values = phi.rows(np.ldexp(_stack_pairs(pairs), step), norm)
+    values = phi.rows(np.ldexp(pairs, step), norm)
     # Overflow to inf keeps the limit: membership 0 at an infinite value,
     # 1 at an infinite threshold.
     with np.errstate(over="ignore"):
@@ -395,7 +396,8 @@ class TheoremSpec:
     #: (a, alpha) -> the threshold at which the envelope bounds level a.
     threshold: Callable[[float, float], float]
     repairs: tuple[str, ...]
-    y_set: Callable[[np.ndarray], list[np.ndarray]]
+    #: The premise pairs (x, y) relative to x, as a pair table.
+    y_set: PairTable
 
 
 REPAIR_DESCRIPTIONS: dict[str, str] = {
@@ -419,69 +421,65 @@ THEOREMS: dict[str, TheoremSpec] = {
         envelope_id=EnvelopeId.N1PP,
         threshold=lambda a, alpha: a * (4.0 - alpha) / 6.0,
         repairs=(),
-        y_set=_quadratic_y_set,
+        y_set=_QUADRATIC_Y_SET,
     ),
     "quadratic_down": TheoremSpec(
         schemes=(Scheme.QUADRATIC_DOWN,),
         envelope_id=EnvelopeId.N2PP,
         threshold=lambda a, alpha: a * (alpha - 4.0) / 6.0,
         repairs=("down_sign_factor",),
-        y_set=_quadratic_y_set,
+        y_set=_QUADRATIC_Y_SET,
     ),
     "additive_up": TheoremSpec(
         schemes=(Scheme.ADDITIVE_UP,),
         envelope_id=EnvelopeId.N3PP,
         threshold=lambda a, alpha: a * (2.0 - alpha) / 4.0,
         repairs=("additive_envelope_pair",),
-        y_set=_additive_y_set,
+        y_set=_ADDITIVE_Y_SET,
     ),
     "additive_down": TheoremSpec(
         schemes=(Scheme.ADDITIVE_DOWN,),
         envelope_id=EnvelopeId.N4PP,
         threshold=lambda a, alpha: a * (alpha - 2.0) / 4.0,
         repairs=("additive_envelope_pair", "down_sign_factor"),
-        y_set=_additive_y_set,
+        y_set=_ADDITIVE_Y_SET,
     ),
     "combined": TheoremSpec(
         schemes=(Scheme.QUADRATIC_UP, Scheme.ADDITIVE_UP),
         envelope_id=EnvelopeId.NPP,
         threshold=lambda a, alpha: a,  # the factors live inside the Npp envelope
         repairs=("additive_envelope_pair", "combined_beta_one", "combined_lhs_sign"),
-        y_set=_combined_y_set,
+        y_set=_COMBINED_Y_SET,
     ),
 }
 
 
 def premise_pairs(
     theorem: TheoremSpec,
-    xs: Sequence[np.ndarray],
+    xs: Sequence[np.ndarray] | np.ndarray,
     rng: np.random.Generator,
     n_random: int = 32,
     radius: float = 2.0,
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Argument pairs on which the defect hypothesis is checked: the
-    theorem's y-set at every sample x, plus seeded random pairs."""
-    pairs: list[tuple[np.ndarray, np.ndarray]] = []
-    dim = 1
-    for x in xs:
-        xv = np.atleast_1d(np.asarray(x, dtype=float))
-        dim = xv.size
-        pairs.extend((xv, y) for y in theorem.y_set(xv))
-    for _ in range(n_random):
-        pairs.append((sample_ball(rng, dim, radius), sample_ball(rng, dim, radius)))
-    return pairs
+) -> np.ndarray:
+    """Argument pairs on which the defect hypothesis is checked, as one
+    ``(2, k, d)`` array: the theorem's y-set at every sample x, x-major,
+    then ``n_random`` seeded pairs from the ball."""
+    points = _points(xs)
+    dim = points.shape[1]
+    drawn = [sample_ball(rng, dim, radius) for _ in range(2 * n_random)]
+    ball = np.array(drawn, dtype=float).reshape(n_random, 2, dim).transpose(1, 0, 2)
+    return np.concatenate([_pairs_at(theorem.y_set, points), ball], axis=1)
 
 
 def measure_residual_sup(
     f: VectorFunction,
-    pairs: Sequence[tuple[np.ndarray, np.ndarray]],
+    pairs: np.ndarray,
     norm: Norm = euclidean_norm,
 ) -> float:
-    """Largest equation-defect norm over the given argument pairs; NaN if any is NaN."""
-    if not pairs:
-        return 0.0
-    defects = residual_main(f, *_stack_pairs(pairs)).value
-    return float(np.max(_norm_rows(norm, defects)))
+    """Largest equation-defect norm over the ``(2, k, d)`` array of argument
+    pairs; NaN if any is NaN, 0 for no pairs."""
+    norms = _norm_rows(norm, residual_main(f, *pairs).value)
+    return float(np.max(norms)) if norms.size else 0.0
 
 
 def defect_premise_margin(
@@ -489,27 +487,25 @@ def defect_premise_margin(
     phi: ControlFunction,
     N: FuzzyNorm,
     nprime: FuzzyNorm,
-    pairs: Sequence[tuple[np.ndarray, np.ndarray]],
+    pairs: np.ndarray,
     a_values: Sequence[float],
     norm: Norm = euclidean_norm,
 ) -> PremiseMargin:
-    """Worst margin of N(defect(x,y), a) - N'(phi(x,y), a) over the pairs.
+    """Worst margin of N(defect(x,y), a) - N'(phi(x,y), a) over the
+    ``(2, k, d)`` array of pairs.
 
     A margin below the membership slack means the control does not actually
     dominate the equation defect on the sampled pairs.  A non-finite margin
     is a violation: the worst margin is then ``-inf``.
     """
-    if not pairs:
-        return math.inf, None
     a = np.asarray(a_values, dtype=float)
-    xy = _stack_pairs(pairs)
-    defects = residual_main(f, *xy).value
-    phi_values = phi.rows(xy, norm)
+    defects = residual_main(f, *pairs).value
+    phi_values = phi.rows(pairs, norm)
     margin = N.memberships(defects[:, None, :], a) - _control_memberships(nprime, phi_values, a)
     worst, cell = _first_worst(margin)
     if cell is None:
         return worst, None
-    x, y = pairs[cell[0]]
+    x, y = pairs[:, cell[0]]
     return worst, (x, y, float(a[cell[1]]))
 
 
@@ -557,11 +553,11 @@ def verify_stability(
 
     The defect hypothesis N(defect(x, y), a) >= N'(phi(x, y), a) is checked
     first: ``premise_margin`` is its ``defect_premise_margin`` result on the
-    caller's premise pairs.  If it fails anywhere the bound is not asserted and the report carries an
-    explanatory note with no rows.  Otherwise each grid point contributes a
-    row with lhs = N(component error, a), rhs = envelope threshold at
-    ``phi.alpha``, and a violation is any slack below -``slack`` or not
-    finite (a non-finite slack makes the worst slack ``-inf``).
+    caller's premise pairs.  If it fails anywhere the bound is not asserted
+    and the report carries an explanatory note with no rows.  Otherwise each
+    grid point contributes a row with lhs = N(component error, a), rhs =
+    envelope threshold at ``phi.alpha``; a slack below -``slack`` or not
+    finite is a violation (a non-finite one makes the worst slack ``-inf``).
 
     ``components`` holds the components of the theorem's schemes, in their
     order: (Q, A) for the combined bound.

@@ -468,8 +468,8 @@ def run_pipeline(cfg: ExperimentConfig, stages: Sequence[str] = ALL_STAGES) -> R
     a_values = log_a_grid(cfg.a_min, cfg.a_max, cfg.a_points)
 
     rng_x = np.random.default_rng(seed_x)
-    xs = [sample_ball(rng_x, cfg.space.dim_x, cfg.x_radius) for _ in range(cfg.x_count)]
-    report.x_norms = _finite_norms(norm.rows, np.array(xs))
+    xs = np.array([sample_ball(rng_x, cfg.space.dim_x, cfg.x_radius) for _ in range(cfg.x_count)])
+    report.x_norms = _finite_norms(norm.rows, xs)
 
     if "axioms" in stages:
         points, scalars = default_axiom_samples(
@@ -499,7 +499,7 @@ def run_pipeline(cfg: ExperimentConfig, stages: Sequence[str] = ALL_STAGES) -> R
     shifted, _ = remove_offset(cfg.function)
 
     needs_controls = "hypothesis" in stages or "verification" in stages
-    premise_by_theorem: dict[str, list] = {}
+    premise_by_theorem: dict[str, np.ndarray] = {}
     margin_by_theorem: dict[str, PremiseMargin] = {}
     phi = cfg.control
     if needs_controls:
@@ -509,7 +509,8 @@ def run_pipeline(cfg: ExperimentConfig, stages: Sequence[str] = ALL_STAGES) -> R
                 THEOREMS[t], xs, np.random.default_rng(child), radius=cfg.x_radius
             )
         if cfg.auto_delta:
-            all_pairs = [p for t in cfg.theorems for p in premise_by_theorem[t]]
+            stacks = [premise_by_theorem[t] for t in cfg.theorems]
+            all_pairs = stacks[0] if len(stacks) == 1 else np.concatenate(stacks, axis=1)
             report.resolved_delta = measure_residual_sup(shifted, all_pairs, norm=norm)
             phi = replace(phi, delta=report.resolved_delta)
         for t in cfg.theorems:

@@ -20,13 +20,18 @@ from fuzzystab.control import (
 )
 from fuzzystab.errors import DomainError
 from fuzzystab.extraction import ExtractedComponent, Scheme
-from fuzzystab.funceq import Perturbation, TestFunction
+from fuzzystab.funceq import CoordinatePoly, Perturbation, TestFunction
 from fuzzystab.spaces import FuzzyNorm, euclidean_norm, log_a_grid
 
 V = lambda *vals: np.array([float(v) for v in vals])
 NPRIME = FuzzyNorm.induced()
 N = FuzzyNorm.induced()
 NAN_NORM = FuzzyNorm(evaluator=lambda x, a: float("nan"))
+
+
+def stacked(*pairs):
+    """The pairs (x, y) as one (2, k, d) array, the layout the checks take."""
+    return np.array([[x for x, _ in pairs], [y for _, y in pairs]])
 
 
 def seeded_margin(f, phi, theorem_id, xs, a_values, N, nprime):
@@ -139,7 +144,7 @@ class TestScalingAlphaCheck:
 
 
 class TestVanishingCheck:
-    PAIRS = [(V(1.0), V(0.5)), (V(-2.0), V(1.0)), (V(0.3), V(0.9))]
+    PAIRS = stacked((V(1.0), V(0.5)), (V(-2.0), V(1.0)), (V(0.3), V(0.9)))
 
     def test_constant_control_vanishes_under_quadratic_rescaling(self):
         # closed form at n = 30: membership 4^30 a / (4^30 a + 1) -> 1
@@ -264,6 +269,27 @@ class TestEnvelope:
         seen = []
         assert np.isnan(envelope(EnvelopeId.NPP, phi, self._nan_at(bad, seen), V(3.0), 1.0))
         assert seen == self.ENTRIES[EnvelopeId.N1PP] + self.ENTRIES[EnvelopeId.N3PP]
+
+
+class TestNoPairs:
+    """No sample points, or a (2, 0, d) array of pairs, keep the results of
+    a check that finds nothing to fail."""
+
+    @pytest.mark.parametrize("xs", [[], np.empty((0, 3))], ids=["list", "array"])
+    def test_no_sample_points_pass_the_scaling_check(self, xs):
+        phi = PowerControl(theta=1.0, p=1.0, alpha=2.0)
+        res = scaling_alpha_check(phi, Scheme.QUADRATIC_UP, NPRIME, xs)
+        assert res.ok and res.worst_slack == np.inf and res.witness is None
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_empty_pair_array(self, dim):
+        pairs = np.empty((2, 0, dim))
+        f = TestFunction(coords=(CoordinatePoly(linear=np.ones(dim)),), dim_x=dim)
+        phi = PowerControl(theta=1.0, p=1.0, alpha=2.0)
+        assert vanishing_check(phi, Scheme.QUADRATIC_UP, NPRIME, pairs, 30) is True
+        sup = measure_residual_sup(f, pairs)
+        assert type(sup) is float and sup == 0.0
+        assert defect_premise_margin(f, phi, N, NPRIME, pairs, (0.1, 1.0)) == (np.inf, None)
 
 
 class TestVerifyStability:
@@ -404,7 +430,7 @@ class TestVerifyStability:
     def test_nan_defect_makes_the_sup_nan_in_any_order(self, order):
         # the defect of x^2 at (1e160, 1e160) is inf - inf; a sup that keeps
         # a NaN only when it comes first would depend on the pair order
-        pairs = [(V(1.0), V(1.0)), (V(1e160), V(1e160))][::order]
+        pairs = stacked((V(1.0), V(1.0)), (V(1e160), V(1e160)))[:, ::order]
         # the crisp norm's row form, and a plain callable normed row by row
         for norm in (euclidean_norm, lambda v: float(np.linalg.norm(v))):
             with np.errstate(over="ignore", invalid="ignore"):
@@ -413,11 +439,11 @@ class TestVerifyStability:
 
     def test_non_finite_premise_margin_is_a_violation(self):
         f = TestFunction.scalar(quad=1.0)
-        pairs = [(V(1.0), V(0.5)), (V(2.0), V(-1.0))]
+        pairs = stacked((V(1.0), V(0.5)), (V(2.0), V(-1.0)))
         phi = ConstantControl(delta=1.0, alpha=1.0)
-        worst, witness = defect_premise_margin(f, phi, N, NAN_NORM, pairs, (0.1, 1.0))
+        worst, (x, y, a) = defect_premise_margin(f, phi, N, NAN_NORM, pairs, (0.1, 1.0))
         assert worst == -np.inf
-        assert witness == (pairs[0][0], pairs[0][1], 0.1)
+        assert (x.tobytes(), y.tobytes(), a) == (V(1.0).tobytes(), V(0.5).tobytes(), 0.1)
         report = verify(
             f, (self._component(f),), phi, "quadratic_up", self.XS, self.A_VALUES, N, NAN_NORM
         )

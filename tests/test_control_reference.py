@@ -2,9 +2,12 @@
 one-point forms.
 
 ``reference_*`` are the four control checks as loops over single pairs and
-single thresholds, one membership call at a time.  The array forms in
-``fuzzystab.control`` must reproduce them exactly on finite inputs: the
-verdict, the worst margin down to the sign of a zero, and the witness.
+single thresholds, one membership call at a time, on lists of pairs.  The
+array forms in ``fuzzystab.control`` take the same pairs as one
+``(2, k, d)`` array and a y-set as its pair table, and must reproduce them
+exactly on finite inputs: the verdict, the worst margin down to the sign of
+a zero, and the witness.  Each theorem's y-set table must give the bytes of
+the y-set function it replaced, edge coordinates included.
 ``reference_envelope`` is the envelope as a loop over its pairs, one
 control value and one membership call per pair, and ``reference_control``
 the control families' one-pair formulas in Python floats; the row forms
@@ -33,8 +36,8 @@ from fuzzystab.control import (
     PowerControl,
     ProductControl,
     ScalingCheck,
-    _additive_y_set,
-    _quadratic_y_set,
+    _pairs_at,
+    _y_table,
     defect_premise_margin,
     envelope,
     eval_control,
@@ -52,6 +55,29 @@ from fuzzystab.funceq import (
     residual_main,
 )
 from fuzzystab.spaces import MEMBERSHIP_SLACK, FuzzyNorm, crisp_norm, euclidean_norm, log_a_grid
+
+
+def _quadratic_y_set(x: np.ndarray) -> list[np.ndarray]:
+    return [np.zeros_like(x), x / 3.0, 4.0 * x / 3.0, -2.0 * x / 3.0, x]
+
+
+def _additive_y_set(x: np.ndarray) -> list[np.ndarray]:
+    return [x, x / 2.0, 1.5 * x, 2.0 * x]
+
+
+def _combined_y_set(x: np.ndarray) -> list[np.ndarray]:
+    # Scale factor on this set taken as 1 (it is left unspecified upstream).
+    return [np.zeros_like(x), x, x / 2.0, 4.0 * x / 3.0, -2.0 * x / 3.0, x / 3.0, 1.5 * x, 2.0 * x]
+
+
+#: Theorem id -> the y-set function its pair table replaced.
+Y_SETS = {
+    "quadratic_up": _quadratic_y_set,
+    "quadratic_down": _quadratic_y_set,
+    "additive_up": _additive_y_set,
+    "additive_down": _additive_y_set,
+    "combined": _combined_y_set,
+}
 
 
 def reference_scaling_alpha_check(
@@ -229,6 +255,11 @@ def _scaling_bits(check: ScalingCheck):
     return (check.ok, check.reason, _bits(check.witness), _bits(check.worst_slack))
 
 
+def _stacked(pairs) -> np.ndarray:
+    """A list of pairs (x, y) as the ``(2, k, d)`` array the array forms take."""
+    return np.array([[x for x, _ in pairs], [y for _, y in pairs]])
+
+
 # --- strategies ----------------------------------------------------------
 
 _COORD = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
@@ -326,8 +357,16 @@ def _test_functions(draw, dim_x, max_dim_y=3):
 def _scaling_case(draw):
     dim = draw(st.integers(1, 3))
     xs = draw(st.lists(st.one_of(_vector(dim), st.just(np.zeros(dim))), max_size=5))
-    y_override = draw(
-        st.sampled_from([None, THEOREMS["combined"].y_set, lambda x: [x, -0.5 * x]])
+    # a y-set as (pair table, function): the table for the array form, the
+    # function for the reference loop
+    y_sets = draw(
+        st.sampled_from(
+            [
+                None,
+                (THEOREMS["combined"].y_set, _combined_y_set),
+                (_y_table((1, 1), (-0.5, 1)), lambda x: [x, -0.5 * x]),
+            ]
+        )
     )
     return dict(
         phi=draw(_controls()),
@@ -336,15 +375,17 @@ def _scaling_case(draw):
         xs=xs,
         a_grid=draw(_THRESHOLDS),
         norm=_crisp(draw, dim),
-        y_override=y_override,
+        y_sets=y_sets,
     )
 
 
 @settings(max_examples=300, deadline=None)
 @given(_scaling_case())
 def test_scaling_alpha_check_equals_reference_loop(case):
-    assert _scaling_bits(scaling_alpha_check(**case)) == _scaling_bits(
-        reference_scaling_alpha_check(**case)
+    y_sets = case.pop("y_sets")
+    table, function = y_sets or (None, None)
+    assert _scaling_bits(scaling_alpha_check(**case, y_override=table)) == _scaling_bits(
+        reference_scaling_alpha_check(**case, y_override=function)
     )
 
 
@@ -370,7 +411,7 @@ def test_vanishing_check_equals_reference_loop(case):
         want = reference_vanishing_check(**case)
     except OverflowError:  # math.ldexp raises where np.ldexp gives inf
         assume(False)
-    assert vanishing_check(**case) is want
+    assert vanishing_check(**{**case, "pairs": _stacked(case["pairs"])}) is want
 
 
 @st.composite
@@ -391,7 +432,8 @@ def _premise_case(draw):
 @settings(max_examples=200, deadline=None)
 @given(_premise_case())
 def test_defect_premise_margin_equals_reference_loop(case):
-    assert _bits(defect_premise_margin(**case)) == _bits(reference_defect_premise_margin(**case))
+    got = defect_premise_margin(**{**case, "pairs": _stacked(case["pairs"])})
+    assert _bits(got) == _bits(reference_defect_premise_margin(**case))
 
 
 @st.composite
@@ -406,7 +448,8 @@ def _residual_sup_case(draw):
 @settings(max_examples=150, deadline=None)
 @given(_residual_sup_case())
 def test_measure_residual_sup_equals_reference_loop(case):
-    assert _bits(measure_residual_sup(**case)) == _bits(reference_measure_residual_sup(**case))
+    got = measure_residual_sup(**{**case, "pairs": _stacked(case["pairs"])})
+    assert _bits(got) == _bits(reference_measure_residual_sup(**case))
 
 
 # --- stacked test functions -------------------------------------------------
@@ -465,6 +508,30 @@ def _edge_controls(draw):
 def _edge_vector(draw, dim):
     coord = st.one_of(_COORD, _MANTISSA, _EDGE)
     return np.array(draw(st.lists(coord, min_size=dim, max_size=dim)))
+
+
+#: The edges of the float range the y-set tables are checked at.
+_Y_SET_EDGE = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e308, -1e308, math.inf, -math.inf, math.nan]
+)
+
+
+@st.composite
+def _y_set_points(draw):
+    dim = draw(st.integers(1, 3))
+    coord = st.one_of(_Y_SET_EDGE, _COORD, _MANTISSA)
+    point = st.lists(coord, min_size=dim, max_size=dim)
+    return np.array(draw(st.lists(point, min_size=1, max_size=6)))
+
+
+@pytest.mark.parametrize("theorem_id", THEOREMS)
+@settings(max_examples=200, deadline=None)
+@given(_y_set_points())
+def test_y_set_table_equals_its_function(theorem_id, points):
+    function = Y_SETS[theorem_id]
+    with np.errstate(all="ignore"):  # 4 * 1e308 overflows in both forms
+        want = _stacked([(x, y) for x in points for y in function(x)])
+        assert _bits(_pairs_at(THEOREMS[theorem_id].y_set, points)) == _bits(want)
 
 
 @st.composite

@@ -6,6 +6,7 @@ the flakiness of a timing test: calls of the source function, calls of
 """
 
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
@@ -147,6 +148,46 @@ def test_defect_is_evaluated_once_per_use(monkeypatch, command):
             "measure_residual_sup": 1,
             "residual_main": 1 + theorems,
         }
+
+
+def test_premise_pairs_are_built_once_and_shared(monkeypatch):
+    # each theorem's premise pairs are one (2, k, d) array, built once and
+    # handed as it is to the auto-delta sup, the premise margin and the
+    # vanishing probe of each scheme
+    cfg = ExperimentConfig.from_dict(_workload_config("grid_dense"))
+    assert cfg.theorems == ("combined",) and cfg.auto_delta
+    built = []
+    received = {"measure_residual_sup": [], "defect_premise_margin": [], "vanishing_check": []}
+    premise_pairs = harness.premise_pairs
+
+    def counted_premise_pairs(*args, **kwargs):
+        built.append(premise_pairs(*args, **kwargs))
+        return built[-1]
+
+    def receiving(name):
+        original = getattr(harness, name)
+
+        def wrapper(*args, **kwargs):
+            pairs = inspect.signature(original).bind(*args, **kwargs).arguments["pairs"]
+            received[name].append(pairs)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(harness, name, wrapper)
+
+    monkeypatch.setattr(harness, "premise_pairs", counted_premise_pairs)
+    for name in received:
+        receiving(name)
+    run_pipeline(cfg, _STAGES_BY_COMMAND["run"])
+    assert len(built) == len(cfg.theorems)
+    (pairs,) = built
+    assert isinstance(pairs, np.ndarray)
+    assert pairs.shape == (2, cfg.x_count * 8 + 32, cfg.space.dim_x) == (2, 512, 3)
+    assert {name: len(calls) for name, calls in received.items()} == {
+        "measure_residual_sup": 1,
+        "defect_premise_margin": 1,
+        "vanishing_check": 2,
+    }
+    assert all(got is pairs for calls in received.values() for got in calls)
 
 
 def test_envelope_makes_one_membership_call_per_part(monkeypatch):
