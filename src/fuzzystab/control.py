@@ -6,7 +6,8 @@ has an envelope: the minimum of finitely many memberships of phi evaluated
 at designated argument pairs.  Verification compares the membership of the
 recovered-component error against the envelope on an (x, a) grid and counts
 slack violations.  Every set of argument pairs is one ``(2, pairs, d)``
-array built from a table of multipliers of x.
+array built from a table of multipliers of x, and each hypothesis check
+takes one such array and returns one ``Margin``.
 
 Four readings of the bound definitions are fixed here and disclosed through
 ``REPAIR_DESCRIPTIONS``: the additive envelope's one-argument entry is the
@@ -20,14 +21,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DomainError
 from .extraction import Scheme
 from .funceq import VectorFunction, residual_main
-from .spaces import MEMBERSHIP_SLACK, FuzzyNorm, euclidean_norm, log_a_grid, sample_ball
+from .spaces import MEMBERSHIP_SLACK, FuzzyNorm, euclidean_norm, sample_ball
 
 __all__ = [
     "ConstantControl",
@@ -38,7 +39,8 @@ __all__ = [
     "TheoremSpec",
     "THEOREMS",
     "REPAIR_DESCRIPTIONS",
-    "ScalingCheck",
+    "BALL_PAIRS",
+    "Margin",
     "StabilityRow",
     "StabilityReport",
     "eval_control",
@@ -54,8 +56,15 @@ __all__ = [
 Norm = Callable[[np.ndarray], float]
 #: Multipliers ``num``, ``den`` and the mask of the nonzero ``num``; see :func:`_pair_table`.
 PairTable = tuple[np.ndarray, np.ndarray, np.ndarray]
-#: Worst defect-premise margin and its witness (x, y, a); ``None`` for no pairs.
-PremiseMargin = tuple[float, tuple[np.ndarray, np.ndarray, float] | None]
+
+
+class Margin(NamedTuple):
+    """Result of a hypothesis check: the smallest lhs - rhs membership
+    margin over (pairs x thresholds) and its witness (x, y, a), ``None``
+    for no pairs.  The caller decides whether the margin passes."""
+
+    worst: float
+    witness: tuple[np.ndarray, np.ndarray, float] | None
 
 
 def _safe_power(base: float, exponent: float) -> float:
@@ -170,10 +179,6 @@ def eval_control(
     return float(phi.rows(np.asarray([x, y], dtype=float).reshape(2, 1, -1), norm)[0])
 
 
-def _thresholds(a_grid: Sequence[float] | None) -> np.ndarray:
-    return np.asarray(tuple(a_grid) if a_grid is not None else log_a_grid(), dtype=float)
-
-
 def _points(xs: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
     """Sample points as one ``(n, d)`` array; scalars are 1-vectors."""
     points = np.asarray(xs, dtype=float)
@@ -202,6 +207,15 @@ def _first_worst(margin: np.ndarray) -> tuple[float, tuple[int, ...] | None]:
         return -math.inf, np.unravel_index(np.argmax(nonfinite), margin.shape)
     cell = np.unravel_index(np.argmin(margin), margin.shape)
     return float(margin[cell]), cell
+
+
+def _margin(lhs: np.ndarray, rhs: np.ndarray | float, pairs: np.ndarray, a: np.ndarray) -> Margin:
+    """The :func:`_first_worst` cell of ``lhs - rhs``; its pair and threshold are the witness."""
+    worst, cell = _first_worst(lhs - rhs)
+    if cell is None:
+        return Margin(worst, None)
+    x, y = pairs[:, cell[0]]
+    return Margin(worst, (x, y, float(a[cell[1]])))
 
 
 class EnvelopeId(Enum):
@@ -286,52 +300,25 @@ def envelope(
     return nprime.least_membership(phi.rows(uw, norm)[:, None], a)
 
 
-@dataclass(frozen=True, eq=False)
-class ScalingCheck:
-    """Verdict of the scaling-compatibility inequality for (phi, scheme)."""
-
-    ok: bool
-    reason: str = ""
-    witness: tuple[np.ndarray, np.ndarray, float, float, float] | None = None
-    worst_slack: float = 0.0
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
 def scaling_alpha_check(
     phi: ControlFunction,
     scheme: Scheme,
     nprime: FuzzyNorm,
-    xs: Sequence[np.ndarray] | np.ndarray,
-    a_grid: Sequence[float] | None = None,
+    pairs: np.ndarray,
+    a_grid: Sequence[float],
     norm: Norm = euclidean_norm,
-    slack: float = MEMBERSHIP_SLACK,
-    y_override: PairTable | None = None,
-) -> ScalingCheck:
-    """Check that doubling (up) or halving (down) the arguments rescales phi
-    compatibly with the declared alpha, and that alpha lies in the scheme's
-    admissible interval.
-
-    Up-schemes require N'(phi(2u, 2y), a) >= N'(alpha phi(u, y), a); down-
-    schemes the reciprocal form N'(phi(u/2, y/2), a) >= N'(phi(u, y), alpha a).
-    The pair u is x/3 (quadratic) or x/2 (additive) with y drawn from the
-    scheme's designated set relative to each sample point x of ``xs``
-    (``y_override`` substitutes the pair table of another set), and the
-    witness names that x.  For homogeneous families this reduces to
-    2^degree <= alpha (up) or 2^degree >= alpha (down).
+) -> Margin:
+    """Margin of the scaling inequality over the ``(2, k, d)`` array of
+    pairs (x, y), with u = x/3 (quadratic) or x/2 (additive): up-schemes
+    compare N'(phi(2u, 2y), a) with N'(alpha phi(u, y), a), down-schemes
+    N'(phi(u/2, y/2), a) with N'(phi(u, y), alpha a).  For homogeneous
+    families it reduces to 2^degree <= alpha (up) or >= alpha (down).  An
+    alpha outside the scheme's admissible interval raises ``ValueError``.
     """
     if not scheme.admits_alpha(phi.alpha):
-        return ScalingCheck(
-            ok=False,
-            reason=f"alpha out of range {scheme.interval_label} for {scheme.value}",
-        )
-    if len(xs) == 0:  # no dimension to build pairs in
-        return ScalingCheck(ok=True, worst_slack=math.inf)
-    grid = _thresholds(a_grid)
-    y_set = y_override or (_QUADRATIC_Y_SET if scheme.is_quadratic else _ADDITIVE_Y_SET)
-    xy = _pairs_at(y_set, _points(xs))
-    uy = xy / np.array([3.0 if scheme.is_quadratic else 2.0, 1.0])[:, None, None]
+        raise ValueError(f"alpha out of range {scheme.interval_label} for {scheme.value}")
+    grid = np.asarray(a_grid, dtype=float)
+    uy = pairs / np.array([3.0 if scheme.is_quadratic else 2.0, 1.0])[:, None, None]
     if scheme.is_up:
         lhs_phi = phi.rows(2 * uy, norm)
         with np.errstate(over="ignore"):  # the product overflows to inf, as Python floats do
@@ -341,14 +328,7 @@ def scaling_alpha_check(
         rhs_phi = phi.rows(uy, norm)
     lhs = _control_memberships(nprime, lhs_phi, grid)
     rhs = _control_memberships(nprime, rhs_phi, grid if scheme.is_up else phi.alpha * grid)
-    worst, cell = _first_worst(lhs - rhs)
-    witness = None
-    if cell is not None:
-        x, y = xy[:, cell[0]]
-        witness = (x, y, float(grid[cell[1]]), float(lhs[cell]), float(rhs[cell]))
-    ok = bool(worst >= -slack)
-    reason = "" if ok else "scaling inequality violated at a sample"
-    return ScalingCheck(ok=ok, reason=reason, witness=witness, worst_slack=worst)
+    return _margin(lhs, rhs, pairs, grid)
 
 
 def vanishing_check(
@@ -357,23 +337,22 @@ def vanishing_check(
     nprime: FuzzyNorm,
     pairs: np.ndarray,
     n_probe: int,
-    a_grid: Sequence[float] | None = None,
+    a_grid: Sequence[float],
     tol: float = 0.01,
     norm: Norm = euclidean_norm,
-) -> bool:
-    """Probe whether the rescaled control membership has reached 1.
+) -> Margin:
+    """Margin of the rescaled control membership over 1 - tol.
 
     Up-schemes evaluate N'(phi(2^n x, 2^n y), m^n a) and down-schemes
     N'(m^n phi(x / 2^n, y / 2^n), a), with m = 4 (quadratic) or 2
-    (additive), at n = n_probe, over the ``(2, k, d)`` array of pairs.  True
-    iff every sampled membership exceeds 1 - tol; a membership stuck at a
-    constant below 1 (degree exactly at the scheme boundary) therefore
-    reports False.  phi is evaluated at every pair before any membership is
-    compared.
+    (additive), at n = n_probe, over the ``(2, k, d)`` array of pairs; the
+    witness names the unscaled a.  The probe holds iff the margin is above
+    0, i.e. every membership exceeds 1 - tol, so a membership stuck below 1
+    (degree at the scheme boundary) or a NaN (margin ``-inf``) fails it.
     """
     if n_probe < 1:
         raise ValueError("n_probe must be >= 1")
-    grid = _thresholds(a_grid)
+    grid = np.asarray(a_grid, dtype=float)
     shift = scheme.value_shift * n_probe
     step = n_probe if scheme.is_up else -n_probe
     values = phi.rows(np.ldexp(pairs, step), norm)
@@ -384,7 +363,7 @@ def vanishing_check(
             memberships = _control_memberships(nprime, values, np.ldexp(grid, shift))
         else:
             memberships = _control_memberships(nprime, np.ldexp(values, shift), grid)
-    return bool(np.all(memberships > 1.0 - tol))
+    return _margin(memberships, 1.0 - tol, pairs, grid)
 
 
 @dataclass(frozen=True)
@@ -454,20 +433,23 @@ THEOREMS: dict[str, TheoremSpec] = {
 }
 
 
+#: Seeded random pairs from the ball at the end of every premise array.
+BALL_PAIRS = 32
+
+
 def premise_pairs(
     theorem: TheoremSpec,
     xs: Sequence[np.ndarray] | np.ndarray,
     rng: np.random.Generator,
-    n_random: int = 32,
     radius: float = 2.0,
 ) -> np.ndarray:
-    """Argument pairs on which the defect hypothesis is checked, as one
+    """Argument pairs on which the hypotheses are checked, as one
     ``(2, k, d)`` array: the theorem's y-set at every sample x, x-major,
-    then ``n_random`` seeded pairs from the ball."""
+    then ``BALL_PAIRS`` seeded pairs from the ball."""
     points = _points(xs)
     dim = points.shape[1]
-    drawn = [sample_ball(rng, dim, radius) for _ in range(2 * n_random)]
-    ball = np.array(drawn, dtype=float).reshape(n_random, 2, dim).transpose(1, 0, 2)
+    drawn = [sample_ball(rng, dim, radius) for _ in range(2 * BALL_PAIRS)]
+    ball = np.array(drawn, dtype=float).reshape(BALL_PAIRS, 2, dim).transpose(1, 0, 2)
     return np.concatenate([_pairs_at(theorem.y_set, points), ball], axis=1)
 
 
@@ -490,8 +472,8 @@ def defect_premise_margin(
     pairs: np.ndarray,
     a_values: Sequence[float],
     norm: Norm = euclidean_norm,
-) -> PremiseMargin:
-    """Worst margin of N(defect(x,y), a) - N'(phi(x,y), a) over the
+) -> Margin:
+    """Margin of N(defect(x,y), a) over N'(phi(x,y), a) on the
     ``(2, k, d)`` array of pairs.
 
     A margin below the membership slack means the control does not actually
@@ -501,12 +483,8 @@ def defect_premise_margin(
     a = np.asarray(a_values, dtype=float)
     defects = residual_main(f, *pairs).value
     phi_values = phi.rows(pairs, norm)
-    margin = N.memberships(defects[:, None, :], a) - _control_memberships(nprime, phi_values, a)
-    worst, cell = _first_worst(margin)
-    if cell is None:
-        return worst, None
-    x, y = pairs[:, cell[0]]
-    return worst, (x, y, float(a[cell[1]]))
+    lhs = N.memberships(defects[:, None, :], a)
+    return _margin(lhs, _control_memberships(nprime, phi_values, a), pairs, a)
 
 
 @dataclass(frozen=True, eq=False)
@@ -545,7 +523,7 @@ def verify_stability(
     N: FuzzyNorm,
     nprime: FuzzyNorm,
     *,
-    premise_margin: PremiseMargin,
+    premise_margin: Margin,
     norm: Norm = euclidean_norm,
     slack: float = MEMBERSHIP_SLACK,
 ) -> StabilityReport:
@@ -565,7 +543,6 @@ def verify_stability(
     theorem = THEOREMS[theorem_id]
     worst_premise, witness = premise_margin
     if worst_premise < -slack:
-        wx, wy, wa = witness
         return StabilityReport(
             theorem_id=theorem_id,
             rows=(),
@@ -574,7 +551,7 @@ def verify_stability(
             hypothesis_ok=False,
             note=(
                 "hypothesis not satisfied: defect membership falls below the control "
-                f"membership by {-worst_premise:.3e} at a={wa:g} (bound not asserted)"
+                f"membership by {-worst_premise:.3e} at a={witness[2]:g} (bound not asserted)"
             ),
             repairs=theorem.repairs,
         )

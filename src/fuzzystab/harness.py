@@ -28,11 +28,12 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .control import (
+    BALL_PAIRS,
     THEOREMS,
     ConstantControl,
     ControlFunction,
+    Margin,
     PowerControl,
-    PremiseMargin,
     ProductControl,
     REPAIR_DESCRIPTIONS,
     StabilityReport,
@@ -500,7 +501,7 @@ def run_pipeline(cfg: ExperimentConfig, stages: Sequence[str] = ALL_STAGES) -> R
 
     needs_controls = "hypothesis" in stages or "verification" in stages
     premise_by_theorem: dict[str, np.ndarray] = {}
-    margin_by_theorem: dict[str, PremiseMargin] = {}
+    margin_by_theorem: dict[str, Margin] = {}
     phi = cfg.control
     if needs_controls:
         premise_rngs = seed_premise.spawn(len(cfg.theorems))
@@ -519,38 +520,27 @@ def run_pipeline(cfg: ExperimentConfig, stages: Sequence[str] = ALL_STAGES) -> R
             )
 
     if "hypothesis" in stages:
+        # each pass rule once; a vanishing margin is over 1 - tol, not a
+        # membership slack, so its row reports slack 0
+        within_slack = lambda worst: worst >= -cfg.membership_slack
+        above_zero = lambda worst: worst > 0.0
+        probe, tol = cfg.vanishing_probe, cfg.fuzzy_tol
         for t in cfg.theorems:
-            spec, checks = THEOREMS[t], []
-            for scheme in spec.schemes:
-                scaling = scaling_alpha_check(
-                    phi,
-                    scheme,
-                    nprime,
-                    xs,
-                    a_grid=a_values,
-                    norm=norm,
-                    slack=cfg.membership_slack,
-                    y_override=spec.y_set,
-                )
-                vanished = vanishing_check(
-                    phi,
-                    scheme,
-                    nprime,
-                    premise_by_theorem[t],
-                    cfg.vanishing_probe,
-                    a_grid=a_values,
-                    tol=cfg.fuzzy_tol,
-                    norm=norm,
-                )
-                label = scheme.value
-                vanish_note = "" if vanished else "rescaled control membership below 1 - tol"
+            pairs, checks = premise_by_theorem[t], []
+            y_set_pairs = pairs[:, :-BALL_PAIRS]
+            for scheme in THEOREMS[t].schemes:
+                scaling = scaling_alpha_check(phi, scheme, nprime, y_set_pairs, a_values, norm)
+                vanishing = vanishing_check(phi, scheme, nprime, pairs, probe, a_values, tol, norm)
                 checks += [
-                    (f"alpha_scaling[{label}]", scaling.ok, scaling.worst_slack, scaling.reason),
-                    (f"vanishing[{label}]", vanished, 0.0, vanish_note),
+                    (f"alpha_scaling[{scheme.value}]", scaling, within_slack),
+                    (f"vanishing[{scheme.value}]", vanishing, above_zero),
                 ]
-            worst, _ = margin_by_theorem[t]
-            checks.append(("defect_premise", worst >= -cfg.membership_slack, worst, ""))
-            report.hypothesis_rows += [HypothesisRow(t, *check) for check in checks]
+            checks.append(("defect_premise", margin_by_theorem[t], within_slack))
+            for label, (worst, witness), passes in checks:
+                passed = passes(worst)
+                note = "" if passed else f"margin {worst:.3e} at a={witness[2]:g}"
+                slack = worst if passes is within_slack else 0.0
+                report.hypothesis_rows.append(HypothesisRow(t, label, passed, slack, note))
 
     components_by_theorem: dict[str, tuple] = {}
     if "extraction" in stages or "verification" in stages:

@@ -9,9 +9,12 @@ import numpy as np
 
 from fuzzystab.cli import main as cli_main
 from fuzzystab.control import (
+    BALL_PAIRS,
+    THEOREMS,
     ConstantControl,
     PowerControl,
     ProductControl,
+    premise_pairs,
     scaling_alpha_check,
 )
 from fuzzystab.extraction import (
@@ -33,7 +36,13 @@ from fuzzystab.funceq import (
     residual_quadratic,
 )
 from fuzzystab.harness import ExperimentConfig, run_pipeline
-from fuzzystab.spaces import FuzzyNorm, check_axioms, default_axiom_samples
+from fuzzystab.spaces import (
+    MEMBERSHIP_SLACK,
+    FuzzyNorm,
+    check_axioms,
+    default_axiom_samples,
+    log_a_grid,
+)
 
 V = lambda *vals: np.array([float(v) for v in vals])
 
@@ -217,6 +226,11 @@ def test_criterion_8_scaling_criterion_agreement():
     rng = np.random.default_rng(808)
     nprime = FuzzyNorm.induced()
     xs = [V(v) for v in (0.4, 1.0, 2.2, -1.3)]
+    # the y-set part of the premise pairs of each scheme's own theorem
+    y_set_pairs = {
+        s: premise_pairs(THEOREMS[s.value], xs, np.random.default_rng(0))[:, :-BALL_PAIRS]
+        for s in Scheme
+    }
 
     def draw(family):
         alpha = float(rng.uniform(0.05, 9.0))
@@ -236,10 +250,18 @@ def test_criterion_8_scaling_criterion_agreement():
         for scheme in Scheme:
             for _ in range(10):
                 phi = draw(family)
-                analytic = scheme.admits_alpha(phi.alpha) and (
-                    2.0**phi.degree <= phi.alpha if scheme.is_up else 2.0**phi.degree >= phi.alpha
-                )
-                got = bool(scaling_alpha_check(phi, scheme, nprime, xs))
+                # None: an alpha outside the scheme's interval is rejected
+                analytic = None
+                if scheme.admits_alpha(phi.alpha):
+                    up, down = 2.0**phi.degree <= phi.alpha, 2.0**phi.degree >= phi.alpha
+                    analytic = up if scheme.is_up else down
+                try:
+                    margin = scaling_alpha_check(
+                        phi, scheme, nprime, y_set_pairs[scheme], log_a_grid()
+                    )
+                    got = margin.worst >= -MEMBERSHIP_SLACK
+                except ValueError:
+                    got = None
                 total += 1
                 agreed += got == analytic
     _verdict(8, agreed == total, f"{agreed}/{total} grid verdicts match the analytic criterion")

@@ -1,13 +1,17 @@
 """Control families, envelopes, scaling/vanishing checks, bound verification."""
 
+import re
+
 import numpy as np
 import pytest
 
 from fuzzystab.control import (
     ConstantControl,
     EnvelopeId,
+    Margin,
     PowerControl,
     ProductControl,
+    _pairs_at,
     defect_premise_margin,
     envelope,
     eval_control,
@@ -21,17 +25,29 @@ from fuzzystab.control import (
 from fuzzystab.errors import DomainError
 from fuzzystab.extraction import ExtractedComponent, Scheme
 from fuzzystab.funceq import CoordinatePoly, Perturbation, TestFunction
-from fuzzystab.spaces import FuzzyNorm, euclidean_norm, log_a_grid
+from fuzzystab.spaces import MEMBERSHIP_SLACK, FuzzyNorm, euclidean_norm, log_a_grid
 
 V = lambda *vals: np.array([float(v) for v in vals])
 NPRIME = FuzzyNorm.induced()
 N = FuzzyNorm.induced()
 NAN_NORM = FuzzyNorm(evaluator=lambda x, a: float("nan"))
+A_GRID = log_a_grid()
 
 
 def stacked(*pairs):
     """The pairs (x, y) as one (2, k, d) array, the layout the checks take."""
     return np.array([[x for x, _ in pairs], [y for _, y in pairs]])
+
+
+def y_set_pairs(scheme, xs):
+    """The pairs (x, y) of the y-set of the scheme's own theorem at each x."""
+    theorem = "quadratic_up" if scheme.is_quadratic else "additive_up"
+    return _pairs_at(THEOREMS[theorem].y_set, np.asarray(xs, dtype=float))
+
+
+def scaling(phi, scheme, xs, nprime=NPRIME, a_grid=A_GRID):
+    """The scaling check on the scheme's y-set at the points xs."""
+    return scaling_alpha_check(phi, scheme, nprime, y_set_pairs(scheme, xs), a_grid)
 
 
 def seeded_margin(f, phi, theorem_id, xs, a_values, N, nprime):
@@ -90,98 +106,128 @@ class TestScalingAlphaCheck:
 
     def test_constant_control_scale_invariant(self):
         phi = ConstantControl(delta=2.0, alpha=1.0)
-        assert scaling_alpha_check(phi, Scheme.QUADRATIC_UP, NPRIME, self.XS)
+        assert scaling(phi, Scheme.QUADRATIC_UP, self.XS).worst >= -MEMBERSHIP_SLACK
 
     def test_degree_one_power_admits_alpha_two(self):
         phi = PowerControl(theta=1.0, p=1.0, alpha=2.0)
-        assert scaling_alpha_check(phi, Scheme.QUADRATIC_UP, NPRIME, self.XS)
+        assert scaling(phi, Scheme.QUADRATIC_UP, self.XS).worst >= -MEMBERSHIP_SLACK
 
     def test_degree_one_power_rejects_alpha_below_two(self):
         phi = PowerControl(theta=1.0, p=1.0, alpha=1.5)
-        res = scaling_alpha_check(phi, Scheme.QUADRATIC_UP, NPRIME, self.XS)
-        assert not res
+        res = scaling(phi, Scheme.QUADRATIC_UP, self.XS)
+        assert res.worst < -MEMBERSHIP_SLACK
         assert res.witness is not None
-        assert res.worst_slack < -1e-12
 
     def test_alpha_outside_scheme_interval_rejected_with_reason(self):
         phi = PowerControl(theta=1.0, p=1.0, alpha=5.0)
-        res = scaling_alpha_check(phi, Scheme.QUADRATIC_UP, NPRIME, self.XS)
-        assert not res
-        assert res.reason == "alpha out of range (0,4) for quadratic_up"
+        reason = "alpha out of range (0,4) for quadratic_up"
+        with pytest.raises(ValueError, match=re.escape(reason)):
+            scaling(phi, Scheme.QUADRATIC_UP, self.XS)
 
     def test_down_scheme_accepts_high_degree(self):
         phi = PowerControl(theta=0.5, p=3.0, alpha=5.0)
-        assert scaling_alpha_check(phi, Scheme.QUADRATIC_DOWN, NPRIME, self.XS)
+        assert scaling(phi, Scheme.QUADRATIC_DOWN, self.XS).worst >= -MEMBERSHIP_SLACK
 
     def test_down_scheme_rejects_low_degree(self):
         phi = PowerControl(theta=0.5, p=1.0, alpha=5.0)
-        res = scaling_alpha_check(phi, Scheme.QUADRATIC_DOWN, NPRIME, self.XS)
-        assert not res
+        assert scaling(phi, Scheme.QUADRATIC_DOWN, self.XS).worst < -MEMBERSHIP_SLACK
 
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_grid_verdict_matches_analytic_criterion(self, scheme):
-        # oracle: alpha admissible for the scheme and 2^degree <= alpha for
-        # up-schemes (>= for down-schemes)
+        # oracle: an alpha outside the scheme's interval is rejected, and an
+        # admissible one passes iff 2^degree <= alpha for up-schemes (>= for
+        # down-schemes)
         rng = np.random.default_rng(99)
         for _ in range(8):
             p = float(rng.uniform(0.0, 3.5))
             alpha = float(rng.uniform(0.05, 9.0))
             phi = PowerControl(theta=float(rng.uniform(0.1, 2.0)), p=p, alpha=alpha)
-            analytic = scheme.admits_alpha(alpha) and (
-                2.0**p <= alpha if scheme.is_up else 2.0**p >= alpha
-            )
-            got = bool(scaling_alpha_check(phi, scheme, NPRIME, self.XS))
+            if not scheme.admits_alpha(alpha):
+                with pytest.raises(ValueError, match="alpha out of range"):
+                    scaling(phi, scheme, self.XS)
+                continue
+            analytic = 2.0**p <= alpha if scheme.is_up else 2.0**p >= alpha
+            got = scaling(phi, scheme, self.XS).worst >= -MEMBERSHIP_SLACK
             assert got == analytic, (scheme, p, alpha)
 
     def test_non_finite_margin_fails_at_first_cell(self):
         phi = ConstantControl(delta=1.0, alpha=1.0)
-        res = scaling_alpha_check(phi, Scheme.QUADRATIC_UP, NAN_NORM, self.XS, a_grid=(0.5, 2.0))
-        assert not res
-        assert res.worst_slack == -np.inf
-        x, y, a, lhs, rhs = res.witness
+        res = scaling(phi, Scheme.QUADRATIC_UP, self.XS, nprime=NAN_NORM, a_grid=(0.5, 2.0))
+        assert res.worst == -np.inf
+        x, y, a = res.witness
         assert x.tobytes() == self.XS[0].tobytes() and not np.any(y) and a == 0.5
-        assert np.isnan(lhs) and np.isnan(rhs)
+
+    def test_witness_is_the_worst_sample_point(self):
+        # degree 2 against alpha 2: doubling the arguments gives 4 phi, so
+        # the worst margin is N'(4 phi, a) - N'(2 phi, a) at the witness
+        phi = PowerControl(theta=1.0, p=2.0, alpha=2.0)
+        res = scaling(phi, Scheme.QUADRATIC_UP, self.XS)
+        x, y, a = res.witness
+        assert any(x.tobytes() == xs.tobytes() for xs in self.XS)
+        u = x / 3.0
+        value = eval_control(phi, u, y)
+        want = a / (a + 4.0 * value) - a / (a + 2.0 * value)
+        assert res.worst == pytest.approx(want, rel=1e-12) and res.worst < -0.1
 
 
 class TestVanishingCheck:
     PAIRS = stacked((V(1.0), V(0.5)), (V(-2.0), V(1.0)), (V(0.3), V(0.9)))
+
+    def probe(self, phi, scheme, n_probe=30, nprime=NPRIME):
+        return vanishing_check(phi, scheme, nprime, self.PAIRS, n_probe, A_GRID)
 
     def test_constant_control_vanishes_under_quadratic_rescaling(self):
         # closed form at n = 30: membership 4^30 a / (4^30 a + 1) -> 1
         a = 1e-3
         assert 4.0**30 * a / (4.0**30 * a + 1.0) > 1 - 0.01
         phi = ConstantControl(delta=1.0, alpha=1.0)
-        assert vanishing_check(phi, Scheme.QUADRATIC_UP, NPRIME, self.PAIRS, 30)
+        margin = self.probe(phi, Scheme.QUADRATIC_UP)
+        assert margin.worst > 0
+        # the least membership is at the smallest a
+        assert margin.worst == 4.0**30 * a / (4.0**30 * a + 1.0) - (1 - 0.01)
+        assert margin.witness[2] == A_GRID[0]
 
     def test_cubic_growth_outruns_quadratic_rescaling(self):
         phi = PowerControl(theta=1.0, p=3.0, alpha=1.0)
-        assert not vanishing_check(phi, Scheme.QUADRATIC_UP, NPRIME, self.PAIRS, 30)
+        assert self.probe(phi, Scheme.QUADRATIC_UP).worst <= 0
 
     def test_boundary_degree_membership_stalls_below_one(self):
         # degree 1 under the additive rescaling: membership is constant in n
         # and stays below 1, so the probe reports failure
         phi = PowerControl(theta=1.0, p=1.0, alpha=1.0)
-        assert not vanishing_check(phi, Scheme.ADDITIVE_UP, NPRIME, self.PAIRS, 30)
+        assert self.probe(phi, Scheme.ADDITIVE_UP).worst <= 0
 
     def test_degree_one_vanishes_under_quadratic_rescaling(self):
         phi = PowerControl(theta=1.0, p=1.0, alpha=2.0)
-        assert vanishing_check(phi, Scheme.QUADRATIC_UP, NPRIME, self.PAIRS, 30)
+        assert self.probe(phi, Scheme.QUADRATIC_UP).worst > 0
 
     def test_down_scheme_vanishing_for_high_degree(self):
         phi = PowerControl(theta=1.0, p=3.0, alpha=5.0)
-        assert vanishing_check(phi, Scheme.QUADRATIC_DOWN, NPRIME, self.PAIRS, 30)
-        assert not vanishing_check(
-            PowerControl(theta=1.0, p=1.0, alpha=5.0), Scheme.QUADRATIC_DOWN, NPRIME, self.PAIRS, 30
-        )
+        assert self.probe(phi, Scheme.QUADRATIC_DOWN).worst > 0
+        low = PowerControl(theta=1.0, p=1.0, alpha=5.0)
+        assert self.probe(low, Scheme.QUADRATIC_DOWN).worst <= 0
 
     def test_overflowed_rescaled_value_has_membership_zero(self):
         # 4^600 phi overflows to inf: membership 0, a failed probe, not an error
         phi = ConstantControl(delta=1.0, alpha=5.0)
-        assert not vanishing_check(phi, Scheme.QUADRATIC_DOWN, NPRIME, self.PAIRS, 600)
+        assert self.probe(phi, Scheme.QUADRATIC_DOWN, n_probe=600).worst == 0.0 - (1 - 0.01)
 
     def test_non_finite_membership_fails(self):
         phi = ConstantControl(delta=1.0, alpha=1.0)
-        assert not vanishing_check(phi, Scheme.QUADRATIC_UP, NAN_NORM, self.PAIRS, 30)
+        margin = self.probe(phi, Scheme.QUADRATIC_UP, nprime=NAN_NORM)
+        assert margin.worst == -np.inf
+        x, y, a = margin.witness
+        assert (x.tobytes(), y.tobytes(), a) == (V(1.0).tobytes(), V(0.5).tobytes(), A_GRID[0])
+
+    def test_membership_equal_to_one_minus_tol_fails(self):
+        # the probe needs every membership strictly above 1 - tol: one
+        # quadratic step takes a = 0.99 / 4 to 0.99, and with phi = 0.01 the
+        # membership 0.99 / (0.99 + 0.01) is 1 - 0.01 exactly
+        phi = ConstantControl(delta=0.01, alpha=1.0)
+        pairs = stacked((V(1.0), V(1.0)))
+        margin = vanishing_check(phi, Scheme.QUADRATIC_UP, NPRIME, pairs, 1, (0.99 / 4,))
+        assert 0.99 / (0.99 + 0.01) == 1 - 0.01
+        assert margin.worst == 0.0
 
 
 class TestEnvelope:
@@ -272,24 +318,32 @@ class TestEnvelope:
 
 
 class TestNoPairs:
-    """No sample points, or a (2, 0, d) array of pairs, keep the results of
-    a check that finds nothing to fail."""
+    """No sample points, or a (2, 0, d) array of pairs, give every check the
+    margin ``(inf, None)``, which passes."""
 
-    @pytest.mark.parametrize("xs", [[], np.empty((0, 3))], ids=["list", "array"])
-    def test_no_sample_points_pass_the_scaling_check(self, xs):
-        phi = PowerControl(theta=1.0, p=1.0, alpha=2.0)
-        res = scaling_alpha_check(phi, Scheme.QUADRATIC_UP, NPRIME, xs)
-        assert res.ok and res.worst_slack == np.inf and res.witness is None
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_no_sample_points_pass_the_scaling_check(self, scheme, dim):
+        good, bad = (1.0, 5.0) if scheme.admits_alpha(1.0) else (5.0, 1.0)
+        res = scaling(PowerControl(theta=1.0, p=1.0, alpha=good), scheme, np.empty((0, dim)))
+        assert res == Margin(np.inf, None) and res.worst >= -MEMBERSHIP_SLACK
+        # an inadmissible alpha is rejected before any pair is looked at
+        with pytest.raises(ValueError, match="alpha out of range"):
+            scaling(PowerControl(theta=1.0, p=1.0, alpha=bad), scheme, np.empty((0, dim)))
 
     @pytest.mark.parametrize("dim", [1, 3])
     def test_empty_pair_array(self, dim):
         pairs = np.empty((2, 0, dim))
         f = TestFunction(coords=(CoordinatePoly(linear=np.ones(dim)),), dim_x=dim)
         phi = PowerControl(theta=1.0, p=1.0, alpha=2.0)
-        assert vanishing_check(phi, Scheme.QUADRATIC_UP, NPRIME, pairs, 30) is True
+        vanishing = vanishing_check(phi, Scheme.QUADRATIC_UP, NPRIME, pairs, 30, A_GRID)
+        assert vanishing == Margin(np.inf, None) and vanishing.worst > 0
         sup = measure_residual_sup(f, pairs)
         assert type(sup) is float and sup == 0.0
-        assert defect_premise_margin(f, phi, N, NPRIME, pairs, (0.1, 1.0)) == (np.inf, None)
+        premise = defect_premise_margin(f, phi, N, NPRIME, pairs, (0.1, 1.0))
+        assert premise == Margin(np.inf, None) and premise.worst >= -MEMBERSHIP_SLACK
+        scaled = scaling_alpha_check(phi, Scheme.QUADRATIC_UP, NPRIME, pairs, A_GRID)
+        assert scaled == Margin(np.inf, None)
 
 
 class TestVerifyStability:

@@ -6,7 +6,11 @@ single thresholds, one membership call at a time, on lists of pairs.  The
 array forms in ``fuzzystab.control`` take the same pairs as one
 ``(2, k, d)`` array and a y-set as its pair table, and must reproduce them
 exactly on finite inputs: the verdict, the worst margin down to the sign of
-a zero, and the witness.  Each theorem's y-set table must give the bytes of
+a zero, and the witness.  The array forms return a ``Margin``: the scaling
+witness is (x, y, a), the first three entries of the loop's, and an alpha
+the loop rejects raises ``ValueError`` with its reason; the vanishing
+margin is pinned by ``reference_vanishing_margin``, a min-membership loop.
+Each theorem's y-set table must give the bytes of
 the y-set function it replaced, edge coordinates included.
 ``reference_envelope`` is the envelope as a loop over its pairs, one
 control value and one membership call per pair, and ``reference_control``
@@ -21,6 +25,8 @@ with ``math.sin`` and ``math.cos``.  A numpy build whose ``np.sin`` or
 """
 
 import math
+import re
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import pytest
@@ -35,7 +41,6 @@ from fuzzystab.control import (
     EnvelopeId,
     PowerControl,
     ProductControl,
-    ScalingCheck,
     _pairs_at,
     _y_table,
     defect_premise_margin,
@@ -68,6 +73,17 @@ def _additive_y_set(x: np.ndarray) -> list[np.ndarray]:
 def _combined_y_set(x: np.ndarray) -> list[np.ndarray]:
     # Scale factor on this set taken as 1 (it is left unspecified upstream).
     return [np.zeros_like(x), x, x / 2.0, 4.0 * x / 3.0, -2.0 * x / 3.0, x / 3.0, 1.5 * x, 2.0 * x]
+
+
+@dataclass(frozen=True, eq=False)
+class ScalingCheck:
+    """The scaling verdict of the reference loop: the verdict with its
+    reason, the witness (x, y, a, lhs, rhs) and the worst margin."""
+
+    ok: bool
+    reason: str = ""
+    witness: tuple | None = None
+    worst_slack: float = 0.0
 
 
 #: Theorem id -> the y-set function its pair table replaced.
@@ -138,6 +154,29 @@ def reference_vanishing_check(
             if not membership > 1.0 - tol:
                 return False
     return True
+
+
+def reference_vanishing_margin(
+    phi, scheme, nprime, pairs, n_probe, a_grid, tol=0.01, norm=euclidean_norm
+) -> float:
+    """The least rescaled membership, cell by cell, less 1 - tol; ``-inf``
+    at a non-finite membership."""
+    shift = scheme.value_shift * n_probe
+    least = math.inf
+    for x, y in pairs:
+        xv = np.atleast_1d(np.asarray(x, dtype=float))
+        yv = np.atleast_1d(np.asarray(y, dtype=float))
+        for a in a_grid:
+            if scheme.is_up:
+                value = eval_control(phi, np.ldexp(xv, n_probe), np.ldexp(yv, n_probe), norm)
+                membership = nprime(value, math.ldexp(a, shift))
+            else:
+                value = eval_control(phi, np.ldexp(xv, -n_probe), np.ldexp(yv, -n_probe), norm)
+                membership = nprime(math.ldexp(value, shift), a)
+            if not math.isfinite(membership):
+                return -math.inf
+            least = min(least, membership)
+    return least - (1.0 - tol)
 
 
 def reference_measure_residual_sup(f, pairs, norm=euclidean_norm) -> float:
@@ -249,10 +288,6 @@ def _bits(value):
     if isinstance(value, (float, np.floating)):
         return ("float", float(value).hex())
     return value
-
-
-def _scaling_bits(check: ScalingCheck):
-    return (check.ok, check.reason, _bits(check.witness), _bits(check.worst_slack))
 
 
 def _stacked(pairs) -> np.ndarray:
@@ -369,6 +404,7 @@ def _scaling_case(draw):
         )
     )
     return dict(
+        dim=dim,
         phi=draw(_controls()),
         scheme=draw(st.sampled_from(list(Scheme))),
         nprime=_fuzzy_norm(draw, 1),
@@ -382,11 +418,22 @@ def _scaling_case(draw):
 @settings(max_examples=300, deadline=None)
 @given(_scaling_case())
 def test_scaling_alpha_check_equals_reference_loop(case):
-    y_sets = case.pop("y_sets")
+    # the array form takes the pairs the reference loop builds from xs, and
+    # gives the witness (x, y, a) without the memberships
+    dim, y_sets = case.pop("dim"), case.pop("y_sets")
     table, function = y_sets or (None, None)
-    assert _scaling_bits(scaling_alpha_check(**case, y_override=table)) == _scaling_bits(
-        reference_scaling_alpha_check(**case, y_override=function)
-    )
+    want = reference_scaling_alpha_check(**case, y_override=function)
+    if table is None:  # the y-set of the scheme's own theorem
+        table = THEOREMS["quadratic_up" if case["scheme"].is_quadratic else "additive_up"].y_set
+    pairs = _pairs_at(table, np.array(case.pop("xs"), dtype=float).reshape(-1, dim))
+    if want.reason.startswith("alpha out of range"):
+        with pytest.raises(ValueError, match=re.escape(want.reason)):
+            scaling_alpha_check(**case, pairs=pairs)
+        return
+    got = scaling_alpha_check(**case, pairs=pairs)
+    assert (got.worst >= -MEMBERSHIP_SLACK) is want.ok
+    assert _bits(got.worst) == _bits(want.worst_slack)
+    assert _bits(got.witness) == _bits(want.witness and want.witness[:3])
 
 
 @st.composite
@@ -409,9 +456,12 @@ def _vanishing_case(draw):
 def test_vanishing_check_equals_reference_loop(case):
     try:
         want = reference_vanishing_check(**case)
+        margin = reference_vanishing_margin(**case)
     except OverflowError:  # math.ldexp raises where np.ldexp gives inf
         assume(False)
-    assert vanishing_check(**{**case, "pairs": _stacked(case["pairs"])}) is want
+    got = vanishing_check(**{**case, "pairs": _stacked(case["pairs"])})
+    assert (got.worst > 0) is want
+    assert _bits(got.worst) == _bits(margin)
 
 
 @st.composite

@@ -9,6 +9,7 @@ review the diff.
 """
 
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -137,6 +138,12 @@ def _config_path(case: str, tmp_dir: Path) -> Path:
 def _run(case: str, config_dir: Path, out_dir: Path) -> None:
     command = CASES[case][0]
     cli_main([command, "--config", str(_config_path(case, config_dir)), "--out-dir", str(out_dir)])
+
+
+def test_readme_golden_paragraph_names_every_case():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (paragraph,) = [p for p in readme.split("\n\n") if p.startswith("`tests/test_golden.py`")]
+    assert set(CASES) <= set(re.findall(r"`(\w+)`", paragraph))
 
 
 @pytest.mark.parametrize("case", CASES)

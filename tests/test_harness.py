@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,7 @@ from fuzzystab.harness import (
     run_pipeline,
 )
 from fuzzystab.control import StabilityReport
-from fuzzystab.spaces import AxiomCheck, crisp_norm, euclidean_norm
+from fuzzystab.spaces import AxiomCheck, crisp_norm, euclidean_norm, log_a_grid
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -245,6 +246,45 @@ class TestPipeline:
         assert ids.count("combined_beta_one") == 1
         assert ids.count("combined_lhs_sign") == 1
         assert report.exit_status == EXIT_OK
+
+    @pytest.mark.parametrize(
+        "case, failing",
+        [
+            # degree 1/2 under the additive rescaling: the membership stalls
+            # below 1 - tol at the probe
+            ("additive_power", {"vanishing[additive_up]"}),
+            # degree 3 > log2 alpha, and a control that overflows at n = 400
+            ("quadratic_cubic", {"alpha_scaling[quadratic_up]", "vanishing[quadratic_up]"}),
+        ],
+    )
+    def test_failed_hypothesis_row_names_its_margin_and_witness(self, case, failing):
+        if case == "additive_power":
+            data = dict(
+                BASE,
+                control={"family": "power", "theta": 1.0, "p": 0.5, "alpha": 1.5},
+                theorems=["additive_up"],
+                tolerances={"vanishing_probe": 30},
+            )
+        else:
+            data = json.loads((CONFIGS / "quadratic_power.json").read_text(encoding="utf-8"))
+            data["control"]["p"] = 3
+            data["tolerances"] = {"vanishing_probe": 400}
+        cfg = ExperimentConfig.from_dict(data)
+        report = run_pipeline(cfg, stages=("hypothesis",))
+        assert {r.check for r in report.hypothesis_rows if not r.passed} == failing
+        a_grid = {f"{a:g}" for a in log_a_grid(cfg.a_min, cfg.a_max, cfg.a_points)}
+        for row in report.hypothesis_rows:
+            if row.passed:
+                assert row.note == ""
+                continue
+            match = re.fullmatch(r"margin (\S+) at a=(\S+)", row.note)
+            assert match and match[2] in a_grid, row.note
+            margin = float(match[1])
+            assert margin < 0
+            if row.check.startswith("vanishing"):
+                assert row.worst_slack == 0.0  # a vanishing row reports no slack
+            else:
+                assert f"{row.worst_slack:.3e}" == match[1]
 
 
 class TestEmission:
