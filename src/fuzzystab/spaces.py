@@ -47,6 +47,9 @@ MEMBERSHIP_SLACK = 1e-12
 #: Default tolerance for the fuzzy limit / Cauchy predicates.
 FUZZY_TOLERANCE = 0.01
 
+#: Cells of the N4 pair matrix that one ``memberships`` call evaluates.
+PAIR_BLOCK_CELLS = 8192
+
 
 def euclidean_norm(x: np.ndarray) -> float:
     # np.linalg.norm(x) is sqrt(x.dot(x)) of the raveled x; math.sqrt rounds
@@ -256,17 +259,6 @@ class AxiomReport:
         raise KeyError(axiom)
 
 
-def _dedupe_vectors(vectors: Iterable[np.ndarray]) -> list[np.ndarray]:
-    seen: set[bytes] = set()
-    out = []
-    for v in vectors:
-        key = v.tobytes()
-        if key not in seen:
-            seen.add(key)
-            out.append(v)
-    return out
-
-
 class _Tally:
     """Violation count and worst slack of one axiom, accumulated array by array.
 
@@ -318,11 +310,13 @@ def check_axioms(
     """
     if not sample_points:
         raise ValueError("sample_points must be non-empty")
-    pts = [(np.atleast_1d(np.asarray(x, dtype=float)), float(a)) for x, a in sample_points]
-    vectors = np.array([x for x, _ in pts])
-    thresholds = np.array([a for _, a in pts])
-    pos_a = np.array(sorted({a for _, a in pts if a > 0}))
-    xs = np.array(_dedupe_vectors(vectors))
+    raw_x, raw_a = zip(*sample_points)
+    vectors = np.array(raw_x, dtype=float).reshape(len(raw_x), -1)
+    thresholds = np.array(raw_a, dtype=float)
+    pos_a = np.unique(thresholds[thresholds > 0])
+    # The distinct vectors, byte for byte, in the order they first occur.
+    keys = vectors.view(np.dtype((np.void, vectors.itemsize * vectors.shape[1])))
+    xs = vectors[np.sort(np.unique(keys, return_index=True)[1])]
     # Memberships of every distinct vector at every positive threshold.
     grid = norm.memberships(xs[:, None, :], pos_a)
     checks: list[AxiomCheck] = []
@@ -352,21 +346,26 @@ def check_axioms(
 
     # N3: scaling the vector rescales the threshold, N(cx, b) = N(x, b/|c|).
     t = _Tally()
-    usable = [c for c in scalar_samples if abs(c) > 1e-15]
-    for c in usable:
-        scaled = t.evaluated(norm.memberships((c * xs)[:, None, :], pos_a))
-        rescaled = t.evaluated(norm.memberships(xs[:, None, :], pos_a / abs(c)))
-        diff = np.abs(scaled - rescaled)
-        t.slack(-diff, diff > slack)
-    checks.append(t.check("N3", "" if usable else "degenerate: no usable nonzero scalars"))
+    c = np.array(scalar_samples, dtype=float)
+    c = c[np.abs(c) > 1e-15, None, None]
+    scaled = t.evaluated(norm.memberships((c * xs)[:, :, None, :], pos_a))
+    rescaled = t.evaluated(norm.memberships(xs[:, None, :], pos_a / np.abs(c)))
+    diff = np.abs(scaled - rescaled)
+    t.slack(-diff, diff > slack)
+    checks.append(t.check("N3", "" if c.size else "degenerate: no usable nonzero scalars"))
 
-    # N4: triangle-min inequality over sampled pairs, one row of y per x.
+    # N4: triangle-min inequality over every sampled pair, evaluated in blocks
+    # of whole rows of the pair matrix (PAIR_BLOCK_CELLS cells, or one row if a
+    # row is longer), so its memory stays bounded as the sample grows.
     t = _Tally()
     positive = thresholds > 0
     px, pa = vectors[positive], thresholds[positive]
     own = t.evaluated(norm.memberships(px, pa))
-    for x, a, m_x in zip(px, pa, own):
-        margin = t.evaluated(norm.memberships(x + px, a + pa)) - np.minimum(m_x, own)
+    step = max(1, PAIR_BLOCK_CELLS // max(1, pa.size))
+    for i in range(0, pa.size, step):
+        rows = slice(i, i + step)
+        m = t.evaluated(norm.memberships(px[rows, None, :] + px, pa[rows, None] + pa))
+        margin = m - np.minimum(own[rows, None], own)
         t.slack(margin, margin < -slack)
     checks.append(t.check("N4"))
 

@@ -6,15 +6,18 @@ exactly, field by field and down to the sign of a zero slack, on induced
 norms of every crisp kind and on custom evaluators.
 """
 
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuzzystab.spaces import (
     FUZZY_TOLERANCE,
     MEMBERSHIP_SLACK,
+    PAIR_BLOCK_CELLS,
     AxiomCheck,
     AxiomReport,
     FuzzyNorm,
@@ -216,3 +219,57 @@ def test_array_audit_equals_reference_on_default_samples():
         points, scalars = default_axiom_samples(dim, count=40, seed=dim)
         for norm in (FuzzyNorm.induced(), *(FuzzyNorm(evaluator=e) for e in CUSTOM.values())):
             _assert_same_as_reference(norm, points, scalars)
+
+
+def _blocks(p: int) -> list[int]:
+    """Rows of each N4 block of ``p`` positive-threshold points."""
+    step = max(1, PAIR_BLOCK_CELLS // p)
+    return [min(step, p - i) for i in range(0, p, step)]
+
+
+#: Positive-threshold point counts and the N4 blocks they make.  No count
+#: fills exactly one block (p == PAIR_BLOCK_CELLS // p has no solution for
+#: 8192 cells), so B rows is a full last block after a full first one.
+BLOCK_FILLS = {
+    "1 row": (1, [1]),
+    "B-1 rows": (90, [90]),  # B = 91
+    "B rows": (128, [64, 64]),  # B = 64
+    "B+1 rows": (91, [90, 1]),  # B = 90
+}
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "max", "weighted", "squared"])
+@pytest.mark.parametrize("fill", BLOCK_FILLS)
+def test_array_audit_equals_reference_at_block_boundaries(fill, kind):
+    p, blocks = BLOCK_FILLS[fill]
+    assert _blocks(p) == blocks
+    points, scalars = default_axiom_samples(2, count=p, seed=p)
+    # points at non-positive thresholds take part in no N4 pair
+    points += [(points[-1][0], 0.0), (np.array([0.5, -1.0]), -1.0)]
+    if kind == "squared":
+        norm = FuzzyNorm(evaluator=_squared)
+    else:
+        weights = [0.5, 2.0] if kind == "weighted" else None
+        norm = FuzzyNorm.induced(crisp_norm(kind, weights))
+    _assert_same_as_reference(norm, points, scalars)
+
+
+def test_non_finite_pair_in_the_second_block_is_one_violation():
+    # 90 points in the radius-2 ball and one at norm 10 make blocks of 90
+    # and 1 rows; only that point's pair with itself (norm 20) is NaN
+    def nan_beyond_15(x, a):
+        return math.nan if float(np.linalg.norm(x)) > 15.0 else FuzzyNorm.induced()(x, a)
+
+    points, _ = default_axiom_samples(2, count=90, seed=11)
+    points.append((np.array([10.0, 0.0]), 1.0))
+    assert _blocks(len(points)) == [90, 1]
+    norm, scalars = FuzzyNorm(evaluator=nan_beyond_15), [-0.5, 0.5, 1.0]
+    report = check_axioms(norm, points, scalars)
+    assert (report["N4"].passed, report["N4"].violations) == (False, 1)
+    assert report["N4"].worst_slack == -math.inf
+    # the reference loop skips a NaN margin; every other axiom is finite
+    reference = reference_check_axioms(norm, points, scalars)
+    assert reference["N4"].violations == 0
+    assert [row for row in _exact(report) if row[0] != "N4"] == [
+        row for row in _exact(reference) if row[0] != "N4"
+    ]

@@ -1,6 +1,7 @@
 """Fuzzy norm construction, axiom checking, and convergence predicates."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -191,6 +192,32 @@ class TestAxiomChecks:
             assert check.violations > 0
             assert check.worst_slack == -math.inf
         assert not report.passed
+
+    def test_distinct_vectors_are_audited_in_first_occurrence_order(self):
+        seen = []
+
+        def recording(x, a):
+            seen.append(x.tobytes())
+            return FuzzyNorm.induced()(x, a)
+
+        vectors = [np.array([v]) for v in (2.0, -1.0, 2.0, 0.0, -1.0, -0.0)]
+        check_axioms(FuzzyNorm(evaluator=recording), [(v, 1.0) for v in vectors], [])
+        # the audit opens with each distinct vector, byte for byte, at the one
+        # positive threshold
+        assert seen[:4] == [np.array([v]).tobytes() for v in (2.0, -1.0, 0.0, -0.0)]
+
+    def test_pair_audit_memory_stays_bounded(self):
+        # 2000 points make 4e6 N4 pairs: their argument sums alone would
+        # take 64 MB in one broadcast, where the blocks hold a few at a time
+        points, scalars = default_axiom_samples(dim=2, count=2000, seed=7)
+        tracemalloc.start()
+        try:
+            report = check_axioms(FuzzyNorm.induced(), points, scalars)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report["N4"].passed and report["N4"].violations == 0
+        assert peak < 16e6
 
     def test_one_non_finite_membership_is_one_violation(self):
         def nan_at_origin(x, a):

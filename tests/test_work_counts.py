@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fuzzystab import control, extraction, harness
+from fuzzystab import control, extraction, harness, spaces
 from fuzzystab.cli import _STAGES_BY_COMMAND
 from fuzzystab.control import EnvelopeId
 from fuzzystab.extraction import (
@@ -249,3 +249,32 @@ def test_envelope_makes_one_membership_call_per_part(monkeypatch):
     assert parts == [1] * (2 * points)
     assert isinstance(cfg.control, control.ConstantControl)
     assert inside == {"eval_control": 0, "membership": 2 * points, "rows": 0}
+
+
+def test_pair_audit_makes_one_membership_call_per_block(monkeypatch):
+    # axioms_dense audits N on 200 points and N' on 50 scalar points, all at
+    # positive thresholds: the N4 pairs of P points take ceil(P / rows per
+    # block) calls of whole rows of the pair matrix (the per-point loop made
+    # P), and the other axioms a fixed 9 calls between them
+    cfg = ExperimentConfig.from_dict(_workload_config("axioms_dense"))
+    audits = []  # (sample count, shape of x in each memberships call)
+    check_axioms, memberships = harness.check_axioms, FuzzyNorm.memberships
+
+    def counted_check_axioms(norm, points, *args, **kwargs):
+        audits.append((len(points), []))
+        return check_axioms(norm, points, *args, **kwargs)
+
+    def counted_memberships(self, x, a):
+        audits[-1][1].append(np.shape(x))
+        return memberships(self, x, a)
+
+    monkeypatch.setattr(harness, "check_axioms", counted_check_axioms)
+    monkeypatch.setattr(FuzzyNorm, "memberships", counted_memberships)
+    run_pipeline(cfg, ("axioms",))
+    assert [p for p, _ in audits] == [200, 50]
+    for p, shapes in audits:
+        rows = spaces.PAIR_BLOCK_CELLS // p
+        blocks = [rows] * (p // rows) + [p % rows] * (p % rows > 0)
+        assert [s[0] for s in shapes if len(s) == 3 and s[1] == p] == blocks
+        assert len(shapes) == 9 + len(blocks)
+    assert len(audits[0][1]) == 9 + 5
