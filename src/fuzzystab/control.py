@@ -2,12 +2,15 @@
 
 A control function phi(x, y) >= 0 caps the equation defect; its declared
 scaling factor alpha decides which rescaling scheme converges.  Each scheme
-has an envelope: the minimum of finitely many memberships of phi evaluated
-at designated argument pairs.  Verification compares the membership of the
-recovered-component error against the envelope on an (x, a) grid and counts
-slack violations.  Every set of argument pairs is one ``(2, pairs, d)``
-array built from a table of multipliers of x, and each hypothesis check
-takes one such array and returns one ``Margin``.
+has one record in ``SCHEME_BOUNDS``: its rate, direction, envelope pairs,
+threshold divisor and the scaling check's u divisor.  Its envelope at level
+a is the least membership of phi at its pairs at the threshold
+a (rate - alpha) / divisor, sign reversed for a down-scheme; a bound with
+several schemes splits a evenly between them.  Verification compares the
+membership of the recovered-component error against the envelope on an
+(x, a) grid and counts slack violations.  Every set of argument pairs is
+one ``(2, pairs, d)`` array built from a table of multipliers of x, and
+each hypothesis check takes one such array and returns one ``Margin``.
 
 Four readings of the bound definitions are fixed here and disclosed through
 ``REPAIR_DESCRIPTIONS``: the additive envelope's one-argument entry is the
@@ -20,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -35,7 +37,8 @@ __all__ = [
     "PowerControl",
     "ProductControl",
     "ControlFunction",
-    "EnvelopeId",
+    "SchemeBound",
+    "SCHEME_BOUNDS",
     "TheoremSpec",
     "THEOREMS",
     "REPAIR_DESCRIPTIONS",
@@ -179,12 +182,6 @@ def eval_control(
     return float(phi.rows(np.asarray([x, y], dtype=float).reshape(2, 1, -1), norm)[0])
 
 
-def _points(xs: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
-    """Sample points as one ``(n, d)`` array; scalars are 1-vectors."""
-    points = np.asarray(xs, dtype=float)
-    return points[:, None] if points.ndim == 1 else points
-
-
 def _control_memberships(
     nprime: FuzzyNorm, values: Sequence[float] | np.ndarray, a: np.ndarray
 ) -> np.ndarray:
@@ -216,14 +213,6 @@ def _margin(lhs: np.ndarray, rhs: np.ndarray | float, pairs: np.ndarray, a: np.n
         return Margin(worst, None)
     x, y = pairs[:, cell[0]]
     return Margin(worst, (x, y, float(a[cell[1]])))
-
-
-class EnvelopeId(Enum):
-    N1PP = "N1pp"
-    N2PP = "N2pp"
-    N3PP = "N3pp"
-    N4PP = "N4pp"
-    NPP = "Npp"
 
 
 def _pair_table(*pairs: tuple[tuple[float, float], tuple[float, float]]) -> PairTable:
@@ -259,6 +248,25 @@ _QUADRATIC_PAIRS = _pair_table(
 _ADDITIVE_PAIRS = _pair_table(
     ((1, 1), (1, 1)), ((1, 2), (1, 2)), ((1, 2), (2, 1)), ((1, 2), (1.5, 1))
 )
+
+
+class SchemeBound(NamedTuple):
+    """One scheme's constants; its scaling check takes u = x / u_divisor."""
+
+    rate: float
+    up: bool
+    pairs: PairTable
+    threshold_divisor: float
+    u_divisor: float
+
+
+_QUADRATIC_BOUND = (_QUADRATIC_PAIRS, 6.0, 3.0)  # pairs, threshold divisor, u divisor
+_ADDITIVE_BOUND = (_ADDITIVE_PAIRS, 4.0, 2.0)
+SCHEME_BOUNDS: dict[Scheme, SchemeBound] = {
+    s: SchemeBound(s.rate, s.is_up, *(_QUADRATIC_BOUND if s.is_quadratic else _ADDITIVE_BOUND))
+    for s in Scheme
+}
+
 _QUADRATIC_Y_SET = _y_table((0, 1), (1, 3), (4, 3), (-2, 3), (1, 1))
 _ADDITIVE_Y_SET = _y_table((1, 1), (1, 2), (1.5, 1), (2, 1))
 # Scale factor on this set taken as 1 (it is left unspecified upstream).
@@ -266,38 +274,42 @@ _COMBINED_Y_SET = _y_table((0, 1), (1, 1), (1, 2), (4, 3), (-2, 3), (1, 3), (1.5
 
 
 def envelope(
-    which: EnvelopeId,
+    schemes: Sequence[Scheme],
     phi: ControlFunction,
     nprime: FuzzyNorm,
     x: np.ndarray,
     a: float,
     norm: Norm = euclidean_norm,
 ) -> float:
-    """Envelope membership at (x, a): min of N'(phi(u, w), a) over the
-    designated pairs, NaN if any of them is NaN.  Returns 0 for a <= 0;
-    inherits monotonicity in a.
+    """Envelope membership at (x, a) of the bound of ``schemes``, NaN if any
+    of its memberships is NaN; inherits monotonicity in a.
+
+    One scheme's envelope is the min of N'(phi(u, w), t) over its pairs at
+    t = a (rate - alpha) / divisor, or a (alpha - rate) / divisor for a
+    down-scheme, and 0 for t <= 0.  Several schemes split a evenly: 0 for
+    a <= 0, else the least of their envelopes at a / len(schemes).
 
     phi is evaluated at all pairs in one call of its row form, and the
     minimum is one :meth:`FuzzyNorm.least_membership` call.  A constant
-    control is delta at every pair, so its least membership is N'(delta, a).
+    control is delta at every pair, so its least membership is N'(delta, t).
     """
-    if a <= 0.0:
-        return 0.0
-    if which is EnvelopeId.NPP:
-        alpha = phi.alpha
-        memberships = [
-            envelope(EnvelopeId.N1PP, phi, nprime, x, a * (4.0 - alpha) / 12.0, norm),
-            envelope(EnvelopeId.N3PP, phi, nprime, x, a * (2.0 - alpha) / 8.0, norm),
-        ]
+    if len(schemes) > 1:
+        if a <= 0.0:
+            return 0.0
+        memberships = []  # a comprehension would give every call closure cells to build
+        for s in schemes:
+            memberships.append(envelope((s,), phi, nprime, x, a / len(schemes), norm))
         # Python's min keeps a NaN only when it comes first; any NaN membership
         # makes the envelope NaN, which verification counts as a violation.
         return math.nan if any(map(math.isnan, memberships)) else min(memberships)
+    rate, up, table, divisor, _ = SCHEME_BOUNDS[schemes[0]]
+    t = a * ((rate - phi.alpha) if up else (phi.alpha - rate)) / divisor
+    if t <= 0.0:
+        return 0.0
     if isinstance(phi, ConstantControl):
-        return nprime(np.array([phi.delta]), a)
-    quadratic = which in (EnvelopeId.N1PP, EnvelopeId.N2PP)
-    table = _QUADRATIC_PAIRS if quadratic else _ADDITIVE_PAIRS
+        return nprime(np.array([phi.delta]), t)
     uw = _pairs_at(table, np.asarray(x, dtype=float).reshape(1, -1))
-    return nprime.least_membership(phi.rows(uw, norm)[:, None], a)
+    return nprime.least_membership(phi.rows(uw, norm)[:, None], t)
 
 
 def scaling_alpha_check(
@@ -318,7 +330,7 @@ def scaling_alpha_check(
     if not scheme.admits_alpha(phi.alpha):
         raise ValueError(f"alpha out of range {scheme.interval_label} for {scheme.value}")
     grid = np.asarray(a_grid, dtype=float)
-    uy = pairs / np.array([3.0 if scheme.is_quadratic else 2.0, 1.0])[:, None, None]
+    uy = pairs / np.array([SCHEME_BOUNDS[scheme].u_divisor, 1.0])[:, None, None]
     if scheme.is_up:
         lhs_phi = phi.rows(2 * uy, norm)
         with np.errstate(over="ignore"):  # the product overflows to inf, as Python floats do
@@ -368,12 +380,9 @@ def vanishing_check(
 
 @dataclass(frozen=True)
 class TheoremSpec:
-    """One verifiable stability statement: schemes, envelope, threshold."""
+    """One verifiable stability statement: schemes, readings, premise pairs."""
 
     schemes: tuple[Scheme, ...]
-    envelope_id: EnvelopeId
-    #: (a, alpha) -> the threshold at which the envelope bounds level a.
-    threshold: Callable[[float, float], float]
     repairs: tuple[str, ...]
     #: The premise pairs (x, y) relative to x, as a pair table.
     y_set: PairTable
@@ -397,36 +406,26 @@ REPAIR_DESCRIPTIONS: dict[str, str] = {
 THEOREMS: dict[str, TheoremSpec] = {
     "quadratic_up": TheoremSpec(
         schemes=(Scheme.QUADRATIC_UP,),
-        envelope_id=EnvelopeId.N1PP,
-        threshold=lambda a, alpha: a * (4.0 - alpha) / 6.0,
         repairs=(),
         y_set=_QUADRATIC_Y_SET,
     ),
     "quadratic_down": TheoremSpec(
         schemes=(Scheme.QUADRATIC_DOWN,),
-        envelope_id=EnvelopeId.N2PP,
-        threshold=lambda a, alpha: a * (alpha - 4.0) / 6.0,
         repairs=("down_sign_factor",),
         y_set=_QUADRATIC_Y_SET,
     ),
     "additive_up": TheoremSpec(
         schemes=(Scheme.ADDITIVE_UP,),
-        envelope_id=EnvelopeId.N3PP,
-        threshold=lambda a, alpha: a * (2.0 - alpha) / 4.0,
         repairs=("additive_envelope_pair",),
         y_set=_ADDITIVE_Y_SET,
     ),
     "additive_down": TheoremSpec(
         schemes=(Scheme.ADDITIVE_DOWN,),
-        envelope_id=EnvelopeId.N4PP,
-        threshold=lambda a, alpha: a * (alpha - 2.0) / 4.0,
         repairs=("additive_envelope_pair", "down_sign_factor"),
         y_set=_ADDITIVE_Y_SET,
     ),
     "combined": TheoremSpec(
         schemes=(Scheme.QUADRATIC_UP, Scheme.ADDITIVE_UP),
-        envelope_id=EnvelopeId.NPP,
-        threshold=lambda a, alpha: a,  # the factors live inside the Npp envelope
         repairs=("additive_envelope_pair", "combined_beta_one", "combined_lhs_sign"),
         y_set=_COMBINED_Y_SET,
     ),
@@ -446,7 +445,8 @@ def premise_pairs(
     """Argument pairs on which the hypotheses are checked, as one
     ``(2, k, d)`` array: the theorem's y-set at every sample x, x-major,
     then ``BALL_PAIRS`` seeded pairs from the ball."""
-    points = _points(xs)
+    points = np.asarray(xs, dtype=float)
+    points = points[:, None] if points.ndim == 1 else points  # scalars are 1-vectors
     dim = points.shape[1]
     drawn = [sample_ball(rng, dim, radius) for _ in range(2 * BALL_PAIRS)]
     ball = np.array(drawn, dtype=float).reshape(BALL_PAIRS, 2, dim).transpose(1, 0, 2)
@@ -534,8 +534,9 @@ def verify_stability(
     caller's premise pairs.  If it fails anywhere the bound is not asserted
     and the report carries an explanatory note with no rows.  Otherwise each
     grid point contributes a row with lhs = N(component error, a), rhs =
-    envelope threshold at ``phi.alpha``; a slack below -``slack`` or not
-    finite is a violation (a non-finite one makes the worst slack ``-inf``).
+    the :func:`envelope` of the theorem's schemes at a; a slack below
+    -``slack`` or not finite is a violation (a non-finite one makes the
+    worst slack ``-inf``).
 
     ``components`` holds the components of the theorem's schemes, in their
     order: (Q, A) for the combined bound.
@@ -564,9 +565,7 @@ def verify_stability(
         err = np.sum([np.asarray(c(xv), dtype=float) for c in components], axis=0) - fx
         lhs = N.memberships(err, a_grid).tolist()
         for a, lhs_a in zip(a_grid.tolist(), lhs):
-            rhs = envelope(
-                theorem.envelope_id, phi, nprime, xv, theorem.threshold(a, phi.alpha), norm
-            )
+            rhs = envelope(theorem.schemes, phi, nprime, xv, a, norm)
             rows.append(StabilityRow(x_index=i, x=xv, a=a, lhs=lhs_a, rhs=rhs))
     slacks = np.array([row.slack for row in rows])
     worst, _ = _first_worst(slacks)

@@ -71,15 +71,15 @@ class Scheme(Enum):
         return 2 if self.is_quadratic else 1
 
     @property
+    def rate(self) -> float:
+        """The per-step value rescaling 2^value_shift: 4 or 2."""
+        return float(2**self.value_shift)
+
+    @property
     def alpha_interval(self) -> tuple[float, float]:
-        """Admissible scaling factors for the paired control function."""
-        if self is Scheme.QUADRATIC_UP:
-            return (0.0, 4.0)
-        if self is Scheme.QUADRATIC_DOWN:
-            return (4.0, np.inf)
-        if self is Scheme.ADDITIVE_UP:
-            return (0.0, 2.0)
-        return (2.0, np.inf)
+        """Admissible scaling factors for the paired control function:
+        below the rate for an up-scheme, above it for a down-scheme."""
+        return (0.0, self.rate) if self.is_up else (self.rate, math.inf)
 
     def admits_alpha(self, alpha: float) -> bool:
         lo, hi = self.alpha_interval
@@ -87,8 +87,7 @@ class Scheme(Enum):
 
     @property
     def interval_label(self) -> str:
-        lo, hi = self.alpha_interval
-        return f"({lo:g},{hi:g})" if np.isfinite(hi) else f"(>{lo:g})"
+        return f"(0,{self.rate:g})" if self.is_up else f"(>{self.rate:g})"
 
 
 def _overflow_error(scheme: Scheme, v: np.ndarray, n: int) -> ScaleError:
@@ -408,13 +407,16 @@ def uniqueness_crosscheck(
     the difference from the window's previous index stops the run by the
     rule and with the notes of :func:`extract_limit`.  The result is true
     iff both estimates exist and agree within tol.  Windows are given as
-    ranges, inclusive (lo, hi) tuples or collections of indices, each index
-    counted once.
+    ranges, inclusive (lo, hi) 2-tuples or other collections of indices,
+    each index counted once; a tuple of any other length raises
+    ``ValueError``.
     """
     v = np.atleast_1d(np.asarray(x, dtype=float))
 
     def window_limit(window) -> tuple[np.ndarray | None, str]:
         if isinstance(window, tuple):
+            if len(window) != 2:
+                raise ValueError(f"a tuple window is an inclusive (lo, hi) pair, got {window}")
             window = range(window[0], window[1] + 1)
         ns = sorted(set(window))
         if len(ns) < 2:

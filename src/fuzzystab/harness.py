@@ -7,8 +7,8 @@ result as one JSON document or one CSV file per section.  Runs are
 deterministic: a fixed seed yields byte-identical report files.
 
 Exit-status contract (also recorded inside the JSON report):
-    0  zero violations and every requested extraction converged
-    1  violations present or an extraction failed to converge
+    0  zero violations, every requested extraction converged, every hypothesis check passed
+    1  violations present, an extraction failed to converge, or a hypothesis check failed
     2  invalid configuration
     3  scale/overflow error during extraction
     4  unwritable output path

@@ -7,7 +7,6 @@ import pytest
 
 from fuzzystab.control import (
     ConstantControl,
-    EnvelopeId,
     Margin,
     PowerControl,
     ProductControl,
@@ -230,38 +229,56 @@ class TestVanishingCheck:
         assert margin.worst == 0.0
 
 
+QUADRATIC_UP = (Scheme.QUADRATIC_UP,)
+ADDITIVE_UP = (Scheme.ADDITIVE_UP,)
+
+
 class TestEnvelope:
     def test_constant_control_all_entries_equal(self):
         phi = ConstantControl(delta=1.0, alpha=1.0)
-        assert envelope(EnvelopeId.N1PP, phi, NPRIME, V(2.0), 1.0) == 0.5
+        # threshold 2 (4 - 1) / 6 = 1
+        assert envelope(QUADRATIC_UP, phi, NPRIME, V(2.0), 2.0) == 0.5
 
     def test_power_control_entries_enumerated(self):
         # phi(x/3, w) = ||x/3|| + ||w|| over w in {x/3, x, 4x/3, -2x/3, 0}
-        # at ||x|| = 3: entries 2, 4, 5, 3, 1; the minimum membership is at 5
+        # at ||x|| = 3: entries 2, 4, 5, 3, 1; the minimum membership, at
+        # the threshold 15 (4 - 2) / 6 = 5, is at 5
         phi = PowerControl(theta=1.0, p=1.0, alpha=2.0)
         x = V(3.0)
         entries = [2.0, 4.0, 5.0, 3.0, 1.0]
         memberships = [5.0 / (5.0 + e) for e in entries]
-        assert envelope(EnvelopeId.N1PP, phi, NPRIME, x, 5.0) == min(memberships) == 0.5
+        assert envelope(QUADRATIC_UP, phi, NPRIME, x, 15.0) == min(memberships) == 0.5
 
-    def test_envelope_at_origin_is_one(self):
-        for which in (EnvelopeId.N1PP, EnvelopeId.N2PP, EnvelopeId.N3PP, EnvelopeId.N4PP):
-            for phi in (
-                ConstantControl(delta=0.0, alpha=1.0),
-                PowerControl(theta=1.0, p=2.0, alpha=1.0),
-                ProductControl(theta=2.0, p1=1.0, p2=1.0, alpha=1.0),
-            ):
-                assert envelope(which, phi, NPRIME, V(0.0), 1.0) == 1.0
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_envelope_at_origin_is_one(self, scheme):
+        alpha = 1.0 if scheme.is_up else 5.0
+        for phi in (
+            ConstantControl(delta=0.0, alpha=alpha),
+            PowerControl(theta=1.0, p=2.0, alpha=alpha),
+            ProductControl(theta=2.0, p1=1.0, p2=1.0, alpha=alpha),
+        ):
+            assert envelope((scheme,), phi, NPRIME, V(0.0), 1.0) == 1.0
 
     def test_nonpositive_threshold_gives_zero(self):
         phi = ConstantControl(delta=1.0, alpha=1.0)
-        assert envelope(EnvelopeId.N1PP, phi, NPRIME, V(1.0), 0.0) == 0.0
-        assert envelope(EnvelopeId.N3PP, phi, NPRIME, V(1.0), -2.0) == 0.0
+        assert envelope(QUADRATIC_UP, phi, NPRIME, V(1.0), 0.0) == 0.0
+        assert envelope(ADDITIVE_UP, phi, NPRIME, V(1.0), -2.0) == 0.0
+        assert envelope(THEOREMS["combined"].schemes, phi, NPRIME, V(1.0), -2.0) == 0.0
+        down = ConstantControl(delta=1.0, alpha=5.0)
+        assert envelope((Scheme.QUADRATIC_DOWN,), down, NPRIME, V(1.0), -6.0) == 0.0
+
+    def test_one_scheme_decides_by_its_threshold_not_by_the_level(self):
+        # alpha 5 lies outside the quadratic_up interval, so a = -6 gives the
+        # positive threshold -6 (4 - 5) / 6 = 1, where N'(1, 1) = 1/2
+        phi = ConstantControl(delta=1.0, alpha=5.0)
+        assert envelope(QUADRATIC_UP, phi, NPRIME, V(1.0), -6.0) == 0.5
+        assert envelope(QUADRATIC_UP, phi, NPRIME, V(1.0), 6.0) == 0.0
 
     def test_monotone_in_threshold_and_in_unit_interval(self):
         phi = PowerControl(theta=0.7, p=1.5, alpha=3.0)
         x = V(1.3)
-        values = [envelope(EnvelopeId.N3PP, phi, NPRIME, x, a) for a in log_a_grid(1e-2, 1e2, 15)]
+        additive_down = (Scheme.ADDITIVE_DOWN,)
+        values = [envelope(additive_down, phi, NPRIME, x, a) for a in log_a_grid(1e-2, 1e2, 15)]
         assert all(0.0 <= v <= 1.0 for v in values)
         assert all(hi >= lo - 1e-12 for lo, hi in zip(values, values[1:]))
 
@@ -270,24 +287,26 @@ class TestEnvelope:
         phi2 = PowerControl(theta=2.5, p=1.0, alpha=2.0)
         for a in (0.01, 1.0, 50.0):
             for x in (V(0.5), V(2.0)):
-                assert envelope(EnvelopeId.N1PP, phi2, NPRIME, x, a) <= envelope(
-                    EnvelopeId.N1PP, phi1, NPRIME, x, a
+                assert envelope(QUADRATIC_UP, phi2, NPRIME, x, a) <= envelope(
+                    QUADRATIC_UP, phi1, NPRIME, x, a
                 )
 
-    def test_combined_envelope_is_min_of_rescaled_parts(self):
+    def test_combined_envelope_is_min_of_the_parts_at_half_the_level(self):
         phi = ConstantControl(delta=0.4, alpha=1.0)
         x, a = V(1.5), 2.0
         want = min(
-            envelope(EnvelopeId.N1PP, phi, NPRIME, x, a * 3.0 / 12.0),
-            envelope(EnvelopeId.N3PP, phi, NPRIME, x, a * 1.0 / 8.0),
+            envelope(QUADRATIC_UP, phi, NPRIME, x, a / 2),
+            envelope(ADDITIVE_UP, phi, NPRIME, x, a / 2),
         )
-        assert envelope(EnvelopeId.NPP, phi, NPRIME, x, a) == want
+        # the parts are N'(0.4, t) at t = a (4 - 1) / 12 and a (2 - 1) / 8
+        assert want == NPRIME(V(0.4), a * 1.0 / 8.0)
+        assert envelope(THEOREMS["combined"].schemes, phi, NPRIME, x, a) == want
 
     # phi(u, w) = ||u||^2 + ||w||^2 at x = 3, in pair order; the entries are
     # exact and distinct, so an N' can be NaN at exactly one pair
     ENTRIES = {
-        EnvelopeId.N1PP: [2.0, 10.0, 17.0, 5.0, 1.0],
-        EnvelopeId.N3PP: [18.0, 4.5, 38.25, 22.5],
+        Scheme.QUADRATIC_UP: [2.0, 10.0, 17.0, 5.0, 1.0],
+        Scheme.ADDITIVE_UP: [18.0, 4.5, 38.25, 22.5],
     }
 
     @staticmethod
@@ -298,23 +317,25 @@ class TestEnvelope:
 
         return FuzzyNorm(evaluator=evaluate)
 
-    @pytest.mark.parametrize("which", [EnvelopeId.N1PP, EnvelopeId.N3PP])
+    # the level at which each scheme's threshold is 1 for alpha 1
+    @pytest.mark.parametrize("scheme, a", [(Scheme.QUADRATIC_UP, 2.0), (Scheme.ADDITIVE_UP, 4.0)])
     @pytest.mark.parametrize("k", [0, 2, -1], ids=["first", "middle", "last"])
-    def test_nan_membership_at_any_pair_makes_the_envelope_nan(self, which, k):
+    def test_nan_membership_at_any_pair_makes_the_envelope_nan(self, scheme, a, k):
         phi = PowerControl(theta=1.0, p=2.0, alpha=1.0)
-        entries = self.ENTRIES[which]
+        entries = self.ENTRIES[scheme]
         seen = []
-        assert np.isnan(envelope(which, phi, self._nan_at(entries[k], seen), V(3.0), 1.0))
+        assert np.isnan(envelope((scheme,), phi, self._nan_at(entries[k], seen), V(3.0), a))
         assert seen == entries
-        clean = envelope(which, phi, self._nan_at(None, []), V(3.0), 1.0)
+        clean = envelope((scheme,), phi, self._nan_at(None, []), V(3.0), a)
         assert clean == min(1.0 / (1.0 + e) for e in entries)
 
     @pytest.mark.parametrize("bad", [2.0, 38.25], ids=["n1pp_part", "n3pp_part"])
     def test_nan_in_either_part_makes_the_combined_envelope_nan(self, bad):
         phi = PowerControl(theta=1.0, p=2.0, alpha=1.0)
         seen = []
-        assert np.isnan(envelope(EnvelopeId.NPP, phi, self._nan_at(bad, seen), V(3.0), 1.0))
-        assert seen == self.ENTRIES[EnvelopeId.N1PP] + self.ENTRIES[EnvelopeId.N3PP]
+        schemes = THEOREMS["combined"].schemes
+        assert np.isnan(envelope(schemes, phi, self._nan_at(bad, seen), V(3.0), 1.0))
+        assert seen == self.ENTRIES[Scheme.QUADRATIC_UP] + self.ENTRIES[Scheme.ADDITIVE_UP]
 
 
 class TestNoPairs:
@@ -400,16 +421,16 @@ class TestVerifyStability:
         assert report.violations == 0
 
     @pytest.mark.parametrize(
-        "theorem_id, alpha, factor",
+        "theorem_id, alpha, factors",
         [
-            ("quadratic_up", 1.0, (4.0 - 1.0) / 6.0),
-            ("quadratic_down", 7.0, (7.0 - 4.0) / 6.0),
-            ("additive_up", 1.0, (2.0 - 1.0) / 4.0),
-            ("additive_down", 3.0, (3.0 - 2.0) / 4.0),
-            ("combined", 1.0, 1.0),  # the factors are inside the Npp envelope
+            ("quadratic_up", 1.0, [(4.0 - 1.0) / 6.0]),
+            ("quadratic_down", 7.0, [(7.0 - 4.0) / 6.0]),
+            ("additive_up", 1.0, [(2.0 - 1.0) / 4.0]),
+            ("additive_down", 3.0, [(3.0 - 2.0) / 4.0]),
+            ("combined", 1.0, [(4.0 - 1.0) / 12.0, (2.0 - 1.0) / 8.0]),  # a/2 to each scheme
         ],
     )
-    def test_rhs_is_the_envelope_at_the_theorem_threshold(self, theorem_id, alpha, factor):
+    def test_rhs_is_the_envelope_at_the_theorem_threshold(self, theorem_id, alpha, factors):
         f = TestFunction.scalar()  # no defect, so the premise holds and every row is written
         phi = ConstantControl(delta=0.5, alpha=alpha)
         spec = THEOREMS[theorem_id]
@@ -419,7 +440,8 @@ class TestVerifyStability:
         )
         assert len(report.rows) == len(self.XS) * len(self.A_VALUES)
         for row in report.rows:
-            want = envelope(spec.envelope_id, phi, NPRIME, row.x, row.a * factor)
+            # a constant control's envelope is N'(delta, t) at each scheme's threshold t
+            want = min(NPRIME(V(0.5), row.a * factor) for factor in factors)
             assert row.rhs == pytest.approx(want, rel=1e-12)
 
     def test_wrong_component_is_caught(self):
@@ -464,7 +486,7 @@ class TestVerifyStability:
         for a in self.A_VALUES:
             t = a * (4.0 - alpha) / 6.0
             want = t / (t + delta)
-            got = envelope(EnvelopeId.N1PP, phi, NPRIME, V(1.7), t)
+            got = envelope(QUADRATIC_UP, phi, NPRIME, V(1.7), a)
             assert got == pytest.approx(want, abs=1e-15)
 
     def test_auto_delta_satisfies_premise_by_construction(self):

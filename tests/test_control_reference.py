@@ -13,10 +13,12 @@ margin is pinned by ``reference_vanishing_margin``, a min-membership loop.
 Each theorem's y-set table must give the bytes of
 the y-set function it replaced, edge coordinates included.
 ``reference_envelope`` is the envelope as a loop over its pairs, one
-control value and one membership call per pair, and ``reference_control``
-the control families' one-pair formulas in Python floats; the row forms
-and the envelope must reproduce them bit for bit, non-finite and
-overflowing inputs included.  A
+control value and one membership call per pair, at a threshold its caller
+computes; ``PAPER_BOUNDS`` gives each theorem's envelope kind and its
+threshold formula as the paper writes it.  ``reference_control`` is the
+control families' one-pair formulas in Python floats.  The row forms, and
+the envelope of each theorem's schemes at level a, must reproduce them bit
+for bit, non-finite and overflowing inputs included.  A
 stacked ``TestFunction`` call must equal the single-vector calls bit for
 bit, for every perturbation shape, and both must equal
 ``reference_test_function``, the one-vector evaluation in Python floats
@@ -27,6 +29,7 @@ with ``math.sin`` and ``math.cos``.  A numpy build whose ``np.sin`` or
 import math
 import re
 from dataclasses import dataclass
+from enum import Enum
 from typing import Callable, Sequence
 
 import pytest
@@ -38,7 +41,6 @@ from hypothesis import strategies as st
 from fuzzystab.control import (
     THEOREMS,
     ConstantControl,
-    EnvelopeId,
     PowerControl,
     ProductControl,
     _pairs_at,
@@ -230,6 +232,16 @@ def _additive_pairs(x: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     u = x / 2.0
     # The one-argument entry of the additive envelope is read as (x/2, x/2).
     return [(x, x), (u, u), (u, 2.0 * x), (u, 1.5 * x)]
+
+
+class EnvelopeId(Enum):
+    """The envelope kinds the reference loop takes: one per theorem."""
+
+    N1PP = "N1pp"
+    N2PP = "N2pp"
+    N3PP = "N3pp"
+    N4PP = "N4pp"
+    NPP = "Npp"
 
 
 def reference_envelope(which, phi, nprime, x, a, norm=euclidean_norm) -> float:
@@ -584,13 +596,56 @@ def test_y_set_table_equals_its_function(theorem_id, points):
         assert _bits(_pairs_at(THEOREMS[theorem_id].y_set, points)) == _bits(want)
 
 
+#: Theorem id -> its bound as the paper writes it: the reference's envelope
+#: kind and the threshold (a, alpha) -> t of each part.  The combined bound
+#: is the eps/2 split: the quadratic_up and additive_up bounds at a / 2.
+PAPER_BOUNDS = {
+    "quadratic_up": [(EnvelopeId.N1PP, lambda a, alpha: a * (4.0 - alpha) / 6.0)],
+    "quadratic_down": [(EnvelopeId.N2PP, lambda a, alpha: a * (alpha - 4.0) / 6.0)],
+    "additive_up": [(EnvelopeId.N3PP, lambda a, alpha: a * (2.0 - alpha) / 4.0)],
+    "additive_down": [(EnvelopeId.N4PP, lambda a, alpha: a * (alpha - 2.0) / 4.0)],
+    "combined": [
+        (EnvelopeId.N1PP, lambda a, alpha: a / 2 * (4.0 - alpha) / 6.0),
+        (EnvelopeId.N3PP, lambda a, alpha: a / 2 * (2.0 - alpha) / 4.0),
+    ],
+}
+
+
+def _theorem_envelope(theorem_id, phi, a, **kwargs):
+    return envelope(THEOREMS[theorem_id].schemes, phi=phi, a=a, **kwargs)
+
+
+def _paper_envelope(theorem_id, phi, a, **kwargs):
+    """The least of the reference's parts at their thresholds; with several
+    parts, 0 for a <= 0 and NaN if any part is NaN."""
+    parts = PAPER_BOUNDS[theorem_id]
+    if len(parts) > 1 and a <= 0.0:
+        return 0.0
+    memberships = [
+        reference_envelope(which, phi=phi, a=threshold(a, phi.alpha), **kwargs)
+        for which, threshold in parts
+    ]
+    if len(parts) == 1:
+        return memberships[0]
+    return math.nan if any(map(math.isnan, memberships)) else min(memberships)
+
+
+_SPECIAL_LEVEL = st.sampled_from([0.0, -1.0, 1e-3, 1.0, 1e3, math.inf])
+#: Levels whose thresholds are normal floats for every drawn alpha (|4 -
+#: alpha| is at least 2^-51 when not 0), so halving a commutes with rounding.
+_NORMAL_LEVEL = st.one_of(
+    _SPECIAL_LEVEL, st.floats(2.0**-900, 1e3), st.floats(-1.0, -(2.0**-900))
+)
+
+
 @st.composite
-def _envelope_case(draw):
+def _envelope_case(
+    draw, theorems=tuple(THEOREMS), levels=st.one_of(_SPECIAL_LEVEL, st.floats(-1.0, 1e3))
+):
     dim = draw(st.integers(1, 3))
-    special = st.sampled_from([0.0, -1.0, 1e-3, 1.0, 1e3, math.inf])
-    a = draw(st.one_of(special, st.floats(-1.0, 1e3)))
+    a = draw(levels)
     return dict(
-        which=draw(st.sampled_from(list(EnvelopeId))),
+        theorem_id=draw(st.sampled_from(theorems)),
         phi=draw(_edge_controls()),
         nprime=_fuzzy_norm(draw, 1),
         x=_edge_vector(draw, dim),
@@ -610,11 +665,23 @@ def _outcome(fn, **kwargs):
 @pytest.mark.parametrize("errstate", [{}, {"all": "ignore"}], ids=["warn", "ignore"])
 @settings(max_examples=400, deadline=None)
 @given(_envelope_case())
-def test_envelope_equals_reference_loop(errstate, case):
+def test_envelope_equals_reference_loop_at_the_paper_threshold(errstate, case):
     # under the test config a numpy overflow warning is an error, so both
     # must fail alike; with warnings off the values behind them must agree
     with np.errstate(**errstate):
-        assert _outcome(envelope, **case) == _outcome(reference_envelope, **case)
+        assert _outcome(_theorem_envelope, **case) == _outcome(_paper_envelope, **case)
+
+
+@pytest.mark.parametrize("errstate", [{}, {"all": "ignore"}], ids=["warn", "ignore"])
+@settings(max_examples=200, deadline=None)
+@given(_envelope_case(theorems=("combined",), levels=_NORMAL_LEVEL))
+def test_combined_split_equals_the_folded_npp_factors(errstate, case):
+    # (a/2)(4 - alpha)/6 is a (4 - alpha)/12 while every product is a normal
+    # float; below that, halving a first rounds differently in the last bits
+    kind = dict(case, which=EnvelopeId.NPP)
+    del kind["theorem_id"]
+    with np.errstate(**errstate):
+        assert _outcome(_theorem_envelope, **case) == _outcome(reference_envelope, **kind)
 
 
 @st.composite

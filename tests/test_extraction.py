@@ -49,6 +49,23 @@ PLANE_PAIR = TestFunction(
 )
 
 
+@pytest.mark.parametrize(
+    "scheme, interval, label",
+    [
+        (Scheme.QUADRATIC_UP, (0.0, 4.0), "(0,4)"),
+        (Scheme.QUADRATIC_DOWN, (4.0, math.inf), "(>4)"),
+        (Scheme.ADDITIVE_UP, (0.0, 2.0), "(0,2)"),
+        (Scheme.ADDITIVE_DOWN, (2.0, math.inf), "(>2)"),
+    ],
+)
+def test_alpha_interval_and_label(scheme, interval, label):
+    assert scheme.alpha_interval == interval
+    assert scheme.interval_label == label
+    lo, hi = interval
+    assert not scheme.admits_alpha(lo) and not scheme.admits_alpha(hi)
+    assert scheme.admits_alpha(lo + 0.5)
+
+
 class TestIterate:
     def test_exact_quadratic_is_fixed_point(self):
         for n in (0, 1, 5, 20):
@@ -412,6 +429,21 @@ class TestUniquenessCrosscheck:
         assert not res
         note = "no convergence in window ending at n=3 (gap 4.273e-02)"
         assert res.note == f"{note}; {note}"
+
+    @pytest.mark.parametrize("window", [(1, 2, 30), (5,), ()])
+    def test_only_a_two_tuple_is_a_range(self, window):
+        # (1, 2, 30) once read as the range 1..2 and silently dropped the 30
+        with pytest.raises(ValueError, match=r"inclusive \(lo, hi\) pair"):
+            uniqueness_crosscheck(Scheme.QUADRATIC_UP, SQUARE, V(1), window, (10, 14))
+        with pytest.raises(ValueError, match=r"inclusive \(lo, hi\) pair"):
+            uniqueness_crosscheck(Scheme.QUADRATIC_UP, SQUARE, V(1), (10, 14), window)
+
+    def test_a_list_window_is_its_indices(self):
+        # the last two of [1, 2, 30] are 2 and 30, far apart before convergence
+        f = TestFunction.scalar(quad=1.0, perturbations=(Perturbation(shape="cos", amplitude=0.5),))
+        res = uniqueness_crosscheck(Scheme.QUADRATIC_UP, f, V(1), [1, 2, 30], (29, 30))
+        assert not res
+        assert res.note.startswith("no convergence in window ending at n=30")
 
 
 def assert_window_follows_run(scheme, f, x, tol):

@@ -64,6 +64,25 @@ class TestConfigParsing:
             ExperimentConfig.from_dict(data)
         assert "alpha out of range (0,4) for quadratic_up" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "theorem, alpha, label",
+        [
+            ("quadratic_down", 3.0, "(>4)"),
+            ("quadratic_down", 4.0, "(>4)"),
+            ("additive_down", 1.5, "(>2)"),
+            ("additive_down", 2.0, "(>2)"),
+        ],
+    )
+    def test_alpha_below_a_down_scheme_interval(self, theorem, alpha, label):
+        data = dict(
+            BASE,
+            control={"family": "constant", "delta": 1.0, "alpha": alpha},
+            theorems=[theorem],
+        )
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig.from_dict(data)
+        assert f"config: control.alpha: alpha out of range {label} for {theorem}" in str(err.value)
+
     def test_combined_requires_tighter_alpha(self):
         data = dict(
             BASE,

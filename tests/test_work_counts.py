@@ -15,7 +15,6 @@ import pytest
 
 from fuzzystab import control, extraction, harness, spaces
 from fuzzystab.cli import _STAGES_BY_COMMAND
-from fuzzystab.control import EnvelopeId
 from fuzzystab.extraction import (
     BLOCK_STEPS,
     MAX_STEPS,
@@ -202,26 +201,27 @@ def test_premise_pairs_are_built_once_and_shared(monkeypatch):
 
 
 def test_envelope_makes_one_membership_call_per_part(monkeypatch):
-    # grid_dense verifies the combined bound: each (x, a) is one Npp call,
-    # which takes the N1pp and N3pp envelopes; its control is constant, so
-    # each of those calls N' once, at delta, and never evaluates the control
+    # grid_dense verifies the combined bound: each (x, a) is one call on its
+    # two schemes, which takes the one-scheme envelopes of quadratic_up and
+    # additive_up; its control is constant, so each of those parts calls N'
+    # once, at delta, and never evaluates the control
     cfg = ExperimentConfig.from_dict(_workload_config("grid_dense"))
     assert cfg.theorems == ("combined",)
-    calls = []  # the envelope of each call
+    calls = []  # the schemes of each envelope call
     stack = []  # one membership count per open envelope call
-    parts = []  # the membership count of each envelope call without parts
+    parts = []  # the membership count of each one-scheme envelope call
     inside = {"eval_control": 0, "membership": 0, "rows": 0}
     envelope, call, eval_control = control.envelope, FuzzyNorm.__call__, control.eval_control
     rows = control.ConstantControl.rows
 
-    def counted_envelope(which, *args):
-        calls.append(which)
+    def counted_envelope(schemes, *args):
+        calls.append(schemes)
         stack.append(0)
         try:
-            return envelope(which, *args)
+            return envelope(schemes, *args)
         finally:
             count = stack.pop()
-            if which is not EnvelopeId.NPP:
+            if len(schemes) == 1:
                 parts.append(count)
 
     def counted_call(self, *args):
@@ -245,7 +245,9 @@ def test_envelope_makes_one_membership_call_per_part(monkeypatch):
     report = run_pipeline(cfg, ("verification",))
     points = cfg.x_count * cfg.a_points
     assert len(report.verification_reports[0].rows) == points == 1500
-    assert len(calls) == 3 * points and calls.count(EnvelopeId.NPP) == points
+    assert len(calls) == 3 * points and calls.count(control.THEOREMS["combined"].schemes) == points
+    one_scheme = [(Scheme.QUADRATIC_UP,), (Scheme.ADDITIVE_UP,)] * points
+    assert [schemes for schemes in calls if len(schemes) == 1] == one_scheme
     assert parts == [1] * (2 * points)
     assert isinstance(cfg.control, control.ConstantControl)
     assert inside == {"eval_control": 0, "membership": 2 * points, "rows": 0}
