@@ -82,6 +82,20 @@ _RUN_2D = {
         "grids": {"x_count": 8, "a_points": 9, "axiom_points": 60},
         "tolerances": {"vanishing_probe": 80},
     },
+    # Two theorems in one run: the row order across theorems, the repair
+    # log written once per description, and auto-delta over both premise
+    # pair sets.
+    "two_theorems": {
+        "seed": 7,
+        "space": {"dim_x": 2, "dim_y": 1},
+        "function": {
+            "coords": [{"linear": [1.0, -0.5]}],
+            "perturbations": [{"shape": "sin", "amplitude": 0.01}],
+        },
+        "control": {"family": "constant", "delta": "auto", "alpha": 1.0},
+        "theorems": ["combined", "additive_up"],
+        "grids": {"x_count": 6, "a_points": 7, "axiom_points": 40},
+    },
 }
 
 #: Extraction-only runs of the two down-schemes.
