@@ -367,10 +367,10 @@ def vanishing_check(
     grid = np.asarray(a_grid, dtype=float)
     shift = scheme.value_shift * n_probe
     step = n_probe if scheme.is_up else -n_probe
-    values = phi.rows(np.ldexp(pairs, step), norm)
     # Overflow to inf keeps the limit: membership 0 at an infinite value,
     # 1 at an infinite threshold.
     with np.errstate(over="ignore"):
+        values = phi.rows(np.ldexp(pairs, step), norm)
         if scheme.is_up:
             memberships = _control_memberships(nprime, values, np.ldexp(grid, shift))
         else:
@@ -539,7 +539,11 @@ def verify_stability(
     worst slack ``-inf``).
 
     ``components`` holds the components of the theorem's schemes, in their
-    order: (Q, A) for the combined bound.
+    order: (Q, A) for the combined bound; each is called once per point.
+    ``f`` is called once, on the ``(n, dim_x)`` stack of the points, so it
+    must map points ``(..., dim_x)`` to ``(..., dim_y)`` row by row, as the
+    defect checks already require; ``N`` is evaluated once, on the
+    ``(n, 1, dim_y)`` errors against the threshold grid.
     """
     theorem = THEOREMS[theorem_id]
     worst_premise, witness = premise_margin
@@ -558,15 +562,16 @@ def verify_stability(
         )
 
     a_grid = np.asarray(a_values, dtype=float)
+    points = [np.atleast_1d(np.asarray(x, dtype=float)) for x in xs]
     rows: list[StabilityRow] = []
-    for i, x in enumerate(xs):
-        xv = np.atleast_1d(np.asarray(x, dtype=float))
-        fx = np.asarray(f(xv), dtype=float)
-        err = np.sum([np.asarray(c(xv), dtype=float) for c in components], axis=0) - fx
-        lhs = N.memberships(err, a_grid).tolist()
-        for a, lhs_a in zip(a_grid.tolist(), lhs):
-            rhs = envelope(theorem.schemes, phi, nprime, xv, a, norm)
-            rows.append(StabilityRow(x_index=i, x=xv, a=a, lhs=lhs_a, rhs=rhs))
+    if points:  # f takes a stack of one point or more
+        sums = [np.sum([np.asarray(c(x), dtype=float) for c in components], axis=0) for x in points]
+        errs = np.array(sums) - np.asarray(f(np.array(points)), dtype=float)
+        lhs = N.memberships(errs[:, None, :], a_grid).tolist()
+        for i, (x, lhs_x) in enumerate(zip(points, lhs)):
+            for a, lhs_a in zip(a_grid.tolist(), lhs_x):
+                rhs = envelope(theorem.schemes, phi, nprime, x, a, norm)
+                rows.append(StabilityRow(x_index=i, x=x, a=a, lhs=lhs_a, rhs=rhs))
     slacks = np.array([row.slack for row in rows])
     worst, _ = _first_worst(slacks)
     return StabilityReport(

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ScaleError
 from .funceq import VectorFunction, even_part, odd_part
-from .spaces import _euclidean_rows
+from .spaces import euclidean_norm
 
 __all__ = [
     "Scheme",
@@ -49,6 +49,8 @@ MAX_STEPS = 2000
 
 #: Steps per call of f in one extraction: n = 0..63, then 64..127 and so on.
 BLOCK_STEPS = 64
+
+_euclidean_rows = euclidean_norm.rows
 
 
 class Scheme(Enum):

@@ -405,37 +405,9 @@ class _ScaledComponent:
         return self.factor * np.asarray(self.source(x), dtype=float)
 
 
-def _extract_for_theorem(
-    cfg: ExperimentConfig,
-    theorem_id: str,
-    shifted: Callable[[np.ndarray], np.ndarray],
-    xs: Sequence[np.ndarray],
-):
-    """Extract the components a theorem needs from the offset-free ``shifted``.
-
-    Returns the components for verification, the quadratic one scaled by
-    ``q_scale``, and (component_name, x_index, result) per component and point.
-    """
-    try:
-        components, results = extract_components(
-            shifted, THEOREMS[theorem_id].schemes, xs, tol=cfg.extraction_tol, n_max=cfg.n_max
-        )
-    except ScaleError as exc:
-        raise ScaleError(f"{exc} (theorem {theorem_id})", scheme=exc.scheme, n=exc.n) from exc
-    diagnostics = [
-        ("quadratic" if c.scheme.is_quadratic else "additive", i, result)
-        for c, at_xs in zip(components, results)
-        for i, result in enumerate(at_xs)
-    ]
-    if cfg.q_scale != 1.0:
-        components = tuple(
-            _ScaledComponent(c, cfg.q_scale) if c.scheme.is_quadratic else c for c in components
-        )
-    return components, diagnostics
-
-
-def _finite_norms(rows: Callable[[np.ndarray], np.ndarray], v: np.ndarray) -> list[float]:
-    """Norms of the rows of ``v`` by a crisp norm's row form.
+def _finite_norms(rows: Callable[[np.ndarray], np.ndarray], v: np.ndarray) -> list:
+    """Norms of the vectors of ``v``, shape ``(..., d)``, by a crisp norm's
+    row form, as nested lists of shape ``(...)``.
 
     A row of finite entries whose norm overflows in the squares is scaled by
     a power of two before it is normed again, so it gets its finite norm if
@@ -451,12 +423,11 @@ def _finite_norms(rows: Callable[[np.ndarray], np.ndarray], v: np.ndarray) -> li
 
 
 def run_pipeline(cfg: ExperimentConfig, stages: Sequence[str] = ALL_STAGES) -> RunReport:
-    """Execute the requested pipeline stages in order.
-
-    Stage dependencies are implicit: verification extracts whatever it needs
-    even when the extraction section was not requested; sections are only
-    populated for requested stages.  Each theorem's defect-premise margin is
-    computed once, for both its hypothesis row and its verification gate.
+    """Execute the requested pipeline stages: the axiom audit, a control
+    prelude, then one pass per theorem for its hypothesis rows, extraction
+    and verification.  Verification extracts whatever it needs even when the
+    extraction section was not requested; sections are only populated for
+    requested stages.
     """
     stages = tuple(s for s in ALL_STAGES if s in stages)
     report = RunReport(seed=cfg.seed, stages=stages)
@@ -499,18 +470,20 @@ def run_pipeline(cfg: ExperimentConfig, stages: Sequence[str] = ALL_STAGES) -> R
 
     shifted, _ = remove_offset(cfg.function)
 
-    needs_controls = "hypothesis" in stages or "verification" in stages
+    # The prelude: every theorem's premise pairs, the auto-delta sup over all
+    # of them, then each theorem's premise margin (for its hypothesis row and
+    # its verification gate), all before any extraction.
     premise_by_theorem: dict[str, np.ndarray] = {}
     margin_by_theorem: dict[str, Margin] = {}
     phi = cfg.control
-    if needs_controls:
+    if "hypothesis" in stages or "verification" in stages:
         premise_rngs = seed_premise.spawn(len(cfg.theorems))
         for t, child in zip(cfg.theorems, premise_rngs):
             premise_by_theorem[t] = premise_pairs(
                 THEOREMS[t], xs, np.random.default_rng(child), radius=cfg.x_radius
             )
         if cfg.auto_delta:
-            stacks = [premise_by_theorem[t] for t in cfg.theorems]
+            stacks = list(premise_by_theorem.values())
             all_pairs = stacks[0] if len(stacks) == 1 else np.concatenate(stacks, axis=1)
             report.resolved_delta = measure_residual_sup(shifted, all_pairs, norm=norm)
             phi = replace(phi, delta=report.resolved_delta)
@@ -519,16 +492,17 @@ def run_pipeline(cfg: ExperimentConfig, stages: Sequence[str] = ALL_STAGES) -> R
                 shifted, phi, N, nprime, premise_by_theorem[t], a_values, norm
             )
 
-    if "hypothesis" in stages:
-        # each pass rule once; a vanishing margin is over 1 - tol, not a
-        # membership slack, so its row reports slack 0
-        within_slack = lambda worst: worst >= -cfg.membership_slack
-        above_zero = lambda worst: worst > 0.0
-        probe, tol = cfg.vanishing_probe, cfg.fuzzy_tol
-        for t in cfg.theorems:
+    # each pass rule once; a vanishing margin is over 1 - tol, not a
+    # membership slack, so its row reports slack 0
+    within_slack = lambda worst: worst >= -cfg.membership_slack
+    above_zero = lambda worst: worst > 0.0
+    probe, tol = cfg.vanishing_probe, cfg.fuzzy_tol
+    for t in cfg.theorems:
+        schemes = THEOREMS[t].schemes
+        if "hypothesis" in stages:
             pairs, checks = premise_by_theorem[t], []
             y_set_pairs = pairs[:, :-BALL_PAIRS]
-            for scheme in THEOREMS[t].schemes:
+            for scheme in schemes:
                 scaling = scaling_alpha_check(phi, scheme, nprime, y_set_pairs, a_values, norm)
                 vanishing = vanishing_check(phi, scheme, nprime, pairs, probe, a_values, tol, norm)
                 checks += [
@@ -541,16 +515,22 @@ def run_pipeline(cfg: ExperimentConfig, stages: Sequence[str] = ALL_STAGES) -> R
                 note = "" if passed else f"margin {worst:.3e} at a={witness[2]:g}"
                 slack = worst if passes is within_slack else 0.0
                 report.hypothesis_rows.append(HypothesisRow(t, label, passed, slack, note))
+        if "extraction" not in stages and "verification" not in stages:
+            continue
 
-    components_by_theorem: dict[str, tuple] = {}
-    if "extraction" in stages or "verification" in stages:
-        for t in cfg.theorems:
-            components_by_theorem[t], diagnostics = _extract_for_theorem(cfg, t, shifted, xs)
-            if "extraction" in stages:
-                limits = np.array([result.limit_value for _, _, result in diagnostics])
-                for (name, i, result), limit, limit_norm in zip(
-                    diagnostics, limits.tolist(), _finite_norms(norm.rows, limits)
-                ):
+        try:
+            components, results = extract_components(
+                shifted, schemes, xs, tol=cfg.extraction_tol, n_max=cfg.n_max
+            )
+        except ScaleError as exc:
+            raise ScaleError(f"{exc} (theorem {t})", scheme=exc.scheme, n=exc.n) from exc
+        if "extraction" in stages:
+            limits = np.array([[result.limit_value for result in at_xs] for at_xs in results])
+            for scheme, at_xs, listed, normed in zip(
+                schemes, results, limits.tolist(), _finite_norms(norm.rows, limits)
+            ):
+                name = "quadratic" if scheme.is_quadratic else "additive"
+                for i, (result, limit, limit_norm) in enumerate(zip(at_xs, listed, normed)):
                     report.extraction_rows.append(
                         ExtractionRow(
                             theorem_id=t,
@@ -565,13 +545,15 @@ def run_pipeline(cfg: ExperimentConfig, stages: Sequence[str] = ALL_STAGES) -> R
                             stopped_reason=result.stopped_reason,
                         )
                     )
-
-    if "verification" in stages:
-        seen_repairs: set[str] = set()
-        for t in cfg.theorems:
-            result = verify_stability(
+        if "verification" in stages:
+            if cfg.q_scale != 1.0:
+                components = tuple(
+                    _ScaledComponent(c, cfg.q_scale) if c.scheme.is_quadratic else c
+                    for c in components
+                )
+            verified = verify_stability(
                 shifted,
-                components_by_theorem[t],
+                components,
                 phi,
                 t,
                 xs,
@@ -582,11 +564,10 @@ def run_pipeline(cfg: ExperimentConfig, stages: Sequence[str] = ALL_STAGES) -> R
                 slack=cfg.membership_slack,
                 premise_margin=margin_by_theorem[t],
             )
-            report.verification_reports.append(result)
-            for repair in result.repairs:
-                if repair not in seen_repairs:
-                    seen_repairs.add(repair)
-                    report.repair_log.append((repair, REPAIR_DESCRIPTIONS[repair]))
+            report.verification_reports.append(verified)
+            logged = {repair for repair, _ in report.repair_log}
+            new = [repair for repair in verified.repairs if repair not in logged]
+            report.repair_log += [(repair, REPAIR_DESCRIPTIONS[repair]) for repair in new]
 
     return report
 

@@ -442,7 +442,7 @@ class SequenceProbe:
     def __post_init__(self) -> None:
         if not self.a_grid:
             raise ValueError("a_grid must be non-empty")
-        if any(a <= 0 for a in self.a_grid):
+        if not all(a > 0 for a in self.a_grid):  # a NaN is not > 0 either
             raise ValueError("a_grid must be strictly positive")
         if any(hi <= lo for lo, hi in zip(self.a_grid, self.a_grid[1:])):
             raise ValueError("a_grid must be strictly increasing")
@@ -454,16 +454,18 @@ def fuzzy_limit(probe: SequenceProbe, candidate: np.ndarray, n_window: Iterable[
     """True iff every window term is within fuzzy tolerance of the candidate.
 
     Checks N(x_n - candidate, a) > 1 - tolerance for every n in the window
-    and every threshold on the probe grid.
+    and every threshold on the probe grid, so a NaN membership fails it.
     """
     window = list(n_window)
     if not window:
         raise ValueError("n_window must be non-empty")
     c = np.atleast_1d(np.asarray(candidate, dtype=float))
     for n in window:
-        diff = np.atleast_1d(np.asarray(probe.terms(n), dtype=float)) - c
+        term = np.atleast_1d(np.asarray(probe.terms(n), dtype=float))
+        with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails below
+            diff = term - c
         for a in probe.a_grid:
-            if probe.norm(diff, a) <= 1.0 - probe.tolerance:
+            if not probe.norm(diff, a) > 1.0 - probe.tolerance:
                 return False
     return True
 
@@ -472,7 +474,7 @@ def fuzzy_cauchy(probe: SequenceProbe, p_max: int, n0: int, n_max: int | None = 
     """True iff tail increments stay within fuzzy tolerance.
 
     Checks N(x_{n+p} - x_n, a) > 1 - tolerance for n0 <= n <= n_max and
-    1 <= p <= p_max over the probe grid.
+    1 <= p <= p_max over the probe grid, so a NaN membership fails it.
     """
     if p_max < 1:
         raise ValueError("p_max must be >= 1")
@@ -481,8 +483,10 @@ def fuzzy_cauchy(probe: SequenceProbe, p_max: int, n0: int, n_max: int | None = 
     for n in range(n0, n_max + 1):
         base = np.atleast_1d(np.asarray(probe.terms(n), dtype=float))
         for p in range(1, p_max + 1):
-            diff = np.atleast_1d(np.asarray(probe.terms(n + p), dtype=float)) - base
+            term = np.atleast_1d(np.asarray(probe.terms(n + p), dtype=float))
+            with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails below
+                diff = term - base
             for a in probe.a_grid:
-                if probe.norm(diff, a) <= 1.0 - probe.tolerance:
+                if not probe.norm(diff, a) > 1.0 - probe.tolerance:
                     return False
     return True

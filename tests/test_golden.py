@@ -82,9 +82,9 @@ _RUN_2D = {
         "grids": {"x_count": 8, "a_points": 9, "axiom_points": 60},
         "tolerances": {"vanishing_probe": 80},
     },
-    # Two theorems in one run: the row order across theorems, the repair
-    # log written once per description, and auto-delta over both premise
-    # pair sets.
+    # Two theorems in one run: the row order across theorems and the repair
+    # log written once per description.  Its auto-delta sup lies in the
+    # first theorem's pairs, so test_work_counts.py pins the joined pairs.
     "two_theorems": {
         "seed": 7,
         "space": {"dim_x": 2, "dim_y": 1},

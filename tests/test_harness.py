@@ -266,6 +266,17 @@ class TestPipeline:
         assert ids.count("combined_lhs_sign") == 1
         assert report.exit_status == EXIT_OK
 
+    def test_vanishing_probe_past_the_float_range_fails_quietly(self):
+        # at n = 2000 the scaled pairs and the scaled thresholds overflow to
+        # inf, with no RuntimeWarning: the memberships are NaN and the row
+        # fails at the least threshold
+        data = json.loads((CONFIGS / "quadratic_power.json").read_text(encoding="utf-8"))
+        data["tolerances"] = {"vanishing_probe": 2000}
+        report = run_pipeline(ExperimentConfig.from_dict(data), stages=("hypothesis",))
+        rows = {row.check: row for row in report.hypothesis_rows}
+        row = rows["vanishing[quadratic_up]"]
+        assert (row.passed, row.worst_slack, row.note) == (False, 0.0, "margin -inf at a=0.001")
+
     @pytest.mark.parametrize(
         "case, failing",
         [

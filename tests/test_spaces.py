@@ -260,6 +260,16 @@ class TestFuzzyLimit:
         assert fuzzy_limit(probe, E1, range(1, 30))
         assert fuzzy_limit(probe, E1, range(490, 500))
 
+    def test_nan_sequence_has_no_limit(self):
+        # the memberships are NaN, which is not above 1 - tol
+        probe = SequenceProbe(terms=lambda n: np.array([math.nan]), norm=FuzzyNorm.induced())
+        assert not fuzzy_limit(probe, np.array([0.0]), range(1, 5))
+
+    def test_infinite_sequence_has_no_infinite_limit(self):
+        # inf - inf is NaN, quietly
+        probe = SequenceProbe(terms=lambda n: np.array([math.inf]), norm=FuzzyNorm.induced())
+        assert not fuzzy_limit(probe, np.array([math.inf]), range(1, 5))
+
 
 class TestFuzzyCauchy:
     def test_geometric_partial_sums_are_cauchy(self):
@@ -282,6 +292,12 @@ class TestFuzzyCauchy:
         probe = SequenceProbe(terms=terms, norm=FuzzyNorm.induced())
         assert fuzzy_cauchy(probe, p_max=3, n0=12, n_max=30)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_constant_sequence_is_not_cauchy(self, value):
+        # its increments are NaN (inf - inf, quietly), and so are their memberships
+        probe = SequenceProbe(terms=lambda n: np.array([value]), norm=FuzzyNorm.induced())
+        assert not fuzzy_cauchy(probe, p_max=2, n0=1, n_max=3)
+
 
 class TestProbeValidation:
     def test_rejects_bad_grids(self):
@@ -291,6 +307,12 @@ class TestProbeValidation:
             SequenceProbe(terms=lambda n: E1, norm=FuzzyNorm.induced(), a_grid=(1.0, 0.5))
         with pytest.raises(ValueError):
             SequenceProbe(terms=lambda n: E1, norm=FuzzyNorm.induced(), a_grid=(-1.0, 1.0))
+
+    @pytest.mark.parametrize("a_grid", [(math.nan,), (math.nan, 1.0), (1.0, math.nan)])
+    def test_rejects_a_nan_threshold(self, a_grid):
+        # at a NaN threshold every membership is NaN, so any sequence would pass
+        with pytest.raises(ValueError, match="strictly positive"):
+            SequenceProbe(terms=lambda n: E1, norm=FuzzyNorm.induced(), a_grid=a_grid)
 
     def test_rejects_bad_tolerance(self):
         with pytest.raises(ValueError):

@@ -200,6 +200,44 @@ def test_premise_pairs_are_built_once_and_shared(monkeypatch):
         assert got.tobytes() == pairs[:, : cfg.x_count * 8].tobytes()
 
 
+def test_auto_delta_is_one_sup_over_every_theorems_premise_pairs(monkeypatch):
+    # two theorems: the sup takes their premise arrays joined in the
+    # config's order, so a largest defect in any of them sizes delta
+    cfg = ExperimentConfig.from_dict(
+        {
+            "seed": 7,
+            "space": {"dim_x": 2, "dim_y": 1},
+            "function": {
+                "coords": [{"linear": [1.0, -0.5]}],
+                "perturbations": [{"shape": "sin", "amplitude": 0.01}],
+            },
+            "control": {"family": "constant", "delta": "auto", "alpha": 1.0},
+            "theorems": ["combined", "additive_up"],
+            "grids": {"x_count": 6, "a_points": 7, "axiom_points": 40},
+        }
+    )
+    built, received = [], []
+    premise_pairs, measure_residual_sup = harness.premise_pairs, harness.measure_residual_sup
+
+    def counted_premise_pairs(*args, **kwargs):
+        built.append(premise_pairs(*args, **kwargs))
+        return built[-1]
+
+    def counted_measure_residual_sup(f, pairs, **kwargs):
+        received.append(pairs)
+        return measure_residual_sup(f, pairs, **kwargs)
+
+    monkeypatch.setattr(harness, "premise_pairs", counted_premise_pairs)
+    monkeypatch.setattr(harness, "measure_residual_sup", counted_measure_residual_sup)
+    report = run_pipeline(cfg, ("hypothesis",))
+    (pairs,) = received
+    assert len(built) == 2
+    assert pairs.tobytes() == np.concatenate(built, axis=1).tobytes()
+    shifted = harness.remove_offset(cfg.function)[0]
+    sups = [measure_residual_sup(shifted, b, norm=cfg.space.norm()) for b in built]
+    assert report.resolved_delta == max(sups)
+
+
 def test_envelope_makes_one_membership_call_per_part(monkeypatch):
     # grid_dense verifies the combined bound: each (x, a) is one call on its
     # two schemes, which takes the one-scheme envelopes of quadratic_up and
@@ -251,6 +289,79 @@ def test_envelope_makes_one_membership_call_per_part(monkeypatch):
     assert parts == [1] * (2 * points)
     assert isinstance(cfg.control, control.ConstantControl)
     assert inside == {"eval_control": 0, "membership": 2 * points, "rows": 0}
+
+
+def test_verification_evaluates_f_and_N_once_per_theorem(monkeypatch):
+    # grid_dense verifies the combined bound at 60 points in 3 dimensions:
+    # the offset-free f is called once, on the stack of the points, and N
+    # once, on the stacked errors against the threshold grid; each
+    # component is still called once per point and per scheme
+    cfg = ExperimentConfig.from_dict(_workload_config("grid_dense"))
+    assert cfg.theorems == ("combined",)
+    verify_stability, call = harness.verify_stability, TestFunction.__call__
+    memberships, component = FuzzyNorm.memberships, extraction.ExtractedComponent.__call__
+    signature = inspect.signature(verify_stability)
+    received = []  # the arguments of each verify_stability call
+    inside = []  # the arguments of the open verify_stability call
+    seen = {"f": [], "N": [], "components": []}
+
+    def counted_verify_stability(*args, **kwargs):
+        received.append(signature.bind(*args, **kwargs).arguments)
+        inside.append(received[-1])
+        try:
+            return verify_stability(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def counted_call(self, x):
+        if inside and self is inside[-1]["f"]:
+            seen["f"].append(np.shape(x))
+        return call(self, x)
+
+    def counted_memberships(self, x, a):
+        if inside:
+            seen["N"].append((self is inside[-1]["N"], np.shape(x), np.shape(a)))
+        return memberships(self, x, a)
+
+    def counted_component(self, x):
+        if inside:
+            seen["components"].append((self.scheme, np.asarray(x).tobytes()))
+        return component(self, x)
+
+    monkeypatch.setattr(harness, "verify_stability", counted_verify_stability)
+    monkeypatch.setattr(TestFunction, "__call__", counted_call)
+    monkeypatch.setattr(FuzzyNorm, "memberships", counted_memberships)
+    monkeypatch.setattr(extraction.ExtractedComponent, "__call__", counted_component)
+    report = run_pipeline(cfg, _STAGES_BY_COMMAND["run"])
+    (arguments,) = received
+    assert len(report.verification_reports[0].rows) == cfg.x_count * cfg.a_points == 1500
+    assert seen["f"] == [(cfg.x_count, cfg.space.dim_x)] == [(60, 3)]
+    assert seen["N"] == [(True, (cfg.x_count, 1, cfg.space.dim_y), (cfg.a_points,))]
+    schemes = control.THEOREMS["combined"].schemes
+    xs = [np.asarray(x, dtype=float).tobytes() for x in arguments["xs"]]
+    assert seen["components"] == [(s, x) for x in xs for s in schemes]
+
+
+def test_verification_of_no_points_evaluates_nothing():
+    calls = []
+
+    def f(points):
+        calls.append(points)
+        return points
+
+    report = control.verify_stability(
+        f,
+        (f,),
+        control.ConstantControl(delta=1.0),
+        "quadratic_up",
+        [],
+        (1.0, 2.0),
+        FuzzyNorm.induced(),
+        FuzzyNorm.induced(),
+        premise_margin=control.Margin(0.0, None),
+    )
+    assert (report.rows, report.worst_slack, report.violations) == ((), 0.0, 0)
+    assert report.hypothesis_ok and calls == []
 
 
 def test_pair_audit_makes_one_membership_call_per_block(monkeypatch):
