@@ -30,7 +30,7 @@ import numpy as np
 from .errors import DomainError
 from .extraction import Scheme
 from .funceq import VectorFunction, residual_main
-from .spaces import MEMBERSHIP_SLACK, FuzzyNorm, euclidean_norm, sample_ball
+from .spaces import MEMBERSHIP_SLACK, CrispNorm, FuzzyNorm, euclidean_norm, sample_ball, stack_norms
 
 __all__ = [
     "ConstantControl",
@@ -56,7 +56,6 @@ __all__ = [
     "verify_stability",
 ]
 
-Norm = Callable[[np.ndarray], float]
 #: Multipliers ``num``, ``den`` and the mask of the nonzero ``num``; see :func:`_pair_table`.
 PairTable = tuple[np.ndarray, np.ndarray, np.ndarray]
 
@@ -81,16 +80,6 @@ def _safe_power(base: float, exponent: float) -> float:
         return math.inf
 
 
-def _norm_rows(norm: Norm, v: np.ndarray) -> np.ndarray:
-    """Norms of the vectors ``v`` of shape ``(..., d)``, shape ``(...)``: the
-    norm's row form, or one call per vector."""
-    rows = getattr(norm, "rows", None)
-    if rows is not None:
-        return rows(v)
-    flat = [norm(r) for r in v.reshape(-1, v.shape[-1])]
-    return np.array(flat, dtype=float).reshape(v.shape[:-1])
-
-
 @dataclass(frozen=True)
 class ConstantControl:
     """phi(x, y) = delta; scale invariant (degree 0)."""
@@ -108,7 +97,7 @@ class ConstantControl:
     def degree(self) -> float:
         return 0.0
 
-    def rows(self, uw: np.ndarray, norm: Norm = euclidean_norm) -> np.ndarray:
+    def rows(self, uw: np.ndarray, norm: CrispNorm = euclidean_norm) -> np.ndarray:
         """phi at the pairs (uw[0, i], uw[1, i]) of the stacked ``(2, k, d)``
         array, shape ``(k,)``."""
         return np.full(uw.shape[1], self.delta)
@@ -132,11 +121,11 @@ class PowerControl:
     def degree(self) -> float:
         return self.p
 
-    def rows(self, uw: np.ndarray, norm: Norm = euclidean_norm) -> np.ndarray:
+    def rows(self, uw: np.ndarray, norm: CrispNorm = euclidean_norm) -> np.ndarray:
         """phi at the pairs (uw[0, i], uw[1, i]) of the stacked ``(2, k, d)``
         array, shape ``(k,)``."""
         theta, p = self.theta, self.p
-        ru, rw = _norm_rows(norm, uw).tolist()
+        ru, rw = stack_norms(norm, uw).tolist()
         return np.array(
             [theta * (_safe_power(r, p) + _safe_power(s, p)) for r, s in zip(ru, rw)], dtype=float
         )
@@ -161,11 +150,11 @@ class ProductControl:
     def degree(self) -> float:
         return self.p1 + self.p2
 
-    def rows(self, uw: np.ndarray, norm: Norm = euclidean_norm) -> np.ndarray:
+    def rows(self, uw: np.ndarray, norm: CrispNorm = euclidean_norm) -> np.ndarray:
         """phi at the pairs (uw[0, i], uw[1, i]) of the stacked ``(2, k, d)``
         array, shape ``(k,)``."""
         theta, p1, p2 = self.theta, self.p1, self.p2
-        ru, rw = _norm_rows(norm, uw).tolist()
+        ru, rw = stack_norms(norm, uw).tolist()
         return np.array(
             [theta * _safe_power(r, p1) * _safe_power(s, p2) for r, s in zip(ru, rw)], dtype=float
         )
@@ -175,10 +164,10 @@ ControlFunction = ConstantControl | PowerControl | ProductControl
 
 
 def eval_control(
-    phi: ControlFunction, x: np.ndarray, y: np.ndarray, norm: Norm = euclidean_norm
+    phi: ControlFunction, x: np.ndarray, y: np.ndarray, norm: CrispNorm = euclidean_norm
 ) -> float:
     """Evaluate phi at (x, y), two vectors of one dimension, under the given
-    crisp norm on the domain: the row form of phi on the one pair."""
+    crisp norm on the domain: ``phi.rows`` on the one pair."""
     return float(phi.rows(np.asarray([x, y], dtype=float).reshape(2, 1, -1), norm)[0])
 
 
@@ -279,7 +268,7 @@ def envelope(
     nprime: FuzzyNorm,
     x: np.ndarray,
     a: float,
-    norm: Norm = euclidean_norm,
+    norm: CrispNorm = euclidean_norm,
 ) -> float:
     """Envelope membership at (x, a) of the bound of ``schemes``, NaN if any
     of its memberships is NaN; inherits monotonicity in a.
@@ -318,7 +307,7 @@ def scaling_alpha_check(
     nprime: FuzzyNorm,
     pairs: np.ndarray,
     a_grid: Sequence[float],
-    norm: Norm = euclidean_norm,
+    norm: CrispNorm = euclidean_norm,
 ) -> Margin:
     """Margin of the scaling inequality over the ``(2, k, d)`` array of
     pairs (x, y), with u = x/3 (quadratic) or x/2 (additive): up-schemes
@@ -351,7 +340,7 @@ def vanishing_check(
     n_probe: int,
     a_grid: Sequence[float],
     tol: float = 0.01,
-    norm: Norm = euclidean_norm,
+    norm: CrispNorm = euclidean_norm,
 ) -> Margin:
     """Margin of the rescaled control membership over 1 - tol.
 
@@ -453,17 +442,19 @@ def premise_pairs(
     return np.concatenate([_pairs_at(theorem.y_set, points), ball], axis=1)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite defect fails, never warns
 def measure_residual_sup(
     f: VectorFunction,
     pairs: np.ndarray,
-    norm: Norm = euclidean_norm,
+    norm: CrispNorm = euclidean_norm,
 ) -> float:
     """Largest equation-defect norm over the ``(2, k, d)`` array of argument
     pairs; NaN if any is NaN, 0 for no pairs."""
-    norms = _norm_rows(norm, residual_main(f, *pairs).value)
+    norms = stack_norms(norm, residual_main(f, *pairs).value)
     return float(np.max(norms)) if norms.size else 0.0
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite defect fails, never warns
 def defect_premise_margin(
     f: VectorFunction,
     phi: ControlFunction,
@@ -471,7 +462,7 @@ def defect_premise_margin(
     nprime: FuzzyNorm,
     pairs: np.ndarray,
     a_values: Sequence[float],
-    norm: Norm = euclidean_norm,
+    norm: CrispNorm = euclidean_norm,
 ) -> Margin:
     """Margin of N(defect(x,y), a) over N'(phi(x,y), a) on the
     ``(2, k, d)`` array of pairs.
@@ -524,7 +515,7 @@ def verify_stability(
     nprime: FuzzyNorm,
     *,
     premise_margin: Margin,
-    norm: Norm = euclidean_norm,
+    norm: CrispNorm = euclidean_norm,
     slack: float = MEMBERSHIP_SLACK,
 ) -> StabilityReport:
     """Verify one stability bound on an (x, a) grid.

@@ -50,8 +50,6 @@ MAX_STEPS = 2000
 #: Steps per call of f in one extraction: n = 0..63, then 64..127 and so on.
 BLOCK_STEPS = 64
 
-_euclidean_rows = euclidean_norm.rows
-
 
 class Scheme(Enum):
     QUADRATIC_UP = "quadratic_up"
@@ -95,7 +93,7 @@ class Scheme(Enum):
 def _overflow_error(scheme: Scheme, v: np.ndarray, n: int) -> ScaleError:
     """The error for the up-scheme argument 2^n v, which trips the overflow guard."""
     with np.errstate(over="ignore"):
-        size = float(_euclidean_rows(np.ldexp(v, n)))
+        size = float(euclidean_norm(np.ldexp(v, n)))
     return ScaleError(
         f"scaled argument norm {size:.3e} exceeds {OVERFLOW_LIMIT:.0e} "
         f"at n={n} for {scheme.value}",
@@ -129,8 +127,8 @@ def iterate(scheme: Scheme, f: VectorFunction, x: np.ndarray, n) -> np.ndarray:
         # The scaled norms grow with n, so the largest index alone tells
         # whether any trips, and the rows are searched only when it does.
         with np.errstate(over="ignore"):
-            if _euclidean_rows(args[ns.argmax()] if ns.ndim else args) > OVERFLOW_LIMIT:
-                k = int((_euclidean_rows(args) > OVERFLOW_LIMIT).argmax())
+            if euclidean_norm(args[ns.argmax()] if ns.ndim else args) > OVERFLOW_LIMIT:
+                k = int(np.argmax(euclidean_norm(args) > OVERFLOW_LIMIT))
                 raise _overflow_error(scheme, v, int(ns.flat[k]))
         shift = -scheme.value_shift
     else:
@@ -179,9 +177,9 @@ def _first_guard(scheme: Scheme, v: np.ndarray, x_norm: float, lo: int, hi: int)
     whether any step trips, and the steps are searched only when it does.
     """
     if scheme.is_up:
-        if not _euclidean_rows(np.ldexp(v, hi)) > OVERFLOW_LIMIT:
+        if not euclidean_norm(np.ldexp(v, hi)) > OVERFLOW_LIMIT:
             return None
-        sizes = _euclidean_rows(np.ldexp(v, np.arange(lo, hi + 1)[:, None]))
+        sizes = euclidean_norm(np.ldexp(v, np.arange(lo, hi + 1)[:, None]))
         return lo + int(np.argmax(sizes > OVERFLOW_LIMIT))
     if x_norm == 0.0 or not math.ldexp(x_norm, -hi) < UNDERFLOW_LIMIT:
         return None
@@ -276,7 +274,7 @@ def extract_limit(
             blocks.append(rows)
             k = len(seq) - 1
             # Each row is normed alone, so stacking keeps every row's bits.
-            norms = _euclidean_rows(np.concatenate((seq[1:] - seq[:-1], seq))).tolist()
+            norms = euclidean_norm(np.concatenate((seq[1:] - seq[:-1], seq))).tolist()
             diffs, sizes = norms[:k], norms[k + 1 :]
             # The first iterate has no difference, so only a non-finite entry
             # stops the run there; a finite norm screens that test.
@@ -426,7 +424,7 @@ def uniqueness_crosscheck(
         # Non-finite iterates and overflows go in the note, not in warnings.
         with np.errstate(all="ignore"):
             pair = iterate(scheme, f, v, ns[-2:])
-            gap, size = _euclidean_rows(np.stack((pair[1] - pair[0], pair[1]))).tolist()
+            gap, size = euclidean_norm(np.stack((pair[1] - pair[0], pair[1]))).tolist()
         where = f"in window ending at n={ns[-1]}"
         if _first_stop([gap], [size], tol):
             return None, f"no convergence {where} (gap {gap:.3e})"
@@ -439,6 +437,6 @@ def uniqueness_crosscheck(
         note = "; ".join(s for s in (note1, note2) if s)
         return UniquenessResult(False, limit_1=lim1, limit_2=lim2, distance=math.nan, note=note)
     with np.errstate(over="ignore"):
-        size1, size2, dist = _euclidean_rows(np.stack((lim1, lim2, lim1 - lim2))).tolist()
+        size1, size2, dist = euclidean_norm(np.stack((lim1, lim2, lim1 - lim2))).tolist()
     scale = 1.0 + max(size1, size2)
     return UniquenessResult(agree=dist <= tol * scale, limit_1=lim1, limit_2=lim2, distance=dist)

@@ -55,6 +55,7 @@ from .funceq import (
 )
 from .spaces import (
     AxiomCheck,
+    CrispNorm,
     FuzzyNorm,
     SpaceConfig,
     check_axioms,
@@ -405,20 +406,20 @@ class _ScaledComponent:
         return self.factor * np.asarray(self.source(x), dtype=float)
 
 
-def _finite_norms(rows: Callable[[np.ndarray], np.ndarray], v: np.ndarray) -> list:
-    """Norms of the vectors of ``v``, shape ``(..., d)``, by a crisp norm's
-    row form, as nested lists of shape ``(...)``.
+def _finite_norms(norm: CrispNorm, v: np.ndarray) -> list:
+    """Norms of the vectors of ``v``, shape ``(..., d)``, by a crisp norm, as
+    nested lists of shape ``(...)``.
 
     A row of finite entries whose norm overflows in the squares is scaled by
     a power of two before it is normed again, so it gets its finite norm if
-    it has one; every other row keeps the row form's bits.
+    it has one; every other row keeps the norm's bits.
     """
     with np.errstate(over="ignore"):
-        norms = rows(v)
+        norms = norm(v)
         redo = ~np.isfinite(norms) & np.isfinite(v).all(axis=-1)
         if redo.any():
             _, exp = np.frexp(np.max(np.abs(v[redo]), axis=-1))
-            norms[redo] = np.ldexp(rows(np.ldexp(v[redo], -exp[:, None])), exp)
+            norms[redo] = np.ldexp(norm(np.ldexp(v[redo], -exp[:, None])), exp)
     return norms.tolist()
 
 
@@ -441,7 +442,7 @@ def run_pipeline(cfg: ExperimentConfig, stages: Sequence[str] = ALL_STAGES) -> R
 
     rng_x = np.random.default_rng(seed_x)
     xs = np.array([sample_ball(rng_x, cfg.space.dim_x, cfg.x_radius) for _ in range(cfg.x_count)])
-    report.x_norms = _finite_norms(norm.rows, xs)
+    report.x_norms = _finite_norms(norm, xs)
 
     if "axioms" in stages:
         points, scalars = default_axiom_samples(
@@ -527,7 +528,7 @@ def run_pipeline(cfg: ExperimentConfig, stages: Sequence[str] = ALL_STAGES) -> R
         if "extraction" in stages:
             limits = np.array([[result.limit_value for result in at_xs] for at_xs in results])
             for scheme, at_xs, listed, normed in zip(
-                schemes, results, limits.tolist(), _finite_norms(norm.rows, limits)
+                schemes, results, limits.tolist(), _finite_norms(norm, limits)
             ):
                 name = "quadratic" if scheme.is_quadratic else "additive"
                 for i, (result, limit, limit_norm) in enumerate(zip(at_xs, listed, normed)):

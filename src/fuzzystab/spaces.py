@@ -24,6 +24,7 @@ from .errors import DimensionMismatchError
 
 __all__ = [
     "CRISP_NORM_KINDS",
+    "CrispNorm",
     "SpaceConfig",
     "FuzzyNorm",
     "AxiomCheck",
@@ -50,49 +51,44 @@ FUZZY_TOLERANCE = 0.01
 #: Cells of the N4 pair matrix that one ``memberships`` call evaluates.
 PAIR_BLOCK_CELLS = 8192
 
-
-def euclidean_norm(x: np.ndarray) -> float:
-    # np.linalg.norm(x) is sqrt(x.dot(x)) of the raveled x; math.sqrt rounds
-    # the same, without np.linalg.norm's dispatch.
-    v = np.asarray(x, dtype=float).ravel(order="K")
-    return math.sqrt(v.dot(v))
+#: A crisp norm: vectors ``(..., d)`` to norms ``(...)``, one vector to a Python float.
+CrispNorm = Callable[[np.ndarray], float | np.ndarray]
 
 
-def _euclidean_rows(v: np.ndarray) -> np.ndarray:
-    # np.linalg.norm(x) is sqrt(x.dot(x)); a stacked matmul takes the same dot
-    # product per row, where np.linalg.norm(v, axis=-1), sum(v*v) and einsum
-    # round differently in the last bit.
-    v = np.ascontiguousarray(v, dtype=float)
+def euclidean_norm(x: np.ndarray) -> float | np.ndarray:
+    """Euclidean norms of vectors ``x`` of shape ``(..., d)``, shape ``(...)``;
+    a Python float for one vector.
+
+    Each norm rounds as np.linalg.norm does, sqrt(v.dot(v)): one vector
+    through math.sqrt, without np.linalg.norm's dispatch, and a stack through
+    a stacked matmul, where np.linalg.norm(v, axis=-1), sum(v*v) and einsum
+    round differently in the last bit.
+    """
+    v = np.ascontiguousarray(x, dtype=float)  # at least 1-D
+    if v.ndim == 1:
+        return math.sqrt(v.dot(v))
     return np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
 
 
-euclidean_norm.rows = _euclidean_rows
-
-
-def crisp_norm(kind: str, weights: Sequence[float] | None = None) -> Callable[[np.ndarray], float]:
-    """Build a crisp norm evaluator of the given kind.
+def crisp_norm(kind: str, weights: Sequence[float] | None = None) -> CrispNorm:
+    """Build a crisp norm of the given kind.
 
     ``weighted`` is the weighted Euclidean norm sqrt(sum w_i x_i^2), the only
     kind that takes weights: strictly positive ones matching the vector dimension.
 
-    The evaluator maps one vector to a float.  Its ``rows`` attribute maps
-    vectors of shape ``(..., d)`` to their norms of shape ``(...)``, equal
-    bit for bit to the one-vector form.
+    The norm maps vectors of shape ``(..., d)`` to their norms of shape
+    ``(...)``, as f maps stacked points, and one vector to a Python float.
     """
     if weights is not None and kind in ("euclidean", "max"):
         raise ValueError(f"{kind} norm takes no weights (only weighted does)")
     if kind == "euclidean":
         return euclidean_norm
     if kind == "max":
-        def _max(x: np.ndarray) -> float:
-            v = np.atleast_1d(np.asarray(x, dtype=float))
-            return float(np.max(np.abs(v))) if v.size else 0.0
+        def norm(x: np.ndarray) -> float | np.ndarray:
+            r = np.max(np.abs(np.atleast_1d(np.asarray(x, dtype=float))), axis=-1, initial=0.0)
+            return float(r) if r.ndim == 0 else r
 
-        def _max_rows(v: np.ndarray) -> np.ndarray:
-            return np.max(np.abs(v), axis=-1)
-
-        _max.rows = _max_rows
-        return _max
+        return norm
     if kind == "weighted":
         if weights is None:
             raise ValueError("weighted norm requires weights")
@@ -100,23 +96,16 @@ def crisp_norm(kind: str, weights: Sequence[float] | None = None) -> Callable[[n
         if w.ndim != 1 or w.size == 0 or np.any(w <= 0):
             raise ValueError("weights must be a non-empty vector of positive reals")
 
-        def _check_dim(size: int) -> None:
-            if size != w.size:
-                raise DimensionMismatchError(
-                    f"vector has dimension {size}, weights have dimension {w.size}"
-                )
-
-        def _weighted(x: np.ndarray) -> float:
+        def norm(x: np.ndarray) -> float | np.ndarray:
             v = np.atleast_1d(np.asarray(x, dtype=float))
-            _check_dim(v.size)
-            return float(np.sqrt(np.sum(w * v * v)))
+            if v.shape[-1] != w.size:
+                raise DimensionMismatchError(
+                    f"vector has dimension {v.shape[-1]}, weights have dimension {w.size}"
+                )
+            r = np.sqrt(np.sum(w * v * v, axis=-1))
+            return float(r) if r.ndim == 0 else r
 
-        def _weighted_rows(v: np.ndarray) -> np.ndarray:
-            _check_dim(v.shape[-1])
-            return np.sqrt(np.sum(w * v * v, axis=-1))
-
-        _weighted.rows = _weighted_rows
-        return _weighted
+        return norm
     raise ValueError(f"unknown crisp norm kind {kind!r}")
 
 
@@ -136,7 +125,7 @@ class SpaceConfig:
         if self.weights is not None and not len(self.weights) == self.dim_x == self.dim_y:
             raise ValueError("weights length must equal dim_x and dim_y")
 
-    def norm(self) -> Callable[[np.ndarray], float]:
+    def norm(self) -> CrispNorm:
         """The crisp norm of the domain and of the codomain."""
         return crisp_norm(self.crisp_norm_kind, self.weights)
 
@@ -151,46 +140,62 @@ def induced_fuzzy_norm(
     return FuzzyNorm.induced(crisp_norm(crisp_norm_kind, weights))(x, a)
 
 
+def stack_norms(norm: CrispNorm, x: np.ndarray) -> float | np.ndarray:
+    """Norms ``norm(x)`` of the vectors ``x`` of shape ``(..., d)``, shape ``(...)``;
+    ``ValueError`` if the norm does not map them one by one (one number for a stack)."""
+    r = norm(x)
+    if np.shape(r) != np.shape(x)[:-1]:
+        raise ValueError(
+            f"norm maps vectors of shape {np.shape(x)} to shape {np.shape(r)}; "
+            "it must map (..., d) to (...)"
+        )
+    return r
+
+
 @dataclass(frozen=True)
 class FuzzyNorm:
-    """Evaluator (vector, threshold) -> membership in [0, 1].
+    """Evaluator (vector, threshold) -> membership in [0, 1]: either the
+    membership a/(a + ||x||) induced by a ``crisp`` norm, or a custom
+    ``evaluator``.
 
-    ``induced`` instances are exact by construction; ``custom`` evaluators are
+    ``induced`` instances are exact by construction; custom evaluators are
     taken as-is and can be audited with :func:`check_axioms`.
     """
 
-    evaluator: Callable[[np.ndarray, float], float]
-    #: Row form of the crisp norm behind an induced instance, if it has one.
-    _rows: Callable[[np.ndarray], np.ndarray] | None = field(
-        default=None, repr=False, compare=False
-    )
+    evaluator: Callable[[np.ndarray, float], float] | None = None
+    crisp: CrispNorm | None = None
+
+    def __post_init__(self) -> None:
+        if (self.evaluator is None) == (self.crisp is None):
+            raise ValueError("a fuzzy norm takes exactly one of evaluator and crisp")
 
     @classmethod
-    def induced(cls, norm: Callable[[np.ndarray], float] = euclidean_norm) -> "FuzzyNorm":
-        def _eval(x: np.ndarray, a: float) -> float:
-            if a <= 0.0:
-                return 0.0
-            r = norm(x)
-            if a == math.inf and math.isfinite(r):
-                return 1.0  # a / (a + r) is inf / inf; its limit is 1
-            return a / (a + r)
-        return cls(evaluator=_eval, _rows=getattr(norm, "rows", None))
+    def induced(cls, norm: CrispNorm = euclidean_norm) -> "FuzzyNorm":
+        return cls(crisp=norm)
 
     def __call__(self, x: np.ndarray, a: float) -> float:
         v = np.atleast_1d(np.asarray(x, dtype=float))
-        return float(self.evaluator(v, float(a)))
+        a = float(a)
+        if self.crisp is None:
+            return float(self.evaluator(v, a))
+        if a <= 0.0:
+            return 0.0
+        r = float(self.crisp(v))
+        if a == math.inf and math.isfinite(r):
+            return 1.0  # a / (a + r) is inf / inf; its limit is 1
+        return a / (a + r)
 
     def memberships(self, x: np.ndarray, a: np.ndarray | float) -> np.ndarray:
         """Memberships of vectors ``x`` of shape ``(..., d)`` at thresholds ``a``
         broadcastable to ``(...)``, each equal to ``self(x_i, a_i)``.
 
-        An induced norm whose crisp norm has a row form is one array
-        expression; any other evaluator is called once per cell.
+        An induced norm is one array expression; a custom evaluator is
+        called once per cell.
         """
         x = np.asarray(x, dtype=float)
         a = np.asarray(a, dtype=float)
-        if self._rows is not None:
-            r = self._rows(x)
+        if self.crisp is not None:
+            r = stack_norms(self.crisp, x)
             with np.errstate(divide="ignore", invalid="ignore"):
                 m = np.where(a <= 0.0, 0.0, a / (a + r))
             at_inf = a == math.inf
@@ -210,13 +215,13 @@ class FuzzyNorm:
         NaN if any of them is NaN.
 
         An induced membership a/(a + r) does not increase with the crisp norm
-        r, so an induced norm whose crisp norm has a row form is called once,
-        at the row of largest norm (the first NaN norm, if any): its
-        membership is the least bit for bit, and NaN exactly when one of
-        them is.  Any other evaluator is called once per row.
+        r, so an induced norm is called once, at the row of largest norm (the
+        first NaN norm, if any): its membership is the least bit for bit, and
+        NaN exactly when one of them is.  A custom evaluator is called once
+        per row.
         """
-        if self._rows is not None:
-            return self(x[int(self._rows(x).argmax())], a)
+        if self.crisp is not None:
+            return self(x[int(stack_norms(self.crisp, x).argmax())], a)
         memberships = [self(v, a) for v in x]
         return math.nan if any(map(math.isnan, memberships)) else min(memberships)
 
@@ -374,7 +379,7 @@ def check_axioms(
     t.evaluated(grid)
     t.slack(grid[:, 1:] - grid[:, :-1], grid[:, 1:] < grid[:, :-1] - slack)
     if pos_a.size:
-        big = pos_a[-1] * (1.0 + _euclidean_rows(xs))
+        big = pos_a[-1] * (1.0 + euclidean_norm(xs))
         margin = t.evaluated(norm.memberships(xs, big)) - (1.0 - tolerance)
         t.slack(margin, margin < 0.0)
     checks.append(t.check("N5"))
@@ -450,43 +455,46 @@ class SequenceProbe:
             raise ValueError("tolerance must lie in (0, 1)")
 
 
+def _within(probe: SequenceProbe, term: np.ndarray, base: np.ndarray) -> bool:
+    """True iff N(term - base, a) > 1 - tolerance at every threshold on the
+    probe grid, so a NaN membership fails it."""
+    term = np.atleast_1d(np.asarray(term, dtype=float))
+    if term.shape != base.shape:
+        raise DimensionMismatchError(f"a term of shape {term.shape} against shape {base.shape}")
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails below
+        diff = term - base
+    return all(probe.norm(diff, a) > 1.0 - probe.tolerance for a in probe.a_grid)
+
+
 def fuzzy_limit(probe: SequenceProbe, candidate: np.ndarray, n_window: Iterable[int]) -> bool:
     """True iff every window term is within fuzzy tolerance of the candidate.
 
     Checks N(x_n - candidate, a) > 1 - tolerance for every n in the window
-    and every threshold on the probe grid, so a NaN membership fails it.
+    and every threshold on the probe grid, so a NaN membership fails it.  A
+    term whose shape is not the candidate's raises ``DimensionMismatchError``.
     """
     window = list(n_window)
     if not window:
         raise ValueError("n_window must be non-empty")
     c = np.atleast_1d(np.asarray(candidate, dtype=float))
-    for n in window:
-        term = np.atleast_1d(np.asarray(probe.terms(n), dtype=float))
-        with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails below
-            diff = term - c
-        for a in probe.a_grid:
-            if not probe.norm(diff, a) > 1.0 - probe.tolerance:
-                return False
-    return True
+    return all(_within(probe, probe.terms(n), c) for n in window)
 
 
 def fuzzy_cauchy(probe: SequenceProbe, p_max: int, n0: int, n_max: int | None = None) -> bool:
     """True iff tail increments stay within fuzzy tolerance.
 
     Checks N(x_{n+p} - x_n, a) > 1 - tolerance for n0 <= n <= n_max and
-    1 <= p <= p_max over the probe grid, so a NaN membership fails it.
+    1 <= p <= p_max over the probe grid, so a NaN membership fails it.  Two
+    terms of different shapes raise ``DimensionMismatchError``.
     """
     if p_max < 1:
         raise ValueError("p_max must be >= 1")
     if n_max is None:
         n_max = n0 + 32
+    if n_max < n0:
+        raise ValueError("n_max must be >= n0")
     for n in range(n0, n_max + 1):
         base = np.atleast_1d(np.asarray(probe.terms(n), dtype=float))
-        for p in range(1, p_max + 1):
-            term = np.atleast_1d(np.asarray(probe.terms(n + p), dtype=float))
-            with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails below
-                diff = term - base
-            for a in probe.a_grid:
-                if not probe.norm(diff, a) > 1.0 - probe.tolerance:
-                    return False
+        if not all(_within(probe, probe.terms(n + p), base) for p in range(1, p_max + 1)):
+            return False
     return True

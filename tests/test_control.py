@@ -507,11 +507,24 @@ class TestVerifyStability:
         # the defect of x^2 at (1e160, 1e160) is inf - inf; a sup that keeps
         # a NaN only when it comes first would depend on the pair order
         pairs = stacked((V(1.0), V(1.0)), (V(1e160), V(1e160)))[:, ::order]
-        # the crisp norm's row form, and a plain callable normed row by row
-        for norm in (euclidean_norm, lambda v: float(np.linalg.norm(v))):
+        # a crisp norm, and a plain callable that maps stacks
+        for norm in (euclidean_norm, lambda v: np.linalg.norm(v, axis=-1)):
             with np.errstate(over="ignore", invalid="ignore"):
                 sup = measure_residual_sup(TestFunction.scalar(quad=1.0), pairs, norm=norm)
             assert np.isnan(sup)
+
+    def test_a_norm_that_does_not_map_stacks_is_refused(self):
+        # one number for a whole stack would pass for the sup of its rows
+        whole = lambda v: float(np.linalg.norm(v))
+        f = TestFunction.scalar(quad=1.0)
+        pairs = stacked((V(1.0), V(2.0)), (V(3.0), V(-1.0)))
+        for check in (
+            lambda: measure_residual_sup(f, pairs, norm=whole),
+            lambda: PowerControl(theta=1.0, p=2.0, alpha=1.0).rows(pairs, whole),
+            lambda: ProductControl(theta=1.0, p1=1.0, p2=1.0, alpha=1.0).rows(pairs, whole),
+        ):
+            with pytest.raises(ValueError, match=r"must map \(\.\.\., d\) to \(\.\.\.\)"):
+                check()
 
     def test_non_finite_premise_margin_is_a_violation(self):
         f = TestFunction.scalar(quad=1.0)

@@ -502,8 +502,9 @@ def test_defect_premise_margin_equals_reference_loop(case):
 def _residual_sup_case(draw):
     dim = draw(st.integers(1, 3))
     f = draw(_test_functions(dim))
-    # a crisp norm (row form) or a plain callable (one row at a time)
-    norm = draw(st.sampled_from([None, lambda v: float(np.sum(np.abs(v)))]))
+    # a crisp norm or a plain callable that maps stacks; the reference loop
+    # calls either one vector at a time
+    norm = draw(st.sampled_from([None, lambda v: np.sum(np.abs(v), axis=-1)]))
     return dict(f=f, pairs=_pairs(draw, dim), norm=norm or _crisp(draw, f.dim_y))
 
 

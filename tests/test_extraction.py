@@ -112,13 +112,13 @@ class TestIterate:
         # the scaled norms grow with n, so the largest index decides; only a
         # tripped guard norms every row, for the first index that trips
         shapes = []
-        rows = extraction._euclidean_rows
+        norm = extraction.euclidean_norm
 
         def counted(v):
             shapes.append(np.shape(v))
-            return rows(v)
+            return norm(v)
 
-        monkeypatch.setattr(extraction, "_euclidean_rows", counted)
+        monkeypatch.setattr(extraction, "euclidean_norm", counted)
         iterate(Scheme.QUADRATIC_UP, SQUARE, V(1), np.arange(41))
         assert shapes == [(1,)]
         with pytest.raises(ScaleError) as err:

@@ -96,6 +96,16 @@ _RUN_2D = {
         "theorems": ["combined", "additive_up"],
         "grids": {"x_count": 6, "a_points": 7, "axiom_points": 40},
     },
+    # Defects that overflow at x near 1e154: the auto-delta sup is NaN and
+    # every premise row fails at -inf, quietly, with exit 1.
+    "defect_overflow": {
+        "seed": 3,
+        "space": {"dim_x": 1, "dim_y": 1},
+        "function": {"quad": 1.0},
+        "control": {"family": "constant", "delta": "auto", "alpha": 5.0},
+        "theorems": ["quadratic_down"],
+        "grids": {"x_count": 6, "x_radius": 1e154, "a_points": 5, "axiom_points": 20},
+    },
 }
 
 #: Extraction-only runs of the two down-schemes.

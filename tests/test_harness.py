@@ -4,10 +4,12 @@ import csv
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from test_golden import CASES as GOLDEN_CASES
 
 from fuzzystab.cli import main as cli_main
 from fuzzystab.errors import ConfigError
@@ -277,6 +279,18 @@ class TestPipeline:
         row = rows["vanishing[quadratic_up]"]
         assert (row.passed, row.worst_slack, row.note) == (False, 0.0, "margin -inf at a=0.001")
 
+    def test_overflowing_defects_fail_quietly(self, tmp_path, capsys):
+        # the defects of x^2 overflow near 1e154: the auto-delta sup is NaN
+        # and the premise rows fail at -inf, with no RuntimeWarning; the
+        # golden case defect_overflow pins the report files
+        config = tmp_path / "overflow.json"
+        config.write_text(json.dumps(GOLDEN_CASES["defect_overflow"][1]), encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            status = cli_main(["run", "--config", str(config), "--out-dir", str(tmp_path / "out")])
+        assert status == EXIT_VIOLATIONS
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize(
         "case, failing",
         [
@@ -424,13 +438,13 @@ class TestEmission:
         v = rng.normal(size=(200, 3))
         huge = np.ldexp(v, 1000)
         for kind, weights in (("euclidean", None), ("max", None), ("weighted", (1.0, 2.0, 0.5))):
-            rows = crisp_norm(kind, weights).rows
-            plain = rows(v)
-            assert np.array_equal(_finite_norms(rows, v), plain)
+            norm = crisp_norm(kind, weights)
+            plain = norm(v)
+            assert np.array_equal(_finite_norms(norm, v), plain)
             # scaling by 2^1000 is exact, so the rescaled norm is the plain one scaled
-            assert np.array_equal(_finite_norms(rows, huge), np.ldexp(plain, 1000))
+            assert np.array_equal(_finite_norms(norm, huge), np.ldexp(plain, 1000))
         edge = np.array([[np.inf, 0.0], [np.nan, 1.0], [1.7e308, 1.7e308], [1e300, -1e300]])
-        norms = _finite_norms(euclidean_norm.rows, edge)
+        norms = _finite_norms(euclidean_norm, edge)
         assert norms[:3] == [math.inf, pytest.approx(math.nan, nan_ok=True), math.inf]
         assert norms[3] == math.hypot(1e300, 1e300)
 

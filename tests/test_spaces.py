@@ -50,20 +50,23 @@ def test_weighted_norm_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         induced_fuzzy_norm("weighted", np.array([1.0, 2.0]), 1.0, weights=[1.0])
     with pytest.raises(DimensionMismatchError):
-        crisp_norm("weighted", [1.0]).rows(np.ones((3, 2)))
+        crisp_norm("weighted", [1.0])(np.ones((3, 2)))
 
 
 @pytest.mark.parametrize("kind", ["euclidean", "max", "weighted"])
-def test_row_form_of_each_crisp_norm_equals_its_scalar_form(kind):
+def test_each_crisp_norm_maps_a_stack_as_it_maps_one_vector(kind):
     rng = np.random.default_rng(7)
     for dim in range(1, 11):
         norm = crisp_norm(kind, rng.uniform(0.1, 5.0, size=dim) if kind == "weighted" else None)
         rows = rng.normal(size=(500, dim)) * rng.choice([1e-150, 1e-3, 1.0, 1e3], size=(500, 1))
         rows[0] = 0.0
-        expected = np.array([norm(v) for v in rows])
-        assert norm.rows(rows).tobytes() == expected.tobytes()
+        singles = [norm(v) for v in rows]
+        # one vector gives a Python float, whose ** raises on overflow
+        assert {type(r) for r in singles} == {float}
+        expected = np.array(singles)
+        assert norm(rows).tobytes() == expected.tobytes()
         stacked = rows.reshape(5, 100, dim)[:, None]
-        assert norm.rows(stacked).tobytes() == expected.reshape(5, 1, 100).tobytes()
+        assert norm(stacked).tobytes() == expected.reshape(5, 1, 100).tobytes()
 
 
 def test_euclidean_norm_equals_numpy_norm_bit_for_bit():
@@ -72,51 +75,73 @@ def test_euclidean_norm_equals_numpy_norm_bit_for_bit():
     for dim in range(1, 9):
         for scale in (1e-300, 1e-150, 1e-3, 1.0, 1e3, 1e150, 1e300):
             vectors += list(rng.normal(size=(20, dim)) * scale)
-    # a Fortran-ordered array is summed in memory order, which rounds
-    # differently from row order at mixed scales
-    vectors.append(np.asfortranarray(rng.normal(size=(3, 8)) * [[1e8], [1.0], [1e-8]]))
     with np.errstate(over="ignore"):  # both square and overflow alike
         for v in vectors:
             assert euclidean_norm(v).hex() == float(np.linalg.norm(v)).hex()
+        # a Fortran-ordered stack is normed row by row, each row as numpy norms it
+        stack = np.asfortranarray(rng.normal(size=(3, 8)) * [[1e8], [1.0], [1e-8]])
+        expected = [float(np.linalg.norm(row)).hex() for row in stack]
+        assert [r.hex() for r in euclidean_norm(stack).tolist()] == expected
 
 
-def test_memberships_broadcast_and_match_single_calls():
-    rng = np.random.default_rng(11)
-    x = rng.normal(size=(4, 1, 3))
-    a = np.array([-1.0, 0.0, 1e-3, 0.5, 7.0])
-    induced = FuzzyNorm.induced()
-    cellwise = FuzzyNorm(evaluator=induced.evaluator)
-    expected = np.array([[induced(x[i, 0], a[j]) for j in range(5)] for i in range(4)])
+@pytest.mark.parametrize("kind", ["euclidean", "max", "weighted"])
+def test_memberships_broadcast_and_match_single_calls(kind):
+    # thresholds at and around the edges of the induced membership, and
+    # vectors with zero, infinite and NaN entries
+    induced = FuzzyNorm.induced(crisp_norm(kind, [0.5, 2.0, 3.0] if kind == "weighted" else None))
+    cellwise = FuzzyNorm(evaluator=induced)
+    a = np.array([-1.0, -0.0, 0.0, 1e-3, 0.5, 7.0, math.inf, math.nan])
+    entries = [0.0, -0.0, 1.5, -2.0, math.inf, -math.inf, math.nan]
+    x = np.array([[u, v, 0.25] for u in entries for v in entries])[:, None]
+    expected = np.array([[induced(x[i, 0], a[j]) for j in range(len(a))] for i in range(len(x))])
     assert induced.memberships(x, a).tobytes() == expected.tobytes()
     assert cellwise.memberships(x, a).tobytes() == expected.tobytes()
-    assert induced.memberships(np.zeros(2), a).shape == (5,)
+    assert induced.memberships(np.zeros(3), a).shape == a.shape
+
+
+def test_a_norm_that_does_not_map_stacks_is_refused():
+    induced = FuzzyNorm.induced(lambda v: float(np.linalg.norm(v)))
+    x = np.ones((3, 2))
+    with pytest.raises(ValueError, match="must map"):
+        induced.memberships(x, 1.0)
+    with pytest.raises(ValueError, match="must map"):
+        induced.least_membership(x, 1.0)
+    assert induced(x[0], 1.0) == 1.0 / (1.0 + math.sqrt(2.0))  # one vector is fine
+
+
+def test_a_fuzzy_norm_is_a_crisp_norm_or_an_evaluator():
+    for fields in ({}, {"evaluator": lambda x, a: 1.0, "crisp": euclidean_norm}):
+        with pytest.raises(ValueError, match="exactly one of evaluator and crisp"):
+            FuzzyNorm(**fields)
+    assert FuzzyNorm.induced(euclidean_norm) == FuzzyNorm(crisp=euclidean_norm)
 
 
 @pytest.mark.parametrize("kind", ["euclidean", "max", "weighted"])
 @pytest.mark.parametrize("a", [-1.0, 0.0, 1e-3, 0.5, 7.0, math.inf, math.nan])
-def test_least_membership_is_one_call_at_the_largest_norm(kind, a):
+def test_least_membership_is_one_call_at_the_largest_norm(kind, a, monkeypatch):
     rng = np.random.default_rng(5)
     norm = crisp_norm(kind, [0.5, 2.0, 3.0] if kind == "weighted" else None)
     induced = FuzzyNorm.induced(norm)
-    calls = []
-
-    def counted(v, t):
-        calls.append(v)
-        return induced.evaluator(v, t)
-
-    # the induced evaluator behind a row form, and the same evaluator alone
-    with_rows = FuzzyNorm(evaluator=counted, _rows=norm.rows)
-    cellwise = FuzzyNorm(evaluator=counted)
+    # the induced norm, and the same memberships from a custom evaluator
+    cellwise = FuzzyNorm(evaluator=induced)
     finite = rng.normal(size=(6, 3))
     cases = [finite] + [np.vstack([finite, [[bad, 0.0, 0.0]]]) for bad in (np.inf, np.nan)]
+    calls = []
+    call = FuzzyNorm.__call__
+
+    def counted(self, v, t):
+        calls.append(self)
+        return call(self, v, t)
+
     for rows in cases:
         singles = [induced(v, a) for v in rows]
         least = math.nan if any(map(math.isnan, singles)) else min(singles)
-        assert induced.least_membership(rows, a).hex() == least.hex()
-        for fuzzy, n_calls in ((with_rows, 1), (cellwise, len(rows))):
-            calls.clear()
-            assert fuzzy.least_membership(rows, a).hex() == least.hex()
-            assert len(calls) == n_calls
+        with monkeypatch.context() as patch:
+            patch.setattr(FuzzyNorm, "__call__", counted)
+            for fuzzy, n_calls in ((induced, 1), (cellwise, len(rows))):
+                calls.clear()
+                assert fuzzy.least_membership(rows, a).hex() == least.hex()
+                assert sum(c is fuzzy for c in calls) == n_calls
 
 
 def test_induced_membership_is_one_at_infinite_threshold():
@@ -270,6 +295,13 @@ class TestFuzzyLimit:
         probe = SequenceProbe(terms=lambda n: np.array([math.inf]), norm=FuzzyNorm.induced())
         assert not fuzzy_limit(probe, np.array([math.inf]), range(1, 5))
 
+    def test_a_term_of_another_dimension_than_the_candidate_is_refused(self):
+        # broadcasting [2^-n, 2^-n] - [0] would "converge" to a 1-vector
+        probe = SequenceProbe(terms=lambda n: np.full(2, 2.0**-n), norm=FuzzyNorm.induced())
+        assert fuzzy_limit(probe, np.zeros(2), range(40, 50))
+        with pytest.raises(DimensionMismatchError, match=r"shape \(2,\) against shape \(1,\)"):
+            fuzzy_limit(probe, np.array([0.0]), range(40, 50))
+
 
 class TestFuzzyCauchy:
     def test_geometric_partial_sums_are_cauchy(self):
@@ -297,6 +329,18 @@ class TestFuzzyCauchy:
         # its increments are NaN (inf - inf, quietly), and so are their memberships
         probe = SequenceProbe(terms=lambda n: np.array([value]), norm=FuzzyNorm.induced())
         assert not fuzzy_cauchy(probe, p_max=2, n0=1, n_max=3)
+
+    def test_terms_of_different_dimensions_are_refused(self):
+        probe = SequenceProbe(terms=lambda n: np.zeros(1 + n % 2), norm=FuzzyNorm.induced())
+        with pytest.raises(DimensionMismatchError):
+            fuzzy_cauchy(probe, p_max=1, n0=1, n_max=3)
+
+    def test_an_empty_window_is_refused(self):
+        # n_max < n0 would check no increment and pass the divergent [n]
+        probe = SequenceProbe(terms=lambda n: n * E1, norm=FuzzyNorm.induced())
+        with pytest.raises(ValueError, match="n_max must be >= n0"):
+            fuzzy_cauchy(probe, p_max=3, n0=10, n_max=5)
+        assert not fuzzy_cauchy(probe, p_max=3, n0=10, n_max=10)
 
 
 class TestProbeValidation:
