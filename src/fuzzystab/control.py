@@ -1,10 +1,12 @@
 """Control functions, envelope bounds, and stability verification.
 
 A control function phi(x, y) >= 0 caps the equation defect; its declared
-scaling factor alpha decides which rescaling scheme converges.  Each scheme
-has one record in ``SCHEME_BOUNDS``: its rate, direction, envelope pairs,
-threshold divisor and the scaling check's u divisor.  Its envelope at level
-a is the least membership of phi at its pairs at the threshold
+scaling factor alpha decides which rescaling scheme converges.  A control
+holds its own norms: the fuzzy norm N' on its values and, for the power and
+product families, the crisp norm of its domain; every check reads them from
+phi.  Each scheme has one record in ``SCHEME_BOUNDS``: its rate, direction,
+envelope pairs, threshold divisor and the scaling check's u divisor.  Its
+envelope at level a is the least membership of phi at its pairs at the threshold
 a (rate - alpha) / divisor, sign reversed for a down-scheme; a bound with
 several schemes splits a evenly between them.  Verification compares the
 membership of the recovered-component error against the envelope on an
@@ -43,6 +45,7 @@ __all__ = [
     "THEOREMS",
     "REPAIR_DESCRIPTIONS",
     "BALL_PAIRS",
+    "MAX_VANISHING_PROBE",
     "Margin",
     "StabilityRow",
     "StabilityReport",
@@ -82,10 +85,12 @@ def _safe_power(base: float, exponent: float) -> float:
 
 @dataclass(frozen=True)
 class ConstantControl:
-    """phi(x, y) = delta; scale invariant (degree 0)."""
+    """phi(x, y) = delta; scale invariant (degree 0).  ``nprime`` is the
+    fuzzy norm N' on phi's values."""
 
     delta: float
     alpha: float = 1.0
+    nprime: FuzzyNorm = FuzzyNorm.induced()
 
     def __post_init__(self) -> None:
         if self.delta < 0:
@@ -97,7 +102,7 @@ class ConstantControl:
     def degree(self) -> float:
         return 0.0
 
-    def rows(self, uw: np.ndarray, norm: CrispNorm = euclidean_norm) -> np.ndarray:
+    def rows(self, uw: np.ndarray) -> np.ndarray:
         """phi at the pairs (uw[0, i], uw[1, i]) of the stacked ``(2, k, d)``
         array, shape ``(k,)``."""
         return np.full(uw.shape[1], self.delta)
@@ -105,11 +110,14 @@ class ConstantControl:
 
 @dataclass(frozen=True)
 class PowerControl:
-    """phi(x, y) = theta * (||x||^p + ||y||^p); homogeneous of degree p."""
+    """phi(x, y) = theta * (||x||^p + ||y||^p) under the domain norm
+    ``norm``; homogeneous of degree p.  ``nprime`` is N' on phi's values."""
 
     theta: float
     p: float
     alpha: float
+    norm: CrispNorm = euclidean_norm
+    nprime: FuzzyNorm = FuzzyNorm.induced()
 
     def __post_init__(self) -> None:
         if self.theta < 0:
@@ -121,11 +129,11 @@ class PowerControl:
     def degree(self) -> float:
         return self.p
 
-    def rows(self, uw: np.ndarray, norm: CrispNorm = euclidean_norm) -> np.ndarray:
+    def rows(self, uw: np.ndarray) -> np.ndarray:
         """phi at the pairs (uw[0, i], uw[1, i]) of the stacked ``(2, k, d)``
-        array, shape ``(k,)``."""
+        array, shape ``(k,)``, under the control's domain norm."""
         theta, p = self.theta, self.p
-        ru, rw = stack_norms(norm, uw).tolist()
+        ru, rw = stack_norms(self.norm, uw).tolist()
         return np.array(
             [theta * (_safe_power(r, p) + _safe_power(s, p)) for r, s in zip(ru, rw)], dtype=float
         )
@@ -133,12 +141,15 @@ class PowerControl:
 
 @dataclass(frozen=True)
 class ProductControl:
-    """phi(x, y) = theta * ||x||^p1 * ||y||^p2; homogeneous of degree p1 + p2."""
+    """phi(x, y) = theta * ||x||^p1 * ||y||^p2 under the domain norm ``norm``;
+    homogeneous of degree p1 + p2.  ``nprime`` is N' on phi's values."""
 
     theta: float
     p1: float
     p2: float
     alpha: float
+    norm: CrispNorm = euclidean_norm
+    nprime: FuzzyNorm = FuzzyNorm.induced()
 
     def __post_init__(self) -> None:
         if self.theta < 0:
@@ -150,11 +161,11 @@ class ProductControl:
     def degree(self) -> float:
         return self.p1 + self.p2
 
-    def rows(self, uw: np.ndarray, norm: CrispNorm = euclidean_norm) -> np.ndarray:
+    def rows(self, uw: np.ndarray) -> np.ndarray:
         """phi at the pairs (uw[0, i], uw[1, i]) of the stacked ``(2, k, d)``
-        array, shape ``(k,)``."""
+        array, shape ``(k,)``, under the control's domain norm."""
         theta, p1, p2 = self.theta, self.p1, self.p2
-        ru, rw = stack_norms(norm, uw).tolist()
+        ru, rw = stack_norms(self.norm, uw).tolist()
         return np.array(
             [theta * _safe_power(r, p1) * _safe_power(s, p2) for r, s in zip(ru, rw)], dtype=float
         )
@@ -163,20 +174,18 @@ class ProductControl:
 ControlFunction = ConstantControl | PowerControl | ProductControl
 
 
-def eval_control(
-    phi: ControlFunction, x: np.ndarray, y: np.ndarray, norm: CrispNorm = euclidean_norm
-) -> float:
-    """Evaluate phi at (x, y), two vectors of one dimension, under the given
-    crisp norm on the domain: ``phi.rows`` on the one pair."""
-    return float(phi.rows(np.asarray([x, y], dtype=float).reshape(2, 1, -1), norm)[0])
+def eval_control(phi: ControlFunction, x: np.ndarray, y: np.ndarray) -> float:
+    """Evaluate phi at (x, y), two vectors of one dimension: ``phi.rows`` on
+    the one pair."""
+    return float(phi.rows(np.asarray([x, y], dtype=float).reshape(2, 1, -1))[0])
 
 
 def _control_memberships(
-    nprime: FuzzyNorm, values: Sequence[float] | np.ndarray, a: np.ndarray
+    phi: ControlFunction, values: Sequence[float] | np.ndarray, a: np.ndarray
 ) -> np.ndarray:
-    """N'(value_i, a_j) over (values x thresholds), each equal to
-    ``nprime(value_i, a_j)``."""
-    return nprime.memberships(np.asarray(values, dtype=float).reshape(-1, 1, 1), a)
+    """N'(value_i, a_j) over (values x thresholds) under phi's N', each equal
+    to ``phi.nprime(value_i, a_j)``."""
+    return phi.nprime.memberships(np.asarray(values, dtype=float).reshape(-1, 1, 1), a)
 
 
 def _first_worst(margin: np.ndarray) -> tuple[float, tuple[int, ...] | None]:
@@ -262,14 +271,7 @@ _ADDITIVE_Y_SET = _y_table((1, 1), (1, 2), (1.5, 1), (2, 1))
 _COMBINED_Y_SET = _y_table((0, 1), (1, 1), (1, 2), (4, 3), (-2, 3), (1, 3), (1.5, 1), (2, 1))
 
 
-def envelope(
-    schemes: Sequence[Scheme],
-    phi: ControlFunction,
-    nprime: FuzzyNorm,
-    x: np.ndarray,
-    a: float,
-    norm: CrispNorm = euclidean_norm,
-) -> float:
+def envelope(schemes: Sequence[Scheme], phi: ControlFunction, x: np.ndarray, a: float) -> float:
     """Envelope membership at (x, a) of the bound of ``schemes``, NaN if any
     of its memberships is NaN; inherits monotonicity in a.
 
@@ -287,7 +289,7 @@ def envelope(
             return 0.0
         memberships = []  # a comprehension would give every call closure cells to build
         for s in schemes:
-            memberships.append(envelope((s,), phi, nprime, x, a / len(schemes), norm))
+            memberships.append(envelope((s,), phi, x, a / len(schemes)))
         # Python's min keeps a NaN only when it comes first; any NaN membership
         # makes the envelope NaN, which verification counts as a violation.
         return math.nan if any(map(math.isnan, memberships)) else min(memberships)
@@ -296,18 +298,13 @@ def envelope(
     if t <= 0.0:
         return 0.0
     if isinstance(phi, ConstantControl):
-        return nprime(np.array([phi.delta]), t)
+        return phi.nprime(np.array([phi.delta]), t)
     uw = _pairs_at(table, np.asarray(x, dtype=float).reshape(1, -1))
-    return nprime.least_membership(phi.rows(uw, norm)[:, None], t)
+    return phi.nprime.least_membership(phi.rows(uw)[:, None], t)
 
 
 def scaling_alpha_check(
-    phi: ControlFunction,
-    scheme: Scheme,
-    nprime: FuzzyNorm,
-    pairs: np.ndarray,
-    a_grid: Sequence[float],
-    norm: CrispNorm = euclidean_norm,
+    phi: ControlFunction, scheme: Scheme, pairs: np.ndarray, a_grid: Sequence[float]
 ) -> Margin:
     """Margin of the scaling inequality over the ``(2, k, d)`` array of
     pairs (x, y), with u = x/3 (quadratic) or x/2 (additive): up-schemes
@@ -321,26 +318,29 @@ def scaling_alpha_check(
     grid = np.asarray(a_grid, dtype=float)
     uy = pairs / np.array([SCHEME_BOUNDS[scheme].u_divisor, 1.0])[:, None, None]
     if scheme.is_up:
-        lhs_phi = phi.rows(2 * uy, norm)
+        lhs_phi = phi.rows(2 * uy)
         with np.errstate(over="ignore"):  # the product overflows to inf, as Python floats do
-            rhs_phi = phi.alpha * phi.rows(uy, norm)
+            rhs_phi = phi.alpha * phi.rows(uy)
     else:
-        lhs_phi = phi.rows(uy / 2, norm)
-        rhs_phi = phi.rows(uy, norm)
-    lhs = _control_memberships(nprime, lhs_phi, grid)
-    rhs = _control_memberships(nprime, rhs_phi, grid if scheme.is_up else phi.alpha * grid)
+        lhs_phi = phi.rows(uy / 2)
+        rhs_phi = phi.rows(uy)
+    lhs = _control_memberships(phi, lhs_phi, grid)
+    rhs = _control_memberships(phi, rhs_phi, grid if scheme.is_up else phi.alpha * grid)
     return _margin(lhs, rhs, pairs, grid)
+
+
+#: Deepest vanishing probe.  From n = 2099 on no verdict changes: 2^n takes every
+#: nonzero double past the largest (2^-1074 * 2^2098 = 2^1024), 2^-n every finite one to 0.
+MAX_VANISHING_PROBE = 2100
 
 
 def vanishing_check(
     phi: ControlFunction,
     scheme: Scheme,
-    nprime: FuzzyNorm,
     pairs: np.ndarray,
     n_probe: int,
     a_grid: Sequence[float],
     tol: float = 0.01,
-    norm: CrispNorm = euclidean_norm,
 ) -> Margin:
     """Margin of the rescaled control membership over 1 - tol.
 
@@ -351,19 +351,19 @@ def vanishing_check(
     0, i.e. every membership exceeds 1 - tol, so a membership stuck below 1
     (degree at the scheme boundary) or a NaN (margin ``-inf``) fails it.
     """
-    if n_probe < 1:
-        raise ValueError("n_probe must be >= 1")
+    if not 1 <= n_probe <= MAX_VANISHING_PROBE:
+        raise ValueError(f"n_probe must be in [1, {MAX_VANISHING_PROBE}]")
     grid = np.asarray(a_grid, dtype=float)
     shift = scheme.value_shift * n_probe
     step = n_probe if scheme.is_up else -n_probe
     # Overflow to inf keeps the limit: membership 0 at an infinite value,
     # 1 at an infinite threshold.
     with np.errstate(over="ignore"):
-        values = phi.rows(np.ldexp(pairs, step), norm)
+        values = phi.rows(np.ldexp(pairs, step))
         if scheme.is_up:
-            memberships = _control_memberships(nprime, values, np.ldexp(grid, shift))
+            memberships = _control_memberships(phi, values, np.ldexp(grid, shift))
         else:
-            memberships = _control_memberships(nprime, np.ldexp(values, shift), grid)
+            memberships = _control_memberships(phi, np.ldexp(values, shift), grid)
     return _margin(memberships, 1.0 - tol, pairs, grid)
 
 
@@ -459,10 +459,8 @@ def defect_premise_margin(
     f: VectorFunction,
     phi: ControlFunction,
     N: FuzzyNorm,
-    nprime: FuzzyNorm,
     pairs: np.ndarray,
     a_values: Sequence[float],
-    norm: CrispNorm = euclidean_norm,
 ) -> Margin:
     """Margin of N(defect(x,y), a) over N'(phi(x,y), a) on the
     ``(2, k, d)`` array of pairs.
@@ -473,9 +471,9 @@ def defect_premise_margin(
     """
     a = np.asarray(a_values, dtype=float)
     defects = residual_main(f, *pairs).value
-    phi_values = phi.rows(pairs, norm)
+    phi_values = phi.rows(pairs)
     lhs = N.memberships(defects[:, None, :], a)
-    return _margin(lhs, _control_memberships(nprime, phi_values, a), pairs, a)
+    return _margin(lhs, _control_memberships(phi, phi_values, a), pairs, a)
 
 
 @dataclass(frozen=True, eq=False)
@@ -512,10 +510,8 @@ def verify_stability(
     xs: Sequence[np.ndarray],
     a_values: Sequence[float],
     N: FuzzyNorm,
-    nprime: FuzzyNorm,
     *,
     premise_margin: Margin,
-    norm: CrispNorm = euclidean_norm,
     slack: float = MEMBERSHIP_SLACK,
 ) -> StabilityReport:
     """Verify one stability bound on an (x, a) grid.
@@ -561,7 +557,7 @@ def verify_stability(
         lhs = N.memberships(errs[:, None, :], a_grid).tolist()
         for i, (x, lhs_x) in enumerate(zip(points, lhs)):
             for a, lhs_a in zip(a_grid.tolist(), lhs_x):
-                rhs = envelope(theorem.schemes, phi, nprime, x, a, norm)
+                rhs = envelope(theorem.schemes, phi, x, a)
                 rows.append(StabilityRow(x_index=i, x=x, a=a, lhs=lhs_a, rhs=rhs))
     slacks = np.array([row.slack for row in rows])
     worst, _ = _first_worst(slacks)

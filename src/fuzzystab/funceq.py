@@ -233,7 +233,6 @@ class Residual:
     is the norm of one pair's defect."""
 
     value: np.ndarray
-    at: tuple[np.ndarray, np.ndarray]
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.value))
@@ -266,7 +265,7 @@ def residual_main(f: VectorFunction, x: np.ndarray, y: np.ndarray) -> Residual:
         - 2 * np.asarray(f(2 * xv), dtype=float)
         + 2 * np.asarray(f(xv), dtype=float)
     )
-    return Residual(value=val, at=(xv, yv))
+    return Residual(value=val)
 
 
 def residual_quadratic(f: VectorFunction, x: np.ndarray, y: np.ndarray) -> Residual:
@@ -278,7 +277,7 @@ def residual_quadratic(f: VectorFunction, x: np.ndarray, y: np.ndarray) -> Resid
         - 2 * np.asarray(f(xv), dtype=float)
         - 2 * np.asarray(f(yv), dtype=float)
     )
-    return Residual(value=val, at=(xv, yv))
+    return Residual(value=val)
 
 
 def residual_additive(f: VectorFunction, x: np.ndarray, y: np.ndarray) -> Residual:
@@ -289,7 +288,7 @@ def residual_additive(f: VectorFunction, x: np.ndarray, y: np.ndarray) -> Residu
         - np.asarray(f(xv), dtype=float)
         - np.asarray(f(yv), dtype=float)
     )
-    return Residual(value=val, at=(xv, yv))
+    return Residual(value=val)
 
 
 def biadditive_form(f: VectorFunction, x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -29,6 +29,7 @@ import numpy as np
 
 from .control import (
     BALL_PAIRS,
+    MAX_VANISHING_PROBE,
     THEOREMS,
     ConstantControl,
     ControlFunction,
@@ -60,7 +61,6 @@ from .spaces import (
     SpaceConfig,
     check_axioms,
     default_axiom_samples,
-    euclidean_norm,
     log_a_grid,
     sample_ball,
 )
@@ -89,9 +89,9 @@ EXIT_OUTPUT = 4
 ALL_STAGES = ("axioms", "hypothesis", "extraction", "verification")
 
 
-def _number(value, loc: str, *, integer=False, positive=False, minimum=None, maximum=None):
+def _number(value, loc: str, *, integer=False, above=None, below=None, minimum=None, maximum=None):
     """``value`` as an int if ``integer``, else as a finite float, within the
-    bounds.  A bool is not a number."""
+    bounds; ``above`` and ``below`` are strict.  A bool is not a number."""
     if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
         what = "an integer" if integer else "a number"
         raise ConfigError(loc, f"expected {what}, got {value!r}")
@@ -99,8 +99,10 @@ def _number(value, loc: str, *, integer=False, positive=False, minimum=None, max
         if not abs(value) <= sys.float_info.max:  # NaN, an infinity, or an int past every float
             raise ConfigError(loc, f"expected a finite number, got {value!r}")
         value = float(value)
-    if positive and value <= 0:
-        raise ConfigError(loc, f"must be > 0, got {value}")
+    if above is not None and not value > above:
+        raise ConfigError(loc, f"must be > {above}, got {value}")
+    if below is not None and not value < below:
+        raise ConfigError(loc, f"must be < {below}, got {value}")
     if minimum is not None and value < minimum:
         raise ConfigError(loc, f"must be >= {minimum}, got {value}")
     if maximum is not None and value > maximum:
@@ -226,9 +228,10 @@ def _function(value, space: SpaceConfig, loc: str) -> TestFunction:
     return TestFunction(coords=tuple(coords), perturbations=tuple(perturbations), dim_x=d)
 
 
-def _control(value, loc: str) -> tuple[ControlFunction, bool]:
+def _control(value, space: SpaceConfig, loc: str) -> tuple[ControlFunction, bool]:
     """The control function, and whether its ``delta`` is ``"auto"``: sized
-    by the pipeline, and 0 until then."""
+    by the pipeline, and 0 until then.  A power or product control norms its
+    arguments by the space's crisp norm."""
     family = _object(value, loc, None, ("family",))["family"]
     if family not in tuple(_CONTROLS):  # by equality: a JSON list is not hashable
         raise ConfigError(f"{loc}.family", f"unknown control family {family!r}")
@@ -237,7 +240,9 @@ def _control(value, loc: str) -> tuple[ControlFunction, bool]:
     auto_delta = data.get("delta") == "auto"
     numbers = dict(data, delta=0.0) if auto_delta else data
     params = {k: _number(numbers[k], f"{loc}.{k}") for k in keys}
-    params["alpha"] = _number(data["alpha"], f"{loc}.alpha", positive=True)
+    params["alpha"] = _number(data["alpha"], f"{loc}.alpha", above=0)
+    if family != "constant":
+        params["norm"] = space.norm()
     try:
         return cls(**params), auto_delta
     except ValueError as exc:  # the family's own bounds; each message opens with its key
@@ -263,16 +268,17 @@ class ExperimentConfig:
     #: ``control.delta`` is ``"auto"``: the pipeline sizes it.
     auto_delta: bool = False
     x_count: int = _knob("grids", 20, minimum=1)
-    x_radius: float = _knob("grids", 2.0, positive=True)
-    a_min: float = _knob("grids", 1e-3, positive=True)
-    a_max: float = _knob("grids", 1e3, positive=True)
+    x_radius: float = _knob("grids", 2.0, above=0)
+    a_min: float = _knob("grids", 1e-3, above=0)
+    a_max: float = _knob("grids", 1e3, above=0)
     a_points: int = _knob("grids", 25, minimum=1)
     axiom_points: int = _knob("grids", 200, minimum=1)
-    extraction_tol: float = _knob("tolerances", 1e-9, positive=True)
+    extraction_tol: float = _knob("tolerances", 1e-9, above=0)
     n_max: int = _knob("tolerances", 40, minimum=2, maximum=MAX_STEPS)
-    membership_slack: float = _knob("tolerances", 1e-12, positive=True)
-    fuzzy_tol: float = _knob("tolerances", 0.01, positive=True)
-    vanishing_probe: int = _knob("tolerances", 30, minimum=1)
+    # a slack or tolerance of 1 or more passes every membership check
+    membership_slack: float = _knob("tolerances", 1e-12, above=0, below=1)
+    fuzzy_tol: float = _knob("tolerances", 0.01, above=0, below=1)
+    vanishing_probe: int = _knob("tolerances", 30, minimum=1, maximum=MAX_VANISHING_PROBE)
     q_scale: float = _knob("negative_control", 1.0)
 
     @classmethod
@@ -288,7 +294,7 @@ class ExperimentConfig:
         seed = _number(data.get("seed", 0), f"{source}: seed", integer=True, minimum=0)
         space = _space(data["space"], f"{source}: space")
         function = _function(data["function"], space, f"{source}: function")
-        control, auto_delta = _control(data["control"], f"{source}: control")
+        control, auto_delta = _control(data["control"], space, f"{source}: control")
         theorems, loc, valid = data["theorems"], f"{source}: theorems", sorted(THEOREMS)
         if not isinstance(theorems, list) or not theorems:
             raise ConfigError(loc, "expected a non-empty list")
@@ -437,7 +443,7 @@ def run_pipeline(cfg: ExperimentConfig, stages: Sequence[str] = ALL_STAGES) -> R
 
     norm = cfg.space.norm()
     N = FuzzyNorm.induced(norm)
-    nprime = FuzzyNorm.induced(euclidean_norm)  # scalar control codomain
+    phi = cfg.control  # holds the N' its checks use, audited below
     a_values = log_a_grid(cfg.a_min, cfg.a_max, cfg.a_points)
 
     rng_x = np.random.default_rng(seed_x)
@@ -465,7 +471,7 @@ def run_pipeline(cfg: ExperimentConfig, stages: Sequence[str] = ALL_STAGES) -> R
                 for _ in (0, 1)
             ]
         for check in check_axioms(
-            nprime, scalar_points, scalars, slack=cfg.membership_slack, tolerance=cfg.fuzzy_tol
+            phi.nprime, scalar_points, scalars, slack=cfg.membership_slack, tolerance=cfg.fuzzy_tol
         ).checks:
             report.axiom_rows.append(("N'", check))
 
@@ -476,7 +482,6 @@ def run_pipeline(cfg: ExperimentConfig, stages: Sequence[str] = ALL_STAGES) -> R
     # its verification gate), all before any extraction.
     premise_by_theorem: dict[str, np.ndarray] = {}
     margin_by_theorem: dict[str, Margin] = {}
-    phi = cfg.control
     if "hypothesis" in stages or "verification" in stages:
         premise_rngs = seed_premise.spawn(len(cfg.theorems))
         for t, child in zip(cfg.theorems, premise_rngs):
@@ -488,10 +493,8 @@ def run_pipeline(cfg: ExperimentConfig, stages: Sequence[str] = ALL_STAGES) -> R
             all_pairs = stacks[0] if len(stacks) == 1 else np.concatenate(stacks, axis=1)
             report.resolved_delta = measure_residual_sup(shifted, all_pairs, norm=norm)
             phi = replace(phi, delta=report.resolved_delta)
-        for t in cfg.theorems:
-            margin_by_theorem[t] = defect_premise_margin(
-                shifted, phi, N, nprime, premise_by_theorem[t], a_values, norm
-            )
+        for t, pairs in premise_by_theorem.items():
+            margin_by_theorem[t] = defect_premise_margin(shifted, phi, N, pairs, a_values)
 
     # each pass rule once; a vanishing margin is over 1 - tol, not a
     # membership slack, so its row reports slack 0
@@ -504,8 +507,8 @@ def run_pipeline(cfg: ExperimentConfig, stages: Sequence[str] = ALL_STAGES) -> R
             pairs, checks = premise_by_theorem[t], []
             y_set_pairs = pairs[:, :-BALL_PAIRS]
             for scheme in schemes:
-                scaling = scaling_alpha_check(phi, scheme, nprime, y_set_pairs, a_values, norm)
-                vanishing = vanishing_check(phi, scheme, nprime, pairs, probe, a_values, tol, norm)
+                scaling = scaling_alpha_check(phi, scheme, y_set_pairs, a_values)
+                vanishing = vanishing_check(phi, scheme, pairs, probe, a_values, tol)
                 checks += [
                     (f"alpha_scaling[{scheme.value}]", scaling, within_slack),
                     (f"vanishing[{scheme.value}]", vanishing, above_zero),
@@ -560,8 +563,6 @@ def run_pipeline(cfg: ExperimentConfig, stages: Sequence[str] = ALL_STAGES) -> R
                 xs,
                 a_values,
                 N,
-                nprime,
-                norm=norm,
                 slack=cfg.membership_slack,
                 premise_margin=margin_by_theorem[t],
             )

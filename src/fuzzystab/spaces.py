@@ -48,6 +48,9 @@ MEMBERSHIP_SLACK = 1e-12
 #: Default tolerance for the fuzzy limit / Cauchy predicates.
 FUZZY_TOLERANCE = 0.01
 
+#: Largest membership change the N6 probe allows for a threshold change of 1e-7.
+CONTINUITY_JUMP = 1e-3
+
 #: Cells of the N4 pair matrix that one ``memberships`` call evaluates.
 PAIR_BLOCK_CELLS = 8192
 
@@ -303,7 +306,6 @@ def check_axioms(
     *,
     slack: float = MEMBERSHIP_SLACK,
     tolerance: float = FUZZY_TOLERANCE,
-    continuity_jump: float = 1e-3,
 ) -> AxiomReport:
     """Audit the six axioms of a fuzzy norm at sample points.
 
@@ -395,7 +397,7 @@ def check_axioms(
     checks.append(
         AxiomCheck(
             "N6",
-            t.bad == 0 and jump <= continuity_jump,
+            t.bad == 0 and jump <= CONTINUITY_JUMP,
             t.bad,
             -jump if t.bad == 0 else -math.inf,
             status="sampled",

@@ -224,7 +224,6 @@ def test_criterion_7_negative_control(tmp_path):
 
 def test_criterion_8_scaling_criterion_agreement():
     rng = np.random.default_rng(808)
-    nprime = FuzzyNorm.induced()
     xs = [V(v) for v in (0.4, 1.0, 2.2, -1.3)]
     # the y-set part of the premise pairs of each scheme's own theorem
     y_set_pairs = {
@@ -256,9 +255,7 @@ def test_criterion_8_scaling_criterion_agreement():
                     up, down = 2.0**phi.degree <= phi.alpha, 2.0**phi.degree >= phi.alpha
                     analytic = up if scheme.is_up else down
                 try:
-                    margin = scaling_alpha_check(
-                        phi, scheme, nprime, y_set_pairs[scheme], log_a_grid()
-                    )
+                    margin = scaling_alpha_check(phi, scheme, y_set_pairs[scheme], log_a_grid())
                     got = margin.worst >= -MEMBERSHIP_SLACK
                 except ValueError:
                     got = None

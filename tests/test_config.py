@@ -10,8 +10,9 @@ import pytest
 
 from fuzzystab import harness
 from fuzzystab.cli import main as cli_main
+from fuzzystab.control import MAX_VANISHING_PROBE
 from fuzzystab.errors import ConfigError
-from fuzzystab.harness import EXIT_CONFIG, ExperimentConfig
+from fuzzystab.harness import EXIT_CONFIG, EXIT_VIOLATIONS, ExperimentConfig
 
 BASE = {
     "seed": 7,
@@ -333,6 +334,43 @@ UNKNOWN = {
 @pytest.mark.parametrize("data, key", UNKNOWN.values(), ids=UNKNOWN)
 def test_unknown_keys_are_rejected(data, key):
     assert config_error(data) == (f"config: {key}", "unknown key")
+
+
+# A slack or tolerance of 1 or more passes every membership check; a probe
+# past MAX_VANISHING_PROBE changes no verdict, and one of 1100000000 made
+# np.ldexp raise OverflowError on a quadratic_up run.
+TOLERANCE_BOUNDS = {
+    "slack_one": ("membership_slack", 1.0, "must be < 1, got 1.0"),
+    "tol_one": ("fuzzy_tol", 1.0, "must be < 1, got 1.0"),
+    "tol_five": ("fuzzy_tol", 5.0, "must be < 1, got 5.0"),
+    "probe_past_bound": ("vanishing_probe", 2101, "must be <= 2100, got 2101"),
+    "probe_huge": ("vanishing_probe", 1100000000, "must be <= 2100, got 1100000000"),
+}
+
+
+@pytest.mark.parametrize("key, value, reason", TOLERANCE_BOUNDS.values(), ids=TOLERANCE_BOUNDS)
+def test_cli_rejects_a_tolerance_past_its_bound(tmp_path, capsys, key, value, reason):
+    data = edited("tolerances", {key: value})
+    assert data["theorems"] == ["quadratic_up"]
+    code, err = run_cli(tmp_path, data, capsys)
+    assert (code, err) == (EXIT_CONFIG, f"config error: config: tolerances.{key}: {reason}\n")
+
+
+def test_tolerances_at_their_bounds_are_read():
+    data = edited("tolerances", {"membership_slack": 0.999, "fuzzy_tol": 0.999})
+    data["tolerances"]["vanishing_probe"] = MAX_VANISHING_PROBE
+    cfg = ExperimentConfig.from_dict(data)
+    assert (cfg.membership_slack, cfg.fuzzy_tol, cfg.vanishing_probe) == (0.999, 0.999, 2100)
+
+
+def test_a_slack_of_one_cannot_hide_violations(tmp_path, capsys):
+    # a mis-scaled component is flagged at the default slack; a slack of 1
+    # would have passed it, and is refused instead
+    data = edited("negative_control", {"q_scale": 3.0})
+    assert run_cli(tmp_path, data, capsys) == (EXIT_VIOLATIONS, "")
+    data["tolerances"] = {"membership_slack": 1.0}
+    code, err = run_cli(tmp_path, data, capsys)
+    assert code == EXIT_CONFIG and "tolerances.membership_slack: must be < 1" in err
 
 
 def test_cli_misspelt_knob_exits_two(tmp_path, capsys):

@@ -1,11 +1,15 @@
 """Control families, envelopes, scaling/vanishing checks, bound verification."""
 
+import inspect
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from fuzzystab import control
 from fuzzystab.control import (
+    MAX_VANISHING_PROBE,
     ConstantControl,
     Margin,
     PowerControl,
@@ -44,23 +48,21 @@ def y_set_pairs(scheme, xs):
     return _pairs_at(THEOREMS[theorem].y_set, np.asarray(xs, dtype=float))
 
 
-def scaling(phi, scheme, xs, nprime=NPRIME, a_grid=A_GRID):
+def scaling(phi, scheme, xs, a_grid=A_GRID):
     """The scaling check on the scheme's y-set at the points xs."""
-    return scaling_alpha_check(phi, scheme, nprime, y_set_pairs(scheme, xs), a_grid)
+    return scaling_alpha_check(phi, scheme, y_set_pairs(scheme, xs), a_grid)
 
 
-def seeded_margin(f, phi, theorem_id, xs, a_values, N, nprime):
+def seeded_margin(f, phi, theorem_id, xs, a_values, N):
     """The defect premise margin on the pairs a generator seeded 0 draws from xs."""
     pairs = premise_pairs(THEOREMS[theorem_id], xs, np.random.default_rng(0))
-    return defect_premise_margin(f, phi, N, nprime, pairs, a_values)
+    return defect_premise_margin(f, phi, N, pairs, a_values)
 
 
-def verify(f, components, phi, theorem_id, xs, a_values, N, nprime):
+def verify(f, components, phi, theorem_id, xs, a_values, N):
     """verify_stability gated by the seeded margin of the same arguments."""
-    margin = seeded_margin(f, phi, theorem_id, xs, a_values, N, nprime)
-    return verify_stability(
-        f, components, phi, theorem_id, xs, a_values, N, nprime, premise_margin=margin
-    )
+    margin = seeded_margin(f, phi, theorem_id, xs, a_values, N)
+    return verify_stability(f, components, phi, theorem_id, xs, a_values, N, premise_margin=margin)
 
 
 class TestEvalControl:
@@ -98,6 +100,15 @@ class TestEvalControl:
             ConstantControl(delta=-1.0)
         with pytest.raises(ValueError):
             PowerControl(theta=1.0, p=1.0, alpha=0.0)
+
+    def test_no_control_call_takes_a_norm(self):
+        # phi holds its domain norm and its N'; only the defect sup takes a
+        # norm, which measures the defect in the codomain
+        calls = [getattr(control, n) for n in control.__all__]
+        calls = [c for c in calls if inspect.isfunction(c)]
+        calls += [family.rows for family in (ConstantControl, PowerControl, ProductControl)]
+        takers = [c for c in calls if {"norm", "nprime"} & set(inspect.signature(c).parameters)]
+        assert [c.__name__ for c in takers] == ["measure_residual_sup"]
 
 
 class TestScalingAlphaCheck:
@@ -150,8 +161,8 @@ class TestScalingAlphaCheck:
             assert got == analytic, (scheme, p, alpha)
 
     def test_non_finite_margin_fails_at_first_cell(self):
-        phi = ConstantControl(delta=1.0, alpha=1.0)
-        res = scaling(phi, Scheme.QUADRATIC_UP, self.XS, nprime=NAN_NORM, a_grid=(0.5, 2.0))
+        phi = ConstantControl(delta=1.0, alpha=1.0, nprime=NAN_NORM)
+        res = scaling(phi, Scheme.QUADRATIC_UP, self.XS, a_grid=(0.5, 2.0))
         assert res.worst == -np.inf
         x, y, a = res.witness
         assert x.tobytes() == self.XS[0].tobytes() and not np.any(y) and a == 0.5
@@ -172,8 +183,8 @@ class TestScalingAlphaCheck:
 class TestVanishingCheck:
     PAIRS = stacked((V(1.0), V(0.5)), (V(-2.0), V(1.0)), (V(0.3), V(0.9)))
 
-    def probe(self, phi, scheme, n_probe=30, nprime=NPRIME):
-        return vanishing_check(phi, scheme, nprime, self.PAIRS, n_probe, A_GRID)
+    def probe(self, phi, scheme, n_probe=30):
+        return vanishing_check(phi, scheme, self.PAIRS, n_probe, A_GRID)
 
     def test_constant_control_vanishes_under_quadratic_rescaling(self):
         # closed form at n = 30: membership 4^30 a / (4^30 a + 1) -> 1
@@ -212,11 +223,34 @@ class TestVanishingCheck:
         assert self.probe(phi, Scheme.QUADRATIC_DOWN, n_probe=600).worst == 0.0 - (1 - 0.01)
 
     def test_non_finite_membership_fails(self):
-        phi = ConstantControl(delta=1.0, alpha=1.0)
-        margin = self.probe(phi, Scheme.QUADRATIC_UP, nprime=NAN_NORM)
+        phi = ConstantControl(delta=1.0, alpha=1.0, nprime=NAN_NORM)
+        margin = self.probe(phi, Scheme.QUADRATIC_UP)
         assert margin.worst == -np.inf
         x, y, a = margin.witness
         assert (x.tobytes(), y.tobytes(), a) == (V(1.0).tobytes(), V(0.5).tobytes(), A_GRID[0])
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    @pytest.mark.parametrize(
+        "phi",
+        [
+            ConstantControl(delta=0.5, alpha=3.0),
+            PowerControl(theta=1.0, p=3.0, alpha=3.0),
+            ProductControl(theta=1.0, p1=1.0, p2=0.5, alpha=3.0),
+        ],
+        ids=["constant", "power", "product"],
+    )
+    def test_no_verdict_changes_at_the_deepest_probe(self, scheme, phi):
+        # from n = 2099 on, 2^n takes the least subnormal past the largest
+        # double and 2^-n the largest double to 0
+        edges = [5e-324, 1.7976931348623157e308, 0.0, -1.0]
+        pairs = stacked(*((V(u), V(w)) for u in edges for w in edges if w))
+        probes = [
+            vanishing_check(phi, scheme, pairs, n, A_GRID) for n in (2099, MAX_VANISHING_PROBE)
+        ]
+        (worst, (x, y, a)), (worst2, (x2, y2, a2)) = probes
+        assert (worst, x.tobytes(), y.tobytes(), a) == (worst2, x2.tobytes(), y2.tobytes(), a2)
+        with pytest.raises(ValueError, match=r"n_probe must be in \[1, 2100\]"):
+            vanishing_check(phi, scheme, pairs, MAX_VANISHING_PROBE + 1, A_GRID)
 
     def test_membership_equal_to_one_minus_tol_fails(self):
         # the probe needs every membership strictly above 1 - tol: one
@@ -224,7 +258,7 @@ class TestVanishingCheck:
         # membership 0.99 / (0.99 + 0.01) is 1 - 0.01 exactly
         phi = ConstantControl(delta=0.01, alpha=1.0)
         pairs = stacked((V(1.0), V(1.0)))
-        margin = vanishing_check(phi, Scheme.QUADRATIC_UP, NPRIME, pairs, 1, (0.99 / 4,))
+        margin = vanishing_check(phi, Scheme.QUADRATIC_UP, pairs, 1, (0.99 / 4,))
         assert 0.99 / (0.99 + 0.01) == 1 - 0.01
         assert margin.worst == 0.0
 
@@ -237,7 +271,7 @@ class TestEnvelope:
     def test_constant_control_all_entries_equal(self):
         phi = ConstantControl(delta=1.0, alpha=1.0)
         # threshold 2 (4 - 1) / 6 = 1
-        assert envelope(QUADRATIC_UP, phi, NPRIME, V(2.0), 2.0) == 0.5
+        assert envelope(QUADRATIC_UP, phi, V(2.0), 2.0) == 0.5
 
     def test_power_control_entries_enumerated(self):
         # phi(x/3, w) = ||x/3|| + ||w|| over w in {x/3, x, 4x/3, -2x/3, 0}
@@ -247,7 +281,7 @@ class TestEnvelope:
         x = V(3.0)
         entries = [2.0, 4.0, 5.0, 3.0, 1.0]
         memberships = [5.0 / (5.0 + e) for e in entries]
-        assert envelope(QUADRATIC_UP, phi, NPRIME, x, 15.0) == min(memberships) == 0.5
+        assert envelope(QUADRATIC_UP, phi, x, 15.0) == min(memberships) == 0.5
 
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_envelope_at_origin_is_one(self, scheme):
@@ -257,28 +291,28 @@ class TestEnvelope:
             PowerControl(theta=1.0, p=2.0, alpha=alpha),
             ProductControl(theta=2.0, p1=1.0, p2=1.0, alpha=alpha),
         ):
-            assert envelope((scheme,), phi, NPRIME, V(0.0), 1.0) == 1.0
+            assert envelope((scheme,), phi, V(0.0), 1.0) == 1.0
 
     def test_nonpositive_threshold_gives_zero(self):
         phi = ConstantControl(delta=1.0, alpha=1.0)
-        assert envelope(QUADRATIC_UP, phi, NPRIME, V(1.0), 0.0) == 0.0
-        assert envelope(ADDITIVE_UP, phi, NPRIME, V(1.0), -2.0) == 0.0
-        assert envelope(THEOREMS["combined"].schemes, phi, NPRIME, V(1.0), -2.0) == 0.0
+        assert envelope(QUADRATIC_UP, phi, V(1.0), 0.0) == 0.0
+        assert envelope(ADDITIVE_UP, phi, V(1.0), -2.0) == 0.0
+        assert envelope(THEOREMS["combined"].schemes, phi, V(1.0), -2.0) == 0.0
         down = ConstantControl(delta=1.0, alpha=5.0)
-        assert envelope((Scheme.QUADRATIC_DOWN,), down, NPRIME, V(1.0), -6.0) == 0.0
+        assert envelope((Scheme.QUADRATIC_DOWN,), down, V(1.0), -6.0) == 0.0
 
     def test_one_scheme_decides_by_its_threshold_not_by_the_level(self):
         # alpha 5 lies outside the quadratic_up interval, so a = -6 gives the
         # positive threshold -6 (4 - 5) / 6 = 1, where N'(1, 1) = 1/2
         phi = ConstantControl(delta=1.0, alpha=5.0)
-        assert envelope(QUADRATIC_UP, phi, NPRIME, V(1.0), -6.0) == 0.5
-        assert envelope(QUADRATIC_UP, phi, NPRIME, V(1.0), 6.0) == 0.0
+        assert envelope(QUADRATIC_UP, phi, V(1.0), -6.0) == 0.5
+        assert envelope(QUADRATIC_UP, phi, V(1.0), 6.0) == 0.0
 
     def test_monotone_in_threshold_and_in_unit_interval(self):
         phi = PowerControl(theta=0.7, p=1.5, alpha=3.0)
         x = V(1.3)
         additive_down = (Scheme.ADDITIVE_DOWN,)
-        values = [envelope(additive_down, phi, NPRIME, x, a) for a in log_a_grid(1e-2, 1e2, 15)]
+        values = [envelope(additive_down, phi, x, a) for a in log_a_grid(1e-2, 1e2, 15)]
         assert all(0.0 <= v <= 1.0 for v in values)
         assert all(hi >= lo - 1e-12 for lo, hi in zip(values, values[1:]))
 
@@ -287,20 +321,20 @@ class TestEnvelope:
         phi2 = PowerControl(theta=2.5, p=1.0, alpha=2.0)
         for a in (0.01, 1.0, 50.0):
             for x in (V(0.5), V(2.0)):
-                assert envelope(QUADRATIC_UP, phi2, NPRIME, x, a) <= envelope(
-                    QUADRATIC_UP, phi1, NPRIME, x, a
+                assert envelope(QUADRATIC_UP, phi2, x, a) <= envelope(
+                    QUADRATIC_UP, phi1, x, a
                 )
 
     def test_combined_envelope_is_min_of_the_parts_at_half_the_level(self):
         phi = ConstantControl(delta=0.4, alpha=1.0)
         x, a = V(1.5), 2.0
         want = min(
-            envelope(QUADRATIC_UP, phi, NPRIME, x, a / 2),
-            envelope(ADDITIVE_UP, phi, NPRIME, x, a / 2),
+            envelope(QUADRATIC_UP, phi, x, a / 2),
+            envelope(ADDITIVE_UP, phi, x, a / 2),
         )
         # the parts are N'(0.4, t) at t = a (4 - 1) / 12 and a (2 - 1) / 8
         assert want == NPRIME(V(0.4), a * 1.0 / 8.0)
-        assert envelope(THEOREMS["combined"].schemes, phi, NPRIME, x, a) == want
+        assert envelope(THEOREMS["combined"].schemes, phi, x, a) == want
 
     # phi(u, w) = ||u||^2 + ||w||^2 at x = 3, in pair order; the entries are
     # exact and distinct, so an N' can be NaN at exactly one pair
@@ -324,9 +358,10 @@ class TestEnvelope:
         phi = PowerControl(theta=1.0, p=2.0, alpha=1.0)
         entries = self.ENTRIES[scheme]
         seen = []
-        assert np.isnan(envelope((scheme,), phi, self._nan_at(entries[k], seen), V(3.0), a))
+        nan_phi = replace(phi, nprime=self._nan_at(entries[k], seen))
+        assert np.isnan(envelope((scheme,), nan_phi, V(3.0), a))
         assert seen == entries
-        clean = envelope((scheme,), phi, self._nan_at(None, []), V(3.0), a)
+        clean = envelope((scheme,), replace(phi, nprime=self._nan_at(None, [])), V(3.0), a)
         assert clean == min(1.0 / (1.0 + e) for e in entries)
 
     @pytest.mark.parametrize("bad", [2.0, 38.25], ids=["n1pp_part", "n3pp_part"])
@@ -334,7 +369,8 @@ class TestEnvelope:
         phi = PowerControl(theta=1.0, p=2.0, alpha=1.0)
         seen = []
         schemes = THEOREMS["combined"].schemes
-        assert np.isnan(envelope(schemes, phi, self._nan_at(bad, seen), V(3.0), 1.0))
+        nan_phi = replace(phi, nprime=self._nan_at(bad, seen))
+        assert np.isnan(envelope(schemes, nan_phi, V(3.0), 1.0))
         assert seen == self.ENTRIES[Scheme.QUADRATIC_UP] + self.ENTRIES[Scheme.ADDITIVE_UP]
 
 
@@ -357,13 +393,13 @@ class TestNoPairs:
         pairs = np.empty((2, 0, dim))
         f = TestFunction(coords=(CoordinatePoly(linear=np.ones(dim)),), dim_x=dim)
         phi = PowerControl(theta=1.0, p=1.0, alpha=2.0)
-        vanishing = vanishing_check(phi, Scheme.QUADRATIC_UP, NPRIME, pairs, 30, A_GRID)
+        vanishing = vanishing_check(phi, Scheme.QUADRATIC_UP, pairs, 30, A_GRID)
         assert vanishing == Margin(np.inf, None) and vanishing.worst > 0
         sup = measure_residual_sup(f, pairs)
         assert type(sup) is float and sup == 0.0
-        premise = defect_premise_margin(f, phi, N, NPRIME, pairs, (0.1, 1.0))
+        premise = defect_premise_margin(f, phi, N, pairs, (0.1, 1.0))
         assert premise == Margin(np.inf, None) and premise.worst >= -MEMBERSHIP_SLACK
-        scaled = scaling_alpha_check(phi, Scheme.QUADRATIC_UP, NPRIME, pairs, A_GRID)
+        scaled = scaling_alpha_check(phi, Scheme.QUADRATIC_UP, pairs, A_GRID)
         assert scaled == Margin(np.inf, None)
 
 
@@ -384,7 +420,6 @@ class TestVerifyStability:
             self.XS,
             self.A_VALUES,
             N,
-            NPRIME,
         )
         assert report.hypothesis_ok
         assert report.violations == 0
@@ -414,9 +449,8 @@ class TestVerifyStability:
         ],
     )
     def test_exact_solutions_across_admissible_theorems(self, theorem_id, f, scheme, phi):
-        report = verify(
-            f, (self._component(f, scheme),), phi, theorem_id, self.XS, self.A_VALUES, N, NPRIME
-        )
+        components = (self._component(f, scheme),)
+        report = verify(f, components, phi, theorem_id, self.XS, self.A_VALUES, N)
         assert report.hypothesis_ok
         assert report.violations == 0
 
@@ -435,9 +469,7 @@ class TestVerifyStability:
         phi = ConstantControl(delta=0.5, alpha=alpha)
         spec = THEOREMS[theorem_id]
         components = (lambda x: np.zeros_like(x),) * len(spec.schemes)
-        report = verify(
-            f, components, phi, theorem_id, self.XS, self.A_VALUES, N, NPRIME
-        )
+        report = verify(f, components, phi, theorem_id, self.XS, self.A_VALUES, N)
         assert len(report.rows) == len(self.XS) * len(self.A_VALUES)
         for row in report.rows:
             # a constant control's envelope is N'(delta, t) at each scheme's threshold t
@@ -455,7 +487,6 @@ class TestVerifyStability:
             self.XS,
             self.A_VALUES,
             N,
-            NPRIME,
         )
         assert report.violations > 0
         assert report.worst_slack < -1e-12
@@ -472,7 +503,6 @@ class TestVerifyStability:
             self.XS,
             self.A_VALUES,
             N,
-            NPRIME,
         )
         assert not report.hypothesis_ok
         assert report.rows == ()
@@ -486,7 +516,7 @@ class TestVerifyStability:
         for a in self.A_VALUES:
             t = a * (4.0 - alpha) / 6.0
             want = t / (t + delta)
-            got = envelope(QUADRATIC_UP, phi, NPRIME, V(1.7), a)
+            got = envelope(QUADRATIC_UP, phi, V(1.7), a)
             assert got == pytest.approx(want, abs=1e-15)
 
     def test_auto_delta_satisfies_premise_by_construction(self):
@@ -498,7 +528,7 @@ class TestVerifyStability:
         delta = measure_residual_sup(f, pairs)
         assert delta > 0
         worst, _ = defect_premise_margin(
-            f, ConstantControl(delta=delta, alpha=1.0), N, NPRIME, pairs, self.A_VALUES
+            f, ConstantControl(delta=delta, alpha=1.0), N, pairs, self.A_VALUES
         )
         assert worst >= 0.0
 
@@ -520,8 +550,8 @@ class TestVerifyStability:
         pairs = stacked((V(1.0), V(2.0)), (V(3.0), V(-1.0)))
         for check in (
             lambda: measure_residual_sup(f, pairs, norm=whole),
-            lambda: PowerControl(theta=1.0, p=2.0, alpha=1.0).rows(pairs, whole),
-            lambda: ProductControl(theta=1.0, p1=1.0, p2=1.0, alpha=1.0).rows(pairs, whole),
+            lambda: PowerControl(theta=1.0, p=2.0, alpha=1.0, norm=whole).rows(pairs),
+            lambda: ProductControl(theta=1.0, p1=1.0, p2=1.0, alpha=1.0, norm=whole).rows(pairs),
         ):
             with pytest.raises(ValueError, match=r"must map \(\.\.\., d\) to \(\.\.\.\)"):
                 check()
@@ -529,13 +559,11 @@ class TestVerifyStability:
     def test_non_finite_premise_margin_is_a_violation(self):
         f = TestFunction.scalar(quad=1.0)
         pairs = stacked((V(1.0), V(0.5)), (V(2.0), V(-1.0)))
-        phi = ConstantControl(delta=1.0, alpha=1.0)
-        worst, (x, y, a) = defect_premise_margin(f, phi, N, NAN_NORM, pairs, (0.1, 1.0))
+        phi = ConstantControl(delta=1.0, alpha=1.0, nprime=NAN_NORM)
+        worst, (x, y, a) = defect_premise_margin(f, phi, N, pairs, (0.1, 1.0))
         assert worst == -np.inf
         assert (x.tobytes(), y.tobytes(), a) == (V(1.0).tobytes(), V(0.5).tobytes(), 0.1)
-        report = verify(
-            f, (self._component(f),), phi, "quadratic_up", self.XS, self.A_VALUES, N, NAN_NORM
-        )
+        report = verify(f, (self._component(f),), phi, "quadratic_up", self.XS, self.A_VALUES, N)
         assert not report.hypothesis_ok and report.rows == ()
 
     def test_non_finite_slack_is_a_violation(self):
@@ -548,7 +576,6 @@ class TestVerifyStability:
             self.XS,
             self.A_VALUES,
             N,
-            NPRIME,
         )
         assert report.hypothesis_ok
         assert report.violations == len(report.rows) == len(self.XS) * len(self.A_VALUES)
@@ -564,7 +591,6 @@ class TestVerifyStability:
             self.XS,
             self.A_VALUES,
             N,
-            NPRIME,
         )
         assert "additive_envelope_pair" in report.repairs
 
@@ -584,7 +610,6 @@ class TestVerifyStability:
             xs,
             a_values,
             inf_norm,
-            NPRIME,
         )
         assert report.hypothesis_ok
         assert all(row.slack == np.inf for row in report.rows)
@@ -596,7 +621,7 @@ class TestVerifyStability:
             quad=1.0, perturbations=(Perturbation(shape="sin", amplitude=10.0),)
         )
         phi = ConstantControl(delta=1e-3, alpha=1.0)
-        margin = seeded_margin(f, phi, "quadratic_up", self.XS, self.A_VALUES, N, NPRIME)
+        margin = seeded_margin(f, phi, "quadratic_up", self.XS, self.A_VALUES, N)
         worst, (_, _, a) = margin
         report = verify_stability(
             f,
@@ -606,7 +631,6 @@ class TestVerifyStability:
             self.XS,
             self.A_VALUES,
             N,
-            NPRIME,
             premise_margin=margin,
         )
         assert not report.hypothesis_ok

@@ -28,7 +28,7 @@ with ``math.sin`` and ``math.cos``.  A numpy build whose ``np.sin`` or
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Sequence
 
@@ -101,10 +101,8 @@ Y_SETS = {
 def reference_scaling_alpha_check(
     phi,
     scheme: Scheme,
-    nprime: FuzzyNorm,
     xs: Sequence[np.ndarray],
     a_grid: Sequence[float] | None = None,
-    norm=euclidean_norm,
     slack: float = MEMBERSHIP_SLACK,
     y_override: Callable[[np.ndarray], list[np.ndarray]] | None = None,
 ) -> ScalingCheck:
@@ -114,6 +112,7 @@ def reference_scaling_alpha_check(
             reason=f"alpha out of range {scheme.interval_label} for {scheme.value}",
         )
     grid = tuple(a_grid) if a_grid is not None else log_a_grid()
+    nprime = phi.nprime
     y_set = y_override or (_quadratic_y_set if scheme.is_quadratic else _additive_y_set)
     shrink = 3.0 if scheme.is_quadratic else 2.0
     worst = np.inf
@@ -124,11 +123,11 @@ def reference_scaling_alpha_check(
         for y in y_set(xv):
             for a in grid:
                 if scheme.is_up:
-                    lhs = nprime(eval_control(phi, 2 * u, 2 * y, norm), a)
-                    rhs = nprime(phi.alpha * eval_control(phi, u, y, norm), a)
+                    lhs = nprime(eval_control(phi, 2 * u, 2 * y), a)
+                    rhs = nprime(phi.alpha * eval_control(phi, u, y), a)
                 else:
-                    lhs = nprime(eval_control(phi, u / 2, y / 2, norm), a)
-                    rhs = nprime(eval_control(phi, u, y, norm), phi.alpha * a)
+                    lhs = nprime(eval_control(phi, u / 2, y / 2), a)
+                    rhs = nprime(eval_control(phi, u, y), phi.alpha * a)
                 margin = lhs - rhs
                 if margin < worst:
                     worst = margin
@@ -138,31 +137,29 @@ def reference_scaling_alpha_check(
     return ScalingCheck(ok=ok, reason=reason, witness=witness, worst_slack=float(worst))
 
 
-def reference_vanishing_check(
-    phi, scheme, nprime, pairs, n_probe, a_grid=None, tol=0.01, norm=euclidean_norm
-) -> bool:
+def reference_vanishing_check(phi, scheme, pairs, n_probe, a_grid=None, tol=0.01) -> bool:
     grid = tuple(a_grid) if a_grid is not None else log_a_grid()
+    nprime = phi.nprime
     shift = scheme.value_shift * n_probe
     for x, y in pairs:
         xv = np.atleast_1d(np.asarray(x, dtype=float))
         yv = np.atleast_1d(np.asarray(y, dtype=float))
         for a in grid:
             if scheme.is_up:
-                value = eval_control(phi, np.ldexp(xv, n_probe), np.ldexp(yv, n_probe), norm)
+                value = eval_control(phi, np.ldexp(xv, n_probe), np.ldexp(yv, n_probe))
                 membership = nprime(value, math.ldexp(a, shift))
             else:
-                value = eval_control(phi, np.ldexp(xv, -n_probe), np.ldexp(yv, -n_probe), norm)
+                value = eval_control(phi, np.ldexp(xv, -n_probe), np.ldexp(yv, -n_probe))
                 membership = nprime(math.ldexp(value, shift), a)
             if not membership > 1.0 - tol:
                 return False
     return True
 
 
-def reference_vanishing_margin(
-    phi, scheme, nprime, pairs, n_probe, a_grid, tol=0.01, norm=euclidean_norm
-) -> float:
+def reference_vanishing_margin(phi, scheme, pairs, n_probe, a_grid, tol=0.01) -> float:
     """The least rescaled membership, cell by cell, less 1 - tol; ``-inf``
     at a non-finite membership."""
+    nprime = phi.nprime
     shift = scheme.value_shift * n_probe
     least = math.inf
     for x, y in pairs:
@@ -170,10 +167,10 @@ def reference_vanishing_margin(
         yv = np.atleast_1d(np.asarray(y, dtype=float))
         for a in a_grid:
             if scheme.is_up:
-                value = eval_control(phi, np.ldexp(xv, n_probe), np.ldexp(yv, n_probe), norm)
+                value = eval_control(phi, np.ldexp(xv, n_probe), np.ldexp(yv, n_probe))
                 membership = nprime(value, math.ldexp(a, shift))
             else:
-                value = eval_control(phi, np.ldexp(xv, -n_probe), np.ldexp(yv, -n_probe), norm)
+                value = eval_control(phi, np.ldexp(xv, -n_probe), np.ldexp(yv, -n_probe))
                 membership = nprime(math.ldexp(value, shift), a)
             if not math.isfinite(membership):
                 return -math.inf
@@ -185,12 +182,13 @@ def reference_measure_residual_sup(f, pairs, norm=euclidean_norm) -> float:
     return max((norm(residual_main(f, x, y).value) for x, y in pairs), default=0.0)
 
 
-def reference_defect_premise_margin(f, phi, N, nprime, pairs, a_values, norm=euclidean_norm):
+def reference_defect_premise_margin(f, phi, N, pairs, a_values):
+    nprime = phi.nprime
     worst = np.inf
     witness = None
     for x, y in pairs:
         defect = residual_main(f, x, y).value
-        phi_val = eval_control(phi, x, y, norm)
+        phi_val = eval_control(phi, x, y)
         for a in a_values:
             margin = N(defect, a) - nprime(phi_val, a)
             if margin < worst:
@@ -210,16 +208,16 @@ def _reference_power(base: float, exponent: float) -> float:
         return math.inf
 
 
-def reference_control(phi, x, y, norm=euclidean_norm) -> float:
+def reference_control(phi, x, y) -> float:
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
     power = _reference_power
     if isinstance(phi, ConstantControl):
         value = phi.delta
     elif isinstance(phi, PowerControl):
-        value = phi.theta * (power(norm(x), phi.p) + power(norm(y), phi.p))
+        value = phi.theta * (power(phi.norm(x), phi.p) + power(phi.norm(y), phi.p))
     else:
-        value = phi.theta * power(norm(x), phi.p1) * power(norm(y), phi.p2)
+        value = phi.theta * power(phi.norm(x), phi.p1) * power(phi.norm(y), phi.p2)
     return float(value)
 
 
@@ -244,22 +242,22 @@ class EnvelopeId(Enum):
     NPP = "Npp"
 
 
-def reference_envelope(which, phi, nprime, x, a, norm=euclidean_norm) -> float:
+def reference_envelope(which, phi, x, a) -> float:
     if a <= 0.0:
         return 0.0
     xv = np.atleast_1d(np.asarray(x, dtype=float))
     if which is EnvelopeId.NPP:
         alpha = phi.alpha
         memberships = [
-            reference_envelope(EnvelopeId.N1PP, phi, nprime, xv, a * (4.0 - alpha) / 12.0, norm),
-            reference_envelope(EnvelopeId.N3PP, phi, nprime, xv, a * (2.0 - alpha) / 8.0, norm),
+            reference_envelope(EnvelopeId.N1PP, phi, xv, a * (4.0 - alpha) / 12.0),
+            reference_envelope(EnvelopeId.N3PP, phi, xv, a * (2.0 - alpha) / 8.0),
         ]
     else:
         if which in (EnvelopeId.N1PP, EnvelopeId.N2PP):
             pairs = _quadratic_pairs(xv)
         else:
             pairs = _additive_pairs(xv)
-        memberships = [nprime(reference_control(phi, u, w, norm), a) for u, w in pairs]
+        memberships = [phi.nprime(reference_control(phi, u, w), a) for u, w in pairs]
     # Python's min keeps a NaN only when it comes first; any NaN membership
     # makes the envelope NaN, which verification counts as a violation.
     return math.nan if any(map(math.isnan, memberships)) else min(memberships)
@@ -346,6 +344,15 @@ def _crisp(draw, dim):
     return crisp_norm(kind, weights if kind == "weighted" else None)
 
 
+def _owning(draw, phi, dim):
+    """phi holding a drawn N' and, unless constant, a drawn crisp norm of
+    the dimension ``dim``."""
+    norms = {"nprime": _fuzzy_norm(draw, 1)}
+    if not isinstance(phi, ConstantControl):
+        norms["norm"] = _crisp(draw, dim)
+    return replace(phi, **norms)
+
+
 def _squared(x, a):
     if a <= 0:
         return 0.0
@@ -417,12 +424,10 @@ def _scaling_case(draw):
     )
     return dict(
         dim=dim,
-        phi=draw(_controls()),
+        phi=_owning(draw, draw(_controls()), dim),
         scheme=draw(st.sampled_from(list(Scheme))),
-        nprime=_fuzzy_norm(draw, 1),
         xs=xs,
         a_grid=draw(_THRESHOLDS),
-        norm=_crisp(draw, dim),
         y_sets=y_sets,
     )
 
@@ -452,14 +457,12 @@ def test_scaling_alpha_check_equals_reference_loop(case):
 def _vanishing_case(draw):
     dim = draw(st.integers(1, 3))
     return dict(
-        phi=draw(_controls()),
+        phi=_owning(draw, draw(_controls()), dim),
         scheme=draw(st.sampled_from(list(Scheme))),
-        nprime=_fuzzy_norm(draw, 1),
         pairs=_pairs(draw, dim),
         n_probe=draw(st.integers(1, 12)),
         a_grid=draw(_THRESHOLDS),
         tol=draw(st.sampled_from([0.01, 0.1, 0.5])),
-        norm=_crisp(draw, dim),
     )
 
 
@@ -482,12 +485,10 @@ def _premise_case(draw):
     f = draw(_test_functions(dim))
     return dict(
         f=f,
-        phi=draw(_controls()),
+        phi=_owning(draw, draw(_controls()), dim),
         N=_fuzzy_norm(draw, f.dim_y),
-        nprime=_fuzzy_norm(draw, 1),
         pairs=_pairs(draw, dim),
         a_values=draw(_THRESHOLDS),
-        norm=_crisp(draw, dim),
     )
 
 
@@ -647,11 +648,9 @@ def _envelope_case(
     a = draw(levels)
     return dict(
         theorem_id=draw(st.sampled_from(theorems)),
-        phi=draw(_edge_controls()),
-        nprime=_fuzzy_norm(draw, 1),
+        phi=_owning(draw, draw(_edge_controls()), dim),
         x=_edge_vector(draw, dim),
         a=a,
-        norm=_crisp(draw, dim),
     )
 
 
@@ -690,15 +689,15 @@ def _row_case(draw):
     dim = draw(st.integers(1, 3))
     k = draw(st.integers(1, 6))
     uw = np.array([[_edge_vector(draw, dim) for _ in range(k)] for _ in range(2)])
-    return draw(_edge_controls()), uw, _crisp(draw, dim)
+    return _owning(draw, draw(_edge_controls()), dim), uw
 
 
 @settings(max_examples=300, deadline=None)
 @given(_row_case())
 def test_row_form_equals_eval_control_pair_by_pair(case):
-    phi, uw, norm = case
+    phi, uw = case
     with np.errstate(all="ignore"):
-        rows = phi.rows(uw, norm)
+        rows = phi.rows(uw)
         pairs = list(zip(*uw))
         for one_pair in (eval_control, reference_control):
-            assert _bits(rows) == _bits(np.array([one_pair(phi, u, w, norm) for u, w in pairs]))
+            assert _bits(rows) == _bits(np.array([one_pair(phi, u, w) for u, w in pairs]))

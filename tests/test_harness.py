@@ -5,6 +5,7 @@ import json
 import math
 import re
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -26,8 +27,8 @@ from fuzzystab.harness import (
     emit_report,
     run_pipeline,
 )
-from fuzzystab.control import StabilityReport
-from fuzzystab.spaces import AxiomCheck, crisp_norm, euclidean_norm, log_a_grid
+from fuzzystab.control import StabilityReport, eval_control
+from fuzzystab.spaces import AxiomCheck, FuzzyNorm, crisp_norm, euclidean_norm, log_a_grid
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -329,6 +330,54 @@ class TestPipeline:
                 assert row.worst_slack == 0.0  # a vanishing row reports no slack
             else:
                 assert f"{row.worst_slack:.3e}" == match[1]
+
+
+class TestControlNorms:
+    """A control holds its domain norm and its N': a loaded power or product
+    control norms its arguments by the space's crisp norm, and the run's N'
+    axiom rows audit the control's own N'."""
+
+    @pytest.mark.parametrize(
+        "space",
+        [
+            {"dim_x": 2, "dim_y": 2, "crisp_norm": "max"},
+            {"dim_x": 2, "dim_y": 2, "crisp_norm": "weighted", "weights": [1.0, 3.0]},
+        ],
+        ids=["max", "weighted"],
+    )
+    @pytest.mark.parametrize(
+        "control",
+        [
+            {"family": "power", "theta": 0.5, "p": 1.5, "alpha": 3.0},
+            {"family": "product", "theta": 0.5, "p1": 1.0, "p2": 0.5, "alpha": 3.0},
+        ],
+        ids=["power", "product"],
+    )
+    def test_a_loaded_control_evaluates_under_the_space_norm(self, space, control):
+        coords = [{"quad": [[1.0, 0.0], [0.0, 1.0]]}] * 2
+        data = dict(BASE, space=space, function={"coords": coords}, control=control)
+        cfg = ExperimentConfig.from_dict(data)
+        x, y = np.array([3.0, -4.0]), np.array([0.5, 2.0])
+
+        def phi_under(norm):
+            if control["family"] == "power":
+                return 0.5 * (norm(x) ** 1.5 + norm(y) ** 1.5)
+            return 0.5 * norm(x) ** 1.0 * norm(y) ** 0.5
+
+        want = phi_under(cfg.space.norm())
+        assert want != phi_under(euclidean_norm)
+        assert eval_control(cfg.control, x, y) == want
+
+    def test_the_n_prime_axiom_rows_audit_the_controls_own_n_prime(self):
+        # membership 1/2 everywhere: not 0 at a <= 0 (N1), not 1 at the
+        # origin (N2), never near 1 at large a (N5)
+        broken = FuzzyNorm(evaluator=lambda v, a: 0.5)
+        cfg = ExperimentConfig.from_dict(BASE)
+        cfg = replace(cfg, control=replace(cfg.control, nprime=broken))
+        report = run_pipeline(cfg, ("axioms",))
+        failed = {(norm, c.axiom) for norm, c in report.axiom_rows if not c.passed}
+        assert failed == {("N'", "N1"), ("N'", "N2"), ("N'", "N5")}
+        assert report.exit_status == EXIT_VIOLATIONS
 
 
 class TestEmission:

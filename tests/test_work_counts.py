@@ -357,7 +357,6 @@ def test_verification_of_no_points_evaluates_nothing():
         [],
         (1.0, 2.0),
         FuzzyNorm.induced(),
-        FuzzyNorm.induced(),
         premise_margin=control.Margin(0.0, None),
     )
     assert (report.rows, report.worst_slack, report.violations) == ((), 0.0, 0)
