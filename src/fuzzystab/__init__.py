@@ -46,7 +46,6 @@ from .spaces import (
     check_axioms,
     fuzzy_cauchy,
     fuzzy_limit,
-    induced_fuzzy_norm,
     log_a_grid,
 )
 
@@ -83,7 +82,6 @@ __all__ = [
     "extract_limit",
     "fuzzy_cauchy",
     "fuzzy_limit",
-    "induced_fuzzy_norm",
     "iterate",
     "log_a_grid",
     "measure_residual_sup",

@@ -1,18 +1,21 @@
 """Control functions, envelope bounds, and stability verification.
 
 A control function phi(x, y) >= 0 caps the equation defect; its declared
-scaling factor alpha decides which rescaling scheme converges.  A control
-holds its own norms: the fuzzy norm N' on its values and, for the power and
-product families, the crisp norm of its domain; every check reads them from
-phi.  Each scheme has one record in ``SCHEME_BOUNDS``: its rate, direction,
-envelope pairs, threshold divisor and the scaling check's u divisor.  Its
-envelope at level a is the least membership of phi at its pairs at the threshold
-a (rate - alpha) / divisor, sign reversed for a down-scheme; a bound with
-several schemes splits a evenly between them.  Verification compares the
-membership of the recovered-component error against the envelope on an
-(x, a) grid and counts slack violations.  Every set of argument pairs is
-one ``(2, pairs, d)`` array built from a table of multipliers of x, and
-each hypothesis check takes one such array and returns one ``Margin``.
+scaling factor alpha decides which rescaling scheme converges.  Every family
+is homogeneous of degree ``phi.degree``, so the scaling and vanishing
+hypotheses are decided exactly from that degree, alpha and the scheme's
+rate.  A control holds its own norms: the fuzzy norm N' on its values and,
+for the power and product families, the crisp norm of its domain; every
+check reads them from phi.  Each scheme has one record in
+``SCHEME_BOUNDS``: its rate, direction, envelope pairs and threshold
+divisor.  Its envelope at level a is the least membership of phi at its
+pairs at the threshold a (rate - alpha) / divisor, sign reversed for a
+down-scheme; a bound with several schemes splits a evenly between them.
+Verification compares the membership of the recovered-component error
+against the envelope on an (x, a) grid and counts slack violations.
+Every set of argument pairs is one ``(2, pairs, d)`` array built from a
+table of multipliers of x, and the defect premise takes one such array
+and returns one ``Margin``.
 
 Four readings of the bound definitions are fixed here and disclosed through
 ``REPAIR_DESCRIPTIONS``: the additive envelope's one-argument entry is the
@@ -45,7 +48,6 @@ __all__ = [
     "THEOREMS",
     "REPAIR_DESCRIPTIONS",
     "BALL_PAIRS",
-    "MAX_VANISHING_PROBE",
     "Margin",
     "StabilityRow",
     "StabilityReport",
@@ -64,7 +66,7 @@ PairTable = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 class Margin(NamedTuple):
-    """Result of a hypothesis check: the smallest lhs - rhs membership
+    """Result of the defect premise check: the smallest lhs - rhs membership
     margin over (pairs x thresholds) and its witness (x, y, a), ``None``
     for no pairs.  The caller decides whether the margin passes."""
 
@@ -180,14 +182,6 @@ def eval_control(phi: ControlFunction, x: np.ndarray, y: np.ndarray) -> float:
     return float(phi.rows(np.asarray([x, y], dtype=float).reshape(2, 1, -1))[0])
 
 
-def _control_memberships(
-    phi: ControlFunction, values: Sequence[float] | np.ndarray, a: np.ndarray
-) -> np.ndarray:
-    """N'(value_i, a_j) over (values x thresholds) under phi's N', each equal
-    to ``phi.nprime(value_i, a_j)``."""
-    return phi.nprime.memberships(np.asarray(values, dtype=float).reshape(-1, 1, 1), a)
-
-
 def _first_worst(margin: np.ndarray) -> tuple[float, tuple[int, ...] | None]:
     """Smallest margin and its cell, as a row-major loop of ``if margin <
     worst`` from ``worst = inf`` finds them (the first of equal minima, a
@@ -202,15 +196,6 @@ def _first_worst(margin: np.ndarray) -> tuple[float, tuple[int, ...] | None]:
         return -math.inf, np.unravel_index(np.argmax(nonfinite), margin.shape)
     cell = np.unravel_index(np.argmin(margin), margin.shape)
     return float(margin[cell]), cell
-
-
-def _margin(lhs: np.ndarray, rhs: np.ndarray | float, pairs: np.ndarray, a: np.ndarray) -> Margin:
-    """The :func:`_first_worst` cell of ``lhs - rhs``; its pair and threshold are the witness."""
-    worst, cell = _first_worst(lhs - rhs)
-    if cell is None:
-        return Margin(worst, None)
-    x, y = pairs[:, cell[0]]
-    return Margin(worst, (x, y, float(a[cell[1]])))
 
 
 def _pair_table(*pairs: tuple[tuple[float, float], tuple[float, float]]) -> PairTable:
@@ -249,17 +234,16 @@ _ADDITIVE_PAIRS = _pair_table(
 
 
 class SchemeBound(NamedTuple):
-    """One scheme's constants; its scaling check takes u = x / u_divisor."""
+    """One scheme's envelope constants."""
 
     rate: float
     up: bool
     pairs: PairTable
     threshold_divisor: float
-    u_divisor: float
 
 
-_QUADRATIC_BOUND = (_QUADRATIC_PAIRS, 6.0, 3.0)  # pairs, threshold divisor, u divisor
-_ADDITIVE_BOUND = (_ADDITIVE_PAIRS, 4.0, 2.0)
+_QUADRATIC_BOUND = (_QUADRATIC_PAIRS, 6.0)  # pairs, threshold divisor
+_ADDITIVE_BOUND = (_ADDITIVE_PAIRS, 4.0)
 SCHEME_BOUNDS: dict[Scheme, SchemeBound] = {
     s: SchemeBound(s.rate, s.is_up, *(_QUADRATIC_BOUND if s.is_quadratic else _ADDITIVE_BOUND))
     for s in Scheme
@@ -293,7 +277,7 @@ def envelope(schemes: Sequence[Scheme], phi: ControlFunction, x: np.ndarray, a: 
         # Python's min keeps a NaN only when it comes first; any NaN membership
         # makes the envelope NaN, which verification counts as a violation.
         return math.nan if any(map(math.isnan, memberships)) else min(memberships)
-    rate, up, table, divisor, _ = SCHEME_BOUNDS[schemes[0]]
+    rate, up, table, divisor = SCHEME_BOUNDS[schemes[0]]
     t = a * ((rate - phi.alpha) if up else (phi.alpha - rate)) / divisor
     if t <= 0.0:
         return 0.0
@@ -303,68 +287,46 @@ def envelope(schemes: Sequence[Scheme], phi: ControlFunction, x: np.ndarray, a: 
     return phi.nprime.least_membership(phi.rows(uw)[:, None], t)
 
 
-def scaling_alpha_check(
-    phi: ControlFunction, scheme: Scheme, pairs: np.ndarray, a_grid: Sequence[float]
-) -> Margin:
-    """Margin of the scaling inequality over the ``(2, k, d)`` array of
-    pairs (x, y), with u = x/3 (quadratic) or x/2 (additive): up-schemes
-    compare N'(phi(2u, 2y), a) with N'(alpha phi(u, y), a), down-schemes
-    N'(phi(u/2, y/2), a) with N'(phi(u, y), alpha a).  For homogeneous
-    families it reduces to 2^degree <= alpha (up) or >= alpha (down).  An
-    alpha outside the scheme's admissible interval raises ``ValueError``.
+def _growth(phi: ControlFunction) -> float | None:
+    """2^degree, the factor phi(2x, 2y) / phi(x, y) of a control homogeneous
+    of degree ``phi.degree``; ``None`` for phi = 0 (delta or theta 0), which
+    fits every factor, and NaN for a non-finite delta or theta, which fits
+    none."""
+    scale = phi.delta if isinstance(phi, ConstantControl) else phi.theta
+    if scale == 0.0:
+        return None
+    return _safe_power(2.0, phi.degree) if math.isfinite(scale) else math.nan
+
+
+def scaling_alpha_check(phi: ControlFunction, scheme: Scheme) -> float:
+    """Margin of the scaling hypothesis: phi(2x, 2y) <= alpha phi(x, y) for an
+    up-scheme, margin alpha - 2^degree, and alpha phi(x, y) <= phi(2x, 2y)
+    for a down-scheme, margin 2^degree - alpha.  It holds iff the margin is
+    >= 0, compared in floating point with no slack.  phi = 0 holds it at
+    every alpha, margin 0.0; a non-finite delta or theta fails it, margin
+    ``-inf``.  An alpha outside the scheme's admissible interval raises
+    ``ValueError``.
     """
     if not scheme.admits_alpha(phi.alpha):
         raise ValueError(f"alpha out of range {scheme.interval_label} for {scheme.value}")
-    grid = np.asarray(a_grid, dtype=float)
-    uy = pairs / np.array([SCHEME_BOUNDS[scheme].u_divisor, 1.0])[:, None, None]
-    if scheme.is_up:
-        lhs_phi = phi.rows(2 * uy)
-        with np.errstate(over="ignore"):  # the product overflows to inf, as Python floats do
-            rhs_phi = phi.alpha * phi.rows(uy)
-    else:
-        lhs_phi = phi.rows(uy / 2)
-        rhs_phi = phi.rows(uy)
-    lhs = _control_memberships(phi, lhs_phi, grid)
-    rhs = _control_memberships(phi, rhs_phi, grid if scheme.is_up else phi.alpha * grid)
-    return _margin(lhs, rhs, pairs, grid)
+    growth = _growth(phi)
+    if growth is None:
+        return 0.0
+    margin = phi.alpha - growth if scheme.is_up else growth - phi.alpha
+    return -math.inf if math.isnan(margin) else margin
 
 
-#: Deepest vanishing probe.  From n = 2099 on no verdict changes: 2^n takes every
-#: nonzero double past the largest (2^-1074 * 2^2098 = 2^1024), 2^-n every finite one to 0.
-MAX_VANISHING_PROBE = 2100
-
-
-def vanishing_check(
-    phi: ControlFunction,
-    scheme: Scheme,
-    pairs: np.ndarray,
-    n_probe: int,
-    a_grid: Sequence[float],
-    tol: float = 0.01,
-) -> Margin:
-    """Margin of the rescaled control membership over 1 - tol.
-
-    Up-schemes evaluate N'(phi(2^n x, 2^n y), m^n a) and down-schemes
-    N'(m^n phi(x / 2^n, y / 2^n), a), with m = 4 (quadratic) or 2
-    (additive), at n = n_probe, over the ``(2, k, d)`` array of pairs; the
-    witness names the unscaled a.  The probe holds iff the margin is above
-    0, i.e. every membership exceeds 1 - tol, so a membership stuck below 1
-    (degree at the scheme boundary) or a NaN (margin ``-inf``) fails it.
+def vanishing_check(phi: ControlFunction, scheme: Scheme) -> bool:
+    """Whether the rescaled control membership tends to 1 at every (x, y) and
+    t > 0: N'(phi(2^n x, 2^n y), rate^n t) for an up-scheme, N'(rate^n
+    phi(x / 2^n, y / 2^n), t) for a down-scheme.  By homogeneity and N3 that
+    is N'(phi(x, y), (rate / 2^degree)^n t) or N'(phi(x, y), (2^degree /
+    rate)^n t), so by N5 the limit holds iff phi = 0 or 2^degree < rate (up)
+    or > rate (down).  A non-finite delta or theta fails it: NaN compares
+    false either way.
     """
-    if not 1 <= n_probe <= MAX_VANISHING_PROBE:
-        raise ValueError(f"n_probe must be in [1, {MAX_VANISHING_PROBE}]")
-    grid = np.asarray(a_grid, dtype=float)
-    shift = scheme.value_shift * n_probe
-    step = n_probe if scheme.is_up else -n_probe
-    # Overflow to inf keeps the limit: membership 0 at an infinite value,
-    # 1 at an infinite threshold.
-    with np.errstate(over="ignore"):
-        values = phi.rows(np.ldexp(pairs, step))
-        if scheme.is_up:
-            memberships = _control_memberships(phi, values, np.ldexp(grid, shift))
-        else:
-            memberships = _control_memberships(phi, np.ldexp(values, shift), grid)
-    return _margin(memberships, 1.0 - tol, pairs, grid)
+    growth = _growth(phi)
+    return growth is None or (growth < scheme.rate if scheme.is_up else growth > scheme.rate)
 
 
 @dataclass(frozen=True)
@@ -467,13 +429,17 @@ def defect_premise_margin(
 
     A margin below the membership slack means the control does not actually
     dominate the equation defect on the sampled pairs.  A non-finite margin
-    is a violation: the worst margin is then ``-inf``.
+    is a violation: the worst margin is then ``-inf``.  The witness is the
+    pair and threshold of the :func:`_first_worst` cell.
     """
     a = np.asarray(a_values, dtype=float)
-    defects = residual_main(f, *pairs).value
-    phi_values = phi.rows(pairs)
-    lhs = N.memberships(defects[:, None, :], a)
-    return _margin(lhs, _control_memberships(phi, phi_values, a), pairs, a)
+    lhs = N.memberships(residual_main(f, *pairs).value[:, None, :], a)
+    rhs = phi.nprime.memberships(np.asarray(phi.rows(pairs), dtype=float)[:, None, None], a)
+    worst, cell = _first_worst(lhs - rhs)
+    if cell is None:
+        return Margin(worst, None)
+    x, y = pairs[:, cell[0]]
+    return Margin(worst, (x, y, float(a[cell[1]])))
 
 
 @dataclass(frozen=True, eq=False)
@@ -486,7 +452,9 @@ class StabilityRow:
 
     @property
     def slack(self) -> float:
-        return self.lhs - self.rhs
+        # as Python floats: a difference past the largest double is -inf or
+        # inf, never a numpy overflow warning
+        return float(self.lhs) - float(self.rhs)
 
 
 @dataclass(frozen=True, eq=False)

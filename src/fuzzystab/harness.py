@@ -28,8 +28,6 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .control import (
-    BALL_PAIRS,
-    MAX_VANISHING_PROBE,
     THEOREMS,
     ConstantControl,
     ControlFunction,
@@ -278,7 +276,6 @@ class ExperimentConfig:
     # a slack or tolerance of 1 or more passes every membership check
     membership_slack: float = _knob("tolerances", 1e-12, above=0, below=1)
     fuzzy_tol: float = _knob("tolerances", 0.01, above=0, below=1)
-    vanishing_probe: int = _knob("tolerances", 30, minimum=1, maximum=MAX_VANISHING_PROBE)
     q_scale: float = _knob("negative_control", 1.0)
 
     @classmethod
@@ -496,29 +493,22 @@ def run_pipeline(cfg: ExperimentConfig, stages: Sequence[str] = ALL_STAGES) -> R
         for t, pairs in premise_by_theorem.items():
             margin_by_theorem[t] = defect_premise_margin(shifted, phi, N, pairs, a_values)
 
-    # each pass rule once; a vanishing margin is over 1 - tol, not a
-    # membership slack, so its row reports slack 0
-    within_slack = lambda worst: worst >= -cfg.membership_slack
-    above_zero = lambda worst: worst > 0.0
-    probe, tol = cfg.vanishing_probe, cfg.fuzzy_tol
     for t in cfg.theorems:
         schemes = THEOREMS[t].schemes
         if "hypothesis" in stages:
-            pairs, checks = premise_by_theorem[t], []
-            y_set_pairs = pairs[:, :-BALL_PAIRS]
+            rows = report.hypothesis_rows
             for scheme in schemes:
-                scaling = scaling_alpha_check(phi, scheme, y_set_pairs, a_values)
-                vanishing = vanishing_check(phi, scheme, pairs, probe, a_values, tol)
-                checks += [
-                    (f"alpha_scaling[{scheme.value}]", scaling, within_slack),
-                    (f"vanishing[{scheme.value}]", vanishing, above_zero),
-                ]
-            checks.append(("defect_premise", margin_by_theorem[t], within_slack))
-            for label, (worst, witness), passes in checks:
-                passed = passes(worst)
-                note = "" if passed else f"margin {worst:.3e} at a={witness[2]:g}"
-                slack = worst if passes is within_slack else 0.0
-                report.hypothesis_rows.append(HypothesisRow(t, label, passed, slack, note))
+                # decided from phi's degree: a failed row names it, not a witness
+                margin, holds = scaling_alpha_check(phi, scheme), vanishing_check(phi, scheme)
+                scaled, degree, name = margin >= 0.0, f"degree {phi.degree:g}", scheme.value
+                note = "" if scaled else f"margin {margin:.3e} at {degree} and alpha {phi.alpha:g}"
+                rows.append(HypothesisRow(t, f"alpha_scaling[{name}]", scaled, margin, note))
+                note = "" if holds else f"{degree} at rate {scheme.rate:g}"
+                rows.append(HypothesisRow(t, f"vanishing[{name}]", holds, 0.0, note))
+            worst, witness = margin_by_theorem[t]
+            passed = worst >= -cfg.membership_slack
+            note = "" if passed else f"margin {worst:.3e} at a={witness[2]:g}"
+            rows.append(HypothesisRow(t, "defect_premise", passed, worst, note))
         if "extraction" not in stages and "verification" not in stages:
             continue
 

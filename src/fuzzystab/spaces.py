@@ -32,7 +32,6 @@ __all__ = [
     "SequenceProbe",
     "crisp_norm",
     "euclidean_norm",
-    "induced_fuzzy_norm",
     "log_a_grid",
     "check_axioms",
     "default_axiom_samples",
@@ -131,16 +130,6 @@ class SpaceConfig:
     def norm(self) -> CrispNorm:
         """The crisp norm of the domain and of the codomain."""
         return crisp_norm(self.crisp_norm_kind, self.weights)
-
-
-def induced_fuzzy_norm(
-    crisp_norm_kind: str,
-    x: np.ndarray,
-    a: float,
-    weights: Sequence[float] | None = None,
-) -> float:
-    """Membership a/(a + ||x||) for a > 0, else 0, under the named crisp norm."""
-    return FuzzyNorm.induced(crisp_norm(crisp_norm_kind, weights))(x, a)
 
 
 def stack_norms(norm: CrispNorm, x: np.ndarray) -> float | np.ndarray:

@@ -2,15 +2,10 @@
 
 import json
 import math
-import re
-from dataclasses import fields
-from pathlib import Path
 
 import pytest
 
-from fuzzystab import harness
 from fuzzystab.cli import main as cli_main
-from fuzzystab.control import MAX_VANISHING_PROBE
 from fuzzystab.errors import ConfigError
 from fuzzystab.harness import EXIT_CONFIG, EXIT_VIOLATIONS, ExperimentConfig
 
@@ -336,15 +331,11 @@ def test_unknown_keys_are_rejected(data, key):
     assert config_error(data) == (f"config: {key}", "unknown key")
 
 
-# A slack or tolerance of 1 or more passes every membership check; a probe
-# past MAX_VANISHING_PROBE changes no verdict, and one of 1100000000 made
-# np.ldexp raise OverflowError on a quadratic_up run.
+# A slack or tolerance of 1 or more passes every membership check.
 TOLERANCE_BOUNDS = {
     "slack_one": ("membership_slack", 1.0, "must be < 1, got 1.0"),
     "tol_one": ("fuzzy_tol", 1.0, "must be < 1, got 1.0"),
     "tol_five": ("fuzzy_tol", 5.0, "must be < 1, got 5.0"),
-    "probe_past_bound": ("vanishing_probe", 2101, "must be <= 2100, got 2101"),
-    "probe_huge": ("vanishing_probe", 1100000000, "must be <= 2100, got 1100000000"),
 }
 
 
@@ -358,9 +349,15 @@ def test_cli_rejects_a_tolerance_past_its_bound(tmp_path, capsys, key, value, re
 
 def test_tolerances_at_their_bounds_are_read():
     data = edited("tolerances", {"membership_slack": 0.999, "fuzzy_tol": 0.999})
-    data["tolerances"]["vanishing_probe"] = MAX_VANISHING_PROBE
     cfg = ExperimentConfig.from_dict(data)
-    assert (cfg.membership_slack, cfg.fuzzy_tol, cfg.vanishing_probe) == (0.999, 0.999, 2100)
+    assert (cfg.membership_slack, cfg.fuzzy_tol) == (0.999, 0.999)
+
+
+def test_the_vanishing_probe_is_an_unknown_key(tmp_path, capsys):
+    # the vanishing hypothesis is decided from the control's degree, with no probe
+    code, err = run_cli(tmp_path, edited("tolerances", {"vanishing_probe": 30}), capsys)
+    reason = "config: tolerances.vanishing_probe: unknown key"
+    assert (code, err) == (EXIT_CONFIG, f"config error: {reason}\n")
 
 
 def test_a_slack_of_one_cannot_hide_violations(tmp_path, capsys):
@@ -435,14 +432,3 @@ def test_weighted_norm_weights_are_checked_by_crisp_norm(weights):
     data = edited("space", {"dim_x": 1, "dim_y": 1, "crisp_norm": "weighted", "weights": weights})
     reason = "weights must be a non-empty vector of positive reals"
     assert config_error(data) == ("config: space", reason)
-
-
-def test_readme_schema_lists_exactly_the_config_keys():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    block = readme.split("```jsonc\n", 1)[1].split("```", 1)[0]
-    documented = set(re.findall(r'"(\w+)":', block))
-    knobs = [f for f in fields(ExperimentConfig) if f.metadata]
-    tables = {key for keys in harness._KEYS.values() for key in keys}
-    tables |= {key for _, keys in harness._CONTROLS.values() for key in keys}
-    tables |= {f.name for f in knobs} | {f.metadata["section"] for f in knobs}
-    assert documented == tables

@@ -1,6 +1,7 @@
-"""Control families, envelopes, scaling/vanishing checks, bound verification."""
+"""Control families, envelopes, scaling/vanishing decisions, bound verification."""
 
 import inspect
+import math
 import re
 from dataclasses import replace
 
@@ -9,12 +10,10 @@ import pytest
 
 from fuzzystab import control
 from fuzzystab.control import (
-    MAX_VANISHING_PROBE,
     ConstantControl,
     Margin,
     PowerControl,
     ProductControl,
-    _pairs_at,
     defect_premise_margin,
     envelope,
     eval_control,
@@ -34,7 +33,6 @@ V = lambda *vals: np.array([float(v) for v in vals])
 NPRIME = FuzzyNorm.induced()
 N = FuzzyNorm.induced()
 NAN_NORM = FuzzyNorm(evaluator=lambda x, a: float("nan"))
-A_GRID = log_a_grid()
 
 
 def stacked(*pairs):
@@ -42,15 +40,9 @@ def stacked(*pairs):
     return np.array([[x for x, _ in pairs], [y for _, y in pairs]])
 
 
-def y_set_pairs(scheme, xs):
-    """The pairs (x, y) of the y-set of the scheme's own theorem at each x."""
-    theorem = "quadratic_up" if scheme.is_quadratic else "additive_up"
-    return _pairs_at(THEOREMS[theorem].y_set, np.asarray(xs, dtype=float))
-
-
-def scaling(phi, scheme, xs, a_grid=A_GRID):
-    """The scaling check on the scheme's y-set at the points xs."""
-    return scaling_alpha_check(phi, scheme, y_set_pairs(scheme, xs), a_grid)
+def is_positive_zero(value):
+    """``value`` is 0.0, not -0.0, as the report prints it."""
+    return value == 0.0 and math.copysign(1.0, value) == 1.0
 
 
 def seeded_margin(f, phi, theorem_id, xs, a_values, N):
@@ -112,38 +104,44 @@ class TestEvalControl:
 
 
 class TestScalingAlphaCheck:
-    XS = [V(0.5), V(1.0), V(2.5), V(-1.5)]
-
     def test_constant_control_scale_invariant(self):
-        phi = ConstantControl(delta=2.0, alpha=1.0)
-        assert scaling(phi, Scheme.QUADRATIC_UP, self.XS).worst >= -MEMBERSHIP_SLACK
+        # 1 - 2^0 is exactly 0.0, the margin of every constant control at alpha 1
+        margin = scaling_alpha_check(ConstantControl(delta=2.0, alpha=1.0), Scheme.QUADRATIC_UP)
+        assert is_positive_zero(margin)
 
     def test_degree_one_power_admits_alpha_two(self):
         phi = PowerControl(theta=1.0, p=1.0, alpha=2.0)
-        assert scaling(phi, Scheme.QUADRATIC_UP, self.XS).worst >= -MEMBERSHIP_SLACK
+        assert scaling_alpha_check(phi, Scheme.QUADRATIC_UP) == 0.0
 
     def test_degree_one_power_rejects_alpha_below_two(self):
         phi = PowerControl(theta=1.0, p=1.0, alpha=1.5)
-        res = scaling(phi, Scheme.QUADRATIC_UP, self.XS)
-        assert res.worst < -MEMBERSHIP_SLACK
-        assert res.witness is not None
+        assert scaling_alpha_check(phi, Scheme.QUADRATIC_UP) == -0.5
 
     def test_alpha_outside_scheme_interval_rejected_with_reason(self):
         phi = PowerControl(theta=1.0, p=1.0, alpha=5.0)
         reason = "alpha out of range (0,4) for quadratic_up"
         with pytest.raises(ValueError, match=re.escape(reason)):
-            scaling(phi, Scheme.QUADRATIC_UP, self.XS)
+            scaling_alpha_check(phi, Scheme.QUADRATIC_UP)
 
-    def test_down_scheme_accepts_high_degree(self):
-        phi = PowerControl(theta=0.5, p=3.0, alpha=5.0)
-        assert scaling(phi, Scheme.QUADRATIC_DOWN, self.XS).worst >= -MEMBERSHIP_SLACK
+    def test_down_scheme_margin_is_growth_less_alpha(self):
+        high, low = (PowerControl(theta=0.5, p=p, alpha=5.0) for p in (3.0, 1.0))
+        assert scaling_alpha_check(high, Scheme.QUADRATIC_DOWN) == 3.0
+        assert scaling_alpha_check(low, Scheme.QUADRATIC_DOWN) == -3.0
 
-    def test_down_scheme_rejects_low_degree(self):
-        phi = PowerControl(theta=0.5, p=1.0, alpha=5.0)
-        assert scaling(phi, Scheme.QUADRATIC_DOWN, self.XS).worst < -MEMBERSHIP_SLACK
+    def test_product_control_degree_is_the_sum_of_its_powers(self):
+        phi = ProductControl(theta=1.0, p1=2.0, p2=-0.5, alpha=2.5)
+        assert scaling_alpha_check(phi, Scheme.ADDITIVE_DOWN) == 2.0**1.5 - 2.5
+
+    def test_boundary_is_decided_in_floating_point_without_slack(self):
+        # 0.2 + 0.4 is 0.6000000000000001, so 2^degree lands one ulp above
+        # 2^0.6: alpha = 2^0.6 fails by that ulp, alpha = 2^degree holds at 0
+        phi = ProductControl(theta=1.0, p1=0.2, p2=0.4, alpha=2.0**0.6)
+        assert scaling_alpha_check(phi, Scheme.ADDITIVE_UP) == -2.0**-52
+        at_degree = replace(phi, alpha=2.0 ** (0.2 + 0.4))
+        assert is_positive_zero(scaling_alpha_check(at_degree, Scheme.ADDITIVE_UP))
 
     @pytest.mark.parametrize("scheme", list(Scheme))
-    def test_grid_verdict_matches_analytic_criterion(self, scheme):
+    def test_verdict_matches_analytic_criterion(self, scheme):
         # oracle: an alpha outside the scheme's interval is rejected, and an
         # admissible one passes iff 2^degree <= alpha for up-schemes (>= for
         # down-schemes)
@@ -154,113 +152,85 @@ class TestScalingAlphaCheck:
             phi = PowerControl(theta=float(rng.uniform(0.1, 2.0)), p=p, alpha=alpha)
             if not scheme.admits_alpha(alpha):
                 with pytest.raises(ValueError, match="alpha out of range"):
-                    scaling(phi, scheme, self.XS)
+                    scaling_alpha_check(phi, scheme)
                 continue
             analytic = 2.0**p <= alpha if scheme.is_up else 2.0**p >= alpha
-            got = scaling(phi, scheme, self.XS).worst >= -MEMBERSHIP_SLACK
-            assert got == analytic, (scheme, p, alpha)
-
-    def test_non_finite_margin_fails_at_first_cell(self):
-        phi = ConstantControl(delta=1.0, alpha=1.0, nprime=NAN_NORM)
-        res = scaling(phi, Scheme.QUADRATIC_UP, self.XS, a_grid=(0.5, 2.0))
-        assert res.worst == -np.inf
-        x, y, a = res.witness
-        assert x.tobytes() == self.XS[0].tobytes() and not np.any(y) and a == 0.5
-
-    def test_witness_is_the_worst_sample_point(self):
-        # degree 2 against alpha 2: doubling the arguments gives 4 phi, so
-        # the worst margin is N'(4 phi, a) - N'(2 phi, a) at the witness
-        phi = PowerControl(theta=1.0, p=2.0, alpha=2.0)
-        res = scaling(phi, Scheme.QUADRATIC_UP, self.XS)
-        x, y, a = res.witness
-        assert any(x.tobytes() == xs.tobytes() for xs in self.XS)
-        u = x / 3.0
-        value = eval_control(phi, u, y)
-        want = a / (a + 4.0 * value) - a / (a + 2.0 * value)
-        assert res.worst == pytest.approx(want, rel=1e-12) and res.worst < -0.1
-
-
-class TestVanishingCheck:
-    PAIRS = stacked((V(1.0), V(0.5)), (V(-2.0), V(1.0)), (V(0.3), V(0.9)))
-
-    def probe(self, phi, scheme, n_probe=30):
-        return vanishing_check(phi, scheme, self.PAIRS, n_probe, A_GRID)
-
-    def test_constant_control_vanishes_under_quadratic_rescaling(self):
-        # closed form at n = 30: membership 4^30 a / (4^30 a + 1) -> 1
-        a = 1e-3
-        assert 4.0**30 * a / (4.0**30 * a + 1.0) > 1 - 0.01
-        phi = ConstantControl(delta=1.0, alpha=1.0)
-        margin = self.probe(phi, Scheme.QUADRATIC_UP)
-        assert margin.worst > 0
-        # the least membership is at the smallest a
-        assert margin.worst == 4.0**30 * a / (4.0**30 * a + 1.0) - (1 - 0.01)
-        assert margin.witness[2] == A_GRID[0]
-
-    def test_cubic_growth_outruns_quadratic_rescaling(self):
-        phi = PowerControl(theta=1.0, p=3.0, alpha=1.0)
-        assert self.probe(phi, Scheme.QUADRATIC_UP).worst <= 0
-
-    def test_boundary_degree_membership_stalls_below_one(self):
-        # degree 1 under the additive rescaling: membership is constant in n
-        # and stays below 1, so the probe reports failure
-        phi = PowerControl(theta=1.0, p=1.0, alpha=1.0)
-        assert self.probe(phi, Scheme.ADDITIVE_UP).worst <= 0
-
-    def test_degree_one_vanishes_under_quadratic_rescaling(self):
-        phi = PowerControl(theta=1.0, p=1.0, alpha=2.0)
-        assert self.probe(phi, Scheme.QUADRATIC_UP).worst > 0
-
-    def test_down_scheme_vanishing_for_high_degree(self):
-        phi = PowerControl(theta=1.0, p=3.0, alpha=5.0)
-        assert self.probe(phi, Scheme.QUADRATIC_DOWN).worst > 0
-        low = PowerControl(theta=1.0, p=1.0, alpha=5.0)
-        assert self.probe(low, Scheme.QUADRATIC_DOWN).worst <= 0
-
-    def test_overflowed_rescaled_value_has_membership_zero(self):
-        # 4^600 phi overflows to inf: membership 0, a failed probe, not an error
-        phi = ConstantControl(delta=1.0, alpha=5.0)
-        assert self.probe(phi, Scheme.QUADRATIC_DOWN, n_probe=600).worst == 0.0 - (1 - 0.01)
-
-    def test_non_finite_membership_fails(self):
-        phi = ConstantControl(delta=1.0, alpha=1.0, nprime=NAN_NORM)
-        margin = self.probe(phi, Scheme.QUADRATIC_UP)
-        assert margin.worst == -np.inf
-        x, y, a = margin.witness
-        assert (x.tobytes(), y.tobytes(), a) == (V(1.0).tobytes(), V(0.5).tobytes(), A_GRID[0])
+            assert (scaling_alpha_check(phi, scheme) >= 0.0) == analytic, (scheme, p, alpha)
 
     @pytest.mark.parametrize("scheme", list(Scheme))
     @pytest.mark.parametrize(
         "phi",
         [
-            ConstantControl(delta=0.5, alpha=3.0),
-            PowerControl(theta=1.0, p=3.0, alpha=3.0),
-            ProductControl(theta=1.0, p1=1.0, p2=0.5, alpha=3.0),
+            ConstantControl(delta=0.0, alpha=0.5),
+            PowerControl(theta=0.0, p=3.0, alpha=0.5),
+            ProductControl(theta=0.0, p1=1.0, p2=-0.5, alpha=0.5),
         ],
         ids=["constant", "power", "product"],
     )
-    def test_no_verdict_changes_at_the_deepest_probe(self, scheme, phi):
-        # from n = 2099 on, 2^n takes the least subnormal past the largest
-        # double and 2^-n the largest double to 0
-        edges = [5e-324, 1.7976931348623157e308, 0.0, -1.0]
-        pairs = stacked(*((V(u), V(w)) for u in edges for w in edges if w))
-        probes = [
-            vanishing_check(phi, scheme, pairs, n, A_GRID) for n in (2099, MAX_VANISHING_PROBE)
-        ]
-        (worst, (x, y, a)), (worst2, (x2, y2, a2)) = probes
-        assert (worst, x.tobytes(), y.tobytes(), a) == (worst2, x2.tobytes(), y2.tobytes(), a2)
-        with pytest.raises(ValueError, match=r"n_probe must be in \[1, 2100\]"):
-            vanishing_check(phi, scheme, pairs, MAX_VANISHING_PROBE + 1, A_GRID)
+    def test_zero_control_holds_at_any_alpha_with_margin_zero(self, scheme, phi):
+        phi = replace(phi, alpha=0.5 if scheme.is_up else 9.0)
+        assert is_positive_zero(scaling_alpha_check(phi, scheme))
 
-    def test_membership_equal_to_one_minus_tol_fails(self):
-        # the probe needs every membership strictly above 1 - tol: one
-        # quadratic step takes a = 0.99 / 4 to 0.99, and with phi = 0.01 the
-        # membership 0.99 / (0.99 + 0.01) is 1 - 0.01 exactly
-        phi = ConstantControl(delta=0.01, alpha=1.0)
-        pairs = stacked((V(1.0), V(1.0)))
-        margin = vanishing_check(phi, Scheme.QUADRATIC_UP, pairs, 1, (0.99 / 4,))
-        assert 0.99 / (0.99 + 0.01) == 1 - 0.01
-        assert margin.worst == 0.0
+    @pytest.mark.parametrize("scale", [math.nan, math.inf])
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_non_finite_control_fails_at_minus_inf(self, scheme, scale):
+        phi = ConstantControl(delta=scale, alpha=1.0 if scheme.is_up else 5.0)
+        assert scaling_alpha_check(phi, scheme) == -math.inf
+
+    def test_overflowing_growth_is_a_margin_not_an_error(self):
+        # 2.0 ** 2000 raises OverflowError in Python; the growth is inf
+        up = PowerControl(theta=1.0, p=2000.0, alpha=1.5)
+        assert scaling_alpha_check(up, Scheme.ADDITIVE_UP) == -math.inf
+        down = PowerControl(theta=1.0, p=2000.0, alpha=5.0)
+        assert scaling_alpha_check(down, Scheme.QUADRATIC_DOWN) == math.inf
+        tiny = PowerControl(theta=1.0, p=-2000.0, alpha=1.5)
+        assert scaling_alpha_check(tiny, Scheme.ADDITIVE_UP) == 1.5
+
+
+class TestVanishingCheck:
+    @pytest.mark.parametrize(
+        "phi, scheme, holds",
+        [
+            # up: 2^degree < rate; down: 2^degree > rate
+            (ConstantControl(delta=1.0, alpha=1.0), Scheme.QUADRATIC_UP, True),
+            (PowerControl(theta=1.0, p=3.0, alpha=1.0), Scheme.QUADRATIC_UP, False),
+            (PowerControl(theta=1.0, p=1.0, alpha=2.0), Scheme.QUADRATIC_UP, True),
+            (PowerControl(theta=1.0, p=0.5, alpha=1.5), Scheme.ADDITIVE_UP, True),
+            # at the boundary the membership is constant in n, below 1
+            (PowerControl(theta=1.0, p=1.0, alpha=1.0), Scheme.ADDITIVE_UP, False),
+            (PowerControl(theta=1.0, p=2.0, alpha=5.0), Scheme.QUADRATIC_DOWN, False),
+            (PowerControl(theta=1.0, p=3.0, alpha=5.0), Scheme.QUADRATIC_DOWN, True),
+            (PowerControl(theta=1.0, p=1.0, alpha=5.0), Scheme.QUADRATIC_DOWN, False),
+            (ProductControl(theta=1.0, p1=2.0, p2=-0.5, alpha=2.5), Scheme.ADDITIVE_DOWN, True),
+            (ConstantControl(delta=1.0, alpha=5.0), Scheme.QUADRATIC_DOWN, False),
+            (PowerControl(theta=1.0, p=2000.0, alpha=5.0), Scheme.QUADRATIC_DOWN, True),
+            (PowerControl(theta=1.0, p=2000.0, alpha=1.5), Scheme.ADDITIVE_UP, False),
+        ],
+    )
+    def test_decided_by_degree_and_rate(self, phi, scheme, holds):
+        assert vanishing_check(phi, scheme) is holds
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_zero_control_vanishes_under_every_scheme(self, scheme):
+        assert vanishing_check(ConstantControl(delta=0.0, alpha=1.0), scheme)
+        assert vanishing_check(PowerControl(theta=0.0, p=2.0, alpha=1.0), scheme)
+
+    @pytest.mark.parametrize("scale", [math.nan, math.inf])
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_non_finite_control_does_not_vanish(self, scheme, scale):
+        assert not vanishing_check(ConstantControl(delta=scale, alpha=1.0), scheme)
+        assert not vanishing_check(PowerControl(theta=scale, p=3.0, alpha=1.0), scheme)
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_scaling_implies_vanishing(self, scheme):
+        # 2^degree <= alpha < rate (up) or 2^degree >= alpha > rate (down)
+        rng = np.random.default_rng(21)
+        for _ in range(40):
+            phi = PowerControl(
+                theta=1.0, p=float(rng.uniform(-2.0, 4.0)), alpha=float(rng.uniform(0.05, 9.0))
+            )
+            if scheme.admits_alpha(phi.alpha) and scaling_alpha_check(phi, scheme) >= 0.0:
+                assert vanishing_check(phi, scheme), (scheme, phi)
 
 
 QUADRATIC_UP = (Scheme.QUADRATIC_UP,)
@@ -375,32 +345,18 @@ class TestEnvelope:
 
 
 class TestNoPairs:
-    """No sample points, or a (2, 0, d) array of pairs, give every check the
+    """A (2, 0, d) array of pairs gives the defect sup 0 and the premise
     margin ``(inf, None)``, which passes."""
-
-    @pytest.mark.parametrize("scheme", list(Scheme))
-    @pytest.mark.parametrize("dim", [1, 3])
-    def test_no_sample_points_pass_the_scaling_check(self, scheme, dim):
-        good, bad = (1.0, 5.0) if scheme.admits_alpha(1.0) else (5.0, 1.0)
-        res = scaling(PowerControl(theta=1.0, p=1.0, alpha=good), scheme, np.empty((0, dim)))
-        assert res == Margin(np.inf, None) and res.worst >= -MEMBERSHIP_SLACK
-        # an inadmissible alpha is rejected before any pair is looked at
-        with pytest.raises(ValueError, match="alpha out of range"):
-            scaling(PowerControl(theta=1.0, p=1.0, alpha=bad), scheme, np.empty((0, dim)))
 
     @pytest.mark.parametrize("dim", [1, 3])
     def test_empty_pair_array(self, dim):
         pairs = np.empty((2, 0, dim))
         f = TestFunction(coords=(CoordinatePoly(linear=np.ones(dim)),), dim_x=dim)
         phi = PowerControl(theta=1.0, p=1.0, alpha=2.0)
-        vanishing = vanishing_check(phi, Scheme.QUADRATIC_UP, pairs, 30, A_GRID)
-        assert vanishing == Margin(np.inf, None) and vanishing.worst > 0
         sup = measure_residual_sup(f, pairs)
         assert type(sup) is float and sup == 0.0
         premise = defect_premise_margin(f, phi, N, pairs, (0.1, 1.0))
         assert premise == Margin(np.inf, None) and premise.worst >= -MEMBERSHIP_SLACK
-        scaled = scaling_alpha_check(phi, Scheme.QUADRATIC_UP, pairs, A_GRID)
-        assert scaled == Margin(np.inf, None)
 
 
 class TestVerifyStability:

@@ -68,8 +68,8 @@ _RUN_2D = {
         "theorems": ["combined"],
         "grids": {"x_count": 8, "a_points": 9, "axiom_points": 60},
     },
-    # The additive y-set through the hypothesis stage: degree 0.5 < log2 1.5,
-    # and a probe deep enough for the rescaled membership to reach 1 - tol.
+    # The additive y-set through the premise check, and a scaling margin of
+    # 1.5 - 2^0.5: degree 0.5 < log2 1.5.
     "additive_up_power": {
         "seed": 1414,
         "space": {"dim_x": 2, "dim_y": 1},
@@ -80,7 +80,6 @@ _RUN_2D = {
         "control": {"family": "power", "theta": 1.0, "p": 0.5, "alpha": 1.5},
         "theorems": ["additive_up"],
         "grids": {"x_count": 8, "a_points": 9, "axiom_points": 60},
-        "tolerances": {"vanishing_probe": 80},
     },
     # Two theorems in one run: the row order across theorems and the repair
     # log written once per description.  Its auto-delta sup lies in the

@@ -27,7 +27,7 @@ from fuzzystab.harness import (
     emit_report,
     run_pipeline,
 )
-from fuzzystab.control import StabilityReport, eval_control
+from fuzzystab.control import THEOREMS, StabilityReport, eval_control
 from fuzzystab.spaces import AxiomCheck, FuzzyNorm, crisp_norm, euclidean_norm, log_a_grid
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -269,16 +269,57 @@ class TestPipeline:
         assert ids.count("combined_lhs_sign") == 1
         assert report.exit_status == EXIT_OK
 
-    def test_vanishing_probe_past_the_float_range_fails_quietly(self):
-        # at n = 2000 the scaled pairs and the scaled thresholds overflow to
-        # inf, with no RuntimeWarning: the memberships are NaN and the row
-        # fails at the least threshold
-        data = json.loads((CONFIGS / "quadratic_power.json").read_text(encoding="utf-8"))
-        data["tolerances"] = {"vanishing_probe": 2000}
+    def test_nan_auto_delta_fails_both_scaling_rows(self):
+        # defects that overflow make the auto-delta sup NaN: on an up-scheme
+        # the scaling margin is -inf and the control does not vanish
+        data = dict(GOLDEN_CASES["defect_overflow"][1], theorems=["quadratic_up"])
+        data["control"] = dict(data["control"], alpha=1.0)
         report = run_pipeline(ExperimentConfig.from_dict(data), stages=("hypothesis",))
+        assert math.isnan(report.resolved_delta)
         rows = {row.check: row for row in report.hypothesis_rows}
-        row = rows["vanishing[quadratic_up]"]
-        assert (row.passed, row.worst_slack, row.note) == (False, 0.0, "margin -inf at a=0.001")
+        scaling, vanishing = rows["alpha_scaling[quadratic_up]"], rows["vanishing[quadratic_up]"]
+        assert (scaling.passed, scaling.worst_slack) == (False, -math.inf)
+        assert scaling.note == "margin -inf at degree 0 and alpha 1"
+        assert (vanishing.passed, vanishing.worst_slack) == (False, 0.0)
+
+    def test_infinite_auto_delta_fails_both_scaling_rows(self):
+        # each coordinate of the defect is finite, its Euclidean norm is not:
+        # the auto-delta is inf, not NaN, and phi = inf is no control, so
+        # the scaling row fails at -inf (the sampled check passed it at 0)
+        data = dict(
+            BASE,
+            space={"dim_x": 1, "dim_y": 2, "crisp_norm": "euclidean"},
+            function={
+                "coords": [{"quad": [[1.0]]}, {"quad": [[1.0]]}],
+                "perturbations": [{"shape": "sin", "amplitude": 1e200}],
+            },
+        )
+        report = run_pipeline(ExperimentConfig.from_dict(data), stages=("hypothesis",))
+        assert report.resolved_delta == math.inf
+        scaling, vanishing, _ = report.hypothesis_rows
+        assert scaling == HypothesisRow(
+            "quadratic_up",
+            "alpha_scaling[quadratic_up]",
+            False,
+            -math.inf,
+            "margin -inf at degree 0 and alpha 1",
+        )
+        assert (vanishing.passed, vanishing.note) == (False, "degree 0 at rate 4")
+
+    def test_zero_control_passes_both_scaling_rows_at_any_alpha(self):
+        # phi = 0 satisfies phi(2x, 2y) <= alpha phi(x, y) at alpha 0.5; it
+        # cannot dominate a nonzero defect, and the premise row names the
+        # threshold of its witness
+        data = dict(BASE, control={"family": "constant", "delta": 0.0, "alpha": 0.5})
+        cfg = ExperimentConfig.from_dict(data)
+        scaling, vanishing, premise = run_pipeline(cfg, stages=("hypothesis",)).hypothesis_rows
+        for row, check in ((scaling, "alpha_scaling"), (vanishing, "vanishing")):
+            assert row == HypothesisRow("quadratic_up", f"{check}[quadratic_up]", True, 0.0, "")
+            assert math.copysign(1.0, row.worst_slack) == 1.0
+        a_grid = {f"{a:g}" for a in log_a_grid(cfg.a_min, cfg.a_max, cfg.a_points)}
+        match = re.fullmatch(r"margin (\S+) at a=(\S+)", premise.note)
+        assert not premise.passed and match and match[2] in a_grid
+        assert match[1] == f"{premise.worst_slack:.3e}" and premise.worst_slack < 0
 
     def test_overflowing_defects_fail_quietly(self, tmp_path, capsys):
         # the defects of x^2 overflow near 1e154: the auto-delta sup is NaN
@@ -293,43 +334,56 @@ class TestPipeline:
         assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize(
-        "case, failing",
+        "control, theorem",
         [
-            # degree 1/2 under the additive rescaling: the membership stalls
-            # below 1 - tol at the probe
-            ("additive_power", {"vanishing[additive_up]"}),
-            # degree 3 > log2 alpha, and a control that overflows at n = 400
-            ("quadratic_cubic", {"alpha_scaling[quadratic_up]", "vanishing[quadratic_up]"}),
+            # 2^0.5 <= 1.5 < 2: a finite probe saw the membership short of 1 - tol
+            ({"family": "power", "theta": 1.0, "p": 0.5, "alpha": 1.5}, "additive_up"),
+            # 2^1.5 >= 2.5 > 2: so did the default probe, and a deep one raised
+            # DomainError at a product term 0^-0.5
+            (
+                {"family": "product", "theta": 1.0, "p1": 2.0, "p2": -0.5, "alpha": 2.5},
+                "additive_down",
+            ),
         ],
+        ids=["additive_up_power", "additive_down_product"],
     )
-    def test_failed_hypothesis_row_names_its_margin_and_witness(self, case, failing):
-        if case == "additive_power":
-            data = dict(
-                BASE,
-                control={"family": "power", "theta": 1.0, "p": 0.5, "alpha": 1.5},
-                theorems=["additive_up"],
-                tolerances={"vanishing_probe": 30},
-            )
-        else:
-            data = json.loads((CONFIGS / "quadratic_power.json").read_text(encoding="utf-8"))
-            data["control"]["p"] = 3
-            data["tolerances"] = {"vanishing_probe": 400}
-        cfg = ExperimentConfig.from_dict(data)
+    def test_degree_decides_the_vanishing_row(self, tmp_path, control, theorem):
+        data = {
+            "seed": 0,
+            "space": {"dim_x": 1, "dim_y": 1},
+            "function": {"linear": 2.0, "perturbations": [{"shape": "sin", "amplitude": 0.01}]},
+            "control": control,
+            "theorems": [theorem],
+            "grids": {"x_count": 10, "x_radius": 2.0},
+        }
+        out, path = tmp_path / "out", write_config(tmp_path, data)
+        code = cli_main(["run", "--config", str(path), "--out-dir", str(out)])
+        doc = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        assert code == doc["exit_status"] == EXIT_OK
+        assert [row["passed"] for row in doc["hypothesis"]] == [True, True, True]
+
+    @pytest.mark.parametrize(
+        "control, theorem",
+        [
+            # 2^1 >= 1.5 and 2^1 is not below the additive rate 2
+            ({"family": "power", "theta": 1.0, "p": 1.0, "alpha": 1.5}, "additive_up"),
+            # 2^3 >= 2 and 2^3 is not below the quadratic rate 4
+            ({"family": "power", "theta": 1.0, "p": 3.0, "alpha": 2.0}, "quadratic_up"),
+        ],
+        ids=["additive_boundary", "quadratic_cubic"],
+    )
+    def test_failed_hypothesis_row_names_what_decided_it(self, control, theorem):
+        cfg = ExperimentConfig.from_dict(dict(BASE, control=control, theorems=[theorem]))
         report = run_pipeline(cfg, stages=("hypothesis",))
-        assert {r.check for r in report.hypothesis_rows if not r.passed} == failing
-        a_grid = {f"{a:g}" for a in log_a_grid(cfg.a_min, cfg.a_max, cfg.a_points)}
-        for row in report.hypothesis_rows:
-            if row.passed:
-                assert row.note == ""
-                continue
-            match = re.fullmatch(r"margin (\S+) at a=(\S+)", row.note)
-            assert match and match[2] in a_grid, row.note
-            margin = float(match[1])
-            assert margin < 0
-            if row.check.startswith("vanishing"):
-                assert row.worst_slack == 0.0  # a vanishing row reports no slack
-            else:
-                assert f"{row.worst_slack:.3e}" == match[1]
+        scaling, vanishing, premise = report.hypothesis_rows
+        degree, alpha = cfg.control.degree, cfg.control.alpha
+        rate = THEOREMS[theorem].schemes[0].rate
+        assert (scaling.passed, vanishing.passed, premise.passed) == (False, False, True)
+        assert scaling.worst_slack == alpha - 2.0**degree < 0
+        margin = f"{scaling.worst_slack:.3e}"
+        assert scaling.note == f"margin {margin} at degree {degree:g} and alpha {alpha:g}"
+        assert vanishing.worst_slack == 0.0
+        assert vanishing.note == f"degree {degree:g} at rate {rate:g}"
 
 
 class TestControlNorms:
@@ -595,20 +649,20 @@ class TestCli:
         assert code == EXIT_SCALE
         assert capsys.readouterr().err == line + "\n"
 
-    def test_overflowing_control_power_reports_its_verdict(self, tmp_path):
-        # at n = 400 the vanishing probe cubes norms near 2^401, beyond the
-        # float range: the control is inf there and the probe fails, which
-        # fails the run
+    def test_overflowing_control_degree_reports_its_verdict(self, tmp_path):
+        # 2.0 ** 2000 overflows a Python float: the growth is inf, so the
+        # scaling row fails at -inf in a written report
         config = json.loads((CONFIGS / "quadratic_power.json").read_text(encoding="utf-8"))
-        config["control"]["p"] = 3
-        config["tolerances"] = {"vanishing_probe": 400}
+        config["control"]["p"] = 2000
         out = tmp_path / "out"
         path = write_config(tmp_path, config)
         code = cli_main(["run", "--config", str(path), "--out-dir", str(out)])
         doc = json.loads((out / "report.json").read_text(encoding="utf-8"))
         assert code == doc["exit_status"] == EXIT_VIOLATIONS
-        checks = {row["check"]: row["passed"] for row in doc["hypothesis"]}
-        assert checks["vanishing[quadratic_up]"] is False
+        rows = {row["check"]: row for row in doc["hypothesis"]}
+        scaling = rows["alpha_scaling[quadratic_up]"]
+        assert (scaling["passed"], scaling["worst_slack"]) == (False, "-inf")
+        assert rows["vanishing[quadratic_up]"]["passed"] is False
 
     def test_unwritable_output_exits_four(self, tmp_path, capsys):
         config = write_config(tmp_path, BASE)

@@ -19,36 +19,40 @@ from fuzzystab.spaces import (
     euclidean_norm,
     fuzzy_cauchy,
     fuzzy_limit,
-    induced_fuzzy_norm,
     log_a_grid,
 )
 
 E1 = np.array([1.0])
 
 
+def induced(kind, x, a, weights=None):
+    """Membership of x at a under the fuzzy norm induced by the named crisp norm."""
+    return FuzzyNorm.induced(crisp_norm(kind, weights))(x, a)
+
+
 def test_induced_norm_unit_vector_half():
-    assert induced_fuzzy_norm("euclidean", E1, 1.0) == 0.5
+    assert induced("euclidean", E1, 1.0) == 0.5
 
 
 def test_induced_norm_at_origin_is_one():
-    assert induced_fuzzy_norm("euclidean", np.zeros(3), 3.7) == 1.0
+    assert induced("euclidean", np.zeros(3), 3.7) == 1.0
 
 
 def test_induced_norm_nonpositive_threshold_is_zero():
-    assert induced_fuzzy_norm("euclidean", np.array([2.0, 1.0]), -1.0) == 0.0
-    assert induced_fuzzy_norm("euclidean", E1, 0.0) == 0.0
+    assert induced("euclidean", np.array([2.0, 1.0]), -1.0) == 0.0
+    assert induced("euclidean", E1, 0.0) == 0.0
 
 
 def test_induced_norm_other_crisp_kinds():
     x = np.array([3.0, -4.0])
-    assert induced_fuzzy_norm("euclidean", x, 5.0) == pytest.approx(0.5)
-    assert induced_fuzzy_norm("max", x, 4.0) == pytest.approx(0.5)
-    assert induced_fuzzy_norm("weighted", E1, 2.0, weights=[4.0]) == pytest.approx(0.5)
+    assert induced("euclidean", x, 5.0) == pytest.approx(0.5)
+    assert induced("max", x, 4.0) == pytest.approx(0.5)
+    assert induced("weighted", E1, 2.0, weights=[4.0]) == pytest.approx(0.5)
 
 
 def test_weighted_norm_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
-        induced_fuzzy_norm("weighted", np.array([1.0, 2.0]), 1.0, weights=[1.0])
+        induced("weighted", np.array([1.0, 2.0]), 1.0, weights=[1.0])
     with pytest.raises(DimensionMismatchError):
         crisp_norm("weighted", [1.0])(np.ones((3, 2)))
 

@@ -151,18 +151,11 @@ def test_defect_is_evaluated_once_per_use(monkeypatch, command):
 
 def test_premise_pairs_are_built_once_and_shared(monkeypatch):
     # each theorem's premise pairs are one (2, k, d) array, built once and
-    # handed as it is to the auto-delta sup, the premise margin and the
-    # vanishing probe of each scheme; the scaling check of each scheme gets
-    # a view of its y-set part, the pairs before the ball pairs
+    # handed as it is to the auto-delta sup and the premise margin
     cfg = ExperimentConfig.from_dict(_workload_config("grid_dense"))
     assert cfg.theorems == ("combined",) and cfg.auto_delta
     built = []
-    received = {
-        "measure_residual_sup": [],
-        "defect_premise_margin": [],
-        "vanishing_check": [],
-        "scaling_alpha_check": [],
-    }
+    received = {"measure_residual_sup": [], "defect_premise_margin": []}
     premise_pairs = harness.premise_pairs
 
     def counted_premise_pairs(*args, **kwargs):
@@ -183,7 +176,6 @@ def test_premise_pairs_are_built_once_and_shared(monkeypatch):
     for name in received:
         receiving(name)
     run_pipeline(cfg, _STAGES_BY_COMMAND["run"])
-    scaled = received.pop("scaling_alpha_check")
     assert len(built) == len(cfg.theorems)
     (pairs,) = built
     assert isinstance(pairs, np.ndarray)
@@ -191,13 +183,8 @@ def test_premise_pairs_are_built_once_and_shared(monkeypatch):
     assert {name: len(calls) for name, calls in received.items()} == {
         "measure_residual_sup": 1,
         "defect_premise_margin": 1,
-        "vanishing_check": 2,
     }
     assert all(got is pairs for calls in received.values() for got in calls)
-    assert len(scaled) == 2
-    for got in scaled:
-        assert np.shares_memory(got, pairs)
-        assert got.tobytes() == pairs[:, : cfg.x_count * 8].tobytes()
 
 
 def test_auto_delta_is_one_sup_over_every_theorems_premise_pairs(monkeypatch):
