@@ -1,7 +1,6 @@
 """Numerical verification of fuzzy-norm stability for the additive-quadratic
-functional equation: fuzzy-norm axioms and convergence, equation residuals,
-direct-method component extraction, and sampled verification of the
-stability bounds."""
+functional equation: fuzzy-norm axioms, equation residuals, direct-method
+component extraction, and sampled verification of the stability bounds."""
 
 from .control import (
     ConstantControl,
@@ -27,9 +26,7 @@ from .extraction import (
 )
 from .funceq import (
     Perturbation,
-    Residual,
     TestFunction,
-    biadditive_form,
     even_part,
     odd_part,
     remove_offset,
@@ -41,11 +38,8 @@ from .harness import ExperimentConfig, RunReport, emit_report, run_pipeline
 from .spaces import (
     AxiomReport,
     FuzzyNorm,
-    SequenceProbe,
     SpaceConfig,
     check_axioms,
-    fuzzy_cauchy,
-    fuzzy_limit,
     log_a_grid,
 )
 
@@ -63,16 +57,13 @@ __all__ = [
     "Perturbation",
     "PowerControl",
     "ProductControl",
-    "Residual",
     "RunReport",
     "ScaleError",
     "Scheme",
-    "SequenceProbe",
     "SpaceConfig",
     "StabilityReport",
     "THEOREMS",
     "TestFunction",
-    "biadditive_form",
     "check_axioms",
     "emit_report",
     "envelope",
@@ -80,8 +71,6 @@ __all__ = [
     "even_part",
     "extract_components",
     "extract_limit",
-    "fuzzy_cauchy",
-    "fuzzy_limit",
     "iterate",
     "log_a_grid",
     "measure_residual_sup",

@@ -412,7 +412,7 @@ def measure_residual_sup(
 ) -> float:
     """Largest equation-defect norm over the ``(2, k, d)`` array of argument
     pairs; NaN if any is NaN, 0 for no pairs."""
-    norms = stack_norms(norm, residual_main(f, *pairs).value)
+    norms = stack_norms(norm, residual_main(f, *pairs))
     return float(np.max(norms)) if norms.size else 0.0
 
 
@@ -433,7 +433,7 @@ def defect_premise_margin(
     pair and threshold of the :func:`_first_worst` cell.
     """
     a = np.asarray(a_values, dtype=float)
-    lhs = N.memberships(residual_main(f, *pairs).value[:, None, :], a)
+    lhs = N.memberships(residual_main(f, *pairs)[:, None, :], a)
     rhs = phi.nprime.memberships(np.asarray(phi.rows(pairs), dtype=float)[:, None, None], a)
     worst, cell = _first_worst(lhs - rhs)
     if cell is None:

@@ -25,11 +25,9 @@ __all__ = [
     "Perturbation",
     "CoordinatePoly",
     "TestFunction",
-    "Residual",
     "residual_main",
     "residual_quadratic",
     "residual_additive",
-    "biadditive_form",
     "even_part",
     "odd_part",
     "remove_offset",
@@ -227,17 +225,6 @@ class TestFunction:
 VectorFunction = Callable[[np.ndarray], np.ndarray]
 
 
-@dataclass(frozen=True)
-class Residual:
-    """Equation defect at one argument pair, or at a stack of them; ``norm``
-    is the norm of one pair's defect."""
-
-    value: np.ndarray
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.value))
-
-
 def _coerce_pair(f: VectorFunction, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     xv = np.atleast_1d(np.asarray(x, dtype=float))
     yv = np.atleast_1d(np.asarray(y, dtype=float))
@@ -249,15 +236,16 @@ def _coerce_pair(f: VectorFunction, x: np.ndarray, y: np.ndarray) -> tuple[np.nd
     return xv, yv
 
 
-def residual_main(f: VectorFunction, x: np.ndarray, y: np.ndarray) -> Residual:
+def residual_main(f: VectorFunction, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Defect f(2x+y) + f(2x-y) - f(x+y) - f(x-y) - 2 f(2x) + 2 f(x).
 
-    ``x`` and ``y`` are one pair or equal stacks of pairs ``(..., dim_x)``; on
-    a stack ``f`` is called once per term with all the points, so it must map
-    ``(..., dim_x)`` to ``(..., dim_y)`` row by row as ``TestFunction`` does.
+    ``x`` and ``y`` are one pair or equal stacks of pairs ``(..., dim_x)``, and
+    the defect has shape ``(..., dim_y)``; on a stack ``f`` is called once per
+    term with all the points, so it must map ``(..., dim_x)`` to
+    ``(..., dim_y)`` row by row as ``TestFunction`` does.
     """
     xv, yv = _coerce_pair(f, x, y)
-    val = (
+    return (
         np.asarray(f(2 * xv + yv), dtype=float)
         + np.asarray(f(2 * xv - yv), dtype=float)
         - np.asarray(f(xv + yv), dtype=float)
@@ -265,36 +253,27 @@ def residual_main(f: VectorFunction, x: np.ndarray, y: np.ndarray) -> Residual:
         - 2 * np.asarray(f(2 * xv), dtype=float)
         + 2 * np.asarray(f(xv), dtype=float)
     )
-    return Residual(value=val)
 
 
-def residual_quadratic(f: VectorFunction, x: np.ndarray, y: np.ndarray) -> Residual:
+def residual_quadratic(f: VectorFunction, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Defect of the parallelogram identity: f(x+y) + f(x-y) - 2 f(x) - 2 f(y)."""
     xv, yv = _coerce_pair(f, x, y)
-    val = (
+    return (
         np.asarray(f(xv + yv), dtype=float)
         + np.asarray(f(xv - yv), dtype=float)
         - 2 * np.asarray(f(xv), dtype=float)
         - 2 * np.asarray(f(yv), dtype=float)
     )
-    return Residual(value=val)
 
 
-def residual_additive(f: VectorFunction, x: np.ndarray, y: np.ndarray) -> Residual:
+def residual_additive(f: VectorFunction, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Additivity defect f(x+y) - f(x) - f(y)."""
     xv, yv = _coerce_pair(f, x, y)
-    val = (
+    return (
         np.asarray(f(xv + yv), dtype=float)
         - np.asarray(f(xv), dtype=float)
         - np.asarray(f(yv), dtype=float)
     )
-    return Residual(value=val)
-
-
-def biadditive_form(f: VectorFunction, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Polarization (1/4)(f(x+y) - f(x-y)); recovers B with B(x,x)=f(x) for quadratic f."""
-    xv, yv = _coerce_pair(f, x, y)
-    return 0.25 * (np.asarray(f(xv + yv), dtype=float) - np.asarray(f(xv - yv), dtype=float))
 
 
 @dataclass(frozen=True, eq=False)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass, field, fields, replace
 from json.encoder import encode_basestring_ascii
@@ -497,13 +498,19 @@ def run_pipeline(cfg: ExperimentConfig, stages: Sequence[str] = ALL_STAGES) -> R
         schemes = THEOREMS[t].schemes
         if "hypothesis" in stages:
             rows = report.hypothesis_rows
+            # decided from phi's degree, or failed by a non-finite auto-delta:
+            # a failed row names that cause, not a witness
+            delta = report.resolved_delta
+            if delta is None or math.isfinite(delta):
+                cause = f"degree {phi.degree:g}"
+            else:
+                cause = f"auto delta {delta:g}"
             for scheme in schemes:
-                # decided from phi's degree: a failed row names it, not a witness
                 margin, holds = scaling_alpha_check(phi, scheme), vanishing_check(phi, scheme)
-                scaled, degree, name = margin >= 0.0, f"degree {phi.degree:g}", scheme.value
-                note = "" if scaled else f"margin {margin:.3e} at {degree} and alpha {phi.alpha:g}"
+                scaled, name = margin >= 0.0, scheme.value
+                note = "" if scaled else f"margin {margin:.3e} at {cause} and alpha {phi.alpha:g}"
                 rows.append(HypothesisRow(t, f"alpha_scaling[{name}]", scaled, margin, note))
-                note = "" if holds else f"{degree} at rate {scheme.rate:g}"
+                note = "" if holds else f"{cause} at rate {scheme.rate:g}"
                 rows.append(HypothesisRow(t, f"vanishing[{name}]", holds, 0.0, note))
             worst, witness = margin_by_theorem[t]
             passed = worst >= -cfg.membership_slack

@@ -5,46 +5,39 @@ value N(x, a) in [0, 1].  The canonical construction from a crisp norm is
 
     N(x, a) = a / (a + ||x||)   for a > 0,     N(x, a) = 0   for a <= 0.
 
-This module provides crisp norms, the induced construction, finite-sample
-checking of the six defining axioms, and fuzzy convergence / Cauchy
-predicates for sequences.  Universal quantifiers over the threshold a are
-discretized to a log-spaced grid; the induced norm is monotone in a, so a
-log grid covers behavior across scales.
+This module provides crisp norms, the induced construction and
+finite-sample checking of the six defining axioms.  Universal quantifiers
+over the threshold a are discretized to a log-spaced grid; the induced norm
+is monotone in a, so a log grid covers behavior across scales.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatchError
 
 __all__ = [
-    "CRISP_NORM_KINDS",
     "CrispNorm",
     "SpaceConfig",
     "FuzzyNorm",
     "AxiomCheck",
     "AxiomReport",
-    "SequenceProbe",
     "crisp_norm",
     "euclidean_norm",
     "log_a_grid",
     "check_axioms",
     "default_axiom_samples",
-    "fuzzy_limit",
-    "fuzzy_cauchy",
 ]
-
-CRISP_NORM_KINDS = ("euclidean", "max", "weighted")
 
 #: Membership comparisons treat differences below this as rounding noise.
 MEMBERSHIP_SLACK = 1e-12
 
-#: Default tolerance for the fuzzy limit / Cauchy predicates.
+#: Default tolerance of the N5 probe: memberships at a large threshold exceed 1 - tolerance.
 FUZZY_TOLERANCE = 0.01
 
 #: Largest membership change the N6 probe allows for a threshold change of 1e-7.
@@ -220,8 +213,9 @@ class FuzzyNorm:
 
 def log_a_grid(lo: float = 1e-3, hi: float = 1e3, points: int = 25) -> tuple[float, ...]:
     """Log-spaced threshold grid used to discretize "for all a > 0"."""
-    if lo <= 0 or hi <= lo or points < 1:
-        raise ValueError("grid needs 0 < lo < hi and points >= 1")
+    # written so that a NaN bound fails: it would make every membership NaN
+    if not 0 < lo < hi < math.inf or points < 1:
+        raise ValueError("grid needs 0 < lo < hi < inf and points >= 1")
     return tuple(float(v) for v in np.geomspace(lo, hi, points))
 
 
@@ -424,68 +418,3 @@ def sample_ball(rng: np.random.Generator, dim: int, radius: float) -> np.ndarray
         return np.zeros(dim)
     r = radius * float(rng.uniform()) ** (1.0 / dim)
     return (r / length) * direction
-
-
-@dataclass(frozen=True)
-class SequenceProbe:
-    """A sequence together with the fuzzy norm and grid used to test it."""
-
-    terms: Callable[[int], np.ndarray]
-    norm: FuzzyNorm
-    a_grid: tuple[float, ...] = field(default_factory=log_a_grid)
-    tolerance: float = FUZZY_TOLERANCE
-
-    def __post_init__(self) -> None:
-        if not self.a_grid:
-            raise ValueError("a_grid must be non-empty")
-        if not all(a > 0 for a in self.a_grid):  # a NaN is not > 0 either
-            raise ValueError("a_grid must be strictly positive")
-        if any(hi <= lo for lo, hi in zip(self.a_grid, self.a_grid[1:])):
-            raise ValueError("a_grid must be strictly increasing")
-        if not 0.0 < self.tolerance < 1.0:
-            raise ValueError("tolerance must lie in (0, 1)")
-
-
-def _within(probe: SequenceProbe, term: np.ndarray, base: np.ndarray) -> bool:
-    """True iff N(term - base, a) > 1 - tolerance at every threshold on the
-    probe grid, so a NaN membership fails it."""
-    term = np.atleast_1d(np.asarray(term, dtype=float))
-    if term.shape != base.shape:
-        raise DimensionMismatchError(f"a term of shape {term.shape} against shape {base.shape}")
-    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails below
-        diff = term - base
-    return all(probe.norm(diff, a) > 1.0 - probe.tolerance for a in probe.a_grid)
-
-
-def fuzzy_limit(probe: SequenceProbe, candidate: np.ndarray, n_window: Iterable[int]) -> bool:
-    """True iff every window term is within fuzzy tolerance of the candidate.
-
-    Checks N(x_n - candidate, a) > 1 - tolerance for every n in the window
-    and every threshold on the probe grid, so a NaN membership fails it.  A
-    term whose shape is not the candidate's raises ``DimensionMismatchError``.
-    """
-    window = list(n_window)
-    if not window:
-        raise ValueError("n_window must be non-empty")
-    c = np.atleast_1d(np.asarray(candidate, dtype=float))
-    return all(_within(probe, probe.terms(n), c) for n in window)
-
-
-def fuzzy_cauchy(probe: SequenceProbe, p_max: int, n0: int, n_max: int | None = None) -> bool:
-    """True iff tail increments stay within fuzzy tolerance.
-
-    Checks N(x_{n+p} - x_n, a) > 1 - tolerance for n0 <= n <= n_max and
-    1 <= p <= p_max over the probe grid, so a NaN membership fails it.  Two
-    terms of different shapes raise ``DimensionMismatchError``.
-    """
-    if p_max < 1:
-        raise ValueError("p_max must be >= 1")
-    if n_max is None:
-        n_max = n0 + 32
-    if n_max < n0:
-        raise ValueError("n_max must be >= n0")
-    for n in range(n0, n_max + 1):
-        base = np.atleast_1d(np.asarray(probe.terms(n), dtype=float))
-        if not all(_within(probe, probe.terms(n + p), base) for p in range(1, p_max + 1)):
-            return False
-    return True

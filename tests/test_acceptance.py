@@ -33,7 +33,13 @@ from fuzzystab.funceq import (
     residual_quadratic,
 )
 from fuzzystab.harness import ExperimentConfig, run_pipeline
-from fuzzystab.spaces import FuzzyNorm, check_axioms, default_axiom_samples, log_a_grid
+from fuzzystab.spaces import (
+    FuzzyNorm,
+    check_axioms,
+    default_axiom_samples,
+    euclidean_norm,
+    log_a_grid,
+)
 from test_control_reference import reference_scaling_alpha_check
 
 V = lambda *vals: np.array([float(v) for v in vals])
@@ -83,7 +89,7 @@ def test_criterion_1_exact_solution_residual():
                 x, y = rng.normal(size=dim), rng.normal(size=dim)
                 r = residual_main(f, x, y)
                 scale = 1.0 + float(np.linalg.norm(f(2 * x + y)))
-                worst = max(worst, r.norm() / scale)
+                worst = max(worst, euclidean_norm(r) / scale)
     _verdict(1, worst <= 1e-9, f"worst relative residual {worst:.3e} (cap 1e-9)")
 
 
@@ -142,8 +148,8 @@ def test_criterion_5_limit_laws():
     q = ExtractedComponent(scheme=Scheme.QUADRATIC_UP, source=QUAD_COS, tol=1e-9, n_max=40)
     a = ExtractedComponent(scheme=Scheme.ADDITIVE_UP, source=LIN_SIN, tol=1e-9, n_max=40)
     pairs = [(0.5, 0.8), (1.0, 1.0), (1.5, -0.7), (2.0, 0.3)]
-    worst_q = max(residual_quadratic(q, V(x), V(y)).norm() for x, y in pairs)
-    worst_a = max(residual_additive(a, V(x), V(y)).norm() for x, y in pairs)
+    worst_q = max(euclidean_norm(residual_quadratic(q, V(x), V(y))) for x, y in pairs)
+    worst_a = max(euclidean_norm(residual_additive(a, V(x), V(y))) for x, y in pairs)
     worst_2q = max(abs(q(V(2 * x))[0] - 4.0 * q(V(x))[0]) for x in (0.5, 1.0, 1.7))
     worst_2a = max(abs(a(V(2 * x))[0] - 2.0 * a(V(x))[0]) for x in (0.5, 1.0, 1.7))
     ok = worst_q <= 1e-6 and worst_a <= 1e-6 and worst_2q <= 1e-6 and worst_2a <= 1e-6

@@ -131,7 +131,7 @@ def reference_scaling_alpha_check(
 
 
 def reference_measure_residual_sup(f, pairs, norm=euclidean_norm) -> float:
-    return max((norm(residual_main(f, x, y).value) for x, y in pairs), default=0.0)
+    return max((norm(residual_main(f, x, y)) for x, y in pairs), default=0.0)
 
 
 def reference_defect_premise_margin(f, phi, N, pairs, a_values):
@@ -139,7 +139,7 @@ def reference_defect_premise_margin(f, phi, N, pairs, a_values):
     worst = np.inf
     witness = None
     for x, y in pairs:
-        defect = residual_main(f, x, y).value
+        defect = residual_main(f, x, y)
         phi_val = eval_control(phi, x, y)
         for a in a_values:
             margin = N(defect, a) - nprime(phi_val, a)

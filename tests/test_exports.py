@@ -1,5 +1,5 @@
-"""Every name a public ``__all__`` lists exists, and no module imports
-another's private names.
+"""Every name a public ``__all__`` lists exists, every exported function has
+a caller, and no module imports another's private names.
 
 A string left in ``__all__`` after its name is deleted breaks only
 ``from module import *``, which no other test does.
@@ -7,6 +7,7 @@ A string left in ``__all__`` after its name is deleted breaks only
 
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -17,6 +18,16 @@ import fuzzystab
 MODULES = ["fuzzystab"] + [
     f"fuzzystab.{info.name}" for info in pkgutil.iter_modules(fuzzystab.__path__)
 ]
+
+PACKAGE = Path(fuzzystab.__file__).parent
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+#: Exported functions that only ``test_acceptance.py`` calls, each with its criterion.
+UNCALLED = {
+    "residual_quadratic": "criterion 5: the quadratic component satisfies its law",
+    "residual_additive": "criterion 5: the additive component satisfies its law",
+    "uniqueness_crosscheck": "criterion 9: two index windows give one limit",
+}
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -38,9 +49,8 @@ def test_the_package_and_its_library_modules_declare_all():
 
 def test_no_module_imports_a_private_name_of_another():
     # a leading underscore marks a name its module may change at will
-    package = Path(fuzzystab.__file__).parent
     offenders = []
-    for path in sorted(package.glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if not isinstance(node, ast.ImportFrom):
                 continue
@@ -50,3 +60,18 @@ def test_no_module_imports_a_private_name_of_another():
                 f"{path.name}: {alias.name}" for alias in node.names if alias.name.startswith("_")
             ]
     assert offenders == []
+
+
+def test_every_exported_function_has_a_caller():
+    # a caller is a name load (f or module.f) in the library or the benchmark
+    sources = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    loaded = set()
+    for path in sources + sorted(BENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    functions = {n for n in fuzzystab.__all__ if inspect.isfunction(getattr(fuzzystab, n))}
+    assert UNCALLED.keys() <= functions
+    assert sorted(functions - loaded - UNCALLED.keys()) == []

@@ -27,6 +27,7 @@ from fuzzystab.funceq import (
     residual_additive,
     residual_quadratic,
 )
+from fuzzystab.spaces import euclidean_norm
 
 V = lambda *vals: np.array([float(v) for v in vals])
 
@@ -342,8 +343,8 @@ class TestExtractComponents:
             assert abs(q(V(x))[0] - q(V(-x))[0]) <= 1e-9
             assert abs(a(V(x))[0] + a(V(-x))[0]) <= 1e-9
         for x, y in [(0.5, 0.9), (1.2, -0.4)]:
-            assert residual_quadratic(q, V(x), V(y)).norm() <= 1e-6
-            assert residual_additive(a, V(x), V(y)).norm() <= 1e-6
+            assert euclidean_norm(residual_quadratic(q, V(x), V(y))) <= 1e-6
+            assert euclidean_norm(residual_additive(a, V(x), V(y))) <= 1e-6
 
     def test_one_scheme_runs_on_f_itself(self):
         f = TestFunction.scalar(quad=3.0, linear=2.0)

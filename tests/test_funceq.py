@@ -10,7 +10,6 @@ from fuzzystab.funceq import (
     CoordinatePoly,
     Perturbation,
     TestFunction,
-    biadditive_form,
     even_part,
     odd_part,
     remove_offset,
@@ -18,6 +17,7 @@ from fuzzystab.funceq import (
     residual_main,
     residual_quadratic,
 )
+from fuzzystab.spaces import euclidean_norm
 
 V = lambda *vals: np.array([float(v) for v in vals])
 
@@ -34,26 +34,26 @@ class TestMainResidual:
         for x, y in [(0.3, 0.7), (-1.2, 2.4), (5.0, -3.0)]:
             r = residual_main(f, V(x), V(y))
             scale = 1.0 + abs(f(V(2 * x + y))[0])
-            assert r.norm() <= 1e-9 * scale
+            assert euclidean_norm(r) <= 1e-9 * scale
 
     def test_cubic_gives_six_at_unit_pair(self):
         # Direct arithmetic: 27 + 1 - 8 - 0 - 16 + 2 = 6.
         cube = lambda v: v**3
         assert brute_main_defect(cube, V(1), V(1))[0] == 6.0
         r = residual_main(cube, V(1), V(1))
-        assert r.value[0] == 6.0
+        assert r[0] == 6.0
 
     def test_identity_map_solves_the_equation(self):
         f = TestFunction.scalar(linear=1.0)
         for x, y in [(0.0, 0.0), (1.5, -2.0), (10.0, 3.0)]:
-            assert residual_main(f, V(x), V(y)).norm() == 0.0
+            assert euclidean_norm(residual_main(f, V(x), V(y))) == 0.0
 
     def test_matches_bruteforce_on_perturbed_function(self):
         f = TestFunction.scalar(
             quad=1.0, perturbations=(Perturbation(shape="sin", amplitude=0.3),)
         )
         x, y = V(0.8), V(-1.7)
-        assert residual_main(f, x, y).value == pytest.approx(brute_main_defect(f, x, y))
+        assert residual_main(f, x, y) == pytest.approx(brute_main_defect(f, x, y))
 
     def test_dimension_mismatch_is_an_input_error(self):
         f = TestFunction.scalar(quad=1.0)
@@ -67,32 +67,41 @@ class TestQuadraticResidual:
     def test_square_satisfies_parallelogram(self):
         f = TestFunction.scalar(quad=1.0)
         for x, y in [(1.0, 1.0), (-2.0, 0.5), (3.0, 3.0)]:
-            assert residual_quadratic(f, V(x), V(y)).norm() == 0.0
+            assert euclidean_norm(residual_quadratic(f, V(x), V(y))) == 0.0
 
     def test_linear_map_defect_is_minus_two(self):
         f = TestFunction.scalar(linear=1.0)
-        assert residual_quadratic(f, V(1), V(1)).value[0] == -2.0
+        assert residual_quadratic(f, V(1), V(1))[0] == -2.0
 
     def test_mixed_map_defect_from_linear_part_only(self):
         f = TestFunction.scalar(quad=1.0, linear=1.0)
-        assert residual_quadratic(f, V(1), V(1)).value[0] == -2.0
+        assert residual_quadratic(f, V(1), V(1))[0] == -2.0
 
 
 class TestAdditiveResidual:
     def test_linear_maps_are_additive(self):
         f = TestFunction.scalar(linear=4.5)
         for x, y in [(1.0, 2.0), (-3.0, 0.25)]:
-            assert residual_additive(f, V(x), V(y)).norm() == 0.0
+            assert euclidean_norm(residual_additive(f, V(x), V(y))) == 0.0
 
     def test_square_defect_is_two_at_unit_pair(self):
         f = TestFunction.scalar(quad=1.0)
-        assert residual_additive(f, V(1), V(1)).value[0] == 2.0
+        assert residual_additive(f, V(1), V(1))[0] == 2.0
 
     def test_constant_offset_breaks_additivity_by_itself(self):
         for c in (1.0, -2.5):
             f = TestFunction.scalar(linear=1.0, const=c)
             for x, y in [(0.5, 0.5), (2.0, -1.0)]:
-                assert residual_additive(f, V(x), V(y)).value[0] == pytest.approx(-c)
+                assert residual_additive(f, V(x), V(y))[0] == pytest.approx(-c)
+
+
+@pytest.mark.parametrize("residual", [residual_quadratic, residual_additive])
+def test_each_law_residual_refuses_mismatched_dimensions(residual):
+    f = TestFunction.scalar(quad=1.0)
+    with pytest.raises(DimensionMismatchError):
+        residual(f, np.array([1.0, 2.0]), np.array([1.0, 2.0]))
+    with pytest.raises(DimensionMismatchError):
+        residual(f, V(1), np.array([1.0, 2.0]))
 
 
 class TestParityDecomposition:
@@ -120,18 +129,6 @@ class TestParityDecomposition:
     def test_even_part_agrees_with_source_at_origin(self):
         f = TestFunction.scalar(quad=1.0, linear=2.0, const=7.0)
         assert even_part(f)(V(0))[0] == 7.0
-
-
-class TestBiadditiveForm:
-    def test_square_polarization_values(self):
-        f = TestFunction.scalar(quad=1.0)
-        assert biadditive_form(f, V(1), V(1))[0] == 1.0  # (4 - 0) / 4
-        assert biadditive_form(f, V(2), V(3))[0] == 6.0  # (25 - 1) / 4 = x*y
-
-    def test_zero_second_argument_gives_zero(self):
-        f = TestFunction.scalar(quad=2.0, linear=1.0, const=3.0)
-        for x in (0.5, -2.0):
-            assert biadditive_form(f, V(x), V(0))[0] == 0.0
 
 
 class TestPerturbationShapes:
@@ -173,17 +170,50 @@ class TestMultiDimensional:
             x, y = rng.normal(size=3), rng.normal(size=3)
             r = residual_main(f, x, y)
             scale = 1.0 + float(np.linalg.norm(f(2 * x + y)))
-            assert r.norm() <= 1e-9 * scale
+            assert euclidean_norm(r) <= 1e-9 * scale
 
-    def test_biadditive_diagonal_recovers_pure_quadratic(self):
+    @pytest.mark.parametrize("residual", [residual_main, residual_quadratic, residual_additive])
+    def test_residual_of_a_stack_is_one_array_equal_row_by_row(self, residual):
+        rng = np.random.default_rng(11)
+        perturbations = (
+            Perturbation(shape="sin", amplitude=0.3, frequency=(1.0, -2.0, 0.5)),
+            Perturbation(shape="rational", amplitude=(0.1, 0.2)),
+        )
+        coords = self.rand_function(rng, 3).coords[:2]  # R^3 -> R^2
+        f = TestFunction(coords=coords, perturbations=perturbations, dim_x=3)
+        xs, ys = rng.normal(size=(2, 6, 3))
+        r = residual(f, xs, ys)
+        assert type(r) is np.ndarray and r.shape == (6, 2)
+        for i in range(6):
+            assert np.array_equal(r[i], residual(f, xs[i], ys[i]))
+
+    def test_pure_quadratic_maps_satisfy_the_parallelogram_law(self):
+        rng = np.random.default_rng(7)
+        coords = tuple(CoordinatePoly(quad=_sym(rng.normal(size=(3, 3)))) for _ in range(2))
+        f = TestFunction(coords=coords, dim_x=3)
+        xs, ys = rng.normal(size=(2, 10, 3))
+        scale = 1.0 + float(np.abs(f(xs + ys)).max() + np.abs(f(xs - ys)).max())
+        assert np.abs(residual_quadratic(f, xs, ys)).max() <= 1e-9 * scale
+
+    def test_additive_defect_of_a_quadratic_form_is_twice_its_polarization(self):
+        # f(x+y) - f(x) - f(y) = 2 x^T Q y for f(x) = x^T Q x, Q symmetric;
+        # on the diagonal y = x that is 2 f(x)
         rng = np.random.default_rng(7)
         quad = _sym(rng.normal(size=(3, 3)))
         f = TestFunction(coords=(CoordinatePoly(quad=quad),), dim_x=3)
         for _ in range(10):
-            x = rng.normal(size=3)
-            got = biadditive_form(f, x, x)[0]
-            want = f(x)[0]
-            assert got == pytest.approx(want, rel=1e-12)
+            x, y = rng.normal(size=(2, 3))
+            want = 2 * x @ quad @ y
+            assert residual_additive(f, x, y)[0] == pytest.approx(want, rel=1e-9, abs=1e-12)
+            assert residual_additive(f, x, x)[0] == pytest.approx(2 * f(x)[0], rel=1e-12)
+
+    def test_linear_maps_are_additive(self):
+        rng = np.random.default_rng(9)
+        coords = tuple(CoordinatePoly(linear=rng.normal(size=3)) for _ in range(2))
+        f = TestFunction(coords=coords, dim_x=3)
+        xs, ys = rng.normal(size=(2, 10, 3))
+        scale = 1.0 + float(np.abs(f(xs + ys)).max())
+        assert np.abs(residual_additive(f, xs, ys)).max() <= 1e-12 * scale
 
     def test_remove_offset(self):
         rng = np.random.default_rng(3)
@@ -234,8 +264,9 @@ def test_even_part_defect_bounded_by_averaged_defect(a, b, x, y):
     f = TestFunction.scalar(
         quad=a, linear=b, perturbations=(Perturbation(shape="rational", amplitude=1.0),)
     )
-    lhs = residual_main(even_part(f), V(x), V(y)).norm()
+    lhs = euclidean_norm(residual_main(even_part(f), V(x), V(y)))
     avg = 0.5 * (
-        residual_main(f, V(x), V(y)).norm() + residual_main(f, V(-x), V(-y)).norm()
+        euclidean_norm(residual_main(f, V(x), V(y)))
+        + euclidean_norm(residual_main(f, V(-x), V(-y)))
     )
     assert lhs <= avg + 1e-9 * (1.0 + avg)

@@ -279,8 +279,9 @@ class TestPipeline:
         rows = {row.check: row for row in report.hypothesis_rows}
         scaling, vanishing = rows["alpha_scaling[quadratic_up]"], rows["vanishing[quadratic_up]"]
         assert (scaling.passed, scaling.worst_slack) == (False, -math.inf)
-        assert scaling.note == "margin -inf at degree 0 and alpha 1"
+        assert scaling.note == "margin -inf at auto delta nan and alpha 1"
         assert (vanishing.passed, vanishing.worst_slack) == (False, 0.0)
+        assert vanishing.note == "auto delta nan at rate 4"
 
     def test_infinite_auto_delta_fails_both_scaling_rows(self):
         # each coordinate of the defect is finite, its Euclidean norm is not:
@@ -302,9 +303,10 @@ class TestPipeline:
             "alpha_scaling[quadratic_up]",
             False,
             -math.inf,
-            "margin -inf at degree 0 and alpha 1",
+            "margin -inf at auto delta inf and alpha 1",
         )
-        assert (vanishing.passed, vanishing.note) == (False, "degree 0 at rate 4")
+        # 2^0 < 4 holds: the row fails on the auto-delta, and says so
+        assert (vanishing.passed, vanishing.note) == (False, "auto delta inf at rate 4")
 
     def test_zero_control_passes_both_scaling_rows_at_any_alpha(self):
         # phi = 0 satisfies phi(2x, 2y) <= alpha phi(x, y) at alpha 0.5; it

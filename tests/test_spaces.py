@@ -1,4 +1,4 @@
-"""Fuzzy norm construction, axiom checking, and convergence predicates."""
+"""Fuzzy norm construction and axiom checking."""
 
 import math
 import tracemalloc
@@ -10,15 +10,13 @@ from hypothesis import strategies as st
 
 from fuzzystab.errors import DimensionMismatchError
 from fuzzystab.spaces import (
+    FUZZY_TOLERANCE,
     FuzzyNorm,
-    SequenceProbe,
     SpaceConfig,
     check_axioms,
     crisp_norm,
     default_axiom_samples,
     euclidean_norm,
-    fuzzy_cauchy,
-    fuzzy_limit,
     log_a_grid,
 )
 
@@ -258,113 +256,61 @@ class TestAxiomChecks:
         assert report.total_violations == 1
 
 
-class TestFuzzyLimit:
-    def test_crisp_convergence_implies_fuzzy_limit(self):
-        # ||x_n - c|| = 1/n; the needed window start for membership
-        # a/(a + 1/n) > 1 - tol at the smallest grid threshold is
-        # n > (1 - tol) / (a_min tol), computed here as the oracle.
-        c = np.array([2.0, -1.0])
-        probe = SequenceProbe(
-            terms=lambda n: c + (1.0 / n) * np.array([1.0, 0.0]),
-            norm=FuzzyNorm.induced(),
-            a_grid=log_a_grid(0.5, 1e3, 10),
-            tolerance=0.01,
-        )
-        n_needed = math.ceil((1 - 0.01) / (0.5 * 0.01))
-        assert n_needed < 1000
-        assert fuzzy_limit(probe, c, range(1000, 2001, 100))
+class TestFuzzyConvergenceIsNormConvergence:
+    """An induced membership a/(a + ||x||) exceeds 1 - tol exactly when
+    ||x|| < a tol/(1 - tol), so a sequence converges in the fuzzy norm
+    exactly when it converges in the crisp norm."""
 
-    def test_alternating_sequence_has_no_limit(self):
-        probe = SequenceProbe(
-            terms=lambda n: (-1.0) ** n * E1,
-            norm=FuzzyNorm.induced(),
-        )
-        assert not fuzzy_limit(probe, np.array([0.0]), range(1000, 1010))
-
-    def test_rescaled_quadratic_sequence_is_constant(self):
-        probe = SequenceProbe(
-            terms=lambda n: np.ldexp(np.ldexp(E1, n) ** 2, -2 * n),
-            norm=FuzzyNorm.induced(),
-        )
-        assert fuzzy_limit(probe, E1, range(1, 30))
-        assert fuzzy_limit(probe, E1, range(490, 500))
-
-    def test_nan_sequence_has_no_limit(self):
-        # the memberships are NaN, which is not above 1 - tol
-        probe = SequenceProbe(terms=lambda n: np.array([math.nan]), norm=FuzzyNorm.induced())
-        assert not fuzzy_limit(probe, np.array([0.0]), range(1, 5))
-
-    def test_infinite_sequence_has_no_infinite_limit(self):
-        # inf - inf is NaN, quietly
-        probe = SequenceProbe(terms=lambda n: np.array([math.inf]), norm=FuzzyNorm.induced())
-        assert not fuzzy_limit(probe, np.array([math.inf]), range(1, 5))
-
-    def test_a_term_of_another_dimension_than_the_candidate_is_refused(self):
-        # broadcasting [2^-n, 2^-n] - [0] would "converge" to a 1-vector
-        probe = SequenceProbe(terms=lambda n: np.full(2, 2.0**-n), norm=FuzzyNorm.induced())
-        assert fuzzy_limit(probe, np.zeros(2), range(40, 50))
-        with pytest.raises(DimensionMismatchError, match=r"shape \(2,\) against shape \(1,\)"):
-            fuzzy_limit(probe, np.array([0.0]), range(40, 50))
-
-
-class TestFuzzyCauchy:
-    def test_geometric_partial_sums_are_cauchy(self):
-        partial = lambda n: np.array([sum(2.0**-k for k in range(1, n + 1))])
-        probe = SequenceProbe(terms=partial, norm=FuzzyNorm.induced())
-        # tail increments below a_min * tol/(1-tol) ~ 1.01e-5 from n >= 17
-        assert fuzzy_cauchy(probe, p_max=5, n0=20, n_max=40)
-
-    def test_divergent_sequence_is_not_cauchy(self):
-        probe = SequenceProbe(terms=lambda n: n * E1, norm=FuzzyNorm.induced())
-        assert not fuzzy_cauchy(probe, p_max=3, n0=5, n_max=20)
-
-    def test_rescaled_perturbed_quadratic_is_cauchy(self):
-        # x_n = f(2^n)/4^n for f(t) = t^2 + sin t: increments are bounded by
-        # |sin 2^{n+p}|/4^{n+p} + |sin 2^n|/4^n <= 2/4^n (checked directly).
-        terms = lambda n: np.array([1.0 + math.sin(2.0**n) / 4.0**n])
-        for n in range(12, 20):
-            for p in range(1, 4):
-                assert abs(terms(n + p)[0] - terms(n)[0]) <= 2.0 / 4.0**n
-        probe = SequenceProbe(terms=terms, norm=FuzzyNorm.induced())
-        assert fuzzy_cauchy(probe, p_max=3, n0=12, n_max=30)
+    @pytest.mark.parametrize("kind", ["euclidean", "max", "weighted"])
+    def test_membership_exceeds_one_minus_tol_exactly_inside_the_crisp_radius(self, kind):
+        rng = np.random.default_rng(13)
+        norm = crisp_norm(kind, [0.5, 2.0, 3.0] if kind == "weighted" else None)
+        fuzzy = FuzzyNorm.induced(norm)
+        for a in log_a_grid(1e-3, 1e3, 7):
+            for tol in (1e-3, 0.01, 0.3):
+                radius = a * tol / (1 - tol)
+                for ratio in (0.0, 0.5, 0.9, 1.1, 2.0, 10.0):
+                    u = rng.normal(size=3)
+                    x = (ratio * radius / norm(u)) * u
+                    assert (fuzzy(x, a) > 1 - tol) == (ratio < 1.0)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    def test_non_finite_constant_sequence_is_not_cauchy(self, value):
-        # its increments are NaN (inf - inf, quietly), and so are their memberships
-        probe = SequenceProbe(terms=lambda n: np.array([value]), norm=FuzzyNorm.induced())
-        assert not fuzzy_cauchy(probe, p_max=2, n0=1, n_max=3)
-
-    def test_terms_of_different_dimensions_are_refused(self):
-        probe = SequenceProbe(terms=lambda n: np.zeros(1 + n % 2), norm=FuzzyNorm.induced())
-        with pytest.raises(DimensionMismatchError):
-            fuzzy_cauchy(probe, p_max=1, n0=1, n_max=3)
-
-    def test_an_empty_window_is_refused(self):
-        # n_max < n0 would check no increment and pass the divergent [n]
-        probe = SequenceProbe(terms=lambda n: n * E1, norm=FuzzyNorm.induced())
-        with pytest.raises(ValueError, match="n_max must be >= n0"):
-            fuzzy_cauchy(probe, p_max=3, n0=10, n_max=5)
-        assert not fuzzy_cauchy(probe, p_max=3, n0=10, n_max=10)
+    def test_a_non_finite_term_is_never_within_tolerance(self, value):
+        # the difference to the term itself is NaN (inf - inf, quietly), to
+        # the origin it is infinite: no membership exceeds 1 - tol at any threshold
+        term = np.array([value, 0.0])
+        a = np.array(log_a_grid() + (math.inf,))
+        with np.errstate(invalid="ignore"):
+            for candidate in (term, np.zeros(2)):
+                m = FuzzyNorm.induced().memberships(term - candidate, a)
+                assert not np.any(m > 1 - FUZZY_TOLERANCE)
 
 
-class TestProbeValidation:
-    def test_rejects_bad_grids(self):
-        with pytest.raises(ValueError):
-            SequenceProbe(terms=lambda n: E1, norm=FuzzyNorm.induced(), a_grid=())
-        with pytest.raises(ValueError):
-            SequenceProbe(terms=lambda n: E1, norm=FuzzyNorm.induced(), a_grid=(1.0, 0.5))
-        with pytest.raises(ValueError):
-            SequenceProbe(terms=lambda n: E1, norm=FuzzyNorm.induced(), a_grid=(-1.0, 1.0))
+@pytest.mark.parametrize(
+    "lo, hi, points",
+    [
+        (0.0, 1.0, 5),
+        (-1.0, 1.0, 5),
+        (1.0, 1.0, 5),
+        (2.0, 1.0, 5),
+        (1e-3, 1e3, 0),
+        (math.nan, 1.0, 5),
+        (1e-3, math.nan, 5),
+        (1e-3, math.inf, 5),
+    ],
+)
+def test_log_a_grid_rejects_bad_bounds(lo, hi, points):
+    # a NaN or infinite bound would put NaN or inf thresholds on the grid
+    with pytest.raises(ValueError, match="0 < lo < hi < inf"):
+        log_a_grid(lo, hi, points)
 
-    @pytest.mark.parametrize("a_grid", [(math.nan,), (math.nan, 1.0), (1.0, math.nan)])
-    def test_rejects_a_nan_threshold(self, a_grid):
-        # at a NaN threshold every membership is NaN, so any sequence would pass
-        with pytest.raises(ValueError, match="strictly positive"):
-            SequenceProbe(terms=lambda n: E1, norm=FuzzyNorm.induced(), a_grid=a_grid)
 
-    def test_rejects_bad_tolerance(self):
-        with pytest.raises(ValueError):
-            SequenceProbe(terms=lambda n: E1, norm=FuzzyNorm.induced(), tolerance=1.5)
+def test_log_a_grid_is_log_spaced_from_lo_to_hi():
+    grid = log_a_grid(1e-2, 1e4, 7)
+    assert len(grid) == 7 and {type(a) for a in grid} == {float}
+    assert grid[0] == pytest.approx(1e-2, rel=1e-15) and grid[-1] == pytest.approx(1e4, rel=1e-15)
+    assert np.diff(np.log10(grid)) == pytest.approx([1.0] * 6, rel=1e-12)
+    assert log_a_grid(0.5, 2.0, 1) == (0.5,)
 
 
 vectors = st.lists(
@@ -401,17 +347,17 @@ def test_monotone_in_threshold(x, a, bump):
     a_min=st.floats(min_value=1e-3, max_value=10.0),
 )
 @settings(max_examples=60)
-def test_crisp_convergence_implies_fuzzy_limit_for_any_grid(rate, tolerance, a_min):
-    # ||x_n - L|| = rate^n; membership exceeds 1 - tolerance at every grid
-    # threshold once rate^n < a_min * tolerance / (1 - tolerance), and that
-    # crossing index is computed here, independently of the predicate.
+def test_crisp_convergence_is_fuzzy_convergence_at_every_grid_threshold(rate, tolerance, a_min):
+    # ||x_n - L|| = rate^n; every membership over the grid exceeds 1 - tolerance
+    # once rate^n < a_min * tolerance / (1 - tolerance), and not a term before.
+    # That crossing index is computed here, independently of the memberships.
     L = np.array([1.0, -2.0])
-    probe = SequenceProbe(
-        terms=lambda n: L + rate**n * np.array([1.0, 0.0]),
-        norm=FuzzyNorm.induced(),
-        a_grid=tuple(float(a) for a in np.geomspace(a_min, a_min * 1e4, 8)),
-        tolerance=tolerance,
-    )
+    n = np.arange(1, 200)
+    terms = L + rate ** n[:, None] * np.array([1.0, 0.0])
+    grid = np.geomspace(a_min, a_min * 1e4, 8)
+    m = FuzzyNorm.induced().memberships((terms - L)[:, None, :], grid)
+    within = np.all(m > 1 - tolerance, axis=1)
     crossing = math.log(a_min * tolerance / (1 - tolerance)) / math.log(rate)
     start = max(1, math.ceil(crossing) + 1)
-    assert fuzzy_limit(probe, L, range(start, start + 10))
+    assert within[start - 1 :].all()
+    assert not within[: max(0, math.floor(crossing - 1))].any()
