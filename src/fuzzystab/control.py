@@ -12,7 +12,7 @@ divisor.  Its envelope at level a is the least membership of phi at its
 pairs at the threshold a (rate - alpha) / divisor, sign reversed for a
 down-scheme; a bound with several schemes splits a evenly between them.
 Verification compares the membership of the recovered-component error
-against the envelope on an (x, a) grid and counts slack violations.
+against the envelope on an (x, a) grid of arrays and counts slack violations.
 Every set of argument pairs is one ``(2, pairs, d)`` array built from a
 table of multipliers of x, and the defect premise takes one such array
 and returns one ``Margin``.
@@ -49,7 +49,6 @@ __all__ = [
     "REPAIR_DESCRIPTIONS",
     "BALL_PAIRS",
     "Margin",
-    "StabilityRow",
     "StabilityReport",
     "eval_control",
     "scaling_alpha_check",
@@ -443,31 +442,30 @@ def defect_premise_margin(
 
 
 @dataclass(frozen=True, eq=False)
-class StabilityRow:
-    x_index: int
-    x: np.ndarray
-    a: float
-    lhs: float
-    rhs: float
-
-    @property
-    def slack(self) -> float:
-        # as Python floats: a difference past the largest double is -inf or
-        # inf, never a numpy overflow warning
-        return float(self.lhs) - float(self.rhs)
-
-
-@dataclass(frozen=True, eq=False)
 class StabilityReport:
-    """Grid verification record of one stability bound."""
+    """Verification record of one stability bound: ``lhs`` and ``rhs`` are
+    ``(points, thresholds)`` grids, row i at sample point ``x_index`` i and
+    column j at ``a_values[j]``; a bound not asserted has no points."""
 
     theorem_id: str
-    rows: tuple[StabilityRow, ...]
+    a_values: np.ndarray
+    lhs: np.ndarray
+    rhs: np.ndarray
     worst_slack: float
     violations: int
     hypothesis_ok: bool
     note: str = ""
     repairs: tuple[str, ...] = ()
+
+    @property
+    def slack(self) -> np.ndarray:
+        """lhs - rhs at each cell."""
+        return _slack(self.lhs, self.rhs)
+
+
+# inf - inf is NaN, a violation, and a difference past the largest double is
+# -inf or inf: neither warns
+_slack = np.errstate(over="ignore", invalid="ignore")(np.subtract)
 
 
 def verify_stability(
@@ -487,11 +485,11 @@ def verify_stability(
     The defect hypothesis N(defect(x, y), a) >= N'(phi(x, y), a) is checked
     first: ``premise_margin`` is its ``defect_premise_margin`` result on the
     caller's premise pairs.  If it fails anywhere the bound is not asserted
-    and the report carries an explanatory note with no rows.  Otherwise each
-    grid point contributes a row with lhs = N(component error, a), rhs =
-    the :func:`envelope` of the theorem's schemes at a; a slack below
-    -``slack`` or not finite is a violation (a non-finite one makes the
-    worst slack ``-inf``).
+    and the report carries an explanatory note and empty grids.  Otherwise
+    the grids hold lhs = N(component error, a) and rhs = the
+    :func:`envelope` of the theorem's schemes at a for each point and
+    threshold; a slack below -``slack`` or not finite is a violation (a
+    non-finite one makes the worst slack ``-inf``).
 
     ``components`` holds the components of the theorem's schemes, in their
     order: (Q, A) for the combined bound; each is called once per point.
@@ -501,39 +499,29 @@ def verify_stability(
     ``(n, 1, dim_y)`` errors against the threshold grid.
     """
     theorem = THEOREMS[theorem_id]
+    a_grid = np.asarray(a_values, dtype=float)
+    lhs = rhs = np.empty((0, a_grid.size))
     worst_premise, witness = premise_margin
     if worst_premise < -slack:
+        note = (
+            "hypothesis not satisfied: defect membership falls below the control "
+            f"membership by {-worst_premise:.3e} at a={witness[2]:g} (bound not asserted)"
+        )
         return StabilityReport(
-            theorem_id=theorem_id,
-            rows=(),
-            worst_slack=float("nan"),
-            violations=0,
-            hypothesis_ok=False,
-            note=(
-                "hypothesis not satisfied: defect membership falls below the control "
-                f"membership by {-worst_premise:.3e} at a={witness[2]:g} (bound not asserted)"
-            ),
-            repairs=theorem.repairs,
+            theorem_id, a_grid, lhs, rhs, math.nan, 0, False, note, theorem.repairs
         )
 
-    a_grid = np.asarray(a_values, dtype=float)
     points = [np.atleast_1d(np.asarray(x, dtype=float)) for x in xs]
-    rows: list[StabilityRow] = []
     if points:  # f takes a stack of one point or more
         sums = [np.sum([np.asarray(c(x), dtype=float) for c in components], axis=0) for x in points]
         errs = np.array(sums) - np.asarray(f(np.array(points)), dtype=float)
-        lhs = N.memberships(errs[:, None, :], a_grid).tolist()
-        for i, (x, lhs_x) in enumerate(zip(points, lhs)):
-            for a, lhs_a in zip(a_grid.tolist(), lhs_x):
-                rhs = envelope(theorem.schemes, phi, x, a)
-                rows.append(StabilityRow(x_index=i, x=x, a=a, lhs=lhs_a, rhs=rhs))
-    slacks = np.array([row.slack for row in rows])
-    worst, _ = _first_worst(slacks)
+        lhs = N.memberships(errs[:, None, :], a_grid)
+        rhs = np.array(
+            [[envelope(theorem.schemes, phi, x, a) for a in a_grid.tolist()] for x in points]
+        )
+    slacks = _slack(lhs, rhs)
+    worst, _ = _first_worst(slacks) if slacks.size else (0.0, None)
+    violations = int(np.count_nonzero(~np.isfinite(slacks) | (slacks < -slack)))
     return StabilityReport(
-        theorem_id=theorem_id,
-        rows=tuple(rows),
-        worst_slack=worst if rows else 0.0,
-        violations=int(np.count_nonzero(~np.isfinite(slacks) | (slacks < -slack))),
-        hypothesis_ok=True,
-        repairs=theorem.repairs,
+        theorem_id, a_grid, lhs, rhs, worst, violations, True, repairs=theorem.repairs
     )

@@ -54,6 +54,8 @@ from .funceq import (
     remove_offset,
 )
 from .spaces import (
+    FUZZY_TOLERANCE,
+    MEMBERSHIP_SLACK,
     AxiomCheck,
     CrispNorm,
     FuzzyNorm,
@@ -275,8 +277,8 @@ class ExperimentConfig:
     extraction_tol: float = _knob("tolerances", 1e-9, above=0)
     n_max: int = _knob("tolerances", 40, minimum=2, maximum=MAX_STEPS)
     # a slack or tolerance of 1 or more passes every membership check
-    membership_slack: float = _knob("tolerances", 1e-12, above=0, below=1)
-    fuzzy_tol: float = _knob("tolerances", 0.01, above=0, below=1)
+    membership_slack: float = _knob("tolerances", MEMBERSHIP_SLACK, above=0, below=1)
+    fuzzy_tol: float = _knob("tolerances", FUZZY_TOLERANCE, above=0, below=1)
     q_scale: float = _knob("negative_control", 1.0)
 
     @classmethod
@@ -654,8 +656,9 @@ class _Field(NamedTuple):
     column: _Column
     in_json: bool = True
     in_csv: bool = True
-    #: Fields of a value that is a list of sub-rows: JSON nests them under
-    #: the key, CSV writes a line per sub-row led by the row's CSV fields.
+    #: Fields of each row's sub-rows, whose count ``column`` gives; a sub-field's
+    #: column holds the values of all the rows' sub-rows.  JSON nests a row's
+    #: sub-rows under the key, CSV writes a line per sub-row led by the row's fields.
     sub: tuple["_Field", ...] = ()
 
 
@@ -668,6 +671,13 @@ def _of_pair(position: int, name: str | None = None) -> _Column:
     """Column of a section whose rows are pairs: an item, or an attribute of it."""
     get = itemgetter(position) if name is None else (lambda row: getattr(row[position], name))
     return lambda rows, report: list(map(get, rows))
+
+
+def _cells(grid: Callable[[StabilityReport, RunReport], np.ndarray]) -> _Column:
+    """Column of the verification cells, x-major: ``grid(report, run)`` broadcast to each grid."""
+    return lambda reports, run: [
+        v for r in reports for v in np.broadcast_to(grid(r, run), r.lhs.shape).ravel().tolist()
+    ]
 
 
 class _Section(NamedTuple):
@@ -730,18 +740,18 @@ _SECTIONS = (
             _Field(
                 "rows",
                 None,
-                _attr("rows"),
+                lambda reports, run: [r.lhs.size for r in reports],
                 sub=(
-                    _Field("x_index", _INT, _attr("x_index")),
+                    _Field("x_index", _INT, _cells(lambda r, run: np.arange(len(r.lhs))[:, None])),
                     _Field(
                         "x_norm",
                         _FLOAT,
-                        lambda rows, report: [report.x_norms[r.x_index] for r in rows],
+                        _cells(lambda r, run: np.reshape(run.x_norms[: len(r.lhs)], (-1, 1))),
                     ),
-                    _Field("a", _FLOAT, _attr("a")),
-                    _Field("lhs", _FLOAT, _attr("lhs")),
-                    _Field("rhs", _FLOAT, _attr("rhs")),
-                    _Field("slack", _FLOAT, _attr("slack")),
+                    _Field("a", _FLOAT, _cells(lambda r, run: r.a_values)),
+                    _Field("lhs", _FLOAT, _cells(lambda r, run: r.lhs)),
+                    _Field("rhs", _FLOAT, _cells(lambda r, run: r.rhs)),
+                    _Field("slack", _FLOAT, _cells(lambda r, run: r.slack)),
                 ),
             ),
         ),
@@ -765,11 +775,10 @@ def _json_table(fields: Sequence[_Field], rows: Sequence, report: RunReport, dep
     template = _object_template([f.key for f in fields], depth + 1)
     columns = []
     for f in fields:
-        values = f.column(rows, report)
         if f.sub:
-            columns.append([_json_table(f.sub, sub, report, depth + 2) for sub in values])
+            columns.append([_json_table(f.sub, [row], report, depth + 2) for row in rows])
         else:
-            columns.append(f.kind.json(values, depth + 2))
+            columns.append(f.kind.json(f.column(rows, report), depth + 2))
     return _json_array([template % values for values in zip(*columns)], depth)
 
 
@@ -798,9 +807,8 @@ def _csv_table(section: _Section, report: RunReport) -> tuple[list[str], Iterabl
     columns = [f.kind.csv(f.column(rows, report)) for f in fields]
     nested = next((f for f in section.fields if f.in_csv and f.sub), None)
     if nested is not None:  # a line per sub-row, led by the row's fields
-        groups = nested.column(rows, report)
-        columns = [[v for v, g in zip(col, groups) for _ in g] for col in columns]
-        rows = [sub for group in groups for sub in group]
+        counts = nested.column(rows, report)
+        columns = [[v for v, n in zip(col, counts) for _ in range(n)] for col in columns]
         sub_fields = [f for f in nested.sub if f.in_csv]
         fields += sub_fields
         columns += [f.kind.csv(f.column(rows, report)) for f in sub_fields]

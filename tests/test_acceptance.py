@@ -196,7 +196,7 @@ def test_criterion_6_stability_bounds():
     for name, fn, theorems in cases:
         report = run_pipeline(_bound_config(fn, theorems))
         ver = report.verification_reports[0]
-        good = ver.hypothesis_ok and ver.violations == 0 and len(ver.rows) == 20 * 25
+        good = ver.hypothesis_ok and ver.violations == 0 and ver.lhs.shape == (20, 25)
         ok = ok and good
         details.append(f"{name}: {ver.violations} violations (delta {report.resolved_delta:.3g})")
     _verdict(6, ok, "; ".join(details))

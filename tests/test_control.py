@@ -27,6 +27,7 @@ from fuzzystab.control import (
 from fuzzystab.errors import DomainError
 from fuzzystab.extraction import ExtractedComponent, Scheme
 from fuzzystab.funceq import CoordinatePoly, Perturbation, TestFunction
+from fuzzystab.harness import RunReport, emit_report
 from fuzzystab.spaces import MEMBERSHIP_SLACK, FuzzyNorm, euclidean_norm, log_a_grid
 
 V = lambda *vals: np.array([float(v) for v in vals])
@@ -426,11 +427,13 @@ class TestVerifyStability:
         spec = THEOREMS[theorem_id]
         components = (lambda x: np.zeros_like(x),) * len(spec.schemes)
         report = verify(f, components, phi, theorem_id, self.XS, self.A_VALUES, N)
-        assert len(report.rows) == len(self.XS) * len(self.A_VALUES)
-        for row in report.rows:
-            # a constant control's envelope is N'(delta, t) at each scheme's threshold t
-            want = min(NPRIME(V(0.5), row.a * factor) for factor in factors)
-            assert row.rhs == pytest.approx(want, rel=1e-12)
+        assert report.rhs.shape == (len(self.XS), len(self.A_VALUES))
+        assert np.array_equal(report.a_values, self.A_VALUES)
+        for rhs_at_x in report.rhs:
+            for a, rhs in zip(report.a_values, rhs_at_x):
+                # a constant control's envelope is N'(delta, t) at each scheme's threshold t
+                want = min(NPRIME(V(0.5), a * factor) for factor in factors)
+                assert rhs == pytest.approx(want, rel=1e-12)
 
     def test_wrong_component_is_caught(self):
         f = TestFunction.scalar(quad=1.0)
@@ -461,7 +464,7 @@ class TestVerifyStability:
             N,
         )
         assert not report.hypothesis_ok
-        assert report.rows == ()
+        assert report.lhs.shape == report.rhs.shape == (0, len(self.A_VALUES))
         assert "hypothesis not satisfied" in report.note
 
     def test_constant_control_bound_has_classic_closed_form(self):
@@ -520,7 +523,7 @@ class TestVerifyStability:
         assert worst == -np.inf
         assert (x.tobytes(), y.tobytes(), a) == (V(1.0).tobytes(), V(0.5).tobytes(), 0.1)
         report = verify(f, (self._component(f),), phi, "quadratic_up", self.XS, self.A_VALUES, N)
-        assert not report.hypothesis_ok and report.rows == ()
+        assert not report.hypothesis_ok and report.lhs.shape[0] == 0
 
     def test_non_finite_slack_is_a_violation(self):
         f = TestFunction.scalar(quad=1.0)
@@ -534,7 +537,8 @@ class TestVerifyStability:
             N,
         )
         assert report.hypothesis_ok
-        assert report.violations == len(report.rows) == len(self.XS) * len(self.A_VALUES)
+        assert report.lhs.shape == (len(self.XS), len(self.A_VALUES))
+        assert report.violations == report.lhs.size
         assert report.worst_slack == -np.inf
 
     def test_report_carries_repair_disclosures(self):
@@ -568,9 +572,35 @@ class TestVerifyStability:
             inf_norm,
         )
         assert report.hypothesis_ok
-        assert all(row.slack == np.inf for row in report.rows)
-        assert report.violations == len(report.rows) == 6
+        assert report.slack.shape == (3, 2) and np.all(report.slack == np.inf)
+        assert report.violations == 6
         assert report.worst_slack == -np.inf
+
+    def test_infinite_lhs_and_rhs_make_a_quiet_nan_violation(self, tmp_path):
+        # N and N' are inf everywhere, so every slack is inf - inf: NaN, a
+        # violation, with no RuntimeWarning (every warning fails a test)
+        inf_norm = FuzzyNorm(evaluator=lambda v, a: np.inf)
+        f = TestFunction.scalar(quad=1.0)
+        xs = [V(0.5), V(-1.0)]
+        report = verify_stability(
+            f,
+            (lambda x: np.asarray(x, dtype=float) ** 2,),
+            ConstantControl(delta=0.5, nprime=inf_norm),
+            "quadratic_up",
+            xs,
+            (0.1, 1.0),
+            inf_norm,
+            premise_margin=Margin(0.0, None),  # on inf - inf the premise check gates the bound
+        )
+        assert report.hypothesis_ok
+        assert report.slack.shape == (2, 2) and np.isnan(report.slack).all()
+        assert (report.violations, report.worst_slack) == (4, -np.inf)
+        run = RunReport(seed=0, stages=("verification",), verification_reports=[report])
+        run.x_norms = [0.5, 1.0]
+        emit_report(run, "csv", tmp_path)
+        lines = (tmp_path / "verification.csv").read_text().splitlines()
+        assert lines[1] == "quadratic_up,0,0.5,0.10000000000000001,inf,inf,nan"
+        assert len(lines) == 5 and all(line.endswith(",inf,inf,nan") for line in lines[1:])
 
     def test_gated_note_names_the_witness_threshold(self):
         f = TestFunction.scalar(

@@ -7,11 +7,16 @@ a report holds (Python and numpy floats, ints and bools; NaN, infinities and
 ``-0.0``; empty sections; notes with commas, quotes, newlines and non-ASCII
 text) and requires ``emit_report`` to write the same bytes in both formats.
 
-The previous serializer computed two derived numbers itself: the Euclidean
-norm of each verification row's x and of each extraction limit.  The
-generated reports store exactly those numbers (``RunReport.x_norms`` and
-``ExtractionRow.limit_norm``), so this file checks how values print, not
+The previous serializer computed the Euclidean norm of each extraction
+limit itself; the generated reports store exactly that number
+(``ExtractionRow.limit_norm``), so this file checks how values print, not
 which norm a report uses; ``tests/test_harness.py`` covers that.
+
+A verification report holds its bound as ``(points, thresholds)`` grids.
+The reference walks each grid x-major, one row per cell, takes ``x_norm``
+from ``RunReport.x_norms`` and computes each slack itself as
+``float(lhs) - float(rhs)``.  The generated grids hold every float kind, so
+the byte comparison pins the report's slack grid cell by cell.
 """
 
 import csv
@@ -22,7 +27,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fuzzystab.control import StabilityReport, StabilityRow
+from fuzzystab.control import StabilityReport
 from fuzzystab.harness import (
     ExperimentConfig,
     ExtractionRow,
@@ -94,6 +99,12 @@ def _json_text(obj, indent: int = 0) -> str:
     return json.dumps(obj)
 
 
+def _cells(rep: StabilityReport):
+    """(x_index, a, lhs, rhs) of each cell of the verification grid, x-major."""
+    for i, (lhs_at_x, rhs_at_x) in enumerate(zip(rep.lhs, rep.rhs)):
+        yield from ((i, a, lhs, rhs) for a, lhs, rhs in zip(rep.a_values, lhs_at_x, rhs_at_x))
+
+
 def _report_document(report: RunReport) -> dict:
     doc: dict = {
         "seed": report.seed,
@@ -144,14 +155,14 @@ def _report_document(report: RunReport) -> dict:
                 "repairs": list(rep.repairs),
                 "rows": [
                     {
-                        "x_index": row.x_index,
-                        "x_norm": float(np.linalg.norm(row.x)),
-                        "a": row.a,
-                        "lhs": row.lhs,
-                        "rhs": row.rhs,
-                        "slack": row.slack,
+                        "x_index": i,
+                        "x_norm": report.x_norms[i],
+                        "a": a,
+                        "lhs": lhs,
+                        "rhs": rhs,
+                        "slack": float(lhs) - float(rhs),
                     }
-                    for row in rep.rows
+                    for i, a, lhs, rhs in _cells(rep)
                 ],
             }
             for rep in report.verification_reports
@@ -199,16 +210,16 @@ def _csv_rows(report: RunReport, section: str) -> list[list]:
     if section == "verification":
         rows = []
         for rep in report.verification_reports:
-            for row in rep.rows:
+            for i, a, lhs, rhs in _cells(rep):
                 rows.append(
                     [
                         rep.theorem_id,
-                        row.x_index,
-                        _fmt_float(float(np.linalg.norm(row.x))),
-                        _fmt_float(row.a),
-                        _fmt_float(row.lhs),
-                        _fmt_float(row.rhs),
-                        _fmt_float(row.slack),
+                        i,
+                        _fmt_float(report.x_norms[i]),
+                        _fmt_float(a),
+                        _fmt_float(lhs),
+                        _fmt_float(rhs),
+                        _fmt_float(float(lhs) - float(rhs)),
                     ]
                 )
         return rows
@@ -323,17 +334,16 @@ def run_reports(draw):
             )
         )
     for _ in range(draw(st.integers(0, 3))):
-        rows = ()
-        if xs:
-            cells = st.tuples(st.integers(0, len(xs) - 1), floats, floats, floats)
-            rows = tuple(
-                StabilityRow(x_index=i, x=xs[i], a=a, lhs=lhs, rhs=rhs)
-                for i, a, lhs, rhs in draw(st.lists(cells, max_size=5))
-            )
+        # a grid of n <= len(xs) points by A thresholds
+        a_values = np.array(draw(st.lists(floats, max_size=3)), dtype=float)
+        shape = (draw(st.integers(0, len(xs))), a_values.size)
+        grid = st.lists(floats, min_size=math.prod(shape), max_size=math.prod(shape))
         report.verification_reports.append(
             StabilityReport(
                 theorem_id=draw(texts),
-                rows=rows,
+                a_values=a_values,
+                lhs=np.array(draw(grid), dtype=float).reshape(shape),
+                rhs=np.array(draw(grid), dtype=float).reshape(shape),
                 worst_slack=draw(floats),
                 violations=draw(ints),
                 hypothesis_ok=draw(bools),
@@ -352,9 +362,8 @@ def run_reports(draw):
 )
 @given(report=run_reports())
 def test_generated_reports_match_previous_serializer(report, tmp_path_factory):
-    # rows of the slack property (lhs - rhs) may hold inf - inf
-    with np.errstate(invalid="ignore"):
-        assert_same_bytes(report, tmp_path_factory.mktemp("emit"))
+    # a grid may hold inf - inf, which must write nan and never warn
+    assert_same_bytes(report, tmp_path_factory.mktemp("emit"))
 
 
 def test_empty_report_matches_previous_serializer(tmp_path):

@@ -1,5 +1,5 @@
-"""Every name a public ``__all__`` lists exists, every exported function has
-a caller, and no module imports another's private names.
+"""Every name a public ``__all__`` lists exists, every exported name has a
+caller, and no module imports another's private names.
 
 A string left in ``__all__`` after its name is deleted breaks only
 ``from module import *``, which no other test does.
@@ -7,7 +7,6 @@ A string left in ``__all__`` after its name is deleted breaks only
 
 import ast
 import importlib
-import inspect
 import pkgutil
 from pathlib import Path
 
@@ -22,7 +21,7 @@ MODULES = ["fuzzystab"] + [
 PACKAGE = Path(fuzzystab.__file__).parent
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
-#: Exported functions that only ``test_acceptance.py`` calls, each with its criterion.
+#: Exported names that only ``test_acceptance.py`` calls, each with its criterion.
 UNCALLED = {
     "residual_quadratic": "criterion 5: the quadratic component satisfies its law",
     "residual_additive": "criterion 5: the additive component satisfies its law",
@@ -63,7 +62,8 @@ def test_no_module_imports_a_private_name_of_another():
 
 
 def test_every_exported_function_has_a_caller():
-    # a caller is a name load (f or module.f) in the library or the benchmark
+    # every name a library module exports (function, class or constant) has
+    # a caller: a name load (f or module.f) in the library or the benchmark
     sources = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
     loaded = set()
     for path in sources + sorted(BENCH.glob("*.py")):
@@ -72,6 +72,7 @@ def test_every_exported_function_has_a_caller():
                 loaded.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 loaded.add(node.attr)
-    functions = {n for n in fuzzystab.__all__ if inspect.isfunction(getattr(fuzzystab, n))}
-    assert UNCALLED.keys() <= functions
-    assert sorted(functions - loaded - UNCALLED.keys()) == []
+    modules = [importlib.import_module(name) for name in MODULES[1:]]
+    exported = {n for module in modules for n in getattr(module, "__all__", ())}
+    assert UNCALLED.keys() <= exported
+    assert sorted(exported - loaded - UNCALLED.keys()) == []

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from test_golden import CASES as GOLDEN_CASES
 
+from fuzzystab import harness
 from fuzzystab.cli import main as cli_main
 from fuzzystab.errors import ConfigError
 from fuzzystab.harness import (
@@ -476,7 +477,10 @@ class TestEmission:
         # a failed hypothesis row, or a bound not asserted because its
         # premise fails, exits 1 even with no violation counted
         failed_row = HypothesisRow("combined", "vanishing[quadratic_up]", False, 0.0)
-        not_asserted = StabilityReport("combined", (), math.nan, 0, hypothesis_ok=False)
+        empty = np.empty((0, 2))
+        not_asserted = StabilityReport(
+            "combined", np.ones(2), empty, empty, math.nan, 0, hypothesis_ok=False
+        )
         for report in (
             RunReport(seed=0, stages=(), hypothesis_rows=[failed_row]),
             RunReport(seed=0, stages=(), verification_reports=[not_asserted]),
@@ -560,10 +564,17 @@ class TestEmission:
             {"dim_x": 2, "dim_y": 2, "crisp_norm": "weighted", "weights": [1.0, 3.0]},
         ],
     )
-    def test_norm_fields_use_the_configured_crisp_norm(self, tmp_path, space):
+    def test_norm_fields_use_the_configured_crisp_norm(self, tmp_path, space, monkeypatch):
         coords = [{"quad": [[1.0, 0.5], [0.5, 2.0]], "linear": [1.0, -1.0]}] * space["dim_y"]
         data = dict(BASE, space=space, function={"coords": coords}, theorems=["combined"])
         cfg = ExperimentConfig.from_dict(data)
+        verify_stability, received = harness.verify_stability, []  # the xs of each call
+
+        def recorded_verify_stability(f, components, phi, theorem_id, xs, *args, **kwargs):
+            received.append(xs)
+            return verify_stability(f, components, phi, theorem_id, xs, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "verify_stability", recorded_verify_stability)
         report = run_pipeline(cfg)
         emit_report(report, "csv", tmp_path)
         with (tmp_path / "extraction.csv").open() as fh:
@@ -576,9 +587,10 @@ class TestEmission:
             assert float(csv_row["limit_norm"]) == norm(np.array(row.limit))
             x_norm.setdefault(csv_row["x_index"], csv_row["x_norm"])
             assert x_norm[csv_row["x_index"]] == csv_row["x_norm"]
-        for rep in report.verification_reports:
-            for row in rep.rows:
-                assert report.x_norms[row.x_index] == norm(row.x)
+        (xs,) = received
+        assert len(xs) == len(report.x_norms) == cfg.x_count
+        for i, x in enumerate(xs):
+            assert report.x_norms[i] == norm(x)
         assert verification and len(x_norm) == cfg.x_count
         for csv_row in verification:
             assert csv_row["x_norm"] == x_norm[csv_row["x_index"]]

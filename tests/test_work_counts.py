@@ -269,7 +269,8 @@ def test_envelope_makes_one_membership_call_per_part(monkeypatch):
     monkeypatch.setattr(control, "eval_control", counted_eval_control)
     report = run_pipeline(cfg, ("verification",))
     points = cfg.x_count * cfg.a_points
-    assert len(report.verification_reports[0].rows) == points == 1500
+    assert report.verification_reports[0].lhs.shape == (cfg.x_count, cfg.a_points)
+    assert points == 1500
     assert len(calls) == 3 * points and calls.count(control.THEOREMS["combined"].schemes) == points
     one_scheme = [(Scheme.QUADRATIC_UP,), (Scheme.ADDITIVE_UP,)] * points
     assert [schemes for schemes in calls if len(schemes) == 1] == one_scheme
@@ -321,7 +322,7 @@ def test_verification_evaluates_f_and_N_once_per_theorem(monkeypatch):
     monkeypatch.setattr(extraction.ExtractedComponent, "__call__", counted_component)
     report = run_pipeline(cfg, _STAGES_BY_COMMAND["run"])
     (arguments,) = received
-    assert len(report.verification_reports[0].rows) == cfg.x_count * cfg.a_points == 1500
+    assert report.verification_reports[0].lhs.shape == (cfg.x_count, cfg.a_points) == (60, 25)
     assert seen["f"] == [(cfg.x_count, cfg.space.dim_x)] == [(60, 3)]
     assert seen["N"] == [(True, (cfg.x_count, 1, cfg.space.dim_y), (cfg.a_points,))]
     schemes = control.THEOREMS["combined"].schemes
@@ -346,7 +347,7 @@ def test_verification_of_no_points_evaluates_nothing():
         FuzzyNorm.induced(),
         premise_margin=control.Margin(0.0, None),
     )
-    assert (report.rows, report.worst_slack, report.violations) == ((), 0.0, 0)
+    assert (report.lhs.shape, report.worst_slack, report.violations) == ((0, 2), 0.0, 0)
     assert report.hypothesis_ok and calls == []
 
 
