@@ -36,7 +36,6 @@ from .funceq import (
 )
 from .harness import ExperimentConfig, RunReport, emit_report, run_pipeline
 from .spaces import (
-    AxiomReport,
     FuzzyNorm,
     SpaceConfig,
     check_axioms,
@@ -46,7 +45,6 @@ from .spaces import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AxiomReport",
     "ConfigError",
     "ConstantControl",
     "DimensionMismatchError",

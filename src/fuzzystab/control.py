@@ -468,6 +468,7 @@ class StabilityReport:
 _slack = np.errstate(over="ignore", invalid="ignore")(np.subtract)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite error fails, never warns
 def verify_stability(
     f: VectorFunction,
     components: Sequence[Callable[[np.ndarray], np.ndarray]],

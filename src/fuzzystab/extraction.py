@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ScaleError
-from .funceq import VectorFunction, even_part, odd_part
+from .funceq import TestFunction, VectorFunction, even_part, odd_part
 from .spaces import euclidean_norm
 
 __all__ = [
@@ -341,7 +341,7 @@ class ExtractedComponent:
 
 
 def extract_components(
-    f: VectorFunction,
+    f: TestFunction,
     schemes: Sequence[Scheme],
     xs: Sequence[np.ndarray],
     tol: float = 1e-9,
@@ -397,35 +397,29 @@ def uniqueness_crosscheck(
     scheme: Scheme,
     f: VectorFunction,
     x: np.ndarray,
-    window1,
-    window2,
+    window1: tuple[int, int],
+    window2: tuple[int, int],
     tol: float = 1e-8,
 ) -> UniquenessResult:
     """Numerical surrogate for uniqueness of the scheme limit.
 
-    Each window yields a limit estimate: its last iterate, accepted only if
-    the difference from the window's previous index stops the run by the
-    rule and with the notes of :func:`extract_limit`.  The result is true
-    iff both estimates exist and agree within tol.  Windows are given as
-    ranges, inclusive (lo, hi) 2-tuples or other collections of indices,
-    each index counted once; a tuple of any other length raises
-    ``ValueError``.
+    A window is an inclusive (lo, hi) pair with lo < hi; anything else
+    raises ``ValueError``.  Its estimate is iterate hi, accepted only if the
+    difference from iterate hi - 1 stops the run by the rule and with the
+    notes of :func:`extract_limit`.  The result is true iff both estimates
+    exist and agree within tol.
     """
     v = np.atleast_1d(np.asarray(x, dtype=float))
 
     def window_limit(window) -> tuple[np.ndarray | None, str]:
-        if isinstance(window, tuple):
-            if len(window) != 2:
-                raise ValueError(f"a tuple window is an inclusive (lo, hi) pair, got {window}")
-            window = range(window[0], window[1] + 1)
-        ns = sorted(set(window))
-        if len(ns) < 2:
-            raise ValueError("window must contain at least two indices")
+        if not (isinstance(window, tuple) and len(window) == 2 and window[0] < window[1]):
+            raise ValueError(f"a window is an inclusive (lo, hi) pair with lo < hi, got {window!r}")
+        hi = window[1]
         # Non-finite iterates and overflows go in the note, not in warnings.
         with np.errstate(all="ignore"):
-            pair = iterate(scheme, f, v, ns[-2:])
+            pair = iterate(scheme, f, v, [hi - 1, hi])
             gap, size = euclidean_norm(np.stack((pair[1] - pair[0], pair[1]))).tolist()
-        where = f"in window ending at n={ns[-1]}"
+        where = f"in window ending at n={hi}"
         if _first_stop([gap], [size], tol):
             return None, f"no convergence {where} (gap {gap:.3e})"
         kind = _stop_kind(gap, size, pair)

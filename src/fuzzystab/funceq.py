@@ -225,14 +225,11 @@ class TestFunction:
 VectorFunction = Callable[[np.ndarray], np.ndarray]
 
 
-def _coerce_pair(f: VectorFunction, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _coerce_pair(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     xv = np.atleast_1d(np.asarray(x, dtype=float))
     yv = np.atleast_1d(np.asarray(y, dtype=float))
     if xv.shape != yv.shape:
         raise DimensionMismatchError(f"x has shape {xv.shape}, y has shape {yv.shape}")
-    dim = getattr(f, "dim_x", None)
-    if dim is not None and xv.shape[-1] != dim:
-        raise DimensionMismatchError(f"input has shape {xv.shape}, expected (..., {dim})")
     return xv, yv
 
 
@@ -244,7 +241,7 @@ def residual_main(f: VectorFunction, x: np.ndarray, y: np.ndarray) -> np.ndarray
     term with all the points, so it must map ``(..., dim_x)`` to
     ``(..., dim_y)`` row by row as ``TestFunction`` does.
     """
-    xv, yv = _coerce_pair(f, x, y)
+    xv, yv = _coerce_pair(x, y)
     return (
         np.asarray(f(2 * xv + yv), dtype=float)
         + np.asarray(f(2 * xv - yv), dtype=float)
@@ -257,7 +254,7 @@ def residual_main(f: VectorFunction, x: np.ndarray, y: np.ndarray) -> np.ndarray
 
 def residual_quadratic(f: VectorFunction, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Defect of the parallelogram identity: f(x+y) + f(x-y) - 2 f(x) - 2 f(y)."""
-    xv, yv = _coerce_pair(f, x, y)
+    xv, yv = _coerce_pair(x, y)
     return (
         np.asarray(f(xv + yv), dtype=float)
         + np.asarray(f(xv - yv), dtype=float)
@@ -268,7 +265,7 @@ def residual_quadratic(f: VectorFunction, x: np.ndarray, y: np.ndarray) -> np.nd
 
 def residual_additive(f: VectorFunction, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Additivity defect f(x+y) - f(x) - f(y)."""
-    xv, yv = _coerce_pair(f, x, y)
+    xv, yv = _coerce_pair(x, y)
     return (
         np.asarray(f(xv + yv), dtype=float)
         - np.asarray(f(xv), dtype=float)
@@ -276,94 +273,41 @@ def residual_additive(f: VectorFunction, x: np.ndarray, y: np.ndarray) -> np.nda
     )
 
 
-@dataclass(frozen=True, eq=False)
-class ParityPart:
-    """Even or odd part of a function; evaluable wherever the source is."""
-
-    source: VectorFunction
-    sign: float  # +1 even part, -1 odd part
-
-    @property
-    def dim_x(self) -> int | None:
-        return getattr(self.source, "dim_x", None)
-
-    @property
-    def dim_y(self) -> int | None:
-        return getattr(self.source, "dim_y", None)
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        v = np.atleast_1d(np.asarray(x, dtype=float))
-        f = self.source
-        return 0.5 * (np.asarray(f(v), dtype=float) + self.sign * np.asarray(f(-v), dtype=float))
-
-
-def even_part(f: VectorFunction) -> VectorFunction:
+def even_part(f: TestFunction) -> TestFunction:
     """x -> (f(x) + f(-x)) / 2; even, and agrees with f at 0.
 
-    Closed-form inputs keep a closed form (quadratic, constant and even
-    perturbation terms), so the part stays exact at arguments 2^n x where
-    the averaging formula would lose the cancelled terms to rounding.
-    Other callables get the averaging wrapper.
+    The part keeps the closed form (quadratic, constant and even
+    perturbation terms), so it stays exact at arguments 2^n x where the
+    averaging formula would lose the cancelled terms to rounding.
     """
-    if isinstance(f, TestFunction):
-        coords = tuple(
-            CoordinatePoly(quad=c.quad, linear=None, const=c.const) for c in f.coords
-        )
-        perts = tuple(p for p in f.perturbations if _SHAPE_IS_EVEN[p.shape])
-        return TestFunction(coords=coords, perturbations=perts, dim_x=f.dim_x)
-    return ParityPart(source=f, sign=1.0)
+    coords = tuple(
+        CoordinatePoly(quad=c.quad, linear=None, const=c.const) for c in f.coords
+    )
+    perts = tuple(p for p in f.perturbations if _SHAPE_IS_EVEN[p.shape])
+    return TestFunction(coords=coords, perturbations=perts, dim_x=f.dim_x)
 
 
-def odd_part(f: VectorFunction) -> VectorFunction:
+def odd_part(f: TestFunction) -> TestFunction:
     """x -> (f(x) - f(-x)) / 2; odd, vanishes at 0, and even_part + odd_part = f.
 
-    Closed-form inputs keep a closed form (linear and odd perturbation
-    terms); other callables get the averaging wrapper.
+    The part keeps the closed form (linear and odd perturbation terms).
     """
-    if isinstance(f, TestFunction):
-        coords = tuple(
-            CoordinatePoly(quad=None, linear=c.linear, const=0.0) for c in f.coords
-        )
-        perts = tuple(p for p in f.perturbations if not _SHAPE_IS_EVEN[p.shape])
-        return TestFunction(coords=coords, perturbations=perts, dim_x=f.dim_x)
-    return ParityPart(source=f, sign=-1.0)
+    coords = tuple(
+        CoordinatePoly(quad=None, linear=c.linear, const=0.0) for c in f.coords
+    )
+    perts = tuple(p for p in f.perturbations if not _SHAPE_IS_EVEN[p.shape])
+    return TestFunction(coords=coords, perturbations=perts, dim_x=f.dim_x)
 
 
-@dataclass(frozen=True, eq=False)
-class ShiftedFunction:
-    """Source function minus a constant offset."""
-
-    source: VectorFunction
-    offset: np.ndarray
-
-    @property
-    def dim_x(self) -> int | None:
-        return getattr(self.source, "dim_x", None)
-
-    @property
-    def dim_y(self) -> int | None:
-        return getattr(self.source, "dim_y", None)
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(self.source(x), dtype=float) - self.offset
-
-
-def remove_offset(f: VectorFunction, dim_x: int | None = None) -> tuple[VectorFunction, np.ndarray]:
+def remove_offset(f: TestFunction) -> tuple[TestFunction, np.ndarray]:
     """Return (f - f(0), f(0)); the shifted function vanishes at the origin.
 
-    Closed-form inputs have f(0) equal to their constant terms (every
-    perturbation shape vanishes at 0), so the shift folds into the
-    constants and the result stays closed-form.
+    f(0) equals the constant terms (every perturbation shape vanishes at 0),
+    so the shift folds into the constants and the result stays closed-form.
     """
-    if dim_x is None:
-        dim_x = getattr(f, "dim_x", None)
-    if dim_x is None:
-        raise ValueError("dim_x required for functions without a dim_x attribute")
-    f0 = np.asarray(f(np.zeros(dim_x)), dtype=float)
-    if isinstance(f, TestFunction):
-        coords = tuple(
-            CoordinatePoly(quad=c.quad, linear=c.linear, const=c.const - float(z))
-            for c, z in zip(f.coords, f0)
-        )
-        return TestFunction(coords=coords, perturbations=f.perturbations, dim_x=f.dim_x), f0
-    return ShiftedFunction(source=f, offset=f0), f0
+    f0 = f(np.zeros(f.dim_x))
+    coords = tuple(
+        CoordinatePoly(quad=c.quad, linear=c.linear, const=c.const - float(z))
+        for c, z in zip(f.coords, f0)
+    )
+    return TestFunction(coords=coords, perturbations=f.perturbations, dim_x=f.dim_x), f0

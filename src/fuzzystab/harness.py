@@ -331,8 +331,18 @@ class ExperimentConfig:
             text = path.read_text(encoding="utf-8")
         except OSError as exc:
             raise ConfigError(str(path), f"cannot read config: {exc}") from exc
+
+        def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+            # json.loads alone keeps the last of two equal keys
+            data = {}
+            for key, value in pairs:
+                if key in data:
+                    raise ConfigError(str(path), f"duplicate key {key!r}")
+                data[key] = value
+            return data
+
         try:
-            data = json.loads(text)
+            data = json.loads(text, object_pairs_hook=unique_keys)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}", exc.msg) from exc
         if not isinstance(data, dict):
@@ -460,7 +470,7 @@ def run_pipeline(cfg: ExperimentConfig, stages: Sequence[str] = ALL_STAGES) -> R
         )
         for check in check_axioms(
             N, points, scalars, slack=cfg.membership_slack, tolerance=cfg.fuzzy_tol
-        ).checks:
+        ):
             report.axiom_rows.append(("N", check))
         scalar_points = [(np.atleast_1d(v), a) for (v, a) in points if v.size == 1]
         if not scalar_points:
@@ -472,7 +482,7 @@ def run_pipeline(cfg: ExperimentConfig, stages: Sequence[str] = ALL_STAGES) -> R
             ]
         for check in check_axioms(
             phi.nprime, scalar_points, scalars, slack=cfg.membership_slack, tolerance=cfg.fuzzy_tol
-        ).checks:
+        ):
             report.axiom_rows.append(("N'", check))
 
     shifted, _ = remove_offset(cfg.function)

@@ -26,7 +26,6 @@ __all__ = [
     "SpaceConfig",
     "FuzzyNorm",
     "AxiomCheck",
-    "AxiomReport",
     "crisp_norm",
     "euclidean_norm",
     "log_a_grid",
@@ -231,25 +230,6 @@ class AxiomCheck:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class AxiomReport:
-    checks: tuple[AxiomCheck, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks if c.status == "checked")
-
-    @property
-    def total_violations(self) -> int:
-        return sum(c.violations for c in self.checks if c.status == "checked")
-
-    def __getitem__(self, axiom: str) -> AxiomCheck:
-        for c in self.checks:
-            if c.axiom == axiom:
-                return c
-        raise KeyError(axiom)
-
-
 class _Tally:
     """Violation count and worst slack of one axiom, accumulated array by array.
 
@@ -289,8 +269,9 @@ def check_axioms(
     *,
     slack: float = MEMBERSHIP_SLACK,
     tolerance: float = FUZZY_TOLERANCE,
-) -> AxiomReport:
-    """Audit the six axioms of a fuzzy norm at sample points.
+) -> tuple[AxiomCheck, ...]:
+    """Audit the six axioms of a fuzzy norm at sample points: one check per
+    axiom, N1 to N6 in order.
 
     The first five axioms are decidable at the samples and reported as
     ``checked``; continuity in the threshold argument is only probed by
@@ -387,7 +368,7 @@ def check_axioms(
             note="sampled, not proven",
         )
     )
-    return AxiomReport(checks=tuple(checks))
+    return tuple(checks)
 
 
 def default_axiom_samples(

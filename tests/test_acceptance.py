@@ -95,7 +95,8 @@ def test_criterion_1_exact_solution_residual():
 
 def test_criterion_2_axiom_suite():
     points, scalars = default_axiom_samples(dim=2, count=200, seed=12)
-    report = check_axioms(FuzzyNorm.induced(), points, scalars, slack=1e-12)
+    checks = check_axioms(FuzzyNorm.induced(), points, scalars, slack=1e-12)
+    report = {c.axiom: c for c in checks}
     checked_ok = all(
         report[a].passed and report[a].violations == 0 for a in ("N1", "N2", "N3", "N4", "N5")
     )

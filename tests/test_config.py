@@ -189,6 +189,39 @@ def test_top_level_not_an_object(tmp_path):
     )
 
 
+#: A key given twice in one object, where ``json.loads`` alone would keep the
+#: last value: config text with one key repeated, and that key.
+GIVEN_TWICE = {
+    "top_level": (
+        json.dumps(BASE).replace(
+            '"theorems": ["quadratic_up"]', '"theorems": ["combined"], "theorems": ["quadratic_up"]'
+        ),
+        "theorems",
+    ),
+    "nested": (json.dumps(BASE).replace('"quad": 1.0', '"quad": 1.0, "quad": 5.0'), "quad"),
+    "in_a_list": (
+        json.dumps(BASE).replace('"shape": "cos"', '"shape": "cos", "shape": "sin"'),
+        "shape",
+    ),
+    "equal_values": (json.dumps(BASE).replace('"seed": 7', '"seed": 7, "seed": 7'), "seed"),
+    "section": (json.dumps(BASE).replace('"grids": ', '"grids": {"x_count": 9}, "grids": '), "grids"),
+}
+
+
+@pytest.mark.parametrize("text, key", GIVEN_TWICE.values(), ids=GIVEN_TWICE)
+def test_a_key_given_twice_is_a_config_error(tmp_path, capsys, text, key):
+    path = tmp_path / "twice.json"
+    path.write_text(text, encoding="utf-8")
+    assert text.count(f'"{key}"') == 2
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig.load(path)
+    assert (err.value.location, err.value.reason) == (str(path), f"duplicate key {key!r}")
+    code = cli_main(["run", "--config", str(path), "--out-dir", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {path}: duplicate key {key!r}\n"
+    assert not (tmp_path / "out").exists()
+
+
 # --- inputs the reader rejects ------------------------------------------------
 
 

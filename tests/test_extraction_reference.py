@@ -33,7 +33,6 @@ from fuzzystab.extraction import (
 from fuzzystab.funceq import (
     PERTURBATION_SHAPES,
     CoordinatePoly,
-    ParityPart,
     Perturbation,
     TestFunction,
     even_part,
@@ -237,9 +236,6 @@ _SOURCES = {
     "remove_offset": lambda f: remove_offset(f)[0],
     "even_part": lambda f: even_part(remove_offset(f)[0]),
     "odd_part": lambda f: odd_part(remove_offset(f)[0]),
-    # the averaging wrappers that non-closed-form sources get
-    "even_wrapper": lambda f: ParityPart(source=f, sign=1.0),
-    "odd_wrapper": lambda f: ParityPart(source=f, sign=-1.0),
 }
 
 

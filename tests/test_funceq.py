@@ -121,11 +121,6 @@ class TestParityDecomposition:
             assert even_part(f)(V(x))[0] == f(V(x))[0]
             assert odd_part(f)(V(x))[0] == 0.0
 
-    def test_odd_cubic_is_its_own_odd_part(self):
-        cube = lambda v: v**3
-        for x in (0.5, 1.0, 3.0):
-            assert odd_part(cube)(V(x))[0] == x**3
-
     def test_even_part_agrees_with_source_at_origin(self):
         f = TestFunction.scalar(quad=1.0, linear=2.0, const=7.0)
         assert even_part(f)(V(0))[0] == 7.0
@@ -221,13 +216,6 @@ class TestMultiDimensional:
         g, f0 = remove_offset(f)
         assert np.array_equal(f(np.zeros(2)), f0)
         assert np.all(g(np.zeros(2)) == 0.0)
-
-    def test_remove_offset_on_plain_callable(self):
-        g, f0 = remove_offset(lambda v: v**2 + 3.0, dim_x=1)
-        assert f0[0] == 3.0
-        assert g(np.array([2.0]))[0] == 4.0
-        with pytest.raises(ValueError):
-            remove_offset(lambda v: v)
 
 
 def _sym(m):

@@ -8,14 +8,20 @@ re-create them after an intended report change, run
 review the diff.
 """
 
+import inspect
 import json
 import re
 import tempfile
+import typing
 from pathlib import Path
 
 import pytest
 
 from fuzzystab.cli import main as cli_main
+from fuzzystab.control import THEOREMS, ControlFunction
+from fuzzystab.funceq import PERTURBATION_SHAPES
+from fuzzystab.harness import ExperimentConfig
+from fuzzystab.spaces import crisp_norm
 
 GOLDEN = Path(__file__).parent / "golden"
 CONFIGS = Path(__file__).parent.parent / "configs"
@@ -95,6 +101,19 @@ _RUN_2D = {
         "theorems": ["combined", "additive_up"],
         "grids": {"x_count": 6, "a_points": 7, "axiom_points": 40},
     },
+    # The product control, which no other case, config or workload uses: its
+    # premise and envelope evaluate phi(x, y) = theta ||x||^p1 ||y||^p2.
+    "additive_down_product": {
+        "seed": 2,
+        "space": {"dim_x": 2, "dim_y": 1},
+        "function": {
+            "coords": [{"linear": [1.0, -0.5]}],
+            "perturbations": [{"shape": "sin", "amplitude": 0.001}],
+        },
+        "control": {"family": "product", "theta": 1.0, "p1": 1.5, "p2": 1.5, "alpha": 4.0},
+        "theorems": ["additive_down"],
+        "grids": {"x_count": 8, "a_points": 9, "axiom_points": 60},
+    },
     # Defects that overflow at x near 1e154: the auto-delta sup is NaN and
     # every premise row fails at -inf, quietly, with exit 1.
     "defect_overflow": {
@@ -167,6 +186,23 @@ def test_readme_golden_paragraph_names_every_case():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     (paragraph,) = [p for p in readme.split("\n\n") if p.startswith("`tests/test_golden.py`")]
     assert set(CASES) <= set(re.findall(r"`(\w+)`", paragraph))
+
+
+def test_cases_cover_every_config_value():
+    # every control family, theorem, crisp norm kind and perturbation shape
+    # is in at least one golden report
+    configs = [
+        ExperimentConfig.load(CONFIGS / f"{case}.json")
+        if config is None
+        else ExperimentConfig.from_dict(config)
+        for case, (_, config) in CASES.items()
+    ]
+    kinds = set(re.findall(r'kind == "(\w+)"', inspect.getsource(crisp_norm)))
+    assert {type(cfg.control) for cfg in configs} == set(typing.get_args(ControlFunction))
+    assert {t for cfg in configs for t in cfg.theorems} == set(THEOREMS)
+    assert {cfg.space.crisp_norm_kind for cfg in configs} == kinds
+    shapes = {p.shape for cfg in configs for p in cfg.function.perturbations}
+    assert shapes == set(PERTURBATION_SHAPES)
 
 
 @pytest.mark.parametrize("case", CASES)

@@ -336,6 +336,27 @@ class TestPipeline:
         assert status == EXIT_VIOLATIONS
         assert capsys.readouterr().err == ""
 
+    def test_overflowing_component_errors_verify_quietly(self, tmp_path, capsys):
+        # near x = 1e100 the additive_up component of x^2 + x does not
+        # converge, and the squared norms of its errors overflow inside the
+        # verification memberships: each membership is 0, with no RuntimeWarning
+        data = dict(
+            BASE,
+            seed=1,
+            function={"quad": 1.0, "linear": 1.0},
+            theorems=["additive_up"],
+            grids={"x_count": 2, "a_points": 2, "axiom_points": 10, "x_radius": 1e100},
+        )
+        config, out = write_config(tmp_path, data), tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            status = cli_main(["run", "--config", str(config), "--out-dir", str(out)])
+        assert status == EXIT_VIOLATIONS
+        assert capsys.readouterr().err == ""
+        with open(out / "verification.csv", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(row["lhs"], row["rhs"]) for row in rows] == [("0", "0")] * 4
+
     @pytest.mark.parametrize(
         "control, theorem",
         [
