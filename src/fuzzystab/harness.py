@@ -17,12 +17,15 @@ Exit-status contract (also recorded inside the JSON report):
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, field, fields, replace
+from itertools import chain
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter, itemgetter
+from operator import attrgetter, is_, itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -387,6 +390,8 @@ class RunReport:
     resolved_delta: float | None = None
     #: Crisp norm of each sample point (the space's ``norm()``), by ``x_index``.
     x_norms: list[float] = field(default_factory=list)
+    #: The rows and norms ``emit_report`` last rendered, and the texts so far.
+    _texts: tuple | None = field(default=None, init=False, repr=False)
 
     @property
     def total_violations(self) -> int:
@@ -587,8 +592,8 @@ def run_pipeline(cfg: ExperimentConfig, stages: Sequence[str] = ALL_STAGES) -> R
 #
 # Each section is one table of fields.  A field names its key, how its
 # values print, and how it takes its column of values from the section's
-# rows; the same table writes the section into report.json and into its CSV
-# file, one column at a time.
+# rows.  Each column is rendered to text once per report, and report.json
+# and the section's CSV file both write those texts.
 
 _NON_FINITE = frozenset(("nan", "inf", "-inf"))
 
@@ -599,9 +604,11 @@ def _float_texts(values: Iterable[float]) -> list[str]:
     return (("%.17g\n" * len(values)) % values).split("\n")[:-1]
 
 
-def _json_floats(values: Iterable[float]) -> list[str]:
-    """JSON numbers, with the non-finite ones as strings."""
-    return [f'"{t}"' if t in _NON_FINITE else t for t in _float_texts(values)]
+def _json_floats(texts: list[str]) -> list[str]:
+    """JSON numbers of float texts, with the non-finite ones as strings."""
+    if _NON_FINITE.isdisjoint(texts):
+        return texts
+    return [f'"{t}"' if t in _NON_FINITE else t for t in texts]
 
 
 def _json_strings(values: Iterable[str]) -> list[str]:
@@ -616,16 +623,12 @@ def _json_array(items: list[str], depth: int) -> str:
     return "[" + line + ("," + line).join(items) + "\n" + "  " * depth + "]"
 
 
-def _json_arrays(
-    arrays: Sequence[Sequence], encode: Callable[[list], list[str]], depth: int
-) -> list[str]:
-    """JSON text of each array, the items of all of them encoded in one pass."""
-    items = encode([item for array in arrays for item in array])
+def _json_arrays(items: list[str], counts: Iterable[int], depth: int) -> list[str]:
+    """JSON arrays of the encoded items taken in turn, ``counts`` of them each."""
     out, start = [], 0
-    for array in arrays:
-        end = start + len(array)
-        out.append(_json_array(items[start:end], depth))
-        start = end
+    for n in counts:
+        out.append(_json_array(items[start : start + n], depth))
+        start += n
     return out
 
 
@@ -637,57 +640,71 @@ def _object_template(keys: Sequence[str], depth: int) -> str:
 
 
 class _Kind(NamedTuple):
-    """How a column prints: ``json(values, depth)`` gives the JSON text of
-    each value, its nested lines ``depth`` deep; ``csv(values)`` gives the
-    cells, which the CSV writer turns into text with ``str``."""
+    """How a column prints: ``text(values)`` renders each value once, as its
+    CSV cell (a string is quoted where CSV needs it); ``json(texts, depth)``
+    gives the JSON text of each rendered value, its nested lines ``depth``
+    deep.  A column of arrays is in JSON only, and its ``json`` renders it."""
 
+    text: Callable[[list], list]
     json: Callable[[list, int], list[str]]
-    csv: Callable[[list], list]
 
 
-def _same(values: list) -> list:
+def _same(values: list, *_) -> list:
     return values
 
 
-_STR = _Kind(lambda values, depth: _json_strings(values), _same)
-_INT = _Kind(lambda values, depth: [str(int(v)) for v in values], _same)
-_BOOL = _Kind(lambda values, depth: ["true" if v else "false" for v in values], _same)
-_FLOAT = _Kind(lambda values, depth: _json_floats(values), _float_texts)
-_FLOATS = _Kind(lambda values, depth: _json_arrays(values, _json_floats, depth), _same)
-_STRS = _Kind(lambda values, depth: _json_arrays(values, _json_strings, depth), _same)
+def _json_nested(encode: Callable[[Iterable], list[str]]) -> Callable[[list, int], list[str]]:
+    """``json`` of a column of arrays, the items of all of them encoded in one pass."""
+    return lambda arrays, depth: _json_arrays(encode(chain(*arrays)), map(len, arrays), depth)
 
-_Column = Callable[[Sequence, RunReport], list]
+
+_STR = _Kind(_same, lambda texts, depth: _json_strings(texts))
+_INT = _Kind(lambda values: [str(int(v)) for v in values], _same)
+_BOOL = _Kind(
+    lambda values: ["True" if v else "False" for v in values],
+    lambda texts, depth: ["true" if t == "True" else "false" for t in texts],
+)
+_FLOAT = _Kind(lambda values: _float_texts(values), lambda texts, depth: _json_floats(texts))
+_FLOATS = _Kind(_same, _json_nested(lambda items: _json_floats(_float_texts(items))))
+_STRS = _Kind(_same, _json_nested(_json_strings))
+
+#: (rows, report, render) -> the field's text for each row, by its kind's ``text``.
+_Column = Callable[[Sequence, RunReport, Callable[[list], list]], list]
 
 
 class _Field(NamedTuple):
     key: str
     kind: _Kind | None
-    #: (rows, report) -> the field's value for each row.
     column: _Column
     in_json: bool = True
     in_csv: bool = True
     #: Fields of each row's sub-rows, whose count ``column`` gives; a sub-field's
-    #: column holds the values of all the rows' sub-rows.  JSON nests a row's
+    #: column holds the texts of all the rows' sub-rows.  JSON nests a row's
     #: sub-rows under the key, CSV writes a line per sub-row led by the row's fields.
     sub: tuple["_Field", ...] = ()
 
 
 def _attr(name: str) -> _Column:
     get = attrgetter(name)
-    return lambda rows, report: list(map(get, rows))
+    return lambda rows, report, render: render(list(map(get, rows)))
 
 
 def _of_pair(position: int, name: str | None = None) -> _Column:
     """Column of a section whose rows are pairs: an item, or an attribute of it."""
     get = itemgetter(position) if name is None else (lambda row: getattr(row[position], name))
-    return lambda rows, report: list(map(get, rows))
+    return lambda rows, report, render: render(list(map(get, rows)))
 
 
 def _cells(grid: Callable[[StabilityReport, RunReport], np.ndarray]) -> _Column:
-    """Column of the verification cells, x-major: ``grid(report, run)`` broadcast to each grid."""
-    return lambda reports, run: [
-        v for r in reports for v in np.broadcast_to(grid(r, run), r.lhs.shape).ravel().tolist()
-    ]
+    """Column of the verification cells, x-major: each value of
+    ``grid(report, run)`` rendered once, then broadcast to the report's grid."""
+
+    def column(reports: Sequence[StabilityReport], run: RunReport, render) -> list:
+        grids = [np.asarray(grid(r, run)) for r in reports]
+        texts = [np.reshape(np.array(render(g.ravel().tolist()), object), g.shape) for g in grids]
+        return [t for r, g in zip(reports, texts) for t in np.broadcast_to(g, r.lhs.shape).flat]
+
+    return column
 
 
 class _Section(NamedTuple):
@@ -750,7 +767,7 @@ _SECTIONS = (
             _Field(
                 "rows",
                 None,
-                lambda reports, run: [r.lhs.size for r in reports],
+                lambda reports, run, render: [r.lhs.size for r in reports],
                 sub=(
                     _Field("x_index", _INT, _cells(lambda r, run: np.arange(len(r.lhs))[:, None])),
                     _Field(
@@ -777,77 +794,111 @@ _SECTIONS = (
 )
 
 
-def _json_table(fields: Sequence[_Field], rows: Sequence, report: RunReport, depth: int) -> str:
-    """JSON array with one object per row, its brackets ``depth`` deep."""
-    if not rows:
-        return "[]"
+#: The section of each field, sub-fields included.
+_SECTION_OF = {g: s for s in _SECTIONS for f in s.fields for g in (f, *f.sub)}
+
+
+def _report_texts(report: RunReport) -> Callable[[_Field], list]:
+    """The text column of each field, rendered on its first use and kept
+    while the report holds the same row objects and sample norms: a row or
+    norm that is added or replaced renders the texts again."""
+    sources = [section.rows(report) for section in _SECTIONS] + [report.x_norms]
+    rendered = [item for items in sources for item in (*items, None)]  # None ends a section
+    kept, texts = report._texts or ([], {})
+    if len(kept) != len(rendered) or not all(map(is_, kept, rendered)):
+        texts = {}
+        report._texts = (rendered, texts)
+
+    def text(f: _Field) -> list:
+        if f not in texts:
+            rows = _SECTION_OF[f].rows(report)
+            texts[f] = f.column(rows, report, f.kind.text if f.kind else _same)
+        return texts[f]
+
+    return text
+
+
+def _json_objects(fields: Sequence[_Field], text: Callable[[_Field], list], depth: int) -> list:
+    """JSON object of each row, its braces ``depth`` deep."""
     fields = [f for f in fields if f.in_json]
-    template = _object_template([f.key for f in fields], depth + 1)
-    columns = []
-    for f in fields:
-        if f.sub:
-            columns.append([_json_table(f.sub, [row], report, depth + 2) for row in rows])
-        else:
-            columns.append(f.kind.json(f.column(rows, report), depth + 2))
-    return _json_array([template % values for values in zip(*columns)], depth)
+    columns = [
+        _json_arrays(_json_objects(f.sub, text, depth + 2), text(f), depth + 1)
+        if f.sub
+        else f.kind.json(text(f), depth + 1)
+        for f in fields
+    ]
+    template = _object_template([f.key for f in fields], depth)
+    return [template % values for values in zip(*columns)]
 
 
-def _write_json(report: RunReport, fh) -> None:
+def _write_json(report: RunReport, text: Callable[[_Field], list], fh) -> None:
     """Write report.json, one section at a time."""
     summary = {
         "violations": str(int(report.total_violations)),
         "all_converged": "true" if report.all_converged else "false",
     }
     if report.resolved_delta is not None:
-        (summary["resolved_delta"],) = _json_floats([report.resolved_delta])
+        (summary["resolved_delta"],) = _json_floats(_float_texts([report.resolved_delta]))
     stages = _json_array(_json_strings(report.stages), 1)
     fh.write(f'{{\n  "seed": {int(report.seed)},\n  "stages": {stages}')
     for section in _SECTIONS:
         fh.write(f',\n  "{section.key}": ')
-        fh.write(_json_table(section.fields, section.rows(report), report, 1))
+        fh.write(_json_array(_json_objects(section.fields, text, 2), 1))
     fh.write(',\n  "summary": ')
     fh.write(_object_template(list(summary), 1) % tuple(summary.values()))
     fh.write(f',\n  "exit_status": {int(report.exit_status)}\n}}\n')
 
 
-def _csv_table(section: _Section, report: RunReport) -> tuple[list[str], Iterable[tuple]]:
-    """Header and lines of a section's CSV file."""
-    rows = section.rows(report)
+#: What a cell may hold that ``csv.writer`` would quote it for.
+_CSV_SPECIAL = re.compile('[,"\r\n]').search
+
+
+def _csv_strings(values: list[str]) -> list[str]:
+    """CSV cells of strings, each quoted as ``csv.writer`` quotes it."""
+    quoted = {}
+    for s in filter(_CSV_SPECIAL, set(values)):
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerow((s, ""))  # a lone "" is quoted
+        quoted[s] = buf.getvalue()[:-2]
+    return [quoted.get(s, s) for s in values] if quoted else values
+
+
+def _csv_text(section: _Section, text: Callable[[_Field], list]) -> str:
+    """Text of a section's CSV file: the header, then a line per row."""
+
+    def cells(f: _Field) -> list[str]:
+        return _csv_strings(text(f)) if f.kind is _STR else text(f)
+
     fields = [f for f in section.fields if f.in_csv and not f.sub]
-    columns = [f.kind.csv(f.column(rows, report)) for f in fields]
+    columns = list(map(cells, fields))
     nested = next((f for f in section.fields if f.in_csv and f.sub), None)
     if nested is not None:  # a line per sub-row, led by the row's fields
-        counts = nested.column(rows, report)
+        counts = text(nested)
         columns = [[v for v, n in zip(col, counts) for _ in range(n)] for col in columns]
         sub_fields = [f for f in nested.sub if f.in_csv]
         fields += sub_fields
-        columns += [f.kind.csv(f.column(rows, report)) for f in sub_fields]
-    return [f.key for f in fields], zip(*columns)
+        columns += map(cells, sub_fields)
+    lines = [",".join(f.key for f in fields), *map(",".join, zip(*columns))]
+    return "\n".join(lines) + "\n"
 
 
 def emit_report(report: RunReport, fmt: str, out_dir: str | Path) -> list[Path]:
     """Write the report as ``report.json`` or one CSV per section.
 
-    Both come from one field table per section.  Floats are printed with 17
-    significant digits; identical reports serialize to identical bytes.
+    Both come from one field table per section, whose columns are rendered
+    once per report and shared by the two formats.  Floats are printed with
+    17 significant digits; identical reports serialize to identical bytes.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-    if fmt == "json":
-        path = out / "report.json"
-        with path.open("w", encoding="utf-8") as fh:
-            _write_json(report, fh)
-        written.append(path)
-    elif fmt == "csv":
-        for section in _SECTIONS:
-            path = out / f"{section.key}.csv"
-            header, lines = _csv_table(section, report)
-            with path.open("w", encoding="utf-8", newline="") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(header)
-                writer.writerows(lines)
-            written.append(path)
-    else:
+    if fmt not in ("json", "csv"):
         raise ValueError(f"unknown report format {fmt!r}")
-    return written
+    text = _report_texts(report)
+    if fmt == "json":
+        with (out / "report.json").open("w", encoding="utf-8") as fh:
+            _write_json(report, text, fh)
+        return [out / "report.json"]
+    paths = [out / f"{section.key}.csv" for section in _SECTIONS]
+    for section, path in zip(_SECTIONS, paths):
+        path.write_text(_csv_text(section, text), encoding="utf-8", newline="")
+    return paths

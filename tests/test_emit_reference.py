@@ -5,7 +5,8 @@
 ``_csv_rows`` lists.  Hypothesis builds ``RunReport``s with every value type
 a report holds (Python and numpy floats, ints and bools; NaN, infinities and
 ``-0.0``; empty sections; notes with commas, quotes, newlines and non-ASCII
-text) and requires ``emit_report`` to write the same bytes in both formats.
+text) and requires ``emit_report`` to write the same bytes in both formats,
+whichever of them is emitted first.
 
 The previous serializer computed the Euclidean norm of each extraction
 limit itself; the generated reports store exactly that number
@@ -22,6 +23,7 @@ the byte comparison pins the report's slack grid cell by cell.
 import csv
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
@@ -243,14 +245,20 @@ def reference_emit(report: RunReport, fmt: str, out_dir) -> None:
 
 
 def assert_same_bytes(report: RunReport, tmp_path) -> None:
-    for fmt in ("json", "csv"):
-        expected, actual = tmp_path / f"reference_{fmt}", tmp_path / f"emitted_{fmt}"
-        reference_emit(report, fmt, expected)
-        written = emit_report(report, fmt, actual)
-        names = sorted(p.name for p in expected.iterdir())
-        assert sorted(p.name for p in written) == names
-        for name in names:
-            assert (actual / name).read_bytes() == (expected / name).read_bytes(), name
+    # csv then json on the report, then json then csv on a copy that was never
+    # emitted, so that each format is once the first to render the texts
+    copy = RunReport(**{f.name: getattr(report, f.name) for f in fields(RunReport) if f.init})
+    for emitted, order in ((report, ("csv", "json")), (copy, ("json", "csv"))):
+        for fmt in order:
+            expected = tmp_path / f"reference_{fmt}"
+            actual = tmp_path / f"emitted_{fmt}_{order[0]}_first"
+            if not expected.exists():
+                reference_emit(report, fmt, expected)
+            written = emit_report(emitted, fmt, actual)
+            names = sorted(p.name for p in expected.iterdir())
+            assert sorted(p.name for p in written) == names
+            for name in names:
+                assert (actual / name).read_bytes() == (expected / name).read_bytes(), name
 
 
 # --- generated reports -----------------------------------------------------

@@ -5,7 +5,7 @@ import json
 import math
 import re
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -624,6 +624,63 @@ class TestEmission:
         assert doc["exit_status"] == EXIT_VIOLATIONS
         slacks = [row["slack"] for row in doc["verification"][0]["rows"]]
         assert min(slacks) < -1e-12
+
+    @staticmethod
+    def _files(out):
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    def test_report_files_do_not_depend_on_the_order_of_formats(self, tmp_path):
+        # each way renders a fresh report, so each format is once the first
+        cfg = ExperimentConfig.load(CONFIGS / "combined.json")
+        ways = {
+            "json": ("json",),
+            "csv": ("csv",),
+            "both": ("json", "csv"),
+            "reversed": ("csv", "json"),
+        }
+        for way, formats in ways.items():
+            report = run_pipeline(cfg)
+            for fmt in formats:
+                emit_report(report, fmt, tmp_path / way)
+        both = self._files(tmp_path / "both")
+        sections = ("axioms", "extraction", "hypothesis", "repair_log", "verification")
+        assert sorted(both) == sorted(["report.json", *(f"{s}.csv" for s in sections)])
+        assert self._files(tmp_path / "reversed") == both
+        assert self._files(tmp_path / "json") == {"report.json": both["report.json"]}
+        del both["report.json"]
+        assert self._files(tmp_path / "csv") == both
+
+    @pytest.mark.parametrize("first", ["json", "csv"])
+    @pytest.mark.parametrize(
+        "change, section",
+        [
+            ("extraction_row", "extraction"),
+            ("verification_report", "verification"),
+            ("x_norm", "verification"),
+        ],
+    )
+    def test_a_report_changed_after_an_emit_writes_its_new_values(
+        self, tmp_path, first, change, section
+    ):
+        report = run_pipeline(ExperimentConfig.load(CONFIGS / "combined.json"))
+        emit_report(report, first, tmp_path / "before")
+        if change == "extraction_row":
+            report.extraction_rows.append(replace(report.extraction_rows[0], x_norm=0.125))
+        elif change == "verification_report":
+            old = report.verification_reports[0]
+            report.verification_reports[0] = replace(old, lhs=old.lhs / 2, rhs=old.rhs / 3)
+        else:
+            report.x_norms[0] = 0.125
+        for fmt in ("json", "csv"):
+            emit_report(report, fmt, tmp_path / "after")
+        # a report of the same rows that was never emitted
+        fresh = RunReport(**{f.name: getattr(report, f.name) for f in fields(RunReport) if f.init})
+        for fmt in ("json", "csv"):
+            emit_report(fresh, fmt, tmp_path / "fresh")
+        after = self._files(tmp_path / "after")
+        assert after == self._files(tmp_path / "fresh")
+        name = "report.json" if first == "json" else f"{section}.csv"
+        assert after[name] != (tmp_path / "before" / name).read_bytes()
 
 
 class TestCli:

@@ -7,13 +7,14 @@ the flakiness of a timing test: calls of the source function, calls of
 
 import importlib.util
 import inspect
+import json
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fuzzystab import control, extraction, harness, spaces
+from fuzzystab import cli, control, extraction, harness, spaces
 from fuzzystab.cli import _STAGES_BY_COMMAND
 from fuzzystab.extraction import (
     BLOCK_STEPS,
@@ -147,6 +148,39 @@ def test_defect_is_evaluated_once_per_use(monkeypatch, command):
             "measure_residual_sup": 1,
             "residual_main": 1 + theorems,
         }
+
+
+def test_each_report_float_is_rendered_once(monkeypatch, tmp_path):
+    # both formats write the texts of one rendering, and a verification
+    # column is rendered before it is broadcast to the (x, a) cells: x_norm
+    # once per point, a once per threshold, lhs, rhs and slack once per cell
+    data = _workload_config("grid_dense")
+    report = run_pipeline(ExperimentConfig.from_dict(data))
+    (verified,) = report.verification_reports
+    assert verified.lhs.shape == (60, 25)
+    extraction = sum(3 + len(r.limit) for r in report.extraction_rows)  # x_norm, limit_norm, ratio
+    expected = (
+        60 + 25 + 3 * 1500 + 1  # the cells and the report's worst_slack
+        + extraction
+        + len(report.hypothesis_rows)
+        + len(report.axiom_rows)
+        + (report.resolved_delta is not None)
+    )
+    rendered = []
+    float_texts = harness._float_texts
+
+    def counted(values):
+        values = tuple(values)
+        rendered.append(len(values))
+        return float_texts(values)
+
+    monkeypatch.setattr(harness, "_float_texts", counted)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(data), encoding="utf-8")
+    argv = ["run", "--config", str(config), "--out-dir", str(tmp_path / "out"), "--format", "both"]
+    assert cli.main(argv) == report.exit_status
+    assert len(list((tmp_path / "out").iterdir())) == 6
+    assert sum(rendered) == expected
 
 
 def test_premise_pairs_are_built_once_and_shared(monkeypatch):
