@@ -7,10 +7,10 @@ hypotheses are decided exactly from that degree, alpha and the scheme's
 rate.  A control holds its own norms: the fuzzy norm N' on its values and,
 for the power and product families, the crisp norm of its domain; every
 check reads them from phi.  Each scheme has one record in
-``SCHEME_BOUNDS``: its rate, direction, envelope pairs and threshold
-divisor.  Its envelope at level a is the least membership of phi at its
-pairs at the threshold a (rate - alpha) / divisor, sign reversed for a
-down-scheme; a bound with several schemes splits a evenly between them.
+``SCHEME_BOUNDS``: its envelope pairs and threshold divisor.  Its envelope
+at level a is the least membership of phi at its pairs at the threshold
+a (rate - alpha) / divisor, sign reversed for a down-scheme; a bound with
+several schemes splits a evenly between them.
 Verification compares the membership of the recovered-component error
 against the envelope on an (x, a) grid of arrays and counts slack violations.
 Every set of argument pairs is one ``(2, pairs, d)`` array built from a
@@ -233,19 +233,16 @@ _ADDITIVE_PAIRS = _pair_table(
 
 
 class SchemeBound(NamedTuple):
-    """One scheme's envelope constants."""
+    """One scheme's envelope constants besides its rate and direction."""
 
-    rate: float
-    up: bool
     pairs: PairTable
     threshold_divisor: float
 
 
-_QUADRATIC_BOUND = (_QUADRATIC_PAIRS, 6.0)  # pairs, threshold divisor
-_ADDITIVE_BOUND = (_ADDITIVE_PAIRS, 4.0)
+_QUADRATIC_BOUND = SchemeBound(_QUADRATIC_PAIRS, 6.0)
+_ADDITIVE_BOUND = SchemeBound(_ADDITIVE_PAIRS, 4.0)
 SCHEME_BOUNDS: dict[Scheme, SchemeBound] = {
-    s: SchemeBound(s.rate, s.is_up, *(_QUADRATIC_BOUND if s.is_quadratic else _ADDITIVE_BOUND))
-    for s in Scheme
+    s: _QUADRATIC_BOUND if s.is_quadratic else _ADDITIVE_BOUND for s in Scheme
 }
 
 _QUADRATIC_Y_SET = _y_table((0, 1), (1, 3), (4, 3), (-2, 3), (1, 1))
@@ -276,8 +273,10 @@ def envelope(schemes: Sequence[Scheme], phi: ControlFunction, x: np.ndarray, a: 
         # Python's min keeps a NaN only when it comes first; any NaN membership
         # makes the envelope NaN, which verification counts as a violation.
         return math.nan if any(map(math.isnan, memberships)) else min(memberships)
-    rate, up, table, divisor = SCHEME_BOUNDS[schemes[0]]
-    t = a * ((rate - phi.alpha) if up else (phi.alpha - rate)) / divisor
+    (scheme,) = schemes
+    table, divisor = SCHEME_BOUNDS[scheme]
+    rate = scheme.rate
+    t = a * ((rate - phi.alpha) if scheme.is_up else (phi.alpha - rate)) / divisor
     if t <= 0.0:
         return 0.0
     if isinstance(phi, ConstantControl):

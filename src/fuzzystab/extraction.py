@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -57,20 +58,22 @@ class Scheme(Enum):
     ADDITIVE_UP = "additive_up"
     ADDITIVE_DOWN = "additive_down"
 
-    @property
+    # Each member computes these once: the envelope reads its rate and
+    # direction at every (x, a) cell.
+    @cached_property
     def is_up(self) -> bool:
         return self in (Scheme.QUADRATIC_UP, Scheme.ADDITIVE_UP)
 
-    @property
+    @cached_property
     def is_quadratic(self) -> bool:
         return self in (Scheme.QUADRATIC_UP, Scheme.QUADRATIC_DOWN)
 
-    @property
+    @cached_property
     def value_shift(self) -> int:
         """log2 of the per-step value rescaling (2 for quadratic, 1 for additive)."""
         return 2 if self.is_quadratic else 1
 
-    @property
+    @cached_property
     def rate(self) -> float:
         """The per-step value rescaling 2^value_shift: 4 or 2."""
         return float(2**self.value_shift)

@@ -1,5 +1,6 @@
 """Every name a public ``__all__`` lists exists, every exported name has a
-caller, and no module imports another's private names.
+caller, every config knob is read by the run, and no module imports
+another's private names.
 
 A string left in ``__all__`` after its name is deleted breaks only
 ``from module import *``, which no other test does.
@@ -7,12 +8,15 @@ A string left in ``__all__`` after its name is deleted breaks only
 
 import ast
 import importlib
+import inspect
 import pkgutil
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import fuzzystab
+from fuzzystab import harness
 
 MODULES = ["fuzzystab"] + [
     f"fuzzystab.{info.name}" for info in pkgutil.iter_modules(fuzzystab.__path__)
@@ -76,3 +80,16 @@ def test_every_exported_function_has_a_caller():
     exported = {n for module in modules for n in getattr(module, "__all__", ())}
     assert UNCALLED.keys() <= exported
     assert sorted(exported - loaded - UNCALLED.keys()) == []
+
+
+def test_every_config_knob_is_read_by_the_run():
+    # a knob that run_pipeline ignores would accept a value that changes nothing
+    tree = ast.parse(inspect.getsource(harness.run_pipeline))
+    read = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        and isinstance(node.value, ast.Name) and node.value.id == "cfg"
+    }
+    knobs = {f.name for f in fields(harness.ExperimentConfig) if f.metadata}
+    assert knobs and sorted(knobs - read) == []

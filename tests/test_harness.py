@@ -29,7 +29,15 @@ from fuzzystab.harness import (
     run_pipeline,
 )
 from fuzzystab.control import THEOREMS, StabilityReport, eval_control
-from fuzzystab.spaces import AxiomCheck, FuzzyNorm, crisp_norm, euclidean_norm, log_a_grid
+from fuzzystab.spaces import (
+    AxiomCheck,
+    FuzzyNorm,
+    check_axioms,
+    crisp_norm,
+    default_axiom_samples,
+    euclidean_norm,
+    log_a_grid,
+)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -101,18 +109,6 @@ class TestConfigParsing:
         with pytest.raises(ConfigError) as err:
             ExperimentConfig.from_dict(dict(BASE, theorems=["quartic_up"]))
         assert "unknown theorem id" in str(err.value)
-
-    def test_bad_grid_bounds(self):
-        data = dict(BASE, grids={"a_min": 10.0, "a_max": 1.0})
-        with pytest.raises(ConfigError) as err:
-            ExperimentConfig.from_dict(data)
-        assert "a_max" in str(err.value)
-
-    def test_n_max_is_bounded(self):
-        data = dict(BASE, tolerances={"n_max": 2001})
-        with pytest.raises(ConfigError) as err:
-            ExperimentConfig.from_dict(data)
-        assert "tolerances.n_max" in str(err.value) and "<= 2000" in str(err.value)
 
     def test_json_parse_error_is_line_anchored(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -319,7 +315,7 @@ class TestPipeline:
         for row, check in ((scaling, "alpha_scaling"), (vanishing, "vanishing")):
             assert row == HypothesisRow("quadratic_up", f"{check}[quadratic_up]", True, 0.0, "")
             assert math.copysign(1.0, row.worst_slack) == 1.0
-        a_grid = {f"{a:g}" for a in log_a_grid(cfg.a_min, cfg.a_max, cfg.a_points)}
+        a_grid = {f"{a:g}" for a in log_a_grid(points=cfg.a_points)}
         match = re.fullmatch(r"margin (\S+) at a=(\S+)", premise.note)
         assert not premise.passed and match and match[2] in a_grid
         assert match[1] == f"{premise.worst_slack:.3e}" and premise.worst_slack < 0
@@ -485,6 +481,12 @@ class TestEmission:
         for section in ("axioms", "hypothesis", "extraction", "verification", "repair_log"):
             assert section in doc
         assert doc["exit_status"] == EXIT_OK
+
+    def test_unknown_format_makes_no_directory(self, tmp_path):
+        out = tmp_path / "new"
+        with pytest.raises(ValueError, match="unknown report format 'xml'"):
+            emit_report(RunReport(seed=0, stages=()), "xml", out)
+        assert not out.exists()
 
     def test_violation_total_of_numpy_counts_is_exact(self, tmp_path):
         big = 2**62
@@ -777,17 +779,13 @@ class TestCli:
         doc = json.loads((out / "report.json").read_text())
         assert doc["axioms"] and not doc["extraction"]
 
-    def test_check_axioms_passes_with_overflowing_thresholds(self, tmp_path):
-        # with a_max 1e308 the audit's derived thresholds overflow to inf, where
-        # the induced membership takes its limit 1
-        data = dict(BASE, function={"quad": 1.0})
-        data["grids"] = {"x_count": 6, "a_points": 7, "axiom_points": 30, "a_max": 1e308}
-        config = write_config(tmp_path, data)
-        out = tmp_path / "ax"
-        code = cli_main(["check-axioms", "--config", str(config), "--out-dir", str(out)])
-        doc = json.loads((out / "report.json").read_text())
-        assert [r for r in doc["axioms"] if not r["passed"]] == []
-        assert code == EXIT_OK
+    def test_check_axioms_passes_with_overflowing_thresholds(self):
+        # at thresholds up to 1e308 the audit's derived thresholds overflow to
+        # inf, where the induced membership takes its limit 1
+        grid = log_a_grid(1e-3, 1e308, 7)
+        points, scalars = default_axiom_samples(1, count=30, a_grid=grid)
+        checks = check_axioms(FuzzyNorm.induced(euclidean_norm), points, scalars)
+        assert [c for c in checks if not c.passed] == []
 
     def test_double_run_is_byte_identical(self, tmp_path):
         config = write_config(tmp_path, BASE)

@@ -54,8 +54,9 @@ def test_extract_down_stage_calls_f_once_per_point(monkeypatch):
     report = run_pipeline(cfg, ("extraction",))
     dim_x = cfg.space.dim_x
     assert len(report.extraction_rows) == cfg.x_count == 4000
-    # f(0) once for the offset, then one call on the stacked steps per point
-    assert shapes == [(dim_x,)] + [(cfg.n_max + 1, dim_x)] * cfg.x_count
+    # f(0) once for the offset, then one call on the stacked steps n = 0..40
+    # per point, at the default n_max of 40
+    assert shapes == [(dim_x,)] + [(41, dim_x)] * cfg.x_count
 
 
 @pytest.mark.parametrize("scheme", list(Scheme))
