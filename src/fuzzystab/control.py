@@ -478,18 +478,18 @@ def verify_stability(
     N: FuzzyNorm,
     *,
     premise_margin: Margin,
-    slack: float = MEMBERSHIP_SLACK,
 ) -> StabilityReport:
     """Verify one stability bound on an (x, a) grid.
 
     The defect hypothesis N(defect(x, y), a) >= N'(phi(x, y), a) is checked
     first: ``premise_margin`` is its ``defect_premise_margin`` result on the
-    caller's premise pairs.  If it fails anywhere the bound is not asserted
+    caller's premise pairs, and a margin below -``MEMBERSHIP_SLACK``
+    fails it.  If it fails anywhere the bound is not asserted
     and the report carries an explanatory note and empty grids.  Otherwise
     the grids hold lhs = N(component error, a) and rhs = the
     :func:`envelope` of the theorem's schemes at a for each point and
-    threshold; a slack below -``slack`` or not finite is a violation (a
-    non-finite one makes the worst slack ``-inf``).
+    threshold; a slack below -``MEMBERSHIP_SLACK`` or not finite is a
+    violation (a non-finite one makes the worst slack ``-inf``).
 
     ``components`` holds the components of the theorem's schemes, in their
     order: (Q, A) for the combined bound; each is called once per point.
@@ -502,7 +502,7 @@ def verify_stability(
     a_grid = np.asarray(a_values, dtype=float)
     lhs = rhs = np.empty((0, a_grid.size))
     worst_premise, witness = premise_margin
-    if worst_premise < -slack:
+    if worst_premise < -MEMBERSHIP_SLACK:
         note = (
             "hypothesis not satisfied: defect membership falls below the control "
             f"membership by {-worst_premise:.3e} at a={witness[2]:g} (bound not asserted)"
@@ -521,7 +521,7 @@ def verify_stability(
         )
     slacks = _slack(lhs, rhs)
     worst, _ = _first_worst(slacks) if slacks.size else (0.0, None)
-    violations = int(np.count_nonzero(~np.isfinite(slacks) | (slacks < -slack)))
+    violations = int(np.count_nonzero(~np.isfinite(slacks) | (slacks < -MEMBERSHIP_SLACK)))
     return StabilityReport(
         theorem_id, a_grid, lhs, rhs, worst, violations, True, repairs=theorem.repairs
     )

@@ -44,12 +44,11 @@ OVERFLOW_LIMIT = 1e150
 #: Down-schemes stop once the rescaled argument drops below this norm.
 UNDERFLOW_LIMIT = 1e-140
 
-#: Largest n_max.  Every argument of nonzero finite norm trips its scheme's
-#: guard before n = 1600 (2^1573 * 5e-324 > 1e150 and 2^-1490 * 1.8e308 < 1e-140).
-MAX_STEPS = 2000
+#: Stop tolerance: a run stops at the first ||v_n - v_{n-1}|| <= TOL * (1 + ||v_n||).
+TOL = 1e-9
 
-#: Steps per call of f in one extraction: n = 0..63, then 64..127 and so on.
-BLOCK_STEPS = 64
+#: Last step of a run: one call of f evaluates n = 0..N_MAX.
+N_MAX = 40
 
 
 class Scheme(Enum):
@@ -173,20 +172,21 @@ def _decay_rate(ratios: list[float]) -> float:
     return math.exp(sum(map(math.log, trimmed)) / len(trimmed))
 
 
-def _first_guard(scheme: Scheme, v: np.ndarray, x_norm: float, lo: int, hi: int) -> int | None:
-    """The first n in lo..hi at which the scheme's guard trips, or None.
+def _first_guard(scheme: Scheme, v: np.ndarray) -> int | None:
+    """The first n in 0..N_MAX at which the scheme's guard trips, or None.
 
-    The scaled argument norms are monotone in n, so step hi alone tells
+    The scaled argument norms are monotone in n, so step N_MAX alone tells
     whether any step trips, and the steps are searched only when it does.
     """
     if scheme.is_up:
-        if not euclidean_norm(np.ldexp(v, hi)) > OVERFLOW_LIMIT:
+        if not euclidean_norm(np.ldexp(v, N_MAX)) > OVERFLOW_LIMIT:
             return None
-        sizes = euclidean_norm(np.ldexp(v, np.arange(lo, hi + 1)[:, None]))
-        return lo + int(np.argmax(sizes > OVERFLOW_LIMIT))
-    if x_norm == 0.0 or not math.ldexp(x_norm, -hi) < UNDERFLOW_LIMIT:
+        sizes = euclidean_norm(np.ldexp(v, np.arange(N_MAX + 1)[:, None]))
+        return int(np.argmax(sizes > OVERFLOW_LIMIT))
+    x_norm = euclidean_norm(v)
+    if x_norm == 0.0 or not math.ldexp(x_norm, -N_MAX) < UNDERFLOW_LIMIT:
         return None
-    n = max(lo, 1)
+    n = 1
     while not math.ldexp(x_norm, -n) < UNDERFLOW_LIMIT:
         n += 1
     return n
@@ -215,17 +215,11 @@ def _stop_kind(diff: float, size: float, rows: np.ndarray) -> str:
     return ""
 
 
-def extract_limit(
-    scheme: Scheme,
-    f: VectorFunction,
-    x: np.ndarray,
-    tol: float = 1e-9,
-    n_max: int = 40,
-) -> ExtractionResult:
-    """Run the scheme until the relative successive difference drops below tol.
+def extract_limit(scheme: Scheme, f: VectorFunction, x: np.ndarray) -> ExtractionResult:
+    """Run the scheme until the relative successive difference drops below TOL.
 
-    Stops at the first n with ||v_n - v_{n-1}|| <= tol * (1 + ||v_n||), or at
-    n_max with ``converged=False``.  A non-finite iterate stops the run at its
+    Stops at the first n with ||v_n - v_{n-1}|| <= TOL * (1 + ||v_n||), or at
+    N_MAX with ``converged=False``.  A non-finite iterate stops the run at its
     n with ``converged=False`` and is the reported limit; so does a finite
     iterate whose norm, or whose difference from the previous iterate,
     overflows.  ``ratio_estimate``
@@ -236,82 +230,57 @@ def extract_limit(
     near 1/4 (1/2) marks clean geometric decay of the quadratic (additive)
     defect, a value >= 1 marks divergence.
 
-    The iterates come in blocks of ``BLOCK_STEPS`` steps, n = 0..63, then
-    64..127 and so on, each from one :func:`iterate` call, so ``f`` must
-    map points ``(..., dim_x)`` to ``(..., dim_y)`` row by row.  A block
-    is cut before the first step that trips the overflow (up-schemes) or
-    underflow (down-schemes) guard, and is evaluated only if no stop came
-    in the blocks before it; so any ``n_max`` below ``BLOCK_STEPS`` takes
-    one call of ``f``.  The result equals the step-by-step loop bit for
-    bit, and :class:`ScaleError` is raised only if no stop comes before
-    the overflow guard.
+    The iterates n = 0..N_MAX come from one :func:`iterate` call, so ``f``
+    must map points ``(..., dim_x)`` to ``(..., dim_y)`` row by row.  The
+    call is cut before the first step that trips the overflow (up-schemes)
+    or underflow (down-schemes) guard, and is not made when the overflow
+    guard trips at n = 0.  The result equals the step-by-step loop bit for
+    bit, and :class:`ScaleError` is raised only if no stop comes before the
+    overflow guard.
     """
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
-    if n_max < 2:
-        raise ValueError("n_max must be >= 2")
-    if n_max > MAX_STEPS:
-        raise ValueError(f"n_max must be <= {MAX_STEPS}")
     v = np.asarray(x, dtype=float)
     if v.ndim == 0:
         v = v.reshape(1)
-
-    blocks = []  # the evaluated iterates, one array per block
-    recorded: list[float] = []  # the successive differences up to the stop
-    converged = False
-    reason = ""
-    n_used = guard = None
     # Rows past the stop may overflow or hold inf - inf; they are never
     # reported, and the rows up to the stop are screened by the tests below.
     with np.errstate(all="ignore"):
-        x_norm = math.sqrt(v.dot(v))  # np.linalg.norm(v), for the underflow guard
-        for lo in range(0, n_max + 1, BLOCK_STEPS):
-            hi = min(lo + BLOCK_STEPS, n_max + 1)
-            guard = _first_guard(scheme, v, x_norm, lo, hi - 1)
-            if guard == lo:
-                break
-            rows = iterate(scheme, f, v, np.arange(lo, hi if guard is None else guard))
-            # seq[0] is step n0; diffs[j] and sizes[j] belong to n = n0 + j + 1.
-            seq = np.concatenate((blocks[-1][-1:], rows)) if blocks else rows
-            n0 = max(lo - 1, 0)
-            blocks.append(rows)
-            k = len(seq) - 1
-            # Each row is normed alone, so stacking keeps every row's bits.
-            norms = euclidean_norm(np.concatenate((seq[1:] - seq[:-1], seq))).tolist()
-            diffs, sizes = norms[:k], norms[k + 1 :]
-            # The first iterate has no difference, so only a non-finite entry
-            # stops the run there; a finite norm screens that test.
-            if not lo and not math.isfinite(norms[k]) and (kind := _stop_kind(0.0, 0.0, rows[:1])):
-                n_used, reason = 0, f"{kind} at n=0"
-                break
-            j = _first_stop(diffs, sizes, tol)
-            recorded += diffs[:j]
-            if j < k:
-                n_used = n0 + j + 1
-                reason = _stop_kind(diffs[j], sizes[j], seq[j : j + 2])
-                if reason:
-                    reason = f"{reason} at n={n_used}"
-                else:
-                    # only a converged stop records its difference
-                    converged = True
-                    recorded.append(diffs[j])
-                break
-            if guard is not None:
-                break
-
-    if n_used is None:
-        if guard is None:
-            n_used = n_max
-        elif scheme.is_up:
+        guard = _first_guard(scheme, v)
+        if guard == 0:
             raise _overflow_error(scheme, v, guard)
+        rows = iterate(scheme, f, v, np.arange(N_MAX + 1 if guard is None else guard))
+        k = len(rows) - 1
+        # Each row is normed alone, so stacking keeps every row's bits.
+        norms = euclidean_norm(np.concatenate((rows[1:] - rows[:-1], rows))).tolist()
+    # diffs[j] and sizes[j] belong to n = j + 1.
+    diffs, sizes = norms[:k], norms[k + 1 :]
+    j = _first_stop(diffs, sizes, TOL)
+    recorded = diffs[:j]  # the successive differences up to the stop
+    converged = False
+    reason = ""
+    # The first iterate has no difference, so only a non-finite entry stops
+    # the run there (and then j is 0); a finite norm screens that test.
+    if not math.isfinite(norms[k]) and (kind := _stop_kind(0.0, 0.0, rows[:1])):
+        n_used, reason = 0, f"{kind} at n=0"
+    elif j < k:
+        n_used = j + 1
+        reason = _stop_kind(diffs[j], sizes[j], rows[j : j + 2])
+        if reason:
+            reason = f"{reason} at n={n_used}"
         else:
-            n_used = guard - 1
-            reason = f"rescaled argument below {UNDERFLOW_LIMIT:.0e} at n={guard}"
+            # only a converged stop records its difference
+            converged = True
+            recorded.append(diffs[j])
+    elif guard is None:
+        n_used = N_MAX
+    elif scheme.is_up:
+        raise _overflow_error(scheme, v, guard)
+    else:
+        n_used = guard - 1
+        reason = f"rescaled argument below {UNDERFLOW_LIMIT:.0e} at n={guard}"
 
     ratio_estimate = _decay_rate([b / a for a, b in zip(recorded, recorded[1:]) if a > 0.0])
-    # The result owns a copy of the reported rows, so the blocks are freed
-    # on return.
-    rows = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    # The result owns a copy of the reported rows, so the evaluated ones are
+    # freed on return.
     trail = rows[: n_used + 1].copy()
     return ExtractionResult(
         limit_value=trail[-1],
@@ -329,11 +298,9 @@ class ExtractedComponent:
 
     scheme: Scheme
     source: VectorFunction
-    tol: float
-    n_max: int
 
     def extraction_at(self, x: np.ndarray) -> ExtractionResult:
-        return extract_limit(self.scheme, self.source, x, tol=self.tol, n_max=self.n_max)
+        return extract_limit(self.scheme, self.source, x)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         v = np.atleast_1d(np.asarray(x, dtype=float))
@@ -347,8 +314,6 @@ def extract_components(
     f: TestFunction,
     schemes: Sequence[Scheme],
     xs: Sequence[np.ndarray],
-    tol: float = 1e-9,
-    n_max: int = 40,
 ) -> tuple[tuple[ExtractedComponent, ...], tuple[tuple[ExtractionResult, ...], ...]]:
     """Components of the offset-free f, one per scheme, and their extraction
     at every sample point.
@@ -366,10 +331,7 @@ def extract_components(
         sources = (f,)
     else:
         raise ValueError("expected one scheme, or a quadratic and an additive scheme")
-    components = tuple(
-        ExtractedComponent(scheme, source, tol=tol, n_max=n_max)
-        for scheme, source in zip(schemes, sources)
-    )
+    components = tuple(map(ExtractedComponent, schemes, sources))
     results = []
     for component in components:
         results.append([])

@@ -143,12 +143,14 @@ def _array(value, loc: str, shape: tuple[int, ...], what: str) -> np.ndarray | N
     if value is None:
         return None
 
-    def read(v, at: str):
-        if isinstance(v, list):
-            return [read(item, f"{at}[{i}]") for i, item in enumerate(v)]
-        return _number(v, at)
+    def read(v, at: str, depth: int):
+        if not isinstance(v, list):
+            return _number(v, at)
+        if depth == len(shape):  # too deep: keep only the length, for the shape error
+            return [0.0] * len(v)
+        return [read(item, f"{at}[{i}]", depth + 1) for i, item in enumerate(v)]
 
-    entries = read(value, loc)
+    entries = read(value, loc, 0)
     try:
         arr = np.array(entries, dtype=float)
     except ValueError:  # nested lists of unequal lengths
@@ -337,7 +339,7 @@ class ExperimentConfig:
             return cls.from_dict(data, source=str(path))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}", exc.msg) from exc
-        except RecursionError:  # in the parser, or in reading a nested array
+        except RecursionError:  # in the parser
             raise ConfigError(str(path), "cannot read config: nested too deeply") from None
 
 

@@ -36,7 +36,7 @@ __all__ = [
 #: Membership comparisons treat differences below this as rounding noise.
 MEMBERSHIP_SLACK = 1e-12
 
-#: Default tolerance of the N5 probe: memberships at a large threshold exceed 1 - tolerance.
+#: Tolerance of the N5 probe: memberships at a large threshold exceed 1 - FUZZY_TOLERANCE.
 FUZZY_TOLERANCE = 0.01
 
 #: Largest membership change the N6 probe allows for a threshold change of 1e-7.
@@ -266,9 +266,6 @@ def check_axioms(
     norm: FuzzyNorm,
     sample_points: Sequence[tuple[np.ndarray, float]],
     scalar_samples: Sequence[float],
-    *,
-    slack: float = MEMBERSHIP_SLACK,
-    tolerance: float = FUZZY_TOLERANCE,
 ) -> tuple[AxiomCheck, ...]:
     """Audit the six axioms of a fuzzy norm at sample points: one check per
     axiom, N1 to N6 in order.
@@ -278,6 +275,9 @@ def check_axioms(
     finite differences and reported as ``sampled``.  Degenerate samples
     (e.g. no positive thresholds) produce a note, not a failure.  A
     non-finite membership is a violation of the axiom that evaluated it.
+    Memberships that differ by at most ``MEMBERSHIP_SLACK`` count as equal,
+    and N5 asks each sample vector's membership at a threshold beyond every
+    sampled one, scaled by its norm, to exceed 1 - ``FUZZY_TOLERANCE``.
     """
     if not sample_points:
         raise ValueError("sample_points must be non-empty")
@@ -299,21 +299,21 @@ def check_axioms(
         [np.zeros_like(thresholds), np.full_like(thresholds, -1.0), -np.abs(thresholds)], axis=1
     )
     m = t.evaluated(norm.memberships(vectors[:, None, :], nonpositive))
-    t.slack(-m, m > slack)
+    t.slack(-m, m > MEMBERSHIP_SLACK)
     checks.append(t.check("N1"))
 
     # N2: membership 1 at the origin for every positive threshold, and
     # below 1 somewhere for every nonzero sample vector.
     t = _Tally()
     m = t.evaluated(norm.memberships(np.zeros(xs.shape[1]), pos_a))
-    t.slack(m - 1.0, m < 1.0 - slack)
+    t.slack(m - 1.0, m < 1.0 - MEMBERSHIP_SLACK)
     nonzero = np.any(xs, axis=1)
     if pos_a.size:
         m_min = t.evaluated(grid[nonzero]).min(axis=1)
     else:
         m_min = np.ones(np.count_nonzero(nonzero))
-    never_below_one = m_min >= 1.0 - slack
-    t.slack(np.where(never_below_one, (1.0 - m_min) - slack, 0.0), never_below_one)
+    never_below_one = m_min >= 1.0 - MEMBERSHIP_SLACK
+    t.slack(np.where(never_below_one, (1.0 - m_min) - MEMBERSHIP_SLACK, 0.0), never_below_one)
     checks.append(t.check("N2", "" if pos_a.size else "degenerate: no positive thresholds sampled"))
 
     # N3: scaling the vector rescales the threshold, N(cx, b) = N(x, b/|c|).
@@ -323,7 +323,7 @@ def check_axioms(
     scaled = t.evaluated(norm.memberships((c * xs)[:, :, None, :], pos_a))
     rescaled = t.evaluated(norm.memberships(xs[:, None, :], pos_a / np.abs(c)))
     diff = np.abs(scaled - rescaled)
-    t.slack(-diff, diff > slack)
+    t.slack(-diff, diff > MEMBERSHIP_SLACK)
     checks.append(t.check("N3", "" if c.size else "degenerate: no usable nonzero scalars"))
 
     # N4: triangle-min inequality over every sampled pair, in bounded blocks of
@@ -337,16 +337,17 @@ def check_axioms(
         rows = slice(i, i + step)
         m = t.evaluated(norm.memberships(px[rows, None, :] + px, pa[rows, None] + pa))
         margin = m - np.minimum(own[rows, None], own)
-        t.slack(margin, margin < -slack)
+        t.slack(margin, margin < -MEMBERSHIP_SLACK)
     checks.append(t.check("N4"))
 
     # N5: monotone in the threshold, approaching 1 for large thresholds.
     t = _Tally()
     t.evaluated(grid)
-    t.slack(grid[:, 1:] - grid[:, :-1], grid[:, 1:] < grid[:, :-1] - slack)
+    t.slack(grid[:, 1:] - grid[:, :-1], grid[:, 1:] < grid[:, :-1] - MEMBERSHIP_SLACK)
     if pos_a.size:
-        big = pos_a[-1] * (1.0 + euclidean_norm(xs))
-        margin = t.evaluated(norm.memberships(xs, big)) - (1.0 - tolerance)
+        # sized by the norm under audit; a custom evaluator has none to use
+        big = pos_a[-1] * (1.0 + (norm.crisp or euclidean_norm)(xs))
+        margin = t.evaluated(norm.memberships(xs, big)) - (1.0 - FUZZY_TOLERANCE)
         t.slack(margin, margin < 0.0)
     checks.append(t.check("N5"))
 

@@ -95,7 +95,7 @@ def test_criterion_1_exact_solution_residual():
 
 def test_criterion_2_axiom_suite():
     points, scalars = default_axiom_samples(dim=2, count=200, seed=12)
-    checks = check_axioms(FuzzyNorm.induced(), points, scalars, slack=1e-12)
+    checks = check_axioms(FuzzyNorm.induced(), points, scalars)
     report = {c.axiom: c for c in checks}
     checked_ok = all(
         report[a].passed and report[a].violations == 0 for a in ("N1", "N2", "N3", "N4", "N5")
@@ -108,7 +108,7 @@ def test_criterion_3_geometric_convergence():
     f = TestFunction.scalar(quad=1.0, perturbations=(Perturbation(shape="sin", amplitude=0.1),))
     ratios, errors = [], []
     for x in np.linspace(0.5, 3.0, 10):
-        r = extract_limit(Scheme.QUADRATIC_UP, f, V(x), tol=1e-9, n_max=40)
+        r = extract_limit(Scheme.QUADRATIC_UP, f, V(x))
         assert r.converged
         ratios.append(r.ratio_estimate)
         errors.append(abs(r.limit_value[0] - x * x))
@@ -146,8 +146,8 @@ def test_criterion_4_component_recovery():
 
 
 def test_criterion_5_limit_laws():
-    q = ExtractedComponent(scheme=Scheme.QUADRATIC_UP, source=QUAD_COS, tol=1e-9, n_max=40)
-    a = ExtractedComponent(scheme=Scheme.ADDITIVE_UP, source=LIN_SIN, tol=1e-9, n_max=40)
+    q = ExtractedComponent(scheme=Scheme.QUADRATIC_UP, source=QUAD_COS)
+    a = ExtractedComponent(scheme=Scheme.ADDITIVE_UP, source=LIN_SIN)
     pairs = [(0.5, 0.8), (1.0, 1.0), (1.5, -0.7), (2.0, 0.3)]
     worst_q = max(euclidean_norm(residual_quadratic(q, V(x), V(y))) for x, y in pairs)
     worst_a = max(euclidean_norm(residual_additive(a, V(x), V(y))) for x, y in pairs)

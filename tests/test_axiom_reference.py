@@ -43,8 +43,6 @@ def reference_check_axioms(
     sample_points: Sequence[tuple[np.ndarray, float]],
     scalar_samples: Sequence[float],
     *,
-    slack: float = MEMBERSHIP_SLACK,
-    tolerance: float = FUZZY_TOLERANCE,
     continuity_jump: float = 1e-3,
 ) -> tuple[AxiomCheck, ...]:
     """Scalar loop form of :func:`fuzzystab.spaces.check_axioms`, one
@@ -66,7 +64,7 @@ def reference_check_axioms(
         for a_neg in (0.0, -1.0, -abs(a)):
             m = norm(x, a_neg)
             worst = min(worst, -m)
-            if m > slack:
+            if m > MEMBERSHIP_SLACK:
                 bad += 1
     checks.append(AxiomCheck("N1", bad == 0, bad, worst))
 
@@ -80,15 +78,15 @@ def reference_check_axioms(
     for a in pos_a:
         m = norm(zero, a)
         worst = min(worst, m - 1.0)
-        if m < 1.0 - slack:
+        if m < 1.0 - MEMBERSHIP_SLACK:
             bad += 1
     for x in xs:
         if not np.any(x):
             continue
         m_min = min(norm(x, a) for a in pos_a) if pos_a else 1.0
-        if m_min >= 1.0 - slack:
+        if m_min >= 1.0 - MEMBERSHIP_SLACK:
             bad += 1
-            worst = min(worst, (1.0 - m_min) - slack)
+            worst = min(worst, (1.0 - m_min) - MEMBERSHIP_SLACK)
     checks.append(AxiomCheck("N2", bad == 0, bad, worst, note=note))
 
     # N3: scaling the vector rescales the threshold, N(cx, b) = N(x, b/|c|).
@@ -103,7 +101,7 @@ def reference_check_axioms(
             for b in pos_a:
                 diff = abs(norm(c * x, b) - norm(x, b / abs(c)))
                 worst = min(worst, -diff)
-                if diff > slack:
+                if diff > MEMBERSHIP_SLACK:
                     bad += 1
     checks.append(AxiomCheck("N3", bad == 0, bad, worst, note=note))
 
@@ -115,7 +113,7 @@ def reference_check_axioms(
         for y, b in pos_pts:
             margin = norm(x + y, a + b) - min(norm(x, a), norm(y, b))
             worst = min(worst, margin)
-            if margin < -slack:
+            if margin < -MEMBERSHIP_SLACK:
                 bad += 1
     checks.append(AxiomCheck("N4", bad == 0, bad, worst))
 
@@ -126,11 +124,11 @@ def reference_check_axioms(
         ms = [norm(x, a) for a in pos_a]
         for lo, hi in zip(ms, ms[1:]):
             worst = min(worst, hi - lo)
-            if hi < lo - slack:
+            if hi < lo - MEMBERSHIP_SLACK:
                 bad += 1
         if pos_a:
-            big = max(pos_a) * (1.0 + euclidean_norm(x))
-            margin = norm(x, big) - (1.0 - tolerance)
+            big = max(pos_a) * (1.0 + (norm.crisp or euclidean_norm)(x))
+            margin = norm(x, big) - (1.0 - FUZZY_TOLERANCE)
             worst = min(worst, margin)
             if margin < 0.0:
                 bad += 1

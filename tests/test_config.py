@@ -44,6 +44,14 @@ def one_dim_coords(**entry):
     return edited("function", {"coords": [entry]})
 
 
+def nested(depth: int):
+    """1.0 inside ``depth`` one-item lists."""
+    value = 1.0
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
 # One case for each place the reader raised a ConfigError before it became
 # table-driven, plus the location formats of a nested missing key and of a
 # float bound.  Each input has exactly one fault.
@@ -78,6 +86,12 @@ PINNED = {
         one_dim_coords(quad=[[1.0, 2.0]]),
         "config: function.coords[0].quad",
         "expected a 1x1 matrix, got shape (1, 2)",
+    ),
+    # a 1x1 matrix is read two lists deep, however deep the lists go
+    "matrix_nested_too_deeply": (
+        one_dim_coords(quad=nested(2000)),
+        "config: function.coords[0].quad",
+        "expected a 1x1 matrix, got shape (1, 1, 1)",
     ),
     "vector_shape": (
         one_dim_coords(linear=[1.0, 2.0]),
@@ -371,9 +385,6 @@ def test_unknown_keys_are_rejected(tmp_path, capsys, data, key):
 UNDECODABLE = {
     "not_utf8": b"\xff",
     "nested_too_deeply": b"[" * 100_000 + b"]" * 100_000,
-    "array_nested_too_deeply": json.dumps(
-        edited("function", {"coords": [{"quad": None}]})
-    ).replace("null", "[" * 900 + "1.0" + "]" * 900).encode(),
 }
 
 
@@ -387,6 +398,13 @@ def test_cli_undecodable_config_exits_two(tmp_path, capsys, content):
     assert err.startswith(f"config error: {path}: cannot read config: ")
     assert err.count("\n") == 1 and err.endswith("\n")
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_matrix_nested_too_deeply_exits_two(tmp_path, capsys):
+    # deep enough for the JSON parser, and read only to the matrix's depth
+    code, err = run_cli(tmp_path, one_dim_coords(quad=nested(900)), capsys)
+    reason = "expected a 1x1 matrix, got shape (1, 1, 1)"
+    assert (code, err) == (EXIT_CONFIG, f"config error: config: function.coords[0].quad: {reason}\n")
 
 
 # Keys the run would otherwise drop or repeat without a word: the shorthand

@@ -365,7 +365,7 @@ class TestVerifyStability:
     A_VALUES = log_a_grid(1e-3, 1e3, 9)
 
     def _component(self, f, scheme=Scheme.QUADRATIC_UP):
-        return ExtractedComponent(scheme=scheme, source=f, tol=1e-9, n_max=40)
+        return ExtractedComponent(scheme=scheme, source=f)
 
     def test_exact_solution_yields_zero_violations(self):
         f = TestFunction.scalar(quad=1.0)

@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_extraction_oracle import cases as oracle_cases
+from test_extraction_reference import AT_TOL
 
 from fuzzystab import extraction
 from fuzzystab.errors import ScaleError
 from fuzzystab.extraction import (
-    MAX_STEPS,
+    N_MAX,
+    TOL,
     Scheme,
     extract_components,
     extract_limit,
@@ -136,7 +138,7 @@ class TestIterate:
 
 class TestExtractLimit:
     def test_perturbed_quadratic_converges_to_square(self):
-        r = extract_limit(Scheme.QUADRATIC_UP, SQUARE_SIN, V(1), tol=1e-9, n_max=40)
+        r = extract_limit(Scheme.QUADRATIC_UP, SQUARE_SIN, V(1))
         assert r.converged
         assert abs(r.limit_value[0] - 1.0) <= 1e-9
         assert 0.15 <= r.ratio_estimate <= 0.35
@@ -145,7 +147,7 @@ class TestExtractLimit:
         # The stop at step n leaves |limit - 2| = 0.1 |sin(2^n)| / 2^n <= 0.1 / 2^n,
         # with n >= 20 for tol 1e-9, hence a 1e-7 cap.
         f = TestFunction.scalar(linear=2.0, perturbations=(Perturbation(shape="sin", amplitude=0.1),))
-        r = extract_limit(Scheme.ADDITIVE_UP, f, V(1), tol=1e-9, n_max=40)
+        r = extract_limit(Scheme.ADDITIVE_UP, f, V(1))
         assert r.converged
         assert r.n_used >= 20
         assert abs(r.limit_value[0] - 2.0) <= 0.1 / 2.0**r.n_used * 2
@@ -153,37 +155,37 @@ class TestExtractLimit:
         assert 0.35 <= r.ratio_estimate <= 0.65
 
     def test_exact_quadratic_converges_immediately_under_down_scheme(self):
-        r = extract_limit(Scheme.QUADRATIC_DOWN, SQUARE, V(1), tol=1e-9, n_max=40)
+        r = extract_limit(Scheme.QUADRATIC_DOWN, SQUARE, V(1))
         assert r.converged
         assert r.n_used == 1
         assert r.limit_value[0] == 1.0
         assert r.ratio_estimate == 0.0
 
     def test_stop_rule_is_relative_successive_difference(self):
-        r = extract_limit(Scheme.QUADRATIC_UP, SQUARE_SIN, V(1), tol=1e-9, n_max=40)
+        r = extract_limit(Scheme.QUADRATIC_UP, SQUARE_SIN, V(1))
         values = dict(enumerate(r.iterates))
         gap = np.linalg.norm(values[r.n_used] - values[r.n_used - 1])
         assert gap <= 1e-9 * (1.0 + np.linalg.norm(r.limit_value))
 
     def test_annihilation_of_additive_part_with_exact_half_ratio(self):
-        r = extract_limit(Scheme.QUADRATIC_UP, LINE, V(1), tol=1e-9, n_max=40)
+        r = extract_limit(Scheme.QUADRATIC_UP, LINE, V(1))
         assert r.converged
         assert abs(r.limit_value[0]) <= 1e-8
         assert r.ratio_estimate == 0.5
 
     def test_quadratic_part_diverges_under_additive_scheme(self):
-        r = extract_limit(Scheme.ADDITIVE_UP, SQUARE, V(1), tol=1e-9, n_max=40)
+        r = extract_limit(Scheme.ADDITIVE_UP, SQUARE, V(1))
         assert not r.converged
         assert r.ratio_estimate == 2.0
 
     def test_nonconvergence_is_a_result_not_an_error(self):
-        r = extract_limit(Scheme.ADDITIVE_UP, SQUARE, V(1), tol=1e-9, n_max=5)
+        r = extract_limit(Scheme.ADDITIVE_UP, SQUARE, V(1))
         assert not r.converged
-        assert r.n_used == 5
+        assert r.n_used == N_MAX
 
     def test_ratio_estimate_in_unit_interval_when_converged(self):
         for x in np.linspace(0.5, 3.0, 7):
-            r = extract_limit(Scheme.QUADRATIC_UP, SQUARE_SIN, V(x), tol=1e-9, n_max=40)
+            r = extract_limit(Scheme.QUADRATIC_UP, SQUARE_SIN, V(x))
             assert r.converged
             assert 0.0 <= r.ratio_estimate < 1.0
 
@@ -191,7 +193,7 @@ class TestExtractLimit:
         # constant term blows up under the down-scheme, so the stop rule never
         # fires and the shrinking argument trips the denormal guard instead
         f = TestFunction.scalar(quad=1.0, const=1.0)
-        r = extract_limit(Scheme.QUADRATIC_DOWN, f, V(1e-135), tol=1e-9, n_max=40)
+        r = extract_limit(Scheme.QUADRATIC_DOWN, f, V(1e-135))
         assert r.stopped_reason != ""
         assert not r.converged
         assert np.isfinite(r.limit_value).all()
@@ -202,7 +204,7 @@ class TestExtractLimit:
         # 1e308 x^2 is finite at 1.2 and overflows at 2.4 (n=1) and at 1.9 (n=0)
         f = TestFunction.scalar(quad=1e308)
         with np.errstate(over="ignore"):
-            r = extract_limit(Scheme.QUADRATIC_UP, f, V(x), tol=1e-9, n_max=40)
+            r = extract_limit(Scheme.QUADRATIC_UP, f, V(x))
         assert not r.converged
         assert r.n_used == n
         assert r.stopped_reason == f"non-finite iterate at n={n}"
@@ -220,17 +222,12 @@ class TestExtractLimit:
     )
     def test_overflowing_norm_stops_unconverged(self, scheme, limit):
         with np.errstate(over="ignore"):
-            r = extract_limit(scheme, TestFunction.scalar(quad=1e200), V(1), tol=1e-9, n_max=40)
+            r = extract_limit(scheme, TestFunction.scalar(quad=1e200), V(1))
         assert not r.converged
         assert r.n_used == 1
         assert r.stopped_reason == "iterate norm overflows at n=1"
         assert r.limit_value[0] == limit
         assert r.ratio_estimate == 0.0
-
-    def test_n_max_bounds(self):
-        for n_max in (1, MAX_STEPS + 1):
-            with pytest.raises(ValueError, match="n_max"):
-                extract_limit(Scheme.QUADRATIC_UP, SQUARE, V(1), n_max=n_max)
 
     def test_source_must_map_stacked_points_row_by_row(self):
         # a scalar-valued source would turn the stack of iterates into one vector
@@ -291,10 +288,10 @@ class TestFixedPointProperty:
 UP_PAIR = (Scheme.QUADRATIC_UP, Scheme.ADDITIVE_UP)
 
 
-def split(f, xs=(), **stop):
+def split(f, xs=()):
     """f(0), the (Q, A) components of f - f(0), and their results at ``xs``."""
     shifted, f0 = remove_offset(f)
-    components, results = extract_components(shifted, UP_PAIR, xs, **stop)
+    components, results = extract_components(shifted, UP_PAIR, xs)
     return f0, components, results
 
 
@@ -319,7 +316,7 @@ class TestExtractComponents:
         f = TestFunction.scalar(
             quad=1.0, perturbations=(Perturbation(shape="cos", amplitude=0.01),)
         )
-        _, (q, a), _ = split(f, (V(1),), tol=1e-9, n_max=25)
+        _, (q, a), _ = split(f, (V(1),))
         assert abs(q(V(1))[0] - 1.0) <= 1e-6
         assert abs(a(V(1))[0]) <= 1e-9
 
@@ -443,14 +440,14 @@ class TestUniquenessCrosscheck:
             uniqueness_crosscheck(Scheme.QUADRATIC_UP, SQUARE, V(1), (10, 14), window)
 
 
-def assert_window_follows_run(scheme, f, x, tol):
+def assert_window_follows_run(scheme, f, x):
     """The window (n_used - 1, n_used) decides as the run's own stop did."""
     with np.errstate(over="ignore", invalid="ignore"):
-        r = extract_limit(scheme, f, x, tol=tol)
+        r = extract_limit(scheme, f, x)
     if r.n_used == 0:
         return
     window = (r.n_used - 1, r.n_used)
-    res = uniqueness_crosscheck(scheme, f, x, window, window, tol=tol)
+    res = uniqueness_crosscheck(scheme, f, x, window, window, tol=TOL)
     assert (res.limit_1 is not None) == r.converged, (r, res)
     if r.converged:
         assert res.limit_1.tobytes() == r.limit_value.tobytes()
@@ -461,22 +458,22 @@ def assert_window_follows_run(scheme, f, x, tol):
 
 @pytest.mark.parametrize("scheme", list(Scheme))
 @pytest.mark.parametrize(
-    "f, x, tol",
+    "f, x",
     [
         # non-finite iterates, as in test_non_finite_iterate_stops_unconverged
-        (TestFunction.scalar(quad=1e308), V(1.2), 1e-9),
+        (TestFunction.scalar(quad=1e308), V(1.2)),
         # overflowing norms, as in test_overflowing_norm_stops_unconverged
-        (TestFunction.scalar(quad=1e200), V(1), 1e-9),
+        (TestFunction.scalar(quad=1e200), V(1)),
         # under additive_up the difference at n = 1 equals its bound
-        (TestFunction.scalar(linear=1.0, const=1.0), V(0.5), 0.25),
+        (TestFunction.scalar(const=2.0 * AT_TOL), V(0.5)),
     ],
 )
-def test_window_stops_by_the_extraction_rule(scheme, f, x, tol):
-    assert_window_follows_run(scheme, f, x, tol)
+def test_window_stops_by_the_extraction_rule(scheme, f, x):
+    assert_window_follows_run(scheme, f, x)
 
 
 @settings(max_examples=100, deadline=None)
 @given(case=oracle_cases(), scheme=st.sampled_from(list(Scheme)))
 def test_window_stops_by_the_extraction_rule_on_oracle_functions(case, scheme):
-    f, *_, x, tol = case
-    assert_window_follows_run(scheme, f, x, tol)
+    f, *_, x = case
+    assert_window_follows_run(scheme, f, x)

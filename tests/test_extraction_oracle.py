@@ -23,16 +23,16 @@ Tolerances, at the reported step n = ``n_used``:
   amp (sin) or amp/2 (rational) under additive_up, and from the Taylor
   remainders amp·q⁴/24 (cos), amp·|q|³/6 (sin) and amp·|q|³ (rational) for
   the down-schemes.
-* From ``tol``, for the down-schemes: with |q| ≤ 1/2 the remainder
+* From ``TOL``, for the down-schemes: with |q| ≤ 1/2 the remainder
   R_n = C(t)/4ⁿ has C(t) within a few percent of its t → 0 value, so the
   last difference R_{n−1} − R_n is at least 2.2·|R_n| (3·|R_n| at rate 1/4
   exactly, that is |R_n| = diff·r/(1 − r)).  The stop rule accepts
-  diff ≤ tol·(1 + ‖v_n‖), so |R_n| ≤ tol·(1 + ‖v_n‖)/2, plus the rounding
+  diff ≤ TOL·(1 + ‖v_n‖), so |R_n| ≤ TOL·(1 + ‖v_n‖)/2, plus the rounding
   below counted twice for the two iterates in the difference.  The
   up-schemes get no such bound: their remainders oscillate, and the stop
   rule can accept two nearly equal iterates far from the limit (for x² +
   0.1(cos x − 1) at x = 0.01, quadratic_up stops at n = 1 about 5e-6 from
-  the limit with tol 1e-9), so only the a-priori bound holds there.
+  the limit), so only the a-priori bound holds there.
 * Rounding: the polynomial part is a fixed point of every scheme bit for
   bit, and each evaluation rounds at the scale S of the summed terms, so
   ρ = 16·ε·S with ε = 2⁻⁵².  quadratic_down also multiplies the rounding of
@@ -49,7 +49,7 @@ import numpy as np
 from hypothesis import given, settings, target
 from hypothesis import strategies as st
 
-from fuzzystab.extraction import Scheme, extract_components
+from fuzzystab.extraction import TOL, Scheme, extract_components
 from fuzzystab.funceq import CoordinatePoly, Perturbation, TestFunction, remove_offset
 
 EPS = 2.0**-52
@@ -90,8 +90,7 @@ def cases(draw):
         dim_x=dim_x,
     )
     x = vector(entries, dim_x)
-    tol = draw(st.sampled_from([1e-5, 1e-6, 1e-7, 1e-8]))
-    return f, quads, linears, even, odd, x, tol
+    return f, quads, linears, even, odd, x
 
 
 def amplitude(p: Perturbation, dim_y: int) -> np.ndarray:
@@ -115,7 +114,7 @@ def check(result, expected, bound, label):
 @settings(max_examples=200, deadline=None)
 @given(case=cases(), down=st.booleans())
 def test_schemes_reach_their_closed_form_limits(case, down):
-    f, quads, linears, even, odd, x, tol = case
+    f, quads, linears, even, odd, x = case
     dim_y = len(quads)
     schemes = (
         (Scheme.QUADRATIC_DOWN, Scheme.ADDITIVE_DOWN)
@@ -123,7 +122,7 @@ def test_schemes_reach_their_closed_form_limits(case, down):
         else (Scheme.QUADRATIC_UP, Scheme.ADDITIVE_UP)
     )
     shifted, _ = remove_offset(f)
-    _, ((q_result,), (a_result,)) = extract_components(shifted, schemes, [x], tol=tol, n_max=40)
+    _, ((q_result,), (a_result,)) = extract_components(shifted, schemes, [x])
 
     quad = np.array([x @ q @ x for q in quads])
     lin = np.array([w @ x for w in linears])
@@ -158,5 +157,5 @@ def test_schemes_reach_their_closed_form_limits(case, down):
             c = abs(q_odd) ** 3 / 6.0 if odd.shape == "sin" else abs(q_odd) ** 3
             remainder = a_odd * c / 4.0**n
         check(result, expected, remainder + rounding, f"{result_scheme} a priori")
-        stop_bound = tol * (1.0 + math.sqrt(float(expected @ expected))) / 2.0
-        check(result, expected, stop_bound + 3.0 * rounding, f"{result_scheme} from tol")
+        stop_bound = TOL * (1.0 + math.sqrt(float(expected @ expected))) / 2.0
+        check(result, expected, stop_bound + 3.0 * rounding, f"{result_scheme} from TOL")

@@ -2,13 +2,13 @@
 
 ``reference_extract_limit`` is the loop that ``extract_limit`` replaced: it
 evaluates one iterate per step through ``reference_iterate`` and applies the
-stop rule step by step.  ``extract_limit`` evaluates the iterates in blocks
-of ``BLOCK_STEPS`` steps, one call of ``f`` per block, and finds the stop
-with array tests.  It must reproduce the loop exactly: the limit and every
-iterate by bytes, ``n_used``, ``converged``, ``stopped_reason``, the bits of
+stop rule step by step.  ``extract_limit`` evaluates the iterates
+n = 0..N_MAX in one call of ``f`` and finds the stop with array tests.  It
+must reproduce the loop exactly: the limit and every iterate by bytes,
+``n_used``, ``converged``, ``stopped_reason``, the bits of
 ``ratio_estimate``, and the ``ScaleError`` (step and message) when the loop
 reaches the overflow guard.  ``f`` must never be called at or beyond a
-guard, nor on a block that starts after the loop's last step.
+guard.
 """
 
 import math
@@ -20,9 +20,9 @@ from hypothesis import strategies as st
 
 from fuzzystab.errors import ScaleError
 from fuzzystab.extraction import (
-    BLOCK_STEPS,
-    MAX_STEPS,
+    N_MAX,
     OVERFLOW_LIMIT,
+    TOL,
     UNDERFLOW_LIMIT,
     Scheme,
     _decay_rate,
@@ -58,7 +58,7 @@ def reference_iterate(scheme: Scheme, f, x, n: int) -> np.ndarray:
     return np.ldexp(np.asarray(f(arg), dtype=float), scheme.value_shift * n)
 
 
-def reference_extract_limit(scheme: Scheme, f, x, tol: float = 1e-9, n_max: int = 40):
+def reference_extract_limit(scheme: Scheme, f, x):
     """Returns (limit, iterates, converged, ratio_estimate, n_used, reason)."""
     v = np.atleast_1d(np.asarray(x, dtype=float))
     x_norm = float(np.linalg.norm(v))
@@ -69,8 +69,8 @@ def reference_extract_limit(scheme: Scheme, f, x, tol: float = 1e-9, n_max: int 
     diffs: list[float] = []
     converged = False
     reason = ""
-    n_used = n_max
-    for n in range(1, n_max + 1):
+    n_used = N_MAX
+    for n in range(1, N_MAX + 1):
         if not scheme.is_up and x_norm != 0.0 and np.ldexp(x_norm, -n) < UNDERFLOW_LIMIT:
             n_used = n - 1
             reason = f"rescaled argument below {UNDERFLOW_LIMIT:.0e} at n={n}"
@@ -88,7 +88,7 @@ def reference_extract_limit(scheme: Scheme, f, x, tol: float = 1e-9, n_max: int 
             reason = f"iterate norm overflows at n={n}"
             break
         diffs.append(diff)
-        if diff <= tol * (1.0 + size):
+        if diff <= TOL * (1.0 + size):
             converged = True
             break
     ratio = _decay_rate([b / a for a, b in zip(diffs, diffs[1:]) if a > 0.0])
@@ -136,42 +136,36 @@ class _Recorder:
         return self.f(x)
 
 
-def _first_guard(scheme: Scheme, x, n_max: int) -> int:
-    """First n <= n_max at which the sequential loop meets a guard, else n_max + 1."""
+def _first_guard(scheme: Scheme, x) -> int:
+    """First n <= N_MAX at which the sequential loop meets a guard, else N_MAX + 1."""
     v = np.atleast_1d(np.asarray(x, dtype=float))
     with np.errstate(over="ignore"):
         x_norm = float(np.linalg.norm(v))
-    for n in range(n_max + 1):
+    for n in range(N_MAX + 1):
         if scheme.is_up:
             with np.errstate(over="ignore"):
                 if float(np.linalg.norm(np.ldexp(v, n))) > OVERFLOW_LIMIT:
                     return n
         elif n > 0 and x_norm != 0.0 and np.ldexp(x_norm, -n) < UNDERFLOW_LIMIT:
             return n
-    return n_max + 1
+    return N_MAX + 1
 
 
-def assert_matches_reference(scheme, f, x, tol, n_max):
+def assert_matches_reference(scheme, f, x):
     looped = _Recorder(f)
     with np.errstate(all="ignore"):
-        want = _outcome(lambda: reference_extract_limit(scheme, looped, x, tol=tol, n_max=n_max))
+        want = _outcome(lambda: reference_extract_limit(scheme, looped, x))
     recorder = _Recorder(f)
-    got = _outcome(lambda: extract_limit(scheme, recorder, x, tol=tol, n_max=n_max))
+    got = _outcome(lambda: extract_limit(scheme, recorder, x))
     assert got == want
-    # The loop evaluates steps 0..evaluated-1.  The blocks are contiguous
-    # from step 0, each cut at n_max and before the first guard, and a block
-    # is evaluated iff the loop evaluates its first step.
-    evaluated = len(looped.calls)
-    guard = _first_guard(scheme, x, n_max)
-    blocks = [
-        (lo, min(lo + BLOCK_STEPS, n_max + 1, guard)) for lo in range(0, evaluated, BLOCK_STEPS)
-    ]
-    assert [len(args) for args in recorder.calls] == [hi - lo for lo, hi in blocks]
-    if n_max < BLOCK_STEPS:
-        assert len(recorder.calls) <= 1
+    # One call on steps 0 up to N_MAX, cut before the first guard; none if
+    # the loop evaluates no step, which is when the guard trips at n = 0.
+    guard = _first_guard(scheme, x)
+    calls = [min(N_MAX + 1, guard)] if looped.calls else []
+    assert [len(args) for args in recorder.calls] == calls
     v = np.atleast_1d(np.asarray(x, dtype=float))
-    for args, (lo, hi) in zip(recorder.calls, blocks):
-        steps = np.arange(lo, hi)[:, None]
+    for args in recorder.calls:
+        steps = np.arange(len(args))[:, None]
         expected = np.ldexp(v, steps if scheme.is_up else -steps)
         assert _bits(args) == _bits(expected)
 
@@ -264,8 +258,6 @@ def _cases(draw):
         scheme=draw(st.sampled_from(list(Scheme))),
         f=_source(f, draw(st.sampled_from(sorted(_SOURCES)))),
         x=draw(_points(dim)),
-        tol=draw(st.sampled_from([1e-3, 1e-9, 1e-12, 1e-16])),
-        n_max=draw(st.sampled_from([2, 5, 40, 60])),
     )
 
 
@@ -336,9 +328,7 @@ _PLANE = TestFunction(
     ],
 )
 def test_edge_cases_equal_sequential_loop(scheme, f, x):
-    for n_max in (2, 5, 40, 60):
-        for tol in (1e-3, 1e-9, 1e-16):
-            assert_matches_reference(scheme, f, np.array(x), tol, n_max)
+    assert_matches_reference(scheme, f, np.array(x))
 
 
 def _scaled_norm(scheme: Scheme, x, n: int) -> float:
@@ -369,10 +359,6 @@ def _straddle(scheme: Scheme, direction, n: int) -> tuple[np.ndarray, np.ndarray
     return t * d, math.nextafter(t, toward) * d
 
 
-_GUARD_N_MAX = (2, 40, 63, 64, 65, 200)
-
-
-@pytest.mark.parametrize("n_max", _GUARD_N_MAX)
 @pytest.mark.parametrize("scheme", list(Scheme))
 @pytest.mark.parametrize(
     "f,direction",
@@ -383,16 +369,14 @@ _GUARD_N_MAX = (2, 40, 63, 64, 65, 200)
         (_PLANE, [0.6, -0.8]),
     ],
 )
-def test_guard_boundary_at_n_max_equals_sequential_loop(f, direction, scheme, n_max):
-    passing, tripping = _straddle(scheme, direction, n_max)
-    assert _first_guard(scheme, passing, n_max) == n_max + 1
-    assert _first_guard(scheme, tripping, n_max) == n_max
+def test_guard_boundary_at_n_max_equals_sequential_loop(f, direction, scheme):
+    passing, tripping = _straddle(scheme, direction, N_MAX)
+    assert _first_guard(scheme, passing) == N_MAX + 1
+    assert _first_guard(scheme, tripping) == N_MAX
     for x in (passing, tripping):
-        for tol in (1e-9, 1e-16):
-            assert_matches_reference(scheme, f, x, tol, n_max)
+        assert_matches_reference(scheme, f, x)
 
 
-@pytest.mark.parametrize("n_max", _GUARD_N_MAX)
 @pytest.mark.parametrize("scheme", list(Scheme))
 @pytest.mark.parametrize(
     "f,x",
@@ -408,33 +392,23 @@ def test_guard_boundary_at_n_max_equals_sequential_loop(f, direction, scheme, n_
         (_PLANE, [math.inf, math.nan]),
     ],
 )
-def test_zero_and_non_finite_points_equal_sequential_loop(f, x, scheme, n_max):
-    for tol in (1e-9, 1e-16):
-        assert_matches_reference(scheme, f, np.array(x), tol, n_max)
+def test_zero_and_non_finite_points_equal_sequential_loop(f, x, scheme):
+    assert_matches_reference(scheme, f, np.array(x))
 
 
-@pytest.mark.parametrize(
-    "scheme,f,x",
-    [
-        (Scheme.QUADRATIC_UP, _SQUARE_COS, [1.5]),  # converges
-        (Scheme.QUADRATIC_UP, _LINE_SIN, [1e140]),  # overflow guard at n=33
-        (Scheme.ADDITIVE_UP, _SQUARE_COS, [5e-324]),  # overflow guard near n=1573
-        (Scheme.QUADRATIC_DOWN, TestFunction.scalar(const=1.0), [1e300]),  # underflow guard
-        # the norm of x overflows, so no guard applies: 4^n overflows at n=512
-        (Scheme.QUADRATIC_DOWN, TestFunction.scalar(const=1.0), [1.8e308]),
-        (Scheme.ADDITIVE_UP, TestFunction.scalar(const=1.0), [0.0]),  # no guard at x = 0
-    ],
-)
-def test_largest_n_max_equals_sequential_loop(scheme, f, x):
-    assert_matches_reference(scheme, f, np.array(x), 1e-9, MAX_STEPS)
+#: d == TOL * (1 + d): for f = 2d under additive_up at x = 0.5, v_0 = 2d and
+#: v_1 = d, so the difference d equals its bound exactly.
+AT_TOL = 1.0000000010000002e-09
 
 
 def test_stop_rule_holds_at_equality():
-    # v_0 = 1.5, v_1 = 1.0: the difference 0.5 equals 0.25 * (1 + 1.0) exactly
-    f = TestFunction.scalar(linear=1.0, const=1.0)
-    assert_matches_reference(Scheme.ADDITIVE_UP, f, np.array([0.5]), 0.25, 40)
-    r = extract_limit(Scheme.ADDITIVE_UP, f, np.array([0.5]), tol=0.25)
-    assert r.converged and r.n_used == 1
+    # the stop at equality converges at n = 1; one ulp more stops at n = 2
+    assert AT_TOL == TOL * (1.0 + AT_TOL)
+    for d, n_used in ((AT_TOL, 1), (math.nextafter(AT_TOL, 1.0), 2)):
+        f = TestFunction.scalar(const=2.0 * d)
+        assert_matches_reference(Scheme.ADDITIVE_UP, f, np.array([0.5]))
+        r = extract_limit(Scheme.ADDITIVE_UP, f, np.array([0.5]))
+        assert r.converged and r.n_used == n_used
 
 
 @settings(max_examples=150, deadline=None)

@@ -779,6 +779,23 @@ class TestCli:
         doc = json.loads((out / "report.json").read_text())
         assert doc["axioms"] and not doc["extraction"]
 
+    def test_check_axioms_passes_a_heavily_weighted_norm(self, tmp_path):
+        # N5's large threshold is sized by the norm under audit; sized by the
+        # Euclidean norm, 100 times smaller here, it failed this correct norm
+        data = {
+            "seed": 1,
+            "space": {"dim_x": 1, "dim_y": 1, "crisp_norm": "weighted", "weights": [10000.0]},
+            "function": {"quad": 1.0},
+            "control": {"family": "constant", "delta": 1.0, "alpha": 1.0},
+            "theorems": ["quadratic_up"],
+        }
+        config = write_config(tmp_path, data)
+        out = tmp_path / "ax"
+        code = cli_main(["check-axioms", "--config", str(config), "--out-dir", str(out)])
+        assert code == EXIT_OK
+        doc = json.loads((out / "report.json").read_text())
+        assert [row["axiom"] for row in doc["axioms"] if not row["passed"]] == []
+
     def test_check_axioms_passes_with_overflowing_thresholds(self):
         # at thresholds up to 1e308 the audit's derived thresholds overflow to
         # inf, where the induced membership takes its limit 1

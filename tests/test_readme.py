@@ -1,14 +1,15 @@
 """Every Python block of README.md runs as written and prints what its
-comments say, and its config schema lists exactly the keys the reader
-accepts."""
+comments say, its config schema lists exactly the keys the reader
+accepts, and the verifier settings it states are the library's."""
 
+import inspect
 import re
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from fuzzystab import harness
+from fuzzystab import extraction, harness, spaces
 from fuzzystab.harness import ExperimentConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -40,3 +41,19 @@ def test_readme_schema_lists_exactly_the_config_keys():
     tables |= {key for _, keys in harness._CONTROLS.values() for key in keys}
     tables |= {f.name for f in knobs} | {f.metadata["section"] for f in knobs}
     assert documented == tables
+
+
+def test_readme_settings_are_the_library_constants():
+    text = README.read_text(encoding="utf-8")
+    paragraph = text.split("Every run uses the same verifier settings", 1)[1].split("\n\n", 1)[0]
+    number = r"(\d[\d.e-]*\d)"
+    stated = dict(re.findall(rf"`\w+\.(\w+)` = {number}", paragraph))
+    assert {name: float(value) for name, value in stated.items()} == {
+        "TOL": extraction.TOL,
+        "N_MAX": extraction.N_MAX,
+        "MEMBERSHIP_SLACK": spaces.MEMBERSHIP_SLACK,
+        "FUZZY_TOLERANCE": spaces.FUZZY_TOLERANCE,
+    }
+    bounds = re.search(rf"log-spaced from {number} to {number}", paragraph).groups()
+    defaults = inspect.signature(spaces.log_a_grid).parameters
+    assert tuple(map(float, bounds)) == (defaults["lo"].default, defaults["hi"].default)

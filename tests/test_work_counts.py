@@ -16,13 +16,7 @@ import pytest
 
 from fuzzystab import cli, control, extraction, harness, spaces
 from fuzzystab.cli import _STAGES_BY_COMMAND
-from fuzzystab.extraction import (
-    BLOCK_STEPS,
-    MAX_STEPS,
-    Scheme,
-    extract_limit,
-    uniqueness_crosscheck,
-)
+from fuzzystab.extraction import N_MAX, Scheme, extract_limit, uniqueness_crosscheck
 from fuzzystab.funceq import Perturbation, TestFunction
 from fuzzystab.harness import ExperimentConfig, run_pipeline
 from fuzzystab.spaces import FuzzyNorm
@@ -54,13 +48,13 @@ def test_extract_down_stage_calls_f_once_per_point(monkeypatch):
     report = run_pipeline(cfg, ("extraction",))
     dim_x = cfg.space.dim_x
     assert len(report.extraction_rows) == cfg.x_count == 4000
-    # f(0) once for the offset, then one call on the stacked steps n = 0..40
-    # per point, at the default n_max of 40
-    assert shapes == [(dim_x,)] + [(41, dim_x)] * cfg.x_count
+    # f(0) once for the offset, then one call on the stacked steps
+    # n = 0..N_MAX per point
+    assert shapes == [(dim_x,)] + [(N_MAX + 1, dim_x)] * cfg.x_count
 
 
 @pytest.mark.parametrize("scheme", list(Scheme))
-def test_one_iterate_call_per_extraction_at_default_n_max(monkeypatch, scheme):
+def test_one_iterate_call_per_extraction(monkeypatch, scheme):
     calls = []
     original = extraction.iterate
 
@@ -76,22 +70,6 @@ def test_one_iterate_call_per_extraction_at_default_n_max(monkeypatch, scheme):
     for x in xs:
         extract_limit(scheme, f, np.array([x]))
     assert len(calls) == len(xs)
-
-
-@pytest.mark.parametrize("x", [1.0, 0.0])
-def test_early_stop_at_largest_n_max_evaluates_one_block(x):
-    # x^2 is a fixed point of quadratic_up, so the run stops at n = 1; at
-    # x = 1 its overflow guard is at n = 499, and x = 0 has no guard
-    square = TestFunction.scalar(quad=1.0)
-    rows = []
-
-    def source(points):
-        rows.append(len(points))
-        return square(points)
-
-    result = extract_limit(Scheme.QUADRATIC_UP, source, np.array([x]), n_max=MAX_STEPS)
-    assert result.converged and result.n_used == 1
-    assert rows == [BLOCK_STEPS]
 
 
 def test_uniqueness_window_evaluates_its_last_two_indices(monkeypatch):
