@@ -359,6 +359,7 @@ def _straddle(scheme: Scheme, direction, n: int) -> tuple[np.ndarray, np.ndarray
     return t * d, math.nextafter(t, toward) * d
 
 
+@pytest.mark.parametrize("n", range(1, N_MAX + 1))
 @pytest.mark.parametrize("scheme", list(Scheme))
 @pytest.mark.parametrize(
     "f,direction",
@@ -369,10 +370,12 @@ def _straddle(scheme: Scheme, direction, n: int) -> tuple[np.ndarray, np.ndarray
         (_PLANE, [0.6, -0.8]),
     ],
 )
-def test_guard_boundary_at_n_max_equals_sequential_loop(f, direction, scheme):
-    passing, tripping = _straddle(scheme, direction, N_MAX)
-    assert _first_guard(scheme, passing) == N_MAX + 1
-    assert _first_guard(scheme, tripping) == N_MAX
+def test_guard_boundary_at_each_step_equals_sequential_loop(f, direction, scheme, n):
+    # the one call is cut before step n for the tripping point and runs to
+    # step n for the passing one; n = N_MAX is the straddle at the step cap
+    passing, tripping = _straddle(scheme, direction, n)
+    assert _first_guard(scheme, passing) == n + 1
+    assert _first_guard(scheme, tripping) == n
     for x in (passing, tripping):
         assert_matches_reference(scheme, f, x)
 
