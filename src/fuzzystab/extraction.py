@@ -50,6 +50,10 @@ TOL = 1e-9
 #: Last step of a run: one call of f evaluates n = 0..N_MAX.
 N_MAX = 40
 
+#: Sample points whose steps 0..N_MAX one call of f evaluates in
+#: ``extract_components``: 8192 rows.
+BLOCK_POINTS = 8192 // (N_MAX + 1)
+
 
 class Scheme(Enum):
     QUADRATIC_UP = "quadratic_up"
@@ -107,15 +111,16 @@ def _overflow_error(scheme: Scheme, v: np.ndarray, n: int) -> ScaleError:
 def iterate(scheme: Scheme, f: VectorFunction, x: np.ndarray, n) -> np.ndarray:
     """Scheme iterate(s) at x for one index n or a 1-D array of indices.
 
-    One index gives the n-th iterate.  An array of indices gives the
-    iterates stacked in that order, shape ``(len(n), dim_y)``, from one call
-    of ``f`` on the stacked arguments; ``f`` must map points
-    ``(..., dim_x)`` to ``(..., dim_y)`` row by row, as ``TestFunction``
-    does.
+    ``x`` is one point ``(dim_x,)`` or a stack of points ``(P, dim_x)``.  One
+    index gives the n-th iterate, ``(dim_y,)`` or ``(P, dim_y)``.  An array
+    of indices gives the iterates stacked in that order, ``(len(n), dim_y)``
+    or ``(P, len(n), dim_y)``, from one call of ``f`` on the stacked
+    arguments; ``f`` must map points ``(..., dim_x)`` to ``(..., dim_y)``
+    row by row, as ``TestFunction`` does.
 
     Raises :class:`ScaleError` at the first index whose up-scheme argument
-    exceeds the overflow guard, before ``f`` is called.  Scalings use exact
-    powers of two.
+    exceeds the overflow guard, for the first point that has one, before
+    ``f`` is called.  Scalings use exact powers of two.
     """
     ns = np.asarray(n)
     if ns.size and ns.min() < 0:
@@ -124,22 +129,27 @@ def iterate(scheme: Scheme, f: VectorFunction, x: np.ndarray, n) -> np.ndarray:
     if v.ndim == 0:
         v = v.reshape(1)
     steps = ns[:, None] if ns.ndim else ns
+    # A point's steps stack along the axis before its coordinates.
+    points = v[..., None, :] if ns.ndim else v
     if scheme.is_up:
-        args = np.ldexp(v, steps)
-        # The scaled norms grow with n, so the largest index alone tells
-        # whether any trips, and the rows are searched only when it does.
+        args = np.ldexp(points, steps)
+        # The scaled norms grow with n, so each point's largest index alone
+        # tells whether any trips, and the rows are searched only when one does.
         with np.errstate(over="ignore"):
-            if euclidean_norm(args[ns.argmax()] if ns.ndim else args) > OVERFLOW_LIMIT:
-                k = int(np.argmax(euclidean_norm(args) > OVERFLOW_LIMIT))
-                raise _overflow_error(scheme, v, int(ns.flat[k]))
+            tips = euclidean_norm(args[..., ns.argmax(), :] if ns.ndim else args)
+            over = np.ravel(tips > OVERFLOW_LIMIT)
+            if over.any():
+                point = v.reshape(-1, v.shape[-1])[over.argmax()]
+                k = int(np.argmax(euclidean_norm(np.ldexp(point, steps)) > OVERFLOW_LIMIT))
+                raise _overflow_error(scheme, point, int(ns.flat[k]))
         shift = -scheme.value_shift
     else:
-        args = np.ldexp(v, -steps)
+        args = np.ldexp(points, -steps)
         shift = scheme.value_shift
     val = np.asarray(f(args), dtype=float)
-    if ns.ndim and (val.ndim != 2 or len(val) != len(ns)):
+    if (ns.ndim or v.ndim > 1) and val.shape[:-1] != args.shape[:-1]:
         raise ValueError(
-            f"f maps {len(ns)} stacked points to shape {val.shape}; "
+            f"f maps points of shape {args.shape} to shape {val.shape}; "
             "it must map (..., dim_x) to (..., dim_y) row by row"
         )
     return np.ldexp(val, shift * steps)
@@ -172,20 +182,28 @@ def _decay_rate(ratios: list[float]) -> float:
     return math.exp(sum(map(math.log, trimmed)) / len(trimmed))
 
 
-def _first_guard(scheme: Scheme, v: np.ndarray) -> int | None:
-    """The first n in 0..N_MAX at which the scheme's guard trips, or None.
+def _trips_by_n_max(scheme: Scheme, v: np.ndarray) -> bool | np.ndarray:
+    """Whether the scheme's guard trips at some n in 0..N_MAX, for one point
+    ``(dim_x,)`` or, point by point, for a stack ``(P, dim_x)``.
 
-    The scaled argument norms are monotone in n, so step N_MAX alone tells
-    whether any step trips, and the steps are searched only when it does.
+    The scaled argument norms are monotone in n, so step N_MAX alone tells.
     """
     if scheme.is_up:
-        if not euclidean_norm(np.ldexp(v, N_MAX)) > OVERFLOW_LIMIT:
-            return None
+        return euclidean_norm(np.ldexp(v, N_MAX)) > OVERFLOW_LIMIT
+    x_norm = euclidean_norm(v)
+    # The power of two scales exactly, as ldexp does, also on a Python float.
+    return (x_norm != 0.0) & (x_norm * 2.0**-N_MAX < UNDERFLOW_LIMIT)
+
+
+def _first_guard(scheme: Scheme, v: np.ndarray) -> int | None:
+    """The first n in 0..N_MAX at which the scheme's guard trips, or None;
+    the steps are searched only when one trips."""
+    if not _trips_by_n_max(scheme, v):
+        return None
+    if scheme.is_up:
         sizes = euclidean_norm(np.ldexp(v, np.arange(N_MAX + 1)[:, None]))
         return int(np.argmax(sizes > OVERFLOW_LIMIT))
     x_norm = euclidean_norm(v)
-    if x_norm == 0.0 or not math.ldexp(x_norm, -N_MAX) < UNDERFLOW_LIMIT:
-        return None
     n = 1
     while not math.ldexp(x_norm, -n) < UNDERFLOW_LIMIT:
         n += 1
@@ -215,7 +233,9 @@ def _stop_kind(diff: float, size: float, rows: np.ndarray) -> str:
     return ""
 
 
-def extract_limit(scheme: Scheme, f: VectorFunction, x: np.ndarray) -> ExtractionResult:
+def extract_limit(
+    scheme: Scheme, f: VectorFunction, x: np.ndarray, rows: np.ndarray | None = None
+) -> ExtractionResult:
     """Run the scheme until the relative successive difference drops below TOL.
 
     Stops at the first n with ||v_n - v_{n-1}|| <= TOL * (1 + ||v_n||), or at
@@ -237,6 +257,10 @@ def extract_limit(scheme: Scheme, f: VectorFunction, x: np.ndarray) -> Extractio
     guard trips at n = 0.  The result equals the step-by-step loop bit for
     bit, and :class:`ScaleError` is raised only if no stop comes before the
     overflow guard.
+
+    ``rows``, if given, are those iterates, evaluated by the caller: then
+    ``f`` is not called.  Their count must be the steps before the first
+    guard, N_MAX + 1 when no guard trips.
     """
     v = np.asarray(x, dtype=float)
     if v.ndim == 0:
@@ -247,8 +271,12 @@ def extract_limit(scheme: Scheme, f: VectorFunction, x: np.ndarray) -> Extractio
         guard = _first_guard(scheme, v)
         if guard == 0:
             raise _overflow_error(scheme, v, guard)
-        rows = iterate(scheme, f, v, np.arange(N_MAX + 1 if guard is None else guard))
-        k = len(rows) - 1
+        steps = N_MAX + 1 if guard is None else guard
+        if rows is None:
+            rows = iterate(scheme, f, v, np.arange(steps))
+        elif len(rows) != steps:
+            raise ValueError(f"expected the iterates at n = 0..{steps - 1}, got {len(rows)} rows")
+        k = steps - 1
         # Each row is normed alone, so stacking keeps every row's bits.
         norms = euclidean_norm(np.concatenate((rows[1:] - rows[:-1], rows))).tolist()
     # diffs[j] and sizes[j] belong to n = j + 1.
@@ -299,15 +327,36 @@ class ExtractedComponent:
     scheme: Scheme
     source: VectorFunction
 
-    def extraction_at(self, x: np.ndarray) -> ExtractionResult:
-        return extract_limit(self.scheme, self.source, x)
-
     def __call__(self, x: np.ndarray) -> np.ndarray:
         v = np.atleast_1d(np.asarray(x, dtype=float))
         if not np.any(v):
             probe = np.asarray(self.source(v), dtype=float)
             return np.zeros_like(probe)
-        return self.extraction_at(v).limit_value
+        return extract_limit(self.scheme, self.source, v).limit_value
+
+
+def _extract_block(
+    scheme: Scheme, f: VectorFunction, xs: Sequence[np.ndarray], points: np.ndarray
+) -> list[ExtractionResult]:
+    """:func:`extract_limit` at each of ``xs`` (stacked: ``points``), in order.
+
+    The steps 0..N_MAX of the points whose guard does not trip by N_MAX come
+    from one :func:`iterate` call; the other points evaluate their own.  The
+    evaluated rows are freed on return.
+    """
+    # Rows past a point's stop may overflow or hold inf - inf; they are
+    # screened by the extract_limit call that receives them.
+    with np.errstate(all="ignore"):
+        free = ~_trips_by_n_max(scheme, points)
+        rows = iter(iterate(scheme, f, points[free], np.arange(N_MAX + 1)) if free.any() else ())
+    results = []
+    for x, own in zip(xs, free):
+        try:
+            results.append(extract_limit(scheme, f, x, next(rows) if own else None))
+        except ScaleError as exc:
+            message = f"{exc} at x={np.asarray(x, float).tolist()}"
+            raise ScaleError(message, scheme=exc.scheme, n=exc.n) from exc
+    return results
 
 
 def extract_components(
@@ -324,6 +373,14 @@ def extract_components(
     :class:`ExtractionResult` at each of ``xs``; a run that fails to
     converge is flagged in its result, not raised.  A :class:`ScaleError`
     names the sample point it came from.
+
+    A scheme evaluates the steps 0..N_MAX of its sample points in blocks of
+    ``BLOCK_POINTS``, one :func:`iterate` call and so one call of the source
+    per block, and decides each point of a block, in order, by
+    :func:`extract_limit` on that point's own rows before it evaluates the
+    next block.  A point whose guard trips by N_MAX is left out of the
+    block and evaluated by its own :func:`extract_limit` call.  Either way
+    each result equals that of :func:`extract_limit` alone, bit for bit.
     """
     if len(schemes) == 2 and schemes[0].is_quadratic and not schemes[1].is_quadratic:
         sources = (even_part(f), odd_part(f))
@@ -332,15 +389,14 @@ def extract_components(
     else:
         raise ValueError("expected one scheme, or a quadratic and an additive scheme")
     components = tuple(map(ExtractedComponent, schemes, sources))
-    results = []
-    for component in components:
-        results.append([])
-        for x in xs:
-            try:
-                results[-1].append(component.extraction_at(x))
-            except ScaleError as exc:
-                message = f"{exc} at x={np.asarray(x, float).tolist()}"
-                raise ScaleError(message, scheme=exc.scheme, n=exc.n) from exc
+    stack = np.asarray(xs, dtype=float)
+    if stack.ndim == 1:  # scalar points, or none
+        stack = stack[:, None]
+    blocks = [slice(i, i + BLOCK_POINTS) for i in range(0, len(stack), BLOCK_POINTS)]
+    results = [
+        [r for b in blocks for r in _extract_block(scheme, source, xs[b], stack[b])]
+        for scheme, source in zip(schemes, sources)
+    ]
     return components, tuple(map(tuple, results))
 
 

@@ -9,15 +9,23 @@ must reproduce the loop exactly: the limit and every iterate by bytes,
 ``ratio_estimate``, and the ``ScaleError`` (step and message) when the loop
 reaches the overflow guard.  ``f`` must never be called at or beyond a
 guard.
+
+``reference_extract_components`` is the per-point loop that
+``extract_components`` replaced: one ``extract_limit`` call per point.
+``extract_components`` evaluates a block of points in one call of ``f``
+and must give the same results, and raise the same ``ScaleError`` naming
+the same point.
 """
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fuzzystab import extraction
 from fuzzystab.errors import ScaleError
 from fuzzystab.extraction import (
     N_MAX,
@@ -26,6 +34,7 @@ from fuzzystab.extraction import (
     UNDERFLOW_LIMIT,
     Scheme,
     _decay_rate,
+    extract_components,
     extract_limit,
     iterate,
     uniqueness_crosscheck,
@@ -329,6 +338,105 @@ _PLANE = TestFunction(
 )
 def test_edge_cases_equal_sequential_loop(scheme, f, x):
     assert_matches_reference(scheme, f, np.array(x))
+
+
+def reference_extract_components(f, schemes, xs):
+    """The per-point loop: the results of each scheme at each of xs, in order."""
+    sources = (even_part(f), odd_part(f)) if len(schemes) == 2 else (f,)
+    results = []
+    for scheme, source in zip(schemes, sources):
+        results.append([])
+        for x in xs:
+            try:
+                results[-1].append(extract_limit(scheme, source, x))
+            except ScaleError as exc:
+                message = f"{exc} at x={np.asarray(x, float).tolist()}"
+                raise ScaleError(message, scheme=exc.scheme, n=exc.n) from exc
+    return results
+
+
+def _results_outcome(run):
+    """Bits of every field of every result, or the identity of the ScaleError."""
+    try:
+        results = run()
+    except ScaleError as exc:
+        return ("ScaleError", str(exc), exc.n, exc.scheme)
+    return [
+        [_bits(tuple(getattr(r, field.name) for field in fields(r))) for r in at_xs]
+        for at_xs in results
+    ]
+
+
+#: Even part x^2 + cos, odd part x + sin: every scheme stops on its part
+#: before the guard at 1e140 or 1e-135.
+_MIXED = TestFunction.scalar(
+    quad=1.0,
+    linear=0.5,
+    perturbations=(
+        Perturbation(shape="cos", amplitude=0.01),
+        Perturbation(shape="sin", amplitude=0.1),
+    ),
+)
+
+_SCHEME_LISTS = [(s,) for s in Scheme] + [
+    (Scheme.QUADRATIC_UP, Scheme.ADDITIVE_UP),
+    (Scheme.QUADRATIC_DOWN, Scheme.ADDITIVE_DOWN),
+    (Scheme.QUADRATIC_UP, Scheme.ADDITIVE_DOWN),
+]
+
+
+def _mixed_points(schemes, order):
+    """Seven points: guard-free ones (0 among them), the guarded 1e-135 and
+    1e140, and NaN, whose f is non-finite; "guarded_first" fills the first
+    block of 3 with points whose guard trips under the first scheme."""
+    if order == "mixed":
+        return [0.7, 0.0, 1e-135, math.nan, 1e140, -2.5, 1e-3]
+    guarded = 1e140 if schemes[0].is_up else 1e-135
+    return [guarded, 2 * guarded, -guarded, 0.7, guarded, 0.0, math.nan]
+
+
+@pytest.mark.parametrize("order", ["mixed", "guarded_first"])
+@pytest.mark.parametrize("count", [0, 1, 2, 3, 4, 7])
+@pytest.mark.parametrize("schemes", _SCHEME_LISTS, ids=lambda s: "+".join(x.value for x in s))
+def test_blocked_extraction_equals_per_point_loop(monkeypatch, schemes, count, order):
+    monkeypatch.setattr(extraction, "BLOCK_POINTS", 3)
+    xs = [np.array([x]) for x in _mixed_points(schemes, order)[:count]]
+    f = _MIXED if len(schemes) == 2 else (even_part if schemes[0].is_quadratic else odd_part)(_MIXED)
+    want = _results_outcome(lambda: reference_extract_components(f, schemes, xs))
+    recorder = _Recorder(f)
+    got = _results_outcome(
+        lambda: extract_components(recorder if len(schemes) == 1 else f, schemes, xs)[1]
+    )
+    assert got == want
+    assert len(want) == len(schemes) and all(len(at_xs) == count for at_xs in want)
+    if len(schemes) == 1:
+        # one call per block on the steps 0..N_MAX of its guard-free points,
+        # none for a block without one; a guarded point calls f on its own
+        free = [_first_guard(schemes[0], x) > N_MAX for x in xs]
+        blocks = [sum(free[i : i + 3]) for i in range(0, count, 3)]
+        stacked = [args.shape for args in recorder.calls if args.ndim == 3]
+        assert stacked == [(p, N_MAX + 1, 1) for p in blocks if p]
+        assert len(recorder.calls) == len(stacked) + sum(
+            0 < _first_guard(schemes[0], x) <= N_MAX for x in xs
+        )
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 199])
+def test_blocked_extraction_names_the_overflowing_point(monkeypatch, block):
+    # quadratic_up of a line stops at 0.7 and never before the guard at
+    # 1e140, so the loop raises at the second point; the third is not decided
+    monkeypatch.setattr(extraction, "BLOCK_POINTS", block)
+    xs = [np.array([0.7]), np.array([1e140]), np.array([0.5])]
+    with pytest.raises(ScaleError) as want:
+        reference_extract_components(_LINE_SIN, (Scheme.QUADRATIC_UP,), xs)
+    with pytest.raises(ScaleError) as got:
+        extract_components(_LINE_SIN, (Scheme.QUADRATIC_UP,), xs)
+    assert str(want.value).endswith(" at n=34 for quadratic_up at x=[1e+140]")
+    assert (str(got.value), got.value.n, got.value.scheme) == (
+        str(want.value),
+        want.value.n,
+        want.value.scheme,
+    )
 
 
 def _scaled_norm(scheme: Scheme, x, n: int) -> float:

@@ -2,13 +2,15 @@
 
 Counts are deterministic, so these tests pin the work a run does without
 the flakiness of a timing test: calls of the source function, calls of
-``iterate``, rows evaluated, and evaluations of the equation defect.
+``iterate``, rows evaluated, evaluations of the equation defect, and the
+memory the extraction holds beyond its results.
 """
 
 import importlib.util
 import inspect
 import json
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -35,22 +37,60 @@ def _workload_config(name: str) -> dict:
     return module.WORKLOADS[name].config(module.DEFAULT_SEED)
 
 
-def test_extract_down_stage_calls_f_once_per_point(monkeypatch):
+def test_extract_down_stage_calls_f_once_per_block(monkeypatch):
     cfg = ExperimentConfig.from_dict(_workload_config("extract_down"))
     shapes = []
-    call = TestFunction.__call__
+    iterated = []
+    call, iterate = TestFunction.__call__, extraction.iterate
 
     def counted(self, x):
         shapes.append(np.shape(x))
         return call(self, x)
 
+    def counted_iterate(scheme, f, x, n):
+        iterated.append(np.shape(x))
+        return iterate(scheme, f, x, n)
+
     monkeypatch.setattr(TestFunction, "__call__", counted)
+    monkeypatch.setattr(extraction, "iterate", counted_iterate)
     report = run_pipeline(cfg, ("extraction",))
-    dim_x = cfg.space.dim_x
+    dim_x, points = cfg.space.dim_x, extraction.BLOCK_POINTS
     assert len(report.extraction_rows) == cfg.x_count == 4000
     # f(0) once for the offset, then one call on the stacked steps
-    # n = 0..N_MAX per point
-    assert shapes == [(dim_x,)] + [(N_MAX + 1, dim_x)] * cfg.x_count
+    # n = 0..N_MAX of each block of points, the last block shorter; the
+    # per-point loop made 4000
+    blocks = [points] * (cfg.x_count // points) + [cfg.x_count % points] * (cfg.x_count % points > 0)
+    assert len(blocks) == 21
+    assert shapes == [(dim_x,)] + [(p, N_MAX + 1, dim_x) for p in blocks]
+    assert iterated == [(p, dim_x) for p in blocks]
+
+
+def test_extract_down_stage_holds_one_block_at_a_time(monkeypatch):
+    # the allocation peak of the extraction exceeds what it keeps (its
+    # results) by one block's working set: the arguments and values of
+    # BLOCK_POINTS points and f's temporaries on them; the rows of every
+    # point at once would add 1.3 MB
+    cfg = ExperimentConfig.from_dict(_workload_config("extract_down"))
+    measured = []
+    extract_components = harness.extract_components
+
+    def traced(*args):
+        tracemalloc.start()
+        try:
+            out = extract_components(*args)
+            measured.append(tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        return out
+
+    monkeypatch.setattr(harness, "extract_components", traced)
+    run_pipeline(cfg, ("extraction",))
+    ((retained, peak),) = measured
+    dim_x, dim_y = cfg.space.dim_x, cfg.space.dim_y
+    block = extraction.BLOCK_POINTS * (N_MAX + 1) * (dim_x + dim_y) * 8
+    every_row = cfg.x_count * (N_MAX + 1) * dim_y * 8
+    assert retained > every_row > 6 * block
+    assert peak - retained <= 2 * block
 
 
 @pytest.mark.parametrize("scheme", list(Scheme))
