@@ -492,11 +492,11 @@ def verify_stability(
     violation (a non-finite one makes the worst slack ``-inf``).
 
     ``components`` holds the components of the theorem's schemes, in their
-    order: (Q, A) for the combined bound; each is called once per point.
-    ``f`` is called once, on the ``(n, dim_x)`` stack of the points, so it
-    must map points ``(..., dim_x)`` to ``(..., dim_y)`` row by row, as the
-    defect checks already require; ``N`` is evaluated once, on the
-    ``(n, 1, dim_y)`` errors against the threshold grid.
+    order: (Q, A) for the combined bound.  ``f`` and each component are
+    called once, on the ``(n, dim_x)`` stack of the points, so each must
+    map points ``(..., dim_x)`` to ``(..., dim_y)`` row by row, as
+    :class:`ExtractedComponent` and the defect checks do; ``N`` is evaluated
+    once, on the ``(n, 1, dim_y)`` errors against the threshold grid.
     """
     theorem = THEOREMS[theorem_id]
     a_grid = np.asarray(a_values, dtype=float)
@@ -511,10 +511,10 @@ def verify_stability(
             theorem_id, a_grid, lhs, rhs, math.nan, 0, False, note, theorem.repairs
         )
 
-    points = [np.atleast_1d(np.asarray(x, dtype=float)) for x in xs]
-    if points:  # f takes a stack of one point or more
-        sums = [np.sum([np.asarray(c(x), dtype=float) for c in components], axis=0) for x in points]
-        errs = np.array(sums) - np.asarray(f(np.array(points)), dtype=float)
+    if len(xs):  # f and the components take a stack of one point or more
+        points = np.array([np.atleast_1d(np.asarray(x, dtype=float)) for x in xs])
+        sums = np.sum([np.asarray(c(points), dtype=float) for c in components], axis=0)
+        errs = sums - np.asarray(f(points), dtype=float)
         lhs = N.memberships(errs[:, None, :], a_grid)
         rhs = np.array(
             [[envelope(theorem.schemes, phi, x, a) for a in a_grid.tolist()] for x in points]

@@ -51,7 +51,7 @@ TOL = 1e-9
 N_MAX = 40
 
 #: Sample points whose steps 0..N_MAX one call of f evaluates in
-#: ``extract_components``: 8192 rows.
+#: ``ExtractedComponent.extract``: 8192 rows.
 BLOCK_POINTS = 8192 // (N_MAX + 1)
 
 
@@ -125,19 +125,18 @@ def iterate(scheme: Scheme, f: VectorFunction, x: np.ndarray, n) -> np.ndarray:
     ns = np.asarray(n)
     if ns.size and ns.min() < 0:
         raise ValueError("iteration index must be >= 0")
-    v = np.asarray(x, dtype=float)
-    if v.ndim == 0:
-        v = v.reshape(1)
+    v = np.atleast_1d(np.asarray(x, dtype=float))
     steps = ns[:, None] if ns.ndim else ns
     # A point's steps stack along the axis before its coordinates.
     points = v[..., None, :] if ns.ndim else v
     if scheme.is_up:
         args = np.ldexp(points, steps)
         # The scaled norms grow with n, so each point's largest index alone
-        # tells whether any trips, and the rows are searched only when one does.
+        # tells whether any trips, and the rows are searched only when one
+        # does; an empty index array scales no argument.
         with np.errstate(over="ignore"):
-            tips = euclidean_norm(args[..., ns.argmax(), :] if ns.ndim else args)
-            over = np.ravel(tips > OVERFLOW_LIMIT)
+            tips = euclidean_norm(np.ldexp(v, ns.max(initial=0)))
+            over = np.ravel(tips > OVERFLOW_LIMIT) & bool(ns.size)
             if over.any():
                 point = v.reshape(-1, v.shape[-1])[over.argmax()]
                 k = int(np.argmax(euclidean_norm(np.ldexp(point, steps)) > OVERFLOW_LIMIT))
@@ -320,29 +319,12 @@ def extract_limit(
     )
 
 
-@dataclass(frozen=True, eq=False)
-class ExtractedComponent:
-    """Scheme limit as a queryable function; vanishes exactly at the origin."""
-
-    scheme: Scheme
-    source: VectorFunction
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        v = np.atleast_1d(np.asarray(x, dtype=float))
-        if not np.any(v):
-            probe = np.asarray(self.source(v), dtype=float)
-            return np.zeros_like(probe)
-        return extract_limit(self.scheme, self.source, v).limit_value
-
-
-def _extract_block(
-    scheme: Scheme, f: VectorFunction, xs: Sequence[np.ndarray], points: np.ndarray
-) -> list[ExtractionResult]:
-    """:func:`extract_limit` at each of ``xs`` (stacked: ``points``), in order.
+def _extract_block(scheme: Scheme, f: VectorFunction, points: np.ndarray) -> list[ExtractionResult]:
+    """:func:`extract_limit` at each point of the stack ``points``, in order.
 
     The steps 0..N_MAX of the points whose guard does not trip by N_MAX come
-    from one :func:`iterate` call; the other points evaluate their own.  The
-    evaluated rows are freed on return.
+    from one :func:`iterate` call, and so one call of ``f``; the other points
+    evaluate their own.  The evaluated rows are freed on return.
     """
     # Rows past a point's stop may overflow or hold inf - inf; they are
     # screened by the extract_limit call that receives them.
@@ -350,13 +332,44 @@ def _extract_block(
         free = ~_trips_by_n_max(scheme, points)
         rows = iter(iterate(scheme, f, points[free], np.arange(N_MAX + 1)) if free.any() else ())
     results = []
-    for x, own in zip(xs, free):
+    for x, own in zip(points, free):
         try:
             results.append(extract_limit(scheme, f, x, next(rows) if own else None))
         except ScaleError as exc:
-            message = f"{exc} at x={np.asarray(x, float).tolist()}"
-            raise ScaleError(message, scheme=exc.scheme, n=exc.n) from exc
+            raise ScaleError(f"{exc} at x={x.tolist()}", scheme=exc.scheme, n=exc.n) from exc
     return results
+
+
+@dataclass(frozen=True, eq=False)
+class ExtractedComponent:
+    """Scheme limit of ``source`` as a queryable function."""
+
+    scheme: Scheme
+    source: VectorFunction
+
+    def extract(self, points: np.ndarray) -> list[ExtractionResult]:
+        """:func:`extract_limit` at each point of the stack ``(P, dim_x)``,
+        bit for bit, in order.  The points go to :func:`_extract_block` in
+        blocks of ``BLOCK_POINTS``, each block decided before the next is
+        evaluated; a :class:`ScaleError` names the point it came from."""
+        scheme, source, size = self.scheme, self.source, BLOCK_POINTS
+        blocks = (points[i : i + size] for i in range(0, len(points), size))
+        return [result for block in blocks for result in _extract_block(scheme, source, block)]
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        """The limits at a stack ``(P, dim_x)``, ``(P, dim_y)``, or at one point
+        ``(dim_x,)`` or scalar, ``(dim_y,)``, from one :meth:`extract` call;
+        points at the origin are exact zeros and are not extracted."""
+        v = np.asarray(x, dtype=float)
+        stack = v.reshape(-1, v.shape[-1] if v.ndim else 1)
+        live = stack.any(axis=1)
+        limits = [result.limit_value for result in self.extract(stack[live])]
+        if limits:
+            out = np.zeros((len(stack), len(limits[0])))
+            out[live] = limits
+        else:  # only the shape of the values is read
+            out = np.zeros(np.shape(self.source(stack)))
+        return out.reshape(v.shape[:-1] + out.shape[-1:])
 
 
 def extract_components(
@@ -370,17 +383,9 @@ def extract_components(
     One scheme runs on f itself.  A quadratic and an additive scheme, in
     that order, run on the even and the odd part of f, whose sum is f.
     Returns the components in the order of ``schemes`` and, for each, its
-    :class:`ExtractionResult` at each of ``xs``; a run that fails to
-    converge is flagged in its result, not raised.  A :class:`ScaleError`
-    names the sample point it came from.
-
-    A scheme evaluates the steps 0..N_MAX of its sample points in blocks of
-    ``BLOCK_POINTS``, one :func:`iterate` call and so one call of the source
-    per block, and decides each point of a block, in order, by
-    :func:`extract_limit` on that point's own rows before it evaluates the
-    next block.  A point whose guard trips by N_MAX is left out of the
-    block and evaluated by its own :func:`extract_limit` call.  Either way
-    each result equals that of :func:`extract_limit` alone, bit for bit.
+    :class:`ExtractionResult` at each of ``xs`` from one
+    :meth:`ExtractedComponent.extract` call on their stack; a run that
+    fails to converge is flagged in its result, not raised.
     """
     if len(schemes) == 2 and schemes[0].is_quadratic and not schemes[1].is_quadratic:
         sources = (even_part(f), odd_part(f))
@@ -392,12 +397,7 @@ def extract_components(
     stack = np.asarray(xs, dtype=float)
     if stack.ndim == 1:  # scalar points, or none
         stack = stack[:, None]
-    blocks = [slice(i, i + BLOCK_POINTS) for i in range(0, len(stack), BLOCK_POINTS)]
-    results = [
-        [r for b in blocks for r in _extract_block(scheme, source, xs[b], stack[b])]
-        for scheme, source in zip(schemes, sources)
-    ]
-    return components, tuple(map(tuple, results))
+    return components, tuple(tuple(component.extract(stack)) for component in components)
 
 
 @dataclass(frozen=True, eq=False)

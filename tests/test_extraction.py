@@ -131,6 +131,13 @@ class TestIterate:
             "scaled argument norm 3.273e+150 exceeds 1e+150 at n=500 for quadratic_up",
         )
 
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_empty_index_array_gives_an_empty_stack(self, scheme):
+        # no index scales no argument, so not even a point past the guard raises
+        for x in (V(1), V(1e200)):
+            got = iterate(scheme, SQUARE, x, np.array([], dtype=int))
+            assert got.shape == (0, 1) and got.dtype == float
+
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
             iterate(Scheme.QUADRATIC_UP, SQUARE, V(1), -1)

@@ -385,6 +385,31 @@ _SCHEME_LISTS = [(s,) for s in Scheme] + [
 ]
 
 
+def _component_outcome(run):
+    """The bytes of a component's values, or the identity of the ScaleError."""
+    try:
+        values = run()
+    except ScaleError as exc:
+        return ("ScaleError", str(exc), exc.n, exc.scheme)
+    return _bits(values)
+
+
+def reference_component_values(component, xs):
+    """The per-point reference of a component at each of xs, stacked: +0.0
+    at the origin, else the limit of extract_limit alone."""
+    rows = []
+    for x in xs:
+        if not x.any():
+            rows.append(np.zeros(1))
+            continue
+        try:
+            rows.append(extract_limit(component.scheme, component.source, x).limit_value)
+        except ScaleError as exc:
+            message = f"{exc} at x={np.asarray(x, float).tolist()}"
+            raise ScaleError(message, scheme=exc.scheme, n=exc.n) from exc
+    return np.array(rows).reshape(len(xs), 1)
+
+
 def _mixed_points(schemes, order):
     """Seven points: guard-free ones (0 among them), the guarded 1e-135 and
     1e140, and NaN, whose f is non-finite; "guarded_first" fills the first
@@ -409,6 +434,17 @@ def test_blocked_extraction_equals_per_point_loop(monkeypatch, schemes, count, o
     )
     assert got == want
     assert len(want) == len(schemes) and all(len(at_xs) == count for at_xs in want)
+    # each component, called once on the stack of the points, gives the
+    # per-point values row by row: +0.0 at the origin, NaN where f is not
+    # finite, else the limit
+    stack = np.array(xs).reshape(count, 1)
+    for component in extract_components(f, schemes, [])[0]:
+        got = _component_outcome(lambda: component(stack))
+        assert got == _component_outcome(lambda: reference_component_values(component, xs))
+        if got[0] != "ScaleError":
+            values = np.frombuffer(got[2]).reshape(count, 1)
+            assert values[stack == 0].tobytes() == bytes(8 * np.count_nonzero(stack == 0))
+            assert np.isnan(values[np.isnan(stack)]).all()
     if len(schemes) == 1:
         # one call per block on the steps 0..N_MAX of its guard-free points,
         # none for a block without one; a guarded point calls f on its own
@@ -437,6 +473,28 @@ def test_blocked_extraction_names_the_overflowing_point(monkeypatch, block):
         want.value.n,
         want.value.scheme,
     )
+    # the component on the stack of the points raises the same error
+    (component,), _ = extract_components(_LINE_SIN, (Scheme.QUADRATIC_UP,), [])
+    assert _component_outcome(lambda: component(np.array(xs))) == _component_outcome(
+        lambda: reference_component_values(component, xs)
+    ) == ("ScaleError", str(want.value), want.value.n, want.value.scheme)
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_component_at_origin_points_extracts_nothing(monkeypatch, scheme):
+    calls = []
+    monkeypatch.setattr(
+        extraction, "extract_limit", lambda *args: calls.append(args[2]) or extract_limit(*args)
+    )
+    (component,), _ = extract_components(_PLANE, (scheme,), [])
+    stack = np.zeros((4, 2))
+    values = component(stack)
+    assert (values.shape, values.tobytes(), calls) == ((4, 1), bytes(8 * 4), [])
+    # one nonzero point among them is the only one extracted
+    stack[2] = (0.7, -1.3)
+    limit = extract_limit(scheme, _PLANE, stack[2]).limit_value
+    assert component(stack).tobytes() == bytes(8 * 2) + limit.tobytes() + bytes(8)
+    assert [x.tolist() for x in calls] == [[0.7, -1.3]]
 
 
 def _scaled_norm(scheme: Scheme, x, n: int) -> float:

@@ -334,9 +334,10 @@ def test_envelope_makes_one_membership_call_per_part(monkeypatch):
 
 def test_verification_evaluates_f_and_N_once_per_theorem(monkeypatch):
     # grid_dense verifies the combined bound at 60 points in 3 dimensions:
-    # the offset-free f is called once, on the stack of the points, and N
-    # once, on the stacked errors against the threshold grid; each
-    # component is still called once per point and per scheme
+    # the offset-free f and each component are called once, on the stack
+    # of the points, and N once, on the stacked errors against the threshold
+    # grid; each component calls its source once, on the steps 0..N_MAX of
+    # every point (the per-point calls made 60 per component, 120 in all)
     cfg = ExperimentConfig.from_dict(_workload_config("grid_dense"))
     assert cfg.theorems == ("combined",)
     verify_stability, call = harness.verify_stability, TestFunction.__call__
@@ -344,7 +345,7 @@ def test_verification_evaluates_f_and_N_once_per_theorem(monkeypatch):
     signature = inspect.signature(verify_stability)
     received = []  # the arguments of each verify_stability call
     inside = []  # the arguments of the open verify_stability call
-    seen = {"f": [], "N": [], "components": []}
+    seen = {"f": [], "N": [], "components": [], "sources": []}
 
     def counted_verify_stability(*args, **kwargs):
         received.append(signature.bind(*args, **kwargs).arguments)
@@ -357,6 +358,8 @@ def test_verification_evaluates_f_and_N_once_per_theorem(monkeypatch):
     def counted_call(self, x):
         if inside and self is inside[-1]["f"]:
             seen["f"].append(np.shape(x))
+        if inside and any(self is c.source for c in inside[-1]["components"]):
+            seen["sources"].append((self, np.shape(x)))
         return call(self, x)
 
     def counted_memberships(self, x, a):
@@ -366,7 +369,7 @@ def test_verification_evaluates_f_and_N_once_per_theorem(monkeypatch):
 
     def counted_component(self, x):
         if inside:
-            seen["components"].append((self.scheme, np.asarray(x).tobytes()))
+            seen["components"].append((self, np.asarray(x).tobytes()))
         return component(self, x)
 
     monkeypatch.setattr(harness, "verify_stability", counted_verify_stability)
@@ -378,9 +381,12 @@ def test_verification_evaluates_f_and_N_once_per_theorem(monkeypatch):
     assert report.verification_reports[0].lhs.shape == (cfg.x_count, cfg.a_points) == (60, 25)
     assert seen["f"] == [(cfg.x_count, cfg.space.dim_x)] == [(60, 3)]
     assert seen["N"] == [(True, (cfg.x_count, 1, cfg.space.dim_y), (cfg.a_points,))]
-    schemes = control.THEOREMS["combined"].schemes
-    xs = [np.asarray(x, dtype=float).tobytes() for x in arguments["xs"]]
-    assert seen["components"] == [(s, x) for x in xs for s in schemes]
+    components = arguments["components"]
+    assert tuple(c.scheme for c in components) == control.THEOREMS["combined"].schemes
+    stack = np.array(arguments["xs"], dtype=float)
+    assert stack.shape == (60, 3)
+    assert seen["components"] == [(c, stack.tobytes()) for c in components]
+    assert seen["sources"] == [(c.source, (60, N_MAX + 1, 3)) for c in components]
 
 
 def test_verification_of_no_points_evaluates_nothing():
