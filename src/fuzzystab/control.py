@@ -67,10 +67,15 @@ PairTable = tuple[np.ndarray, np.ndarray, np.ndarray]
 class Margin(NamedTuple):
     """Result of the defect premise check: the smallest lhs - rhs membership
     margin over (pairs x thresholds) and its witness (x, y, a), ``None``
-    for no pairs.  The caller decides whether the margin passes."""
+    for no pairs."""
 
     worst: float
     witness: tuple[np.ndarray, np.ndarray, float] | None
+
+    @property
+    def holds(self) -> bool:
+        """The premise verdict: no margin falls below -``MEMBERSHIP_SLACK``."""
+        return self.worst >= -MEMBERSHIP_SLACK
 
 
 def _safe_power(base: float, exponent: float) -> float:
@@ -261,8 +266,8 @@ def envelope(schemes: Sequence[Scheme], phi: ControlFunction, x: np.ndarray, a: 
     a <= 0, else the least of their envelopes at a / len(schemes).
 
     phi is evaluated at all pairs in one call of its row form, and the
-    minimum is one :meth:`FuzzyNorm.least_membership` call.  A constant
-    control is delta at every pair, so its least membership is N'(delta, t).
+    minimum is ``np.min`` of one :meth:`FuzzyNorm.memberships` call, NaN if
+    one is.  A constant control is delta at every pair: N'(delta, t).
     """
     if len(schemes) > 1:
         if a <= 0.0:
@@ -282,7 +287,7 @@ def envelope(schemes: Sequence[Scheme], phi: ControlFunction, x: np.ndarray, a: 
     if isinstance(phi, ConstantControl):
         return phi.nprime(np.array([phi.delta]), t)
     uw = _pairs_at(table, np.asarray(x, dtype=float).reshape(1, -1))
-    return phi.nprime.least_membership(phi.rows(uw)[:, None], t)
+    return float(np.min(phi.nprime.memberships(phi.rows(uw)[:, None], t)))
 
 
 def _growth(phi: ControlFunction) -> float | None:
@@ -483,11 +488,10 @@ def verify_stability(
 
     The defect hypothesis N(defect(x, y), a) >= N'(phi(x, y), a) is checked
     first: ``premise_margin`` is its ``defect_premise_margin`` result on the
-    caller's premise pairs, and a margin below -``MEMBERSHIP_SLACK``
-    fails it.  If it fails anywhere the bound is not asserted
-    and the report carries an explanatory note and empty grids.  Otherwise
-    the grids hold lhs = N(component error, a) and rhs = the
-    :func:`envelope` of the theorem's schemes at a for each point and
+    caller's premise pairs.  Unless it :attr:`~Margin.holds`, the bound is
+    not asserted and the report carries an explanatory note and empty
+    grids.  Otherwise the grids hold lhs = N(component error, a) and rhs =
+    the :func:`envelope` of the theorem's schemes at a for each point and
     threshold; a slack below -``MEMBERSHIP_SLACK`` or not finite is a
     violation (a non-finite one makes the worst slack ``-inf``).
 
@@ -502,7 +506,7 @@ def verify_stability(
     a_grid = np.asarray(a_values, dtype=float)
     lhs = rhs = np.empty((0, a_grid.size))
     worst_premise, witness = premise_margin
-    if worst_premise < -MEMBERSHIP_SLACK:
+    if not premise_margin.holds:
         note = (
             "hypothesis not satisfied: defect membership falls below the control "
             f"membership by {-worst_premise:.3e} at a={witness[2]:g} (bound not asserted)"
@@ -512,7 +516,8 @@ def verify_stability(
         )
 
     if len(xs):  # f and the components take a stack of one point or more
-        points = np.array([np.atleast_1d(np.asarray(x, dtype=float)) for x in xs])
+        points = np.asarray(xs, dtype=float)
+        points = points[:, None] if points.ndim == 1 else points  # scalars are 1-vectors
         sums = np.sum([np.asarray(c(points), dtype=float) for c in components], axis=0)
         errs = sums - np.asarray(f(points), dtype=float)
         lhs = N.memberships(errs[:, None, :], a_grid)

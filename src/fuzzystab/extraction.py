@@ -108,6 +108,19 @@ def _overflow_error(scheme: Scheme, v: np.ndarray, n: int) -> ScaleError:
     )
 
 
+def _trips(scheme: Scheme, v: np.ndarray, n) -> bool | np.ndarray:
+    """Whether the scheme's guard trips at step ``n`` for one point ``(dim_x,)``
+    or, point by point, a stack ``(P, dim_x)``; steps ``(k, 1)`` give one
+    answer per step at one point.  The norm of 2^n v exceeds OVERFLOW_LIMIT
+    (up), or that of a nonzero v / 2^n drops below UNDERFLOW_LIMIT at n >= 1,
+    as v itself is always evaluated (down).  Both are monotone in n."""
+    if scheme.is_up:
+        return euclidean_norm(np.ldexp(v, n)) > OVERFLOW_LIMIT
+    x_norm = euclidean_norm(v)
+    # The power of two scales exactly, as ldexp does, also on a Python float.
+    return (n > 0) & (x_norm != 0.0) & (x_norm * 2.0**-n < UNDERFLOW_LIMIT)
+
+
 def iterate(scheme: Scheme, f: VectorFunction, x: np.ndarray, n) -> np.ndarray:
     """Scheme iterate(s) at x for one index n or a 1-D array of indices.
 
@@ -131,15 +144,14 @@ def iterate(scheme: Scheme, f: VectorFunction, x: np.ndarray, n) -> np.ndarray:
     points = v[..., None, :] if ns.ndim else v
     if scheme.is_up:
         args = np.ldexp(points, steps)
-        # The scaled norms grow with n, so each point's largest index alone
-        # tells whether any trips, and the rows are searched only when one
-        # does; an empty index array scales no argument.
+        # The guard is monotone, so each point's largest index alone tells
+        # whether any trips, and the rows are searched only when one does;
+        # an empty index array scales no argument.
         with np.errstate(over="ignore"):
-            tips = euclidean_norm(np.ldexp(v, ns.max(initial=0)))
-            over = np.ravel(tips > OVERFLOW_LIMIT) & bool(ns.size)
+            over = np.ravel(_trips(scheme, v, ns.max(initial=0))) & bool(ns.size)
             if over.any():
                 point = v.reshape(-1, v.shape[-1])[over.argmax()]
-                k = int(np.argmax(euclidean_norm(np.ldexp(point, steps)) > OVERFLOW_LIMIT))
+                k = int(np.argmax(_trips(scheme, point, steps)))
                 raise _overflow_error(scheme, point, int(ns.flat[k]))
         shift = -scheme.value_shift
     else:
@@ -181,32 +193,12 @@ def _decay_rate(ratios: list[float]) -> float:
     return math.exp(sum(map(math.log, trimmed)) / len(trimmed))
 
 
-def _trips_by_n_max(scheme: Scheme, v: np.ndarray) -> bool | np.ndarray:
-    """Whether the scheme's guard trips at some n in 0..N_MAX, for one point
-    ``(dim_x,)`` or, point by point, for a stack ``(P, dim_x)``.
-
-    The scaled argument norms are monotone in n, so step N_MAX alone tells.
-    """
-    if scheme.is_up:
-        return euclidean_norm(np.ldexp(v, N_MAX)) > OVERFLOW_LIMIT
-    x_norm = euclidean_norm(v)
-    # The power of two scales exactly, as ldexp does, also on a Python float.
-    return (x_norm != 0.0) & (x_norm * 2.0**-N_MAX < UNDERFLOW_LIMIT)
-
-
 def _first_guard(scheme: Scheme, v: np.ndarray) -> int | None:
-    """The first n in 0..N_MAX at which the scheme's guard trips, or None;
-    the steps are searched only when one trips."""
-    if not _trips_by_n_max(scheme, v):
+    """The first n in 0..N_MAX at which the scheme's guard trips at the point
+    ``v``, or None; the steps are searched only when one trips."""
+    if not _trips(scheme, v, N_MAX):
         return None
-    if scheme.is_up:
-        sizes = euclidean_norm(np.ldexp(v, np.arange(N_MAX + 1)[:, None]))
-        return int(np.argmax(sizes > OVERFLOW_LIMIT))
-    x_norm = euclidean_norm(v)
-    n = 1
-    while not math.ldexp(x_norm, -n) < UNDERFLOW_LIMIT:
-        n += 1
-    return n
+    return int(np.argmax(_trips(scheme, v, np.arange(N_MAX + 1)[:, None])))
 
 
 def _first_stop(diffs: list[float], sizes: list[float], tol: float) -> int:
@@ -257,9 +249,9 @@ def extract_limit(
     bit, and :class:`ScaleError` is raised only if no stop comes before the
     overflow guard.
 
-    ``rows``, if given, are those iterates, evaluated by the caller: then
-    ``f`` is not called.  Their count must be the steps before the first
-    guard, N_MAX + 1 when no guard trips.
+    ``rows``, if given, are the iterates n = 0..N_MAX of a point whose guard
+    the caller found not to trip by N_MAX: then neither ``f`` is called nor
+    the guard decided again, and any other count of rows is a ``ValueError``.
     """
     v = np.asarray(x, dtype=float)
     if v.ndim == 0:
@@ -267,7 +259,7 @@ def extract_limit(
     # Rows past the stop may overflow or hold inf - inf; they are never
     # reported, and the rows up to the stop are screened by the tests below.
     with np.errstate(all="ignore"):
-        guard = _first_guard(scheme, v)
+        guard = None if rows is not None else _first_guard(scheme, v)
         if guard == 0:
             raise _overflow_error(scheme, v, guard)
         steps = N_MAX + 1 if guard is None else guard
@@ -322,14 +314,15 @@ def extract_limit(
 def _extract_block(scheme: Scheme, f: VectorFunction, points: np.ndarray) -> list[ExtractionResult]:
     """:func:`extract_limit` at each point of the stack ``points``, in order.
 
-    The steps 0..N_MAX of the points whose guard does not trip by N_MAX come
-    from one :func:`iterate` call, and so one call of ``f``; the other points
-    evaluate their own.  The evaluated rows are freed on return.
+    Each point's guard is decided once, at N_MAX.  The steps 0..N_MAX of the
+    points whose guard does not trip come from one :func:`iterate` call, and
+    so one call of ``f``; the other points evaluate their own.  The evaluated
+    rows are freed on return.
     """
     # Rows past a point's stop may overflow or hold inf - inf; they are
     # screened by the extract_limit call that receives them.
     with np.errstate(all="ignore"):
-        free = ~_trips_by_n_max(scheme, points)
+        free = ~_trips(scheme, points, N_MAX)
         rows = iter(iterate(scheme, f, points[free], np.arange(N_MAX + 1)) if free.any() else ())
     results = []
     for x, own in zip(points, free):

@@ -57,7 +57,6 @@ from .funceq import (
     remove_offset,
 )
 from .spaces import (
-    MEMBERSHIP_SLACK,
     AxiomCheck,
     CrispNorm,
     FuzzyNorm,
@@ -515,10 +514,10 @@ def run_pipeline(cfg: ExperimentConfig, stages: Sequence[str] = ALL_STAGES) -> R
                 rows.append(HypothesisRow(t, f"alpha_scaling[{name}]", scaled, margin, note))
                 note = "" if holds else f"{cause} at rate {scheme.rate:g}"
                 rows.append(HypothesisRow(t, f"vanishing[{name}]", holds, 0.0, note))
-            worst, witness = margin_by_theorem[t]
-            passed = worst >= -MEMBERSHIP_SLACK
-            note = "" if passed else f"margin {worst:.3e} at a={witness[2]:g}"
-            rows.append(HypothesisRow(t, "defect_premise", passed, worst, note))
+            premise = margin_by_theorem[t]
+            worst, witness = premise
+            note = "" if premise.holds else f"margin {worst:.3e} at a={witness[2]:g}"
+            rows.append(HypothesisRow(t, "defect_premise", premise.holds, worst, note))
         if "extraction" not in stages and "verification" not in stages:
             continue
 

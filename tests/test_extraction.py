@@ -241,6 +241,17 @@ class TestExtractLimit:
         with pytest.raises(ValueError, match="row by row"):
             extract_limit(Scheme.QUADRATIC_UP, lambda v: np.sum(v * v, axis=-1), V(1))
 
+    @pytest.mark.parametrize(
+        "x, count",
+        [(1.0, 0), (1.0, N_MAX), (1.0, N_MAX + 2), (1e140, 34)],  # 1e140 trips at n = 34
+    )
+    def test_rows_of_the_wrong_length_are_refused(self, x, count):
+        # handed rows are the iterates n = 0..N_MAX of a point whose guard
+        # does not trip, never the rows cut before a guard
+        rows = iterate(Scheme.QUADRATIC_UP, SQUARE_SIN, V(x), np.arange(count))
+        with pytest.raises(ValueError, match=rf"n = 0\.\.{N_MAX}, got {count} rows"):
+            extract_limit(Scheme.QUADRATIC_UP, SQUARE_SIN, V(x), rows)
+
     @pytest.mark.parametrize("scheme", list(Scheme))
     @pytest.mark.parametrize(
         "f, x, n_used",

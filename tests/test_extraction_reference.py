@@ -313,6 +313,7 @@ _PLANE = TestFunction(
         (_SQUARE_COS, [0.0]),
         (_SQUARE_COS, [1e-135]),  # underflow guard of the down-schemes
         (_SQUARE_COS, [-1e-300]),
+        (_SQUARE_COS, [5e-141]),  # below the underflow guard already: it trips at n=1
         (_SQUARE_COS, [1e100]),
         (_SQUARE_COS, [1e140]),  # overflow guard of the up-schemes
         (_SQUARE_COS, [1e150]),  # exactly at the overflow guard

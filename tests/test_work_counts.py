@@ -93,6 +93,29 @@ def test_extract_down_stage_holds_one_block_at_a_time(monkeypatch):
     assert peak - retained <= 2 * block
 
 
+def test_the_block_decides_each_guard_once(monkeypatch):
+    # the block's one guard mask decides every point; extract_limit, handed
+    # a point's rows, does not search its guard again
+    counts = {"_trips": 0, "_first_guard": 0, "extract_limit": 0}
+    for name in counts:
+        original = getattr(extraction, name)
+
+        def counted(*args, name=name, original=original):
+            counts[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(extraction, name, counted)
+    cfg = ExperimentConfig.from_dict(_workload_config("extract_down"))
+    run_pipeline(cfg, ("extraction",))
+    assert counts == {"_trips": 21, "_first_guard": 0, "extract_limit": 4000}
+    # a guarded point still searches its own guard, once
+    counts.update(dict.fromkeys(counts, 0))
+    component = extraction.ExtractedComponent(Scheme.QUADRATIC_UP, TestFunction.scalar(quad=1.0))
+    results = component.extract(np.array([[1.0], [1e140], [2.0], [1e139]]))
+    assert [r.n_used for r in results] == [1] * 4
+    assert counts["_first_guard"] == 2 and counts["extract_limit"] == 4
+
+
 @pytest.mark.parametrize("scheme", list(Scheme))
 def test_one_iterate_call_per_extraction(monkeypatch, scheme):
     calls = []
