@@ -76,7 +76,7 @@ __all__ = [
     "ALL_STAGES",
     "ExperimentConfig",
     "HypothesisRow",
-    "ExtractionRow",
+    "ExtractionTable",
     "RunReport",
     "run_pipeline",
     "emit_report",
@@ -351,18 +351,23 @@ class HypothesisRow:
     note: str = ""
 
 
-@dataclass(frozen=True, eq=False)
-class ExtractionRow:
+class ExtractionTable(NamedTuple):
+    """One component's extraction at every sample point, a column per field.
+
+    A point's ``x_index`` is its position in the columns, and its ``x_norm``
+    is ``RunReport.x_norms[x_index]``.  The columns are tuples and a
+    read-only array, so a table changes only by being replaced.
+    """
+
     theorem_id: str
     component: str
-    x_index: int
-    x_norm: float
-    limit: tuple[float, ...]
-    limit_norm: float
-    n_used: int
-    converged: bool
-    ratio_estimate: float
-    stopped_reason: str
+    limits: np.ndarray  # (points, dim_y)
+    limit_norms: tuple[float, ...]
+    #: The columns of ``ExtractionResult`` fields, by their names.
+    n_used: tuple[int, ...]
+    converged: tuple[bool, ...]
+    ratio_estimate: tuple[float, ...]
+    stopped_reason: tuple[str, ...]
 
 
 @dataclass(eq=False)
@@ -373,7 +378,7 @@ class RunReport:
     stages: tuple[str, ...]
     axiom_rows: list[tuple[str, AxiomCheck]] = field(default_factory=list)
     hypothesis_rows: list[HypothesisRow] = field(default_factory=list)
-    extraction_rows: list[ExtractionRow] = field(default_factory=list)
+    extractions: list[ExtractionTable] = field(default_factory=list)
     verification_reports: list[StabilityReport] = field(default_factory=list)
     repair_log: list[tuple[str, str]] = field(default_factory=list)
     resolved_delta: float | None = None
@@ -393,7 +398,7 @@ class RunReport:
 
     @property
     def all_converged(self) -> bool:
-        return all(r.converged for r in self.extraction_rows)
+        return all(all(table.converged) for table in self.extractions)
 
     @property
     def exit_status(self) -> int:
@@ -527,25 +532,15 @@ def run_pipeline(cfg: ExperimentConfig, stages: Sequence[str] = ALL_STAGES) -> R
             raise ScaleError(f"{exc} (theorem {t})", scheme=exc.scheme, n=exc.n) from exc
         if "extraction" in stages:
             limits = np.array([[result.limit_value for result in at_xs] for at_xs in results])
-            for scheme, at_xs, listed, normed in zip(
-                schemes, results, limits.tolist(), _finite_norms(norm, limits)
+            limits.flags.writeable = False
+            for scheme, at_xs, at_limits, normed in zip(
+                schemes, results, limits, _finite_norms(norm, limits)
             ):
                 name = "quadratic" if scheme.is_quadratic else "additive"
-                for i, (result, limit, limit_norm) in enumerate(zip(at_xs, listed, normed)):
-                    report.extraction_rows.append(
-                        ExtractionRow(
-                            theorem_id=t,
-                            component=name,
-                            x_index=i,
-                            x_norm=report.x_norms[i],
-                            limit=tuple(limit),
-                            limit_norm=limit_norm,
-                            n_used=result.n_used,
-                            converged=result.converged,
-                            ratio_estimate=result.ratio_estimate,
-                            stopped_reason=result.stopped_reason,
-                        )
-                    )
+                columns = (tuple(map(attrgetter(c), at_xs)) for c in ExtractionTable._fields[4:])
+                report.extractions.append(
+                    ExtractionTable(t, name, at_limits, tuple(normed), *columns)
+                )
         if "verification" in stages:
             if cfg.q_scale != 1.0:
                 components = tuple(
@@ -574,8 +569,9 @@ def run_pipeline(cfg: ExperimentConfig, stages: Sequence[str] = ALL_STAGES) -> R
 #
 # Each section is one table of fields.  A field names its key, how its
 # values print, and how it takes its column of values from the section's
-# rows.  Each column is rendered to text once per report, and report.json
-# and the section's CSV file both write those texts.
+# rows: plain rows, extraction tables or verification reports.  Each column
+# is rendered to text once per report, and report.json and the section's
+# CSV file both write those texts.
 
 _NON_FINITE = frozenset(("nan", "inf", "-inf"))
 
@@ -666,15 +662,15 @@ class _Field(NamedTuple):
     sub: tuple["_Field", ...] = ()
 
 
-def _attr(name: str) -> _Column:
-    get = attrgetter(name)
+def _rows(get: Callable) -> _Column:
+    """Column of a section of plain rows: ``get`` of each row."""
     return lambda rows, report, render: render(list(map(get, rows)))
 
 
-def _of_pair(position: int, name: str | None = None) -> _Column:
-    """Column of a section whose rows are pairs: an item, or an attribute of it."""
-    get = itemgetter(position) if name is None else (lambda row: getattr(row[position], name))
-    return lambda rows, report, render: render(list(map(get, rows)))
+def _table(get: Callable[[ExtractionTable, RunReport], Sequence]) -> _Column:
+    """Column of the extraction tables: ``get(table, run)``, a value per
+    point of the table, of each table in turn."""
+    return lambda tables, run, render: render([v for t in tables for v in get(t, run)])
 
 
 def _cells(grid: Callable[[StabilityReport, RunReport], np.ndarray]) -> _Column:
@@ -700,52 +696,52 @@ _SECTIONS = (
         "axioms",
         attrgetter("axiom_rows"),
         (
-            _Field("norm", _STR, _of_pair(0)),
-            _Field("axiom", _STR, _of_pair(1, "axiom")),
-            _Field("status", _STR, _of_pair(1, "status")),
-            _Field("passed", _BOOL, _of_pair(1, "passed")),
-            _Field("violations", _INT, _of_pair(1, "violations")),
-            _Field("worst_slack", _FLOAT, _of_pair(1, "worst_slack")),
-            _Field("note", _STR, _of_pair(1, "note")),
+            _Field("norm", _STR, _rows(itemgetter(0))),
+            _Field("axiom", _STR, _rows(lambda row: row[1].axiom)),
+            _Field("status", _STR, _rows(lambda row: row[1].status)),
+            _Field("passed", _BOOL, _rows(lambda row: row[1].passed)),
+            _Field("violations", _INT, _rows(lambda row: row[1].violations)),
+            _Field("worst_slack", _FLOAT, _rows(lambda row: row[1].worst_slack)),
+            _Field("note", _STR, _rows(lambda row: row[1].note)),
         ),
     ),
     _Section(
         "hypothesis",
         attrgetter("hypothesis_rows"),
         (
-            _Field("theorem_id", _STR, _attr("theorem_id")),
-            _Field("check", _STR, _attr("check")),
-            _Field("passed", _BOOL, _attr("passed")),
-            _Field("worst_slack", _FLOAT, _attr("worst_slack")),
-            _Field("note", _STR, _attr("note")),
+            _Field("theorem_id", _STR, _rows(attrgetter("theorem_id"))),
+            _Field("check", _STR, _rows(attrgetter("check"))),
+            _Field("passed", _BOOL, _rows(attrgetter("passed"))),
+            _Field("worst_slack", _FLOAT, _rows(attrgetter("worst_slack"))),
+            _Field("note", _STR, _rows(attrgetter("note"))),
         ),
     ),
     _Section(
         "extraction",
-        attrgetter("extraction_rows"),
+        attrgetter("extractions"),
         (
-            _Field("theorem_id", _STR, _attr("theorem_id")),
-            _Field("component", _STR, _attr("component")),
-            _Field("x_index", _INT, _attr("x_index")),
-            _Field("x_norm", _FLOAT, _attr("x_norm")),
-            _Field("limit", _FLOATS, _attr("limit"), in_csv=False),
-            _Field("limit_norm", _FLOAT, _attr("limit_norm"), in_json=False),
-            _Field("n_used", _INT, _attr("n_used")),
-            _Field("converged", _BOOL, _attr("converged")),
-            _Field("ratio_estimate", _FLOAT, _attr("ratio_estimate")),
-            _Field("stopped_reason", _STR, _attr("stopped_reason")),
+            _Field("theorem_id", _STR, _table(lambda t, run: [t.theorem_id] * len(t.n_used))),
+            _Field("component", _STR, _table(lambda t, run: [t.component] * len(t.n_used))),
+            _Field("x_index", _INT, _table(lambda t, run: range(len(t.n_used)))),
+            _Field("x_norm", _FLOAT, _table(lambda t, run: run.x_norms[: len(t.n_used)])),
+            _Field("limit", _FLOATS, _table(lambda t, run: t.limits.tolist()), in_csv=False),
+            _Field("limit_norm", _FLOAT, _table(lambda t, run: t.limit_norms), in_json=False),
+            _Field("n_used", _INT, _table(lambda t, run: t.n_used)),
+            _Field("converged", _BOOL, _table(lambda t, run: t.converged)),
+            _Field("ratio_estimate", _FLOAT, _table(lambda t, run: t.ratio_estimate)),
+            _Field("stopped_reason", _STR, _table(lambda t, run: t.stopped_reason)),
         ),
     ),
     _Section(
         "verification",
         attrgetter("verification_reports"),
         (
-            _Field("theorem_id", _STR, _attr("theorem_id")),
-            _Field("hypothesis_ok", _BOOL, _attr("hypothesis_ok"), in_csv=False),
-            _Field("note", _STR, _attr("note"), in_csv=False),
-            _Field("worst_slack", _FLOAT, _attr("worst_slack"), in_csv=False),
-            _Field("violations", _INT, _attr("violations"), in_csv=False),
-            _Field("repairs", _STRS, _attr("repairs"), in_csv=False),
+            _Field("theorem_id", _STR, _rows(attrgetter("theorem_id"))),
+            _Field("hypothesis_ok", _BOOL, _rows(attrgetter("hypothesis_ok")), in_csv=False),
+            _Field("note", _STR, _rows(attrgetter("note")), in_csv=False),
+            _Field("worst_slack", _FLOAT, _rows(attrgetter("worst_slack")), in_csv=False),
+            _Field("violations", _INT, _rows(attrgetter("violations")), in_csv=False),
+            _Field("repairs", _STRS, _rows(attrgetter("repairs")), in_csv=False),
             _Field(
                 "rows",
                 None,
@@ -769,8 +765,8 @@ _SECTIONS = (
         "repair_log",
         attrgetter("repair_log"),
         (
-            _Field("repair_id", _STR, _of_pair(0)),
-            _Field("description", _STR, _of_pair(1)),
+            _Field("repair_id", _STR, _rows(itemgetter(0))),
+            _Field("description", _STR, _rows(itemgetter(1))),
         ),
     ),
 )
@@ -782,8 +778,8 @@ _SECTION_OF = {g: s for s in _SECTIONS for f in s.fields for g in (f, *f.sub)}
 
 def _report_texts(report: RunReport) -> Callable[[_Field], list]:
     """The text column of each field, rendered on its first use and kept
-    while the report holds the same row objects and sample norms: a row or
-    norm that is added or replaced renders the texts again."""
+    while the report holds the same row objects and sample norms: a row,
+    table or norm that is added or replaced renders the texts again."""
     sources = [section.rows(report) for section in _SECTIONS] + [report.x_norms]
     rendered = [item for items in sources for item in (*items, None)]  # None ends a section
     kept, texts = report._texts or ([], {})

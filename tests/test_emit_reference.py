@@ -10,8 +10,10 @@ whichever of them is emitted first.
 
 The previous serializer computed the Euclidean norm of each extraction
 limit itself; the generated reports store exactly that number
-(``ExtractionRow.limit_norm``), so this file checks how values print, not
-which norm a report uses; ``tests/test_harness.py`` covers that.
+(``ExtractionTable.limit_norms``), so this file checks how values print,
+not which norm a report uses; ``tests/test_harness.py`` covers that.  It
+reads an extraction table a point at a time: ``x_index`` is the point's
+position in the columns, and ``x_norm`` comes from ``RunReport.x_norms``.
 
 A verification report holds its bound as ``(points, thresholds)`` grids.
 The reference walks each grid x-major, one row per cell, takes ``x_norm``
@@ -32,7 +34,7 @@ from hypothesis import strategies as st
 from fuzzystab.control import StabilityReport
 from fuzzystab.harness import (
     ExperimentConfig,
-    ExtractionRow,
+    ExtractionTable,
     HypothesisRow,
     RunReport,
     emit_report,
@@ -135,17 +137,18 @@ def _report_document(report: RunReport) -> dict:
         ],
         "extraction": [
             {
-                "theorem_id": r.theorem_id,
-                "component": r.component,
-                "x_index": r.x_index,
-                "x_norm": r.x_norm,
-                "limit": list(r.limit),
-                "n_used": r.n_used,
-                "converged": r.converged,
-                "ratio_estimate": r.ratio_estimate,
-                "stopped_reason": r.stopped_reason,
+                "theorem_id": t.theorem_id,
+                "component": t.component,
+                "x_index": i,
+                "x_norm": report.x_norms[i],
+                "limit": list(t.limits[i]),
+                "n_used": t.n_used[i],
+                "converged": t.converged[i],
+                "ratio_estimate": t.ratio_estimate[i],
+                "stopped_reason": t.stopped_reason[i],
             }
-            for r in report.extraction_rows
+            for t in report.extractions
+            for i in range(len(t.n_used))
         ],
         "verification": [
             {
@@ -197,17 +200,18 @@ def _csv_rows(report: RunReport, section: str) -> list[list]:
     if section == "extraction":
         return [
             [
-                r.theorem_id,
-                r.component,
-                r.x_index,
-                _fmt_float(r.x_norm),
-                _fmt_float(float(np.linalg.norm(r.limit))),
-                r.n_used,
-                r.converged,
-                _fmt_float(r.ratio_estimate),
-                r.stopped_reason,
+                t.theorem_id,
+                t.component,
+                i,
+                _fmt_float(report.x_norms[i]),
+                _fmt_float(float(np.linalg.norm(t.limits[i]))),
+                t.n_used[i],
+                t.converged[i],
+                _fmt_float(t.ratio_estimate[i]),
+                t.stopped_reason[i],
             ]
-            for r in report.extraction_rows
+            for t in report.extractions
+            for i in range(len(t.n_used))
         ]
     if section == "verification":
         rows = []
@@ -280,19 +284,14 @@ bools = st.one_of(st.booleans(), st.booleans().map(np.bool_))
 
 @st.composite
 def run_reports(draw):
-    dim = draw(st.integers(1, 3))
-    xs = draw(
-        st.lists(
-            st.lists(plain_floats, min_size=dim, max_size=dim).map(np.array), max_size=4
-        )
-    )
     report = RunReport(
         seed=draw(ints),
         stages=tuple(draw(st.lists(texts, max_size=4))),
         resolved_delta=draw(st.none() | floats),
     )
-    with np.errstate(over="ignore"):
-        report.x_norms = [float(np.linalg.norm(x)) for x in xs]
+    # every table and grid has at most as many points as there are norms
+    report.x_norms = draw(st.lists(floats, max_size=4))
+    points = st.integers(0, len(report.x_norms))
     report.axiom_rows = draw(
         st.lists(
             st.tuples(
@@ -323,28 +322,33 @@ def run_reports(draw):
             max_size=4,
         )
     )
-    for _ in range(draw(st.integers(0, 4))):
-        limit = tuple(draw(st.lists(floats, max_size=3)))
+    for _ in range(draw(st.integers(0, 3))):
+        n, dim = draw(points), draw(st.integers(0, 3))
+
+        def column(values):
+            return tuple(draw(st.lists(values, min_size=n, max_size=n)))
+
+        limits = np.array(column(st.lists(floats, min_size=dim, max_size=dim)), dtype=float)
+        limits = limits.reshape(n, dim)
+        limits.flags.writeable = False
         with np.errstate(over="ignore"):
-            limit_norm = float(np.linalg.norm(limit))
-        report.extraction_rows.append(
-            ExtractionRow(
+            limit_norms = tuple(float(np.linalg.norm(limit)) for limit in limits)
+        report.extractions.append(
+            ExtractionTable(
                 theorem_id=draw(texts),
                 component=draw(texts),
-                x_index=draw(ints),
-                x_norm=draw(floats),
-                limit=limit,
-                limit_norm=limit_norm,
-                n_used=draw(ints),
-                converged=draw(bools),
-                ratio_estimate=draw(floats),
-                stopped_reason=draw(texts),
+                limits=limits,
+                limit_norms=limit_norms,
+                n_used=column(ints),
+                converged=column(bools),
+                ratio_estimate=column(floats),
+                stopped_reason=column(texts),
             )
         )
     for _ in range(draw(st.integers(0, 3))):
         # a grid of n <= len(xs) points by A thresholds
         a_values = np.array(draw(st.lists(floats, max_size=3)), dtype=float)
-        shape = (draw(st.integers(0, len(xs))), a_values.size)
+        shape = (draw(points), a_values.size)
         grid = st.lists(floats, min_size=math.prod(shape), max_size=math.prod(shape))
         report.verification_reports.append(
             StabilityReport(

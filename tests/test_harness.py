@@ -154,10 +154,10 @@ class TestPipeline:
     def test_stage_subsets_populate_only_their_sections(self):
         cfg = ExperimentConfig.from_dict(BASE)
         axioms_only = run_pipeline(cfg, stages=("axioms",))
-        assert axioms_only.axiom_rows and not axioms_only.extraction_rows
+        assert axioms_only.axiom_rows and not axioms_only.extractions
         assert not axioms_only.verification_reports
         extract_only = run_pipeline(cfg, stages=("extraction",))
-        assert extract_only.extraction_rows and not extract_only.axiom_rows
+        assert extract_only.extractions and not extract_only.axiom_rows
 
     def test_negative_control_raises_violations(self):
         data = dict(
@@ -178,10 +178,11 @@ class TestPipeline:
         )
         report = run_pipeline(ExperimentConfig.from_dict(data))
         assert report.exit_status == EXIT_OK
-        for row in report.extraction_rows:
-            limit = float(np.linalg.norm(row.limit))
-            want = 3.0 * row.x_norm**2 if row.component == "quadratic" else 2.0 * row.x_norm
-            assert limit == pytest.approx(want, abs=1e-9)
+        for table in report.extractions:
+            assert len(table.limits) == len(report.x_norms)
+            for limit, x_norm in zip(table.limits, report.x_norms):
+                want = 3.0 * x_norm**2 if table.component == "quadratic" else 2.0 * x_norm
+                assert float(np.linalg.norm(limit)) == pytest.approx(want, abs=1e-9)
 
     def test_power_control_bound_on_even_perturbation(self):
         # degree-one control at the scaling boundary alpha = 2 still verifies
@@ -234,7 +235,7 @@ class TestPipeline:
         report = run_pipeline(ExperimentConfig.from_dict(data))
         assert report.exit_status == EXIT_OK
         assert report.verification_reports[0].violations == 0
-        assert len(report.extraction_rows) == 2 * 8
+        assert [len(table.n_used) for table in report.extractions] == [8, 8]
 
     def test_max_norm_pipeline(self):
         data = dict(
@@ -606,8 +607,9 @@ class TestEmission:
             verification = list(csv.DictReader(fh))
         norm = cfg.space.norm()
         x_norm = {}
-        for row, csv_row in zip(report.extraction_rows, extraction):
-            assert float(csv_row["limit_norm"]) == norm(np.array(row.limit))
+        limits = np.concatenate([table.limits for table in report.extractions])
+        for limit, csv_row in zip(limits, extraction):
+            assert float(csv_row["limit_norm"]) == norm(limit)
             x_norm.setdefault(csv_row["x_index"], csv_row["x_norm"])
             assert x_norm[csv_row["x_index"]] == csv_row["x_norm"]
         (xs,) = received
@@ -656,7 +658,7 @@ class TestEmission:
     @pytest.mark.parametrize(
         "change, section",
         [
-            ("extraction_row", "extraction"),
+            ("extraction_table", "extraction"),
             ("verification_report", "verification"),
             ("x_norm", "verification"),
         ],
@@ -666,8 +668,9 @@ class TestEmission:
     ):
         report = run_pipeline(ExperimentConfig.load(CONFIGS / "combined.json"))
         emit_report(report, first, tmp_path / "before")
-        if change == "extraction_row":
-            report.extraction_rows.append(replace(report.extraction_rows[0], x_norm=0.125))
+        if change == "extraction_table":
+            old = report.extractions[0]
+            report.extractions[0] = old._replace(ratio_estimate=(0.125,) * len(old.n_used))
         elif change == "verification_report":
             old = report.verification_reports[0]
             report.verification_reports[0] = replace(old, lhs=old.lhs / 2, rhs=old.rhs / 3)
@@ -683,6 +686,21 @@ class TestEmission:
         assert after == self._files(tmp_path / "fresh")
         name = "report.json" if first == "json" else f"{section}.csv"
         assert after[name] != (tmp_path / "before" / name).read_bytes()
+
+    def test_extraction_table_columns_cannot_change_in_place(self):
+        # the texts of an emit are kept while the report holds the same
+        # tables, so a column changed in place would never be written
+        report = run_pipeline(ExperimentConfig.load(CONFIGS / "combined.json"), ("extraction",))
+        assert len(report.extractions) == 2
+        for table in report.extractions:
+            with pytest.raises(ValueError):
+                table.limits[0] = 0.125
+            with pytest.raises(ValueError):
+                table.limits.flags.writeable = True
+            for column in table[3:]:
+                assert isinstance(column, tuple) and len(column) == len(table.limits)
+            with pytest.raises(AttributeError):
+                table.n_used = ()
 
 
 class TestCli:

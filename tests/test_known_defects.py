@@ -1,0 +1,104 @@
+"""Known wrong verdicts, each pinned as a strict expected failure.
+
+Each case runs the pipeline on a config written here and asserts what a
+correct run gives.  Today each one fails on that assertion.  Its reason
+names the ROADMAP item whose fix makes it pass; that fix removes the
+marker, since a strict expected failure that passes fails the suite.
+"""
+
+import copy
+
+import numpy as np
+import pytest
+
+from fuzzystab.funceq import residual_main
+from fuzzystab.harness import ExperimentConfig, run_pipeline
+
+#: ``configs/combined.json``: f(x) = x^2 + 2x + 0.01 sin x + 0.01 cos x,
+#: with Q(x) = x^2 and A(x) = 2x, since the up-schemes remove the bounded
+#: perturbations.
+COMBINED = {
+    "seed": 20260809,
+    "space": {"dim_x": 1, "dim_y": 1, "crisp_norm": "euclidean"},
+    "function": {
+        "quad": 1.0,
+        "linear": 2.0,
+        "perturbations": [
+            {"shape": "sin", "amplitude": 0.01},
+            {"shape": "cos", "amplitude": 0.01},
+        ],
+    },
+    "control": {"family": "constant", "delta": "auto", "alpha": 1.0},
+    "theorems": ["combined"],
+    "grids": {"x_count": 20, "x_radius": 2.0, "a_points": 25},
+}
+
+#: A pair outside the sampled ball of radius 2 whose defect, 0.10967,
+#: exceeds every defect on the premise pairs.
+WITNESS = ([9.897], [-9.431])
+
+
+def _quadratic(data: dict):
+    report = run_pipeline(ExperimentConfig.from_dict(data), ("extraction",))
+    (table,) = [t for t in report.extractions if t.component == "quadratic"]
+    return report, table
+
+
+def _witness_defect(data: dict) -> float:
+    defect = residual_main(ExperimentConfig.from_dict(data).function, *WITNESS)
+    return float(np.linalg.norm(defect))
+
+
+@pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 1: the stop rule accepts an early plateau as converged"
+)
+def test_every_converged_quadratic_limit_is_x_squared():
+    # the row with x_index 1 (x_norm 0.0267) stops at n_used 1 with a
+    # relative error of 5.0e-3: its first differences grow by 4 per step
+    report, table = _quadratic(COMBINED)
+    off = [
+        (i, n, abs(limit[0] - x_norm**2) / x_norm**2)
+        for i, (limit, x_norm, n, converged) in enumerate(
+            zip(table.limits, report.x_norms, table.n_used, table.converged)
+        )
+        if converged and abs(limit[0] - x_norm**2) > 1e-6 * x_norm**2
+    ]
+    assert off == []
+
+
+@pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 14: the stop rule has an absolute floor, not scale-free"
+)
+def test_quadratic_stops_do_not_depend_on_the_scale_of_f():
+    # scaling f by 2^k is exact, so each run must stop at the same n; the
+    # first eight stop at 12 1 12 8 11 13 4 11 at k = 0, all at 1 at k = -30
+    scaled = copy.deepcopy(COMBINED)
+    function = scaled["function"]
+    function["quad"] *= 2.0**-30
+    function["linear"] *= 2.0**-30
+    for term in function["perturbations"]:
+        term["amplitude"] *= 2.0**-30
+    _, at_one = _quadratic(COMBINED)
+    _, at_scale = _quadratic(scaled)
+    assert at_scale.n_used == at_one.n_used
+
+
+@pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 2: the premise is checked only on pairs in the sampled ball"
+)
+def test_an_explicit_delta_below_a_defect_fails_the_premise():
+    # the row passes with worst slack 9.58e-6
+    data = dict(COMBINED, control={"family": "constant", "delta": 0.09, "alpha": 1.0})
+    assert _witness_defect(data) > 0.09
+    report = run_pipeline(ExperimentConfig.from_dict(data), ("hypothesis",))
+    (premise,) = [r for r in report.hypothesis_rows if r.check == "defect_premise"]
+    assert not premise.passed
+
+
+@pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 2: auto delta is the largest defect on the sampled pairs"
+)
+def test_auto_delta_is_at_least_every_defect():
+    # the resolved delta is 0.080416
+    report = run_pipeline(ExperimentConfig.from_dict(COMBINED), ("hypothesis",))
+    assert report.resolved_delta >= _witness_defect(COMBINED)

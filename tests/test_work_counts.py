@@ -55,7 +55,8 @@ def test_extract_down_stage_calls_f_once_per_block(monkeypatch):
     monkeypatch.setattr(extraction, "iterate", counted_iterate)
     report = run_pipeline(cfg, ("extraction",))
     dim_x, points = cfg.space.dim_x, extraction.BLOCK_POINTS
-    assert len(report.extraction_rows) == cfg.x_count == 4000
+    (table,) = report.extractions
+    assert len(table.n_used) == cfg.x_count == 4000
     # f(0) once for the offset, then one call on the stacked steps
     # n = 0..N_MAX of each block of points, the last block shorter; the
     # per-point loop made 4000
@@ -200,7 +201,9 @@ def test_each_report_float_is_rendered_once(monkeypatch, tmp_path):
     report = run_pipeline(ExperimentConfig.from_dict(data))
     (verified,) = report.verification_reports
     assert verified.lhs.shape == (60, 25)
-    extraction = sum(3 + len(r.limit) for r in report.extraction_rows)  # x_norm, limit_norm, ratio
+    # each point's limit entries, x_norm, limit_norm and ratio_estimate
+    extraction = sum(t.limits.size + 3 * len(t.limits) for t in report.extractions)
+    assert extraction == 2 * 60 * (2 + 3)  # two components, dim_y 2
     expected = (
         60 + 25 + 3 * 1500 + 1  # the cells and the report's worst_slack
         + extraction
