@@ -9,12 +9,16 @@ parts.  Test functions are closed-form (quadratic form + linear part +
 constant per output coordinate, plus optional globally bounded
 perturbations) so they can be evaluated exactly at geometrically scaled
 arguments 2^n x and x / 2^n.
+
+The equation and its quadratic and additive laws are the term tables
+``_EQUATION``, ``_QUADRATIC_LAW`` and ``_ADDITIVE_LAW``; the perturbation
+shapes, with their profiles and parities, are the table ``_SHAPES``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -33,10 +37,25 @@ __all__ = [
     "remove_offset",
 ]
 
-PERTURBATION_SHAPES = ("sin", "cos", "rational")
 
-#: Parity of each perturbation shape under x -> -x.
-_SHAPE_IS_EVEN = {"sin": False, "cos": True, "rational": False}
+class _Shape(NamedTuple):
+    """A perturbation shape: its profile of q = frequency . x and its parity."""
+
+    profile: Callable[[np.ndarray], np.ndarray]
+    is_even: bool  # else the profile is odd
+
+
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def _rational(q: np.ndarray) -> np.ndarray:
+    return np.where(np.abs(q) > 1e100, 1.0 / q, q / (1.0 + q * q))  # q^2 overflows at huge |q|
+
+
+_SHAPES = {
+    "sin": _Shape(np.sin, False),  # |.| <= 1
+    "cos": _Shape(lambda q: np.cos(q) - 1.0, True),  # |.| <= 2
+    "rational": _Shape(_rational, False),  # q / (1 + q^2), |.| <= 1/2
+}
+PERTURBATION_SHAPES = tuple(_SHAPES)
 
 
 def _quadratic_form(x: np.ndarray, quad: np.ndarray) -> np.ndarray:
@@ -57,22 +76,16 @@ def _linear_form(x: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Perturbation:
-    """Globally bounded closed-form term added to every output coordinate.
-
-    Shapes (q = frequency . x):
-      sin       amplitude * sin(q)            (odd, |.| <= amplitude)
-      cos       amplitude * (cos(q) - 1)      (even, |.| <= 2 amplitude)
-      rational  amplitude * q / (1 + q^2)     (odd, |.| <= amplitude / 2)
-
-    ``amplitude`` is a scalar or one value per output coordinate.
-    """
+    """Globally bounded term added to every output coordinate: ``amplitude``
+    (a scalar, or one value per coordinate) times the profile of ``shape``,
+    a key of ``_SHAPES``, at q = frequency . x."""
 
     shape: str
     amplitude: float | tuple[float, ...] = 0.0
     frequency: float | tuple[float, ...] = 1.0
 
     def __post_init__(self) -> None:
-        if self.shape not in PERTURBATION_SHAPES:
+        if self.shape not in _SHAPES:
             raise ValueError(f"unknown perturbation shape {self.shape!r}")
         amps = self.amplitude if isinstance(self.amplitude, tuple) else (self.amplitude,)
         if any(a < 0 for a in amps):
@@ -93,13 +106,7 @@ class Perturbation:
             q = _linear_form(x, self._w)
         else:
             q = float(self.frequency) * x.sum(axis=-1)
-        if self.shape == "sin":
-            return np.sin(q)
-        if self.shape == "cos":
-            return np.cos(q) - 1.0
-        # rational: q / (1 + q^2), evaluated as 1/q for huge |q| to avoid overflow
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            return np.where(np.abs(q) > 1e100, 1.0 / q, q / (1.0 + q * q))
+        return _SHAPES[self.shape].profile(q)
 
     def value(self, x: np.ndarray, dim_y: int) -> np.ndarray:
         """Term at points ``x`` of shape ``(..., d)`` for a codomain of
@@ -167,18 +174,13 @@ class TestFunction:
     def __post_init__(self) -> None:
         if not self.coords:
             raise ValueError("at least one output coordinate required")
-        for c in self.coords:
-            if c.quad is not None and c.quad.shape != (self.dim_x, self.dim_x):
-                raise DimensionMismatchError(
-                    f"quad block {c.quad.shape} does not match dim_x={self.dim_x}"
-                )
-            if c.linear is not None and c.linear.shape != (self.dim_x,):
-                raise DimensionMismatchError(
-                    f"linear block {c.linear.shape} does not match dim_x={self.dim_x}"
-                )
+        for attr, shape in {"quad": (self.dim_x, self.dim_x), "linear": (self.dim_x,)}.items():
+            for c in self.coords:
+                if (block := getattr(c, attr)) is not None and block.shape != shape:
+                    message = f"{attr} block {block.shape} does not match dim_x={self.dim_x}"
+                    raise DimensionMismatchError(message)
+            object.__setattr__(self, f"_{attr}", _stack_blocks(self.coords, attr))
         object.__setattr__(self, "_const", np.array([c.const for c in self.coords], dtype=float))
-        object.__setattr__(self, "_quad", _stack_blocks(self.coords, "quad"))
-        object.__setattr__(self, "_linear", _stack_blocks(self.coords, "linear"))
 
     @property
     def dim_y(self) -> int:
@@ -201,9 +203,7 @@ class TestFunction:
         return cls(coords=(coord,), perturbations=tuple(perturbations), dim_x=1)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        v = np.asarray(x, dtype=float)
-        if v.ndim == 0:
-            v = v.reshape(1)
+        v = np.atleast_1d(np.asarray(x, dtype=float))
         if v.shape[-1] != self.dim_x:
             raise DimensionMismatchError(
                 f"input has shape {v.shape}, expected (..., {self.dim_x})"
@@ -225,52 +225,60 @@ class TestFunction:
 VectorFunction = Callable[[np.ndarray], np.ndarray]
 
 
-def _coerce_pair(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    xv = np.atleast_1d(np.asarray(x, dtype=float))
-    yv = np.atleast_1d(np.asarray(y, dtype=float))
+#: Terms (c, p, q) of a defect sum of c f(p x + q y), in the order summed.
+_EQUATION = ((1, 2, 1), (1, 2, -1), (-1, 1, 1), (-1, 1, -1), (-2, 2, 0), (2, 1, 0))
+_QUADRATIC_LAW = ((1, 1, 1), (1, 1, -1), (-2, 1, 0), (-2, 0, 1))
+_ADDITIVE_LAW = ((1, 1, 1), (-1, 1, 0), (-1, 0, 1))
+
+
+def stacked_values(f: VectorFunction, points: np.ndarray) -> np.ndarray:
+    """``f`` at the stack ``points`` as floats, refused with ``ValueError``
+    unless it maps ``(..., dim_x)`` to ``(..., dim_y)`` row by row."""
+    values = np.asarray(f(points), dtype=float)
+    if values.shape[:-1] != points.shape[:-1]:
+        raise ValueError(
+            f"f maps points of shape {points.shape} to shape {values.shape}; "
+            "it must map (..., dim_x) to (..., dim_y) row by row"
+        )
+    return values
+
+
+def _defect(terms: tuple[tuple[int, int, int], ...], f: VectorFunction, x, y) -> np.ndarray:
+    """The sum of c f(p x + q y) over ``terms`` at one pair or equal stacks of
+    pairs ``(..., dim_x)``, shape ``(..., dim_y)``, from one call of ``f`` on
+    the ``(terms, ..., dim_x)`` stack of the arguments.  A zero multiplier's
+    variable is left out (no 0 * inf, no -0.0 turned to 0.0), and the sum
+    starts from the first term."""
+    xv, yv = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (x, y))
     if xv.shape != yv.shape:
         raise DimensionMismatchError(f"x has shape {xv.shape}, y has shape {yv.shape}")
-    return xv, yv
+    args = [p * xv + q * yv if p and q else p * xv if p else q * yv for _, p, q in terms]
+    values = stacked_values(f, np.stack(args))
+    total = terms[0][0] * values[0]
+    for (c, _, _), value in zip(terms[1:], values[1:]):
+        total += c * value
+    return total
 
 
 def residual_main(f: VectorFunction, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Defect f(2x+y) + f(2x-y) - f(x+y) - f(x-y) - 2 f(2x) + 2 f(x).
 
     ``x`` and ``y`` are one pair or equal stacks of pairs ``(..., dim_x)``, and
-    the defect has shape ``(..., dim_y)``; on a stack ``f`` is called once per
-    term with all the points, so it must map ``(..., dim_x)`` to
-    ``(..., dim_y)`` row by row as ``TestFunction`` does.
+    the defect has shape ``(..., dim_y)``.  ``f`` is called once, on the
+    stacked arguments of the six terms, so even for one pair it must map
+    ``(..., dim_x)`` to ``(..., dim_y)`` row by row as ``TestFunction`` does.
     """
-    xv, yv = _coerce_pair(x, y)
-    return (
-        np.asarray(f(2 * xv + yv), dtype=float)
-        + np.asarray(f(2 * xv - yv), dtype=float)
-        - np.asarray(f(xv + yv), dtype=float)
-        - np.asarray(f(xv - yv), dtype=float)
-        - 2 * np.asarray(f(2 * xv), dtype=float)
-        + 2 * np.asarray(f(xv), dtype=float)
-    )
+    return _defect(_EQUATION, f, x, y)
 
 
 def residual_quadratic(f: VectorFunction, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Defect of the parallelogram identity: f(x+y) + f(x-y) - 2 f(x) - 2 f(y)."""
-    xv, yv = _coerce_pair(x, y)
-    return (
-        np.asarray(f(xv + yv), dtype=float)
-        + np.asarray(f(xv - yv), dtype=float)
-        - 2 * np.asarray(f(xv), dtype=float)
-        - 2 * np.asarray(f(yv), dtype=float)
-    )
+    return _defect(_QUADRATIC_LAW, f, x, y)
 
 
 def residual_additive(f: VectorFunction, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Additivity defect f(x+y) - f(x) - f(y)."""
-    xv, yv = _coerce_pair(x, y)
-    return (
-        np.asarray(f(xv + yv), dtype=float)
-        - np.asarray(f(xv), dtype=float)
-        - np.asarray(f(yv), dtype=float)
-    )
+    return _defect(_ADDITIVE_LAW, f, x, y)
 
 
 def even_part(f: TestFunction) -> TestFunction:
@@ -280,10 +288,8 @@ def even_part(f: TestFunction) -> TestFunction:
     perturbation terms), so it stays exact at arguments 2^n x where the
     averaging formula would lose the cancelled terms to rounding.
     """
-    coords = tuple(
-        CoordinatePoly(quad=c.quad, linear=None, const=c.const) for c in f.coords
-    )
-    perts = tuple(p for p in f.perturbations if _SHAPE_IS_EVEN[p.shape])
+    coords = tuple(CoordinatePoly(quad=c.quad, const=c.const) for c in f.coords)
+    perts = tuple(p for p in f.perturbations if _SHAPES[p.shape].is_even)
     return TestFunction(coords=coords, perturbations=perts, dim_x=f.dim_x)
 
 
@@ -292,10 +298,8 @@ def odd_part(f: TestFunction) -> TestFunction:
 
     The part keeps the closed form (linear and odd perturbation terms).
     """
-    coords = tuple(
-        CoordinatePoly(quad=None, linear=c.linear, const=0.0) for c in f.coords
-    )
-    perts = tuple(p for p in f.perturbations if not _SHAPE_IS_EVEN[p.shape])
+    coords = tuple(CoordinatePoly(linear=c.linear) for c in f.coords)
+    perts = tuple(p for p in f.perturbations if not _SHAPES[p.shape].is_even)
     return TestFunction(coords=coords, perturbations=perts, dim_x=f.dim_x)
 
 

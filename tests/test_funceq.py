@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuzzystab.errors import DimensionMismatchError
+from fuzzystab.extraction import Scheme, iterate
 from fuzzystab.funceq import (
     CoordinatePoly,
     Perturbation,
@@ -102,6 +103,52 @@ def test_each_law_residual_refuses_mismatched_dimensions(residual):
         residual(f, np.array([1.0, 2.0]), np.array([1.0, 2.0]))
     with pytest.raises(DimensionMismatchError):
         residual(f, V(1), np.array([1.0, 2.0]))
+
+
+#: Each residual's term arguments written out by hand, in its order.
+HAND_WRITTEN_ARGUMENTS = {
+    residual_main: lambda x, y: [2 * x + y, 2 * x - y, x + y, x - y, 2 * x, x],
+    residual_quadratic: lambda x, y: [x + y, x - y, x, y],
+    residual_additive: lambda x, y: [x + y, x, y],
+}
+
+
+@pytest.mark.parametrize("residual", HAND_WRITTEN_ARGUMENTS)
+def test_term_arguments_are_the_hand_written_ones_bit_for_bit(residual):
+    # a zero multiplier leaves its variable out: 0 * inf would be NaN and
+    # -0.0 + 0 * y would be 0.0
+    x = np.array([[-0.0], [0.0], [np.inf], [-1.5], [-0.0]])
+    y = np.array([[-0.0], [np.inf], [-0.0], [-np.inf], [1e308]])
+    received = []
+
+    def identity(v):
+        received.append(v)
+        return v
+
+    with np.errstate(invalid="ignore", over="ignore"):
+        residual(identity, x, y)
+        expected = np.stack(HAND_WRITTEN_ARGUMENTS[residual](x, y))
+    (args,) = received
+    assert args.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("residual", [residual_main, residual_quadratic, residual_additive])
+@pytest.mark.parametrize("points", [(), (4,)])
+def test_a_source_that_maps_only_one_point_is_refused(residual, points):
+    # f is called once on the stacked arguments of the terms, even for one
+    # pair, so a source that sums a stack into one value is refused, with
+    # the error that iterate gives it on a stack of steps or of points
+    def squared_norm(v):
+        return np.array([np.sum(v * v)])
+
+    x, y = np.ones((2, *points, 2))
+    message = "it must map (..., dim_x) to (..., dim_y) row by row"
+    with pytest.raises(ValueError) as refused:
+        residual(squared_norm, x, y)
+    with pytest.raises(ValueError) as iterated:
+        iterate(Scheme.QUADRATIC_UP, squared_norm, x, np.arange(3) if x.ndim == 1 else 0)
+    assert refused.value.args[0].endswith(message)
+    assert iterated.value.args[0].endswith(message)
 
 
 class TestParityDecomposition:

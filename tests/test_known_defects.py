@@ -11,6 +11,7 @@ import copy
 import numpy as np
 import pytest
 
+from fuzzystab import harness
 from fuzzystab.funceq import residual_main
 from fuzzystab.harness import ExperimentConfig, run_pipeline
 
@@ -102,3 +103,44 @@ def test_auto_delta_is_at_least_every_defect():
     # the resolved delta is 0.080416
     report = run_pipeline(ExperimentConfig.from_dict(COMBINED), ("hypothesis",))
     assert report.resolved_delta >= _witness_defect(COMBINED)
+
+
+#: dim_y 2, x^2 in both coordinates and sin amplitude 1e200: each defect
+#: coordinate is finite, but the sum of their squares overflows.
+OVERFLOWING_DEFECT = {
+    "seed": 424242,
+    "space": {"dim_x": 1, "dim_y": 2, "crisp_norm": "euclidean"},
+    "function": {
+        "coords": [{"quad": [[1.0]]}, {"quad": [[1.0]]}],
+        "perturbations": [{"shape": "sin", "amplitude": 1e200}],
+    },
+    "control": {"family": "constant", "delta": "auto", "alpha": 1.0},
+    "theorems": ["quadratic_up"],
+    "grids": {"x_count": 6, "x_radius": 2.0, "a_points": 7, "axiom_points": 40},
+}
+
+
+@pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 14: the Euclidean norm overflows on a finite defect"
+)
+def test_auto_delta_is_the_largest_finite_defect_norm(monkeypatch):
+    # the resolved delta is inf, and the premise row passes at slack 0.0
+    received = []
+    measure_residual_sup = harness.measure_residual_sup
+
+    def counted(f, pairs, **kwargs):
+        received.append((f, pairs))
+        return measure_residual_sup(f, pairs, **kwargs)
+
+    monkeypatch.setattr(harness, "measure_residual_sup", counted)
+    report = run_pipeline(ExperimentConfig.from_dict(OVERFLOWING_DEFECT), ("hypothesis",))
+    ((f, pairs),) = received
+    defects = residual_main(f, *pairs)
+    assert np.isfinite(defects).all()
+    # each norm with its max-abs coordinate factored out, as BLAS nrm2 does;
+    # a zero defect (y = 0) has norm 0
+    largest = np.abs(defects).max(axis=1, keepdims=True)
+    scaled = np.divide(defects, largest, out=np.zeros_like(defects), where=largest > 0)
+    norms = largest[:, 0] * np.sqrt(np.sum(scaled**2, axis=1))
+    assert float(norms.max()) == pytest.approx(7.684172e200, rel=1e-6)
+    assert report.resolved_delta == pytest.approx(float(norms.max()), rel=1e-12)

@@ -19,7 +19,14 @@ import pytest
 from fuzzystab import cli, control, extraction, harness, spaces
 from fuzzystab.cli import _STAGES_BY_COMMAND
 from fuzzystab.extraction import N_MAX, Scheme, extract_limit, uniqueness_crosscheck
-from fuzzystab.funceq import Perturbation, TestFunction
+from fuzzystab.funceq import (
+    CoordinatePoly,
+    Perturbation,
+    TestFunction,
+    residual_additive,
+    residual_main,
+    residual_quadratic,
+)
 from fuzzystab.harness import ExperimentConfig, run_pipeline
 from fuzzystab.spaces import FuzzyNorm
 
@@ -191,6 +198,52 @@ def test_defect_is_evaluated_once_per_use(monkeypatch, command):
             "measure_residual_sup": 1,
             "residual_main": 1 + theorems,
         }
+
+
+@pytest.mark.parametrize(
+    "residual, terms",
+    [(residual_main, 6), (residual_quadratic, 4), (residual_additive, 3)],
+)
+@pytest.mark.parametrize("points", [(), (5,), (2, 3)])
+def test_each_residual_calls_f_once_on_its_stacked_terms(residual, terms, points):
+    # the arguments of every term stack along a new first axis: one call of
+    # f per residual, one pair included (one call per term before)
+    square = TestFunction(coords=(CoordinatePoly(quad=np.eye(2)),), dim_x=2)
+    shapes = []
+
+    def source(x):
+        shapes.append(np.shape(x))
+        return square(x)
+
+    x, y = np.random.default_rng(5).normal(size=(2, *points, 2))
+    assert residual(source, x, y).shape == (*points, 1)
+    assert shapes == [(terms, *points, 2)]
+
+
+@pytest.mark.parametrize("name", ["grid_dense", "axioms_dense"])
+def test_a_full_run_calls_f_eight_times(monkeypatch, name):
+    # f(0) for the offset, one call for the auto-delta sup and one for the
+    # premise margin (twelve, one per term, before), four extraction blocks
+    # (two components, extracted twice) and one at the verified points
+    cfg = ExperimentConfig.from_dict(_workload_config(name))
+    assert cfg.theorems == ("combined",)  # whose y-set has 8 pairs per point
+    shapes = []
+    call = TestFunction.__call__
+
+    def counted(self, x):
+        shapes.append(np.shape(x))
+        return call(self, x)
+
+    monkeypatch.setattr(TestFunction, "__call__", counted)
+    run_pipeline(cfg, _STAGES_BY_COMMAND["run"])
+    dim_x, points = cfg.space.dim_x, cfg.x_count
+    pairs = 8 * points + control.BALL_PAIRS
+    assert shapes == (
+        [(dim_x,)]
+        + [(6, pairs, dim_x)] * 2
+        + [(points, N_MAX + 1, dim_x)] * 4
+        + [(points, dim_x)]
+    )
 
 
 def test_each_report_float_is_rendered_once(monkeypatch, tmp_path):
