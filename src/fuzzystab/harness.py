@@ -58,13 +58,13 @@ from .funceq import (
 )
 from .spaces import (
     AxiomCheck,
-    CrispNorm,
     FuzzyNorm,
     SpaceConfig,
     check_axioms,
     default_axiom_samples,
     log_a_grid,
     sample_ball,
+    stack_norms,
 )
 
 __all__ = [
@@ -382,7 +382,7 @@ class RunReport:
     verification_reports: list[StabilityReport] = field(default_factory=list)
     repair_log: list[tuple[str, str]] = field(default_factory=list)
     resolved_delta: float | None = None
-    #: Crisp norm of each sample point (the space's ``norm()``), by ``x_index``.
+    #: Norm of each sample point (the space's ``norm()`` by ``stack_norms``), by ``x_index``.
     x_norms: list[float] = field(default_factory=list)
     #: The rows and norms ``emit_report`` last rendered, and the texts so far.
     _texts: tuple | None = field(default=None, init=False, repr=False)
@@ -421,23 +421,6 @@ class _ScaledComponent:
         return self.factor * np.asarray(self.source(x), dtype=float)
 
 
-def _finite_norms(norm: CrispNorm, v: np.ndarray) -> list:
-    """Norms of the vectors of ``v``, shape ``(..., d)``, by a crisp norm, as
-    nested lists of shape ``(...)``.
-
-    A row of finite entries whose norm overflows in the squares is scaled by
-    a power of two before it is normed again, so it gets its finite norm if
-    it has one; every other row keeps the norm's bits.
-    """
-    with np.errstate(over="ignore"):
-        norms = norm(v)
-        redo = ~np.isfinite(norms) & np.isfinite(v).all(axis=-1)
-        if redo.any():
-            _, exp = np.frexp(np.max(np.abs(v[redo]), axis=-1))
-            norms[redo] = np.ldexp(norm(np.ldexp(v[redo], -exp[:, None])), exp)
-    return norms.tolist()
-
-
 def run_pipeline(cfg: ExperimentConfig, stages: Sequence[str] = ALL_STAGES) -> RunReport:
     """Execute the requested pipeline stages: the axiom audit, a control
     prelude, then one pass per theorem for its hypothesis rows, extraction
@@ -457,7 +440,8 @@ def run_pipeline(cfg: ExperimentConfig, stages: Sequence[str] = ALL_STAGES) -> R
 
     rng_x = np.random.default_rng(seed_x)
     xs = np.array([sample_ball(rng_x, cfg.space.dim_x, cfg.x_radius) for _ in range(cfg.x_count)])
-    report.x_norms = _finite_norms(norm, xs)
+    with np.errstate(over="ignore"):  # an overflowing norm is normed again, never warned
+        report.x_norms = stack_norms(norm, xs).tolist()
 
     if "axioms" in stages:
         points, scalars = default_axiom_samples(
@@ -533,9 +517,9 @@ def run_pipeline(cfg: ExperimentConfig, stages: Sequence[str] = ALL_STAGES) -> R
         if "extraction" in stages:
             limits = np.array([[result.limit_value for result in at_xs] for at_xs in results])
             limits.flags.writeable = False
-            for scheme, at_xs, at_limits, normed in zip(
-                schemes, results, limits, _finite_norms(norm, limits)
-            ):
+            with np.errstate(over="ignore"):
+                limit_norms = stack_norms(norm, limits).tolist()
+            for scheme, at_xs, at_limits, normed in zip(schemes, results, limits, limit_norms):
                 name = "quadratic" if scheme.is_quadratic else "additive"
                 columns = (tuple(map(attrgetter(c), at_xs)) for c in ExtractionTable._fields[4:])
                 report.extractions.append(

@@ -126,13 +126,24 @@ class SpaceConfig:
 
 def stack_norms(norm: CrispNorm, x: np.ndarray) -> float | np.ndarray:
     """Norms ``norm(x)`` of the vectors ``x`` of shape ``(..., d)``, shape ``(...)``;
-    ``ValueError`` if the norm does not map them one by one (one number for a stack)."""
+    ``ValueError`` if the norm does not map them one by one (one number for a stack).
+    The one norm of the report and of every check but the extraction stop rule:
+    an inf norm of finite entries is taken again of the vector scaled by 2^-e, e
+    the exponent of its largest entry, and scaled back by 2^e; overflow warns as in ``norm``.
+    """
     r = norm(x)
     if np.shape(r) != np.shape(x)[:-1]:
         raise ValueError(
             f"norm maps vectors of shape {np.shape(x)} to shape {np.shape(r)}; "
             "it must map (..., d) to (...)"
         )
+    if np.isposinf(r).any():
+        v = np.asarray(x, dtype=float)
+        redo = np.isposinf(r) & np.isfinite(v).all(axis=-1)
+        _, e = np.frexp(np.max(np.abs(v[redo]), axis=-1, initial=0.0))
+        r = np.array(r, dtype=float)  # 0-d for one vector
+        r[redo] = np.ldexp(norm(np.ldexp(v[redo], -e[:, None])), e)
+        return float(r) if r.ndim == 0 else r
     return r
 
 
@@ -165,6 +176,8 @@ class FuzzyNorm:
         if a <= 0.0:
             return 0.0
         r = float(self.crisp(v))
+        if r == math.inf:  # maybe squares of finite entries that overflow
+            r = float(stack_norms(self.crisp, v))
         if a == math.inf and math.isfinite(r):
             return 1.0  # a / (a + r) is inf / inf; its limit is 1
         return a / (a + r)
@@ -260,9 +273,10 @@ def check_axioms(
     finite differences and reported as ``sampled``.  Degenerate samples
     (e.g. no positive thresholds) produce a note, not a failure.  A
     non-finite membership is a violation of the axiom that evaluated it.
-    Memberships that differ by at most ``MEMBERSHIP_SLACK`` count as equal,
-    and N5 asks each sample vector's membership at a threshold beyond every
-    sampled one, scaled by its norm, to exceed 1 - ``FUZZY_TOLERANCE``.
+    Memberships that differ by at most ``MEMBERSHIP_SLACK`` count as equal.  N2
+    also probes each nonzero vector at its own norm (membership 1/2 if induced),
+    and N5 asks its membership at the largest threshold times 1 + that norm to
+    exceed 1 - ``FUZZY_TOLERANCE``; a custom evaluator is normed as Euclidean.
     """
     if not sample_points:
         raise ValueError("sample_points must be non-empty")
@@ -274,8 +288,9 @@ def check_axioms(
     # The distinct vectors, byte for byte, in the order they first occur.
     keys = vectors.view(np.dtype((np.void, vectors.itemsize * vectors.shape[1])))
     xs = vectors[np.bincount(np.unique(keys, return_index=True)[1], minlength=len(keys)) > 0]
-    # Memberships of every distinct vector at every positive threshold.
+    # Memberships of every distinct vector at every positive threshold, and its norm.
     grid = norm.memberships(xs[:, None, :], pos_a)
+    xs_norms = stack_norms(norm.crisp or euclidean_norm, xs)
     checks: list[AxiomCheck] = []
 
     # N1: membership vanishes at non-positive thresholds.
@@ -287,16 +302,17 @@ def check_axioms(
     t.slack(-m, m > MEMBERSHIP_SLACK)
     checks.append(t.check("N1"))
 
-    # N2: membership 1 at the origin for every positive threshold, and
-    # below 1 somewhere for every nonzero sample vector.
+    # N2: membership 1 at the origin for every positive threshold, and below 1
+    # for every nonzero vector at a sampled threshold or its positive finite norm.
     t = _Tally()
     m = t.evaluated(norm.memberships(np.zeros(xs.shape[1]), pos_a))
     t.slack(m - 1.0, m < 1.0 - MEMBERSHIP_SLACK)
     nonzero = np.any(xs, axis=1)
-    if pos_a.size:
-        m_min = t.evaluated(grid[nonzero]).min(axis=1)
-    else:
-        m_min = np.ones(np.count_nonzero(nonzero))
+    m_min = t.evaluated(grid[nonzero]).min(axis=1, initial=1.0)
+    r = xs_norms[nonzero]
+    probed = (r > 0.0) & (r < math.inf)
+    at_own = t.evaluated(norm.memberships(xs[nonzero][probed], r[probed]))
+    m_min[probed] = np.minimum(m_min[probed], at_own)
     never_below_one = m_min >= 1.0 - MEMBERSHIP_SLACK
     t.slack(np.where(never_below_one, (1.0 - m_min) - MEMBERSHIP_SLACK, 0.0), never_below_one)
     checks.append(t.check("N2", "" if pos_a.size else "degenerate: no positive thresholds sampled"))
@@ -330,8 +346,7 @@ def check_axioms(
     t.evaluated(grid)
     t.slack(grid[:, 1:] - grid[:, :-1], grid[:, 1:] < grid[:, :-1] - MEMBERSHIP_SLACK)
     if pos_a.size:
-        # sized by the norm under audit; a custom evaluator has none to use
-        big = pos_a[-1] * (1.0 + (norm.crisp or euclidean_norm)(xs))
+        big = pos_a[-1] * (1.0 + xs_norms)
         margin = t.evaluated(norm.memberships(xs, big)) - (1.0 - FUZZY_TOLERANCE)
         t.slack(margin, margin < 0.0)
     checks.append(t.check("N5"))

@@ -69,7 +69,8 @@ def reference_check_axioms(
     checks.append(AxiomCheck("N1", bad == 0, bad, worst))
 
     # N2: membership 1 at the origin for every positive threshold, and
-    # below 1 somewhere for every nonzero sample vector.
+    # below 1 somewhere for every nonzero sample vector: at a sampled
+    # threshold or at its own positive finite norm.
     worst = 0.0
     bad = 0
     note = ""
@@ -83,7 +84,10 @@ def reference_check_axioms(
     for x in xs:
         if not np.any(x):
             continue
-        m_min = min(norm(x, a) for a in pos_a) if pos_a else 1.0
+        m_min = min([1.0, *(norm(x, a) for a in pos_a)])
+        r = (norm.crisp or euclidean_norm)(x)
+        if 0.0 < r < math.inf:
+            m_min = min(m_min, norm(x, r))
         if m_min >= 1.0 - MEMBERSHIP_SLACK:
             bad += 1
             worst = min(worst, (1.0 - m_min) - MEMBERSHIP_SLACK)

@@ -32,7 +32,7 @@ from typing import Sequence
 import pytest
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fuzzystab.control import (
@@ -545,6 +545,9 @@ def _outcome(fn, **kwargs):
 @pytest.mark.parametrize("errstate", [{}, {"all": "ignore"}], ids=["warn", "ignore"])
 @settings(max_examples=400, deadline=None)
 @given(_envelope_case())
+@example(  # phi is finite, near 1e225, but its square in the N' norm overflows
+    dict(theorem_id="quadratic_up", phi=PowerControl(1.0, 1.5, 1.0), x=np.array([1e150]), a=1.0)
+)
 def test_envelope_equals_reference_loop_at_the_paper_threshold(errstate, case):
     # under the test config a numpy overflow warning is an error, so both
     # must fail alike; with warnings off the values behind them must agree

@@ -8,11 +8,15 @@ re-create them after an intended report change, run
 review the diff.
 """
 
+import csv
+import difflib
 import inspect
+import io
 import json
 import re
 import tempfile
 import typing
+from itertools import zip_longest
 from pathlib import Path
 
 import pytest
@@ -182,6 +186,31 @@ def _run(case: str, config_dir: Path, out_dir: Path) -> None:
     cli_main([command, "--config", str(_config_path(case, config_dir)), "--out-dir", str(out_dir)])
 
 
+#: Changed values that a failed golden comparison lists.
+SHOWN_CHANGES = 10
+
+
+def _changes(name: str, golden: bytes, new: bytes) -> list[str]:
+    """The first changed values of the report file ``name``: for a CSV, the
+    row (0 is the header), the column and golden -> new; for ``report.json``,
+    the lines that differ, golden ones marked ``-`` and new ones ``+``."""
+    old_text, new_text = golden.decode("utf-8"), new.decode("utf-8")
+    if not name.endswith(".csv"):
+        diff = difflib.unified_diff(old_text.splitlines(), new_text.splitlines(), lineterm="", n=0)
+        return [line for line in diff if line[:1] in "+-" and line[:3] not in ("---", "+++")][
+            :SHOWN_CHANGES
+        ]
+    old_rows, new_rows = (list(csv.reader(io.StringIO(text))) for text in (old_text, new_text))
+    header = old_rows[0] if old_rows else []
+    changes = []
+    for i, (old, row) in enumerate(zip_longest(old_rows, new_rows, fillvalue=())):
+        for j, (a, b) in enumerate(zip_longest(old, row, fillvalue="<none>")):
+            if a != b:
+                column = header[j] if j < len(header) else f"#{j}"
+                changes.append(f"row {i}, {column}: {a} -> {b}")
+    return changes[:SHOWN_CHANGES]
+
+
 def test_readme_golden_paragraph_names_every_case():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     (paragraph,) = [p for p in readme.split("\n\n") if p.startswith("`tests/test_golden.py`")]
@@ -212,7 +241,24 @@ def test_reports_match_golden_bytes(case, tmp_path):
     expected = sorted(p.name for p in (GOLDEN / case).iterdir())
     assert sorted(p.name for p in out.iterdir()) == expected
     for name in expected:
-        assert (out / name).read_bytes() == (GOLDEN / case / name).read_bytes(), f"{case}/{name}"
+        new, golden = (out / name).read_bytes(), (GOLDEN / case / name).read_bytes()
+        assert new == golden, "\n".join([f"{case}/{name} changed:", *_changes(name, golden, new)])
+
+
+def test_a_golden_failure_names_the_changed_values():
+    csv_golden = b"norm,axiom,worst_slack\r\nN,N3,-7.5e-152\r\nN,N4,0\r\n"
+    csv_new = b"norm,axiom,worst_slack\r\nN,N3,-3.4e-167\r\nN,N4,0\r\nN,N5,0\r\n"
+    assert _changes("axioms.csv", csv_golden, csv_new) == [
+        "row 1, worst_slack: -7.5e-152 -> -3.4e-167",
+        "row 3, norm: <none> -> N",
+        "row 3, axiom: <none> -> N5",
+        "row 3, worst_slack: <none> -> 0",
+    ]
+    json_golden = b'{\n  "a": 1,\n  "b": 2,\n  "c": 3\n}\n'
+    json_new = b'{\n  "a": 1,\n  "b": 5,\n  "c": 3\n}\n'
+    assert _changes("report.json", json_golden, json_new) == ['-  "b": 2,', '+  "b": 5,']
+    many = b"x\r\n" + b"1\r\n" * 20
+    assert len(_changes("a.csv", many, many.replace(b"1", b"2"))) == SHOWN_CHANGES
 
 
 if __name__ == "__main__":

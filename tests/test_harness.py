@@ -24,7 +24,6 @@ from fuzzystab.harness import (
     ExperimentConfig,
     HypothesisRow,
     RunReport,
-    _finite_norms,
     emit_report,
     run_pipeline,
 )
@@ -33,7 +32,6 @@ from fuzzystab.spaces import (
     AxiomCheck,
     FuzzyNorm,
     check_axioms,
-    crisp_norm,
     default_axiom_samples,
     euclidean_norm,
     log_a_grid,
@@ -282,17 +280,12 @@ class TestPipeline:
         assert vanishing.note == "auto delta nan at rate 4"
 
     def test_infinite_auto_delta_fails_both_scaling_rows(self):
-        # each coordinate of the defect is finite, its Euclidean norm is not:
-        # the auto-delta is inf, not NaN, and phi = inf is no control, so
-        # the scaling row fails at -inf (the sampled check passed it at 0)
-        data = dict(
-            BASE,
-            space={"dim_x": 1, "dim_y": 2, "crisp_norm": "euclidean"},
-            function={
-                "coords": [{"quad": [[1.0]]}, {"quad": [[1.0]]}],
-                "perturbations": [{"shape": "sin", "amplitude": 1e200}],
-            },
-        )
+        # no term c f(px + qy) of the defect of 8e307 sin x overflows (2 *
+        # 8e307 < 1.8e308), but their partial sums can: a defect coordinate
+        # is inf, never NaN, so the auto-delta is inf, and phi = inf is no
+        # control: the scaling row fails at -inf (the sampled check passed
+        # it at 0)
+        data = dict(BASE, function={"perturbations": [{"shape": "sin", "amplitude": 8e307}]})
         report = run_pipeline(ExperimentConfig.from_dict(data), stages=("hypothesis",))
         assert report.resolved_delta == math.inf
         scaling, vanishing, _ = report.hypothesis_rows
@@ -305,6 +298,17 @@ class TestPipeline:
         )
         # 2^0 < 4 holds: the row fails on the auto-delta, and says so
         assert (vanishing.passed, vanishing.note) == (False, "auto delta inf at rate 4")
+
+    @pytest.mark.parametrize("radius, violations", [(1e-13, 0), (1e-100, 0), (1e-200, 199)])
+    def test_n2_audits_the_induced_norms_at_small_scales(self, radius, violations):
+        # configs/combined.json at a small x_radius: N2 probes each nonzero
+        # sample at its own norm, so it fails only where the squares of that
+        # norm underflow to 0, for N and for N' alike
+        data = json.loads((CONFIGS / "combined.json").read_text(encoding="utf-8"))
+        data["grids"]["x_radius"] = radius
+        report = run_pipeline(ExperimentConfig.from_dict(data), stages=("axioms",))
+        n2 = [(norm, c.passed, c.violations) for norm, c in report.axiom_rows if c.axiom == "N2"]
+        assert n2 == [(norm, violations == 0, violations) for norm in ("N", "N'")]
 
     def test_zero_control_passes_both_scaling_rows_at_any_alpha(self):
         # phi = 0 satisfies phi(2x, 2y) <= alpha phi(x, y) at alpha 0.5; it
@@ -336,7 +340,9 @@ class TestPipeline:
     def test_overflowing_component_errors_verify_quietly(self, tmp_path, capsys):
         # near x = 1e100 the additive_up component of x^2 + x does not
         # converge, and the squared norms of its errors overflow inside the
-        # verification memberships: each membership is 0, with no RuntimeWarning
+        # verification memberships, with no RuntimeWarning: each error is
+        # normed again by a power of two, so each membership is its tiny
+        # finite value, below the envelope by less than the membership slack
         data = dict(
             BASE,
             seed=1,
@@ -352,7 +358,12 @@ class TestPipeline:
         assert capsys.readouterr().err == ""
         with open(out / "verification.csv", encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
-        assert [(row["lhs"], row["rhs"]) for row in rows] == [("0", "0")] * 4
+        assert [(row["lhs"], row["rhs"]) for row in rows] == [
+            ("2.7723375973059894e-203", "2.4514972586088908e-189"),
+            ("2.7723375973059891e-197", "2.4514972586088908e-183"),
+            ("1.9684541890511846e-202", "2.4514972586088908e-189"),
+            ("1.9684541890511848e-196", "2.4514972586088908e-183"),
+        ]
 
     @pytest.mark.parametrize(
         "control, theorem",
@@ -565,21 +576,6 @@ class TestEmission:
         assert any(abs(limit) > 1e154 for limit, _ in finite)
         for limit, limit_norm in finite:
             assert limit_norm == abs(limit)
-
-    def test_finite_norms_rescale_only_overflowing_rows(self):
-        rng = np.random.default_rng(7)
-        v = rng.normal(size=(200, 3))
-        huge = np.ldexp(v, 1000)
-        for kind, weights in (("euclidean", None), ("max", None), ("weighted", (1.0, 2.0, 0.5))):
-            norm = crisp_norm(kind, weights)
-            plain = norm(v)
-            assert np.array_equal(_finite_norms(norm, v), plain)
-            # scaling by 2^1000 is exact, so the rescaled norm is the plain one scaled
-            assert np.array_equal(_finite_norms(norm, huge), np.ldexp(plain, 1000))
-        edge = np.array([[np.inf, 0.0], [np.nan, 1.0], [1.7e308, 1.7e308], [1e300, -1e300]])
-        norms = _finite_norms(euclidean_norm, edge)
-        assert norms[:3] == [math.inf, pytest.approx(math.nan, nan_ok=True), math.inf]
-        assert norms[3] == math.hypot(1e300, 1e300)
 
     @pytest.mark.parametrize(
         "space",

@@ -1,15 +1,18 @@
-"""Known wrong verdicts, each pinned as a strict expected failure.
+"""Known wrong verdicts, each pinned as a strict expected failure until fixed.
 
-Each case runs the pipeline on a config written here and asserts what a
-correct run gives.  Today each one fails on that assertion.  Its reason
-names the ROADMAP item whose fix makes it pass; that fix removes the
-marker, since a strict expected failure that passes fails the suite.
+Each case runs the pipeline on a config written here, or on a golden
+case's, and asserts what a correct run gives.  Each marked case fails on
+that assertion today.  Its reason names the ROADMAP item whose fix makes
+it pass; that fix removes the marker, since a strict expected failure that
+passes fails the suite, and the case stays as a regression test.
 """
 
 import copy
 
 import numpy as np
 import pytest
+
+from test_golden import CASES as GOLDEN_CASES
 
 from fuzzystab import harness
 from fuzzystab.funceq import residual_main
@@ -120,11 +123,9 @@ OVERFLOWING_DEFECT = {
 }
 
 
-@pytest.mark.xfail(
-    strict=True, reason="ROADMAP item 14: the Euclidean norm overflows on a finite defect"
-)
 def test_auto_delta_is_the_largest_finite_defect_norm(monkeypatch):
-    # the resolved delta is inf, and the premise row passes at slack 0.0
+    # every defect coordinate is finite, but some sums of their squares
+    # overflow: spaces.stack_norms norms those defects again by a power of two
     received = []
     measure_residual_sup = harness.measure_residual_sup
 
@@ -144,3 +145,18 @@ def test_auto_delta_is_the_largest_finite_defect_norm(monkeypatch):
     norms = largest[:, 0] * np.sqrt(np.sum(scaled**2, axis=1))
     assert float(norms.max()) == pytest.approx(7.684172e200, rel=1e-6)
     assert report.resolved_delta == pytest.approx(float(norms.max()), rel=1e-12)
+
+
+@pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 14: the stop rule's iterate norm overflows on a finite limit"
+)
+def test_an_exact_quadratic_converges_at_any_finite_scale():
+    # f = x^2 is its own quadratic component, so each step difference is
+    # exactly 0; yet near x = 1e154 every row stops with "iterate norm
+    # overflows at n=1", since the stop rule squares the iterate
+    data = GOLDEN_CASES["defect_overflow"][1]
+    report = run_pipeline(ExperimentConfig.from_dict(data), ("extraction",))
+    (table,) = report.extractions
+    assert [limit[0] for limit in table.limits] == [x_norm**2 for x_norm in report.x_norms]
+    assert table.n_used == (1,) * len(report.x_norms)
+    assert all(table.converged)

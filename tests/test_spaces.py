@@ -18,6 +18,7 @@ from fuzzystab.spaces import (
     default_axiom_samples,
     euclidean_norm,
     log_a_grid,
+    stack_norms,
 )
 
 E1 = np.array([1.0])
@@ -114,6 +115,45 @@ def test_a_norm_that_does_not_map_stacks_is_refused():
     with pytest.raises(ValueError, match="must map"):
         induced.memberships(x, 1.0)
     assert induced(x[0], 1.0) == 1.0 / (1.0 + math.sqrt(2.0))  # one vector is fine
+
+
+def test_stack_norms_rescale_only_overflowing_rows():
+    rng = np.random.default_rng(7)
+    v = rng.normal(size=(200, 3))
+    huge = np.ldexp(v, 1000)
+    for kind, weights in (("euclidean", None), ("max", None), ("weighted", (1.0, 2.0, 0.5))):
+        norm = crisp_norm(kind, weights)
+        plain = norm(v)
+        assert np.array_equal(stack_norms(norm, v), plain)
+        # scaling by 2^1000 is exact, so the rescaled norm is the plain one scaled
+        with np.errstate(over="ignore"):
+            assert np.array_equal(stack_norms(norm, huge), np.ldexp(plain, 1000))
+    edge = np.array([[np.inf, 0.0], [np.nan, 1.0], [1.7e308, 1.7e308], [1e300, -1e300]])
+    with np.errstate(over="ignore"):
+        norms = stack_norms(euclidean_norm, edge).tolist()
+    assert norms[:3] == [math.inf, pytest.approx(math.nan, nan_ok=True), math.inf]
+    assert norms[3] == math.hypot(1e300, 1e300)
+
+
+def test_an_overflowing_norm_warns_as_the_norm_does():
+    # the caller's errstate decides: here a warning is an error
+    with pytest.raises(RuntimeWarning, match="overflow"):
+        stack_norms(euclidean_norm, np.array([[1e300, 1.0]]))
+
+
+def test_one_vector_is_normed_again_by_a_power_of_two():
+    induced = FuzzyNorm.induced()
+    one, r = np.array([1e300, -1e300]), math.hypot(1e300, 1e300)
+    with np.errstate(over="ignore"):
+        assert euclidean_norm(one) == math.inf
+        assert stack_norms(euclidean_norm, one) == r
+        assert type(stack_norms(euclidean_norm, one)) is float
+        # the one-vector call and a stack of one give the same membership
+        assert induced(one, r) == induced.memberships(one[None], r)[0] == 0.5
+        assert induced(one, 1e3) == 1e3 / (1e3 + r)
+        # an infinite or NaN entry keeps its norm
+        assert induced(np.array([math.inf, 1.0]), 1e3) == 0.0
+        assert math.isnan(induced(np.array([math.nan, 1e300]), 1e3))
 
 
 def test_a_fuzzy_norm_is_a_crisp_norm_or_an_evaluator():
@@ -242,6 +282,23 @@ class TestAxiomChecks:
             tracemalloc.stop()
         assert report["N4"].passed and report["N4"].violations == 0
         assert peak < 16e6
+
+    def test_n2_holds_with_no_positive_threshold_sampled(self):
+        # each nonzero vector is also probed at its own norm, where the
+        # induced membership is 1/2
+        checks = check_axioms(FuzzyNorm.induced(), [(E1, 0.0), (2 * E1, -1.0)], [2.0])
+        n2 = by_axiom(checks)["N2"]
+        assert (n2.passed, n2.violations, n2.worst_slack) == (True, 0, 0.0)
+        assert n2.note == "degenerate: no positive thresholds sampled"
+
+    @pytest.mark.parametrize("radius, passed", [(1e-15, True), (1e-100, True), (1e-200, False)])
+    def test_n2_at_small_scales(self, radius, passed):
+        # every membership at the sampled thresholds (at least 1e-3) rounds
+        # to 1 below about 1e-15; below about 1e-162 the squares of a norm
+        # underflow, so the norm is 0 and the membership 1 at every a > 0
+        points, scalars = default_axiom_samples(dim=2, count=60, radius=radius, seed=3)
+        n2 = by_axiom(check_axioms(FuzzyNorm.induced(), points, scalars))["N2"]
+        assert (n2.passed, n2.violations) == (passed, 0 if passed else 59)
 
     def test_one_non_finite_membership_is_one_violation(self):
         def nan_at_origin(x, a):

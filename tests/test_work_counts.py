@@ -493,7 +493,8 @@ def test_pair_audit_makes_one_membership_call_per_block(monkeypatch):
     # axioms_dense audits N on 200 points and N' on 50 scalar points, all at
     # positive thresholds: the N4 pairs of P points take ceil(P / rows per
     # block) calls of whole rows of the pair matrix (the per-point loop made
-    # P), and the other axioms a fixed 9 calls between them
+    # P), and the other axioms a fixed 10 calls between them, one of them
+    # N2's probe of each nonzero point at its own norm
     cfg = ExperimentConfig.from_dict(_workload_config("axioms_dense"))
     audits = []  # (sample count, shape of x in each memberships call)
     check_axioms, memberships = harness.check_axioms, FuzzyNorm.memberships
@@ -514,5 +515,5 @@ def test_pair_audit_makes_one_membership_call_per_block(monkeypatch):
         rows = spaces.PAIR_BLOCK_CELLS // p
         blocks = [rows] * (p // rows) + [p % rows] * (p % rows > 0)
         assert [s[0] for s in shapes if len(s) == 3 and s[1] == p] == blocks
-        assert len(shapes) == 9 + len(blocks)
-    assert len(audits[0][1]) == 9 + 5
+        assert len(shapes) == 10 + len(blocks)
+    assert len(audits[0][1]) == 10 + 5
