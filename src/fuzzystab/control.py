@@ -432,13 +432,16 @@ def defect_premise_margin(
 
     A margin below the membership slack means the control does not actually
     dominate the equation defect on the sampled pairs.  A non-finite margin
-    is a violation: the worst margin is then ``-inf``.  The witness is the
-    pair and threshold of the :func:`_first_worst` cell.
+    is a violation: the worst margin is then ``-inf``; so is every cell of
+    a pair whose phi is not finite, which controls nothing.  The witness is
+    the pair and threshold of the :func:`_first_worst` cell.
     """
     a = np.asarray(a_values, dtype=float)
     lhs = N.memberships(residual_main(f, *pairs)[:, None, :], a)
-    rhs = phi.nprime.memberships(np.asarray(phi.rows(pairs), dtype=float)[:, None, None], a)
-    worst, cell = _first_worst(lhs - rhs)
+    phis = np.asarray(phi.rows(pairs), dtype=float)
+    margin = lhs - phi.nprime.memberships(phis[:, None, None], a)
+    margin[~np.isfinite(phis)] = -math.inf
+    worst, cell = _first_worst(margin)
     if cell is None:
         return Margin(worst, None)
     x, y = pairs[:, cell[0]]

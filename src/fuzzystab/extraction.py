@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -195,31 +195,51 @@ def _first_guard(scheme: Scheme, v: np.ndarray) -> int | None:
     return int(np.argmax(_trips(scheme, v, np.arange(N_MAX + 1)[:, None])))
 
 
-def _first_stop(diffs: list[float], sizes: list[float], tol: float) -> int:
-    """Index of the first difference that stops the run, len(diffs) if none.
+def _step_norms(rows: np.ndarray) -> np.ndarray:
+    """Norms of the K - 1 successive differences of the iterates ``(..., K,
+    dim_y)``, then of the K iterates: ``(..., 2K - 1)``.
+
+    One stacked :func:`euclidean_norm` call norms each vector alone, so every
+    norm keeps its bits.  Differences past a stop may overflow or be
+    inf - inf; the caller's ``errstate`` decides whether that warns.
+    """
+    return euclidean_norm(np.concatenate((rows[..., 1:, :] - rows[..., :-1, :], rows), axis=-2))
+
+
+def _first_stop(diffs: np.ndarray, sizes: np.ndarray, tol: float) -> np.ndarray | np.integer:
+    """Index of the first difference that stops each run, over the last axis,
+    and that axis' length if none; ``sizes`` are the norms of the iterates
+    the differences lead to.
 
     The run goes on while a difference is finite and above its bound.  An
     overflowing norm makes the bound infinite, so it stops the run too, and
     the caller tells that stop from convergence.
     """
-    for j, (diff, size) in enumerate(zip(diffs, sizes)):
-        if not tol * (1.0 + size) < diff < math.inf:
-            return j
-    return len(diffs)
+    goes_on = (tol * (1.0 + sizes) < diffs) & (diffs < math.inf)
+    return np.logical_and.accumulate(goes_on, axis=-1).sum(axis=-1)
 
 
 def _stop_kind(diff: float, size: float, rows: np.ndarray) -> str:
     """Why a stop of :func:`_first_stop` is not convergence, "" if it is; ``diff``
-    is taken between the ``rows`` and ``size`` is the norm of the last row."""
-    if not np.isfinite(rows).all():
-        return "non-finite iterate"
-    if not (math.isfinite(diff) and math.isfinite(size)):
-        return "iterate norm overflows"
-    return ""
+    is taken between the ``rows`` and ``size`` is the norm of the last row.
+    Finite norms imply finite rows, so the rows are scanned only when a norm
+    is not finite."""
+    if math.isfinite(diff) and math.isfinite(size):
+        return ""
+    return "iterate norm overflows" if np.isfinite(rows).all() else "non-finite iterate"
+
+
+class _Decided(NamedTuple):
+    """One point's share of its block's decision: its iterates n = 0..K - 1,
+    their :func:`_step_norms` and the :func:`_first_stop` of its run."""
+
+    rows: np.ndarray
+    norms: np.ndarray
+    stop: int
 
 
 def extract_limit(
-    scheme: Scheme, f: VectorFunction, x: np.ndarray, rows: np.ndarray | None = None
+    scheme: Scheme, f: VectorFunction, x: np.ndarray, decided: _Decided | None = None
 ) -> ExtractionResult:
     """Run the scheme until the successive difference drops below TOL * (1 + ||v_n||).
 
@@ -244,46 +264,46 @@ def extract_limit(
     bit, and :class:`ScaleError` is raised only if no stop comes before the
     overflow guard.
 
-    ``rows``, if given, are the iterates n = 0..N_MAX of a point whose guard
-    the caller found not to trip by N_MAX: then neither ``f`` is called nor
-    the guard decided again, and any other count of rows is a ``ValueError``.
+    ``decided``, if given, is the point's share of a block's decision, whose
+    guard does not trip by N_MAX: its iterates n = 0..N_MAX, their step
+    norms and its stop, decided for the whole block at once.  Then ``f`` is
+    not called and no guard, norm or stop is decided again: the call only
+    puts the result together.  Any other count of rows is a ``ValueError``.
     """
-    v = np.asarray(x, dtype=float)
-    if v.ndim == 0:
-        v = v.reshape(1)
-    # Rows past the stop may overflow or hold inf - inf; they are never
-    # reported, and the rows up to the stop are screened by the tests below.
-    with np.errstate(all="ignore"):
-        guard = None if rows is not None else _first_guard(scheme, v)
-        if guard == 0:
-            raise _overflow_error(scheme, v, guard)
-        steps = N_MAX + 1 if guard is None else guard
-        if rows is None:
-            rows = iterate(scheme, f, v, np.arange(steps))
-        elif len(rows) != steps:
-            raise ValueError(f"expected the iterates at n = 0..{steps - 1}, got {len(rows)} rows")
-        k = steps - 1
-        # Each row is normed alone, so stacking keeps every row's bits.
-        norms = euclidean_norm(np.concatenate((rows[1:] - rows[:-1], rows))).tolist()
-    # diffs[j] and sizes[j] belong to n = j + 1.
-    diffs, sizes = norms[:k], norms[k + 1 :]
-    j = _first_stop(diffs, sizes, TOL)
-    recorded = diffs[:j]  # the successive differences up to the stop
+    guard = None
+    if decided is None:
+        v = np.asarray(x, dtype=float)
+        if v.ndim == 0:
+            v = v.reshape(1)
+        # Rows past the stop may overflow or hold inf - inf; they are never
+        # reported, and the rows up to the stop are screened below.
+        with np.errstate(all="ignore"):
+            guard = _first_guard(scheme, v)
+            if guard == 0:
+                raise _overflow_error(scheme, v, guard)
+            rows = iterate(scheme, f, v, np.arange(N_MAX + 1 if guard is None else guard))
+            norms = _step_norms(rows)
+        k = len(rows) - 1
+        decided = _Decided(rows, norms, int(_first_stop(norms[:k], norms[k + 1 :], TOL)))
+    elif len(decided.rows) != N_MAX + 1:
+        raise ValueError(f"expected the iterates at n = 0..{N_MAX}, got {len(decided.rows)} rows")
+    rows, norms, j = decided
+    k = len(rows) - 1
+    # The difference norms[j] and the size norms[k + 1 + j] belong to
+    # n = j + 1, and norms[k] is the norm of the first iterate.
     converged = False
     reason = ""
     # The first iterate has no difference, so only a non-finite entry stops
     # the run there (and then j is 0); a finite norm screens that test.
-    if not math.isfinite(norms[k]) and (kind := _stop_kind(0.0, 0.0, rows[:1])):
-        n_used, reason = 0, f"{kind} at n=0"
+    if not (math.isfinite(norms[k]) or np.isfinite(rows[0]).all()):
+        n_used, reason = 0, "non-finite iterate at n=0"
     elif j < k:
         n_used = j + 1
-        reason = _stop_kind(diffs[j], sizes[j], rows[j : j + 2])
+        reason = _stop_kind(norms[j], norms[k + 1 + j], rows[j : j + 2])
         if reason:
             reason = f"{reason} at n={n_used}"
         else:
-            # only a converged stop records its difference
             converged = True
-            recorded.append(diffs[j])
     elif guard is None:
         n_used = N_MAX
     elif scheme.is_up:
@@ -292,6 +312,9 @@ def extract_limit(
         n_used = guard - 1
         reason = f"rescaled argument below {UNDERFLOW_LIMIT:.0e} at n={guard}"
 
+    # The successive differences up to the stop; only a converged stop
+    # records its own.
+    recorded = norms[: j + converged].tolist()
     ratio_estimate = _decay_rate([b / a for a, b in zip(recorded, recorded[1:]) if a > 0.0])
     # The result owns a copy of the reported rows, so the evaluated ones are
     # freed on return.
@@ -311,18 +334,25 @@ def _extract_block(scheme: Scheme, f: VectorFunction, points: np.ndarray) -> lis
 
     Each point's guard is decided once, at N_MAX.  The steps 0..N_MAX of the
     points whose guard does not trip come from one :func:`iterate` call, and
-    so one call of ``f``; the other points evaluate their own.  The evaluated
-    rows are freed on return.
+    so one call of ``f``; their step norms and stops are decided as arrays,
+    once for the block, and each point's ``extract_limit`` call receives its
+    share of that decision.  The other points evaluate and decide their own.
+    The evaluated rows are freed on return.
     """
+    decided = iter(())
     # Rows past a point's stop may overflow or hold inf - inf; they are
-    # screened by the extract_limit call that receives them.
+    # never reported.
     with np.errstate(all="ignore"):
         free = ~_trips(scheme, points, N_MAX)
-        rows = iter(iterate(scheme, f, points[free], np.arange(N_MAX + 1)) if free.any() else ())
+        if free.any():
+            rows = iterate(scheme, f, points[free], np.arange(N_MAX + 1))
+            norms = _step_norms(rows)
+            stops = _first_stop(norms[:, :N_MAX], norms[:, N_MAX + 1 :], TOL)
+            decided = map(_Decided, rows, norms, stops.tolist())
     results = []
-    for x, own in zip(points, free):
+    for x, own in zip(points, free.tolist()):
         try:
-            results.append(extract_limit(scheme, f, x, next(rows) if own else None))
+            results.append(extract_limit(scheme, f, x, next(decided) if own else None))
         except ScaleError as exc:
             raise ScaleError(f"{exc} at x={x.tolist()}", scheme=exc.scheme, n=exc.n) from exc
     return results
@@ -427,9 +457,10 @@ def uniqueness_crosscheck(
         # Non-finite iterates and overflows go in the note, not in warnings.
         with np.errstate(all="ignore"):
             pair = iterate(scheme, f, v, [hi - 1, hi])
-            gap, size = euclidean_norm(np.stack((pair[1] - pair[0], pair[1]))).tolist()
+            norms = _step_norms(pair)
+        gap, _, size = norms.tolist()
         where = f"in window ending at n={hi}"
-        if _first_stop([gap], [size], tol):
+        if _first_stop(norms[:1], norms[2:], tol):
             return None, f"no convergence {where} (gap {gap:.3e})"
         kind = _stop_kind(gap, size, pair)
         return (None, f"{kind} {where}") if kind else (pair[1], "")

@@ -394,9 +394,9 @@ def default_axiom_samples(
 
 def sample_ball(rng: np.random.Generator, dim: int, radius: float) -> np.ndarray:
     """Uniform draw from the closed ball of the given radius."""
-    direction = rng.normal(size=dim)
+    direction = rng.standard_normal(dim)
     length = math.sqrt(direction.dot(direction))
     if length == 0.0:
         return np.zeros(dim)
-    r = radius * float(rng.uniform()) ** (1.0 / dim)
+    r = radius * rng.random() ** (1.0 / dim)
     return (r / length) * direction

@@ -525,6 +525,17 @@ class TestVerifyStability:
         report = verify(f, (self._component(f),), phi, "quadratic_up", self.XS, self.A_VALUES, N)
         assert not report.hypothesis_ok and report.lhs.shape[0] == 0
 
+    def test_a_pair_whose_phi_is_not_finite_is_a_violation(self):
+        # the defect of a line is 0 at every pair, and phi = |x|^2 + |y|^2
+        # overflows at the second pair only: N'(inf, a) = 0 no longer passes
+        # that pair, whose first cell is the witness at -inf
+        f = TestFunction.scalar(linear=1.0)
+        pairs = stacked((V(1.0), V(0.5)), (V(1e200), V(-1.0)), (V(2.0), V(3.0)))
+        phi = PowerControl(theta=1.0, p=2.0, alpha=1.0)
+        worst, (x, y, a) = defect_premise_margin(f, phi, N, pairs, (0.1, 1.0))
+        assert worst == -np.inf
+        assert (x.tobytes(), y.tobytes(), a) == (V(1e200).tobytes(), V(-1.0).tobytes(), 0.1)
+
     def test_non_finite_slack_is_a_violation(self):
         f = TestFunction.scalar(quad=1.0)
         report = verify(

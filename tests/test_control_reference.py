@@ -142,7 +142,8 @@ def reference_defect_premise_margin(f, phi, N, pairs, a_values):
         defect = residual_main(f, x, y)
         phi_val = eval_control(phi, x, y)
         for a in a_values:
-            margin = N(defect, a) - nprime(phi_val, a)
+            # a phi that is not finite controls nothing
+            margin = N(defect, a) - nprime(phi_val, a) if math.isfinite(phi_val) else -np.inf
             if margin < worst:
                 worst = margin
                 witness = (x, y, float(a))

@@ -246,11 +246,13 @@ class TestExtractLimit:
         [(1.0, 0), (1.0, N_MAX), (1.0, N_MAX + 2), (1e140, 34)],  # 1e140 trips at n = 34
     )
     def test_rows_of_the_wrong_length_are_refused(self, x, count):
-        # handed rows are the iterates n = 0..N_MAX of a point whose guard
-        # does not trip, never the rows cut before a guard
+        # a handed decision holds the iterates n = 0..N_MAX of a point whose
+        # guard does not trip, never the rows cut before a guard
         rows = iterate(Scheme.QUADRATIC_UP, SQUARE_SIN, V(x), np.arange(count))
+        with np.errstate(over="ignore"):  # the rows near 1e140 square past 1e308
+            decided = extraction._Decided(rows, extraction._step_norms(rows), 0)
         with pytest.raises(ValueError, match=rf"n = 0\.\.{N_MAX}, got {count} rows"):
-            extract_limit(Scheme.QUADRATIC_UP, SQUARE_SIN, V(x), rows)
+            extract_limit(Scheme.QUADRATIC_UP, SQUARE_SIN, V(x), decided)
 
     @pytest.mark.parametrize("scheme", list(Scheme))
     @pytest.mark.parametrize(

@@ -11,10 +11,14 @@ reaches the overflow guard.  ``f`` must never be called at or beyond a
 guard.
 
 ``reference_extract_components`` is the per-point loop that
-``extract_components`` replaced: one ``extract_limit`` call per point.
-``extract_components`` evaluates a block of points in one call of ``f``
-and must give the same results, and raise the same ``ScaleError`` naming
-the same point.
+``extract_components`` replaced: one ``extract_limit`` call per point,
+each deciding its own guard, step norms and stop.  ``extract_components``
+evaluates a block of points in one call of ``f``, decides the step norms
+and stops of the whole block as arrays and hands each point its share of
+that decision.  It must give the same results, every field bit for bit,
+and raise the same ``ScaleError`` naming the same point, also where a
+point's iterates turn NaN or inf, where finite iterates have an
+overflowing norm, and at the origin.
 """
 
 import math
@@ -22,7 +26,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fuzzystab import extraction
@@ -32,6 +36,7 @@ from fuzzystab.extraction import (
     OVERFLOW_LIMIT,
     TOL,
     UNDERFLOW_LIMIT,
+    ExtractedComponent,
     Scheme,
     _decay_rate,
     extract_components,
@@ -456,6 +461,58 @@ def test_blocked_extraction_equals_per_point_loop(monkeypatch, schemes, count, o
         assert len(recorder.calls) == len(stacked) + sum(
             0 < _first_guard(schemes[0], x) <= N_MAX for x in xs
         )
+
+
+#: x^2 - y^2 at 1e308: 0 at (1, 1), where the quadratic form is 1e308 - 1e308,
+#: and inf - inf, so NaN, at (2, 2).
+_NAN_AT_TWO = TestFunction(coords=(CoordinatePoly(quad=1e308 * np.diag([1.0, -1.0])),), dim_x=2)
+
+
+@st.composite
+def _blocks(draw):
+    """One block of points under one scheme and source."""
+    dim = draw(st.integers(1, 3))
+    f = draw(_test_functions(dim))
+    return dict(
+        scheme=draw(st.sampled_from(list(Scheme))),
+        f=_source(f, draw(st.sampled_from(sorted(_SOURCES)))),
+        xs=np.array(draw(st.lists(_points(dim), min_size=1, max_size=8))),
+    )
+
+
+# a NaN at n = 1 after a finite iterate, and an inf at n = 1 after a finite
+# iterate whose norm overflows, beside points at the origin
+@example(dict(scheme=Scheme.QUADRATIC_UP, f=_NAN_AT_TWO, xs=np.array([[1.0, 1.0], [0.0, 0.0]])))
+@example(dict(scheme=Scheme.ADDITIVE_UP, f=_NAN_AT_TWO, xs=np.array([[0.7, -0.2], [1.0, 1.0]])))
+@example(
+    dict(
+        scheme=Scheme.QUADRATIC_UP,
+        f=TestFunction.scalar(quad=1e308),
+        xs=np.array([[1.0], [0.0], [1.9], [1e-3], [0.7]]),
+    )
+)
+# finite iterates whose norm overflows, beside the origin and a guarded point
+@example(
+    dict(
+        scheme=Scheme.QUADRATIC_DOWN,
+        f=TestFunction.scalar(quad=1e200, perturbations=(Perturbation(shape="cos", amplitude=0.01),)),
+        xs=np.array([[0.7], [1.0], [0.0], [-2.5], [1e-135]]),
+    )
+)
+@settings(max_examples=300, deadline=None)
+@given(_blocks())
+def test_block_hand_off_equals_standalone_extraction(case):
+    # inside one block, each point handed its share of the block's decision
+    # gives the result of extract_limit deciding the point alone, field by
+    # field and bit for bit; that in turn is the sequential loop's, reason
+    # texts included
+    scheme, f, xs = case["scheme"], case["f"], case["xs"]
+    assert len(xs) <= extraction.BLOCK_POINTS
+    want = _results_outcome(lambda: reference_extract_components(f, (scheme,), xs))
+    got = _results_outcome(lambda: [ExtractedComponent(scheme, f).extract(xs)])
+    assert got == want
+    for x in xs:
+        assert_matches_reference(scheme, f, x)
 
 
 @pytest.mark.parametrize("block", [1, 2, 3, 199])

@@ -299,6 +299,20 @@ class TestPipeline:
         # 2^0 < 4 holds: the row fails on the auto-delta, and says so
         assert (vanishing.passed, vanishing.note) == (False, "auto delta inf at rate 4")
 
+    def test_infinite_auto_delta_fails_the_defect_premise(self):
+        # phi = inf has N' membership 0, as a defect with an infinite
+        # coordinate has N membership 0, so every cell read slack 0 and
+        # passed; a phi that is not finite controls nothing, so each cell is
+        # a violation at -inf and the first pair, at the first threshold, is
+        # the witness
+        data = dict(BASE, function={"perturbations": [{"shape": "sin", "amplitude": 8e307}]})
+        report = run_pipeline(ExperimentConfig.from_dict(data), stages=("hypothesis",))
+        assert report.resolved_delta == math.inf
+        *_, premise = report.hypothesis_rows
+        assert premise == HypothesisRow(
+            "quadratic_up", "defect_premise", False, -math.inf, "margin -inf at a=0.001"
+        )
+
     @pytest.mark.parametrize("radius, violations", [(1e-13, 0), (1e-100, 0), (1e-200, 199)])
     def test_n2_audits_the_induced_norms_at_small_scales(self, radius, violations):
         # configs/combined.json at a small x_radius: N2 probes each nonzero

@@ -101,10 +101,12 @@ def test_extract_down_stage_holds_one_block_at_a_time(monkeypatch):
     assert peak - retained <= 2 * block
 
 
-def test_the_block_decides_each_guard_once(monkeypatch):
-    # the block's one guard mask decides every point; extract_limit, handed
-    # a point's rows, does not search its guard again
-    counts = {"_trips": 0, "_first_guard": 0, "extract_limit": 0}
+def test_the_block_decides_each_guard_norm_and_stop_once(monkeypatch):
+    # the block's one guard mask, one stacked norm call and one stop
+    # predicate decide every point; extract_limit, handed a point's share of
+    # that decision, decides none of them again
+    names = ("_trips", "_first_guard", "_step_norms", "_first_stop", "extract_limit")
+    counts = dict.fromkeys(names, 0)
     for name in counts:
         original = getattr(extraction, name)
 
@@ -115,13 +117,26 @@ def test_the_block_decides_each_guard_once(monkeypatch):
         monkeypatch.setattr(extraction, name, counted)
     cfg = ExperimentConfig.from_dict(_workload_config("extract_down"))
     run_pipeline(cfg, ("extraction",))
-    assert counts == {"_trips": 21, "_first_guard": 0, "extract_limit": 4000}
-    # a guarded point still searches its own guard, once
+    assert counts == {
+        "_trips": 21,
+        "_first_guard": 0,
+        "_step_norms": 21,
+        "_first_stop": 21,
+        "extract_limit": 4000,
+    }
+    # a guarded point still searches its own guard and decides its own run,
+    # once; the two free points share one decision
     counts.update(dict.fromkeys(counts, 0))
     component = extraction.ExtractedComponent(Scheme.QUADRATIC_UP, TestFunction.scalar(quad=1.0))
     results = component.extract(np.array([[1.0], [1e140], [2.0], [1e139]]))
     assert [r.n_used for r in results] == [1] * 4
-    assert counts["_first_guard"] == 2 and counts["extract_limit"] == 4
+    del counts["_trips"]  # iterate tests the up-scheme guard too
+    assert counts == {
+        "_first_guard": 2,
+        "_step_norms": 1 + 2,
+        "_first_stop": 1 + 2,
+        "extract_limit": 4,
+    }
 
 
 @pytest.mark.parametrize("scheme", list(Scheme))
