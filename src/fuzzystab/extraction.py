@@ -19,7 +19,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from itertools import repeat
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -96,10 +97,10 @@ class Scheme(Enum):
         return f"(0,{self.rate:g})" if self.is_up else f"(>{self.rate:g})"
 
 
-def _overflow_error(scheme: Scheme, v: np.ndarray, n: int) -> ScaleError:
-    """The error for the up-scheme argument 2^n v, which trips the overflow guard."""
+def _overflow_error(scheme: Scheme, x: np.ndarray, n: int) -> ScaleError:
+    """The error for the up-scheme argument 2^n x, which trips the overflow guard."""
     with np.errstate(over="ignore"):
-        size = float(euclidean_norm(np.ldexp(v, n)))
+        size = float(euclidean_norm(np.ldexp(np.atleast_1d(x), n)))
     return ScaleError(
         f"scaled argument norm {size:.3e} exceeds {OVERFLOW_LIMIT:.0e} "
         f"at n={n} for {scheme.value}",
@@ -111,11 +112,12 @@ def _overflow_error(scheme: Scheme, v: np.ndarray, n: int) -> ScaleError:
 def _trips(scheme: Scheme, v: np.ndarray, n) -> bool | np.ndarray:
     """Whether the scheme's guard trips at step ``n`` for one point ``(dim_x,)``
     or, point by point, a stack ``(P, dim_x)``; steps ``(k, 1)`` give one
-    answer per step at one point.  The norm of 2^n v exceeds OVERFLOW_LIMIT
-    (up), or that of a nonzero v / 2^n drops below UNDERFLOW_LIMIT at n >= 1,
-    as v itself is always evaluated (down).  Both are monotone in n."""
+    answer per step and point, ``(k, P)``, or ``(k, 1)`` at one point.  The
+    norm of 2^n v exceeds OVERFLOW_LIMIT (up), or that of a nonzero v / 2^n
+    drops below UNDERFLOW_LIMIT at n >= 1, as v itself is always evaluated
+    (down).  Both are monotone in n."""
     if scheme.is_up:
-        return euclidean_norm(np.ldexp(v, n)) > OVERFLOW_LIMIT
+        return euclidean_norm(np.ldexp(v, np.expand_dims(n, -1))) > OVERFLOW_LIMIT
     x_norm = euclidean_norm(v)
     # The power of two scales exactly, as ldexp does, also on a Python float.
     return (n > 0) & (x_norm != 0.0) & (x_norm * 2.0**-n < UNDERFLOW_LIMIT)
@@ -187,14 +189,6 @@ def _decay_rate(ratios: list[float]) -> float:
     return math.exp(sum(map(math.log, trimmed)) / len(trimmed))
 
 
-def _first_guard(scheme: Scheme, v: np.ndarray) -> int | None:
-    """The first n in 0..N_MAX at which the scheme's guard trips at the point
-    ``v``, or None; the steps are searched only when one trips."""
-    if not _trips(scheme, v, N_MAX):
-        return None
-    return int(np.argmax(_trips(scheme, v, np.arange(N_MAX + 1)[:, None])))
-
-
 def _step_norms(rows: np.ndarray) -> np.ndarray:
     """Norms of the K - 1 successive differences of the iterates ``(..., K,
     dim_y)``, then of the K iterates: ``(..., 2K - 1)``.
@@ -230,12 +224,44 @@ def _stop_kind(diff: float, size: float, rows: np.ndarray) -> str:
 
 
 class _Decided(NamedTuple):
-    """One point's share of its block's decision: its iterates n = 0..K - 1,
-    their :func:`_step_norms` and the :func:`_first_stop` of its run."""
+    """One point's share of its stack's decision: ``guard``, the first n in
+    0..N_MAX at which its guard trips (N_MAX + 1 if none), its iterates
+    n = 0..min(guard, N_MAX + 1) - 1, their :func:`_step_norms` and the
+    :func:`_first_stop` of its run.  A point whose guard trips at n = 0 has
+    no rows."""
 
-    rows: np.ndarray
-    norms: np.ndarray
+    rows: np.ndarray | None
+    norms: np.ndarray | None
     stop: int
+    guard: int
+
+
+def _decide(scheme: Scheme, f: VectorFunction, points: np.ndarray) -> Iterator[_Decided]:
+    """The decision of each point of the stack ``points``, in order.
+
+    One guard mask at N_MAX tells the points whose guard trips, and only
+    their steps are searched for it.  The points that share a guard share
+    one :func:`iterate` call on the steps before it, so one call of ``f``,
+    and their step norms and stops are decided as arrays, once; a point
+    whose guard trips at n = 0 is not evaluated.  The decisions are handed
+    out lazily, and the evaluated rows live as long as the iterator.
+    """
+    guards = np.full(len(points), N_MAX + 1)
+    groups = {0: repeat(_Decided(None, None, 0, 0))}
+    # Rows past a point's stop may overflow or hold inf - inf; they are
+    # never reported.
+    with np.errstate(all="ignore"):
+        tripped = _trips(scheme, points, N_MAX)
+        if tripped.any():
+            steps = np.arange(N_MAX + 1)[:, None]
+            guards[tripped] = np.argmax(_trips(scheme, points[tripped], steps), axis=0)
+        for guard in sorted(set(guards.tolist()) - {0}):
+            rows = iterate(scheme, f, points[guards == guard], np.arange(min(guard, N_MAX + 1)))
+            norms = _step_norms(rows)
+            k = rows.shape[1] - 1
+            stops = _first_stop(norms[:, :k], norms[:, k + 1 :], TOL)
+            groups[guard] = map(_Decided, rows, norms, stops.tolist(), repeat(guard))
+    return (next(groups[guard]) for guard in guards.tolist())
 
 
 def extract_limit(
@@ -264,30 +290,15 @@ def extract_limit(
     bit, and :class:`ScaleError` is raised only if no stop comes before the
     overflow guard.
 
-    ``decided``, if given, is the point's share of a block's decision, whose
-    guard does not trip by N_MAX: its iterates n = 0..N_MAX, their step
-    norms and its stop, decided for the whole block at once.  Then ``f`` is
-    not called and no guard, norm or stop is decided again: the call only
-    puts the result together.  Any other count of rows is a ``ValueError``.
+    The guard, iterates, step norms and stop are the point's share of a
+    stack's :func:`_decide`: ``decided`` if given, else the decision of the
+    one-point stack ``x``.  The call itself only puts the result together.
     """
-    guard = None
     if decided is None:
-        v = np.asarray(x, dtype=float)
-        if v.ndim == 0:
-            v = v.reshape(1)
-        # Rows past the stop may overflow or hold inf - inf; they are never
-        # reported, and the rows up to the stop are screened below.
-        with np.errstate(all="ignore"):
-            guard = _first_guard(scheme, v)
-            if guard == 0:
-                raise _overflow_error(scheme, v, guard)
-            rows = iterate(scheme, f, v, np.arange(N_MAX + 1 if guard is None else guard))
-            norms = _step_norms(rows)
-        k = len(rows) - 1
-        decided = _Decided(rows, norms, int(_first_stop(norms[:k], norms[k + 1 :], TOL)))
-    elif len(decided.rows) != N_MAX + 1:
-        raise ValueError(f"expected the iterates at n = 0..{N_MAX}, got {len(decided.rows)} rows")
-    rows, norms, j = decided
+        (decided,) = _decide(scheme, f, np.asarray(x, dtype=float).reshape(1, -1))
+    rows, norms, j, guard = decided
+    if guard == 0:
+        raise _overflow_error(scheme, x, guard)
     k = len(rows) - 1
     # The difference norms[j] and the size norms[k + 1 + j] belong to
     # n = j + 1, and norms[k] is the norm of the first iterate.
@@ -304,18 +315,19 @@ def extract_limit(
             reason = f"{reason} at n={n_used}"
         else:
             converged = True
-    elif guard is None:
+    elif guard > N_MAX:
         n_used = N_MAX
     elif scheme.is_up:
-        raise _overflow_error(scheme, v, guard)
+        raise _overflow_error(scheme, x, guard)
     else:
         n_used = guard - 1
         reason = f"rescaled argument below {UNDERFLOW_LIMIT:.0e} at n={guard}"
 
     # The successive differences up to the stop; only a converged stop
-    # records its own.
+    # records its own.  Every other one went on, so it exceeds TOL and no
+    # ratio divides by 0.
     recorded = norms[: j + converged].tolist()
-    ratio_estimate = _decay_rate([b / a for a, b in zip(recorded, recorded[1:]) if a > 0.0])
+    ratio_estimate = _decay_rate([b / a for a, b in zip(recorded, recorded[1:])])
     # The result owns a copy of the reported rows, so the evaluated ones are
     # freed on return.
     trail = rows[: n_used + 1].copy()
@@ -330,29 +342,13 @@ def extract_limit(
 
 
 def _extract_block(scheme: Scheme, f: VectorFunction, points: np.ndarray) -> list[ExtractionResult]:
-    """:func:`extract_limit` at each point of the stack ``points``, in order.
-
-    Each point's guard is decided once, at N_MAX.  The steps 0..N_MAX of the
-    points whose guard does not trip come from one :func:`iterate` call, and
-    so one call of ``f``; their step norms and stops are decided as arrays,
-    once for the block, and each point's ``extract_limit`` call receives its
-    share of that decision.  The other points evaluate and decide their own.
-    The evaluated rows are freed on return.
-    """
-    decided = iter(())
-    # Rows past a point's stop may overflow or hold inf - inf; they are
-    # never reported.
-    with np.errstate(all="ignore"):
-        free = ~_trips(scheme, points, N_MAX)
-        if free.any():
-            rows = iterate(scheme, f, points[free], np.arange(N_MAX + 1))
-            norms = _step_norms(rows)
-            stops = _first_stop(norms[:, :N_MAX], norms[:, N_MAX + 1 :], TOL)
-            decided = map(_Decided, rows, norms, stops.tolist())
+    """:func:`extract_limit` at each point of the stack ``points``, in order,
+    each call handed the point's share of the stack's :func:`_decide`.  The
+    evaluated rows are freed on return."""
     results = []
-    for x, own in zip(points, free.tolist()):
+    for x, decided in zip(points, _decide(scheme, f, points)):
         try:
-            results.append(extract_limit(scheme, f, x, next(decided) if own else None))
+            results.append(extract_limit(scheme, f, x, decided))
         except ScaleError as exc:
             raise ScaleError(f"{exc} at x={x.tolist()}", scheme=exc.scheme, n=exc.n) from exc
     return results

@@ -366,18 +366,38 @@ def _premise_case(draw):
     f = draw(_test_functions(dim))
     return dict(
         f=f,
-        phi=_owning(draw, draw(_controls()), dim),
+        phi=_owning(draw, draw(st.one_of(_controls(), _edge_controls())), dim),
         N=_fuzzy_norm(draw, f.dim_y),
         pairs=_pairs(draw, dim),
         a_values=draw(_THRESHOLDS),
     )
 
 
+def _premise_example(phi, pairs):
+    """A premise case on x^2 under the Euclidean N, at a = 1 and 1e3."""
+    pairs = [(np.array([x]), np.array([y])) for x, y in pairs]
+    f, N = TestFunction.scalar(quad=1.0), FuzzyNorm.induced()
+    return dict(f=f, phi=phi, N=N, pairs=pairs, a_values=[1.0, 1e3])
+
+
+def _premise_outcome(fn, **kwargs):
+    """The bits of ``fn``'s margin, or DomainError if it raised one."""
+    try:
+        return _bits(fn(**kwargs))
+    except DomainError:
+        return DomainError
+
+
 @settings(max_examples=200, deadline=None)
 @given(_premise_case())
+# a phi that is not finite controls nothing: an infinite or NaN delta, and
+# a power control whose value overflows at the first pair only
+@example(_premise_example(ConstantControl(delta=math.inf, alpha=1.0), [(0.5, 1.0)]))
+@example(_premise_example(ConstantControl(delta=math.nan, alpha=1.0), [(0.5, 1.0), (2.0, 0.0)]))
+@example(_premise_example(PowerControl(1.0, 3.0, 1.0), [(1e110, 1.0), (0.5, -1.0)]))
 def test_defect_premise_margin_equals_reference_loop(case):
-    got = defect_premise_margin(**{**case, "pairs": _stacked(case["pairs"])})
-    assert _bits(got) == _bits(reference_defect_premise_margin(**case))
+    got = _premise_outcome(defect_premise_margin, **{**case, "pairs": _stacked(case["pairs"])})
+    assert got == _premise_outcome(reference_defect_premise_margin, **case)
 
 
 @st.composite

@@ -241,18 +241,46 @@ class TestExtractLimit:
         with pytest.raises(ValueError, match="row by row"):
             extract_limit(Scheme.QUADRATIC_UP, lambda v: np.sum(v * v, axis=-1), V(1))
 
-    @pytest.mark.parametrize(
-        "x, count",
-        [(1.0, 0), (1.0, N_MAX), (1.0, N_MAX + 2), (1e140, 34)],  # 1e140 trips at n = 34
-    )
-    def test_rows_of_the_wrong_length_are_refused(self, x, count):
-        # a handed decision holds the iterates n = 0..N_MAX of a point whose
-        # guard does not trip, never the rows cut before a guard
-        rows = iterate(Scheme.QUADRATIC_UP, SQUARE_SIN, V(x), np.arange(count))
-        with np.errstate(over="ignore"):  # the rows near 1e140 square past 1e308
-            decided = extraction._Decided(rows, extraction._step_norms(rows), 0)
-        with pytest.raises(ValueError, match=rf"n = 0\.\.{N_MAX}, got {count} rows"):
-            extract_limit(Scheme.QUADRATIC_UP, SQUARE_SIN, V(x), decided)
+    # free points, the origin, two points sharing a guard, another guard, and
+    # an up-scheme guard at n = 0 (2e150)
+    DECIDED_POINTS = (0.7, 0.0, 1e140, -1e140, 1e139, 1e-135, -1e-135, 3e-133, 2e150)
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_each_decision_holds_the_rows_before_its_guard(self, scheme):
+        # a handed decision carries its own guard, the first n in 0..N_MAX at
+        # which the point's guard trips, and the iterates before it, as one
+        # point's own iterate call gives them
+        points = np.array(self.DECIDED_POINTS)[:, None]
+        with np.errstate(all="ignore"):
+            decided = list(extraction._decide(scheme, SQUARE_SIN, points))
+            assert len(decided) == len(points)
+            for point, (rows, norms, stop, guard) in zip(points, decided):
+                trips = [bool(extraction._trips(scheme, point, n)) for n in range(N_MAX + 1)]
+                assert guard == (trips.index(True) if any(trips) else N_MAX + 1)
+                if guard == 0:
+                    assert rows is None and norms is None and stop == 0
+                    continue
+                own = iterate(scheme, SQUARE_SIN, point, np.arange(min(guard, N_MAX + 1)))
+                assert np.array_equal(rows, own, equal_nan=True)
+                assert np.array_equal(norms, extraction._step_norms(own), equal_nan=True)
+                k = len(own) - 1
+                assert stop == extraction._first_stop(norms[:k], norms[k + 1 :], TOL)
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_a_stack_decides_each_point_as_its_own_stack_does(self, scheme):
+        points = np.array(self.DECIDED_POINTS)[:, None]
+        with np.errstate(all="ignore"):
+            stacked = list(extraction._decide(scheme, SQUARE_SIN, points))
+            for point, (rows, norms, stop, guard) in zip(points, stacked):
+                ((alone_rows, alone_norms, alone_stop, alone_guard),) = extraction._decide(
+                    scheme, SQUARE_SIN, point[None]
+                )
+                assert (stop, guard) == (alone_stop, alone_guard)
+                if guard == 0:
+                    assert rows is None and alone_rows is None
+                    continue
+                assert np.array_equal(rows, alone_rows, equal_nan=True)
+                assert np.array_equal(norms, alone_norms, equal_nan=True)
 
     @pytest.mark.parametrize("scheme", list(Scheme))
     @pytest.mark.parametrize(

@@ -12,13 +12,14 @@ guard.
 
 ``reference_extract_components`` is the per-point loop that
 ``extract_components`` replaced: one ``extract_limit`` call per point,
-each deciding its own guard, step norms and stop.  ``extract_components``
-evaluates a block of points in one call of ``f``, decides the step norms
-and stops of the whole block as arrays and hands each point its share of
-that decision.  It must give the same results, every field bit for bit,
-and raise the same ``ScaleError`` naming the same point, also where a
-point's iterates turn NaN or inf, where finite iterates have an
-overflowing norm, and at the origin.
+each deciding its point alone, as a one-point stack.
+``extract_components`` decides a block of points at once: the points that
+share a guard share one call of ``f`` on the steps before it, their step
+norms and stops are decided as arrays, and each point is handed its share
+of that decision.  It must give the same results, every field bit for bit,
+and raise the same ``ScaleError`` naming the same point (the first that
+fails, in order), also where a point's iterates turn NaN or inf, where
+finite iterates have an overflowing norm, and at the origin.
 """
 
 import math
@@ -174,11 +175,13 @@ def assert_matches_reference(scheme, f, x):
     assert got == want
     # One call on steps 0 up to N_MAX, cut before the first guard; none if
     # the loop evaluates no step, which is when the guard trips at n = 0.
+    # The rows of each call are compared whatever its leading point axis.
     guard = _first_guard(scheme, x)
     calls = [min(N_MAX + 1, guard)] if looped.calls else []
-    assert [len(args) for args in recorder.calls] == calls
     v = np.atleast_1d(np.asarray(x, dtype=float))
-    for args in recorder.calls:
+    rows = [args.reshape(-1, len(v)) for args in recorder.calls]
+    assert [len(args) for args in rows] == calls
+    for args in rows:
         steps = np.arange(len(args))[:, None]
         expected = np.ldexp(v, steps if scheme.is_up else -steps)
         assert _bits(args) == _bits(expected)
@@ -452,20 +455,31 @@ def test_blocked_extraction_equals_per_point_loop(monkeypatch, schemes, count, o
             assert values[stack == 0].tobytes() == bytes(8 * np.count_nonzero(stack == 0))
             assert np.isnan(values[np.isnan(stack)]).all()
     if len(schemes) == 1:
-        # one call per block on the steps 0..N_MAX of its guard-free points,
-        # none for a block without one; a guarded point calls f on its own
-        free = [_first_guard(schemes[0], x) > N_MAX for x in xs]
-        blocks = [sum(free[i : i + 3]) for i in range(0, count, 3)]
-        stacked = [args.shape for args in recorder.calls if args.ndim == 3]
-        assert stacked == [(p, N_MAX + 1, 1) for p in blocks if p]
-        assert len(recorder.calls) == len(stacked) + sum(
-            0 < _first_guard(schemes[0], x) <= N_MAX for x in xs
-        )
+        # one call per block and distinct guard, the least guard first, on
+        # the steps before it (at most 0..N_MAX) of the block's points that
+        # share it; none for a guard at n = 0
+        guards = [_first_guard(schemes[0], x) for x in xs]
+        calls = []
+        for i in range(0, count, 3):
+            block = guards[i : i + 3]
+            calls += [(block.count(g), min(g, N_MAX + 1), 1) for g in sorted(set(block)) if g]
+        assert [args.shape for args in recorder.calls] == calls
 
 
 #: x^2 - y^2 at 1e308: 0 at (1, 1), where the quadratic form is 1e308 - 1e308,
 #: and inf - inf, so NaN, at (2, 2).
 _NAN_AT_TWO = TestFunction(coords=(CoordinatePoly(quad=1e308 * np.diag([1.0, -1.0])),), dim_x=2)
+
+
+#: x + 1 + sin: quadratic_up and the down-schemes run on to their guards.
+_LINE_ONE = TestFunction.scalar(
+    linear=1.0, const=1.0, perturbations=(Perturbation(shape="sin", amplitude=0.1),)
+)
+
+#: One block whose up-scheme guards are none, 34, none, 34, none, 37, none,
+#: 0, none, and whose down-scheme guards are none, 17, none, 17, none, 25,
+#: none, none, none.
+_GROUPED = np.array([0.7, 1e140, 1e-135, -1e140, -1e-135, 1e139, 3e-133, 2e150, -2.5])[:, None]
 
 
 @st.composite
@@ -499,6 +513,14 @@ def _blocks(draw):
         xs=np.array([[0.7], [1.0], [0.0], [-2.5], [1e-135]]),
     )
 )
+# one block mixing guard groups: free points, two points that share a guard
+# under each direction, a point with another guard, and 2e150, whose
+# up-scheme guard trips at n = 0; quadratic_up runs on to the guard at
+# 1e140, so its error names that point and not the later 2e150
+@example(dict(scheme=Scheme.QUADRATIC_UP, f=_LINE_ONE, xs=_GROUPED))
+@example(dict(scheme=Scheme.ADDITIVE_UP, f=_LINE_ONE, xs=_GROUPED))
+@example(dict(scheme=Scheme.QUADRATIC_DOWN, f=_LINE_ONE, xs=_GROUPED))
+@example(dict(scheme=Scheme.ADDITIVE_DOWN, f=_LINE_ONE, xs=_GROUPED))
 @settings(max_examples=300, deadline=None)
 @given(_blocks())
 def test_block_hand_off_equals_standalone_extraction(case):

@@ -160,3 +160,29 @@ def test_an_exact_quadratic_converges_at_any_finite_scale():
     assert [limit[0] for limit in table.limits] == [x_norm**2 for x_norm in report.x_norms]
     assert table.n_used == (1,) * len(report.x_norms)
     assert all(table.converged)
+
+
+#: The additive_up component of x^2 + x near x = 1e100: each of the 2 x 2
+#: verification memberships lies below its envelope by a factor of about
+#: 1e14, yet both are below 1e-180, so their difference is within the
+#: absolute membership slack.
+FAR_ADDITIVE = {
+    "seed": 1,
+    "space": {"dim_x": 1, "dim_y": 1, "crisp_norm": "euclidean"},
+    "function": {"quad": 1.0, "linear": 1.0},
+    "control": {"family": "constant", "delta": "auto", "alpha": 1.0},
+    "theorems": ["additive_up"],
+    "grids": {"x_count": 2, "x_radius": 1e100, "a_points": 2, "axiom_points": 10},
+}
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP items 5 and 14: the verification slack is absolute, not relative",
+)
+def test_a_membership_far_below_its_envelope_is_a_violation():
+    # lhs 2.8e-203 against rhs 2.5e-189 at the first cell; violations is 0
+    report = run_pipeline(ExperimentConfig.from_dict(FAR_ADDITIVE), ("verification",))
+    (verified,) = report.verification_reports
+    assert (verified.lhs * 1e13 < verified.rhs).all()
+    assert verified.violations == verified.lhs.size == 4

@@ -105,7 +105,7 @@ def test_the_block_decides_each_guard_norm_and_stop_once(monkeypatch):
     # the block's one guard mask, one stacked norm call and one stop
     # predicate decide every point; extract_limit, handed a point's share of
     # that decision, decides none of them again
-    names = ("_trips", "_first_guard", "_step_norms", "_first_stop", "extract_limit")
+    names = ("_trips", "iterate", "_step_norms", "_first_stop", "extract_limit")
     counts = dict.fromkeys(names, 0)
     for name in counts:
         original = getattr(extraction, name)
@@ -119,24 +119,19 @@ def test_the_block_decides_each_guard_norm_and_stop_once(monkeypatch):
     run_pipeline(cfg, ("extraction",))
     assert counts == {
         "_trips": 21,
-        "_first_guard": 0,
+        "iterate": 21,
         "_step_norms": 21,
         "_first_stop": 21,
         "extract_limit": 4000,
     }
-    # a guarded point still searches its own guard and decides its own run,
-    # once; the two free points share one decision
+    # the points that share a guard share one decision: 1.0 and 2.0 run to
+    # N_MAX, 1e140 and 1e139 are cut before their guards at 34 and 37
     counts.update(dict.fromkeys(counts, 0))
     component = extraction.ExtractedComponent(Scheme.QUADRATIC_UP, TestFunction.scalar(quad=1.0))
     results = component.extract(np.array([[1.0], [1e140], [2.0], [1e139]]))
     assert [r.n_used for r in results] == [1] * 4
     del counts["_trips"]  # iterate tests the up-scheme guard too
-    assert counts == {
-        "_first_guard": 2,
-        "_step_norms": 1 + 2,
-        "_first_stop": 1 + 2,
-        "extract_limit": 4,
-    }
+    assert counts == {"iterate": 3, "_step_norms": 3, "_first_stop": 3, "extract_limit": 4}
 
 
 @pytest.mark.parametrize("scheme", list(Scheme))
