@@ -402,8 +402,8 @@ def premise_pairs(
     points = np.asarray(xs, dtype=float)
     points = points[:, None] if points.ndim == 1 else points  # scalars are 1-vectors
     dim = points.shape[1]
-    drawn = [sample_ball(rng, dim, radius) for _ in range(2 * BALL_PAIRS)]
-    ball = np.array(drawn, dtype=float).reshape(BALL_PAIRS, 2, dim).transpose(1, 0, 2)
+    drawn = sample_ball(rng, dim, radius, 2 * BALL_PAIRS)
+    ball = drawn.reshape(BALL_PAIRS, 2, dim).transpose(1, 0, 2)
     return np.concatenate([_pairs_at(theorem.y_set, points), ball], axis=1)
 
 

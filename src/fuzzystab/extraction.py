@@ -141,11 +141,7 @@ def iterate(scheme: Scheme, f: VectorFunction, x: np.ndarray, n) -> np.ndarray:
     if ns.size and ns.min() < 0:
         raise ValueError("iteration index must be >= 0")
     v = np.atleast_1d(np.asarray(x, dtype=float))
-    steps = ns[:, None] if ns.ndim else ns
-    # A point's steps stack along the axis before its coordinates.
-    points = v[..., None, :] if ns.ndim else v
     if scheme.is_up:
-        args = np.ldexp(points, steps)
         # The guard is monotone, so each point's largest index alone tells
         # whether any trips, and the rows are searched only when one does;
         # an empty index array scales no argument.
@@ -153,12 +149,19 @@ def iterate(scheme: Scheme, f: VectorFunction, x: np.ndarray, n) -> np.ndarray:
             over = np.ravel(_trips(scheme, v, ns.max(initial=0))) & bool(ns.size)
             if over.any():
                 point = v.reshape(-1, v.shape[-1])[over.argmax()]
-                k = int(np.argmax(_trips(scheme, point, steps)))
+                k = int(np.argmax(_trips(scheme, point, ns[:, None] if ns.ndim else ns)))
                 raise _overflow_error(scheme, point, int(ns.flat[k]))
-        shift = -scheme.value_shift
-    else:
-        args = np.ldexp(points, -steps)
-        shift = scheme.value_shift
+    return _evaluate(scheme, f, v, ns)
+
+
+def _evaluate(scheme: Scheme, f: VectorFunction, v: np.ndarray, ns: np.ndarray) -> np.ndarray:
+    """:func:`iterate` at the float points ``v`` and the indices ``ns``
+    without the guard, which the caller has cut ``ns`` before."""
+    steps = ns[:, None] if ns.ndim else ns
+    # A point's steps stack along the axis before its coordinates.
+    points = v[..., None, :] if ns.ndim else v
+    shift = -scheme.value_shift if scheme.is_up else scheme.value_shift
+    args = np.ldexp(points, steps if scheme.is_up else -steps)
     return np.ldexp(stacked_values(f, args), shift * steps)
 
 
@@ -172,21 +175,6 @@ class ExtractionResult:
     ratio_estimate: float
     n_used: int
     stopped_reason: str = ""
-
-
-def _decay_rate(ratios: list[float]) -> float:
-    """Log-average of the consecutive difference ratios, final one dropped."""
-    if not ratios:
-        return 0.0
-    trimmed = ratios[:-1] if len(ratios) >= 2 else ratios
-    # A ratio of finite differences over a positive one is never NaN, so
-    # the least ratio tells whether any is <= 0.
-    least = min(trimmed)
-    if least == max(trimmed):
-        return trimmed[0]
-    if least <= 0.0:
-        return 0.0
-    return math.exp(sum(map(math.log, trimmed)) / len(trimmed))
 
 
 def _step_norms(rows: np.ndarray) -> np.ndarray:
@@ -213,6 +201,10 @@ def _first_stop(diffs: np.ndarray, sizes: np.ndarray, tol: float) -> np.ndarray 
     return np.logical_and.accumulate(goes_on, axis=-1).sum(axis=-1)
 
 
+#: Why a run stops unconverged before its guard, by code ("" if it does not).
+_STOP_KINDS = np.array(["", "iterate norm overflows", "non-finite iterate"])
+
+
 def _stop_kind(diff: float, size: float, rows: np.ndarray) -> str:
     """Why a stop of :func:`_first_stop` is not convergence, "" if it is; ``diff``
     is taken between the ``rows`` and ``size`` is the norm of the last row.
@@ -220,20 +212,68 @@ def _stop_kind(diff: float, size: float, rows: np.ndarray) -> str:
     is not finite."""
     if math.isfinite(diff) and math.isfinite(size):
         return ""
-    return "iterate norm overflows" if np.isfinite(rows).all() else "non-finite iterate"
+    return str(_STOP_KINDS[1 if np.isfinite(rows).all() else 2])
 
 
 class _Decided(NamedTuple):
-    """One point's share of its stack's decision: ``guard``, the first n in
-    0..N_MAX at which its guard trips (N_MAX + 1 if none), its iterates
-    n = 0..min(guard, N_MAX + 1) - 1, their :func:`_step_norms` and the
-    :func:`_first_stop` of its run.  A point whose guard trips at n = 0 has
-    no rows."""
+    """One point's share of its stack's decision: its iterates
+    n = 0..min(guard, N_MAX + 1) - 1, the ``n_used``, ``converged`` and
+    ``ratio_estimate`` of its result, ``kind``, the ``_STOP_KINDS`` text of a
+    run that stops unconverged before its guard ("" for any other), and
+    ``guard``, the first n in 0..N_MAX at which its guard trips (N_MAX + 1
+    if none).  A point whose guard trips at n = 0 has no rows."""
 
     rows: np.ndarray | None
-    norms: np.ndarray | None
-    stop: int
+    n_used: int
+    converged: bool
+    kind: str
+    ratio_estimate: float
     guard: int
+
+
+def _settle(rows: np.ndarray) -> tuple[list, list, list, list]:
+    """The ``n_used``, ``converged``, kind and ``ratio_estimate`` of the run of
+    each point's iterates ``(P, K, dim_y)``, as lists, decided as arrays from
+    their :func:`_step_norms` and :func:`_first_stop`.
+
+    Every ratio keeps the bits of a per-point loop: the logs and the
+    exponential are taken by ``math`` over flat lists, and each point's logs
+    are summed in order by ``np.cumsum``; numpy's ``log``, ``exp`` and
+    ``sum`` round differently.
+    """
+    norms = _step_norms(rows)
+    at, k = np.arange(len(rows)), rows.shape[1] - 1
+    diffs = norms[:, :k]
+    stops = _first_stop(diffs, norms[:, k + 1 :], TOL)
+    # The difference norms[j] and the size norms[k + 1 + j] belong to
+    # n = j + 1; a run that goes on to n = k has no stop of its own, and a
+    # non-finite first iterate stops its run at n = 0 (its stop is 0).
+    n_used = np.minimum(stops + np.isfinite(rows[:, 0]).all(axis=-1), k)
+    ends = norms[at, np.stack((stops, np.minimum(stops + k + 1, 2 * k)))]
+    converged = (stops < k) & np.isfinite(ends).all(axis=0)
+    # Every iterate before a stop is finite, so the last reported one tells
+    # a non-finite iterate from an overflowing norm.
+    kinds = np.where(np.isfinite(rows[at, n_used]).all(axis=-1), (stops < k) & ~converged, 2)
+    # The recorded differences are those that went on and a converged
+    # stop's own.  ratio_estimate is the log-average of their consecutive
+    # ratios, the last one dropped when there are two or more; it is the
+    # ratio itself when all kept ones are equal, and 0.0 when none is kept.
+    recorded = stops + converged
+    kept = np.maximum(recorded - 1, 0) - (recorded >= 3)
+    width = int(kept.max(initial=0))
+    ratios = diffs[:, 1 : width + 1] / diffs[:, :width]
+    window = np.arange(width) < kept[:, None]
+    least = np.where(window, ratios, math.inf).min(axis=1, initial=math.inf)
+    spread = least < np.where(window, ratios, -math.inf).max(axis=1, initial=-math.inf)
+    # Two or more kept ratios divide differences that went on, so each is
+    # positive.
+    logs = np.zeros_like(ratios)
+    taken = window & spread[:, None]
+    logs[taken] = list(map(math.log, ratios[taken].tolist()))
+    means = np.cumsum(logs, axis=1)[spread, kept[spread] - 1] / kept[spread]
+    ratio = np.where(kept > 0, least, 0.0)
+    ratio[spread] = list(map(math.exp, means.tolist()))
+    return n_used.tolist(), converged.tolist(), _STOP_KINDS[kinds].tolist(), ratio.tolist()
 
 
 def _decide(scheme: Scheme, f: VectorFunction, points: np.ndarray) -> Iterator[_Decided]:
@@ -241,13 +281,13 @@ def _decide(scheme: Scheme, f: VectorFunction, points: np.ndarray) -> Iterator[_
 
     One guard mask at N_MAX tells the points whose guard trips, and only
     their steps are searched for it.  The points that share a guard share
-    one :func:`iterate` call on the steps before it, so one call of ``f``,
-    and their step norms and stops are decided as arrays, once; a point
-    whose guard trips at n = 0 is not evaluated.  The decisions are handed
-    out lazily, and the evaluated rows live as long as the iterator.
+    one evaluation of the steps before it, so one call of ``f``, and
+    :func:`_settle` decides their runs as arrays, once; a point whose guard
+    trips at n = 0 is not evaluated.  The decisions are handed out lazily,
+    and the evaluated rows live as long as the iterator.
     """
     guards = np.full(len(points), N_MAX + 1)
-    groups = {0: repeat(_Decided(None, None, 0, 0))}
+    groups = {0: repeat(_Decided(None, 0, False, "", 0.0, 0))}
     # Rows past a point's stop may overflow or hold inf - inf; they are
     # never reported.
     with np.errstate(all="ignore"):
@@ -256,11 +296,8 @@ def _decide(scheme: Scheme, f: VectorFunction, points: np.ndarray) -> Iterator[_
             steps = np.arange(N_MAX + 1)[:, None]
             guards[tripped] = np.argmax(_trips(scheme, points[tripped], steps), axis=0)
         for guard in sorted(set(guards.tolist()) - {0}):
-            rows = iterate(scheme, f, points[guards == guard], np.arange(min(guard, N_MAX + 1)))
-            norms = _step_norms(rows)
-            k = rows.shape[1] - 1
-            stops = _first_stop(norms[:, :k], norms[:, k + 1 :], TOL)
-            groups[guard] = map(_Decided, rows, norms, stops.tolist(), repeat(guard))
+            rows = _evaluate(scheme, f, points[guards == guard], np.arange(min(guard, N_MAX + 1)))
+            groups[guard] = map(_Decided, rows, *_settle(rows), repeat(guard))
     return (next(groups[guard]) for guard in guards.tolist())
 
 
@@ -282,63 +319,35 @@ def extract_limit(
     near 1/4 (1/2) marks clean geometric decay of the quadratic (additive)
     defect, a value >= 1 marks divergence.
 
-    The iterates n = 0..N_MAX come from one :func:`iterate` call, so ``f``
-    must map points ``(..., dim_x)`` to ``(..., dim_y)`` row by row.  The
-    call is cut before the first step that trips the overflow (up-schemes)
-    or underflow (down-schemes) guard, and is not made when the overflow
-    guard trips at n = 0.  The result equals the step-by-step loop bit for
-    bit, and :class:`ScaleError` is raised only if no stop comes before the
+    The iterates n = 0..N_MAX come from one call of ``f``, so ``f`` must
+    map points ``(..., dim_x)`` to ``(..., dim_y)`` row by row.  The call
+    is cut before the first step that trips the overflow (up-schemes) or
+    underflow (down-schemes) guard, and is not made when the overflow guard
+    trips at n = 0.  The result equals the step-by-step loop bit for bit,
+    and :class:`ScaleError` is raised only if no stop comes before the
     overflow guard.
 
-    The guard, iterates, step norms and stop are the point's share of a
-    stack's :func:`_decide`: ``decided`` if given, else the decision of the
-    one-point stack ``x``.  The call itself only puts the result together.
+    The point's guard, iterates, ``n_used``, ``converged``, stop kind and
+    ``ratio_estimate`` are its share of a stack's :func:`_decide`:
+    ``decided`` if given, else the decision of the one-point stack ``x``.
+    The call itself only raises, words the stop reason and puts the result
+    together.
     """
     if decided is None:
         (decided,) = _decide(scheme, f, np.asarray(x, dtype=float).reshape(1, -1))
-    rows, norms, j, guard = decided
-    if guard == 0:
-        raise _overflow_error(scheme, x, guard)
-    k = len(rows) - 1
-    # The difference norms[j] and the size norms[k + 1 + j] belong to
-    # n = j + 1, and norms[k] is the norm of the first iterate.
-    converged = False
-    reason = ""
-    # The first iterate has no difference, so only a non-finite entry stops
-    # the run there (and then j is 0); a finite norm screens that test.
-    if not (math.isfinite(norms[k]) or np.isfinite(rows[0]).all()):
-        n_used, reason = 0, "non-finite iterate at n=0"
-    elif j < k:
-        n_used = j + 1
-        reason = _stop_kind(norms[j], norms[k + 1 + j], rows[j : j + 2])
-        if reason:
-            reason = f"{reason} at n={n_used}"
-        else:
-            converged = True
-    elif guard > N_MAX:
-        n_used = N_MAX
+    rows, n_used, converged, kind, ratio_estimate, guard = decided
+    if kind:
+        reason = f"{kind} at n={n_used}"
+    elif converged or guard > N_MAX:
+        reason = ""
     elif scheme.is_up:
         raise _overflow_error(scheme, x, guard)
     else:
-        n_used = guard - 1
         reason = f"rescaled argument below {UNDERFLOW_LIMIT:.0e} at n={guard}"
-
-    # The successive differences up to the stop; only a converged stop
-    # records its own.  Every other one went on, so it exceeds TOL and no
-    # ratio divides by 0.
-    recorded = norms[: j + converged].tolist()
-    ratio_estimate = _decay_rate([b / a for a, b in zip(recorded, recorded[1:])])
     # The result owns a copy of the reported rows, so the evaluated ones are
     # freed on return.
     trail = rows[: n_used + 1].copy()
-    return ExtractionResult(
-        limit_value=trail[-1],
-        iterates=trail,
-        converged=converged,
-        ratio_estimate=ratio_estimate,
-        n_used=n_used,
-        stopped_reason=reason,
-    )
+    return ExtractionResult(trail[-1], trail, converged, ratio_estimate, n_used, reason)
 
 
 def _extract_block(scheme: Scheme, f: VectorFunction, points: np.ndarray) -> list[ExtractionResult]:

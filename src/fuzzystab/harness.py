@@ -439,7 +439,7 @@ def run_pipeline(cfg: ExperimentConfig, stages: Sequence[str] = ALL_STAGES) -> R
     a_values = log_a_grid(points=cfg.a_points)
 
     rng_x = np.random.default_rng(seed_x)
-    xs = np.array([sample_ball(rng_x, cfg.space.dim_x, cfg.x_radius) for _ in range(cfg.x_count)])
+    xs = sample_ball(rng_x, cfg.space.dim_x, cfg.x_radius, cfg.x_count)
     with np.errstate(over="ignore"):  # an overflowing norm is normed again, never warned
         report.x_norms = stack_norms(norm, xs).tolist()
 

@@ -385,18 +385,28 @@ def default_axiom_samples(
     grid = tuple(a_grid) if a_grid is not None else log_a_grid()
     points: list[tuple[np.ndarray, float]] = [(np.zeros(dim), float(grid[len(grid) // 2]))]
     while len(points) < count:
-        x = sample_ball(rng, dim, radius)
+        factor, direction = _ball_draw(rng, dim, radius)
         a = float(grid[int(rng.integers(len(grid)))])
-        points.append((x, a))
+        points.append((factor * direction, a))
     scalars = [-2.0, -0.5, 0.5, 1.0, 2.0, 3.0]
     return points, scalars
 
 
-def sample_ball(rng: np.random.Generator, dim: int, radius: float) -> np.ndarray:
-    """Uniform draw from the closed ball of the given radius."""
+def _ball_draw(rng: np.random.Generator, dim: int, radius: float) -> tuple[float, np.ndarray]:
+    """One uniform draw from the closed ball of the given radius, as a
+    direction and the factor that scales it: a direction, then, unless it
+    is 0, a radius.  A zero direction gives the origin."""
     direction = rng.standard_normal(dim)
     length = math.sqrt(direction.dot(direction))
     if length == 0.0:
-        return np.zeros(dim)
-    r = radius * rng.random() ** (1.0 / dim)
-    return (r / length) * direction
+        return 0.0, np.zeros(dim)
+    return radius * rng.random() ** (1.0 / dim) / length, direction
+
+
+def sample_ball(rng: np.random.Generator, dim: int, radius: float, count: int) -> np.ndarray:
+    """``count`` uniform draws from the closed ball of the given radius, as a
+    ``(count, dim)`` stack: :func:`_ball_draw` one at a time, so the
+    generator calls are made per draw, and one multiply scales them all."""
+    draws = [_ball_draw(rng, dim, radius) for _ in range(count)]
+    factors = np.array([factor for factor, _ in draws]).reshape(count, 1)
+    return factors * np.array([direction for _, direction in draws]).reshape(count, dim)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_extraction_oracle import cases as oracle_cases
-from test_extraction_reference import AT_TOL
+from test_extraction_reference import AT_TOL, _decay_rate, reference_extract_limit
 
 from fuzzystab import extraction
 from fuzzystab.errors import ScaleError
@@ -248,39 +248,53 @@ class TestExtractLimit:
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_each_decision_holds_the_rows_before_its_guard(self, scheme):
         # a handed decision carries its own guard, the first n in 0..N_MAX at
-        # which the point's guard trips, and the iterates before it, as one
-        # point's own iterate call gives them
+        # which the point's guard trips, the iterates before it, as one
+        # point's own iterate call gives them, and the n_used, converged,
+        # stop kind and ratio_estimate of the sequential loop on the point
         points = np.array(self.DECIDED_POINTS)[:, None]
         with np.errstate(all="ignore"):
             decided = list(extraction._decide(scheme, SQUARE_SIN, points))
             assert len(decided) == len(points)
-            for point, (rows, norms, stop, guard) in zip(points, decided):
+            for point, decision in zip(points, decided):
+                rows, n_used, converged, kind, ratio, guard = decision
                 trips = [bool(extraction._trips(scheme, point, n)) for n in range(N_MAX + 1)]
                 assert guard == (trips.index(True) if any(trips) else N_MAX + 1)
                 if guard == 0:
-                    assert rows is None and norms is None and stop == 0
+                    assert decision == (None, 0, False, "", 0.0, 0)
                     continue
                 own = iterate(scheme, SQUARE_SIN, point, np.arange(min(guard, N_MAX + 1)))
                 assert np.array_equal(rows, own, equal_nan=True)
-                assert np.array_equal(norms, extraction._step_norms(own), equal_nan=True)
-                k = len(own) - 1
-                assert stop == extraction._first_stop(norms[:k], norms[k + 1 :], TOL)
+                try:
+                    *_, want_converged, want_ratio, want_n, reason = reference_extract_limit(
+                        scheme, SQUARE_SIN, point
+                    )
+                except ScaleError:
+                    # the loop reaches the overflow guard: every step before
+                    # it went on, and extract_limit raises
+                    diffs = extraction._step_norms(own)[: len(own) - 1].tolist()
+                    want_converged, want_n, reason = False, guard - 1, ""
+                    want_ratio = _decay_rate([b / a for a, b in zip(diffs, diffs[1:])])
+                assert (n_used, converged) == (want_n, want_converged)
+                assert ratio.hex() == want_ratio.hex()
+                # the kind words every stop reason but the guard's
+                guarded = reason.startswith("rescaled argument below")
+                assert (f"{kind} at n={n_used}" if kind else "") == ("" if guarded else reason)
 
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_a_stack_decides_each_point_as_its_own_stack_does(self, scheme):
         points = np.array(self.DECIDED_POINTS)[:, None]
         with np.errstate(all="ignore"):
             stacked = list(extraction._decide(scheme, SQUARE_SIN, points))
-            for point, (rows, norms, stop, guard) in zip(points, stacked):
-                ((alone_rows, alone_norms, alone_stop, alone_guard),) = extraction._decide(
-                    scheme, SQUARE_SIN, point[None]
-                )
-                assert (stop, guard) == (alone_stop, alone_guard)
-                if guard == 0:
-                    assert rows is None and alone_rows is None
+            for point, decision in zip(points, stacked):
+                (alone,) = extraction._decide(scheme, SQUARE_SIN, point[None])
+                # every field but the rows, ratio_estimate by its bits
+                got, want = (d._replace(rows=None, ratio_estimate=d.ratio_estimate.hex())
+                             for d in (decision, alone))
+                assert got == want
+                if decision.guard == 0:
+                    assert decision.rows is None and alone.rows is None
                     continue
-                assert np.array_equal(rows, alone_rows, equal_nan=True)
-                assert np.array_equal(norms, alone_norms, equal_nan=True)
+                assert np.array_equal(decision.rows, alone.rows, equal_nan=True)
 
     @pytest.mark.parametrize("scheme", list(Scheme))
     @pytest.mark.parametrize(

@@ -3,7 +3,8 @@
 ``reference_extract_limit`` is the loop that ``extract_limit`` replaced: it
 evaluates one iterate per step through ``reference_iterate`` and applies the
 stop rule step by step.  ``extract_limit`` evaluates the iterates
-n = 0..N_MAX in one call of ``f`` and finds the stop with array tests.  It
+n = 0..N_MAX in one call of ``f`` and finds the stop, ``n_used``,
+``converged`` and ``ratio_estimate`` with array tests.  It
 must reproduce the loop exactly: the limit and every iterate by bytes,
 ``n_used``, ``converged``, ``stopped_reason``, the bits of
 ``ratio_estimate``, and the ``ScaleError`` (step and message) when the loop
@@ -14,15 +15,17 @@ guard.
 ``extract_components`` replaced: one ``extract_limit`` call per point,
 each deciding its point alone, as a one-point stack.
 ``extract_components`` decides a block of points at once: the points that
-share a guard share one call of ``f`` on the steps before it, their step
-norms and stops are decided as arrays, and each point is handed its share
+share a guard share one call of ``f`` on the steps before it, their runs
+are decided as arrays, and each point is handed its share
 of that decision.  It must give the same results, every field bit for bit,
 and raise the same ``ScaleError`` naming the same point (the first that
 fails, in order), also where a point's iterates turn NaN or inf, where
 finite iterates have an overflowing norm, and at the origin.
 """
 
+import functools
 import math
+import operator
 from dataclasses import fields
 
 import numpy as np
@@ -39,7 +42,6 @@ from fuzzystab.extraction import (
     UNDERFLOW_LIMIT,
     ExtractedComponent,
     Scheme,
-    _decay_rate,
     extract_components,
     extract_limit,
     iterate,
@@ -71,6 +73,23 @@ def reference_iterate(scheme: Scheme, f, x, n: int) -> np.ndarray:
         return np.ldexp(np.asarray(f(arg), dtype=float), -scheme.value_shift * n)
     arg = np.ldexp(v, -n)
     return np.ldexp(np.asarray(f(arg), dtype=float), scheme.value_shift * n)
+
+
+# The per-point rule of ratio_estimate that the block's array pass
+# replaced, verbatim.
+def _decay_rate(ratios: list[float]) -> float:
+    """Log-average of the consecutive difference ratios, final one dropped."""
+    if not ratios:
+        return 0.0
+    trimmed = ratios[:-1] if len(ratios) >= 2 else ratios
+    # A ratio of finite differences over a positive one is never NaN, so
+    # the least ratio tells whether any is <= 0.
+    least = min(trimmed)
+    if least == max(trimmed):
+        return trimmed[0]
+    if least <= 0.0:
+        return 0.0
+    return math.exp(sum(map(math.log, trimmed)) / len(trimmed))
 
 
 def reference_extract_limit(scheme: Scheme, f, x):
@@ -575,6 +594,30 @@ def test_component_at_origin_points_extracts_nothing(monkeypatch, scheme):
     limit = extract_limit(scheme, _PLANE, stack[2]).limit_value
     assert component(stack).tobytes() == bytes(8 * 2) + limit.tobytes() + bytes(8)
     assert [x.tolist() for x in calls] == [[0.7, -1.3]]
+
+
+#: Three points of x + 0.1 sin x whose quadratic_up ratio_estimate, the
+#: log-average of 24 to 28 ratios, numpy rounds differently from the loop
+#: on x86-64: np.log in place of math.log changes it at the first point,
+#: np.exp in place of math.exp at the second (numpy's SIMD paths), and
+#: np.sum, which adds 8 or more terms in separate partial sums, in place of
+#: a sequential sum at the third.
+_ROUNDING_POINTS = np.array([0.4551142357976712, -0.7526741919580582, 0.047286498801026866])
+
+
+def test_block_ratio_estimates_keep_the_bits_of_the_loop():
+    scheme, xs = Scheme.QUADRATIC_UP, _ROUNDING_POINTS[:, None]
+    results = ExtractedComponent(scheme, _LINE_SIN).extract(xs)
+    for x, result in zip(xs, results):
+        want = _outcome(lambda: reference_extract_limit(scheme, _LINE_SIN, x))
+        assert _outcome(lambda: result) == want
+    # the third point's kept logs are more than 8, and their pairwise sum
+    # is not their sum in order
+    rows = results[2].iterates
+    diffs = [float(np.linalg.norm(b - a)) for a, b in zip(rows, rows[1:])]
+    logs = [math.log(b / a) for a, b in zip(diffs, diffs[1:])][:-1]
+    assert len(logs) == 24
+    assert np.sum(logs) != functools.reduce(operator.add, logs)
 
 
 def _scaled_norm(scheme: Scheme, x, n: int) -> float:

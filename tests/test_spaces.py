@@ -18,6 +18,7 @@ from fuzzystab.spaces import (
     default_axiom_samples,
     euclidean_norm,
     log_a_grid,
+    sample_ball,
     stack_norms,
 )
 
@@ -366,6 +367,57 @@ def test_log_a_grid_is_log_spaced_from_lo_to_hi():
     assert grid[0] == pytest.approx(1e-2, rel=1e-15) and grid[-1] == pytest.approx(1e4, rel=1e-15)
     assert np.diff(np.log10(grid)) == pytest.approx([1.0] * 6, rel=1e-12)
     assert log_a_grid(0.5, 2.0, 1) == (0.5,)
+
+
+def one_point_draw(rng, dim, radius):
+    """The one-point draw that ``sample_ball`` stacks: a direction, then,
+    unless it is 0, a radius."""
+    direction = rng.standard_normal(dim)
+    length = math.sqrt(direction.dot(direction))
+    if length == 0.0:
+        return np.zeros(dim)
+    r = radius * rng.random() ** (1.0 / dim)
+    return (r / length) * direction
+
+
+@pytest.mark.parametrize("count", [0, 1, 4000])
+@pytest.mark.parametrize("dim", range(1, 11))
+def test_sample_stack_equals_one_point_draws(dim, count):
+    rng, loop_rng = np.random.default_rng(11), np.random.default_rng(11)
+    stack = sample_ball(rng, dim, 2.0, count)
+    drawn = [one_point_draw(loop_rng, dim, 2.0) for _ in range(count)]
+    want = np.array(drawn).reshape(count, dim)
+    assert (stack.dtype, stack.shape, stack.tobytes()) == (want.dtype, want.shape, want.tobytes())
+    # the generator is left where the loop leaves it
+    assert rng.standard_normal(3).tobytes() == loop_rng.standard_normal(3).tobytes()
+
+
+class ZeroFirstDirection:
+    """A generator whose first direction is -0 and which counts its draws."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.draws = []
+
+    def standard_normal(self, dim):
+        self.draws.append("direction")
+        if len(self.draws) == 1:
+            return np.full(dim, -0.0)
+        return self.rng.standard_normal(dim)
+
+    def random(self):
+        self.draws.append("radius")
+        return self.rng.random()
+
+
+def test_a_zero_direction_gives_the_origin_and_draws_no_radius():
+    stub, loop_stub = ZeroFirstDirection(5), ZeroFirstDirection(5)
+    stack = sample_ball(stub, 3, 2.0, 3)
+    want = np.array([one_point_draw(loop_stub, 3, 2.0) for _ in range(3)])
+    assert stack[0].tobytes() == bytes(3 * 8)  # +0.0, not -0.0
+    assert stack.tobytes() == want.tobytes()
+    assert stub.draws == loop_stub.draws
+    assert stub.draws == ["direction", "direction", "radius", "direction", "radius"]
 
 
 vectors = st.lists(

@@ -48,18 +48,18 @@ def test_extract_down_stage_calls_f_once_per_block(monkeypatch):
     cfg = ExperimentConfig.from_dict(_workload_config("extract_down"))
     shapes = []
     iterated = []
-    call, iterate = TestFunction.__call__, extraction.iterate
+    call, evaluate = TestFunction.__call__, extraction._evaluate
 
     def counted(self, x):
         shapes.append(np.shape(x))
         return call(self, x)
 
-    def counted_iterate(scheme, f, x, n):
+    def counted_evaluate(scheme, f, x, n):
         iterated.append(np.shape(x))
-        return iterate(scheme, f, x, n)
+        return evaluate(scheme, f, x, n)
 
     monkeypatch.setattr(TestFunction, "__call__", counted)
-    monkeypatch.setattr(extraction, "iterate", counted_iterate)
+    monkeypatch.setattr(extraction, "_evaluate", counted_evaluate)
     report = run_pipeline(cfg, ("extraction",))
     dim_x, points = cfg.space.dim_x, extraction.BLOCK_POINTS
     (table,) = report.extractions
@@ -104,8 +104,9 @@ def test_extract_down_stage_holds_one_block_at_a_time(monkeypatch):
 def test_the_block_decides_each_guard_norm_and_stop_once(monkeypatch):
     # the block's one guard mask, one stacked norm call and one stop
     # predicate decide every point; extract_limit, handed a point's share of
-    # that decision, decides none of them again
-    names = ("_trips", "iterate", "_step_norms", "_first_stop", "extract_limit")
+    # that decision, decides none of them again, and the evaluation of the
+    # steps before each guard tests no guard again
+    names = ("_trips", "_evaluate", "_step_norms", "_first_stop", "extract_limit")
     counts = dict.fromkeys(names, 0)
     for name in counts:
         original = getattr(extraction, name)
@@ -119,7 +120,7 @@ def test_the_block_decides_each_guard_norm_and_stop_once(monkeypatch):
     run_pipeline(cfg, ("extraction",))
     assert counts == {
         "_trips": 21,
-        "iterate": 21,
+        "_evaluate": 21,
         "_step_norms": 21,
         "_first_stop": 21,
         "extract_limit": 4000,
@@ -130,20 +131,27 @@ def test_the_block_decides_each_guard_norm_and_stop_once(monkeypatch):
     component = extraction.ExtractedComponent(Scheme.QUADRATIC_UP, TestFunction.scalar(quad=1.0))
     results = component.extract(np.array([[1.0], [1e140], [2.0], [1e139]]))
     assert [r.n_used for r in results] == [1] * 4
-    del counts["_trips"]  # iterate tests the up-scheme guard too
-    assert counts == {"iterate": 3, "_step_norms": 3, "_first_stop": 3, "extract_limit": 4}
+    # one mask at N_MAX and one search of the steps of 1e140 and 1e139
+    assert counts == {
+        "_trips": 2,
+        "_evaluate": 3,
+        "_step_norms": 3,
+        "_first_stop": 3,
+        "extract_limit": 4,
+    }
 
 
 @pytest.mark.parametrize("scheme", list(Scheme))
 def test_one_iterate_call_per_extraction(monkeypatch, scheme):
+    # one evaluation of the iterates, the body of iterate, per extraction
     calls = []
-    original = extraction.iterate
+    original = extraction._evaluate
 
     def counted(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(extraction, "iterate", counted)
+    monkeypatch.setattr(extraction, "_evaluate", counted)
     f = TestFunction.scalar(
         quad=1.0, linear=0.5, perturbations=(Perturbation(shape="sin", amplitude=0.1),)
     )
@@ -365,6 +373,34 @@ def test_auto_delta_is_one_sup_over_every_theorems_premise_pairs(monkeypatch):
     shifted = harness.remove_offset(cfg.function)[0]
     sups = [measure_residual_sup(shifted, b, norm=cfg.space.norm()) for b in built]
     assert report.resolved_delta == max(sups)
+
+
+def test_a_run_draws_each_sample_stack_with_one_call(monkeypatch):
+    # one sample_ball call draws the x_count sample points, and one more
+    # each theorem's 2 * BALL_PAIRS premise points; the axiom samples are
+    # drawn one at a time inside spaces
+    cfg = ExperimentConfig.from_dict(
+        {
+            "seed": 7,
+            "space": {"dim_x": 2, "dim_y": 1},
+            "function": {"coords": [{"quad": [[1.0, 0.0], [0.0, 1.0]], "linear": [1.0, -0.5]}]},
+            "control": {"family": "constant", "delta": "auto", "alpha": 1.0},
+            "theorems": ["combined", "additive_up"],
+            "grids": {"x_count": 6, "a_points": 7, "axiom_points": 40},
+        }
+    )
+    calls = []
+    for module in (harness, control):
+        original = module.sample_ball
+
+        def counted(rng, dim, radius, count, name=module.__name__, original=original):
+            calls.append((name, dim, count))
+            return original(rng, dim, radius, count)
+
+        monkeypatch.setattr(module, "sample_ball", counted)
+    run_pipeline(cfg, _STAGES_BY_COMMAND["run"])
+    premise = ("fuzzystab.control", 2, 2 * control.BALL_PAIRS)
+    assert calls == [("fuzzystab.harness", 2, 6), premise, premise]
 
 
 def test_envelope_makes_one_membership_call_per_part(monkeypatch):
