@@ -25,7 +25,7 @@ import sys
 from dataclasses import dataclass, field, fields, replace
 from itertools import chain
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter, is_, itemgetter
+from operator import attrgetter, is_
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -384,7 +384,7 @@ class RunReport:
     resolved_delta: float | None = None
     #: Norm of each sample point (the space's ``norm()`` by ``stack_norms``), by ``x_index``.
     x_norms: list[float] = field(default_factory=list)
-    #: The rows and norms ``emit_report`` last rendered, and the texts so far.
+    #: The rows and norms ``emit_report`` last rendered, and their text columns.
     _texts: tuple | None = field(default=None, init=False, repr=False)
 
     @property
@@ -551,11 +551,12 @@ def run_pipeline(cfg: ExperimentConfig, stages: Sequence[str] = ALL_STAGES) -> R
 
 # --- serialization ---------------------------------------------------------
 #
-# Each section is one table of fields.  A field names its key, how its
-# values print, and how it takes its column of values from the section's
-# rows: plain rows, extraction tables or verification reports.  Each column
-# is rendered to text once per report, and report.json and the section's
-# CSV file both write those texts.
+# Each section is a list of text columns, one per field, built once per
+# report by ``_report_sections``.  A column holds the field's text for each
+# row in report.json and in the section's CSV file, or None where that file
+# leaves the field out.  The verification section also has cells: its rows
+# nest a list of (x, a) cells each, whose columns JSON writes under the
+# cells' key and CSV writes a line per cell, led by the row's fields.
 
 _NON_FINITE = frozenset(("nan", "inf", "-inf"))
 
@@ -601,216 +602,6 @@ def _object_template(keys: Sequence[str], depth: int) -> str:
     return "{" + body + "\n" + "  " * depth + "}"
 
 
-class _Kind(NamedTuple):
-    """How a column prints: ``text(values)`` renders each value once, as its
-    CSV cell (a string is quoted where CSV needs it); ``json(texts, depth)``
-    gives the JSON text of each rendered value, its nested lines ``depth``
-    deep.  A column of arrays is in JSON only, and its ``json`` renders it."""
-
-    text: Callable[[list], list]
-    json: Callable[[list, int], list[str]]
-
-
-def _same(values: list, *_) -> list:
-    return values
-
-
-def _json_nested(encode: Callable[[Iterable], list[str]]) -> Callable[[list, int], list[str]]:
-    """``json`` of a column of arrays, the items of all of them encoded in one pass."""
-    return lambda arrays, depth: _json_arrays(encode(chain(*arrays)), map(len, arrays), depth)
-
-
-_STR = _Kind(_same, lambda texts, depth: _json_strings(texts))
-_INT = _Kind(lambda values: [str(int(v)) for v in values], _same)
-_BOOL = _Kind(
-    lambda values: ["True" if v else "False" for v in values],
-    lambda texts, depth: ["true" if t == "True" else "false" for t in texts],
-)
-_FLOAT = _Kind(lambda values: _float_texts(values), lambda texts, depth: _json_floats(texts))
-_FLOATS = _Kind(_same, _json_nested(lambda items: _json_floats(_float_texts(items))))
-_STRS = _Kind(_same, _json_nested(_json_strings))
-
-#: (rows, report, render) -> the field's text for each row, by its kind's ``text``.
-_Column = Callable[[Sequence, RunReport, Callable[[list], list]], list]
-
-
-class _Field(NamedTuple):
-    key: str
-    kind: _Kind | None
-    column: _Column
-    in_json: bool = True
-    in_csv: bool = True
-    #: Fields of each row's sub-rows, whose count ``column`` gives; a sub-field's
-    #: column holds the texts of all the rows' sub-rows.  JSON nests a row's
-    #: sub-rows under the key, CSV writes a line per sub-row led by the row's fields.
-    sub: tuple["_Field", ...] = ()
-
-
-def _rows(get: Callable) -> _Column:
-    """Column of a section of plain rows: ``get`` of each row."""
-    return lambda rows, report, render: render(list(map(get, rows)))
-
-
-def _table(get: Callable[[ExtractionTable, RunReport], Sequence]) -> _Column:
-    """Column of the extraction tables: ``get(table, run)``, a value per
-    point of the table, of each table in turn."""
-    return lambda tables, run, render: render([v for t in tables for v in get(t, run)])
-
-
-def _cells(grid: Callable[[StabilityReport, RunReport], np.ndarray]) -> _Column:
-    """Column of the verification cells, x-major: each value of
-    ``grid(report, run)`` rendered once, then broadcast to the report's grid."""
-
-    def column(reports: Sequence[StabilityReport], run: RunReport, render) -> list:
-        grids = [np.asarray(grid(r, run)) for r in reports]
-        texts = [np.reshape(np.array(render(g.ravel().tolist()), object), g.shape) for g in grids]
-        return [t for r, g in zip(reports, texts) for t in np.broadcast_to(g, r.lhs.shape).flat]
-
-    return column
-
-
-class _Section(NamedTuple):
-    key: str
-    rows: Callable[[RunReport], Sequence]
-    fields: tuple[_Field, ...]
-
-
-_SECTIONS = (
-    _Section(
-        "axioms",
-        attrgetter("axiom_rows"),
-        (
-            _Field("norm", _STR, _rows(itemgetter(0))),
-            _Field("axiom", _STR, _rows(lambda row: row[1].axiom)),
-            _Field("status", _STR, _rows(lambda row: row[1].status)),
-            _Field("passed", _BOOL, _rows(lambda row: row[1].passed)),
-            _Field("violations", _INT, _rows(lambda row: row[1].violations)),
-            _Field("worst_slack", _FLOAT, _rows(lambda row: row[1].worst_slack)),
-            _Field("note", _STR, _rows(lambda row: row[1].note)),
-        ),
-    ),
-    _Section(
-        "hypothesis",
-        attrgetter("hypothesis_rows"),
-        (
-            _Field("theorem_id", _STR, _rows(attrgetter("theorem_id"))),
-            _Field("check", _STR, _rows(attrgetter("check"))),
-            _Field("passed", _BOOL, _rows(attrgetter("passed"))),
-            _Field("worst_slack", _FLOAT, _rows(attrgetter("worst_slack"))),
-            _Field("note", _STR, _rows(attrgetter("note"))),
-        ),
-    ),
-    _Section(
-        "extraction",
-        attrgetter("extractions"),
-        (
-            _Field("theorem_id", _STR, _table(lambda t, run: [t.theorem_id] * len(t.n_used))),
-            _Field("component", _STR, _table(lambda t, run: [t.component] * len(t.n_used))),
-            _Field("x_index", _INT, _table(lambda t, run: range(len(t.n_used)))),
-            _Field("x_norm", _FLOAT, _table(lambda t, run: run.x_norms[: len(t.n_used)])),
-            _Field("limit", _FLOATS, _table(lambda t, run: t.limits.tolist()), in_csv=False),
-            _Field("limit_norm", _FLOAT, _table(lambda t, run: t.limit_norms), in_json=False),
-            _Field("n_used", _INT, _table(lambda t, run: t.n_used)),
-            _Field("converged", _BOOL, _table(lambda t, run: t.converged)),
-            _Field("ratio_estimate", _FLOAT, _table(lambda t, run: t.ratio_estimate)),
-            _Field("stopped_reason", _STR, _table(lambda t, run: t.stopped_reason)),
-        ),
-    ),
-    _Section(
-        "verification",
-        attrgetter("verification_reports"),
-        (
-            _Field("theorem_id", _STR, _rows(attrgetter("theorem_id"))),
-            _Field("hypothesis_ok", _BOOL, _rows(attrgetter("hypothesis_ok")), in_csv=False),
-            _Field("note", _STR, _rows(attrgetter("note")), in_csv=False),
-            _Field("worst_slack", _FLOAT, _rows(attrgetter("worst_slack")), in_csv=False),
-            _Field("violations", _INT, _rows(attrgetter("violations")), in_csv=False),
-            _Field("repairs", _STRS, _rows(attrgetter("repairs")), in_csv=False),
-            _Field(
-                "rows",
-                None,
-                lambda reports, run, render: [r.lhs.size for r in reports],
-                sub=(
-                    _Field("x_index", _INT, _cells(lambda r, run: np.arange(len(r.lhs))[:, None])),
-                    _Field(
-                        "x_norm",
-                        _FLOAT,
-                        _cells(lambda r, run: np.reshape(run.x_norms[: len(r.lhs)], (-1, 1))),
-                    ),
-                    _Field("a", _FLOAT, _cells(lambda r, run: r.a_values)),
-                    _Field("lhs", _FLOAT, _cells(lambda r, run: r.lhs)),
-                    _Field("rhs", _FLOAT, _cells(lambda r, run: r.rhs)),
-                    _Field("slack", _FLOAT, _cells(lambda r, run: r.slack)),
-                ),
-            ),
-        ),
-    ),
-    _Section(
-        "repair_log",
-        attrgetter("repair_log"),
-        (
-            _Field("repair_id", _STR, _rows(itemgetter(0))),
-            _Field("description", _STR, _rows(itemgetter(1))),
-        ),
-    ),
-)
-
-
-#: The section of each field, sub-fields included.
-_SECTION_OF = {g: s for s in _SECTIONS for f in s.fields for g in (f, *f.sub)}
-
-
-def _report_texts(report: RunReport) -> Callable[[_Field], list]:
-    """The text column of each field, rendered on its first use and kept
-    while the report holds the same row objects and sample norms: a row,
-    table or norm that is added or replaced renders the texts again."""
-    sources = [section.rows(report) for section in _SECTIONS] + [report.x_norms]
-    rendered = [item for items in sources for item in (*items, None)]  # None ends a section
-    kept, texts = report._texts or ([], {})
-    if len(kept) != len(rendered) or not all(map(is_, kept, rendered)):
-        texts = {}
-        report._texts = (rendered, texts)
-
-    def text(f: _Field) -> list:
-        if f not in texts:
-            rows = _SECTION_OF[f].rows(report)
-            texts[f] = f.column(rows, report, f.kind.text if f.kind else _same)
-        return texts[f]
-
-    return text
-
-
-def _json_objects(fields: Sequence[_Field], text: Callable[[_Field], list], depth: int) -> list:
-    """JSON object of each row, its braces ``depth`` deep."""
-    fields = [f for f in fields if f.in_json]
-    columns = [
-        _json_arrays(_json_objects(f.sub, text, depth + 2), text(f), depth + 1)
-        if f.sub
-        else f.kind.json(text(f), depth + 1)
-        for f in fields
-    ]
-    template = _object_template([f.key for f in fields], depth)
-    return [template % values for values in zip(*columns)]
-
-
-def _write_json(report: RunReport, text: Callable[[_Field], list], fh) -> None:
-    """Write report.json, one section at a time."""
-    summary = {
-        "violations": str(int(report.total_violations)),
-        "all_converged": "true" if report.all_converged else "false",
-    }
-    if report.resolved_delta is not None:
-        (summary["resolved_delta"],) = _json_floats(_float_texts([report.resolved_delta]))
-    stages = _json_array(_json_strings(report.stages), 1)
-    fh.write(f'{{\n  "seed": {int(report.seed)},\n  "stages": {stages}')
-    for section in _SECTIONS:
-        fh.write(f',\n  "{section.key}": ')
-        fh.write(_json_array(_json_objects(section.fields, text, 2), 1))
-    fh.write(',\n  "summary": ')
-    fh.write(_object_template(list(summary), 1) % tuple(summary.values()))
-    fh.write(f',\n  "exit_status": {int(report.exit_status)}\n}}\n')
-
-
 #: What a cell may hold that ``csv.writer`` would quote it for.
 _CSV_SPECIAL = re.compile('[,"\r\n]').search
 
@@ -825,42 +616,196 @@ def _csv_strings(values: list[str]) -> list[str]:
     return [quoted.get(s, s) for s in values] if quoted else values
 
 
-def _csv_text(section: _Section, text: Callable[[_Field], list]) -> str:
-    """Text of a section's CSV file: the header, then a line per row."""
+class _Column(NamedTuple):
+    """A field's text for each row in report.json and in its CSV file; None
+    where that file leaves the field out."""
 
-    def cells(f: _Field) -> list[str]:
-        return _csv_strings(text(f)) if f.kind is _STR else text(f)
+    key: str
+    json: list[str] | None
+    csv: list[str] | None
 
-    fields = [f for f in section.fields if f.in_csv and not f.sub]
-    columns = list(map(cells, fields))
-    nested = next((f for f in section.fields if f.in_csv and f.sub), None)
-    if nested is not None:  # a line per sub-row, led by the row's fields
-        counts = text(nested)
-        columns = [[v for v, n in zip(col, counts) for _ in range(n)] for col in columns]
-        sub_fields = [f for f in nested.sub if f.in_csv]
-        fields += sub_fields
-        columns += map(cells, sub_fields)
-    lines = [",".join(f.key for f in fields), *map(",".join, zip(*columns))]
+
+def _str(key: str, values: Iterable[str]) -> _Column:
+    values = list(values)
+    return _Column(key, _json_strings(values), _csv_strings(values))
+
+
+def _int(key: str, values: Iterable[int]) -> _Column:
+    texts = [str(int(v)) for v in values]
+    return _Column(key, texts, texts)
+
+
+def _bool(key: str, values: Iterable[bool]) -> _Column:
+    texts = ["True" if v else "False" for v in values]
+    return _Column(key, ["true" if t == "True" else "false" for t in texts], texts)
+
+
+def _float(key: str, values: Iterable[float]) -> _Column:
+    texts = _float_texts(values)
+    return _Column(key, _json_floats(texts), texts)
+
+
+def _nested(key: str, arrays: list[Sequence], render: Callable[..., _Column]) -> _Column:
+    """JSON-only column of arrays, the items of all of them rendered by
+    ``render`` in one pass; a field's array sits 3 deep in report.json."""
+    items = render(key, chain(*arrays)).json
+    return _Column(key, _json_arrays(items, map(len, arrays), 3), None)
+
+
+#: Each section's columns by its key, and the cells of the sections whose
+#: rows have them: ``(key, columns, counts)`` for ``counts`` cells per row.
+_Sections = tuple[dict[str, list[_Column]], dict[str, tuple[str, list[_Column], list[int]]]]
+
+
+def _report_sections(report: RunReport) -> _Sections:
+    """The text columns of each section, built on first use and kept while
+    the report holds the same row objects and sample norms: a row, table or
+    norm that is added or replaced builds them again."""
+    axioms, hypotheses = report.axiom_rows, report.hypothesis_rows
+    tables, verified, repairs = report.extractions, report.verification_reports, report.repair_log
+    sources = [*axioms, None, *hypotheses, None, *tables, None, *verified, None, *repairs, None]
+    sources += report.x_norms
+    kept = report._texts
+    if kept is not None and len(kept[0]) == len(sources) and all(map(is_, kept[0], sources)):
+        return kept[1]
+    checks = [check for _, check in axioms]
+
+    def per_point(get: Callable[[ExtractionTable], Sequence]) -> list:
+        return [v for t in tables for v in get(t)]
+
+    def cells(key: str, grid: Callable[[StabilityReport], np.ndarray], render) -> _Column:
+        # x-major: each value of a report's grid rendered once, then broadcast to its shape
+        grids = [np.asarray(grid(r)) for r in verified]
+        column = render(key, [v for g in grids for v in g.ravel().tolist()])
+
+        def spread(texts: list[str]) -> list[str]:
+            out, start = [], 0
+            for g, r in zip(grids, verified):
+                block = np.reshape(np.array(texts[start : start + g.size], object), g.shape)
+                out += np.broadcast_to(block, r.lhs.shape).flat
+                start += g.size
+            return out
+
+        json = spread(column.json)
+        return _Column(key, json, json if column.csv is column.json else spread(column.csv))
+
+    sections = {
+        "axioms": [
+            _str("norm", [norm for norm, _ in axioms]),
+            _str("axiom", [c.axiom for c in checks]),
+            _str("status", [c.status for c in checks]),
+            _bool("passed", [c.passed for c in checks]),
+            _int("violations", [c.violations for c in checks]),
+            _float("worst_slack", [c.worst_slack for c in checks]),
+            _str("note", [c.note for c in checks]),
+        ],
+        "hypothesis": [
+            _str("theorem_id", [r.theorem_id for r in hypotheses]),
+            _str("check", [r.check for r in hypotheses]),
+            _bool("passed", [r.passed for r in hypotheses]),
+            _float("worst_slack", [r.worst_slack for r in hypotheses]),
+            _str("note", [r.note for r in hypotheses]),
+        ],
+        "extraction": [
+            _str("theorem_id", per_point(lambda t: [t.theorem_id] * len(t.n_used))),
+            _str("component", per_point(lambda t: [t.component] * len(t.n_used))),
+            _int("x_index", per_point(lambda t: range(len(t.n_used)))),
+            _float("x_norm", per_point(lambda t: report.x_norms[: len(t.n_used)])),
+            _nested("limit", per_point(lambda t: t.limits.tolist()), _float),
+            _float("limit_norm", per_point(attrgetter("limit_norms")))._replace(json=None),
+            _int("n_used", per_point(attrgetter("n_used"))),
+            _bool("converged", per_point(attrgetter("converged"))),
+            _float("ratio_estimate", per_point(attrgetter("ratio_estimate"))),
+            _str("stopped_reason", per_point(attrgetter("stopped_reason"))),
+        ],
+        "verification": [
+            _str("theorem_id", [r.theorem_id for r in verified]),
+            _bool("hypothesis_ok", [r.hypothesis_ok for r in verified])._replace(csv=None),
+            _str("note", [r.note for r in verified])._replace(csv=None),
+            _float("worst_slack", [r.worst_slack for r in verified])._replace(csv=None),
+            _int("violations", [r.violations for r in verified])._replace(csv=None),
+            _nested("repairs", [r.repairs for r in verified], _str),
+        ],
+        "repair_log": [
+            _str("repair_id", [repair for repair, _ in repairs]),
+            _str("description", [description for _, description in repairs]),
+        ],
+    }
+    cell_columns = [
+        cells("x_index", lambda r: np.arange(len(r.lhs))[:, None], _int),
+        cells("x_norm", lambda r: np.reshape(report.x_norms[: len(r.lhs)], (-1, 1)), _float),
+        cells("a", attrgetter("a_values"), _float),
+        cells("lhs", attrgetter("lhs"), _float),
+        cells("rhs", attrgetter("rhs"), _float),
+        cells("slack", attrgetter("slack"), _float),
+    ]
+    nested = {"verification": ("rows", cell_columns, [r.lhs.size for r in verified])}
+    report._texts = (sources, (sections, nested))
+    return sections, nested
+
+
+def _json_rows(columns: list[_Column], depth: int) -> list[str]:
+    """The JSON object of each row of the columns, its braces ``depth`` deep."""
+    columns = [c for c in columns if c.json is not None]
+    template = _object_template([c.key for c in columns], depth)
+    return [template % values for values in zip(*(c.json for c in columns))]
+
+
+def _write_json(report: RunReport, sections: _Sections, fh) -> None:
+    """Write report.json, one section at a time."""
+    summary = {
+        "violations": str(int(report.total_violations)),
+        "all_converged": "true" if report.all_converged else "false",
+    }
+    if report.resolved_delta is not None:
+        (summary["resolved_delta"],) = _json_floats(_float_texts([report.resolved_delta]))
+    stages = _json_array(_json_strings(report.stages), 1)
+    fh.write(f'{{\n  "seed": {int(report.seed)},\n  "stages": {stages}')
+    columns_of, cells_of = sections
+    for key, columns in columns_of.items():
+        if key in cells_of:
+            cell_key, cell_columns, counts = cells_of[key]
+            rows = _json_arrays(_json_rows(cell_columns, 4), counts, 3)
+            columns = [*columns, _Column(cell_key, rows, None)]
+        fh.write(f",\n  {encode_basestring_ascii(key)}: ")
+        fh.write(_json_array(_json_rows(columns, 2), 1))
+    fh.write(',\n  "summary": ')
+    fh.write(_object_template(list(summary), 1) % tuple(summary.values()))
+    fh.write(f',\n  "exit_status": {int(report.exit_status)}\n}}\n')
+
+
+def _csv_text(columns: list[_Column], cells: tuple | None) -> str:
+    """Text of a section's CSV file: the header, then a line per row, or a
+    line per cell led by its row's fields."""
+    columns = [c for c in columns if c.csv is not None]
+    texts = [c.csv for c in columns]
+    if cells is not None:
+        _, cell_columns, counts = cells
+        texts = [[v for v, n in zip(col, counts) for _ in range(n)] for col in texts]
+        columns += [c for c in cell_columns if c.csv is not None]
+        texts += [c.csv for c in cell_columns if c.csv is not None]
+    lines = [",".join(c.key for c in columns), *map(",".join, zip(*texts))]
     return "\n".join(lines) + "\n"
 
 
 def emit_report(report: RunReport, fmt: str, out_dir: str | Path) -> list[Path]:
     """Write the report as ``report.json`` or one CSV per section.
 
-    Both come from one field table per section, whose columns are rendered
-    once per report and shared by the two formats.  Floats are printed with
-    17 significant digits; identical reports serialize to identical bytes.
+    Both write the text columns of each section, built once per report and
+    shared by the two formats.  Floats are printed with 17 significant
+    digits; identical reports serialize to identical bytes.
     """
     if fmt not in ("json", "csv"):
         raise ValueError(f"unknown report format {fmt!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    text = _report_texts(report)
+    sections = _report_sections(report)
     if fmt == "json":
         with (out / "report.json").open("w", encoding="utf-8") as fh:
-            _write_json(report, text, fh)
+            _write_json(report, sections, fh)
         return [out / "report.json"]
-    paths = [out / f"{section.key}.csv" for section in _SECTIONS]
-    for section, path in zip(_SECTIONS, paths):
-        path.write_text(_csv_text(section, text), encoding="utf-8", newline="")
+    columns_of, cells_of = sections
+    paths = [out / f"{key}.csv" for key in columns_of]
+    for (key, columns), path in zip(columns_of.items(), paths):
+        path.write_text(_csv_text(columns, cells_of.get(key)), encoding="utf-8", newline="")
     return paths
