@@ -50,9 +50,17 @@ def _rational(q: np.ndarray) -> np.ndarray:
     return np.where(np.abs(q) > 1e100, 1.0 / q, q / (1.0 + q * q))  # q^2 overflows at huge |q|
 
 
+def _cos_minus_one(q: np.ndarray) -> np.ndarray:
+    """cos q - 1 as -2 sin(q/2)^2, which keeps its relative accuracy at small
+    |q|, where cos q - 1 cancels (to 0 below |q| = 1e-8); ``0.0 -`` gives +0.0
+    at q = 0, and ``s * s`` rounds a scalar as it rounds each array entry."""
+    s = np.sin(0.5 * q)
+    return 0.0 - 2.0 * (s * s)
+
+
 _SHAPES = {
     "sin": _Shape(np.sin, False),  # |.| <= 1
-    "cos": _Shape(lambda q: np.cos(q) - 1.0, True),  # |.| <= 2
+    "cos": _Shape(_cos_minus_one, True),  # cos q - 1, |.| <= 2
     "rational": _Shape(_rational, False),  # q / (1 + q^2), |.| <= 1/2
 }
 PERTURBATION_SHAPES = tuple(_SHAPES)

@@ -35,21 +35,30 @@ Tolerances, at the reported step n = ``n_used``:
   the limit), so only the a-priori bound holds there.
 * Rounding: the polynomial part is a fixed point of every scheme bit for
   bit, and each evaluation rounds at the scale S of the summed terms, so
-  ρ = 16·ε·S with ε = 2⁻⁵².  quadratic_down also multiplies the rounding of
-  cos t (about ε, before the exact subtraction of 1) by 4ⁿ·amp.  The
-  expected value has its own rounding of the same size.
+  ρ = 16·ε·S with ε = 2⁻⁵².  The ``cos`` profile, −2 sin²(t/2), rounds
+  within a few ε of its own value, so its iterate under quadratic_down
+  rounds within a few ε of amp·q²/2, inside ρ.  The expected value has its
+  own rounding of the same size.
 
 ``target`` steers the search towards the largest ratio of error to bound,
 so a run reports how close each bound came to failing.
+
+Each down-scheme iterate of a lone perturbation must also follow its
+Taylor form at every step up to ``N_MAX``, where the stop rule never looks:
+amp·q for ``sin`` and ``rational`` under additive_down, −amp·q²/2 for
+``cos`` under quadratic_down, within the Taylor remainder plus the rounding
+of f at x/2ⁿ, scaled by rateⁿ.  A profile that cancels at small arguments,
+as cos q − 1 does, fails it.
 """
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, target
 from hypothesis import strategies as st
 
-from fuzzystab.extraction import TOL, Scheme, extract_components
+from fuzzystab.extraction import N_MAX, TOL, Scheme, extract_components, iterate
 from fuzzystab.funceq import CoordinatePoly, Perturbation, TestFunction, remove_offset
 
 EPS = 2.0**-52
@@ -151,7 +160,6 @@ def test_schemes_reach_their_closed_form_limits(case, down):
         if is_quadratic:
             expected = quad - a_even * q_even**2 / 2.0
             remainder = a_even * q_even**4 / 24.0 / 4.0**n
-            rounding += 16.0 * EPS * 4.0**n * np.max(a_even)
         else:
             expected = lin + a_odd * q_odd
             c = abs(q_odd) ** 3 / 6.0 if odd.shape == "sin" else abs(q_odd) ** 3
@@ -159,3 +167,32 @@ def test_schemes_reach_their_closed_form_limits(case, down):
         check(result, expected, remainder + rounding, f"{result_scheme} a priori")
         stop_bound = TOL * (1.0 + math.sqrt(float(expected @ expected))) / 2.0
         check(result, expected, stop_bound + 3.0 * rounding, f"{result_scheme} from TOL")
+
+
+#: Rounding of f at x/2ⁿ, in its ulps: each profile and the product by the
+#: amplitude round within 3ε of f's value, at most 6 of its ulps, and the
+#: scalings by powers of two are exact.
+TAYLOR_ULPS = 8.0
+
+def taylor(shape: str, amp: float, q: float, n: np.ndarray):
+    """The shape's down-scheme, its Taylor limit amp·q or −amp·q²/2, and the
+    Taylor remainder of the iterate at step n: the first omitted term."""
+    if shape == "cos":
+        return Scheme.QUADRATIC_DOWN, -amp * q * q / 2.0, amp * q**4 / 24.0 / 4.0**n
+    c = abs(q) ** 3 / 6.0 if shape == "sin" else abs(q) ** 3
+    return Scheme.ADDITIVE_DOWN, amp * q, amp * c / 4.0**n
+
+
+@pytest.mark.parametrize("amp", [1.0, 0.01])
+@pytest.mark.parametrize("x", [1.0, 1e-3, 1e3])
+@pytest.mark.parametrize("shape", ["sin", "rational", "cos"])
+def test_down_scheme_iterates_follow_the_taylor_form_at_every_step(shape, x, amp):
+    ns = np.arange(N_MAX + 1)
+    scheme, expected, remainder = taylor(shape, amp, x, ns)
+    f = TestFunction.scalar(perturbations=(Perturbation(shape, amplitude=amp, frequency=1.0),))
+    iterates = iterate(scheme, f, np.array([x]), ns)[:, 0]
+    at_steps = f(np.ldexp(x, -ns)[:, None])[:, 0]  # the iterate is rateⁿ times f at x/2ⁿ
+    rounding = scheme.rate**ns * TAYLOR_ULPS * np.spacing(np.abs(at_steps))
+    bound = remainder + rounding + np.spacing(abs(expected))  # and expected's own rounding
+    err = np.abs(iterates - expected)
+    assert np.all(err <= bound), [(n, e, b) for n, e, b in zip(ns, err, bound) if not e <= b]
