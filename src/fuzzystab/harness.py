@@ -777,14 +777,15 @@ def _write_json(report: RunReport, sections: _Sections, fh) -> None:
 def _csv_text(columns: list[_Column], cells: tuple | None) -> str:
     """Text of a section's CSV file: the header, then a line per row, or a
     line per cell led by its row's fields."""
-    columns = [c for c in columns if c.csv is not None]
-    texts = [c.csv for c in columns]
     if cells is not None:
         _, cell_columns, counts = cells
-        texts = [[v for v, n in zip(col, counts) for _ in range(n)] for col in texts]
-        columns += [c for c in cell_columns if c.csv is not None]
-        texts += [c.csv for c in cell_columns if c.csv is not None]
-    lines = [",".join(c.key for c in columns), *map(",".join, zip(*texts))]
+        columns = [
+            c._replace(csv=[v for v, n in zip(c.csv, counts) for _ in range(n)])
+            for c in columns
+            if c.csv is not None
+        ] + cell_columns
+    columns = [c for c in columns if c.csv is not None]
+    lines = [",".join(c.key for c in columns), *map(",".join, zip(*(c.csv for c in columns)))]
     return "\n".join(lines) + "\n"
 
 

@@ -76,7 +76,7 @@ def reference_iterate(scheme: Scheme, f, x, n: int) -> np.ndarray:
 
 
 # The per-point rule of ratio_estimate that the block's array pass
-# replaced, verbatim.
+# replaced, verbatim but for its sum of logs, which adds in order on every Python.
 def _decay_rate(ratios: list[float]) -> float:
     """Log-average of the consecutive difference ratios, final one dropped."""
     if not ratios:
@@ -89,7 +89,8 @@ def _decay_rate(ratios: list[float]) -> float:
         return trimmed[0]
     if least <= 0.0:
         return 0.0
-    return math.exp(sum(map(math.log, trimmed)) / len(trimmed))
+    # the builtin sum compensates its additions from Python 3.12 on
+    return math.exp(functools.reduce(operator.add, map(math.log, trimmed), 0.0) / len(trimmed))
 
 
 def reference_extract_limit(scheme: Scheme, f, x):
