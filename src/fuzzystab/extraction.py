@@ -128,8 +128,8 @@ def iterate(scheme: Scheme, f: VectorFunction, x: np.ndarray, n) -> np.ndarray:
 
     ``x`` is one point ``(dim_x,)`` or a stack of points ``(P, dim_x)``.  One
     index gives the n-th iterate, ``(dim_y,)`` or ``(P, dim_y)``.  An array
-    of indices gives the iterates stacked in that order, ``(len(n), dim_y)``
-    or ``(P, len(n), dim_y)``, from one call of ``f`` on the stacked
+    of indices gives one iterate per index, stacked in that order,
+    ``(len(n), dim_y)`` or ``(P, len(n), dim_y)``, from one call of ``f`` on the stacked
     arguments; ``f`` must map points ``(..., dim_x)`` to ``(..., dim_y)``
     row by row, as ``TestFunction`` does.
 
@@ -167,10 +167,10 @@ def _evaluate(scheme: Scheme, f: VectorFunction, v: np.ndarray, ns: np.ndarray) 
 
 @dataclass(frozen=True, eq=False)
 class ExtractionResult:
-    """Limit of one scheme run with per-iterate diagnostics."""
+    """Limit of one scheme run with its convergence diagnostics; the run's
+    trail n = 0..n_used is ``iterate(scheme, f, x, np.arange(n_used + 1))``."""
 
-    limit_value: np.ndarray  # the last row of iterates
-    iterates: np.ndarray  # (n_used + 1, dim_y); row n is the n-th iterate
+    limit_value: np.ndarray  # the iterate n = n_used
     converged: bool
     ratio_estimate: float
     n_used: int
@@ -178,8 +178,8 @@ class ExtractionResult:
 
 
 def _step_norms(rows: np.ndarray) -> np.ndarray:
-    """Norms of the K - 1 successive differences of the iterates ``(..., K,
-    dim_y)``, then of the K iterates: ``(..., 2K - 1)``.
+    """Norms of the K - 1 successive differences of the K iterate rows ``(...,
+    K, dim_y)``, then of the rows themselves: ``(..., 2K - 1)``.
 
     One stacked :func:`euclidean_norm` call norms each vector alone, so every
     norm keeps its bits.  Differences past a stop may overflow or be
@@ -190,8 +190,8 @@ def _step_norms(rows: np.ndarray) -> np.ndarray:
 
 def _first_stop(diffs: np.ndarray, sizes: np.ndarray, tol: float) -> np.ndarray | np.integer:
     """Index of the first difference that stops each run, over the last axis,
-    and that axis' length if none; ``sizes`` are the norms of the iterates
-    the differences lead to.
+    and that axis' length if none; ``sizes`` are the norms of the iterate
+    each difference leads to.
 
     The run goes on while a difference is finite and above its bound.  An
     overflowing norm makes the bound infinite, so it stops the run too, and
@@ -205,25 +205,15 @@ def _first_stop(diffs: np.ndarray, sizes: np.ndarray, tol: float) -> np.ndarray 
 _STOP_KINDS = np.array(["", "iterate norm overflows", "non-finite iterate"])
 
 
-def _stop_kind(diff: float, size: float, rows: np.ndarray) -> str:
-    """Why a stop of :func:`_first_stop` is not convergence, "" if it is; ``diff``
-    is taken between the ``rows`` and ``size`` is the norm of the last row.
-    Finite norms imply finite rows, so the rows are scanned only when a norm
-    is not finite."""
-    if math.isfinite(diff) and math.isfinite(size):
-        return ""
-    return str(_STOP_KINDS[1 if np.isfinite(rows).all() else 2])
-
-
 class _Decided(NamedTuple):
-    """One point's share of its stack's decision: its iterates
-    n = 0..min(guard, N_MAX + 1) - 1, the ``n_used``, ``converged`` and
-    ``ratio_estimate`` of its result, ``kind``, the ``_STOP_KINDS`` text of a
-    run that stops unconverged before its guard ("" for any other), and
-    ``guard``, the first n in 0..N_MAX at which its guard trips (N_MAX + 1
-    if none).  A point whose guard trips at n = 0 has no rows."""
+    """One point's share of its stack's decision: its ``limit`` (the iterate
+    n = ``n_used``), the ``n_used``, ``converged`` and ``ratio_estimate`` of
+    its result, ``kind``, the ``_STOP_KINDS`` text of a run that stops
+    unconverged before its guard ("" for any other), and ``guard``, the
+    first n in 0..N_MAX at which its guard trips (N_MAX + 1 if none).  A
+    point whose guard trips at n = 0 has no limit."""
 
-    rows: np.ndarray | None
+    limit: np.ndarray | None
     n_used: int
     converged: bool
     kind: str
@@ -231,10 +221,13 @@ class _Decided(NamedTuple):
     guard: int
 
 
-def _settle(rows: np.ndarray) -> tuple[list, list, list, list]:
-    """The ``n_used``, ``converged``, kind and ``ratio_estimate`` of the run of
-    each point's iterates ``(P, K, dim_y)``, as lists, decided as arrays from
-    their :func:`_step_norms` and :func:`_first_stop`.
+def _settle(rows: np.ndarray, tol: float = TOL) -> tuple[np.ndarray, list, list, list, list]:
+    """The runs of the points whose iterate rows are ``rows`` ``(P, K,
+    dim_y)``: their limits, each point's iterate n = ``n_used``, as one array
+    ``(P, dim_y)``, then their ``n_used``, ``converged``, kind and
+    ``ratio_estimate`` as lists, decided as arrays from the rows'
+    :func:`_step_norms` and :func:`_first_stop` with the stop tolerance
+    ``tol``.
 
     Every ratio keeps the bits of a per-point loop: the logs and the
     exponential are taken by ``math`` over flat lists, and each point's logs
@@ -244,7 +237,7 @@ def _settle(rows: np.ndarray) -> tuple[list, list, list, list]:
     norms = _step_norms(rows)
     at, k = np.arange(len(rows)), rows.shape[1] - 1
     diffs = norms[:, :k]
-    stops = _first_stop(diffs, norms[:, k + 1 :], TOL)
+    stops = _first_stop(diffs, norms[:, k + 1 :], tol)
     # The difference norms[j] and the size norms[k + 1 + j] belong to
     # n = j + 1; a run that goes on to n = k has no stop of its own, and a
     # non-finite first iterate stops its run at n = 0 (its stop is 0).
@@ -253,7 +246,8 @@ def _settle(rows: np.ndarray) -> tuple[list, list, list, list]:
     converged = (stops < k) & np.isfinite(ends).all(axis=0)
     # Every iterate before a stop is finite, so the last reported one tells
     # a non-finite iterate from an overflowing norm.
-    kinds = np.where(np.isfinite(rows[at, n_used]).all(axis=-1), (stops < k) & ~converged, 2)
+    limits = rows[at, n_used]
+    kinds = np.where(np.isfinite(limits).all(axis=-1), (stops < k) & ~converged, 2)
     # The recorded differences are those that went on and a converged
     # stop's own.  ratio_estimate is the log-average of their consecutive
     # ratios, the last one dropped when there are two or more; it is the
@@ -273,7 +267,7 @@ def _settle(rows: np.ndarray) -> tuple[list, list, list, list]:
     means = np.cumsum(logs, axis=1)[spread, kept[spread] - 1] / kept[spread]
     ratio = np.where(kept > 0, least, 0.0)
     ratio[spread] = list(map(math.exp, means.tolist()))
-    return n_used.tolist(), converged.tolist(), _STOP_KINDS[kinds].tolist(), ratio.tolist()
+    return limits, n_used.tolist(), converged.tolist(), _STOP_KINDS[kinds].tolist(), ratio.tolist()
 
 
 def _decide(scheme: Scheme, f: VectorFunction, points: np.ndarray) -> Iterator[_Decided]:
@@ -283,8 +277,8 @@ def _decide(scheme: Scheme, f: VectorFunction, points: np.ndarray) -> Iterator[_
     their steps are searched for it.  The points that share a guard share
     one evaluation of the steps before it, so one call of ``f``, and
     :func:`_settle` decides their runs as arrays, once; a point whose guard
-    trips at n = 0 is not evaluated.  The decisions are handed out lazily,
-    and the evaluated rows live as long as the iterator.
+    trips at n = 0 is not evaluated.  The decisions are handed out lazily;
+    they hold the limits only, so the evaluated rows are freed on return.
     """
     guards = np.full(len(points), N_MAX + 1)
     groups = {0: repeat(_Decided(None, 0, False, "", 0.0, 0))}
@@ -297,7 +291,7 @@ def _decide(scheme: Scheme, f: VectorFunction, points: np.ndarray) -> Iterator[_
             guards[tripped] = np.argmax(_trips(scheme, points[tripped], steps), axis=0)
         for guard in sorted(set(guards.tolist()) - {0}):
             rows = _evaluate(scheme, f, points[guards == guard], np.arange(min(guard, N_MAX + 1)))
-            groups[guard] = map(_Decided, rows, *_settle(rows), repeat(guard))
+            groups[guard] = map(_Decided, *_settle(rows), repeat(guard))
     return (next(groups[guard]) for guard in guards.tolist())
 
 
@@ -319,7 +313,7 @@ def extract_limit(
     near 1/4 (1/2) marks clean geometric decay of the quadratic (additive)
     defect, a value >= 1 marks divergence.
 
-    The iterates n = 0..N_MAX come from one call of ``f``, so ``f`` must
+    The steps n = 0..N_MAX are evaluated in one call of ``f``, so ``f`` must
     map points ``(..., dim_x)`` to ``(..., dim_y)`` row by row.  The call
     is cut before the first step that trips the overflow (up-schemes) or
     underflow (down-schemes) guard, and is not made when the overflow guard
@@ -327,15 +321,15 @@ def extract_limit(
     and :class:`ScaleError` is raised only if no stop comes before the
     overflow guard.
 
-    The point's guard, iterates, ``n_used``, ``converged``, stop kind and
+    The point's guard, limit, ``n_used``, ``converged``, stop kind and
     ``ratio_estimate`` are its share of a stack's :func:`_decide`:
     ``decided`` if given, else the decision of the one-point stack ``x``.
     The call itself only raises, words the stop reason and puts the result
-    together.
+    together; the result holds the limit, not the trail before it.
     """
     if decided is None:
         (decided,) = _decide(scheme, f, np.asarray(x, dtype=float).reshape(1, -1))
-    rows, n_used, converged, kind, ratio_estimate, guard = decided
+    limit, n_used, converged, kind, ratio_estimate, guard = decided
     if kind:
         reason = f"{kind} at n={n_used}"
     elif converged or guard > N_MAX:
@@ -344,23 +338,7 @@ def extract_limit(
         raise _overflow_error(scheme, x, guard)
     else:
         reason = f"rescaled argument below {UNDERFLOW_LIMIT:.0e} at n={guard}"
-    # The result owns a copy of the reported rows, so the evaluated ones are
-    # freed on return.
-    trail = rows[: n_used + 1].copy()
-    return ExtractionResult(trail[-1], trail, converged, ratio_estimate, n_used, reason)
-
-
-def _extract_block(scheme: Scheme, f: VectorFunction, points: np.ndarray) -> list[ExtractionResult]:
-    """:func:`extract_limit` at each point of the stack ``points``, in order,
-    each call handed the point's share of the stack's :func:`_decide`.  The
-    evaluated rows are freed on return."""
-    results = []
-    for x, decided in zip(points, _decide(scheme, f, points)):
-        try:
-            results.append(extract_limit(scheme, f, x, decided))
-        except ScaleError as exc:
-            raise ScaleError(f"{exc} at x={x.tolist()}", scheme=exc.scheme, n=exc.n) from exc
-    return results
+    return ExtractionResult(limit, converged, ratio_estimate, n_used, reason)
 
 
 @dataclass(frozen=True, eq=False)
@@ -372,12 +350,21 @@ class ExtractedComponent:
 
     def extract(self, points: np.ndarray) -> list[ExtractionResult]:
         """:func:`extract_limit` at each point of the stack ``(P, dim_x)``,
-        bit for bit, in order.  The points go to :func:`_extract_block` in
-        blocks of ``BLOCK_POINTS``, each block decided before the next is
-        evaluated; a :class:`ScaleError` names the point it came from."""
-        scheme, source, size = self.scheme, self.source, BLOCK_POINTS
-        blocks = (points[i : i + size] for i in range(0, len(points), size))
-        return [result for block in blocks for result in _extract_block(scheme, source, block)]
+        bit for bit, in order.  The points go to :func:`_decide` in blocks
+        of ``BLOCK_POINTS``, each block decided, and its rows freed, before
+        the next is evaluated; each point's :func:`extract_limit` call is
+        handed its share of its block's decision, and a :class:`ScaleError`
+        names the point it came from."""
+        scheme, source, results = self.scheme, self.source, []
+        for i in range(0, len(points), BLOCK_POINTS):
+            block = points[i : i + BLOCK_POINTS]
+            for x, decided in zip(block, _decide(scheme, source, block)):
+                try:
+                    results.append(extract_limit(scheme, source, x, decided))
+                except ScaleError as exc:
+                    message = f"{exc} at x={x.tolist()}"
+                    raise ScaleError(message, scheme=exc.scheme, n=exc.n) from exc
+        return results
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """The limits at a stack ``(P, dim_x)``, ``(P, dim_y)``, or at one point
@@ -459,16 +446,17 @@ def uniqueness_crosscheck(
         if not (isinstance(window, tuple) and len(window) == 2 and window[0] < window[1]):
             raise ValueError(f"a window is an inclusive (lo, hi) pair with lo < hi, got {window!r}")
         hi = window[1]
-        # Non-finite iterates and overflows go in the note, not in warnings.
+        # Non-finite iterate values and overflows go in the note, not in warnings.
         with np.errstate(all="ignore"):
             pair = iterate(scheme, f, v, [hi - 1, hi])
-            norms = _step_norms(pair)
-        gap, _, size = norms.tolist()
+            (limit,), _, (converged,), (kind,), _ = _settle(pair[None], tol)
         where = f"in window ending at n={hi}"
-        if _first_stop(norms[:1], norms[2:], tol):
-            return None, f"no convergence {where} (gap {gap:.3e})"
-        kind = _stop_kind(gap, size, pair)
-        return (None, f"{kind} {where}") if kind else (pair[1], "")
+        if converged:
+            return limit, ""
+        if kind:
+            return None, f"{kind} {where}"
+        gap = float(euclidean_norm(pair[1] - pair[0]))
+        return None, f"no convergence {where} (gap {gap:.3e})"
 
     lim1, note1 = window_limit(window1)
     lim2, note2 = window_limit(window2)

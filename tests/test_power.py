@@ -1,0 +1,137 @@
+"""The verifier's power: planted faults, each run on every golden and shipped
+config with a full run (every stage).
+
+A fault is planted by a monkeypatch or by a config knob, never in the
+source:
+
+- ``stop_at_1``: every extraction stops at n = 1, as ``_first_stop``
+  stops every run at its first difference;
+- ``q_scale_0.5`` and ``q_scale_1.5``: the extracted Q is scaled by the
+  ``negative_control.q_scale`` knob.  A config without a quadratic scheme
+  refuses the knob, so it has no cell for these faults.
+
+Each cell expects one outcome:
+
+- killed: the run exits nonzero, and the row named in the cell fails;
+- missed: the run passes today.  The cell is a strict expected failure
+  whose reason names the ROADMAP item meant to kill it, and that item's
+  fix removes the marker.  Where the run fails unplanted, the cell names
+  the row that the fault hides;
+- unchanged: the fault plants nothing, since Q is 0 at every sample point,
+  so the run passes correctly.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from test_golden import CASES, CONFIGS
+
+from fuzzystab import extraction
+from fuzzystab.errors import ConfigError
+from fuzzystab.harness import ALL_STAGES, ExperimentConfig, run_pipeline
+
+STOP_AT_1 = "stop_at_1"
+Q_SCALES = {"q_scale_0.5": 0.5, "q_scale_1.5": 1.5}
+
+#: Reasons of the missed cells, by the ROADMAP items meant to kill them.
+MISSED_STOP = "ROADMAP items 8 and 21: no law row checks Q or A, and no tail bound proves a stop"
+MISSED_SCALE = (
+    "ROADMAP items 8 and 5: no component_error row, and a mis-scaled Q inside the radius passes"
+)
+
+#: The golden configs that refuse ``q_scale``: none has a quadratic scheme.
+NO_QUADRATIC = ("additive_up_power", "additive_down_product", "additive_down_2d")
+
+#: A premise that fails with or without a fault: the defects overflow.
+PREMISE = "hypothesis quadratic_down defect_premise"
+
+UNCHANGED = "unchanged"
+
+#: Each cell's outcome: the row a killed run fails, or a missed cell's
+#: reason with the row it hides (None if the run passes unplanted).
+OUTCOMES = {
+    STOP_AT_1: {
+        **{case: (MISSED_STOP, None) for case in CASES},
+        "defect_overflow": PREMISE,
+        # 25 violations unplanted: the early stop hides a true failure
+        "additive_down_2d": (MISSED_STOP, "verification additive_down"),
+    },
+    **{
+        fault: {
+            "combined": "verification combined",
+            "max_2d": "verification combined",
+            "weighted_2d": "verification combined",
+            "defect_overflow": PREMISE,
+            # f is odd, so its Q is 0 and so is any multiple of it
+            "two_theorems": UNCHANGED,
+            "quadratic_power": (MISSED_SCALE, None),
+            "combined_power": (MISSED_SCALE, None),
+            "quadratic_down_max_2d": (MISSED_SCALE, None),
+        }
+        for fault in Q_SCALES
+    },
+}
+
+
+def _config(case: str, fault: str) -> dict:
+    config = CASES[case][1]
+    if config is None:
+        data = json.loads((CONFIGS / f"{case}.json").read_text(encoding="utf-8"))
+    else:
+        data = json.loads(json.dumps(config))
+    if fault in Q_SCALES:
+        data["negative_control"] = {"q_scale": Q_SCALES[fault]}
+    return data
+
+
+def _failing_rows(report) -> set[str]:
+    """The failing hypothesis and verification rows of a run, as
+    "<section> <theorem> ..."."""
+    return {
+        *(f"hypothesis {r.theorem_id} {r.check}" for r in report.hypothesis_rows if not r.passed),
+        *(
+            f"verification {r.theorem_id}"
+            for r in report.verification_reports
+            if r.violations or not r.hypothesis_ok
+        ),
+    }
+
+
+def _cells():
+    for fault, outcomes in OUTCOMES.items():
+        for case, outcome in outcomes.items():
+            if isinstance(outcome, tuple):
+                reason, row = outcome
+                mark = pytest.mark.xfail(strict=True, reason=reason)
+                yield pytest.param(fault, case, row, marks=mark, id=f"{fault}-{case}")
+            else:
+                yield pytest.param(fault, case, outcome, id=f"{fault}-{case}")
+
+
+@pytest.mark.parametrize("fault, case, row", _cells())
+def test_planted_fault(fault, case, row, monkeypatch):
+    if fault == STOP_AT_1:
+        monkeypatch.setattr(
+            extraction, "_first_stop", lambda diffs, sizes, tol: np.zeros(diffs.shape[:-1], int)
+        )
+    report = run_pipeline(ExperimentConfig.from_dict(_config(case, fault)), ALL_STAGES)
+    if fault == STOP_AT_1:  # planted: no run goes past n = 1
+        assert max(n for t in report.extractions for n in t.n_used) <= 1
+    if row == UNCHANGED:
+        assert report.exit_status == 0
+        assert not any(t.limits.any() for t in report.extractions if t.component == "quadratic")
+        return
+    assert report.exit_status != 0
+    if row is not None:
+        assert row in _failing_rows(report)
+
+
+def test_every_config_has_a_cell_for_each_fault():
+    assert set(OUTCOMES[STOP_AT_1]) == set(CASES)
+    for fault in Q_SCALES:
+        assert set(OUTCOMES[fault]) == set(CASES) - set(NO_QUADRATIC)
+    for case in NO_QUADRATIC:
+        with pytest.raises(ConfigError, match="q_scale"):
+            ExperimentConfig.from_dict(_config(case, "q_scale_0.5"))
