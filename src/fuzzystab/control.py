@@ -7,10 +7,10 @@ hypotheses are decided exactly from that degree, alpha and the scheme's
 rate.  A control holds its own norms: the fuzzy norm N' on its values and,
 for the power and product families, the crisp norm of its domain; every
 check reads them from phi.  Each scheme has one record in
-``SCHEME_BOUNDS``: its envelope pairs and threshold divisor.  Its envelope
-at level a is the least membership of phi at its pairs at the threshold
-a (rate - alpha) / divisor, sign reversed for a down-scheme; a bound with
-several schemes splits a evenly between them.
+``SCHEME_BOUNDS``: its certificate, envelope pairs and threshold divisor.
+Its envelope at level a is the least membership of phi at its pairs at the
+threshold a (rate - alpha) / divisor, sign reversed for a down-scheme; a
+bound with several schemes splits a evenly between them.
 Verification compares the membership of the recovered-component error
 against the envelope on an (x, a) grid of arrays and counts slack violations.
 Every set of argument pairs is one ``(2, pairs, d)`` array built from a
@@ -227,25 +227,39 @@ def _pairs_at(table: PairTable, points: np.ndarray) -> np.ndarray:
     return uw.reshape(2, n * k, d)
 
 
-# Each entry is rounded as (num * x) / den; 1.5 * x is one rounding, not 3 * x / 2.
-_QUADRATIC_PAIRS = _pair_table(
-    ((1, 3), (1, 3)), ((1, 3), (1, 1)), ((1, 3), (4, 3)), ((1, 3), (-2, 3)), ((1, 3), (0, 1))
-)
-# The one-argument entry of the additive envelope is read as (x/2, x/2).
-_ADDITIVE_PAIRS = _pair_table(
-    ((1, 1), (1, 1)), ((1, 2), (1, 2)), ((1, 2), (2, 1)), ((1, 2), (1.5, 1))
-)
-
-
 class SchemeBound(NamedTuple):
     """One scheme's envelope constants besides its rate and direction."""
 
     pairs: PairTable
     threshold_divisor: float
+    #: Rows (weight, u, w) whose sum of weight * D(u, w) is the one-step
+    #: difference of the scheme's part; their pairs are ``pairs``.
+    certificate: tuple
 
 
-_QUADRATIC_BOUND = SchemeBound(_QUADRATIC_PAIRS, 6.0)
-_ADDITIVE_BOUND = SchemeBound(_ADDITIVE_PAIRS, 4.0)
+def _scheme_bound(divisor: float, *certificate) -> SchemeBound:
+    return SchemeBound(_pair_table(*(row[1:] for row in certificate)), divisor, certificate)
+
+
+# Certificates of f(2x) - 4 f(x) for even f and f(2x) - 2 f(x) for odd f,
+# f(0) = 0; the pair (x/3, 0) carries no weight, as D(u, 0) vanishes.  Each
+# entry is rounded as (num * x) / den; 1.5 * x is one rounding, not 3 * x / 2.
+_QUADRATIC_BOUND = _scheme_bound(
+    6.0,
+    (-2, (1, 3), (1, 3)),
+    (1, (1, 3), (1, 1)),
+    (1, (1, 3), (4, 3)),
+    (1, (1, 3), (-2, 3)),
+    (0, (1, 3), (0, 1)),
+)
+# The one-argument entry of the additive envelope is read as (x/2, x/2).
+_ADDITIVE_BOUND = _scheme_bound(
+    4.0,
+    (-0.5, (1, 1), (1, 1)),
+    (-0.5, (1, 2), (1, 2)),
+    (0.5, (1, 2), (2, 1)),
+    (0.5, (1, 2), (1.5, 1)),
+)
 SCHEME_BOUNDS: dict[Scheme, SchemeBound] = {
     s: _QUADRATIC_BOUND if s.is_quadratic else _ADDITIVE_BOUND for s in Scheme
 }
@@ -279,7 +293,7 @@ def envelope(schemes: Sequence[Scheme], phi: ControlFunction, x: np.ndarray, a: 
         # makes the envelope NaN, which verification counts as a violation.
         return math.nan if any(map(math.isnan, memberships)) else min(memberships)
     (scheme,) = schemes
-    table, divisor = SCHEME_BOUNDS[scheme]
+    table, divisor, _ = SCHEME_BOUNDS[scheme]
     rate = scheme.rate
     t = a * ((rate - phi.alpha) if scheme.is_up else (phi.alpha - rate)) / divisor
     if t <= 0.0:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import repeat
-from typing import Iterator, NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -205,22 +205,6 @@ def _first_stop(diffs: np.ndarray, sizes: np.ndarray, tol: float) -> np.ndarray 
 _STOP_KINDS = np.array(["", "iterate norm overflows", "non-finite iterate"])
 
 
-class _Decided(NamedTuple):
-    """One point's share of its stack's decision: its ``limit`` (the iterate
-    n = ``n_used``), the ``n_used``, ``converged`` and ``ratio_estimate`` of
-    its result, ``kind``, the ``_STOP_KINDS`` text of a run that stops
-    unconverged before its guard ("" for any other), and ``guard``, the
-    first n in 0..N_MAX at which its guard trips (N_MAX + 1 if none).  A
-    point whose guard trips at n = 0 has no limit."""
-
-    limit: np.ndarray | None
-    n_used: int
-    converged: bool
-    kind: str
-    ratio_estimate: float
-    guard: int
-
-
 def _settle(rows: np.ndarray, tol: float = TOL) -> tuple[np.ndarray, list, list, list, list]:
     """The runs of the points whose iterate rows are ``rows`` ``(P, K,
     dim_y)``: their limits, each point's iterate n = ``n_used``, as one array
@@ -229,10 +213,11 @@ def _settle(rows: np.ndarray, tol: float = TOL) -> tuple[np.ndarray, list, list,
     :func:`_step_norms` and :func:`_first_stop` with the stop tolerance
     ``tol``.
 
-    Every ratio keeps the bits of a per-point loop: the logs and the
-    exponential are taken by ``math`` over flat lists, and each point's logs
-    are summed in order by ``np.cumsum``; numpy's ``log``, ``exp`` and
-    ``sum`` round differently.
+    A ratio near 1/4 (1/2) marks clean geometric decay of a quadratic
+    (additive) defect, one >= 1 divergence.  Every ratio keeps the bits of
+    a per-point loop: the logs and the exponential are taken by ``math``
+    over flat lists, and each point's logs are summed in order by
+    ``np.cumsum``; numpy's ``log``, ``exp`` and ``sum`` round differently.
     """
     norms = _step_norms(rows)
     at, k = np.arange(len(rows)), rows.shape[1] - 1
@@ -270,18 +255,23 @@ def _settle(rows: np.ndarray, tol: float = TOL) -> tuple[np.ndarray, list, list,
     return limits, n_used.tolist(), converged.tolist(), _STOP_KINDS[kinds].tolist(), ratio.tolist()
 
 
-def _decide(scheme: Scheme, f: VectorFunction, points: np.ndarray) -> Iterator[_Decided]:
-    """The decision of each point of the stack ``points``, in order.
+def _decide(
+    scheme: Scheme, f: VectorFunction, points: np.ndarray
+) -> list[ExtractionResult | ScaleError]:
+    """The finished result of each point of the stack ``points``, in order,
+    or the :class:`ScaleError` its :func:`extract_limit` raises.
 
     One guard mask at N_MAX tells the points whose guard trips, and only
     their steps are searched for it.  The points that share a guard share
     one evaluation of the steps before it, so one call of ``f``, and
     :func:`_settle` decides their runs as arrays, once; a point whose guard
-    trips at n = 0 is not evaluated.  The decisions are handed out lazily;
-    they hold the limits only, so the evaluated rows are freed on return.
+    trips at n = 0 is not evaluated.  A run that reaches its guard
+    unconverged stops there, worded once per guard, and an up-scheme one
+    gets the overflow error in place of a result.  The results hold the
+    limits only, so the evaluated rows are freed on return.
     """
     guards = np.full(len(points), N_MAX + 1)
-    groups = {0: repeat(_Decided(None, 0, False, "", 0.0, 0))}
+    outcomes = [None] * len(points)
     # Rows past a point's stop may overflow or hold inf - inf; they are
     # never reported.
     with np.errstate(all="ignore"):
@@ -289,56 +279,52 @@ def _decide(scheme: Scheme, f: VectorFunction, points: np.ndarray) -> Iterator[_
         if tripped.any():
             steps = np.arange(N_MAX + 1)[:, None]
             guards[tripped] = np.argmax(_trips(scheme, points[tripped], steps), axis=0)
-        for guard in sorted(set(guards.tolist()) - {0}):
-            rows = _evaluate(scheme, f, points[guards == guard], np.arange(min(guard, N_MAX + 1)))
-            groups[guard] = map(_Decided, *_settle(rows), repeat(guard))
-    return (next(groups[guard]) for guard in guards.tolist())
+        for guard in sorted(set(guards.tolist())):
+            at = np.flatnonzero(guards == guard).tolist()
+            if guard:
+                rows = _evaluate(scheme, f, points[at], np.arange(min(guard, N_MAX + 1)))
+                settled = zip(*_settle(rows))
+            else:
+                settled = repeat((None, 0, False, "", 0.0))
+            # The reason of a run that reaches its guard unconverged, None
+            # for the overflow error
+            underflow = f"rescaled argument below {UNDERFLOW_LIMIT:.0e} at n={guard}"
+            at_guard = "" if guard > N_MAX else None if scheme.is_up else underflow
+            for i, (limit, n_used, converged, kind, ratio) in zip(at, settled):
+                reason = f"{kind} at n={n_used}" if kind else "" if converged else at_guard
+                outcomes[i] = (
+                    ExtractionResult(limit, converged, ratio, n_used, reason)
+                    if reason is not None
+                    else _overflow_error(scheme, points[i], guard)
+                )
+    return outcomes
 
 
 def extract_limit(
-    scheme: Scheme, f: VectorFunction, x: np.ndarray, decided: _Decided | None = None
+    scheme: Scheme,
+    f: VectorFunction,
+    x: np.ndarray,
+    decided: ExtractionResult | ScaleError | None = None,
 ) -> ExtractionResult:
-    """Run the scheme until the successive difference drops below TOL * (1 + ||v_n||).
+    """The scheme's limit at the point ``x``, with the diagnostics of its run.
 
-    Stops at the first n with ||v_n - v_{n-1}|| <= TOL * (1 + ||v_n||), or at
-    N_MAX with ``converged=False``; below ||v_n|| = 1 the bound is absolute,
-    not relative.  A non-finite iterate stops the run at its
-    n with ``converged=False`` and is the reported limit; so does a finite
-    iterate whose norm, or whose difference from the previous iterate,
-    overflows.  ``ratio_estimate``
-    is the per-step decay rate of the successive differences: the
-    log-average of their consecutive ratios over the recorded history,
-    excluding the final stop-selected step (its difference is
-    threshold-picked, which biases it small).  A value
-    near 1/4 (1/2) marks clean geometric decay of the quadratic (additive)
-    defect, a value >= 1 marks divergence.
+    The run stops at the first n with ||v_n - v_{n-1}|| <= TOL * (1 +
+    ||v_n||), at a non-finite iterate or an overflowing norm (unconverged),
+    or at N_MAX or the down-scheme underflow guard (unconverged); the stop
+    rule and ``ratio_estimate`` are those of :func:`_settle`.  Raises
+    :class:`ScaleError` if the up-scheme overflow guard trips before the run
+    stops.  The steps n = 0..N_MAX are evaluated in one call of ``f``, so
+    ``f`` must map points ``(..., dim_x)`` to ``(..., dim_y)`` row by row.
 
-    The steps n = 0..N_MAX are evaluated in one call of ``f``, so ``f`` must
-    map points ``(..., dim_x)`` to ``(..., dim_y)`` row by row.  The call
-    is cut before the first step that trips the overflow (up-schemes) or
-    underflow (down-schemes) guard, and is not made when the overflow guard
-    trips at n = 0.  The result equals the step-by-step loop bit for bit,
-    and :class:`ScaleError` is raised only if no stop comes before the
-    overflow guard.
-
-    The point's guard, limit, ``n_used``, ``converged``, stop kind and
-    ``ratio_estimate`` are its share of a stack's :func:`_decide`:
-    ``decided`` if given, else the decision of the one-point stack ``x``.
-    The call itself only raises, words the stop reason and puts the result
-    together; the result holds the limit, not the trail before it.
+    ``decided`` is the point's outcome from its stack's :func:`_decide`,
+    returned or raised as it is; if it is None, the one-point stack ``x`` is
+    decided.
     """
     if decided is None:
         (decided,) = _decide(scheme, f, np.asarray(x, dtype=float).reshape(1, -1))
-    limit, n_used, converged, kind, ratio_estimate, guard = decided
-    if kind:
-        reason = f"{kind} at n={n_used}"
-    elif converged or guard > N_MAX:
-        reason = ""
-    elif scheme.is_up:
-        raise _overflow_error(scheme, x, guard)
-    else:
-        reason = f"rescaled argument below {UNDERFLOW_LIMIT:.0e} at n={guard}"
-    return ExtractionResult(limit, converged, ratio_estimate, n_used, reason)
+    if isinstance(decided, ScaleError):
+        raise decided
+    return decided
 
 
 @dataclass(frozen=True, eq=False)
@@ -353,8 +339,8 @@ class ExtractedComponent:
         bit for bit, in order.  The points go to :func:`_decide` in blocks
         of ``BLOCK_POINTS``, each block decided, and its rows freed, before
         the next is evaluated; each point's :func:`extract_limit` call is
-        handed its share of its block's decision, and a :class:`ScaleError`
-        names the point it came from."""
+        handed its outcome from the block, and a :class:`ScaleError` names
+        the point it came from."""
         scheme, source, results = self.scheme, self.source, []
         for i in range(0, len(points), BLOCK_POINTS):
             block = points[i : i + BLOCK_POINTS]

@@ -93,11 +93,12 @@ class Perturbation:
     frequency: float | tuple[float, ...] = 1.0
 
     def __post_init__(self) -> None:
-        if self.shape not in _SHAPES:
-            raise ValueError(f"unknown perturbation shape {self.shape!r}")
+        # by equality, as a JSON list is not hashable; each message opens with its key
+        if self.shape not in PERTURBATION_SHAPES:
+            raise ValueError(f"shape {self.shape!r} is not one of {', '.join(PERTURBATION_SHAPES)}")
         amps = self.amplitude if isinstance(self.amplitude, tuple) else (self.amplitude,)
         if any(a < 0 for a in amps):
-            raise ValueError("perturbation amplitude must be >= 0")
+            raise ValueError("amplitude must be >= 0")
         object.__setattr__(self, "_amp", np.asarray(self.amplitude, dtype=float))
         w = np.asarray(self.frequency, dtype=float) if isinstance(self.frequency, tuple) else None
         object.__setattr__(self, "_w", w)

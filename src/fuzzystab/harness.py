@@ -51,7 +51,6 @@ from .errors import ConfigError, ScaleError
 from .extraction import extract_components
 from .funceq import (
     CoordinatePoly,
-    PERTURBATION_SHAPES,
     Perturbation,
     TestFunction,
     remove_offset,
@@ -199,13 +198,11 @@ def _function(value, space: SpaceConfig, loc: str) -> TestFunction:
     for i, item in enumerate(_list(data.get("perturbations", []), f"{loc}.perturbations")):
         ploc = f"{loc}.perturbations[{i}]"
         item = _object(item, ploc, _KEYS["perturbations"], ("shape",))
-        if item["shape"] not in PERTURBATION_SHAPES:
-            raise ConfigError(f"{ploc}.shape", f"unknown shape {item['shape']!r}")
         amounts = {k: _amounts(item[k], f"{ploc}.{k}", *counts[k]) for k in counts if k in item}
         try:
             perturbations.append(Perturbation(item["shape"], **amounts))
-        except ValueError as exc:
-            raise ConfigError(ploc, str(exc)) from exc
+        except ValueError as exc:  # each message opens with its key
+            raise ConfigError(f"{ploc}.{str(exc).split()[0]}", str(exc)) from exc
     if "coords" not in data:
         if space.dim_x != 1 or space.dim_y != 1:
             raise ConfigError(loc, "scalar shorthand requires dim_x == dim_y == 1 (use 'coords')")

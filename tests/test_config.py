@@ -101,7 +101,13 @@ PINNED = {
     "unknown_shape": (
         edited("function.perturbations", [{"shape": "tan"}]),
         "config: function.perturbations[0].shape",
-        "unknown shape 'tan'",
+        "shape 'tan' is not one of sin, cos, rational",
+    ),
+    # shapes are compared by equality, so an unhashable one is refused too
+    "shape_not_a_string": (
+        edited("function.perturbations", [{"shape": ["sin"]}]),
+        "config: function.perturbations[0].shape",
+        "shape ['sin'] is not one of sin, cos, rational",
     ),
     "amplitude_count": (
         edited("function.perturbations", [{"shape": "sin", "amplitude": [0.1, 0.2]}]),
@@ -115,8 +121,8 @@ PINNED = {
     ),
     "perturbation_rejected": (
         edited("function.perturbations", [{"shape": "sin", "amplitude": -0.5}]),
-        "config: function.perturbations[0]",
-        "perturbation amplitude must be >= 0",
+        "config: function.perturbations[0].amplitude",
+        "amplitude must be >= 0",
     ),
     "coordinate_count": (
         edited("function", {"coords": []}),

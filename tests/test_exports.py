@@ -1,6 +1,6 @@
 """Every name a public ``__all__`` lists exists, every exported name has a
-caller, every config knob is read by the run, and no module imports
-another's private names.
+caller, every config knob is read by the run, no module imports another's
+private names, and no public signature names a private type.
 
 A string left in ``__all__`` after its name is deleted breaks only
 ``from module import *``, which no other test does.
@@ -61,6 +61,47 @@ def test_no_module_imports_a_private_name_of_another():
                 continue
             offenders += [
                 f"{path.name}: {alias.name}" for alias in node.names if alias.name.startswith("_")
+            ]
+    assert offenders == []
+
+
+def _private_annotations(function: ast.FunctionDef | ast.AsyncFunctionDef) -> list[str]:
+    """The underscore names that the function's annotations mention."""
+    args = function.args
+    every = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+    annotations = [a.annotation for a in every if a is not None] + [function.returns]
+    return [
+        node.id if isinstance(node, ast.Name) else node.attr
+        for annotation in annotations
+        if annotation is not None
+        for node in ast.walk(annotation)
+        if isinstance(node, ast.Name) and node.id.startswith("_")
+        or isinstance(node, ast.Attribute) and node.attr.startswith("_")
+    ]
+
+
+def test_no_public_signature_names_a_private_type():
+    # a caller of a public function or method must be able to name what it
+    # passes and gets without reaching for a name its module may change
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        module = importlib.import_module(f"fuzzystab.{path.stem}")
+        exported = set(getattr(module, "__all__", ()))
+        functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, functions) and node.name in exported:
+                public = [node]
+            elif isinstance(node, ast.ClassDef) and node.name in exported:
+                public = [m for m in node.body if isinstance(m, functions)]
+                public = [m for m in public if not m.name.startswith("_")]
+            else:
+                continue
+            offenders += [
+                f"{path.name}: {function.name}: {name}"
+                for function in public
+                for name in _private_annotations(function)
             ]
     assert offenders == []
 

@@ -244,59 +244,60 @@ class TestExtractLimit:
     # an up-scheme guard at n = 0 (2e150)
     DECIDED_POINTS = (0.7, 0.0, 1e140, -1e140, 1e139, 1e-135, -1e-135, 3e-133, 2e150)
 
+    @staticmethod
+    def guard(scheme, point):
+        """The first n in 0..N_MAX at which the point's guard trips, N_MAX + 1 if none."""
+        trips = [bool(extraction._trips(scheme, point, n)) for n in range(N_MAX + 1)]
+        return trips.index(True) if any(trips) else N_MAX + 1
+
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_each_decision_holds_the_limit_before_its_guard(self, scheme):
-        # a handed decision carries its own guard, the first n in 0..N_MAX at
-        # which the point's guard trips, its limit, row n_used of the steps
-        # before the guard as one point's own iterate call gives it, and
-        # the n_used, converged, stop kind and ratio_estimate of the
-        # sequential loop on the point
+        # a handed outcome is the sequential loop's on the point: its limit
+        # is row n_used of the steps before the guard as one point's own
+        # iterate call gives it, its n_used, converged, ratio_estimate and
+        # stop reason are the loop's, and where the loop reaches the
+        # overflow guard it is the loop's ScaleError
         points = np.array(self.DECIDED_POINTS)[:, None]
         with np.errstate(all="ignore"):
-            decided = list(extraction._decide(scheme, SQUARE_SIN, points))
-            assert len(decided) == len(points)
-            for point, decision in zip(points, decided):
-                limit, n_used, converged, kind, ratio, guard = decision
-                trips = [bool(extraction._trips(scheme, point, n)) for n in range(N_MAX + 1)]
-                assert guard == (trips.index(True) if any(trips) else N_MAX + 1)
-                if guard == 0:
-                    assert decision == (None, 0, False, "", 0.0, 0)
-                    continue
-                own = iterate(scheme, SQUARE_SIN, point, np.arange(min(guard, N_MAX + 1)))
-                assert limit.tobytes() == own[n_used].tobytes()
+            outcomes = extraction._decide(scheme, SQUARE_SIN, points)
+            assert len(outcomes) == len(points)
+            for point, outcome in zip(points, outcomes):
+                guard = self.guard(scheme, point)
                 try:
-                    *_, want_converged, want_ratio, want_n, reason = reference_extract_limit(
+                    *_, converged, ratio, n_used, reason = reference_extract_limit(
                         scheme, SQUARE_SIN, point
                     )
-                except ScaleError:
-                    # the loop reaches the overflow guard: every step before
-                    # it went on, and extract_limit raises
-                    diffs = extraction._step_norms(own)[: len(own) - 1].tolist()
-                    want_converged, want_n, reason = False, guard - 1, ""
-                    want_ratio = _decay_rate([b / a for a, b in zip(diffs, diffs[1:])])
-                assert (n_used, converged) == (want_n, want_converged)
-                assert ratio.hex() == want_ratio.hex()
-                # the kind words every stop reason but the guard's
-                guarded = reason.startswith("rescaled argument below")
-                assert (f"{kind} at n={n_used}" if kind else "") == ("" if guarded else reason)
+                except ScaleError as exc:
+                    assert isinstance(outcome, ScaleError)
+                    assert (outcome.n, str(outcome)) == (exc.n, str(exc))
+                    assert outcome.n == guard
+                    continue
+                own = iterate(scheme, SQUARE_SIN, point, np.arange(min(guard, N_MAX + 1)))
+                assert outcome.limit_value.tobytes() == own[n_used].tobytes()
+                assert (outcome.n_used, outcome.converged) == (n_used, converged)
+                assert outcome.ratio_estimate.hex() == ratio.hex()
+                assert outcome.stopped_reason == reason
 
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_a_stack_decides_each_point_as_its_own_stack_does(self, scheme):
         points = np.array(self.DECIDED_POINTS)[:, None]
         with np.errstate(all="ignore"):
-            stacked = list(extraction._decide(scheme, SQUARE_SIN, points))
-            for point, decision in zip(points, stacked):
+            stacked = extraction._decide(scheme, SQUARE_SIN, points)
+            for point, outcome in zip(points, stacked):
                 (alone,) = extraction._decide(scheme, SQUARE_SIN, point[None])
-                # every field but the limit, ratio_estimate by its bits
-                got, want = (d._replace(limit=None, ratio_estimate=d.ratio_estimate.hex())
-                             for d in (decision, alone))
-                assert got == want
-                if decision.guard == 0:
-                    assert decision.limit is None and alone.limit is None
+                if isinstance(outcome, ScaleError):
+                    assert isinstance(alone, ScaleError)
+                    assert (outcome.n, str(outcome)) == (alone.n, str(alone))
                     continue
-                steps = np.arange(min(decision.guard, N_MAX + 1))
-                own = iterate(scheme, SQUARE_SIN, point, steps)[decision.n_used]
-                assert decision.limit.tobytes() == alone.limit.tobytes() == own.tobytes()
+                # every field but the limit, ratio_estimate by its bits
+                got, want = (
+                    (r.n_used, r.converged, r.ratio_estimate.hex(), r.stopped_reason)
+                    for r in (outcome, alone)
+                )
+                assert got == want
+                steps = np.arange(min(self.guard(scheme, point), N_MAX + 1))
+                own = iterate(scheme, SQUARE_SIN, point, steps)[outcome.n_used]
+                assert outcome.limit_value.tobytes() == alone.limit_value.tobytes() == own.tobytes()
 
     @pytest.mark.parametrize("scheme", list(Scheme))
     @pytest.mark.parametrize(

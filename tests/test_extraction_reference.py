@@ -16,8 +16,7 @@ guard.
 each deciding its point alone, as a one-point stack.
 ``extract_components`` decides a block of points at once: the points that
 share a guard share one call of ``f`` on the steps before it, their runs
-are decided as arrays, and each point is handed its share
-of that decision.  It must give the same results, every field bit for bit,
+are decided as arrays, and each point is handed its finished result.  It must give the same results, every field bit for bit,
 and raise the same ``ScaleError`` naming the same point (the first that
 fails, in order), also where a point's iterates turn NaN or inf, where
 finite iterates have an overflowing norm, and at the origin.

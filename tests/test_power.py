@@ -8,7 +8,13 @@ source:
   stops every run at its first difference;
 - ``q_scale_0.5`` and ``q_scale_1.5``: the extracted Q is scaled by the
   ``negative_control.q_scale`` knob.  A config without a quadratic scheme
-  refuses the knob, so it has no cell for these faults.
+  refuses the knob, so it has no cell for these faults;
+- ``delta_half``: the auto delta is halved after it is resolved, as
+  ``harness.measure_residual_sup`` returns half the sup.  Only a constant
+  control with ``"delta": "auto"`` has a cell;
+- ``q_a_swapped``: the two components of a combined theorem are swapped,
+  Q for A, as ``harness.extract_components`` hands them out in reverse.
+  Only a config with a combined theorem has a cell.
 
 Each cell expects one outcome:
 
@@ -28,18 +34,21 @@ import pytest
 
 from test_golden import CASES, CONFIGS
 
-from fuzzystab import extraction
+from fuzzystab import extraction, harness
 from fuzzystab.errors import ConfigError
 from fuzzystab.harness import ALL_STAGES, ExperimentConfig, run_pipeline
 
 STOP_AT_1 = "stop_at_1"
 Q_SCALES = {"q_scale_0.5": 0.5, "q_scale_1.5": 1.5}
+DELTA_HALF = "delta_half"
+Q_A_SWAPPED = "q_a_swapped"
 
 #: Reasons of the missed cells, by the ROADMAP items meant to kill them.
 MISSED_STOP = "ROADMAP items 8 and 21: no law row checks Q or A, and no tail bound proves a stop"
 MISSED_SCALE = (
     "ROADMAP items 8 and 5: no component_error row, and a mis-scaled Q inside the radius passes"
 )
+MISSED_SWAP = "ROADMAP item 8: no law row checks Q or A, and the swap keeps their sum Q + A"
 
 #: The golden configs that refuse ``q_scale``: none has a quadratic scheme.
 NO_QUADRATIC = ("additive_up_power", "additive_down_product", "additive_down_2d")
@@ -71,6 +80,17 @@ OUTCOMES = {
             "quadratic_down_max_2d": (MISSED_SCALE, None),
         }
         for fault in Q_SCALES
+    },
+    DELTA_HALF: {
+        "combined": "hypothesis combined defect_premise",
+        "max_2d": "hypothesis combined defect_premise",
+        "weighted_2d": "hypothesis combined defect_premise",
+        "two_theorems": "hypothesis combined defect_premise",
+        "defect_overflow": PREMISE,
+    },
+    Q_A_SWAPPED: {
+        case: (MISSED_SWAP, None)
+        for case in ("combined", "max_2d", "weighted_2d", "combined_power", "two_theorems")
     },
 }
 
@@ -110,15 +130,49 @@ def _cells():
                 yield pytest.param(fault, case, outcome, id=f"{fault}-{case}")
 
 
-@pytest.mark.parametrize("fault, case, row", _cells())
-def test_planted_fault(fault, case, row, monkeypatch):
+def _plant(fault: str, monkeypatch) -> list:
+    """Plant the monkeypatched fault; the list records what it planted."""
+    planted = []
     if fault == STOP_AT_1:
         monkeypatch.setattr(
             extraction, "_first_stop", lambda diffs, sizes, tol: np.zeros(diffs.shape[:-1], int)
         )
+    elif fault == DELTA_HALF:
+        measure = harness.measure_residual_sup
+
+        def halved(*args, **kwargs):
+            planted.append(measure(*args, **kwargs) / 2)
+            return planted[-1]
+
+        monkeypatch.setattr(harness, "measure_residual_sup", halved)
+    elif fault == Q_A_SWAPPED:
+        extract = harness.extract_components
+
+        def swapped(f, schemes, xs):
+            components, results = extract(f, schemes, xs)
+            if len(schemes) == 1:
+                return components, results
+            planted.append(schemes)
+            return components[::-1], results[::-1]
+
+        monkeypatch.setattr(harness, "extract_components", swapped)
+    return planted
+
+
+def _auto_constant(data: dict) -> bool:
+    return data["control"]["family"] == "constant" and data["control"]["delta"] == "auto"
+
+
+@pytest.mark.parametrize("fault, case, row", _cells())
+def test_planted_fault(fault, case, row, monkeypatch):
+    planted = _plant(fault, monkeypatch)
     report = run_pipeline(ExperimentConfig.from_dict(_config(case, fault)), ALL_STAGES)
     if fault == STOP_AT_1:  # planted: no run goes past n = 1
         assert max(n for t in report.extractions for n in t.n_used) <= 1
+    elif fault == DELTA_HALF:  # planted: the run's delta is the halved sup
+        assert len(planted) == 1 and report.resolved_delta is planted[0]
+    elif fault == Q_A_SWAPPED:  # planted: every combined theorem's pair
+        assert len(planted) == _config(case, fault)["theorems"].count("combined")
     if row == UNCHANGED:
         assert report.exit_status == 0
         assert not any(t.limits.any() for t in report.extractions if t.component == "quadratic")
@@ -135,3 +189,6 @@ def test_every_config_has_a_cell_for_each_fault():
     for case in NO_QUADRATIC:
         with pytest.raises(ConfigError, match="q_scale"):
             ExperimentConfig.from_dict(_config(case, "q_scale_0.5"))
+    data = {case: _config(case, STOP_AT_1) for case in CASES}
+    assert set(OUTCOMES[DELTA_HALF]) == {c for c in CASES if _auto_constant(data[c])}
+    assert set(OUTCOMES[Q_A_SWAPPED]) == {c for c in CASES if "combined" in data[c]["theorems"]}
