@@ -51,8 +51,9 @@ TOL = 1e-9
 #: Last step of a run: one call of f evaluates n = 0..N_MAX.
 N_MAX = 40
 
-#: Sample points whose steps 0..N_MAX one call of f evaluates in
-#: ``ExtractedComponent.extract``: 199 points x 41 steps = 8159 rows.
+#: Points of a block in ``ExtractedComponent.extract``.  The first block
+#: evaluates every step 0..N_MAX in one call of f, and no call evaluates
+#: more rows: 199 points x 41 steps = 8159.
 BLOCK_POINTS = 8192 // (N_MAX + 1)
 
 
@@ -256,19 +257,23 @@ def _settle(rows: np.ndarray, tol: float = TOL) -> tuple[np.ndarray, list, list,
 
 
 def _decide(
-    scheme: Scheme, f: VectorFunction, points: np.ndarray
+    scheme: Scheme, f: VectorFunction, points: np.ndarray, window: int = N_MAX + 1
 ) -> list[ExtractionResult | ScaleError]:
     """The finished result of each point of the stack ``points``, in order,
     or the :class:`ScaleError` its :func:`extract_limit` raises.
 
     One guard mask at N_MAX tells the points whose guard trips, and only
     their steps are searched for it.  The points that share a guard share
-    one evaluation of the steps before it, so one call of ``f``, and
-    :func:`_settle` decides their runs as arrays, once; a point whose guard
-    trips at n = 0 is not evaluated.  A run that reaches its guard
-    unconverged stops there, worded once per guard, and an up-scheme one
-    gets the overflow error in place of a result.  The results hold the
-    limits only, so the evaluated rows are freed on return.
+    one evaluation of their first ``window`` steps before it, so one call
+    of ``f``, and :func:`_settle` decides their runs as arrays, once; the
+    points whose run reaches the window's end before the guard unconverged,
+    and with no stop of its own, share one more evaluation, of every step
+    before the guard.  As :func:`_settle` decides each point from its own
+    rows, a run that stops inside the window stops as it would on all its
+    steps.  A point whose guard trips at n = 0 is not evaluated.  A run
+    that reaches its guard unconverged stops there, worded once per guard,
+    and an up-scheme one gets the overflow error in place of a result.  The
+    results hold the limits only, so the evaluated rows are freed on return.
     """
     guards = np.full(len(points), N_MAX + 1)
     outcomes = [None] * len(points)
@@ -282,8 +287,15 @@ def _decide(
         for guard in sorted(set(guards.tolist())):
             at = np.flatnonzero(guards == guard).tolist()
             if guard:
-                rows = _evaluate(scheme, f, points[at], np.arange(min(guard, N_MAX + 1)))
-                settled = zip(*_settle(rows))
+                rows = _evaluate(scheme, f, points[at], np.arange(min(guard, window)))
+                settled = list(zip(*_settle(rows)))
+                # the runs that the window cut before their guard: neither
+                # converged (s[2]) nor stopped by a kind (s[3])
+                late = [j for j, s in enumerate(settled) if window < guard and not (s[2] or s[3])]
+                if late:
+                    rows = _evaluate(scheme, f, points[[at[j] for j in late]], np.arange(guard))
+                    for j, s in zip(late, zip(*_settle(rows))):
+                        settled[j] = s
             else:
                 settled = repeat((None, 0, False, "", 0.0))
             # The reason of a run that reaches its guard unconverged, None
@@ -340,16 +352,20 @@ class ExtractedComponent:
         of ``BLOCK_POINTS``, each block decided, and its rows freed, before
         the next is evaluated; each point's :func:`extract_limit` call is
         handed its outcome from the block, and a :class:`ScaleError` names
-        the point it came from."""
+        the point it came from.  The first block evaluates every step
+        n = 0..N_MAX, and each later one the step window 0..max(n_used) of
+        the block before it, which its runs that stop later re-evaluate."""
         scheme, source, results = self.scheme, self.source, []
+        window = N_MAX + 1
         for i in range(0, len(points), BLOCK_POINTS):
             block = points[i : i + BLOCK_POINTS]
-            for x, decided in zip(block, _decide(scheme, source, block)):
+            for x, decided in zip(block, _decide(scheme, source, block, window)):
                 try:
                     results.append(extract_limit(scheme, source, x, decided))
                 except ScaleError as exc:
                     message = f"{exc} at x={x.tolist()}"
                     raise ScaleError(message, scheme=exc.scheme, n=exc.n) from exc
+            window = 1 + max(result.n_used for result in results[i:])
         return results
 
     def __call__(self, x: np.ndarray) -> np.ndarray:

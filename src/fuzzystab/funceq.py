@@ -99,6 +99,10 @@ class Perturbation:
         amps = self.amplitude if isinstance(self.amplitude, tuple) else (self.amplitude,)
         if any(a < 0 for a in amps):
             raise ValueError("amplitude must be >= 0")
+        # a non-finite amplitude or frequency makes the term NaN, even at q = 0
+        for key in ("amplitude", "frequency"):
+            if not np.isfinite(getattr(self, key)).all():
+                raise ValueError(f"{key} must be finite")
         object.__setattr__(self, "_amp", np.asarray(self.amplitude, dtype=float))
         w = np.asarray(self.frequency, dtype=float) if isinstance(self.frequency, tuple) else None
         object.__setattr__(self, "_w", w)

@@ -15,11 +15,18 @@ guard.
 ``extract_components`` replaced: one ``extract_limit`` call per point,
 each deciding its point alone, as a one-point stack.
 ``extract_components`` decides a block of points at once: the points that
-share a guard share one call of ``f`` on the steps before it, their runs
-are decided as arrays, and each point is handed its finished result.  It must give the same results, every field bit for bit,
-and raise the same ``ScaleError`` naming the same point (the first that
-fails, in order), also where a point's iterates turn NaN or inf, where
-finite iterates have an overflowing norm, and at the origin.
+share a guard share one call of ``f`` on the steps before it within the
+block's step window, their runs are decided as arrays, and each point is
+handed its finished result.  The first block's window is every step
+n = 0..N_MAX, and each later block's n = 0..max(n_used) of the block
+before it; the runs that the window cuts before their guard share one
+more call on every step before it.  It must give the same results, every
+field bit for bit, and raise the same ``ScaleError`` naming the same point
+(the first that fails, in order), also where a point's iterates turn NaN
+or inf, where finite iterates have an overflowing norm, at the origin,
+and where a run stops after the window of the block before it.
+``_window_calls`` derives the calls of ``f`` that the window rule makes
+from the loop's runs.
 """
 
 import functools
@@ -200,6 +207,45 @@ def assert_matches_reference(scheme, f, x):
         steps = np.arange(len(args))[:, None]
         expected = np.ldexp(v, steps if scheme.is_up else -steps)
         assert _bits(args) == _bits(expected)
+
+
+def _window_calls(scheme: Scheme, f, xs, block: int) -> list[tuple[int, ...]]:
+    """The shapes of the calls of ``f`` that ``ExtractedComponent.extract``
+    makes on the stack ``xs`` in blocks of ``block`` points, by the window
+    rule, from the sequential loop's runs.
+
+    Each block makes one call per distinct guard, the least first, on the
+    steps before it within the window of its points that share it, then one
+    more on every step before the guard of those whose runs the window cut:
+    a run that the loop does not stop inside the window, converged or for a
+    stated kind.  A guard at n = 0 makes none.  The first block's window is
+    n = 0..N_MAX, each later one's n = 0..max(n_used) of the block before
+    it, and no block follows one whose loop raises.
+    """
+    calls, window = [], N_MAX + 1
+    for i in range(0, len(xs), block):
+        points = xs[i : i + block]
+        runs = []  # (n_used, stopped) of each point's loop, None if it raises
+        for x in points:
+            try:
+                with np.errstate(all="ignore"):
+                    _, _, converged, _, n_used, reason = reference_extract_limit(scheme, f, x)
+            except ScaleError:
+                runs.append(None)
+            else:
+                stopped = converged or reason.startswith(("non-finite", "iterate norm"))
+                runs.append((n_used, stopped))
+        guards = [_first_guard(scheme, x) for x in points]
+        for g in sorted(set(guards) - {0}):
+            group = [run for run, guard in zip(runs, guards) if guard == g]
+            calls.append((len(group), min(g, window), len(points[0])))
+            late = [run for run in group if run is None or not (run[1] and run[0] < window)]
+            if window < g and late:
+                calls.append((len(late), g, len(points[0])))
+        if None in runs:
+            break
+        window = 1 + max(n_used for n_used, _ in runs)
+    return calls
 
 
 # --- strategies ----------------------------------------------------------
@@ -470,14 +516,7 @@ def test_blocked_extraction_equals_per_point_loop(monkeypatch, schemes, count, o
             assert values[stack == 0].tobytes() == bytes(8 * np.count_nonzero(stack == 0))
             assert np.isnan(values[np.isnan(stack)]).all()
     if len(schemes) == 1:
-        # one call per block and distinct guard, the least guard first, on
-        # the steps before it (at most 0..N_MAX) of the block's points that
-        # share it; none for a guard at n = 0
-        guards = [_first_guard(schemes[0], x) for x in xs]
-        calls = []
-        for i in range(0, count, 3):
-            block = guards[i : i + 3]
-            calls += [(block.count(g), min(g, N_MAX + 1), 1) for g in sorted(set(block)) if g]
+        calls = _window_calls(schemes[0], f, xs, 3)
         assert [args.shape for args in recorder.calls] == calls
 
 
@@ -550,6 +589,88 @@ def test_block_hand_off_equals_standalone_extraction(case):
     assert got == want
     for x in xs:
         assert_matches_reference(scheme, f, x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_blocks(), st.integers(1, 3))
+@example(dict(scheme=Scheme.QUADRATIC_UP, f=_LINE_ONE, xs=_GROUPED), 2)
+@example(dict(scheme=Scheme.QUADRATIC_DOWN, f=_LINE_ONE, xs=_GROUPED), 2)
+@example(dict(scheme=Scheme.ADDITIVE_DOWN, f=_LINE_ONE, xs=_GROUPED), 3)
+def test_blocks_in_windows_equal_standalone_extraction(case, block):
+    # in blocks of 1 to 3 points, each later block evaluated in the step
+    # window of the block before it, every point gets the result of
+    # extract_limit deciding it alone, bit for bit, or the same ScaleError
+    # naming the same point, and f is called as the window rule says
+    scheme, f, xs = case["scheme"], case["f"], case["xs"]
+    recorder = _Recorder(f)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(extraction, "BLOCK_POINTS", block)
+        got = _results_outcome(lambda: [ExtractedComponent(scheme, recorder).extract(xs)])
+    assert got == _results_outcome(lambda: reference_extract_components(f, (scheme,), xs))
+    assert [args.shape for args in recorder.calls] == _window_calls(scheme, f, xs, block)
+
+
+@pytest.mark.parametrize(
+    "scheme, f, xs, calls, named",
+    [
+        # the first block evaluates every step; 1e-3 and -1e-3 stop at
+        # n = 1, so the second block evaluates n = 0..1 and re-runs 0.7,
+        # which stops at n = 12; the third evaluates n = 0..12 and re-runs
+        # 1e3, which stops at n = 23
+        pytest.param(
+            Scheme.ADDITIVE_DOWN,
+            _LINE_SIN,
+            [1e-3, -1e-3, 0.7, 1e-3, 1e3],
+            [(2, N_MAX + 1, 1), (2, 2, 1), (1, N_MAX + 1, 1), (1, 13, 1), (1, N_MAX + 1, 1)],
+            None,
+            id="stops_after_the_window",
+        ),
+        # 0.7 runs to N_MAX unconverged, so the second block evaluates every
+        # step; -1e-135 and 1e-135 run to their underflow guard at 17, so
+        # the third evaluates n = 0..16 and re-runs 1e-133 to its guard at
+        # 24 and 0.7 to N_MAX
+        pytest.param(
+            Scheme.QUADRATIC_DOWN,
+            _LINE_ONE,
+            [0.7, 1e-133, 1e-135, -1e-135, 1e-133, 0.7],
+            [(1, 24, 1), (1, N_MAX + 1, 1), (2, 17, 1)]
+            + [(1, 17, 1), (1, 24, 1), (1, 17, 1), (1, N_MAX + 1, 1)],
+            None,
+            id="after_unconverged_and_guarded_runs",
+        ),
+        # 1e3 runs to n = 40, so the overflow guard of 1e140 at 34 trips
+        # inside the second block's window
+        pytest.param(
+            Scheme.QUADRATIC_UP,
+            _LINE_SIN,
+            [1e3, 0.7, 1e140, 0.5],
+            [(2, N_MAX + 1, 1), (1, 34, 1), (1, N_MAX + 1, 1)],
+            "1e+140",
+            id="overflow_inside_the_window",
+        ),
+        # 1e-3 stops at n = 20, so the second block evaluates n = 0..20 and
+        # re-runs 1e139 to its overflow guard at 37, and 0.7
+        pytest.param(
+            Scheme.QUADRATIC_UP,
+            _LINE_SIN,
+            [1e-3, -1e-3, 0.7, 1e139],
+            [(2, N_MAX + 1, 1), (1, 21, 1), (1, 37, 1), (1, 21, 1), (1, N_MAX + 1, 1)],
+            "1e+139",
+            id="overflow_after_the_window",
+        ),
+    ],
+)
+def test_runs_past_the_window_are_evaluated_again(monkeypatch, scheme, f, xs, calls, named):
+    monkeypatch.setattr(extraction, "BLOCK_POINTS", 2)
+    xs = [np.array([x]) for x in xs]
+    want = _results_outcome(lambda: reference_extract_components(f, (scheme,), xs))
+    recorder = _Recorder(f)
+    got = _results_outcome(lambda: extract_components(recorder, (scheme,), xs)[1])
+    assert got == want
+    assert (want[0] == "ScaleError") == (named is not None)
+    if named is not None:
+        assert want[1].endswith(f" for {scheme.value} at x=[{named}]")
+    assert [args.shape for args in recorder.calls] == calls == _window_calls(scheme, f, xs, 2)
 
 
 @pytest.mark.parametrize("block", [1, 2, 3, 199])

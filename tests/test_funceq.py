@@ -1,5 +1,7 @@
 """Residuals of the functional equations and parity decomposition."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -186,6 +188,22 @@ class TestPerturbationShapes:
             Perturbation(shape="tan")
         with pytest.raises(ValueError):
             Perturbation(shape="sin", amplitude=-1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("amplitude", lambda bad: bad),
+            ("amplitude", lambda bad: (0.5, bad)),
+            ("frequency", lambda bad: bad),
+            ("frequency", lambda bad: (bad, 1.0)),
+            ("frequency", lambda bad: -bad),
+        ],
+    )
+    def test_non_finite_amplitude_or_frequency_is_refused(self, key, value, bad):
+        # either would make the term NaN: inf * 0 at q = 0, or sin(inf)
+        with pytest.raises(ValueError, match=f"^{key} must be finite$"):
+            Perturbation(shape="sin", **{key: value(bad)})
 
     def test_frequency_vector_dimension_checked(self):
         p = Perturbation(shape="sin", amplitude=1.0, frequency=(1.0, 2.0))

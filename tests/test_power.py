@@ -14,7 +14,11 @@ source:
   control with ``"delta": "auto"`` has a cell;
 - ``q_a_swapped``: the two components of a combined theorem are swapped,
   Q for A, as ``harness.extract_components`` hands them out in reverse.
-  Only a config with a combined theorem has a cell.
+  Only a config with a combined theorem has a cell;
+- ``a_scale_0.5`` and ``a_scale_1.5``: the extracted A of every theorem
+  that has one is scaled, as ``harness.extract_components`` hands out the
+  additive component through the negative control's ``_ScaledComponent``.
+  Only a config with an additive scheme has a cell.
 
 Each cell expects one outcome:
 
@@ -35,6 +39,7 @@ import pytest
 from test_golden import CASES, CONFIGS
 
 from fuzzystab import extraction, harness
+from fuzzystab.control import THEOREMS
 from fuzzystab.errors import ConfigError
 from fuzzystab.harness import ALL_STAGES, ExperimentConfig, run_pipeline
 
@@ -42,6 +47,7 @@ STOP_AT_1 = "stop_at_1"
 Q_SCALES = {"q_scale_0.5": 0.5, "q_scale_1.5": 1.5}
 DELTA_HALF = "delta_half"
 Q_A_SWAPPED = "q_a_swapped"
+A_SCALES = {"a_scale_0.5": 0.5, "a_scale_1.5": 1.5}
 
 #: Reasons of the missed cells, by the ROADMAP items meant to kill them.
 MISSED_STOP = "ROADMAP items 8 and 21: no law row checks Q or A, and no tail bound proves a stop"
@@ -49,6 +55,9 @@ MISSED_SCALE = (
     "ROADMAP items 8 and 5: no component_error row, and a mis-scaled Q inside the radius passes"
 )
 MISSED_SWAP = "ROADMAP item 8: no law row checks Q or A, and the swap keeps their sum Q + A"
+MISSED_A_SCALE = (
+    "ROADMAP items 8 and 5: no component_error row, and a mis-scaled A inside the radius passes"
+)
 
 #: The golden configs that refuse ``q_scale``: none has a quadratic scheme.
 NO_QUADRATIC = ("additive_up_power", "additive_down_product", "additive_down_2d")
@@ -91,6 +100,20 @@ OUTCOMES = {
     Q_A_SWAPPED: {
         case: (MISSED_SWAP, None)
         for case in ("combined", "max_2d", "weighted_2d", "combined_power", "two_theorems")
+    },
+    **{
+        fault: {
+            "combined": "verification combined",
+            "max_2d": "verification combined",
+            "weighted_2d": "verification combined",
+            "two_theorems": "verification additive_up",
+            # 25 violations unplanted: the run fails with or without the fault
+            "additive_down_2d": "verification additive_down",
+            "combined_power": (MISSED_A_SCALE, None),
+            "additive_up_power": (MISSED_A_SCALE, None),
+            "additive_down_product": (MISSED_A_SCALE, None),
+        }
+        for fault in A_SCALES
     },
 }
 
@@ -156,7 +179,25 @@ def _plant(fault: str, monkeypatch) -> list:
             return components[::-1], results[::-1]
 
         monkeypatch.setattr(harness, "extract_components", swapped)
+    elif fault in A_SCALES:
+        extract = harness.extract_components
+
+        def scaled(f, schemes, xs):
+            components, results = extract(f, schemes, xs)
+            if _additive(schemes):
+                planted.append(schemes)
+            components = tuple(
+                c if c.scheme.is_quadratic else harness._ScaledComponent(c, A_SCALES[fault])
+                for c in components
+            )
+            return components, results
+
+        monkeypatch.setattr(harness, "extract_components", scaled)
     return planted
+
+
+def _additive(schemes) -> bool:
+    return not all(scheme.is_quadratic for scheme in schemes)
 
 
 def _auto_constant(data: dict) -> bool:
@@ -173,6 +214,9 @@ def test_planted_fault(fault, case, row, monkeypatch):
         assert len(planted) == 1 and report.resolved_delta is planted[0]
     elif fault == Q_A_SWAPPED:  # planted: every combined theorem's pair
         assert len(planted) == _config(case, fault)["theorems"].count("combined")
+    elif fault in A_SCALES:  # planted: the A of every theorem that has one
+        theorems = _config(case, fault)["theorems"]
+        assert planted == [THEOREMS[t].schemes for t in theorems if _additive(THEOREMS[t].schemes)]
     if row == UNCHANGED:
         assert report.exit_status == 0
         assert not any(t.limits.any() for t in report.extractions if t.component == "quadratic")
@@ -192,3 +236,8 @@ def test_every_config_has_a_cell_for_each_fault():
     data = {case: _config(case, STOP_AT_1) for case in CASES}
     assert set(OUTCOMES[DELTA_HALF]) == {c for c in CASES if _auto_constant(data[c])}
     assert set(OUTCOMES[Q_A_SWAPPED]) == {c for c in CASES if "combined" in data[c]["theorems"]}
+    for fault in A_SCALES:
+        additive = {
+            c for c in CASES if any(_additive(THEOREMS[t].schemes) for t in data[c]["theorems"])
+        }
+        assert set(OUTCOMES[fault]) == additive

@@ -64,13 +64,19 @@ def test_extract_down_stage_calls_f_once_per_block(monkeypatch):
     dim_x, points = cfg.space.dim_x, extraction.BLOCK_POINTS
     (table,) = report.extractions
     assert len(table.n_used) == cfg.x_count == 4000
-    # f(0) once for the offset, then one call on the stacked steps
-    # n = 0..N_MAX of each block of points, the last block shorter; the
-    # per-point loop made 4000
+    # f(0) once for the offset, then one call on the stacked steps of each
+    # block of points, the last block shorter; the per-point loop made
+    # 4000.  The first block evaluates n = 0..N_MAX, each later one the
+    # window n = 0..12 that the largest n_used of the block before it
+    # leaves; every run stops inside its window, so none is re-evaluated
     blocks = [points] * (cfg.x_count // points) + [cfg.x_count % points] * (cfg.x_count % points > 0)
-    assert len(blocks) == 21
-    assert shapes == [(dim_x,)] + [(p, N_MAX + 1, dim_x) for p in blocks]
+    assert blocks == [199] * 20 + [20]
+    assert max(table.n_used) == 12
+    assert shapes == [(dim_x,), (199, N_MAX + 1, dim_x)] + [(p, 13, dim_x) for p in blocks[1:]]
     assert iterated == [(p, dim_x) for p in blocks]
+    # f rows evaluated by the extraction: 164,000 when each block evaluated
+    # every step n = 0..N_MAX
+    assert sum(np.prod(shape[:-1]) for shape in shapes[1:]) == 57_572
 
 
 def test_extract_down_stage_holds_one_block_at_a_time(monkeypatch):
