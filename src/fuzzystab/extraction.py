@@ -110,18 +110,27 @@ def _overflow_error(scheme: Scheme, x: np.ndarray, n: int) -> ScaleError:
     )
 
 
-def _trips(scheme: Scheme, v: np.ndarray, n) -> bool | np.ndarray:
-    """Whether the scheme's guard trips at step ``n`` for one point ``(dim_x,)``
-    or, point by point, a stack ``(P, dim_x)``; steps ``(k, 1)`` give one
-    answer per step and point, ``(k, P)``, or ``(k, 1)`` at one point.  The
-    norm of 2^n v exceeds OVERFLOW_LIMIT (up), or that of a nonzero v / 2^n
-    drops below UNDERFLOW_LIMIT at n >= 1, as v itself is always evaluated
-    (down).  Both are monotone in n."""
-    if scheme.is_up:
-        return euclidean_norm(np.ldexp(v, np.expand_dims(n, -1))) > OVERFLOW_LIMIT
-    x_norm = euclidean_norm(v)
-    # The power of two scales exactly, as ldexp does, also on a Python float.
-    return (n > 0) & (x_norm != 0.0) & (x_norm * 2.0**-n < UNDERFLOW_LIMIT)
+def _first_trips(scheme: Scheme, v: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """Index in the 1-D ``steps`` of the first step at which the scheme's
+    guard trips, ``len(steps)`` if none, for one point ``(dim_x,)``, shape
+    ``()``, or point by point for a stack ``(P, dim_x)``, ``(P,)``.  The norm
+    of 2^n v exceeds OVERFLOW_LIMIT (up), or that of a nonzero v / 2^n drops
+    below UNDERFLOW_LIMIT at n >= 1, as v itself is always evaluated (down).
+    Both are monotone in n, so each point's largest step alone tells whether
+    any trips, and the steps are searched only for the points where one does."""
+
+    def trips(v, n):
+        if scheme.is_up:
+            return euclidean_norm(np.ldexp(v, np.expand_dims(n, -1))) > OVERFLOW_LIMIT
+        x_norm = euclidean_norm(v)
+        # The power of two scales exactly, as ldexp does, also on a Python float.
+        return (n > 0) & (x_norm != 0.0) & (x_norm * 2.0**-n < UNDERFLOW_LIMIT)
+
+    first = np.full(np.shape(v)[:-1], len(steps))
+    tripped = np.asarray(trips(v, steps.max(initial=0))) & bool(len(steps))
+    if tripped.any():
+        first[tripped] = np.argmax(trips(v[tripped], steps[:, None]), axis=0)
+    return first
 
 
 def iterate(scheme: Scheme, f: VectorFunction, x: np.ndarray, n) -> np.ndarray:
@@ -143,15 +152,12 @@ def iterate(scheme: Scheme, f: VectorFunction, x: np.ndarray, n) -> np.ndarray:
         raise ValueError("iteration index must be >= 0")
     v = np.atleast_1d(np.asarray(x, dtype=float))
     if scheme.is_up:
-        # The guard is monotone, so each point's largest index alone tells
-        # whether any trips, and the rows are searched only when one does;
-        # an empty index array scales no argument.
+        # an empty index array scales no argument
         with np.errstate(over="ignore"):
-            over = np.ravel(_trips(scheme, v, ns.max(initial=0))) & bool(ns.size)
-            if over.any():
-                point = v.reshape(-1, v.shape[-1])[over.argmax()]
-                k = int(np.argmax(_trips(scheme, point, ns[:, None] if ns.ndim else ns)))
-                raise _overflow_error(scheme, point, int(ns.flat[k]))
+            first = np.ravel(_first_trips(scheme, v, ns.reshape(-1)))
+        if (first < ns.size).any():
+            p = int(np.argmax(first < ns.size))
+            raise _overflow_error(scheme, v.reshape(-1, v.shape[-1])[p], int(ns.flat[first[p]]))
     return _evaluate(scheme, f, v, ns)
 
 
@@ -215,10 +221,7 @@ def _settle(rows: np.ndarray, tol: float = TOL) -> tuple[np.ndarray, list, list,
     ``tol``.
 
     A ratio near 1/4 (1/2) marks clean geometric decay of a quadratic
-    (additive) defect, one >= 1 divergence.  Every ratio keeps the bits of
-    a per-point loop: the logs and the exponential are taken by ``math``
-    over flat lists, and each point's logs are summed in order by
-    ``np.cumsum``; numpy's ``log``, ``exp`` and ``sum`` round differently.
+    (additive) defect, one >= 1 divergence.
     """
     norms = _step_norms(rows)
     at, k = np.arange(len(rows)), rows.shape[1] - 1
@@ -234,25 +237,17 @@ def _settle(rows: np.ndarray, tol: float = TOL) -> tuple[np.ndarray, list, list,
     # a non-finite iterate from an overflowing norm.
     limits = rows[at, n_used]
     kinds = np.where(np.isfinite(limits).all(axis=-1), (stops < k) & ~converged, 2)
-    # The recorded differences are those that went on and a converged
-    # stop's own.  ratio_estimate is the log-average of their consecutive
-    # ratios, the last one dropped when there are two or more; it is the
-    # ratio itself when all kept ones are equal, and 0.0 when none is kept.
+    # The recorded differences d_i are those that went on and a converged
+    # stop's own.  ratio_estimate is the geometric mean of the first j of
+    # their consecutive ratios, all but the last when there are two or more,
+    # so (d_j / d_0)^(1/j), or 0.0 for j = 0: one Python power per point.
+    # d_j is norms[:, j], also indexable where a run has one row and no d_0.
     recorded = stops + converged
     kept = np.maximum(recorded - 1, 0) - (recorded >= 3)
-    width = int(kept.max(initial=0))
-    ratios = diffs[:, 1 : width + 1] / diffs[:, :width]
-    window = np.arange(width) < kept[:, None]
-    least = np.where(window, ratios, math.inf).min(axis=1, initial=math.inf)
-    spread = least < np.where(window, ratios, -math.inf).max(axis=1, initial=-math.inf)
-    # Two or more kept ratios divide differences that went on, so each is
-    # positive.
-    logs = np.zeros_like(ratios)
-    taken = window & spread[:, None]
-    logs[taken] = list(map(math.log, ratios[taken].tolist()))
-    means = np.cumsum(logs, axis=1)[spread, kept[spread] - 1] / kept[spread]
-    ratio = np.where(kept > 0, least, 0.0)
-    ratio[spread] = list(map(math.exp, means.tolist()))
+    live = np.flatnonzero(kept)
+    ratio = np.zeros(len(rows))
+    spans = (norms[live, kept[live]] / norms[live, 0]).tolist()
+    ratio[live] = [q ** (1.0 / j) for q, j in zip(spans, kept[live].tolist())]
     return limits, n_used.tolist(), converged.tolist(), _STOP_KINDS[kinds].tolist(), ratio.tolist()
 
 
@@ -262,11 +257,10 @@ def _decide(
     """The finished result of each point of the stack ``points``, in order,
     or the :class:`ScaleError` its :func:`extract_limit` raises.
 
-    One guard mask at N_MAX tells the points whose guard trips, and only
-    their steps are searched for it.  The points that share a guard share
-    one evaluation of their first ``window`` steps before it, so one call
-    of ``f``, and :func:`_settle` decides their runs as arrays, once; the
-    points whose run reaches the window's end before the guard unconverged,
+    :func:`_first_trips` finds each point's guard.  The points that share
+    a guard share one evaluation of their first ``window`` steps before it,
+    so one call of ``f``, and :func:`_settle` decides their runs as arrays,
+    once; the points whose run reaches the window's end before the guard unconverged,
     and with no stop of its own, share one more evaluation, of every step
     before the guard.  As :func:`_settle` decides each point from its own
     rows, a run that stops inside the window stops as it would on all its
@@ -275,15 +269,11 @@ def _decide(
     and an up-scheme one gets the overflow error in place of a result.  The
     results hold the limits only, so the evaluated rows are freed on return.
     """
-    guards = np.full(len(points), N_MAX + 1)
     outcomes = [None] * len(points)
     # Rows past a point's stop may overflow or hold inf - inf; they are
     # never reported.
     with np.errstate(all="ignore"):
-        tripped = _trips(scheme, points, N_MAX)
-        if tripped.any():
-            steps = np.arange(N_MAX + 1)[:, None]
-            guards[tripped] = np.argmax(_trips(scheme, points[tripped], steps), axis=0)
+        guards = _first_trips(scheme, points, np.arange(N_MAX + 1))
         for guard in sorted(set(guards.tolist())):
             at = np.flatnonzero(guards == guard).tolist()
             if guard:

@@ -246,8 +246,10 @@ class TestExtractLimit:
 
     @staticmethod
     def guard(scheme, point):
-        """The first n in 0..N_MAX at which the point's guard trips, N_MAX + 1 if none."""
-        trips = [bool(extraction._trips(scheme, point, n)) for n in range(N_MAX + 1)]
+        """The first n in 0..N_MAX at which the point's guard trips, N_MAX + 1 if
+        none, each step tested alone."""
+        steps = [np.array([n]) for n in range(N_MAX + 1)]
+        trips = [extraction._first_trips(scheme, point, n) == 0 for n in steps]
         return trips.index(True) if any(trips) else N_MAX + 1
 
     @pytest.mark.parametrize("scheme", list(Scheme))

@@ -81,22 +81,12 @@ def reference_iterate(scheme: Scheme, f, x, n: int) -> np.ndarray:
     return np.ldexp(np.asarray(f(arg), dtype=float), scheme.value_shift * n)
 
 
-# The per-point rule of ratio_estimate that the block's array pass
-# replaced, verbatim but for its sum of logs, which adds in order on every Python.
-def _decay_rate(ratios: list[float]) -> float:
-    """Log-average of the consecutive difference ratios, final one dropped."""
-    if not ratios:
-        return 0.0
-    trimmed = ratios[:-1] if len(ratios) >= 2 else ratios
-    # A ratio of finite differences over a positive one is never NaN, so
-    # the least ratio tells whether any is <= 0.
-    least = min(trimmed)
-    if least == max(trimmed):
-        return trimmed[0]
-    if least <= 0.0:
-        return 0.0
-    # the builtin sum compensates its additions from Python 3.12 on
-    return math.exp(functools.reduce(operator.add, map(math.log, trimmed), 0.0) / len(trimmed))
+def _decay_rate(diffs: list[float]) -> float:
+    """Geometric mean of the first k consecutive ratios of the recorded
+    differences, all but the last when there are two or more: (d_k / d_0)^(1/k),
+    0.0 for k = 0."""
+    k = len(diffs) - 1 - (len(diffs) >= 3)
+    return (diffs[k] / diffs[0]) ** (1.0 / k) if k > 0 else 0.0
 
 
 def reference_extract_limit(scheme: Scheme, f, x):
@@ -132,7 +122,7 @@ def reference_extract_limit(scheme: Scheme, f, x):
         if diff <= TOL * (1.0 + size):
             converged = True
             break
-    ratio = _decay_rate([b / a for a, b in zip(diffs, diffs[1:]) if a > 0.0])
+    ratio = _decay_rate(diffs)
     return current, tuple(trail), converged, ratio, n_used, reason
 
 
@@ -375,8 +365,9 @@ _PLANE = TestFunction(
 )
 
 
-@pytest.mark.parametrize("scheme", list(Scheme))
-@pytest.mark.parametrize(
+#: Points at and near the guards, non-finite and overflowing iterates, and
+#: points of several dimensions, each run by every scheme.
+_EDGE_CASES = pytest.mark.parametrize(
     "f,x",
     [
         (_SQUARE_COS, [0.0]),
@@ -406,8 +397,122 @@ _PLANE = TestFunction(
         (odd_part(_PLANE), [0.7, -1.3]),
     ],
 )
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+@_EDGE_CASES
 def test_edge_cases_equal_sequential_loop(scheme, f, x):
     assert_matches_reference(scheme, f, np.array(x))
+
+
+def _log_average(diffs: list[float]) -> float:
+    """The rule of ratio_estimate before its closed form: the log-average of
+    the consecutive ratios of the recorded differences, the last ratio
+    dropped when there are two or more, the ratio itself when all kept ones
+    are equal, and 0.0 when none is kept or one is <= 0."""
+    ratios = [b / a for a, b in zip(diffs, diffs[1:]) if a > 0.0]
+    if not ratios:
+        return 0.0
+    trimmed = ratios[:-1] if len(ratios) >= 2 else ratios
+    least = min(trimmed)
+    if least == max(trimmed):
+        return trimmed[0]
+    if least <= 0.0:
+        return 0.0
+    # the builtin sum compensates its additions from Python 3.12 on
+    return math.exp(functools.reduce(operator.add, map(math.log, trimmed), 0.0) / len(trimmed))
+
+
+def assert_near_log_average(ratio: float, diffs: list[float]) -> None:
+    """``ratio``, the closed form (d_k / d_0)^(1/k) of the recorded
+    differences ``diffs``, equals their :func:`_log_average` but for
+    rounding.
+
+    Both estimate exp(mu), mu = log(d_k / d_0) / k, which the k exact ratios
+    d_{i+1} / d_i telescope to.  With u = 2^-53, every ratio, quotient and
+    product rounding to within u, log, exp and pow to within one ulp (2u
+    relative), and L the sum of |log r_i| over the k kept ratios r_i:
+
+    - the log-average rounds each ratio, which moves its log by u, so the
+      mean by u; it rounds each log by 2u |log r_i|, their sum in order by
+      gamma_{k-1} L, gamma_m = m u / (1 - m u), and the division by k by
+      u L / k.  Its log is within u + (3u + gamma_{k-1}) L / k of mu, and
+      exp adds 2u;
+    - the closed form rounds d_k / d_0, which moves its log by u / k, and
+      1 / k, which moves it by u |mu| <= u L / k; pow adds 2u.
+
+    The two logs differ by at most B = (5 + 1/k) u + (4u + gamma_{k-1}) L / k,
+    and the ratio of the two by expm1(B) <= 2B: twice B also covers the
+    neglected terms, of order (k u)^2 (1 + L).  A run with no kept ratio, or
+    a kept ratio of 0, gives 0.0 both ways.
+    """
+    old = _log_average(diffs)
+    k = len(diffs) - 1 - (len(diffs) >= 3)
+    if old == 0.0 or k <= 0:
+        assert ratio == old == 0.0
+        return
+    spread = sum(abs(math.log(b / a)) for a, b in zip(diffs, diffs[1 : k + 1]))
+    u = 2.0**-53
+    gamma = (k - 1) * u / (1 - (k - 1) * u)
+    bound = 2 * ((5 + 1 / k) * u + (4 * u + gamma) * spread / k)
+    assert abs(ratio / old - 1.0) <= bound, (ratio, old, bound)
+
+
+def _recorded_diffs(trail, reason: str) -> list[float]:
+    """The differences that the sequential loop records along its trail:
+    every one but that of a step with a non-finite iterate or norm."""
+    diffs = [float(np.linalg.norm(b - a)) for (_, a), (_, b) in zip(trail, trail[1:])]
+    return diffs[: len(diffs) - reason.startswith(("non-finite", "iterate norm"))]
+
+
+def assert_ratio_near_log_average(scheme, f, x):
+    with np.errstate(all="ignore"):
+        try:
+            _, trail, *_, reason = reference_extract_limit(scheme, f, x)
+        except ScaleError:
+            return
+        diffs = _recorded_diffs(trail, reason)
+    assert_near_log_average(extract_limit(scheme, f, x).ratio_estimate, diffs)
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+@_EDGE_CASES
+def test_edge_case_ratios_are_the_log_average(scheme, f, x):
+    assert_ratio_near_log_average(scheme, f, np.array(x))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cases())
+def test_ratios_are_the_log_average(case):
+    assert_ratio_near_log_average(**case)
+
+
+@st.composite
+def _geometric_rows(draw):
+    """A stack ``(P, K, 1)`` of iterate rows whose successive differences
+    grow or shrink by a drawn factor at each step."""
+    count, steps = draw(st.integers(1, 4)), draw(st.integers(1, N_MAX + 1))
+    rows = []
+    for _ in range(count):
+        value, step = draw(st.floats(-10.0, 10.0)), draw(st.floats(1e-3, 10.0))
+        row = [value]
+        for _ in range(steps - 1):
+            value += draw(st.sampled_from([step, -step]))
+            step *= draw(st.floats(0.05, 2.0))
+            row.append(value)
+        rows.append(row)
+    return np.array(rows)[..., None]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_geometric_rows())
+def test_settled_ratios_are_the_log_average(rows):
+    # finite rows record the differences up to n_used
+    _, n_used, _, kinds, ratios = extraction._settle(rows)
+    for row, n, kind, ratio in zip(rows, n_used, kinds, ratios):
+        assert kind == ""
+        diffs = [float(np.linalg.norm(b - a)) for a, b in zip(row, row[1:])]
+        assert_near_log_average(ratio, diffs[:n])
 
 
 def reference_extract_components(f, schemes, xs):
@@ -711,30 +816,6 @@ def test_component_at_origin_points_extracts_nothing(monkeypatch, scheme):
     limit = extract_limit(scheme, _PLANE, stack[2]).limit_value
     assert component(stack).tobytes() == bytes(8 * 2) + limit.tobytes() + bytes(8)
     assert [x.tolist() for x in calls] == [[0.7, -1.3]]
-
-
-#: Three points of x + 0.1 sin x whose quadratic_up ratio_estimate, the
-#: log-average of 24 to 28 ratios, numpy rounds differently from the loop
-#: on x86-64: np.log in place of math.log changes it at the first point,
-#: np.exp in place of math.exp at the second (numpy's SIMD paths), and
-#: np.sum, which adds 8 or more terms in separate partial sums, in place of
-#: a sequential sum at the third.
-_ROUNDING_POINTS = np.array([0.4551142357976712, -0.7526741919580582, 0.047286498801026866])
-
-
-def test_block_ratio_estimates_keep_the_bits_of_the_loop():
-    scheme, xs = Scheme.QUADRATIC_UP, _ROUNDING_POINTS[:, None]
-    results = ExtractedComponent(scheme, _LINE_SIN).extract(xs)
-    for x, result in zip(xs, results):
-        want = _outcome(lambda: reference_extract_limit(scheme, _LINE_SIN, x))
-        assert _outcome(lambda: result) == want
-    # the third point's kept logs are more than 8, and their pairwise sum
-    # is not their sum in order
-    rows = iterate(scheme, _LINE_SIN, xs[2], np.arange(results[2].n_used + 1))
-    diffs = [float(np.linalg.norm(b - a)) for a, b in zip(rows, rows[1:])]
-    logs = [math.log(b / a) for a, b in zip(diffs, diffs[1:])][:-1]
-    assert len(logs) == 24
-    assert np.sum(logs) != functools.reduce(operator.add, logs)
 
 
 def _scaled_norm(scheme: Scheme, x, n: int) -> float:

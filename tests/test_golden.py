@@ -13,6 +13,7 @@ import difflib
 import inspect
 import io
 import json
+import math
 import re
 import tempfile
 import typing
@@ -211,6 +212,62 @@ def _changes(name: str, golden: bytes, new: bytes) -> list[str]:
     return changes[:SHOWN_CHANGES]
 
 
+def _values(name: str, data: bytes):
+    """The report file ``name`` as one list of its column's values per
+    column: a CSV file's by header, report.json's leaves by their key."""
+    columns: dict[str, list] = {}
+    if name.endswith(".csv"):
+        header, *rows = list(csv.reader(io.StringIO(data.decode("utf-8")))) or [[]]
+        for row in rows:
+            for j, value in enumerate(row):
+                columns.setdefault(header[j] if j < len(header) else f"#{j}", []).append(value)
+        return columns
+
+    def walk(node, key):
+        if isinstance(node, dict):
+            for k, v in node.items():
+                walk(v, k)
+        elif isinstance(node, list):
+            for v in node:
+                walk(v, key)
+        else:
+            columns.setdefault(key, []).append(node)
+
+    walk(json.loads(data), "")
+    return columns
+
+
+def _number(value) -> float | None:
+    """A finite number from a JSON or CSV value, else None."""
+    if isinstance(value, bool):
+        return None
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        return None
+    return number if math.isfinite(number) else None
+
+
+def _summary(name: str, golden: bytes, new: bytes) -> list[str]:
+    """One line per column of the report file ``name`` whose values changed:
+    how many did and, where both values are finite numbers, the largest
+    relative change.  A column's values pair in order."""
+    old_columns, new_columns = _values(name, golden), _values(name, new)
+    lines = []
+    for column in dict.fromkeys([*old_columns, *new_columns]):
+        pairs = zip_longest(old_columns.get(column, ()), new_columns.get(column, ()))
+        changed = [(a, b) for a, b in pairs if a != b]
+        if not changed:
+            continue
+        line = f"{name} {column}: {len(changed)} changed"
+        numbers = [(_number(a), _number(b)) for a, b in changed]
+        if all(a is not None and b is not None for a, b in numbers):
+            largest = max(abs(b - a) / abs(a) if a else math.inf for a, b in numbers)
+            line += f", largest relative change {largest:.2g}"
+        lines.append(line)
+    return lines
+
+
 def test_readme_golden_paragraph_names_every_case():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     (paragraph,) = [p for p in readme.split("\n\n") if p.startswith("`tests/test_golden.py`")]
@@ -261,7 +318,35 @@ def test_a_golden_failure_names_the_changed_values():
     assert len(_changes("a.csv", many, many.replace(b"1", b"2"))) == SHOWN_CHANGES
 
 
+def test_the_golden_summary_counts_the_changes_of_each_column():
+    csv_golden = b"axiom,worst_slack,note\r\nN3,-0.5,a\r\nN4,0,b\r\nN5,2,c\r\n"
+    csv_new = b"axiom,worst_slack,note\r\nN3,-0.25,a\r\nN4,1e-9,d\r\nN5,2,c\r\n"
+    assert _summary("axioms.csv", csv_golden, csv_new) == [
+        "axioms.csv worst_slack: 2 changed, largest relative change inf",
+        "axioms.csv note: 1 changed",
+    ]
+    json_golden = b'{"rows": [{"r": 0.25, "n": 3}, {"r": 0.5, "n": 4}], "r": "nan"}'
+    json_new = b'{"rows": [{"r": 0.25, "n": 3}, {"r": 0.5000001, "n": 4}], "r": "nan"}'
+    assert _summary("report.json", json_golden, json_new) == [
+        "report.json r: 1 changed, largest relative change 2e-07"
+    ]
+    # a row added or removed changes each of its values
+    assert _summary("a.csv", b"x\r\n1\r\n", b"x\r\n1\r\n2\r\n") == ["a.csv x: 1 changed"]
+    assert _summary("a.csv", csv_golden, csv_golden) == []
+
+
 if __name__ == "__main__":
+    # Each case's old files are read first, so that the run prints what
+    # changed in each column of each.
     with tempfile.TemporaryDirectory() as config_dir:
         for case in CASES:
+            old = {p.name: p.read_bytes() for p in (GOLDEN / case).glob("*")}
             _run(case, Path(config_dir), GOLDEN / case)
+            for path in sorted((GOLDEN / case).iterdir()):
+                if path.name not in old:
+                    print(f"{case}/{path.name}: added")
+                    continue
+                for line in _summary(path.name, old.pop(path.name), path.read_bytes()):
+                    print(f"{case}/{line}")
+            for name in old:
+                print(f"{case}/{name}: removed")

@@ -110,11 +110,11 @@ def test_extract_down_stage_holds_one_block_at_a_time(monkeypatch):
 
 
 def test_the_block_decides_each_guard_norm_and_stop_once(monkeypatch):
-    # the block's one guard mask, one stacked norm call and one stop
+    # the block's one guard search, one stacked norm call and one stop
     # predicate decide every point; extract_limit, handed a point's share of
     # that decision, decides none of them again, and the evaluation of the
     # steps before each guard tests no guard again
-    names = ("_trips", "_evaluate", "_step_norms", "_first_stop", "extract_limit")
+    names = ("_first_trips", "_evaluate", "_step_norms", "_first_stop", "extract_limit")
     counts = dict.fromkeys(names, 0)
     for name in counts:
         original = getattr(extraction, name)
@@ -127,7 +127,7 @@ def test_the_block_decides_each_guard_norm_and_stop_once(monkeypatch):
     cfg = ExperimentConfig.from_dict(_workload_config("extract_down"))
     run_pipeline(cfg, ("extraction",))
     assert counts == {
-        "_trips": 21,
+        "_first_trips": 21,
         "_evaluate": 21,
         "_step_norms": 21,
         "_first_stop": 21,
@@ -139,9 +139,9 @@ def test_the_block_decides_each_guard_norm_and_stop_once(monkeypatch):
     component = extraction.ExtractedComponent(Scheme.QUADRATIC_UP, TestFunction.scalar(quad=1.0))
     results = component.extract(np.array([[1.0], [1e140], [2.0], [1e139]]))
     assert [r.n_used for r in results] == [1] * 4
-    # one mask at N_MAX and one search of the steps of 1e140 and 1e139
+    # one guard search, of the steps of 1e140 and 1e139 only
     assert counts == {
-        "_trips": 2,
+        "_first_trips": 1,
         "_evaluate": 3,
         "_step_norms": 3,
         "_first_stop": 3,
