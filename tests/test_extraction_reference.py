@@ -27,6 +27,10 @@ or inf, where finite iterates have an overflowing norm, at the origin,
 and where a run stops after the window of the block before it.
 ``_window_calls`` derives the calls of ``f`` that the window rule makes
 from the loop's runs.
+
+``_log_average`` is the rule of ``ratio_estimate`` before its closed form
+(d_k / d_0)^(1/k): the ratio must equal it within the rounding bound that
+``assert_near_log_average`` derives.
 """
 
 import functools

@@ -217,7 +217,7 @@ def _values(name: str, data: bytes):
     column: a CSV file's by header, report.json's leaves by their key."""
     columns: dict[str, list] = {}
     if name.endswith(".csv"):
-        header, *rows = list(csv.reader(io.StringIO(data.decode("utf-8")))) or [[]]
+        header, *rows = csv.reader(io.StringIO(data.decode("utf-8")))
         for row in rows:
             for j, value in enumerate(row):
                 columns.setdefault(header[j] if j < len(header) else f"#{j}", []).append(value)

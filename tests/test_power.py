@@ -18,7 +18,12 @@ source:
 - ``a_scale_0.5`` and ``a_scale_1.5``: the extracted A of every theorem
   that has one is scaled, as ``harness.extract_components`` hands out the
   additive component through the negative control's ``_ScaledComponent``.
-  Only a config with an additive scheme has a cell.
+  Only a config with an additive scheme has a cell;
+- ``q_scale_`` and ``a_scale_`` at 1.001, 0.999, 1.000001 and 0.999999: Q
+  or A scaled by 1 +- 1e-3 and 1 +- 1e-6, as the faults above plant them;
+- ``q_bump``: ``BUMP`` is added to each coordinate of Q at ``x_index`` 0,
+  as ``harness.extract_components`` hands out the quadratic component
+  through ``_Bumped``.  Only a config with a quadratic scheme has a cell.
 
 Each cell expects one outcome:
 
@@ -32,6 +37,8 @@ Each cell expects one outcome:
 """
 
 import json
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -42,12 +49,19 @@ from fuzzystab import extraction, harness
 from fuzzystab.control import THEOREMS
 from fuzzystab.errors import ConfigError
 from fuzzystab.harness import ALL_STAGES, ExperimentConfig, run_pipeline
+from fuzzystab.spaces import MEMBERSHIP_SLACK
 
 STOP_AT_1 = "stop_at_1"
 Q_SCALES = {"q_scale_0.5": 0.5, "q_scale_1.5": 1.5}
 DELTA_HALF = "delta_half"
 Q_A_SWAPPED = "q_a_swapped"
 A_SCALES = {"a_scale_0.5": 0.5, "a_scale_1.5": 1.5}
+NUDGES = (1.001, 0.999, 1.000001, 0.999999)
+Q_NUDGES = {f"q_scale_{factor!r}": factor for factor in NUDGES}
+A_NUDGES = {f"a_scale_{factor!r}": factor for factor in NUDGES}
+Q_FACTORS, A_FACTORS = {**Q_SCALES, **Q_NUDGES}, {**A_SCALES, **A_NUDGES}
+Q_BUMP = "q_bump"
+BUMP = 1.0
 
 #: Reasons of the missed cells, by the ROADMAP items meant to kill them.
 MISSED_STOP = "ROADMAP items 8 and 21: no law row checks Q or A, and no tail bound proves a stop"
@@ -57,6 +71,12 @@ MISSED_SCALE = (
 MISSED_SWAP = "ROADMAP item 8: no law row checks Q or A, and the swap keeps their sum Q + A"
 MISSED_A_SCALE = (
     "ROADMAP items 8 and 5: no component_error row, and a mis-scaled A inside the radius passes"
+)
+MISSED_NUDGE = (
+    "ROADMAP items 8 and 5: no component_error row, and Q or A off by 1e-3 or less passes"
+)
+MISSED_BUMP = (
+    "ROADMAP items 8 and 5: no component_error or law row, and a bump inside the radius passes"
 )
 
 #: The golden configs that refuse ``q_scale``: none has a quadratic scheme.
@@ -115,6 +135,55 @@ OUTCOMES = {
         }
         for fault in A_SCALES
     },
+    **{
+        fault: {
+            **{
+                case: (MISSED_NUDGE, None)
+                for case in (
+                    "combined",
+                    "max_2d",
+                    "weighted_2d",
+                    "quadratic_power",
+                    "combined_power",
+                    "quadratic_down_max_2d",
+                )
+            },
+            "defect_overflow": PREMISE,
+            # f is odd, so its Q is 0 and so is any multiple of it
+            "two_theorems": UNCHANGED,
+        }
+        for fault in Q_NUDGES
+    },
+    **{
+        fault: {
+            **{
+                case: (MISSED_NUDGE, None)
+                for case in (
+                    "combined",
+                    "max_2d",
+                    "weighted_2d",
+                    "two_theorems",
+                    "combined_power",
+                    "additive_up_power",
+                    "additive_down_product",
+                )
+            },
+            # 25 violations unplanted: the run fails with or without the fault
+            "additive_down_2d": "verification additive_down",
+        }
+        for fault in A_NUDGES
+    },
+    Q_BUMP: {
+        "combined": "verification combined",
+        "max_2d": "verification combined",
+        "weighted_2d": "verification combined",
+        # Q is 0, so the bump is all of it
+        "two_theorems": "verification combined",
+        "quadratic_down_max_2d": "verification quadratic_down",
+        "defect_overflow": PREMISE,
+        "quadratic_power": (MISSED_BUMP, None),
+        "combined_power": (MISSED_BUMP, None),
+    },
 }
 
 
@@ -124,8 +193,8 @@ def _config(case: str, fault: str) -> dict:
         data = json.loads((CONFIGS / f"{case}.json").read_text(encoding="utf-8"))
     else:
         data = json.loads(json.dumps(config))
-    if fault in Q_SCALES:
-        data["negative_control"] = {"q_scale": Q_SCALES[fault]}
+    if fault in Q_FACTORS:
+        data["negative_control"] = {"q_scale": Q_FACTORS[fault]}
     return data
 
 
@@ -151,6 +220,19 @@ def _cells():
                 yield pytest.param(fault, case, row, marks=mark, id=f"{fault}-{case}")
             else:
                 yield pytest.param(fault, case, outcome, id=f"{fault}-{case}")
+
+
+@dataclass(frozen=True, eq=False)
+class _Bumped:
+    """A component with ``BUMP`` added to its value at the first point of
+    each stack, ``x_index`` 0 of a verification."""
+
+    source: Callable[[np.ndarray], np.ndarray]
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        values = np.array(self.source(x), dtype=float)
+        values[0] += BUMP
+        return values
 
 
 def _plant(fault: str, monkeypatch) -> list:
@@ -179,25 +261,40 @@ def _plant(fault: str, monkeypatch) -> list:
             return components[::-1], results[::-1]
 
         monkeypatch.setattr(harness, "extract_components", swapped)
-    elif fault in A_SCALES:
-        extract = harness.extract_components
+    elif fault in A_FACTORS:
+        extract, factor = harness.extract_components, A_FACTORS[fault]
 
         def scaled(f, schemes, xs):
             components, results = extract(f, schemes, xs)
             if _additive(schemes):
                 planted.append(schemes)
             components = tuple(
-                c if c.scheme.is_quadratic else harness._ScaledComponent(c, A_SCALES[fault])
+                c if c.scheme.is_quadratic else harness._ScaledComponent(c, factor)
                 for c in components
             )
             return components, results
 
         monkeypatch.setattr(harness, "extract_components", scaled)
+    elif fault == Q_BUMP:
+        extract = harness.extract_components
+
+        def bumped(f, schemes, xs):
+            components, results = extract(f, schemes, xs)
+            if _quadratic(schemes):
+                planted.append(schemes)
+            components = tuple(_Bumped(c) if c.scheme.is_quadratic else c for c in components)
+            return components, results
+
+        monkeypatch.setattr(harness, "extract_components", bumped)
     return planted
 
 
 def _additive(schemes) -> bool:
     return not all(scheme.is_quadratic for scheme in schemes)
+
+
+def _quadratic(schemes) -> bool:
+    return any(scheme.is_quadratic for scheme in schemes)
 
 
 def _auto_constant(data: dict) -> bool:
@@ -214,9 +311,12 @@ def test_planted_fault(fault, case, row, monkeypatch):
         assert len(planted) == 1 and report.resolved_delta is planted[0]
     elif fault == Q_A_SWAPPED:  # planted: every combined theorem's pair
         assert len(planted) == _config(case, fault)["theorems"].count("combined")
-    elif fault in A_SCALES:  # planted: the A of every theorem that has one
+    elif fault in A_FACTORS:  # planted: the A of every theorem that has one
         theorems = _config(case, fault)["theorems"]
         assert planted == [THEOREMS[t].schemes for t in theorems if _additive(THEOREMS[t].schemes)]
+    elif fault == Q_BUMP:  # planted: the Q of every theorem that has one
+        theorems = _config(case, fault)["theorems"]
+        assert planted == [THEOREMS[t].schemes for t in theorems if _quadratic(THEOREMS[t].schemes)]
     if row == UNCHANGED:
         assert report.exit_status == 0
         assert not any(t.limits.any() for t in report.extractions if t.component == "quadratic")
@@ -224,11 +324,14 @@ def test_planted_fault(fault, case, row, monkeypatch):
     assert report.exit_status != 0
     if row is not None:
         assert row in _failing_rows(report)
+    if fault == Q_BUMP and row.startswith("verification"):  # the bumped point alone fails
+        (verified,) = [r for r in report.verification_reports if row.endswith(r.theorem_id)]
+        assert np.flatnonzero((verified.slack < -MEMBERSHIP_SLACK).any(axis=1)).tolist() == [0]
 
 
 def test_every_config_has_a_cell_for_each_fault():
     assert set(OUTCOMES[STOP_AT_1]) == set(CASES)
-    for fault in Q_SCALES:
+    for fault in [*Q_SCALES, *Q_NUDGES, Q_BUMP]:
         assert set(OUTCOMES[fault]) == set(CASES) - set(NO_QUADRATIC)
     for case in NO_QUADRATIC:
         with pytest.raises(ConfigError, match="q_scale"):
@@ -236,7 +339,7 @@ def test_every_config_has_a_cell_for_each_fault():
     data = {case: _config(case, STOP_AT_1) for case in CASES}
     assert set(OUTCOMES[DELTA_HALF]) == {c for c in CASES if _auto_constant(data[c])}
     assert set(OUTCOMES[Q_A_SWAPPED]) == {c for c in CASES if "combined" in data[c]["theorems"]}
-    for fault in A_SCALES:
+    for fault in [*A_SCALES, *A_NUDGES]:
         additive = {
             c for c in CASES if any(_additive(THEOREMS[t].schemes) for t in data[c]["theorems"])
         }
