@@ -217,6 +217,7 @@ def _y_table(*ys: tuple[float, float]) -> PairTable:
     return _pair_table(*(((1, 1), y) for y in ys))
 
 
+@np.errstate(over="ignore")  # a pair past the largest double is inf, never a warning
 def _pairs_at(table: PairTable, points: np.ndarray) -> np.ndarray:
     """The pairs of ``table`` at each of the ``(n, d)`` points, x-major, as
     one ``(2, n * pairs, d)`` array."""

@@ -23,9 +23,10 @@ import math
 import re
 import sys
 from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 from itertools import chain
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter, is_
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -353,7 +354,8 @@ class ExtractionTable(NamedTuple):
 
     A point's ``x_index`` is its position in the columns, and its ``x_norm``
     is ``RunReport.x_norms[x_index]``.  The columns are tuples and a
-    read-only array, so a table changes only by being replaced.
+    read-only array, and a report holds its tables in a tuple, so a table
+    never changes once built.
     """
 
     theorem_id: str
@@ -367,22 +369,27 @@ class ExtractionTable(NamedTuple):
     stopped_reason: tuple[str, ...]
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class RunReport:
-    """Aggregated pipeline output; sections for stages not run stay empty."""
+    """Aggregated pipeline output, built once by ``run_pipeline`` and never
+    changed; sections for stages not run stay empty."""
 
     seed: int
     stages: tuple[str, ...]
-    axiom_rows: list[tuple[str, AxiomCheck]] = field(default_factory=list)
-    hypothesis_rows: list[HypothesisRow] = field(default_factory=list)
-    extractions: list[ExtractionTable] = field(default_factory=list)
-    verification_reports: list[StabilityReport] = field(default_factory=list)
-    repair_log: list[tuple[str, str]] = field(default_factory=list)
+    axiom_rows: tuple[tuple[str, AxiomCheck], ...] = ()
+    hypothesis_rows: tuple[HypothesisRow, ...] = ()
+    extractions: tuple[ExtractionTable, ...] = ()
+    verification_reports: tuple[StabilityReport, ...] = ()
+    repair_log: tuple[tuple[str, str], ...] = ()
     resolved_delta: float | None = None
     #: Norm of each sample point (the space's ``norm()`` by ``stack_norms``), by ``x_index``.
-    x_norms: list[float] = field(default_factory=list)
-    #: The rows and norms ``emit_report`` last rendered, and their text columns.
-    _texts: tuple | None = field(default=None, init=False, repr=False)
+    x_norms: tuple[float, ...] = ()
+
+    @cached_property
+    def _sections(self) -> _Sections:
+        """The text columns of each section: rendered by the first emit,
+        reused by the second, and freed with the report."""
+        return _report_sections(self)
 
     @property
     def total_violations(self) -> int:
@@ -426,7 +433,8 @@ def run_pipeline(cfg: ExperimentConfig, stages: Sequence[str] = ALL_STAGES) -> R
     requested stages.
     """
     stages = tuple(s for s in ALL_STAGES if s in stages)
-    report = RunReport(seed=cfg.seed, stages=stages)
+    axiom_rows, hypothesis_rows, extractions, verified = [], [], [], []
+    resolved_delta = None
     ss = np.random.SeedSequence(cfg.seed)
     seed_axioms, seed_x, seed_premise = ss.spawn(3)
 
@@ -438,7 +446,7 @@ def run_pipeline(cfg: ExperimentConfig, stages: Sequence[str] = ALL_STAGES) -> R
     rng_x = np.random.default_rng(seed_x)
     xs = sample_ball(rng_x, cfg.space.dim_x, cfg.x_radius, cfg.x_count)
     with np.errstate(over="ignore"):  # an overflowing norm is normed again, never warned
-        report.x_norms = stack_norms(norm, xs).tolist()
+        x_norms = tuple(stack_norms(norm, xs).tolist())
 
     if "axioms" in stages:
         points, scalars = default_axiom_samples(
@@ -448,8 +456,7 @@ def run_pipeline(cfg: ExperimentConfig, stages: Sequence[str] = ALL_STAGES) -> R
             seed=int(seed_axioms.generate_state(1)[0]),
             a_grid=a_values,
         )
-        for check in check_axioms(N, points, scalars):
-            report.axiom_rows.append(("N", check))
+        axiom_rows += [("N", check) for check in check_axioms(N, points, scalars)]
         scalar_points = [(np.atleast_1d(v), a) for (v, a) in points if v.size == 1]
         if not scalar_points:
             scalar_rng = np.random.default_rng(int(seed_axioms.generate_state(2)[1]))
@@ -458,8 +465,7 @@ def run_pipeline(cfg: ExperimentConfig, stages: Sequence[str] = ALL_STAGES) -> R
                 for a in a_values
                 for _ in (0, 1)
             ]
-        for check in check_axioms(phi.nprime, scalar_points, scalars):
-            report.axiom_rows.append(("N'", check))
+        axiom_rows += [("N'", check) for check in check_axioms(phi.nprime, scalar_points, scalars)]
 
     shifted, _ = remove_offset(cfg.function)
 
@@ -477,22 +483,21 @@ def run_pipeline(cfg: ExperimentConfig, stages: Sequence[str] = ALL_STAGES) -> R
         if cfg.auto_delta:
             stacks = list(premise_by_theorem.values())
             all_pairs = stacks[0] if len(stacks) == 1 else np.concatenate(stacks, axis=1)
-            report.resolved_delta = measure_residual_sup(shifted, all_pairs, norm=norm)
-            phi = replace(phi, delta=report.resolved_delta)
+            resolved_delta = measure_residual_sup(shifted, all_pairs, norm=norm)
+            phi = replace(phi, delta=resolved_delta)
         for t, pairs in premise_by_theorem.items():
             margin_by_theorem[t] = defect_premise_margin(shifted, phi, N, pairs, a_values)
 
     for t in cfg.theorems:
         schemes = THEOREMS[t].schemes
         if "hypothesis" in stages:
-            rows = report.hypothesis_rows
+            rows = hypothesis_rows
             # decided from phi's degree, or failed by a non-finite auto-delta:
             # a failed row names that cause, not a witness
-            delta = report.resolved_delta
-            if delta is None or math.isfinite(delta):
+            if resolved_delta is None or math.isfinite(resolved_delta):
                 cause = f"degree {phi.degree:g}"
             else:
-                cause = f"auto delta {delta:g}"
+                cause = f"auto delta {resolved_delta:g}"
             for scheme in schemes:
                 margin, holds = scaling_alpha_check(phi, scheme), vanishing_check(phi, scheme)
                 scaled, name = margin >= 0.0, scheme.value
@@ -519,41 +524,33 @@ def run_pipeline(cfg: ExperimentConfig, stages: Sequence[str] = ALL_STAGES) -> R
             for scheme, at_xs, at_limits, normed in zip(schemes, results, limits, limit_norms):
                 name = "quadratic" if scheme.is_quadratic else "additive"
                 columns = (tuple(map(attrgetter(c), at_xs)) for c in ExtractionTable._fields[4:])
-                report.extractions.append(
-                    ExtractionTable(t, name, at_limits, tuple(normed), *columns)
-                )
+                extractions.append(ExtractionTable(t, name, at_limits, tuple(normed), *columns))
         if "verification" in stages:
             if cfg.q_scale != 1.0:
                 components = tuple(
                     _ScaledComponent(c, cfg.q_scale) if c.scheme.is_quadratic else c
                     for c in components
                 )
-            verified = verify_stability(
-                shifted,
-                components,
-                phi,
-                t,
-                xs,
-                a_values,
-                N,
-                premise_margin=margin_by_theorem[t],
+            gate = margin_by_theorem[t]
+            verified.append(
+                verify_stability(shifted, components, phi, t, xs, a_values, N, premise_margin=gate)
             )
-            report.verification_reports.append(verified)
-            logged = {repair for repair, _ in report.repair_log}
-            new = [repair for repair in verified.repairs if repair not in logged]
-            report.repair_log += [(repair, REPAIR_DESCRIPTIONS[repair]) for repair in new]
 
-    return report
+    repairs = dict.fromkeys(repair for r in verified for repair in r.repairs)  # first-seen order
+    repair_log = tuple((repair, REPAIR_DESCRIPTIONS[repair]) for repair in repairs)
+    sections = map(tuple, (axiom_rows, hypothesis_rows, extractions, verified))
+    return RunReport(cfg.seed, stages, *sections, repair_log, resolved_delta, x_norms)
 
 
 # --- serialization ---------------------------------------------------------
 #
 # Each section is a list of text columns, one per field, built once per
-# report by ``_report_sections``.  A column holds the field's text for each
-# row in report.json and in the section's CSV file, or None where that file
-# leaves the field out.  The verification section also has cells: its rows
-# nest a list of (x, a) cells each, whose columns JSON writes under the
-# cells' key and CSV writes a line per cell, led by the row's fields.
+# report by ``_report_sections`` and kept as ``RunReport._sections``.  A
+# column holds the field's text for each row in report.json and in the
+# section's CSV file, or None where that file leaves the field out.  The
+# verification section also has cells: its rows nest a list of (x, a) cells
+# each, whose columns JSON writes under the cells' key and CSV writes a
+# line per cell, led by the row's fields.
 
 _NON_FINITE = frozenset(("nan", "inf", "-inf"))
 
@@ -655,16 +652,9 @@ _Sections = tuple[dict[str, list[_Column]], dict[str, tuple[str, list[_Column], 
 
 
 def _report_sections(report: RunReport) -> _Sections:
-    """The text columns of each section, built on first use and kept while
-    the report holds the same row objects and sample norms: a row, table or
-    norm that is added or replaced builds them again."""
+    """The text columns of each section; ``RunReport._sections`` keeps them."""
     axioms, hypotheses = report.axiom_rows, report.hypothesis_rows
     tables, verified, repairs = report.extractions, report.verification_reports, report.repair_log
-    sources = [*axioms, None, *hypotheses, None, *tables, None, *verified, None, *repairs, None]
-    sources += report.x_norms
-    kept = report._texts
-    if kept is not None and len(kept[0]) == len(sources) and all(map(is_, kept[0], sources)):
-        return kept[1]
     checks = [check for _, check in axioms]
 
     def per_point(get: Callable[[ExtractionTable], Sequence]) -> list:
@@ -737,7 +727,6 @@ def _report_sections(report: RunReport) -> _Sections:
         cells("slack", attrgetter("slack"), _float),
     ]
     nested = {"verification": ("rows", cell_columns, [r.lhs.size for r in verified])}
-    report._texts = (sources, (sections, nested))
     return sections, nested
 
 
@@ -789,15 +778,15 @@ def _csv_text(columns: list[_Column], cells: tuple | None) -> str:
 def emit_report(report: RunReport, fmt: str, out_dir: str | Path) -> list[Path]:
     """Write the report as ``report.json`` or one CSV per section.
 
-    Both write the text columns of each section, built once per report and
-    shared by the two formats.  Floats are printed with 17 significant
+    Both write the text columns of each section, rendered by the first emit
+    of the report and reused by the second.  Floats are printed with 17 significant
     digits; identical reports serialize to identical bytes.
     """
     if fmt not in ("json", "csv"):
         raise ValueError(f"unknown report format {fmt!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    sections = _report_sections(report)
+    sections = report._sections
     if fmt == "json":
         with (out / "report.json").open("w", encoding="utf-8") as fh:
             _write_json(report, sections, fh)

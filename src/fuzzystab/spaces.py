@@ -395,18 +395,22 @@ def default_axiom_samples(
 def _ball_draw(rng: np.random.Generator, dim: int, radius: float) -> tuple[float, np.ndarray]:
     """One uniform draw from the closed ball of the given radius, as a
     direction and the factor that scales it: a direction, then, unless it
-    is 0, a radius.  A zero direction gives the origin."""
+    is 0, a radius.  A zero direction gives the origin, and one whose factor
+    overflows is made a unit vector, scaled by the drawn radius alone."""
     direction = rng.standard_normal(dim)
     length = math.sqrt(direction.dot(direction))
     if length == 0.0:
         return 0.0, np.zeros(dim)
-    return radius * rng.random() ** (1.0 / dim) / length, direction
+    drawn = radius * rng.random() ** (1.0 / dim)
+    factor = drawn / length
+    return (factor, direction) if math.isfinite(factor) else (drawn, direction / length)
 
 
 def sample_ball(rng: np.random.Generator, dim: int, radius: float, count: int) -> np.ndarray:
     """``count`` uniform draws from the closed ball of the given radius, as a
     ``(count, dim)`` stack: :func:`_ball_draw` one at a time, so the
-    generator calls are made per draw, and one multiply scales them all."""
+    generator calls are made per draw, and one multiply scales them all.
+    Every draw is finite, at any finite radius."""
     draws = [_ball_draw(rng, dim, radius) for _ in range(count)]
     factors = np.array([factor for factor, _ in draws]).reshape(count, 1)
     return factors * np.array([direction for _, direction in draws]).reshape(count, dim)

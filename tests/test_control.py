@@ -345,6 +345,19 @@ class TestEnvelope:
         assert seen == self.ENTRIES[Scheme.QUADRATIC_UP] + self.ENTRIES[Scheme.ADDITIVE_UP]
 
 
+def test_premise_pairs_past_the_largest_double_are_inf_without_a_warning():
+    # the y of the pairs (x, 4x/3), (x, -2x/3) and (x, 2x) overflows at
+    # x = 1e308; every warning fails a test
+    x, ys = 1e308, [(0, 1), (1, 1), (1, 2), (4, 3), (-2, 3), (1, 3), (1.5, 1), (2, 1)]
+    pairs = premise_pairs(THEOREMS["combined"], np.array([[x]]), np.random.default_rng(0))
+    k = len(ys)
+    assert pairs.shape == (2, k + control.BALL_PAIRS, 1)
+    assert (pairs[0, :k, 0] == x).all()
+    assert pairs[1, :k, 0].tolist() == [num * x / den for num, den in ys]
+    assert np.isinf(pairs[1, :k, 0]).sum() == 3
+    assert np.isfinite(pairs[:, k:]).all()
+
+
 class TestNoPairs:
     """A (2, 0, d) array of pairs gives the defect sup 0 and the premise
     margin ``(inf, None)``, which passes."""
@@ -606,8 +619,9 @@ class TestVerifyStability:
         assert report.hypothesis_ok
         assert report.slack.shape == (2, 2) and np.isnan(report.slack).all()
         assert (report.violations, report.worst_slack) == (4, -np.inf)
-        run = RunReport(seed=0, stages=("verification",), verification_reports=[report])
-        run.x_norms = [0.5, 1.0]
+        run = RunReport(
+            seed=0, stages=("verification",), verification_reports=(report,), x_norms=(0.5, 1.0)
+        )
         emit_report(run, "csv", tmp_path)
         lines = (tmp_path / "verification.csv").read_text().splitlines()
         assert lines[1] == "quadratic_up,0,0.5,0.10000000000000001,inf,inf,nan"

@@ -284,15 +284,13 @@ bools = st.one_of(st.booleans(), st.booleans().map(np.bool_))
 
 @st.composite
 def run_reports(draw):
-    report = RunReport(
-        seed=draw(ints),
-        stages=tuple(draw(st.lists(texts, max_size=4))),
-        resolved_delta=draw(st.none() | floats),
-    )
+    seed = draw(ints)
+    stages = tuple(draw(st.lists(texts, max_size=4)))
+    resolved_delta = draw(st.none() | floats)
     # every table and grid has at most as many points as there are norms
-    report.x_norms = draw(st.lists(floats, max_size=4))
-    points = st.integers(0, len(report.x_norms))
-    report.axiom_rows = draw(
+    x_norms = tuple(draw(st.lists(floats, max_size=4)))
+    points = st.integers(0, len(x_norms))
+    axiom_rows = draw(
         st.lists(
             st.tuples(
                 texts,
@@ -309,7 +307,7 @@ def run_reports(draw):
             max_size=4,
         )
     )
-    report.hypothesis_rows = draw(
+    hypothesis_rows = draw(
         st.lists(
             st.builds(
                 HypothesisRow,
@@ -322,6 +320,7 @@ def run_reports(draw):
             max_size=4,
         )
     )
+    extractions, verified = [], []
     for _ in range(draw(st.integers(0, 3))):
         n, dim = draw(points), draw(st.integers(0, 3))
 
@@ -333,7 +332,7 @@ def run_reports(draw):
         limits.flags.writeable = False
         with np.errstate(over="ignore"):
             limit_norms = tuple(float(np.linalg.norm(limit)) for limit in limits)
-        report.extractions.append(
+        extractions.append(
             ExtractionTable(
                 theorem_id=draw(texts),
                 component=draw(texts),
@@ -350,7 +349,7 @@ def run_reports(draw):
         a_values = np.array(draw(st.lists(floats, max_size=3)), dtype=float)
         shape = (draw(points), a_values.size)
         grid = st.lists(floats, min_size=math.prod(shape), max_size=math.prod(shape))
-        report.verification_reports.append(
+        verified.append(
             StabilityReport(
                 theorem_id=draw(texts),
                 a_values=a_values,
@@ -363,8 +362,18 @@ def run_reports(draw):
                 repairs=tuple(draw(st.lists(texts, max_size=3))),
             )
         )
-    report.repair_log = draw(st.lists(st.tuples(texts, texts), max_size=3))
-    return report
+    repair_log = draw(st.lists(st.tuples(texts, texts), max_size=3))
+    return RunReport(
+        seed,
+        stages,
+        tuple(axiom_rows),
+        tuple(hypothesis_rows),
+        tuple(extractions),
+        tuple(verified),
+        tuple(repair_log),
+        resolved_delta,
+        x_norms,
+    )
 
 
 @settings(

@@ -1,6 +1,7 @@
 """Every name a public ``__all__`` lists exists, every exported name has a
 caller, every config knob is read by the run, no module imports another's
-private names, and no public signature names a private type.
+private names, no public signature names a private type, and every
+expected-failure marker of the tests names the exception it expects.
 
 A string left in ``__all__`` after its name is deleted breaks only
 ``from module import *``, which no other test does.
@@ -23,7 +24,8 @@ MODULES = ["fuzzystab"] + [
 ]
 
 PACKAGE = Path(fuzzystab.__file__).parent
-BENCH = Path(__file__).resolve().parents[1] / "bench"
+TESTS = Path(__file__).resolve().parent
+BENCH = TESTS.parent / "bench"
 
 #: Exported names that only ``test_acceptance.py`` calls, each with its criterion.
 UNCALLED = {
@@ -134,3 +136,18 @@ def test_every_config_knob_is_read_by_the_run():
     }
     knobs = {f.name for f in fields(harness.ExperimentConfig) if f.metadata}
     assert knobs and sorted(knobs - read) == []
+
+
+def test_every_xfail_marker_names_the_exception_it_expects():
+    # an expected failure without raises= also counts a TypeError or an
+    # AttributeError as expected, so a case that API drift breaks would pass
+    offenders = []
+    for path in sorted(TESTS.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        calls = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and ast.unparse(node) == "pytest.mark.xfail":
+                call = calls.get(id(node))
+                if call is None or "raises" not in {k.arg for k in call.keywords}:
+                    offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []

@@ -4,8 +4,10 @@ import csv
 import json
 import math
 import re
+import gc
 import warnings
-from dataclasses import fields, replace
+import weakref
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -517,7 +519,7 @@ class TestEmission:
     def test_violation_total_of_numpy_counts_is_exact(self, tmp_path):
         big = 2**62
         rows = [AxiomCheck("N1", False, big, 0.0), AxiomCheck("N2", False, np.int64(big), 0.0)]
-        report = RunReport(seed=0, stages=(), axiom_rows=[("", c) for c in rows])
+        report = RunReport(seed=0, stages=(), axiom_rows=tuple(("", c) for c in rows))
         assert report.total_violations == 2**63
         (path,) = emit_report(report, "json", tmp_path)
         assert json.loads(path.read_text())["summary"]["violations"] == 2**63
@@ -531,8 +533,8 @@ class TestEmission:
             "combined", np.ones(2), empty, empty, math.nan, 0, hypothesis_ok=False
         )
         for report in (
-            RunReport(seed=0, stages=(), hypothesis_rows=[failed_row]),
-            RunReport(seed=0, stages=(), verification_reports=[not_asserted]),
+            RunReport(seed=0, stages=(), hypothesis_rows=(failed_row,)),
+            RunReport(seed=0, stages=(), verification_reports=(not_asserted,)),
         ):
             assert report.total_violations == 0 and report.all_converged
             assert report.exit_status == EXIT_VIOLATIONS
@@ -664,42 +666,45 @@ class TestEmission:
         del both["report.json"]
         assert self._files(tmp_path / "csv") == both
 
-    @pytest.mark.parametrize("first", ["json", "csv"])
-    @pytest.mark.parametrize(
-        "change, section",
-        [
-            ("extraction_table", "extraction"),
-            ("verification_report", "verification"),
-            ("x_norm", "verification"),
-        ],
-    )
-    def test_a_report_changed_after_an_emit_writes_its_new_values(
-        self, tmp_path, first, change, section
-    ):
+    def test_a_report_cannot_change(self):
+        # the first emit keeps its texts on the report, so a report changed
+        # after it would write stale values
         report = run_pipeline(ExperimentConfig.load(CONFIGS / "combined.json"))
-        emit_report(report, first, tmp_path / "before")
-        if change == "extraction_table":
-            old = report.extractions[0]
-            report.extractions[0] = old._replace(ratio_estimate=(0.125,) * len(old.n_used))
-        elif change == "verification_report":
-            old = report.verification_reports[0]
-            report.verification_reports[0] = replace(old, lhs=old.lhs / 2, rhs=old.rhs / 3)
-        else:
-            report.x_norms[0] = 0.125
-        for fmt in ("json", "csv"):
-            emit_report(report, fmt, tmp_path / "after")
-        # a report of the same rows that was never emitted
-        fresh = RunReport(**{f.name: getattr(report, f.name) for f in fields(RunReport) if f.init})
-        for fmt in ("json", "csv"):
-            emit_report(fresh, fmt, tmp_path / "fresh")
-        after = self._files(tmp_path / "after")
-        assert after == self._files(tmp_path / "fresh")
-        name = "report.json" if first == "json" else f"{section}.csv"
-        assert after[name] != (tmp_path / "before" / name).read_bytes()
+        for f in fields(RunReport):
+            with pytest.raises(FrozenInstanceError):
+                setattr(report, f.name, getattr(report, f.name))
+        sections = (
+            report.axiom_rows,
+            report.hypothesis_rows,
+            report.extractions,
+            report.verification_reports,
+            report.repair_log,
+            report.x_norms,
+        )
+        assert all(isinstance(section, tuple) and section for section in sections)
+
+    def test_the_texts_are_rendered_once_and_freed_with_the_report(self, tmp_path, monkeypatch):
+        rendered = []
+        report_sections = harness._report_sections
+
+        def counted(report):
+            rendered.append(report)
+            return report_sections(report)
+
+        monkeypatch.setattr(harness, "_report_sections", counted)
+        report = run_pipeline(ExperimentConfig.load(CONFIGS / "combined.json"))
+        emit_report(report, "json", tmp_path)
+        emit_report(report, "csv", tmp_path)
+        assert rendered == [report]
+        rendered.clear()
+        kept = weakref.ref(report)
+        del report
+        gc.collect()
+        assert kept() is None
 
     def test_extraction_table_columns_cannot_change_in_place(self):
-        # the texts of an emit are kept while the report holds the same
-        # tables, so a column changed in place would never be written
+        # the first emit keeps its texts on the report, so a column changed
+        # in place would never be written by the second
         report = run_pipeline(ExperimentConfig.load(CONFIGS / "combined.json"), ("extraction",))
         assert len(report.extractions) == 2
         for table in report.extractions:

@@ -2,7 +2,9 @@
 
 Each case runs the pipeline on a config written here, or on a golden
 case's, and asserts what a correct run gives.  Each marked case fails on
-that assertion today.  Its reason names the ROADMAP item whose fix makes
+that assertion today, and only there: its marker expects an
+``AssertionError``, so a case that a changed API breaks fails the suite.
+Its reason names the ROADMAP item whose fix makes
 it pass; that fix removes the marker, since a strict expected failure that
 passes fails the suite, and the case stays as a regression test.
 """
@@ -54,7 +56,9 @@ def _witness_defect(data: dict) -> float:
 
 
 @pytest.mark.xfail(
-    strict=True, reason="ROADMAP item 1: the stop rule accepts an early plateau as converged"
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 1: the stop rule accepts an early plateau as converged",
 )
 def test_every_converged_quadratic_limit_is_x_squared():
     # the row with x_index 1 (x_norm 0.0267) stops at n_used 1 with a
@@ -71,7 +75,24 @@ def test_every_converged_quadratic_limit_is_x_squared():
 
 
 @pytest.mark.xfail(
-    strict=True, reason="ROADMAP item 14: the stop rule has an absolute floor, not scale-free"
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 1: N5 is probed only at the largest sampled threshold",
+)
+def test_the_induced_norms_pass_n5_on_a_one_threshold_grid():
+    # the threshold grid is [1e-3], so N5 asks for a membership near 1 at
+    # 1e-3 (1 + ||v||); N and N' each fail it at 199 of the 200 points
+    data = dict(COMBINED, grids=dict(COMBINED["grids"], a_points=1))
+    report = run_pipeline(ExperimentConfig.from_dict(data))
+    n5 = [(norm, check.violations) for norm, check in report.axiom_rows if check.axiom == "N5"]
+    assert n5 == [("N", 0), ("N'", 0)]
+    assert report.exit_status == harness.EXIT_OK
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 14: the stop rule has an absolute floor, not scale-free",
 )
 def test_quadratic_stops_do_not_depend_on_the_scale_of_f():
     # scaling f by 2^k is exact, so each run must stop at the same n; the
@@ -88,7 +109,9 @@ def test_quadratic_stops_do_not_depend_on_the_scale_of_f():
 
 
 @pytest.mark.xfail(
-    strict=True, reason="ROADMAP item 2: the premise is checked only on pairs in the sampled ball"
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 2: the premise is checked only on pairs in the sampled ball",
 )
 def test_an_explicit_delta_below_a_defect_fails_the_premise():
     # the row passes with worst slack 9.58e-6
@@ -100,7 +123,9 @@ def test_an_explicit_delta_below_a_defect_fails_the_premise():
 
 
 @pytest.mark.xfail(
-    strict=True, reason="ROADMAP item 2: auto delta is the largest defect on the sampled pairs"
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 2: auto delta is the largest defect on the sampled pairs",
 )
 def test_auto_delta_is_at_least_every_defect():
     # the resolved delta is 0.080416
@@ -148,7 +173,9 @@ def test_auto_delta_is_the_largest_finite_defect_norm(monkeypatch):
 
 
 @pytest.mark.xfail(
-    strict=True, reason="ROADMAP item 14: the stop rule's iterate norm overflows on a finite limit"
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 14: the stop rule's iterate norm overflows on a finite limit",
 )
 def test_an_exact_quadratic_converges_at_any_finite_scale():
     # f = x^2 is its own quadratic component, so each step difference is
@@ -178,6 +205,7 @@ FAR_ADDITIVE = {
 
 @pytest.mark.xfail(
     strict=True,
+    raises=AssertionError,
     reason="ROADMAP items 5 and 14: the verification slack is absolute, not relative",
 )
 def test_a_membership_far_below_its_envelope_is_a_violation():

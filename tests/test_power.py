@@ -216,7 +216,7 @@ def _cells():
         for case, outcome in outcomes.items():
             if isinstance(outcome, tuple):
                 reason, row = outcome
-                mark = pytest.mark.xfail(strict=True, reason=reason)
+                mark = pytest.mark.xfail(strict=True, raises=AssertionError, reason=reason)
                 yield pytest.param(fault, case, row, marks=mark, id=f"{fault}-{case}")
             else:
                 yield pytest.param(fault, case, outcome, id=f"{fault}-{case}")

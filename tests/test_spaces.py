@@ -392,6 +392,24 @@ def test_sample_stack_equals_one_point_draws(dim, count):
     assert rng.standard_normal(3).tobytes() == loop_rng.standard_normal(3).tobytes()
 
 
+@pytest.mark.parametrize("radius", [1e307, 1e308])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_draws_near_the_largest_double_are_finite_and_in_the_ball(dim, radius):
+    # radius / length overflows on a short direction; those draws take the
+    # unit direction, and every other draw keeps the bits of the plain draw
+    rng, loop_rng = np.random.default_rng(1), np.random.default_rng(1)
+    stack = sample_ball(rng, dim, radius, 2000)
+    drawn = np.array([one_point_draw(loop_rng, dim, radius) for _ in range(2000)])
+    kept = np.isfinite(drawn).all(axis=1)
+    assert stack[kept].tobytes() == drawn[kept].tobytes()
+    assert rng.standard_normal(3).tobytes() == loop_rng.standard_normal(3).tobytes()
+    points, _ = default_axiom_samples(dim, count=500, radius=radius, seed=2)
+    for xs in (stack, np.array([p for p, _ in points])):
+        assert np.isfinite(xs).all()
+        # normed at the scale 1 / radius, where no square overflows
+        assert np.sqrt(np.sum((xs / radius) ** 2, axis=1)).max() <= 1.0 + 4 * 2.0**-52
+
+
 class ZeroFirstDirection:
     """A generator whose first direction is -0 and which counts its draws."""
 
