@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ScaleError
 from .funceq import TestFunction, VectorFunction, even_part, odd_part, stacked_values
-from .spaces import euclidean_norm
+from .spaces import euclidean_norm, stack_norms
 
 __all__ = [
     "Scheme",
@@ -99,9 +99,11 @@ class Scheme(Enum):
 
 
 def _overflow_error(scheme: Scheme, x: np.ndarray, n: int) -> ScaleError:
-    """The error for the up-scheme argument 2^n x, which trips the overflow guard."""
+    """The error for the up-scheme argument 2^n x, which trips the overflow
+    guard; its norm is taken by ``stack_norms``, so a finite argument whose
+    squares overflow is named by its finite norm."""
     with np.errstate(over="ignore"):
-        size = float(euclidean_norm(np.ldexp(np.atleast_1d(x), n)))
+        size = float(stack_norms(euclidean_norm, np.ldexp(np.atleast_1d(x), n)))
     return ScaleError(
         f"scaled argument norm {size:.3e} exceeds {OVERFLOW_LIMIT:.0e} "
         f"at n={n} for {scheme.value}",

@@ -386,7 +386,7 @@ class RunReport:
     x_norms: tuple[float, ...] = ()
 
     @cached_property
-    def _sections(self) -> _Sections:
+    def _sections(self) -> dict[str, list[_Column]]:
         """The text columns of each section: rendered by the first emit,
         reused by the second, and freed with the report."""
         return _report_sections(self)
@@ -544,13 +544,13 @@ def run_pipeline(cfg: ExperimentConfig, stages: Sequence[str] = ALL_STAGES) -> R
 
 # --- serialization ---------------------------------------------------------
 #
-# Each section is a list of text columns, one per field, built once per
-# report by ``_report_sections`` and kept as ``RunReport._sections``.  A
-# column holds the field's text for each row in report.json and in the
-# section's CSV file, or None where that file leaves the field out.  The
-# verification section also has cells: its rows nest a list of (x, a) cells
-# each, whose columns JSON writes under the cells' key and CSV writes a
-# line per cell, led by the row's fields.
+# Each section is one list of text columns, built once per report by
+# ``_report_sections`` and kept as ``RunReport._sections``.  A column holds
+# one text per row of report.json and one per row of the section's CSV
+# file, or None where that file leaves the field out; each writer is one
+# loop over a section's columns.  The two files may count rows apart: a
+# verification row is a report in JSON, whose (x, a) cells sit nested in
+# its ``rows`` column, and a cell in CSV.
 
 _NON_FINITE = frozenset(("nan", "inf", "-inf"))
 
@@ -611,8 +611,9 @@ def _csv_strings(values: list[str]) -> list[str]:
 
 
 class _Column(NamedTuple):
-    """A field's text for each row in report.json and in its CSV file; None
-    where that file leaves the field out."""
+    """A field's text for each row of report.json and for each row of its
+    CSV file, which may count rows apart; None where that file leaves the
+    field out."""
 
     key: str
     json: list[str] | None
@@ -646,13 +647,11 @@ def _nested(key: str, arrays: list[Sequence], render: Callable[..., _Column]) ->
     return _Column(key, _json_arrays(items, map(len, arrays), 3), None)
 
 
-#: Each section's columns by its key, and the cells of the sections whose
-#: rows have them: ``(key, columns, counts)`` for ``counts`` cells per row.
-_Sections = tuple[dict[str, list[_Column]], dict[str, tuple[str, list[_Column], list[int]]]]
-
-
-def _report_sections(report: RunReport) -> _Sections:
-    """The text columns of each section; ``RunReport._sections`` keeps them."""
+def _report_sections(report: RunReport) -> dict[str, list[_Column]]:
+    """The text columns of each section by its key; ``RunReport._sections``
+    keeps them.  A verification row is one report in report.json, where its
+    JSON-only ``rows`` column nests its (x, a) cells, and one cell in the CSV
+    file, where its CSV-only cell columns follow its ``theorem_id``."""
     axioms, hypotheses = report.axiom_rows, report.hypothesis_rows
     tables, verified, repairs = report.extractions, report.verification_reports, report.repair_log
     checks = [check for _, check in axioms]
@@ -676,7 +675,18 @@ def _report_sections(report: RunReport) -> _Sections:
         json = spread(column.json)
         return _Column(key, json, json if column.csv is column.json else spread(column.csv))
 
-    sections = {
+    cell_columns = [
+        cells("x_index", lambda r: np.arange(len(r.lhs))[:, None], _int),
+        cells("x_norm", lambda r: np.reshape(report.x_norms[: len(r.lhs)], (-1, 1)), _float),
+        cells("a", attrgetter("a_values"), _float),
+        cells("lhs", attrgetter("lhs"), _float),
+        cells("rhs", attrgetter("rhs"), _float),
+        cells("slack", attrgetter("slack"), _float),
+    ]
+    counts = [r.lhs.size for r in verified]
+    theorem_ids = _str("theorem_id", [r.theorem_id for r in verified])
+    theorem_id_per_cell = [text for text, n in zip(theorem_ids.csv, counts) for _ in range(n)]
+    return {
         "axioms": [
             _str("norm", [norm for norm, _ in axioms]),
             _str("axiom", [c.axiom for c in checks]),
@@ -706,28 +716,20 @@ def _report_sections(report: RunReport) -> _Sections:
             _str("stopped_reason", per_point(attrgetter("stopped_reason"))),
         ],
         "verification": [
-            _str("theorem_id", [r.theorem_id for r in verified]),
+            theorem_ids._replace(csv=theorem_id_per_cell),
             _bool("hypothesis_ok", [r.hypothesis_ok for r in verified])._replace(csv=None),
             _str("note", [r.note for r in verified])._replace(csv=None),
             _float("worst_slack", [r.worst_slack for r in verified])._replace(csv=None),
             _int("violations", [r.violations for r in verified])._replace(csv=None),
             _nested("repairs", [r.repairs for r in verified], _str),
+            _Column("rows", _json_arrays(_json_rows(cell_columns, 4), counts, 3), None),
+            *(column._replace(json=None) for column in cell_columns),
         ],
         "repair_log": [
             _str("repair_id", [repair for repair, _ in repairs]),
             _str("description", [description for _, description in repairs]),
         ],
     }
-    cell_columns = [
-        cells("x_index", lambda r: np.arange(len(r.lhs))[:, None], _int),
-        cells("x_norm", lambda r: np.reshape(report.x_norms[: len(r.lhs)], (-1, 1)), _float),
-        cells("a", attrgetter("a_values"), _float),
-        cells("lhs", attrgetter("lhs"), _float),
-        cells("rhs", attrgetter("rhs"), _float),
-        cells("slack", attrgetter("slack"), _float),
-    ]
-    nested = {"verification": ("rows", cell_columns, [r.lhs.size for r in verified])}
-    return sections, nested
 
 
 def _json_rows(columns: list[_Column], depth: int) -> list[str]:
@@ -737,7 +739,7 @@ def _json_rows(columns: list[_Column], depth: int) -> list[str]:
     return [template % values for values in zip(*(c.json for c in columns))]
 
 
-def _write_json(report: RunReport, sections: _Sections, fh) -> None:
+def _write_json(report: RunReport, sections: dict[str, list[_Column]], fh) -> None:
     """Write report.json, one section at a time."""
     summary = {
         "violations": str(int(report.total_violations)),
@@ -747,12 +749,7 @@ def _write_json(report: RunReport, sections: _Sections, fh) -> None:
         (summary["resolved_delta"],) = _json_floats(_float_texts([report.resolved_delta]))
     stages = _json_array(_json_strings(report.stages), 1)
     fh.write(f'{{\n  "seed": {int(report.seed)},\n  "stages": {stages}')
-    columns_of, cells_of = sections
-    for key, columns in columns_of.items():
-        if key in cells_of:
-            cell_key, cell_columns, counts = cells_of[key]
-            rows = _json_arrays(_json_rows(cell_columns, 4), counts, 3)
-            columns = [*columns, _Column(cell_key, rows, None)]
+    for key, columns in sections.items():
         fh.write(f",\n  {encode_basestring_ascii(key)}: ")
         fh.write(_json_array(_json_rows(columns, 2), 1))
     fh.write(',\n  "summary": ')
@@ -760,16 +757,8 @@ def _write_json(report: RunReport, sections: _Sections, fh) -> None:
     fh.write(f',\n  "exit_status": {int(report.exit_status)}\n}}\n')
 
 
-def _csv_text(columns: list[_Column], cells: tuple | None) -> str:
-    """Text of a section's CSV file: the header, then a line per row, or a
-    line per cell led by its row's fields."""
-    if cells is not None:
-        _, cell_columns, counts = cells
-        columns = [
-            c._replace(csv=[v for v, n in zip(c.csv, counts) for _ in range(n)])
-            for c in columns
-            if c.csv is not None
-        ] + cell_columns
+def _csv_text(columns: list[_Column]) -> str:
+    """Text of a section's CSV file: the header, then a line per row."""
     columns = [c for c in columns if c.csv is not None]
     lines = [",".join(c.key for c in columns), *map(",".join, zip(*(c.csv for c in columns)))]
     return "\n".join(lines) + "\n"
@@ -791,8 +780,7 @@ def emit_report(report: RunReport, fmt: str, out_dir: str | Path) -> list[Path]:
         with (out / "report.json").open("w", encoding="utf-8") as fh:
             _write_json(report, sections, fh)
         return [out / "report.json"]
-    columns_of, cells_of = sections
-    paths = [out / f"{key}.csv" for key in columns_of]
-    for (key, columns), path in zip(columns_of.items(), paths):
-        path.write_text(_csv_text(columns, cells_of.get(key)), encoding="utf-8", newline="")
+    paths = [out / f"{key}.csv" for key in sections]
+    for columns, path in zip(sections.values(), paths):
+        path.write_text(_csv_text(columns), encoding="utf-8", newline="")
     return paths

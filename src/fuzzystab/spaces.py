@@ -127,9 +127,10 @@ class SpaceConfig:
 def stack_norms(norm: CrispNorm, x: np.ndarray) -> float | np.ndarray:
     """Norms ``norm(x)`` of the vectors ``x`` of shape ``(..., d)``, shape ``(...)``;
     ``ValueError`` if the norm does not map them one by one (one number for a stack).
-    The one norm of the report and of every check but the extraction stop rule:
-    an inf norm of finite entries is taken again of the vector scaled by 2^-e, e
-    the exponent of its largest entry, and scaled back by 2^e; overflow warns as in ``norm``.
+    The one norm of the report and of every check but extraction's stop rule and
+    guard trip tests: an inf norm of finite entries is taken again of the vector
+    scaled by 2^-e, e the exponent of its largest entry, and scaled back by 2^e;
+    overflow warns as in ``norm``.
     """
     r = norm(x)
     if np.shape(r) != np.shape(x)[:-1]:

@@ -1,7 +1,8 @@
 """Every name a public ``__all__`` lists exists, every exported name has a
-caller, every config knob is read by the run, no module imports another's
-private names, no public signature names a private type, and every
-expected-failure marker of the tests names the exception it expects.
+caller, every private name is loaded in its module, every config knob is
+read by the run, no module imports another's private names, no public
+signature names a private type, and every expected-failure marker of the
+tests names the exception it expects.
 
 A string left in ``__all__`` after its name is deleted breaks only
 ``from module import *``, which no other test does.
@@ -123,6 +124,41 @@ def test_every_exported_function_has_a_caller():
     exported = {n for module in modules for n in getattr(module, "__all__", ())}
     assert UNCALLED.keys() <= exported
     assert sorted(exported - loaded - UNCALLED.keys()) == []
+
+
+def _private_definitions(statement: ast.stmt) -> list[str]:
+    """The one-underscore names that a top-level statement defines."""
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = [statement.name]
+    elif isinstance(statement, (ast.Assign, ast.AnnAssign)):
+        targets = statement.targets if isinstance(statement, ast.Assign) else [statement.target]
+        names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    else:
+        names = []
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def test_every_private_name_is_loaded_in_its_module():
+    # a top-level private name (function, class or assignment) that its own
+    # module never loads outside its definition is dead code: nothing else
+    # may import it
+    dead, checked = [], 0
+    for path in sorted(PACKAGE.glob("*.py")):
+        body = ast.parse(path.read_text(encoding="utf-8")).body
+        for statement in body:
+            for name in _private_definitions(statement):
+                checked += 1
+                loaded = (
+                    node
+                    for other in body
+                    if other is not statement
+                    for node in ast.walk(other)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                    and node.id == name
+                )
+                if next(loaded, None) is None:
+                    dead.append(f"{path.name}: {name}")
+    assert checked > 0 and dead == []
 
 
 def test_every_config_knob_is_read_by_the_run():

@@ -102,14 +102,15 @@ class TestIterate:
         assert err.value.scheme == "quadratic_up"
 
     def test_overflowing_argument_norm_raises_one_error_from_both_guards(self):
-        # the norm of 1e200 overflows; extract_limit and iterate raise the same
-        # ScaleError for it, with no overflow warning on the way
+        # the squares of 1e200 overflow; extract_limit and iterate raise the same
+        # ScaleError for it, naming its finite norm, with no overflow warning on the way
         errors = []
         for run in (extract_limit, lambda *args: iterate(*args, 0)):
             with pytest.raises(ScaleError) as err:
                 run(Scheme.QUADRATIC_UP, SQUARE, V(1e200))
             errors.append((err.value.n, str(err.value)))
-        assert errors == [(0, "scaled argument norm inf exceeds 1e+150 at n=0 for quadratic_up")] * 2
+        line = "scaled argument norm 1.000e+200 exceeds 1e+150 at n=0 for quadratic_up"
+        assert errors == [(0, line)] * 2
 
     def test_overflow_guard_norms_the_largest_index_unless_it_trips(self, monkeypatch):
         # the scaled norms grow with n, so the largest index decides; only a

@@ -72,8 +72,8 @@ def reference_iterate(scheme: Scheme, f, x, n: int) -> np.ndarray:
     v = np.atleast_1d(np.asarray(x, dtype=float))
     if scheme.is_up:
         arg = np.ldexp(v, n)
-        size = float(np.linalg.norm(arg))
-        if size > OVERFLOW_LIMIT:
+        if float(np.linalg.norm(arg)) > OVERFLOW_LIMIT:
+            size = math.hypot(*arg.tolist())  # finite for a finite argument, unlike the squares
             raise ScaleError(
                 f"scaled argument norm {size:.3e} exceeds {OVERFLOW_LIMIT:.0e} "
                 f"at n={n} for {scheme.value}",

@@ -776,6 +776,17 @@ class TestCli:
         assert code == EXIT_SCALE
         assert capsys.readouterr().err == line + "\n"
 
+    def test_scale_error_names_the_finite_norm_of_a_point_whose_squares_overflow(
+        self, tmp_path, capsys
+    ):
+        # the sampled point is about -9.7e199: its squares overflow, its norm does not
+        data = json.loads((CONFIGS / "combined.json").read_text(encoding="utf-8"))
+        data["grids"]["x_radius"] = 1e200
+        config = write_config(tmp_path, data)
+        code = cli_main(["run", "--config", str(config), "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_SCALE
+        assert "scaled argument norm 9.710e+199 exceeds" in capsys.readouterr().err
+
     def test_overflowing_control_degree_reports_its_verdict(self, tmp_path):
         # 2.0 ** 2000 overflows a Python float: the growth is inf, so the
         # scaling row fails at -inf in a written report

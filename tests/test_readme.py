@@ -1,6 +1,7 @@
 """Every Python block of README.md runs as written and prints what its
 comments say, its config schema lists exactly the keys the reader
-accepts, and the verifier settings it states are the library's."""
+accepts, and the verifier settings and CSV headers it states are the
+library's."""
 
 import inspect
 import re
@@ -57,3 +58,16 @@ def test_readme_settings_are_the_library_constants():
     bounds = re.search(rf"log-spaced from {number} to {number}", paragraph).groups()
     defaults = inspect.signature(spaces.log_a_grid).parameters
     assert tuple(map(float, bounds)) == (defaults["lo"].default, defaults["hi"].default)
+
+
+def test_readme_csv_headers_are_the_emitted_ones(tmp_path):
+    # the column lists that README "Reports" spells out for two CSV files
+    text = README.read_text(encoding="utf-8")
+    stated = dict(re.findall(r"`(\w+)\.csv` columns\s+are\s+`([\w,]+)`", text))
+    assert sorted(stated) == ["extraction", "verification"]
+    config = Path(__file__).resolve().parents[1] / "configs" / "combined.json"
+    report = harness.run_pipeline(ExperimentConfig.load(config))
+    harness.emit_report(report, "csv", tmp_path)
+    for name, header in stated.items():
+        lines = (tmp_path / f"{name}.csv").read_text(encoding="utf-8").splitlines()
+        assert lines[0] == header and len(lines) > 1, name
