@@ -186,17 +186,6 @@ class ExtractionResult:
     stopped_reason: str = ""
 
 
-def _step_norms(rows: np.ndarray) -> np.ndarray:
-    """Norms of the K - 1 successive differences of the K iterate rows ``(...,
-    K, dim_y)``, then of the rows themselves: ``(..., 2K - 1)``.
-
-    One stacked :func:`euclidean_norm` call norms each vector alone, so every
-    norm keeps its bits.  Differences past a stop may overflow or be
-    inf - inf; the caller's ``errstate`` decides whether that warns.
-    """
-    return euclidean_norm(np.concatenate((rows[..., 1:, :] - rows[..., :-1, :], rows), axis=-2))
-
-
 def _first_stop(diffs: np.ndarray, sizes: np.ndarray, tol: float) -> np.ndarray | np.integer:
     """Index of the first difference that stops each run, over the last axis,
     and that axis' length if none; ``sizes`` are the norms of the iterate
@@ -218,14 +207,18 @@ def _settle(rows: np.ndarray, tol: float = TOL) -> tuple[np.ndarray, list, list,
     """The runs of the points whose iterate rows are ``rows`` ``(P, K,
     dim_y)``: their limits, each point's iterate n = ``n_used``, as one array
     ``(P, dim_y)``, then their ``n_used``, ``converged``, kind and
-    ``ratio_estimate`` as lists, decided as arrays from the rows'
-    :func:`_step_norms` and :func:`_first_stop` with the stop tolerance
-    ``tol``.
+    ``ratio_estimate`` as lists, decided as arrays from the norms of the
+    rows' K = ``rows.shape[1]`` iterates and their K - 1 successive
+    differences, by :func:`_first_stop` with the stop tolerance ``tol``.
 
     A ratio near 1/4 (1/2) marks clean geometric decay of a quadratic
     (additive) defect, one >= 1 divergence.
     """
-    norms = _step_norms(rows)
+    # One stacked norm call, (P, 2K - 1), norms each difference and then
+    # each iterate alone, so every norm keeps its bits.  Differences past a
+    # stop may overflow or be inf - inf; the caller's errstate decides
+    # whether that warns.
+    norms = euclidean_norm(np.concatenate((rows[:, 1:] - rows[:, :-1], rows), axis=1))
     at, k = np.arange(len(rows)), rows.shape[1] - 1
     diffs = norms[:, :k]
     stops = _first_stop(diffs, norms[:, k + 1 :], tol)

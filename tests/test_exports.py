@@ -1,8 +1,9 @@
 """Every name a public ``__all__`` lists exists, every exported name has a
 caller, every private name is loaded in its module, every config knob is
 read by the run, no module imports another's private names, no public
-signature names a private type, and every expected-failure marker of the
-tests names the exception it expects.
+signature names a private type, every expected-failure marker of the
+tests names the exception it expects and an open ROADMAP item, and the
+work pins of the extraction count its work through public names only.
 
 A string left in ``__all__`` after its name is deleted breaks only
 ``from module import *``, which no other test does.
@@ -12,13 +13,15 @@ import ast
 import importlib
 import inspect
 import pkgutil
+import re
+from collections.abc import Iterator
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import fuzzystab
-from fuzzystab import harness
+from fuzzystab import extraction, harness
 
 MODULES = ["fuzzystab"] + [
     f"fuzzystab.{info.name}" for info in pkgutil.iter_modules(fuzzystab.__path__)
@@ -174,6 +177,23 @@ def test_every_config_knob_is_read_by_the_run():
     assert knobs and sorted(knobs - read) == []
 
 
+def test_the_work_pins_load_no_private_name_of_the_extraction():
+    # test_work_counts.py counts the extraction's work through public names
+    # (rows of f, norms, extract_limit calls), so that a refactor of its
+    # private helpers that keeps the work keeps the pins: no extraction._x
+    # attribute, no imported _x, and no string "_x" that names one
+    private = {n for n in vars(extraction) if n.startswith("_") and not n.startswith("__")}
+    loaded = []
+    for node in ast.walk(ast.parse((TESTS / "test_work_counts.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Attribute) and ast.unparse(node.value) == "extraction":
+            loaded.append(node.attr)
+        elif isinstance(node, ast.ImportFrom) and node.module == "fuzzystab.extraction":
+            loaded += [alias.name for alias in node.names]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            loaded.append(node.value)
+    assert private and sorted(set(loaded) & private) == []
+
+
 def test_every_xfail_marker_names_the_exception_it_expects():
     # an expected failure without raises= also counts a TypeError or an
     # AttributeError as expected, so a case that API drift breaks would pass
@@ -187,3 +207,65 @@ def test_every_xfail_marker_names_the_exception_it_expects():
                 if call is None or "raises" not in {k.arg for k in call.keywords}:
                     offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+#: A ledger reason opens with the open ROADMAP item or items meant to fix it.
+LEDGER_REASON = re.compile(r"ROADMAP (?:item (\d+)|items (\d+) and (\d+))\b")
+
+
+def _open_items() -> set[int]:
+    """The numbers of the item headings under "## Open items" in ROADMAP.md."""
+    text = (TESTS.parent / "ROADMAP.md").read_text(encoding="utf-8")
+    section = text.split("\n## Open items\n", 1)[1].split("\n## ", 1)[0]
+    return {int(n) for n in re.findall(r"^(\d+)\. \*\*", section, re.M)}
+
+
+def _marked(module) -> Iterator[tuple[str, object]]:
+    """(name, object) of each test function and test class of ``module``,
+    and of each test method of its classes: what pytest reads marks from."""
+    for name, test in vars(module).items():
+        if name.startswith("Test") and isinstance(test, type):
+            yield name, test
+            yield from ((f"{name}::{m}", v) for m, v in vars(test).items() if m.startswith("test"))
+        elif name.startswith("test"):
+            yield name, test
+
+
+def _xfail_reasons() -> list[tuple[str, object]]:
+    """(test, reason) of every expected-failure marker of the tests: on a
+    test, or on a case of its parametrization.  Cases that a generator
+    hands to the parametrization are read again from their module's
+    ``_cells()``, as pytest has used up the generator."""
+    reasons = []
+    for path in sorted(TESTS.glob("test_*.py")):
+        module = importlib.import_module(path.stem)
+        for name, test in _marked(module):
+            for mark in getattr(test, "pytestmark", []):
+                if mark.name == "xfail":
+                    reasons.append((f"{path.stem}::{name}", mark.kwargs.get("reason")))
+                if mark.name != "parametrize":
+                    continue
+                cases = mark.args[1]
+                if isinstance(cases, Iterator):
+                    cases = module._cells()
+                reasons += [
+                    (f"{path.stem}::{name}[{case.id}]", marked.kwargs.get("reason"))
+                    for case in cases
+                    for marked in getattr(case, "marks", ())
+                    if marked.name == "xfail"
+                ]
+    return reasons
+
+
+def test_every_xfail_reason_names_an_open_roadmap_item():
+    # each expected failure is a wrong verdict or a missed fault that an
+    # open item is meant to fix; its reason names that item, whose fix
+    # removes the marker, so the ledger and the ROADMAP stay one list
+    open_items, reasons = _open_items(), _xfail_reasons()
+    offenders = []
+    for test, reason in reasons:
+        named = LEDGER_REASON.match(reason) if isinstance(reason, str) else None
+        items = {int(n) for n in named.groups() if n} if named else set()
+        if not items or not items <= open_items:
+            offenders.append(f"{test}: {reason!r}")
+    assert reasons and offenders == []

@@ -1,9 +1,11 @@
 """Work counts of the extraction and of the control checks.
 
 Counts are deterministic, so these tests pin the work a run does without
-the flakiness of a timing test: calls of the source function, calls of
-``iterate``, rows evaluated, evaluations of the equation defect, and the
-memory the extraction holds beyond its results.
+the flakiness of a timing test: calls and rows of the source function,
+the extraction's norm calls and rows and its ``extract_limit`` calls,
+evaluations of the equation defect, membership and control calls, and the
+memory the extraction holds beyond its results.  Each count is taken
+through a public name, so a refactor that keeps the work keeps the pin.
 """
 
 import importlib.util
@@ -44,22 +46,50 @@ def _workload_config(name: str) -> dict:
     return module.WORKLOADS[name].config(module.DEFAULT_SEED)
 
 
-def test_extract_down_stage_calls_f_once_per_block(monkeypatch):
-    cfg = ExperimentConfig.from_dict(_workload_config("extract_down"))
-    shapes = []
-    iterated = []
-    call, evaluate = TestFunction.__call__, extraction._evaluate
+@pytest.fixture
+def work(monkeypatch) -> dict:
+    """The extraction's work, counted through public names as it is done:
+    the shape of each call of f (``TestFunction``) and of each norm call of
+    the extraction (``euclidean_norm`` as ``fuzzystab.extraction`` imports
+    it), and the number of ``extract_limit`` calls."""
+    done = {"f": [], "norms": [], "extract_limit": 0}
+    call, norm = TestFunction.__call__, extraction.euclidean_norm
+    limit = extraction.extract_limit
 
-    def counted(self, x):
-        shapes.append(np.shape(x))
+    def counted_call(self, x):
+        done["f"].append(np.shape(x))
         return call(self, x)
 
-    def counted_evaluate(scheme, f, x, n):
-        iterated.append(np.shape(x))
-        return evaluate(scheme, f, x, n)
+    def counted_norm(x):
+        done["norms"].append(np.shape(x))
+        return norm(x)
 
-    monkeypatch.setattr(TestFunction, "__call__", counted)
-    monkeypatch.setattr(extraction, "_evaluate", counted_evaluate)
+    def counted_limit(*args):
+        done["extract_limit"] += 1
+        return limit(*args)
+
+    monkeypatch.setattr(TestFunction, "__call__", counted_call)
+    monkeypatch.setattr(extraction, "euclidean_norm", counted_norm)
+    monkeypatch.setattr(extraction, "extract_limit", counted_limit)
+    return done
+
+
+def _rows(shapes: list) -> int:
+    """Rows of the calls on points of ``shapes``, ``(..., d)``: one per point."""
+    return sum(int(np.prod(shape[:-1])) for shape in shapes)
+
+
+def _tally(work: dict) -> dict:
+    """Calls and rows of f and of the norms, and the ``extract_limit`` calls,
+    done since the last tally of ``work``, which restarts its counts."""
+    tally = {key: (len(work[key]), _rows(work[key])) for key in ("f", "norms")}
+    tally["extract_limit"] = work["extract_limit"]
+    work.update(f=[], norms=[], extract_limit=0)
+    return tally
+
+
+def test_extract_down_stage_calls_f_once_per_block(work):
+    cfg = ExperimentConfig.from_dict(_workload_config("extract_down"))
     report = run_pipeline(cfg, ("extraction",))
     dim_x, points = cfg.space.dim_x, extraction.BLOCK_POINTS
     (table,) = report.extractions
@@ -72,11 +102,11 @@ def test_extract_down_stage_calls_f_once_per_block(monkeypatch):
     blocks = [points] * (cfg.x_count // points) + [cfg.x_count % points] * (cfg.x_count % points > 0)
     assert blocks == [199] * 20 + [20]
     assert max(table.n_used) == 12
+    shapes = work["f"]
     assert shapes == [(dim_x,), (199, N_MAX + 1, dim_x)] + [(p, 13, dim_x) for p in blocks[1:]]
-    assert iterated == [(p, dim_x) for p in blocks]
     # f rows evaluated by the extraction: 164,000 when each block evaluated
     # every step n = 0..N_MAX
-    assert sum(np.prod(shape[:-1]) for shape in shapes[1:]) == 57_572
+    assert _rows(shapes[1:]) == 57_572
 
 
 def test_extract_down_stage_holds_one_block_at_a_time(monkeypatch):
@@ -109,64 +139,47 @@ def test_extract_down_stage_holds_one_block_at_a_time(monkeypatch):
     assert peak < every_row + 2 * block
 
 
-def test_the_block_decides_each_guard_norm_and_stop_once(monkeypatch):
-    # the block's one guard search, one stacked norm call and one stop
-    # predicate decide every point; extract_limit, handed a point's share of
-    # that decision, decides none of them again, and the evaluation of the
-    # steps before each guard tests no guard again
-    names = ("_first_trips", "_evaluate", "_step_norms", "_first_stop", "extract_limit")
-    counts = dict.fromkeys(names, 0)
-    for name in counts:
-        original = getattr(extraction, name)
-
-        def counted(*args, name=name, original=original):
-            counts[name] += 1
-            return original(*args)
-
-        monkeypatch.setattr(extraction, name, counted)
+def test_the_block_decides_each_guard_norm_and_stop_once(work):
+    # per block, one guard search norms each point once (the down-scheme
+    # guard trips at no step), and one stacked norm call norms each of the
+    # K rows of f of a point and its K - 1 step differences: 2 K norms per
+    # point in all, 2 per row of f.  extract_limit, handed a point's share
+    # of that decision, evaluates and norms nothing again
     cfg = ExperimentConfig.from_dict(_workload_config("extract_down"))
     run_pipeline(cfg, ("extraction",))
-    assert counts == {
-        "_first_trips": 21,
-        "_evaluate": 21,
-        "_step_norms": 21,
-        "_first_stop": 21,
+    assert _tally(work) == {
+        "f": (1 + 21, 1 + 57_572),  # f(0) for the offset, then one call per block
+        "norms": (2 * 21, 2 * 57_572),
         "extract_limit": 4000,
     }
-    # the points that share a guard share one decision: 1.0 and 2.0 run to
-    # N_MAX, 1e140 and 1e139 are cut before their guards at 34 and 37
-    counts.update(dict.fromkeys(counts, 0))
+    # the points that share a guard share one call of f: 1.0 and 2.0 run
+    # to N_MAX, 1e140 and 1e139 are cut before their guards at 34 and 37
     component = extraction.ExtractedComponent(Scheme.QUADRATIC_UP, TestFunction.scalar(quad=1.0))
     results = component.extract(np.array([[1.0], [1e140], [2.0], [1e139]]))
     assert [r.n_used for r in results] == [1] * 4
-    # one guard search, of the steps of 1e140 and 1e139 only
-    assert counts == {
-        "_first_trips": 1,
-        "_evaluate": 3,
-        "_step_norms": 3,
-        "_first_stop": 3,
+    # one guard search norms the 4 points at n = N_MAX, then the 41 steps
+    # of 1e140 and 1e139 only, as the two others trip no guard; each
+    # group's norm call takes 2 K - 1 norms per point
+    assert _tally(work) == {
+        "f": (3, 2 * 41 + 34 + 37),
+        "norms": (2 + 3, 4 + 2 * 41 + (2 * 81 + 67 + 73)),
         "extract_limit": 4,
     }
 
 
 @pytest.mark.parametrize("scheme", list(Scheme))
-def test_one_iterate_call_per_extraction(monkeypatch, scheme):
-    # one evaluation of the iterates, the body of iterate, per extraction
-    calls = []
-    original = extraction._evaluate
-
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(extraction, "_evaluate", counted)
+def test_one_iterate_call_per_extraction(work, scheme):
+    # one call of f per extraction, on the steps before its guard; two norm
+    # calls, the guard search at n = N_MAX and the norms of the steps, and
+    # one more where the guard trips, at 1e140 (up) or 1e-135 (down)
     f = TestFunction.scalar(
         quad=1.0, linear=0.5, perturbations=(Perturbation(shape="sin", amplitude=0.1),)
     )
     xs = (0.0, 1e-3, 0.7, -2.5, 1e3, 1e-135, 1e140)
     for x in xs:
         extract_limit(scheme, f, np.array([x]))
-    assert len(calls) == len(xs)
+    assert len(work["f"]) == len(xs)
+    assert len(work["norms"]) == 2 * len(xs) + 1
 
 
 def test_uniqueness_window_evaluates_its_last_two_indices(monkeypatch):
